@@ -17,9 +17,12 @@ def _jacobi_cycle(a, v, fro, off_target, max_sweeps):
     """Diagonalize symmetric `a` in place, accumulating rotations into `v`.
 
     Returns the number of completed sweeps, or -1 when the off-diagonal
-    Frobenius norm is still above `off_target` after `max_sweeps` sweeps.
-    `fro` is the Frobenius norm of the input (rotation-invariant).
+    Frobenius norm is still above `off_target` after `max_sweeps` sweeps, or
+    when `fro`, the Frobenius norm of the input (rotation-invariant), is not
+    finite: an overflowed or NaN norm would stop the sweeps at once.
     """
+    if not math.isfinite(fro):
+        return -1
     n = a.shape[0]
     if n < 2 or fro == 0.0:
         return 0

@@ -3,33 +3,9 @@
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
-from . import cbf, config, dpsd, formulations, linalg, model, problems, schemes, verify
+from . import cbf, dpsd, formulations, linalg, model, problems, schemes, verify
 from .errors import MisdpkitError
-
-
-@dataclass(frozen=True)
-class CliConfig:
-    """Run-wide knobs: tolerance profile, enumeration budget, output, seed."""
-
-    budget: int = 10**7
-    seed: int = 0
-    out_format: str = "cbf"
-    tolerances: object = None
-
-    def __post_init__(self):
-        if self.budget <= 0:
-            raise MisdpkitError("enumeration budget must be positive")
-
-
-def _cli_config(args) -> CliConfig:
-    return CliConfig(
-        budget=getattr(args, "budget", 10**7),
-        seed=getattr(args, "seed", 0),
-        out_format=getattr(args, "format", "cbf"),
-        tolerances=config.DEFAULT,
-    )
 
 
 def _read(path):
@@ -172,12 +148,13 @@ def cmd_count(args):
 
 
 def cmd_verify(args):
-    cfg = _cli_config(args)
+    if args.budget <= 0:
+        raise MisdpkitError("enumeration budget must be positive")
     names = sorted(verify.SUITES) if args.suite == "all" else [args.suite]
     all_ok = True
     lines = []
     for name in names:
-        res = verify.equivalence_suite(name, budget=cfg.budget, seed=cfg.seed)
+        res = verify.equivalence_suite(name, budget=args.budget, seed=args.seed)
         all_ok &= res.passed
         lines += [verify.report_json(r) for r in res.reports]
         if args.table:

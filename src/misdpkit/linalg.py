@@ -6,6 +6,7 @@ checks (binarity, sign patterns, triangle inequalities) never go through
 floating point.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,9 +72,6 @@ class SymMat:
     def __getitem__(self, key):
         return self._a[key]
 
-    def to_array(self):
-        return self._a.copy()
-
     @property
     def array(self):
         """Read-only view of the float storage."""
@@ -83,9 +81,7 @@ class SymMat:
         return np.diag(self._a).copy()
 
     def inf_norm(self):
-        if self.n == 0:
-            return 0.0
-        return float(np.max(np.sum(np.abs(self._a), axis=1)))
+        return _inf_norm(self._a)
 
     def values_in(self, allowed) -> bool:
         """True when every entry lies in the given set of integers."""
@@ -132,29 +128,32 @@ def _as_array(a):
     return a.array if isinstance(a, SymMat) else np.asarray(a, dtype=np.float64)
 
 
+def _jacobi(arr, tols):
+    w, v, sweeps = jacobi_eigh(arr, tols.jacobi_off, tols.jacobi_sweeps)
+    if sweeps < 0:
+        raise NonConvergence(
+            f"Jacobi did not converge in {tols.jacobi_sweeps} sweeps, or the matrix norm "
+            f"is not finite (n={arr.shape[0]})"
+        )
+    return w, v, sweeps
+
+
 def eigen_values(a, tols=None):
     """Eigenvalues (descending) of a symmetric matrix or SymMat, no vectors."""
-    tols = tols or config.DEFAULT
-    arr = _as_array(a)
-    w, _, sweeps = jacobi_eigh(arr, tols.jacobi_off, tols.jacobi_sweeps)
-    if sweeps < 0:
-        raise NonConvergence(f"Jacobi did not converge in {tols.jacobi_sweeps} sweeps (n={arr.shape[0]})")
-    return w
+    return _jacobi(_as_array(a), tols or config.DEFAULT)[0]
 
 
 def eigensym(a, tols=None):
     """Full spectral decomposition by cyclic Jacobi rotations.
 
-    Raises NonConvergence when the sweep budget is exhausted before the
-    off-diagonal Frobenius norm drops below the threshold.
+    Raises NonConvergence when the Frobenius norm is not finite, or when the
+    sweep budget is exhausted before the off-diagonal Frobenius norm drops
+    below the threshold.
     """
-    tols = tols or config.DEFAULT
     arr = _as_array(a)
     if arr.shape[0] < 1:
         raise DimensionMismatch("eigensym requires n >= 1")
-    w, v, sweeps = jacobi_eigh(arr, tols.jacobi_off, tols.jacobi_sweeps)
-    if sweeps < 0:
-        raise NonConvergence(f"Jacobi did not converge in {tols.jacobi_sweeps} sweeps (n={arr.shape[0]})")
+    w, v, sweeps = _jacobi(arr, tols or config.DEFAULT)
     residual = float(np.max(np.abs(arr @ v - v * w))) if arr.size else 0.0
     return EigenResult(w, v, residual, sweeps)
 
@@ -223,9 +222,13 @@ def loads_matrix(text: str) -> SymMat:
         if len(parts) != n:
             raise ParseError(f"row has {len(parts)} entries, expected {n}", line=i + 2)
         try:
-            rows.append([float(p) for p in parts])
+            row = [float(p) for p in parts]
         except ValueError as exc:
             raise ParseError(str(exc), line=i + 2)
+        bad = next((p for p, x in zip(parts, row) if not math.isfinite(x)), None)
+        if bad is not None:
+            raise ParseError(f"entry {bad!r} is not a finite number", line=i + 2)
+        rows.append(row)
     a = np.array(rows, dtype=np.float64) if n else np.zeros((0, 0))
     if not np.array_equal(a, a.T):
         raise ParseError("matrix is not symmetric (validated with zero tolerance)")
@@ -235,8 +238,3 @@ def loads_matrix(text: str) -> SymMat:
 def load_matrix(path) -> SymMat:
     with open(path, "r", encoding="utf-8") as fh:
         return loads_matrix(fh.read())
-
-
-def save_matrix(a, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_matrix(a))

@@ -198,9 +198,6 @@ class MisdpModel:
     def integer_names(self):
         return [n for n, d in self.variables if d.is_integer]
 
-    def continuous_names(self):
-        return [n for n, d in self.variables if not d.is_integer]
-
     def __eq__(self, other):
         if not isinstance(other, MisdpModel):
             return NotImplemented

@@ -2,24 +2,25 @@
 
 `solve_by_enumeration` walks every integer assignment of a model (forward
 checking on linear rows), eliminates the continuous variables, and evaluates
-feasibility exactly.  Continuous variables are resolved in this order:
+feasibility exactly.  Each leaf resolves continuous variables in this order:
 
-  1. builder hints -- "gram" (lifted entries pinned to an outer product),
-     "cycle_distance" (higher distance classes from the base adjacency);
+  1. builder hints of the "lift" stage (entries pinned by the integer part);
   2. exact linear closure of the equality rows (Gaussian elimination over
-     Fractions);
-  3. the "qap_schur" hint (blocks forced once the assignment block is a
-     permutation);
+     Fractions) over the continuous variables no hint covers;
+  3. builder hints of the "forced" stage (blocks fixed once the closure ran);
   4. corner scalars: a variable sitting on one diagonal entry of a single
      pencil and appearing linearly in the objective, resolved by bisection;
-  5. the "nuclear" hint (trace-minimal diagonal blocks from singular values).
+  5. builder hints of the "pending" stage, only while variables remain.
 
-"valid_cuts" hints add pruning-only rows that every integer-feasible point
-satisfies; they never change the feasible set.  `oracle` provides the
-brute-force combinatorial side, and `equivalence_suite` compares the two on
-named instance families.
+`_HINT_RULES` is the one list of hint rules a model's metadata may name: each
+entry gives its stage, the variables it covers, and any pruning-only rows
+("valid_cuts") that every integer-feasible point satisfies.  A hint naming
+any other rule raises ValueError.  `oracle` provides the brute-force
+combinatorial side, and `equivalence_suite` compares the two on named
+instance families.
 """
 
+import functools
 import itertools
 import json
 import math
@@ -29,7 +30,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import config, dpsd
+from . import dpsd
 from .errors import BudgetExceeded, UnsupportedContinuousPattern
 from .formulations import QcqpInstance, Qmp1Instance, Qmp2Instance, mname, pynum
 from .linalg import eigensym, is_psd
@@ -139,14 +140,14 @@ class _ForwardChecker:
         return True
 
 
-def _apply_gram(hint, assign):
+def _apply_gram(hint, model, assign):
     factors = hint["factors"]
     for target, i, j in hint["targets"]:
         if target not in assign:
             assign[target] = sum(assign[a] * assign[b] for a, b in zip(factors[i], factors[j]))
 
 
-def _apply_cycle_distance(hint, assign):
+def _apply_cycle_distance(hint, model, assign):
     n = hint["n"]
     base = hint["base"]
     x1 = np.zeros((n, n), dtype=np.int64)
@@ -163,7 +164,12 @@ def _apply_cycle_distance(hint, assign):
                 assign.setdefault(mname(prefix, i, j), int(cur[i, j]))
 
 
-def _apply_qap_schur(hint, assign):
+def _cycle_distance_covers(hint):
+    n = hint["n"]
+    return [mname(p, i, j) for p in hint["others"] for i in range(n) for j in range(i + 1, n)]
+
+
+def _apply_qap_schur(hint, model, assign):
     n = hint["n"]
     x = [[assign[mname(hint["x"], i, j)] for j in range(n)] for i in range(n)]
     r = [[assign[mname(hint["r"], i, j)] for j in range(n)] for i in range(n)]
@@ -175,14 +181,12 @@ def _apply_qap_schur(hint, assign):
             assign.setdefault(mname(hint["z"], a, b), z)
 
 
-def _apply_nuclear(hint, model, assign, unresolved, tols):
+def _apply_nuclear(hint, model, assign):
     pencil = model.pencils[hint["pencil"]]
     n, m = hint["rows"], hint["cols"]
-    temp = dict(assign)
-    for name in unresolved:
-        temp.setdefault(name, 0)
+    temp = {name: assign.get(name, 0) for name, _ in model.variables}
     block = pencil.evaluate(temp)[:n, n:n + m]
-    res = eigensym(block.T @ block, tols)
+    res = eigensym(block.T @ block)
     w = np.maximum(res.eigenvalues, 0.0)
     sigma = np.sqrt(w)
     v = res.eigenvectors
@@ -199,6 +203,35 @@ def _apply_nuclear(hint, model, assign, unresolved, tols):
     for a in range(m):
         for b in range(a, m):
             assign.setdefault(mname(hint["z2"], a, b), float(z2[a, b]))
+
+
+# Leaf-pipeline stages, in the order a leaf runs them (see solve_by_enumeration).
+_LIFT, _FORCED, _PENDING = "lift", "forced", "pending"
+
+
+@dataclass(frozen=True)
+class _HintRule:
+    """One hint rule: `apply(hint, model, assign)` runs in `stage` (None: never
+    at a leaf); `covers(hint)` names the variables it determines, which the
+    exact closure leaves alone; `valid_cuts(hint)` gives pruning-only rows.
+    """
+
+    stage: object = None
+    apply: object = None
+    covers: object = lambda hint: ()
+    valid_cuts: object = lambda hint: ()
+
+
+# The one list of hint rules that builders may emit in metadata["hints"].
+_HINT_RULES = {
+    "gram": _HintRule(_LIFT, _apply_gram, covers=lambda h: [t[0] for t in h["targets"]]),
+    "cycle_distance": _HintRule(_LIFT, _apply_cycle_distance, covers=_cycle_distance_covers),
+    "qap_schur": _HintRule(_FORCED, _apply_qap_schur),
+    "nuclear": _HintRule(_PENDING, _apply_nuclear),
+    "valid_cuts": _HintRule(valid_cuts=lambda h: [
+        LinRow(tuple((nm, c) for nm, c in r["coeffs"]), r["rel"], r["rhs"]) for r in h["rows"]
+    ]),
+}
 
 
 class _ClosureSolver:
@@ -337,125 +370,124 @@ def _resolve_corner(model, assign, name, pi, matrix, coef, dom, sense):
     return True
 
 
-def solve_by_enumeration(model: MisdpModel, budget: int = 10**7, tols=None) -> EnumerationResult:
+class _Plan:
+    """What one solve_by_enumeration call fixes before the search starts."""
+
+    def __init__(self, model, budget):
+        defects = validate(model)
+        if defects:
+            raise ValueError(f"model has defects: {defects}")
+        self.model = model
+        self.doms = dict(model.variables)
+        self.int_names = [n for n, d in model.variables if d.is_integer]
+        self.cont_names = [n for n, d in model.variables if not d.is_integer]
+        total = 1
+        for n in self.int_names:
+            total *= self.doms[n].size()
+            if total > budget:
+                raise BudgetExceeded(f"integer space exceeds budget {budget}")
+
+        self.stages = {_LIFT: [], _FORCED: [], _PENDING: []}
+        prune_rows = list(model.rows)
+        covered = set()
+        for hint in model.metadata.get("hints", []):
+            try:
+                rule = _HINT_RULES[hint["rule"]]
+            except (KeyError, TypeError):
+                raise ValueError(
+                    f"unknown hint rule in {hint!r}; have {sorted(_HINT_RULES)}"
+                ) from None
+            if rule.stage is not None:
+                self.stages[rule.stage].append((rule.apply, hint))
+            prune_rows += rule.valid_cuts(hint)
+            covered.update(rule.covers(hint))
+        self.checker = _ForwardChecker(prune_rows, self.int_names, self.doms)
+        self.closure = _ClosureSolver(model.rows, {n for n in self.cont_names if n not in covered})
+        corners = _corner_scalars(model)
+        self.corners = [(n, *corners[n]) for n in self.cont_names if n in corners]
+
+    def _run(self, stage, assign):
+        for apply, hint in self.stages[stage]:
+            apply(hint, self.model, assign)
+
+    def _pending(self, assign):
+        return [n for n in self.cont_names if n not in assign]
+
+    def resolve(self, assignment):
+        """The leaf pipeline: complete an integer assignment, None if infeasible."""
+        model = self.model
+        assign = dict(assignment)
+        self._run(_LIFT, assign)
+        if not self.closure.apply(assign):
+            return None
+        self._run(_FORCED, assign)
+        for name, pi, matrix, coef in self.corners:
+            if name in assign:
+                continue
+            if not all(t in assign or t == name for t, _ in model.pencils[pi].terms):
+                continue
+            if not _resolve_corner(model, assign, name, pi, matrix, coef, self.doms[name],
+                                   model.objective.sense):
+                return None
+        if self._pending(assign):
+            self._run(_PENDING, assign)
+            pending = self._pending(assign)
+            if pending:
+                raise UnsupportedContinuousPattern(
+                    f"cannot resolve continuous variables {pending[:4]}"
+                )
+        return assign
+
+
+class _Search:
+    """Depth-first walk over the integer assignments of a plan, keeping the best."""
+
+    def __init__(self, plan):
+        self.plan = plan
+        self.assignment = {}
+        self.nodes = 0
+        self.max_residual = 0.0
+        self.offer, self.result = _best_tracker(plan.model.objective.sense)
+
+    def dfs(self, d):
+        self.nodes += 1
+        plan = self.plan
+        if d == len(plan.int_names):
+            self.leaf()
+            return
+        name = plan.int_names[d]
+        checker = plan.checker
+        for v in plan.doms[name].iter_values():
+            checker.push(d, v)
+            if checker.consistent(d + 1):
+                self.assignment[name] = v
+                self.dfs(d + 1)
+                del self.assignment[name]
+            checker.pop(d, v)
+
+    def leaf(self):
+        assign = self.plan.resolve(self.assignment)
+        if assign is None:
+            return
+        res = eval_point(self.plan.model, assign)
+        if res.feasible:
+            self.offer(res.objective, assign)
+            self.max_residual = max(self.max_residual, res.max_residual)
+
+
+def solve_by_enumeration(model: MisdpModel, budget: int = 10**7) -> EnumerationResult:
     """Exact optimum of a model over its integer assignments.
 
     Every continuous variable must fall to one of the documented elimination
-    patterns, otherwise UnsupportedContinuousPattern is raised.
+    patterns, otherwise UnsupportedContinuousPattern is raised.  A hint whose
+    rule is not in _HINT_RULES raises ValueError before the search starts.
     """
-    tols = tols or config.DEFAULT
-    defects = validate(model)
-    if defects:
-        raise ValueError(f"model has defects: {defects}")
-    doms = dict(model.variables)
-    int_names = [n for n, d in model.variables if d.is_integer]
-    cont_names = [n for n, d in model.variables if not d.is_integer]
-    total = 1
-    for n in int_names:
-        total *= doms[n].size()
-        if total > budget:
-            raise BudgetExceeded(f"integer space exceeds budget {budget}")
-
-    hints = model.metadata.get("hints", [])
-    prune_rows = list(model.rows)
-    for h in hints:
-        if h.get("rule") == "valid_cuts":
-            for r in h["rows"]:
-                prune_rows.append(
-                    LinRow(tuple((nm, c) for nm, c in r["coeffs"]), r["rel"], r["rhs"])
-                )
-    checker = _ForwardChecker(prune_rows, int_names, doms)
-    corners = _corner_scalars(model)
-    sense = model.objective.sense
-
-    hint_covered = set()
-    for h in hints:
-        if h.get("rule") == "gram":
-            hint_covered.update(t[0] for t in h["targets"])
-        elif h.get("rule") == "cycle_distance":
-            n = h["n"]
-            for prefix in h["others"]:
-                hint_covered.update(
-                    mname(prefix, i, j) for i in range(n) for j in range(i + 1, n)
-                )
-    closure = _ClosureSolver(
-        model.rows, {n for n in cont_names if n not in hint_covered}
+    search = _Search(_Plan(model, budget))
+    search.dfs(0)
+    best = search.result()
+    return EnumerationResult(
+        best.optimum, best.solutions, best.feasible_count, search.max_residual, search.nodes
     )
-
-    best = None
-    minimizers = []
-    feasible_count = 0
-    max_residual = 0.0
-    nodes = 0
-
-    def better(a, b):
-        return a < b if sense == "min" else a > b
-
-    def leaf(assignment):
-        nonlocal best, feasible_count, max_residual
-        assign = dict(assignment)
-        for h in hints:
-            if h.get("rule") == "gram":
-                _apply_gram(h, assign)
-            elif h.get("rule") == "cycle_distance":
-                _apply_cycle_distance(h, assign)
-        if not closure.apply(assign):
-            return
-        for h in hints:
-            if h.get("rule") == "qap_schur":
-                _apply_qap_schur(h, assign)
-        for name in cont_names:
-            if name in assign or name not in corners:
-                continue
-            pi, matrix, coef = corners[name]
-            others_ready = all(
-                t in assign or t == name for t, _ in model.pencils[pi].terms
-            )
-            if not others_ready:
-                continue
-            if not _resolve_corner(model, assign, name, pi, matrix, coef, doms[name], sense):
-                return
-        pending = [n for n in cont_names if n not in assign]
-        if pending:
-            for h in hints:
-                if h.get("rule") == "nuclear":
-                    _apply_nuclear(h, model, assign, pending, tols)
-            pending = [n for n in cont_names if n not in assign]
-        if pending:
-            raise UnsupportedContinuousPattern(
-                f"cannot resolve continuous variables {pending[:4]}"
-            )
-        res = eval_point(model, assign, tols=tols)
-        if not res.feasible:
-            return
-        feasible_count += 1
-        max_residual = max(max_residual, res.max_residual)
-        if best is None or better(res.objective, best):
-            best = res.objective
-            minimizers.clear()
-            minimizers.append(assign)
-        elif res.objective == best and len(minimizers) < _MAX_MINIMIZERS:
-            minimizers.append(assign)
-
-    assignment = {}
-
-    def dfs(d):
-        nonlocal nodes
-        nodes += 1
-        if d == len(int_names):
-            leaf(assignment)
-            return
-        name = int_names[d]
-        for v in doms[name].iter_values():
-            checker.push(d, v)
-            if checker.consistent(d + 1):
-                assignment[name] = v
-                dfs(d + 1)
-                del assignment[name]
-            checker.pop(d, v)
-
-    dfs(0)
-    return EnumerationResult(best, minimizers, feasible_count, max_residual, nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -797,22 +829,13 @@ def graph_from_mask(n, mask):
     return Graph.make(n, [pairs[t] for t in range(len(pairs)) if mask >> t & 1])
 
 
-def _suite_stable_set_n5(budget=None, seed=0):
+def _suite_stable_set(n, width, budget=None, seed=0):
     from .problems import build_stable_set
 
-    for mask in range(1 << 10):
-        g = graph_from_mask(5, mask)
-        yield run_case(f"stable-set/g{mask:04d}", build_stable_set(g), "stable_set", (g,), True,
-                       budget=budget or 10**7)
-
-
-def _suite_stable_set_n4(budget=None, seed=0):
-    from .problems import build_stable_set
-
-    for mask in range(1 << 6):
-        g = graph_from_mask(4, mask)
-        yield run_case(f"stable-set/g{mask:02d}", build_stable_set(g), "stable_set", (g,), True,
-                       budget=budget or 10**7)
+    for mask in range(1 << (n * (n - 1) // 2)):
+        g = graph_from_mask(n, mask)
+        yield run_case(f"stable-set/g{mask:0{width}d}", build_stable_set(g), "stable_set", (g,),
+                       True, budget=budget or 10**7)
 
 
 def _suite_mkcs(budget=None, seed=0):
@@ -1048,8 +1071,8 @@ def _suite_cvetkovic_hamiltonicity(budget=None, seed=0):
 
 
 SUITES = {
-    "stable-set-n5": _suite_stable_set_n5,
-    "stable-set-n4": _suite_stable_set_n4,
+    "stable-set-n5": functools.partial(_suite_stable_set, 5, 4),
+    "stable-set-n4": functools.partial(_suite_stable_set, 4, 2),
     "mkcs-small": _suite_mkcs,
     "qcqp-random": _suite_qcqp,
     "qbpp-random": _suite_qbpp,

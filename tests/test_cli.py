@@ -70,6 +70,15 @@ class TestCheck:
         out = capsys.readouterr().out
         assert "psd: True" in out and "rank: 2" in out and "binary: False" in out
 
+    @pytest.mark.parametrize("entry", ["inf", "nan"])
+    def test_non_finite_entry_exit_code(self, tmp_path, capsys, entry):
+        mat = tmp_path / "bad.txt"
+        mat.write_text(f"2\n1 {entry}\n{entry} 1\n")
+        assert run(["check", "--matrix", str(mat)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: line 2: entry '{entry}' is not a finite number"]
+
     def test_not_psd(self, tmp_path, capsys):
         mat = tmp_path / "bad.txt"
         mat.write_text("2\n1 1\n1 0\n")

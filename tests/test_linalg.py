@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from misdpkit import config
-from misdpkit.errors import DimensionMismatch, ParseError
+from misdpkit.errors import DimensionMismatch, NonConvergence, ParseError
 from misdpkit.linalg import (
     BINARY,
     GENERAL,
@@ -52,6 +52,11 @@ class TestSymMat:
     def test_load_rejects_asymmetric(self):
         with pytest.raises(ParseError):
             loads_matrix("2\n0 1\n0 0\n")
+
+    @pytest.mark.parametrize("entry", ["inf", "-inf", "nan", "1e400"])
+    def test_load_rejects_non_finite(self, entry):
+        with pytest.raises(ParseError, match=f"line 3: entry '{entry}' is not a finite number"):
+            loads_matrix(f"2\n1 0\n0 {entry}\n")
 
 
 class TestEigensym:
@@ -167,3 +172,21 @@ class TestAgainstLapack:
             ours = eigen_values(m)
             lapack = np.linalg.eigvalsh(m.array)[::-1]
             assert np.max(np.abs(ours - lapack)) <= 1e-9 * max(1.0, m.inf_norm())
+
+
+class TestNonFinite:
+    # an overflowed or NaN Frobenius norm would end the sweeps at once and
+    # hand back the diagonal as the spectrum
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowing_norm_raises(self):
+        with pytest.raises(NonConvergence):
+            is_psd(np.array([[1.0, 1e200], [1e200, 1.0]]))
+        with pytest.raises(NonConvergence):
+            eigensym([[1, 1e300], [1e300, 1]])
+
+    @pytest.mark.parametrize("a", [[[math.nan, 0.0], [0.0, 1.0]], [[math.inf, 0.0], [0.0, 1.0]]])
+    def test_non_finite_entries_raise(self, a):
+        with pytest.raises(NonConvergence):
+            eigen_values(a)
+        with pytest.raises(NonConvergence):
+            is_psd(a)

@@ -153,3 +153,77 @@ class TestCvetkovicClassification:
         d = np.ones((6, 6), dtype=int) - np.eye(6, dtype=int)
         res = solve_by_enumeration(build_tsp_cvetkovic(d), budget=2**20)
         assert res.feasible_count == 60
+
+
+def _one_model_per_builder():
+    from misdpkit import formulations, problems
+    from misdpkit.formulations import QcqpInstance, Qmp1Instance, Qmp2Instance
+    from misdpkit.problems import GppInstance, QapInstance
+
+    d = np.ones((5, 5), dtype=int) - np.eye(5, dtype=int)
+    a = np.array([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
+    gpp = GppInstance.make(Graph.complete(4), 2, (2, 2))
+    calls = {
+        "build_stable_set": [(Graph.cycle(5),)],
+        "build_mkcs": [(Graph.cycle(4), 2)],
+        "build_qbpp": [([1, 2, 1], 3, 1, a)],
+        "build_qmkp": [([1, 2, 1], [2, 3], [1, 1, 1], a)],
+        "build_qap": [(QapInstance.make(a, a, a),)],
+        "build_tsp_qap": [(d,)],
+        "build_tsp_cvetkovic": [(d,)],
+        "build_tsp_lee": [(d,)],
+        "build_gpp": [(gpp, v) for v in ("general", "equipartition", "bisection", "orthogonal")],
+        "build_kep_assoc": [(gpp,), (gpp, True)],
+        "build_matrix_completion": [((2, 2), {(0, 0): 1}, [0, 1])],
+        "build_sils": [(np.array([[1, -1], [0, 2], [1, 1]]), np.array([1, 0, -1]), 1)],
+        "build_bsdp_qcqp": [
+            (QcqpInstance(3, a, np.array([1, -1, 0]), lin_eq=[(np.array([1, 1, 0]), 1)]), c)
+            for c in (False, True)
+        ],
+        "build_bsdp_qmp1": [(Qmp1Instance(3, 2, a),)],
+        "build_bsdp_qmp2": [(Qmp2Instance(3, 2, a),)],
+    }
+    builders = {
+        name: getattr(mod, name)
+        for mod in (problems, formulations)
+        for name in dir(mod)
+        if name.startswith("build_")
+    }
+    assert set(calls) == set(builders)
+    return [builders[name](*args) for name, arg_list in calls.items() for args in arg_list]
+
+
+class TestHintRules:
+    def test_every_emitted_rule_is_registered(self):
+        from misdpkit.verify import _HINT_RULES
+
+        emitted = {
+            hint["rule"]
+            for m in _one_model_per_builder()
+            for hint in m.metadata.get("hints", [])
+        }
+        assert emitted == set(_HINT_RULES)
+
+    @pytest.mark.parametrize("hint", [{"rule": "grahm"}, {"targets": []}])
+    def test_unknown_rule_raises_before_search(self, hint):
+        m = build_stable_set(Graph.cycle(4))
+        m.metadata["hints"] = m.metadata.get("hints", []) + [hint]
+        with pytest.raises(ValueError, match="unknown hint rule"):
+            solve_by_enumeration(m)
+
+
+class TestFloatSuiteReports:
+    """Report bytes of the suites that exercise the nuclear, cycle_distance
+    and valid_cuts hints and the corner scalars."""
+
+    @pytest.mark.parametrize("name,digest", [
+        ("completion-2x2", "3aa2e5ddf72cd70228324fb1708b3ec6838ce4147d95e35bea18403a8ea56e20"),
+        ("cvetkovic-hamiltonicity", "ea08021cf84f0d285147e115da5210dca4a2bf9e39dff1c8e2a8b815964b5fad"),
+        ("qbpp-random", "df42458c381a4b925fcc4e133498953bfa94bcc8f836898477f0455c146d9b5a"),
+        ("tsp-small", "337d6213a456a7d90c15361b1773b3ac51c7f282f79e3da57b58a37726e995c3"),
+    ])
+    def test_report_bytes(self, name, digest):
+        import hashlib
+
+        lines = [report_json(r) for r in equivalence_suite(name).reports]
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest
