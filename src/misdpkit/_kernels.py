@@ -83,7 +83,7 @@ try:
 
     jacobi_cycle_numba = njit(cache=True)(_jacobi_cycle)
     HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
+except ImportError:  # numba is the optional "fast" extra
     jacobi_cycle_numba = None
     HAVE_NUMBA = False
 
@@ -102,7 +102,8 @@ def jacobi_eigh(a, off_scale, max_sweeps):
     work = np.array(a, dtype=np.float64, order="C", copy=True)
     n = work.shape[0]
     v = np.eye(n)
-    fro = math.sqrt(float(np.sum(work * work)))
+    with np.errstate(over="ignore"):  # an overflowed norm is reported as sweeps=-1
+        fro = math.sqrt(float(np.sum(work * work)))
     sweeps = jacobi_cycle(work, v, fro, off_scale * fro, max_sweeps)
     w = np.diag(work).copy()
     order = np.argsort(-w, kind="stable")

@@ -205,7 +205,7 @@ def triangle_check01(x: SymMat):
 class RankCertificate:
     """Bordered-matrix witness for a rank bound on a PSD binary matrix."""
 
-    kind: str  # "upper" | "lower" | "exact"
+    kind: str  # "upper" | "exact"
     r: int
     witness: np.ndarray | None
     bordered: SymMat
@@ -241,12 +241,6 @@ def exact_certificate(x: SymMat, p) -> RankCertificate:
     y[r:, :r] = p
     y[r:, r:] = x.array
     return RankCertificate("exact", r, p, SymMat(y, check_symmetry=False))
-
-
-def lower_certificate(x: SymMat, p) -> RankCertificate:
-    """Same bordered layout asserting only the lower bound rank >= r."""
-    cert = exact_certificate(x, p)
-    return RankCertificate("lower", cert.r, cert.witness, cert.bordered)
 
 
 def rank_exact_certificate(x: SymMat, p) -> bool:

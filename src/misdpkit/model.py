@@ -11,6 +11,7 @@ assignment is arithmetic-exact whenever every participating number is exact
 """
 
 import json
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -25,6 +26,14 @@ BINARY = "binary"
 TERNARY = "ternary"
 INTEGER_RANGE = "integer_range"
 FINITE_SET = "finite_set"
+
+
+def _integral(v):
+    if isinstance(v, numbers.Integral):
+        return True
+    if isinstance(v, Fraction):
+        return v.denominator == 1
+    return isinstance(v, numbers.Real) and float(v).is_integer()
 
 
 @dataclass(frozen=True)
@@ -57,6 +66,9 @@ class VarDomain:
         vals = tuple(sorted(set(values)))
         if not vals:
             raise UnsupportedDomain("finite_set must be nonempty")
+        odd = [v for v in vals if not _integral(v)]
+        if odd:
+            raise UnsupportedDomain(f"finite_set values must be integers, got {odd[:4]}")
         return VarDomain(FINITE_SET, vals[0], vals[-1], vals)
 
     @property

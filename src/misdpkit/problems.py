@@ -107,6 +107,7 @@ def graph_from_dimacs(text: str) -> Graph:
     n = None
     edges = []
     weights = []
+    seen = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
@@ -115,13 +116,27 @@ def graph_from_dimacs(text: str) -> Graph:
         if parts[0] == "p":
             if len(parts) < 4 or parts[1] not in ("edge", "edges", "col"):
                 raise ParseError(f"bad problem line {line!r}", line=lineno)
-            n = int(parts[2])
+            if n is not None:
+                raise ParseError("second problem line", line=lineno)
+            n = _dimacs_number(parts[2], int, lineno)
+            if n < 0:
+                raise ParseError(f"negative vertex count {n}", line=lineno)
         elif parts[0] == "e":
             if n is None:
                 raise ParseError("edge before problem line", line=lineno)
-            u, v = int(parts[1]) - 1, int(parts[2]) - 1
+            if len(parts) not in (3, 4):
+                raise ParseError(f"bad edge line {line!r}", line=lineno)
+            u, v = (_dimacs_number(t, int, lineno) - 1 for t in parts[1:3])
+            if not (0 <= u < n and 0 <= v < n):
+                raise ParseError(f"edge ({u + 1},{v + 1}) outside vertices 1..{n}", line=lineno)
+            if u == v or (min(u, v), max(u, v)) in seen:
+                raise ParseError(f"loop or repeated edge ({u + 1},{v + 1})", line=lineno)
+            seen.add((min(u, v), max(u, v)))
+            x = _dimacs_number(parts[3], float, lineno) if len(parts) == 4 else None
+            if x is not None and not math.isfinite(x):
+                raise ParseError(f"edge weight {parts[3]!r} is not finite", line=lineno)
             edges.append((u, v))
-            weights.append(float(parts[3]) if len(parts) > 3 else None)
+            weights.append(x)
         else:
             raise ParseError(f"unknown DIMACS line {line!r}", line=lineno)
     if n is None:
@@ -135,6 +150,13 @@ def graph_from_dimacs(text: str) -> Graph:
         if np.array_equal(w, np.rint(w)):
             w = w.astype(np.int64)
     return Graph.make(n, edges, w)
+
+
+def _dimacs_number(token, cast, lineno):
+    try:
+        return cast(token)
+    except ValueError:
+        raise ParseError(f"{token!r} is not a valid {cast.__name__}", line=lineno) from None
 
 
 def graph_to_dimacs(g: Graph) -> str:
@@ -189,7 +211,13 @@ def parse_qaplib(text: str) -> QapInstance:
             vals = [float(t) for t in tokens]
         except ValueError as exc:
             raise ParseError(f"non-numeric token: {exc}")
-    n = int(vals[0])
+        bad = [t for t, v in zip(tokens, vals) if not math.isfinite(v)]
+        if bad:
+            raise ParseError(f"token {bad[0]!r} is not a finite number")
+    n = vals[0]
+    if n != int(n) or n < 1:
+        raise ParseError(f"size {tokens[0]!r} is not a positive integer")
+    n = int(n)
     need = 1 + 2 * n * n
     if len(vals) < need:
         raise ParseError(f"expected {need} numbers for n={n}, found {len(vals)}")

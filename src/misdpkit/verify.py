@@ -12,6 +12,12 @@ feasibility exactly.  Each leaf resolves continuous variables in this order:
      pencil and appearing linearly in the objective, resolved by bisection;
   5. builder hints of the "pending" stage, only while variables remain.
 
+The completed point is then tested by `_LeafCheck`, compiled once per call.
+It stops at the first violation, in the order domains, rows, pencils, so no
+PSD test runs on a point that a domain or a row rejects.  `eval_point` stays
+the slow reference that reports every violation; the two agree on
+feasibility, objective and residual on every point the search builds.
+
 `_HINT_RULES` is the one list of hint rules a model's metadata may name: each
 entry gives its stage, the variables it covers, and any pruning-only rows
 ("valid_cuts") that every integer-feasible point satisfies.  A hint naming
@@ -30,11 +36,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import dpsd
+from . import config, dpsd
 from .errors import BudgetExceeded, UnsupportedContinuousPattern
 from .formulations import QcqpInstance, Qmp1Instance, Qmp2Instance, mname, pynum
 from .linalg import eigensym, is_psd
-from .model import LinRow, MisdpModel, eval_point, validate
+from .model import LinRow, MisdpModel, _exact, validate
 from .problems import Graph, GppInstance, QapInstance
 
 REL_TOL = 1e-7
@@ -370,6 +376,72 @@ def _resolve_corner(model, assign, name, pi, matrix, coef, dom, sense):
     return True
 
 
+class _LeafCheck:
+    """`eval_point` compiled once per model for the points the search builds.
+
+    Calling it on a complete point gives (objective, max_residual) when
+    eval_point finds the point feasible, with equal values and types, and
+    None otherwise.  It stops at the first violation, in the order domains,
+    rows, pencils, so a domain- or row-infeasible point never reaches
+    is_psd.  Only bounded continuous domains are checked: every integer value
+    is drawn from its domain's iter_values(), which contains() accepts.  Rows
+    keep eval_point's rule: exact when the row's data and values are all
+    int/Fraction, floats within `lin_feas` otherwise.  An exact row is tested
+    scaled to integer coefficients, and a feasible point's exact rows all have
+    residual 0, so only float rows raise max_residual.
+    """
+
+    def __init__(self, model):
+        tols = self.tols = config.DEFAULT
+        tol = self.tol = tols.lin_feas
+        self.bounds = [
+            (name, None if d.lo is None else d.lo - tol, None if d.hi is None else d.hi + tol)
+            for name, d in model.variables
+            if not d.is_integer and (d.lo is not None or d.hi is not None)
+        ]
+        self.rows = []
+        for row in model.rows:
+            names = [n for n, _ in row.coeffs]
+            coefs = [c for _, c in row.coeffs]
+            scaled = None
+            if _exact(row.rhs, *coefs):
+                scale = math.lcm(*(Fraction(c).denominator for c in (row.rhs, *coefs)))
+                scaled = [int(c * scale) for c in coefs], int(row.rhs * scale)
+            self.rows.append((row.rel, names, scaled, [float(c) for c in coefs], float(row.rhs)))
+        self.pencils = model.pencils
+        self.objective = model.objective
+
+    def __call__(self, assign):
+        for name, lo, hi in self.bounds:
+            v = assign[name]
+            if (lo is not None and not v >= lo) or (hi is not None and not v <= hi):
+                return None
+        tol = self.tol
+        max_residual = 0.0
+        for rel, names, scaled, fcoefs, frhs in self.rows:
+            vals = [assign[n] for n in names]
+            if scaled is not None and _exact(*vals):
+                coefs, rhs = scaled
+                gap = sum(c * v for c, v in zip(coefs, vals)) - rhs
+                if gap > 0 if rel == "<=" else gap < 0 if rel == ">=" else gap != 0:
+                    return None
+                continue
+            gap = sum(c * float(v) for c, v in zip(fcoefs, vals)) - frhs
+            if rel == "==":
+                resid = abs(gap)
+            elif rel == "<=":
+                resid = max(gap, 0.0)
+            else:
+                resid = max(-gap, 0.0)
+            if resid > tol:
+                return None
+            max_residual = max(max_residual, resid)
+        for pencil in self.pencils:
+            if not is_psd(pencil.evaluate(assign), tols=self.tols):
+                return None
+        return self.objective.value(assign), max_residual
+
+
 class _Plan:
     """What one solve_by_enumeration call fixes before the search starts."""
 
@@ -405,6 +477,7 @@ class _Plan:
         self.closure = _ClosureSolver(model.rows, {n for n in self.cont_names if n not in covered})
         corners = _corner_scalars(model)
         self.corners = [(n, *corners[n]) for n in self.cont_names if n in corners]
+        self.check = _LeafCheck(model)
 
     def _run(self, stage, assign):
         for apply, hint in self.stages[stage]:
@@ -469,10 +542,11 @@ class _Search:
         assign = self.plan.resolve(self.assignment)
         if assign is None:
             return
-        res = eval_point(self.plan.model, assign)
-        if res.feasible:
-            self.offer(res.objective, assign)
-            self.max_residual = max(self.max_residual, res.max_residual)
+        res = self.plan.check(assign)
+        if res is not None:
+            objective, residual = res
+            self.offer(objective, assign)
+            self.max_residual = max(self.max_residual, residual)
 
 
 def solve_by_enumeration(model: MisdpModel, budget: int = 10**7) -> EnumerationResult:

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -25,6 +26,14 @@ class TestBuild:
         m = import_cbf(out.read_text())
         assert len(m.pencils) == 1 and m.pencils[0].order == 6
         assert "pencils=1 (orders 6)" in capsys.readouterr().err
+
+    def test_truncated_dimacs_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "cut.dimacs"
+        path.write_text("p edge 3 2\ne 1 2\ne 2\n")
+        assert run(["build", "stable-set", "--graph", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: line 3: bad edge line 'e 2'"]
 
     def test_tsp_lee_counts(self, tmp_path, capsys):
         dist = tmp_path / "d.txt"
@@ -78,6 +87,15 @@ class TestCheck:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines() == [f"error: line 2: entry '{entry}' is not a finite number"]
+
+    def test_overflowing_norm_prints_one_line(self, tmp_path, capsys):
+        mat = tmp_path / "huge.txt"
+        mat.write_text("2\n1 1e200\n1e200 1\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["check", "--matrix", str(mat)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
 
     def test_not_psd(self, tmp_path, capsys):
         mat = tmp_path / "bad.txt"

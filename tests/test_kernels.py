@@ -57,3 +57,19 @@ def test_nonconvergence_raises():
     strict = config.Tolerances(jacobi_sweeps=0)
     with pytest.raises(NonConvergence):
         eigensym(SymMat([[2, 1], [1, 2]]), tols=strict)
+
+
+def test_overflowing_norm_is_silent():
+    import warnings
+
+    import pytest
+
+    from misdpkit.errors import NonConvergence
+    from misdpkit.linalg import is_psd
+
+    a = np.array([[1.0, 1e200], [1e200, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _kernels.jacobi_eigh(a, 1e-12, 100)[2] == -1
+        with pytest.raises(NonConvergence):
+            is_psd(a)

@@ -2,9 +2,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from misdpkit import config
 from misdpkit.cbf import export_cbf, import_cbf
-from misdpkit.errors import IncompleteAssignment, ParseError
+from misdpkit.errors import IncompleteAssignment, ParseError, UnsupportedDomain
 from misdpkit.model import (
     LinRow,
     MatrixPencil,
@@ -58,6 +61,45 @@ class TestValidate:
     def test_asymmetric_pencil_rejected(self):
         with pytest.raises(ValueError):
             MatrixPencil(np.zeros((2, 2)), [("x", np.array([[0, 1], [0, 0]]))])
+
+
+_small = st.integers(-6, 6)
+_number = st.one_of(
+    _small, _small.map(Fraction), _small.map(float),
+    st.fractions(-6, 6, max_denominator=4), st.floats(-6, 6),
+)
+
+
+def _finite_set_or_none(values):
+    try:
+        return VarDomain.finite_set(values)
+    except UnsupportedDomain:
+        return None
+
+
+_domains = st.one_of(
+    st.just(VarDomain.binary()),
+    st.just(VarDomain.ternary()),
+    st.tuples(_small, _small).map(lambda b: VarDomain.integer_range(min(b), max(b))),
+    st.lists(_number, min_size=1, max_size=4).map(_finite_set_or_none),
+)
+
+
+class TestDomains:
+    @given(_domains)
+    def test_contains_every_enumerated_value(self, dom):
+        # the enumerator relies on this and does not re-check integer values
+        if dom is None:
+            return
+        for v in dom.iter_values():
+            assert dom.contains(v) and dom.contains(v, tol=config.DEFAULT.lin_feas)
+
+    @pytest.mark.parametrize("values", [
+        [0, 0.5], [Fraction(3, 2)], [1, float("inf")], [float("nan")],
+    ])
+    def test_finite_set_rejects_non_integers(self, values):
+        with pytest.raises(UnsupportedDomain, match="must be integers"):
+            VarDomain.finite_set(values)
 
 
 class TestEvalPoint:

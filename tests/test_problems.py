@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from misdpkit.errors import (
     InfeasibleItem,
     ParseError,
     SizeMismatch,
+    UnsupportedDomain,
     VariantPrecondition,
 )
 from misdpkit.linalg import SymMat, num_rank
@@ -62,6 +65,24 @@ class TestGraph:
         with pytest.raises(ParseError):
             graph_from_dimacs("p edge 2 1\nq 1 2\n")
 
+    @pytest.mark.parametrize("text,line", [
+        ("p edge 3 1\ne 2\n", 2),          # truncated edge
+        ("p edge x 1\n", 1),                # non-integer vertex count
+        ("p edge 3 1\ne a b\n", 2),        # non-integer endpoints
+        ("p edge 3 1\ne 1 2 w\n", 2),      # non-numeric weight
+        ("p edge 3 1\ne 1 2 inf\n", 2),    # non-finite weight
+        ("p edge 3 1\ne 1 9\n", 2),        # endpoint outside 1..n
+        ("p edge 3 1\ne 0 1\n", 2),        # endpoints are 1-based
+        ("p edge 3 1\ne 2 2\n", 2),        # loop
+        ("p edge 3 2\ne 1 2\ne 2 1\n", 3),  # repeated edge
+        ("p edge -1 0\n", 1),
+        ("p edge 3 0\np edge 2 0\n", 2),
+    ])
+    def test_dimacs_malformed_lines(self, text, line):
+        with pytest.raises(ParseError) as info:
+            graph_from_dimacs(text)
+        assert info.value.line == line
+
     def test_laplacian(self):
         lap = Graph.cycle(4).laplacian()
         assert np.array_equal(np.diag(lap), [2, 2, 2, 2])
@@ -79,6 +100,16 @@ class TestQaplib:
             parse_qaplib("")
         with pytest.raises(ParseError):
             parse_qaplib("3\n1 2 3\n")
+
+    @pytest.mark.parametrize("text", ["2.5 1", "0", "-1 1 2"])
+    def test_bad_size(self, text):
+        with pytest.raises(ParseError, match="is not a positive integer"):
+            parse_qaplib(text)
+
+    @pytest.mark.parametrize("text", ["1e400 1", "nan 1 2", "2 0 inf inf 0 0 1 1 0"])
+    def test_non_finite_token(self, text):
+        with pytest.raises(ParseError, match="is not a finite number"):
+            parse_qaplib(text)
 
 
 class TestStableSet:
@@ -308,6 +339,12 @@ class TestCompletion:
         opt, res = solve(build_matrix_completion((1, 2), {(0, 0): 2}, [0, 1]))
         orc = oracle("completion", (1, 2), {(0, 0): 2}, (0, 1))
         assert abs(opt - orc.optimum) < 1e-7
+
+    @pytest.mark.parametrize("values", [[0.5, 1.5], [Fraction(1, 2), Fraction(3, 2)]])
+    def test_non_integer_domain_rejected(self, values):
+        # the enumerator would find no point where the oracle finds eight
+        with pytest.raises(UnsupportedDomain):
+            build_matrix_completion((2, 2), {(0, 0): 1}, values)
 
 
 class TestSils:

@@ -1,8 +1,17 @@
+import functools
+import itertools
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from misdpkit import model as model_module
+from misdpkit import verify
 from misdpkit.errors import BudgetExceeded, UnsupportedContinuousPattern
-from misdpkit.model import LinRow, MatrixPencil, MisdpModel, Objective, VarDomain
+from misdpkit.linalg import is_psd
+from misdpkit.model import LinRow, MatrixPencil, MisdpModel, Objective, VarDomain, eval_point
 from misdpkit.problems import Graph, build_stable_set, build_tsp_cvetkovic
 from misdpkit.verify import (
     SUITES,
@@ -227,3 +236,95 @@ class TestFloatSuiteReports:
 
         lines = [report_json(r) for r in equivalence_suite(name).reports]
         assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest
+
+
+@functools.lru_cache(maxsize=None)
+def _plans():
+    return [verify._Plan(m, budget=10**9) for m in _one_model_per_builder()]
+
+
+def _assert_agrees(model, got, assign):
+    """`got`, the compiled check's result on `assign`, matches eval_point's."""
+    ref = eval_point(model, assign)
+    assert (got is not None) == ref.feasible, ref.violations
+    if got is not None:
+        objective, residual = got
+        assert type(objective) is type(ref.objective) and objective == ref.objective
+        assert type(residual) is float and residual == ref.max_residual
+
+
+class TestLeafCheck:
+    """The compiled leaf check against the eval_point reference."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_agrees_with_eval_point_on_random_points(self, data):
+        plan = data.draw(st.sampled_from(_plans()))
+        point = {n: data.draw(st.sampled_from(plan.doms[n].iter_values())) for n in plan.int_names}
+        assign = plan.resolve(point)
+        if assign is not None:
+            _assert_agrees(plan.model, plan.check(assign), assign)
+
+    def test_agrees_with_eval_point_on_mixed_data(self):
+        # exact, float and mixed rows of each relation, bounded continuous
+        # variables, values of every number type, a pencil that a domain or
+        # a row alone does not decide
+        m = MisdpModel(
+            [
+                ("a", VarDomain.integer_range(-2, 3)),
+                ("b", VarDomain.finite_set([-1, 0, 2])),
+                ("t", VarDomain.continuous(0, 5)),
+                ("u", VarDomain.continuous(None, 3)),
+            ],
+            Objective("min", {"a": Fraction(1, 3), "t": 1, "u": 2}, Fraction(1, 2)),
+            rows=[
+                LinRow((("a", Fraction(1, 3)), ("b", Fraction(1, 2))), "<=", Fraction(7, 6)),
+                LinRow((("a", 1), ("t", -1)), ">=", -4),
+                LinRow((("t", 0.1), ("u", 0.2)), "<=", 0.7),
+                LinRow((("b", 2), ("u", Fraction(-1, 2))), "==", Fraction(-1, 4)),
+            ],
+            pencils=[MatrixPencil(
+                np.diag([0.0, 4.0]),
+                [("t", np.diag([1.0, 0.0])), ("a", np.array([[0.0, 1.0], [1.0, 0.0]]))],
+            )],
+        )
+        check = verify._LeafCheck(m)
+        ts = [0, Fraction(1, 2), 3, 3.0, -1, 5.0000000001, 6]
+        us = [2, 2.0, Fraction(5, 2), Fraction(1, 2), -1.5, 4.5]
+        feasible = 0
+        for a, b, t, u in itertools.product(range(-2, 4), (-1, 0, 2), ts, us):
+            point = {"a": a, "b": b, "t": t, "u": u}
+            got = check(point)
+            _assert_agrees(m, got, point)
+            feasible += got is not None and got[1] > 0
+        assert feasible > 0  # some feasible point has a nonzero float residual
+
+    def test_agrees_with_eval_point_on_every_leaf(self):
+        feasible = 0
+        for m in _one_model_per_builder():
+            if m.metadata["problem"] == "tsp_qap":
+                continue  # 2 s of order-15 pencils; the random points cover it
+            search = verify._Search(verify._Plan(m, budget=10**9))
+
+            def recording(assign, m=m, compiled=search.plan.check):
+                got = compiled(assign)
+                _assert_agrees(m, got, assign)
+                return got
+
+            search.plan.check = recording
+            search.dfs(0)
+            feasible += search.result().feasible_count
+        assert feasible > 0
+
+    def test_psd_runs_only_on_domain_and_row_feasible_leaves(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return is_psd(*args, **kwargs)
+
+        monkeypatch.setattr(verify, "is_psd", counted)
+        monkeypatch.setattr(model_module, "is_psd", counted)
+        # 22,788 of the 29,079 leaves fail a domain or a row before any pencil
+        assert equivalence_suite("sils-small").passed
+        assert len(calls) == 6291
