@@ -386,9 +386,8 @@ class _LeafCheck:
     is_psd.  Only bounded continuous domains are checked: every integer value
     is drawn from its domain's iter_values(), which contains() accepts.  Rows
     keep eval_point's rule: exact when the row's data and values are all
-    int/Fraction, floats within `lin_feas` otherwise.  An exact row is tested
-    scaled to integer coefficients, and a feasible point's exact rows all have
-    residual 0, so only float rows raise max_residual.
+    int/Fraction, floats within `lin_feas` otherwise.  A feasible point's exact
+    rows all have residual 0, so only float rows raise max_residual.
     """
 
     def __init__(self, model):
@@ -403,11 +402,8 @@ class _LeafCheck:
         for row in model.rows:
             names = [n for n, _ in row.coeffs]
             coefs = [c for _, c in row.coeffs]
-            scaled = None
-            if _exact(row.rhs, *coefs):
-                scale = math.lcm(*(Fraction(c).denominator for c in (row.rhs, *coefs)))
-                scaled = [int(c * scale) for c in coefs], int(row.rhs * scale)
-            self.rows.append((row.rel, names, scaled, [float(c) for c in coefs], float(row.rhs)))
+            exact = _exact(row.rhs, *coefs)
+            self.rows.append((row.rel, names, exact, coefs, row.rhs, [float(c) for c in coefs], float(row.rhs)))
         self.pencils = model.pencils
         self.objective = model.objective
 
@@ -418,10 +414,9 @@ class _LeafCheck:
                 return None
         tol = self.tol
         max_residual = 0.0
-        for rel, names, scaled, fcoefs, frhs in self.rows:
+        for rel, names, exact, coefs, rhs, fcoefs, frhs in self.rows:
             vals = [assign[n] for n in names]
-            if scaled is not None and _exact(*vals):
-                coefs, rhs = scaled
+            if exact and _exact(*vals):
                 gap = sum(c * v for c, v in zip(coefs, vals)) - rhs
                 if gap > 0 if rel == "<=" else gap < 0 if rel == ">=" else gap != 0:
                     return None
