@@ -1,16 +1,18 @@
-"""Hot numeric kernels: cyclic Jacobi sweeps for dense symmetric matrices.
+"""Hot numeric kernel: cyclic Jacobi sweeps for dense symmetric matrices.
 
-The same source is used twice: compiled with numba's @njit (default) and as a
-plain NumPy/Python function.  Set MISDPKIT_PURE_NUMPY=1 to force the fallback;
-the fallback is also selected automatically when numba is unavailable.  Both
-paths execute the identical operation sequence.  `benchmarks/bench_eigen.py`
-compares them.
+This is the one eigensolver of the package: every PSD test, eigenvalue and
+numerical rank goes through `jacobi_eigh`, in plain Python over a float64
+array.  Its convergence threshold and sweep budget are the constants below.
 """
 
 import math
-import os
 
 import numpy as np
+
+# converged when the off-diagonal Frobenius norm is <= JACOBI_OFF * ||A||_F
+JACOBI_OFF = 1e-12
+JACOBI_SWEEPS = 100
+USING_NUMBA = False  # read by perfbench/bench.py:environment
 
 
 def _jacobi_cycle(a, v, fro, off_target, max_sweeps):
@@ -76,23 +78,6 @@ def _jacobi_cycle(a, v, fro, off_target, max_sweeps):
         sweeps += 1
 
 
-jacobi_cycle_numpy = _jacobi_cycle
-
-try:
-    from numba import njit
-
-    jacobi_cycle_numba = njit(cache=True)(_jacobi_cycle)
-    HAVE_NUMBA = True
-except ImportError:  # numba is the optional "fast" extra
-    jacobi_cycle_numba = None
-    HAVE_NUMBA = False
-
-_flag = os.environ.get("MISDPKIT_PURE_NUMPY", "").strip().lower()
-USING_NUMBA = HAVE_NUMBA and _flag not in {"1", "true", "yes"}
-
-jacobi_cycle = jacobi_cycle_numba if USING_NUMBA else jacobi_cycle_numpy
-
-
 def jacobi_eigh(a, off_scale, max_sweeps):
     """Full eigen-decomposition of a symmetric ndarray by cyclic Jacobi.
 
@@ -104,7 +89,7 @@ def jacobi_eigh(a, off_scale, max_sweeps):
     v = np.eye(n)
     with np.errstate(over="ignore"):  # an overflowed norm is reported as sweeps=-1
         fro = math.sqrt(float(np.sum(work * work)))
-    sweeps = jacobi_cycle(work, v, fro, off_scale * fro, max_sweeps)
+    sweeps = _jacobi_cycle(work, v, fro, off_scale * fro, max_sweeps)
     w = np.diag(work).copy()
     order = np.argsort(-w, kind="stable")
     return w[order], v[:, order], sweeps

@@ -5,7 +5,7 @@ import json
 import sys
 
 from . import cbf, dpsd, formulations, linalg, model, problems, schemes, verify
-from .errors import MisdpkitError
+from .errors import MisdpkitError, ParseError, json_reader
 
 
 def _read(path):
@@ -22,7 +22,15 @@ def _write(path, text):
 
 
 def _load_json(path):
-    return json.loads(_read(path))
+    try:
+        return json.loads(_read(path))
+    except json.JSONDecodeError as exc:
+        raise ParseError(exc.msg, line=exc.lineno) from None
+
+
+@json_reader
+def _scheme_matrices(obj):
+    return [linalg.SymMat(a) for a in obj["matrices"]]
 
 
 def _emit_model(m, out, fmt):
@@ -172,8 +180,7 @@ def cmd_scheme(args):
         m, k = args.kep
         scheme = schemes.verify_axioms(schemes.kep_scheme_matrices(m, k))
     else:
-        obj = _load_json(args.mats)
-        scheme = schemes.verify_axioms([linalg.SymMat(a) for a in obj["matrices"]])
+        scheme = schemes.verify_axioms(_scheme_matrices(_load_json(args.mats)))
     report = schemes.scheme_report(scheme)
     _write(args.out, json.dumps(report, indent=2, sort_keys=True) + "\n")
     print(f"valid scheme: n={scheme.n} r={scheme.r} q_residual={scheme.q_residual:.2e}",

@@ -1,15 +1,9 @@
-"""Central tolerance policy.
+"""Central tolerance policy: `DEFAULT`, the one fixed set of float tolerances.
 
-Every floating-point test in the package goes through one of these knobs so
-that a single override changes the whole artifact consistently.  Defaults can
-be overridden per call, or globally through environment variables:
-
-    MISDPKIT_PSD_SCALE    scale of the PSD eigenvalue tolerance
-    MISDPKIT_RANK_SCALE   scale of the numerical-rank tolerance
-    MISDPKIT_PURE_NUMPY   "1" disables the numba kernels (see _kernels)
+There is no per-call or environment override.  The Jacobi kernel's
+convergence constants live beside it in `_kernels`.
 """
 
-import os
 from dataclasses import dataclass
 
 
@@ -19,9 +13,6 @@ class Tolerances:
     psd_scale: float = 1e-8
     # num_rank counts |lambda| > rank_scale * max(1, max|lambda|)
     rank_scale: float = 1e-7
-    # Jacobi converges when off-diagonal Frobenius norm < jacobi_off * ||A||_F
-    jacobi_off: float = 1e-12
-    jacobi_sweeps: int = 100
     # residual tolerance for linear rows over float data (integer data is exact)
     lin_feas: float = 1e-9
     # spectral-projection clustering tolerance for association schemes
@@ -34,13 +25,4 @@ class Tolerances:
         return self.rank_scale * max(1.0, max_abs_eig)
 
 
-def _from_env() -> Tolerances:
-    kw = {}
-    if "MISDPKIT_PSD_SCALE" in os.environ:
-        kw["psd_scale"] = float(os.environ["MISDPKIT_PSD_SCALE"])
-    if "MISDPKIT_RANK_SCALE" in os.environ:
-        kw["rank_scale"] = float(os.environ["MISDPKIT_RANK_SCALE"])
-    return Tolerances(**kw)
-
-
-DEFAULT = _from_env()
+DEFAULT = Tolerances()

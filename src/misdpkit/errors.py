@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import functools
+
 
 class MisdpkitError(Exception):
     """Base class for all misdpkit errors."""
@@ -83,3 +85,20 @@ class BudgetExceeded(MisdpkitError):
 
 class UnsupportedContinuousPattern(MisdpkitError):
     """A continuous variable matches no supported elimination pattern."""
+
+
+def json_reader(fn):
+    """Make a reader of decoded JSON raise ParseError on a missing or malformed field."""
+
+    @functools.wraps(fn)
+    def read(obj):
+        try:
+            return fn(obj)
+        except ParseError:
+            raise
+        except KeyError as exc:
+            raise ParseError(f"missing field {exc.args[0]!r}") from None
+        except (LookupError, TypeError, ValueError, ArithmeticError, AttributeError, MisdpkitError) as exc:
+            raise ParseError(f"malformed data: {exc}") from None
+
+    return read

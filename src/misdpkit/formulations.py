@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, NegativeCapacity
+from .errors import DimensionMismatch, NegativeCapacity, json_reader
 from .model import LinRow, MatrixPencil, MisdpModel, Objective, VarDomain
 
 
@@ -385,6 +385,7 @@ def build_bsdp_qmp2(inst: Qmp2Instance) -> MisdpModel:
 # instance JSON (schemas documented in the README)
 # ---------------------------------------------------------------------------
 
+@json_reader
 def qcqp_from_json(obj) -> QcqpInstance:
     return QcqpInstance(
         int(obj["n"]),
@@ -396,6 +397,7 @@ def qcqp_from_json(obj) -> QcqpInstance:
     )
 
 
+@json_reader
 def qmp1_from_json(obj) -> Qmp1Instance:
     return Qmp1Instance(
         int(obj["n"]),
@@ -407,6 +409,7 @@ def qmp1_from_json(obj) -> Qmp1Instance:
     )
 
 
+@json_reader
 def qmp2_from_json(obj) -> Qmp2Instance:
     return Qmp2Instance(
         int(obj["n"]),

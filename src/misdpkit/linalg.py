@@ -13,7 +13,7 @@ import numpy as np
 
 from . import config
 from .errors import DimensionMismatch, NonConvergence, ParseError
-from ._kernels import jacobi_eigh
+from ._kernels import JACOBI_OFF, JACOBI_SWEEPS, jacobi_eigh
 
 # entry character sets
 BINARY = "binary"        # {0,1}
@@ -128,22 +128,22 @@ def _as_array(a):
     return a.array if isinstance(a, SymMat) else np.asarray(a, dtype=np.float64)
 
 
-def _jacobi(arr, tols):
-    w, v, sweeps = jacobi_eigh(arr, tols.jacobi_off, tols.jacobi_sweeps)
+def _jacobi(arr):
+    w, v, sweeps = jacobi_eigh(arr, JACOBI_OFF, JACOBI_SWEEPS)
     if sweeps < 0:
         raise NonConvergence(
-            f"Jacobi did not converge in {tols.jacobi_sweeps} sweeps, or the matrix norm "
+            f"Jacobi did not converge in {JACOBI_SWEEPS} sweeps, or the matrix norm "
             f"is not finite (n={arr.shape[0]})"
         )
     return w, v, sweeps
 
 
-def eigen_values(a, tols=None):
+def eigen_values(a):
     """Eigenvalues (descending) of a symmetric matrix or SymMat, no vectors."""
-    return _jacobi(_as_array(a), tols or config.DEFAULT)[0]
+    return _jacobi(_as_array(a))[0]
 
 
-def eigensym(a, tols=None):
+def eigensym(a):
     """Full spectral decomposition by cyclic Jacobi rotations.
 
     Raises NonConvergence when the Frobenius norm is not finite, or when the
@@ -153,7 +153,7 @@ def eigensym(a, tols=None):
     arr = _as_array(a)
     if arr.shape[0] < 1:
         raise DimensionMismatch("eigensym requires n >= 1")
-    w, v, sweeps = _jacobi(arr, tols or config.DEFAULT)
+    w, v, sweeps = _jacobi(arr)
     residual = float(np.max(np.abs(arr @ v - v * w))) if arr.size else 0.0
     return EigenResult(w, v, residual, sweeps)
 
@@ -164,29 +164,25 @@ def _inf_norm(arr):
     return float(np.max(np.sum(np.abs(arr), axis=1)))
 
 
-def is_psd(a, tol=None, tols=None):
+def is_psd(a, tol=None):
     """True iff lambda_min(a) >= -tol.
 
     Default tol is psd_scale * max(1, ||a||_inf).
     """
-    tols = tols or config.DEFAULT
     arr = _as_array(a)
     if tol is None:
-        tol = tols.psd_tol(_inf_norm(arr))
-    w = eigen_values(arr, tols)
+        tol = config.DEFAULT.psd_tol(_inf_norm(arr))
+    w = eigen_values(arr)
     return bool(w.size == 0 or w[-1] >= -tol)
 
 
-def num_rank(a, tol=None, tols=None):
+def num_rank(a):
     """Numerical rank: count of eigenvalues with |lambda| > tol.
 
-    Default tol is rank_scale * max(1, max|lambda|).
+    tol is rank_scale * max(1, max|lambda|).
     """
-    tols = tols or config.DEFAULT
-    arr = _as_array(a)
-    w = eigen_values(arr, tols)
-    if tol is None:
-        tol = tols.rank_tol(float(np.max(np.abs(w))) if w.size else 0.0)
+    w = eigen_values(a)
+    tol = config.DEFAULT.rank_tol(float(np.max(np.abs(w))) if w.size else 0.0)
     return int(np.sum(np.abs(w) > tol))
 
 

@@ -11,6 +11,7 @@ assignment is arithmetic-exact whenever every participating number is exact
 """
 
 import json
+import math
 import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -18,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import config
-from .errors import IncompleteAssignment, ParseError, UnsupportedDomain
+from .errors import IncompleteAssignment, ParseError, UnsupportedDomain, json_reader
 from .linalg import is_psd
 
 CONTINUOUS = "continuous"
@@ -57,8 +58,13 @@ class VarDomain:
 
     @staticmethod
     def integer_range(lo, hi):
-        if lo > hi:
-            raise UnsupportedDomain(f"integer_range needs lo <= hi, got [{lo}, {hi}]")
+        # the bounds are stored as given; the values are ceil(lo)..floor(hi)
+        try:
+            empty = math.ceil(lo) > math.floor(hi)
+        except (OverflowError, ValueError):  # inf or nan
+            raise UnsupportedDomain(f"integer_range needs finite bounds, got [{lo}, {hi}]") from None
+        if empty:
+            raise UnsupportedDomain(f"integer_range has no integer in [{lo}, {hi}]")
         return VarDomain(INTEGER_RANGE, lo, hi)
 
     @staticmethod
@@ -81,7 +87,7 @@ class VarDomain:
         if self.kind == TERNARY:
             return (-1, 0, 1)
         if self.kind == INTEGER_RANGE:
-            return tuple(range(int(self.lo), int(self.hi) + 1))
+            return tuple(range(math.ceil(self.lo), math.floor(self.hi) + 1))
         if self.kind == FINITE_SET:
             return self.values
         raise UnsupportedDomain("continuous domains are not enumerable")
@@ -198,15 +204,6 @@ class MisdpModel:
     pencils: list = field(default_factory=list)
     metadata: dict = field(default_factory=dict)
 
-    def var_names(self):
-        return [name for name, _ in self.variables]
-
-    def domain(self, name):
-        for n, d in self.variables:
-            if n == name:
-                return d
-        raise KeyError(name)
-
     def integer_names(self):
         return [n for n, d in self.variables if d.is_integer]
 
@@ -225,7 +222,7 @@ class MisdpModel:
 def validate(model: MisdpModel):
     """Structural defects of a model; empty list when well-formed."""
     defects = []
-    names = model.var_names()
+    names = [n for n, _ in model.variables]
     known = set(names)
     if len(known) != len(names):
         defects.append("duplicate variable names")
@@ -263,16 +260,15 @@ class EvalResult:
     max_residual: float
 
 
-def eval_point(model: MisdpModel, assignment: dict, tol=None, tols=None) -> EvalResult:
+def eval_point(model: MisdpModel, assignment: dict, tol=None) -> EvalResult:
     """Check an assignment against domains, rows and pencils.
 
     Row checks are exact whenever the row data and values are int/Fraction;
     float data uses `tol` (default from the tolerance policy).  The objective
     is always reported.
     """
-    tols = tols or config.DEFAULT
     if tol is None:
-        tol = tols.lin_feas
+        tol = config.DEFAULT.lin_feas
     missing = [n for n, _ in model.variables if n not in assignment]
     if missing:
         raise IncompleteAssignment(f"missing values for {missing[:4]}{'...' if len(missing) > 4 else ''}")
@@ -307,7 +303,7 @@ def eval_point(model: MisdpModel, assignment: dict, tol=None, tols=None) -> Eval
 
     for k, pencil in enumerate(model.pencils):
         mat = pencil.evaluate(assignment)
-        if not is_psd(mat, tols=tols):
+        if not is_psd(mat):
             violations.append(f"pencil {k}: not PSD")
 
     objective = model.objective.value(assignment)
@@ -332,6 +328,8 @@ def _dec_num(v):
     if isinstance(v, str) and "/" in v:
         p, q = v.split("/")
         return Fraction(int(p), int(q))
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ParseError(f"expected a number, got {v!r}")
     return v
 
 
@@ -357,7 +355,8 @@ def _dec_domain(obj):
     if kind == FINITE_SET:
         return VarDomain.finite_set([_dec_num(v) for v in obj["values"]])
     if kind == CONTINUOUS:
-        return VarDomain.continuous(_dec_num(obj.get("lo")), _dec_num(obj.get("hi")))
+        lo, hi = obj.get("lo"), obj.get("hi")
+        return VarDomain.continuous(lo if lo is None else _dec_num(lo), hi if hi is None else _dec_num(hi))
     raise ParseError(f"unknown domain kind {kind!r}")
 
 
@@ -398,7 +397,12 @@ def import_json(text: str) -> MisdpModel:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(str(exc), line=exc.lineno)
-    if obj.get("format") != "misdpkit-model":
+    return _model_from_json(obj)
+
+
+@json_reader
+def _model_from_json(obj):
+    if not isinstance(obj, dict) or obj.get("format") != "misdpkit-model":
         raise ParseError("not a misdpkit model file")
     variables = [(n, _dec_domain(d)) for n, d in obj["variables"]]
     o = obj["objective"]

@@ -20,6 +20,7 @@ from .errors import (
     ParseError,
     SizeMismatch,
     VariantPrecondition,
+    json_reader,
 )
 from .formulations import mname, pname, pynum, sym_coeff, sym_matrix, xname
 from .model import LinRow, MatrixPencil, MisdpModel, Objective, VarDomain
@@ -982,18 +983,22 @@ def build_sils(m_mat, b, cap) -> MisdpModel:
 # instance JSON (schemas documented in the README)
 # ---------------------------------------------------------------------------
 
+@json_reader
 def qbpp_from_json(obj):
     return (obj["weights"], obj["capacity"], obj["bin_cost"], obj["dissimilarity"])
 
 
+@json_reader
 def qmkp_from_json(obj):
     return (obj["weights"], obj["capacities"], obj["profits"], obj["revenue"])
 
 
+@json_reader
 def sils_from_json(obj):
     return (np.asarray(obj["M"]), np.asarray(obj["b"]), int(obj["K"]))
 
 
+@json_reader
 def completion_from_json(obj):
     shape = tuple(obj["shape"])
     observed = {(int(i), int(j)): v for i, j, v in obj.get("observed", [])}

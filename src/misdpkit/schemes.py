@@ -57,7 +57,7 @@ def distance_matrices(g: Graph):
     return [SymMat((dist == d).astype(np.int64), check_symmetry=False) for d in range(diam + 1)]
 
 
-def _refine_eigenspaces(mats, tols):
+def _refine_eigenspaces(mats):
     """Common eigenspace bases of a commuting symmetric family.
 
     Returns (bases, eigenvalue table) where table[g][t] is the eigenvalue of
@@ -72,10 +72,10 @@ def _refine_eigenspaces(mats, tols):
         for basis, known in zip(groups, eigvals):
             b = basis.T @ (a @ basis)
             b = 0.5 * (b + b.T)
-            res = eigensym(b, tols)
+            res = eigensym(b)
             w, v = res.eigenvalues, res.eigenvectors
             scale = max(1.0, float(np.max(np.abs(w))) if w.size else 0.0)
-            tol = tols.eig_group * scale
+            tol = config.DEFAULT.eig_group * scale
             start = 0
             for i in range(1, len(w) + 1):
                 if i == len(w) or abs(w[i] - w[start]) > tol:
@@ -87,13 +87,12 @@ def _refine_eigenspaces(mats, tols):
     return groups, eigvals
 
 
-def verify_axioms(mats, tols=None) -> AssociationScheme:
+def verify_axioms(mats) -> AssociationScheme:
     """Check a matrix family against the scheme axioms, exactly.
 
     Raises AxiomViolation naming the first failed axiom.  The spectral data
     (P, Q, idempotents) is computed on success.
     """
-    tols = tols or config.DEFAULT
     if not mats:
         raise AxiomViolation("i", "empty matrix family")
     mats = [m if isinstance(m, SymMat) else SymMat(m) for m in mats]
@@ -130,7 +129,7 @@ def verify_axioms(mats, tols=None) -> AssociationScheme:
                 p_numbers[h, j, i] = v0
 
     arrays = [m.array for m in mats]
-    groups, eigvals = _refine_eigenspaces(arrays, tols)
+    groups, eigvals = _refine_eigenspaces(arrays)
     if len(groups) != r + 1:
         raise MisdpkitError(
             f"expected {r + 1} common eigenspaces, found {len(groups)}"

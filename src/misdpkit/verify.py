@@ -391,8 +391,7 @@ class _LeafCheck:
     """
 
     def __init__(self, model):
-        tols = self.tols = config.DEFAULT
-        tol = self.tol = tols.lin_feas
+        tol = self.tol = config.DEFAULT.lin_feas
         self.bounds = [
             (name, None if d.lo is None else d.lo - tol, None if d.hi is None else d.hi + tol)
             for name, d in model.variables
@@ -432,7 +431,7 @@ class _LeafCheck:
                 return None
             max_residual = max(max_residual, resid)
         for pencil in self.pencils:
-            if not is_psd(pencil.evaluate(assign), tols=self.tols):
+            if not is_psd(pencil.evaluate(assign)):
                 return None
         return self.objective.value(assign), max_residual
 

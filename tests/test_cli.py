@@ -35,6 +35,19 @@ class TestBuild:
         assert captured.out == ""
         assert captured.err.splitlines() == ["error: line 3: bad edge line 'e 2'"]
 
+    @pytest.mark.parametrize("argv, text, message", [
+        (["build", "qbpp", "--instance"], '{"weights": [1, 2]}', "error: missing field 'capacity'"),
+        (["build", "sils", "--instance"], "M = [[1]]\n", "error: line 1: Expecting value"),
+        (["scheme", "--mats"], '{"mats": []}', "error: missing field 'matrices'"),
+    ])
+    def test_bad_instance_file_exit_code(self, tmp_path, capsys, argv, text, message):
+        path = tmp_path / "inst.json"
+        path.write_text(text)
+        assert run(argv + [str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [message]
+
     def test_tsp_lee_counts(self, tmp_path, capsys):
         dist = tmp_path / "d.txt"
         dist.write_text("5\n" + "\n".join(" ".join("0" if i == j else "1" for j in range(5)) for i in range(5)) + "\n")
@@ -158,6 +171,16 @@ class TestConvert:
         back = tmp_path / "m2.cbf"
         assert run(["convert", str(json_path), str(back)]) == 0
         assert back.read_text() == cbf_path.read_text()
+
+    def test_malformed_json_model_exit_code(self, c5, tmp_path, capsys):
+        json_path = tmp_path / "m.json"
+        run(["build", "stable-set", "--graph", c5, "--out", str(json_path), "--format", "json"])
+        json_path.write_text(json_path.read_text().replace('"rel":"=="', '"rel":"<"', 1))
+        capsys.readouterr()
+        assert run(["convert", str(json_path), str(tmp_path / "m.cbf")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: malformed data: bad relation '<'"]
 
 
 class TestCliConfig:

@@ -1,8 +1,10 @@
+import functools
+import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from misdpkit import config
@@ -19,6 +21,7 @@ from misdpkit.model import (
     import_json,
     validate,
 )
+from test_verify import _one_model_per_builder
 
 
 def stable_set_k2_model():
@@ -77,10 +80,18 @@ def _finite_set_or_none(values):
         return None
 
 
+def _integer_range_or_none(bounds):
+    try:
+        return VarDomain.integer_range(min(bounds), max(bounds))
+    except UnsupportedDomain:
+        return None
+
+
 _domains = st.one_of(
     st.just(VarDomain.binary()),
     st.just(VarDomain.ternary()),
     st.tuples(_small, _small).map(lambda b: VarDomain.integer_range(min(b), max(b))),
+    st.tuples(_number, _number).map(_integer_range_or_none),
     st.lists(_number, min_size=1, max_size=4).map(_finite_set_or_none),
 )
 
@@ -93,6 +104,25 @@ class TestDomains:
             return
         for v in dom.iter_values():
             assert dom.contains(v) and dom.contains(v, tol=config.DEFAULT.lin_feas)
+            assert dom.lo <= v <= dom.hi
+
+    @pytest.mark.parametrize("lo, hi, values", [
+        (Fraction(1, 2), 2, (1, 2)),
+        (Fraction(-3, 2), Fraction(-1, 2), (-1,)),
+        (-2.5, 0.5, (-2, -1, 0)),
+    ])
+    def test_integer_range_rounds_bounds_inward(self, lo, hi, values):
+        dom = VarDomain.integer_range(lo, hi)
+        assert dom.iter_values() == values
+        assert (dom.lo, dom.hi) == (lo, hi)
+        assert not dom.contains(min(values) - 1)
+
+    @pytest.mark.parametrize("lo, hi", [
+        (Fraction(1, 3), Fraction(2, 3)), (0.25, 0.75), (2, 1), (0, float("inf")), (float("nan"), 1),
+    ])
+    def test_integer_range_without_integers_raises(self, lo, hi):
+        with pytest.raises(UnsupportedDomain):
+            VarDomain.integer_range(lo, hi)
 
     @pytest.mark.parametrize("values", [
         [0, 0.5], [Fraction(3, 2)], [1, float("inf")], [float("nan")],
@@ -165,6 +195,45 @@ class TestJsonRoundTrip:
             import_json("{not json")
         with pytest.raises(ParseError):
             import_json('{"format":"other"}')
+
+    @pytest.mark.parametrize("mutate", [
+        lambda obj: obj.pop("variables"),
+        lambda obj: obj["rows"][0].update(rel="<"),
+        lambda obj: obj["objective"].update(constant="1/0"),
+        lambda obj: obj["variables"][0][1].update(kind="integer_range", lo=2, hi=1),
+        lambda obj: obj["objective"].update(constant="one"),
+    ], ids=["no-variables", "bad-rel", "zero-denominator", "empty-range", "not-a-number"])
+    def test_malformed_fields_raise_parse_error(self, mutate):
+        obj = json.loads(export_json(stable_set_k2_model()))
+        mutate(obj)
+        with pytest.raises(ParseError):
+            import_json(json.dumps(obj))
+
+    def test_non_object_raises_parse_error(self):
+        with pytest.raises(ParseError, match="not a misdpkit model file"):
+            import_json("[1]")
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_mutated_text_parses_or_raises_parse_error(self, data):
+        text = data.draw(st.sampled_from(_builder_texts()))
+        for _ in range(data.draw(st.integers(1, 3))):
+            pos = data.draw(st.integers(0, len(text) - 1))
+            op = data.draw(st.sampled_from(["delete", "insert", "replace"]))
+            ch = data.draw(st.sampled_from('0123456789-./":,[]{}<=>aeflnrstu '))
+            if op == "delete":
+                text = text[:pos] + text[pos + 1:]
+            else:
+                text = text[:pos] + ch + text[pos + (op == "replace"):]
+        try:
+            import_json(text)
+        except ParseError:
+            pass
+
+
+@functools.lru_cache(maxsize=None)
+def _builder_texts():
+    return tuple(export_json(m) for m in _one_model_per_builder())
 
 
 class TestCbfRoundTrip:
