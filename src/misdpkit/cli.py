@@ -263,7 +263,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except MisdpkitError as exc:
+    except (MisdpkitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

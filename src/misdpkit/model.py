@@ -93,6 +93,8 @@ class VarDomain:
         raise UnsupportedDomain("continuous domains are not enumerable")
 
     def size(self):
+        if self.kind == INTEGER_RANGE:
+            return math.floor(self.hi) - math.ceil(self.lo) + 1
         return len(self.iter_values())
 
     def contains(self, v, tol=0.0):
@@ -108,6 +110,8 @@ class VarDomain:
             if v.denominator != 1:
                 return False
             v = v.numerator
+        if self.kind == INTEGER_RANGE:
+            return self.lo <= v <= self.hi
         return v in self.iter_values()
 
 

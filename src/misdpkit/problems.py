@@ -983,14 +983,36 @@ def build_sils(m_mat, b, cap) -> MisdpModel:
 # instance JSON (schemas documented in the README)
 # ---------------------------------------------------------------------------
 
+def _json_numbers(obj, field, shape):
+    """obj[field] as nested lists of finite numbers of `shape` (None: any length)."""
+
+    def check(v, shape):
+        if not shape:
+            if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+                raise ParseError(f"field {field!r} holds {v!r}, not a finite number")
+            return v
+        if not isinstance(v, list) or shape[0] not in (None, len(v)):
+            size = "" if shape[0] is None else f" of length {shape[0]}"
+            raise ParseError(f"field {field!r} must be a list{size}, got {v!r}")
+        return [check(x, shape[1:]) for x in v]
+
+    return check(obj[field], shape)
+
+
 @json_reader
 def qbpp_from_json(obj):
-    return (obj["weights"], obj["capacity"], obj["bin_cost"], obj["dissimilarity"])
+    w = _json_numbers(obj, "weights", (None,))
+    n = len(w)
+    return (w, _json_numbers(obj, "capacity", ()), _json_numbers(obj, "bin_cost", ()),
+            _json_numbers(obj, "dissimilarity", (n, n)))
 
 
 @json_reader
 def qmkp_from_json(obj):
-    return (obj["weights"], obj["capacities"], obj["profits"], obj["revenue"])
+    w = _json_numbers(obj, "weights", (None,))
+    n = len(w)
+    return (w, _json_numbers(obj, "capacities", (None,)), _json_numbers(obj, "profits", (n,)),
+            _json_numbers(obj, "revenue", (n, n)))
 
 
 @json_reader

@@ -2,7 +2,24 @@
 
 `solve_by_enumeration` walks every integer assignment of a model (forward
 checking on linear rows), eliminates the continuous variables, and evaluates
-feasibility exactly.  Each leaf resolves continuous variables in this order:
+feasibility exactly.
+
+Interior nodes also test pencils.  An exact integer pencil has every term on
+an integer variable and integer-valued constant and term matrices.  Once the
+search has assigned every variable whose term touches the leading k x k block
+of such a pencil (k < order), that block is fixed for the whole subtree, and
+the subtree is pruned when the block fails `is_psd` at the tolerance of a
+bound on the full pencil's inf-norm over the domain box.  This is sound: a
+principal block of a PSD matrix is PSD, and by interlacing lambda_min(full) <=
+lambda_min(block), so the leaf test, whose tolerance is never larger, rejects
+every completion.  Only the largest block closing at each depth is tested.
+The integer variables are stable-sorted by the smallest leading block of an
+exact integer pencil they enter, so bordered lifts interleave x_i with the
+X_ij and blocks close early; a model without such a pencil keeps its order.
+Leaves still run the full test: the optimum, feasible count and residual
+stay as they were, while `nodes` and the order of the minimizers may change.
+
+Each leaf resolves continuous variables in this order:
 
   1. builder hints of the "lift" stage (entries pinned by the integer part);
   2. exact linear closure of the equality rows (Gaussian elimination over
@@ -40,7 +57,7 @@ from . import config, dpsd
 from .errors import BudgetExceeded, UnsupportedContinuousPattern
 from .formulations import QcqpInstance, Qmp1Instance, Qmp2Instance, mname, pynum
 from .linalg import eigensym, is_psd
-from .model import LinRow, MisdpModel, _exact, validate
+from .model import LinRow, MatrixPencil, MisdpModel, _exact, validate
 from .problems import Graph, GppInstance, QapInstance
 
 REL_TOL = 1e-7
@@ -78,9 +95,8 @@ def _frac(v):
 
 def _contribution_bounds(coef, dom):
     lo, hi = dom.lo, dom.hi
-    if dom.kind != "continuous":
-        vals = dom.iter_values()
-        lo, hi = min(vals), max(vals)
+    if dom.is_integer:
+        lo, hi = math.ceil(lo), math.floor(hi)
     c = float(coef)
     if c >= 0:
         cmin = -math.inf if lo is None else c * float(lo)
@@ -436,6 +452,18 @@ class _LeafCheck:
         return self.objective.value(assign), max_residual
 
 
+def _exact_integer_pencil(pencil, doms):
+    """Every term on an integer variable, every matrix integer-valued."""
+    mats = [pencil.const] + [m for _, m in pencil.terms]
+    return all(doms[n].is_integer for n, _ in pencil.terms) and all(np.all(m % 1 == 0) for m in mats)
+
+
+def _first_block(mat):
+    """Order of the smallest leading block holding a nonzero of `mat`, None if zero."""
+    nz = np.argwhere(mat)
+    return int(nz.max(axis=1).min()) + 1 if len(nz) else None
+
+
 class _Plan:
     """What one solve_by_enumeration call fixes before the search starts."""
 
@@ -452,6 +480,15 @@ class _Plan:
             total *= self.doms[n].size()
             if total > budget:
                 raise BudgetExceeded(f"integer space exceeds budget {budget}")
+        exact = [p for p in model.pencils if _exact_integer_pencil(p, self.doms)]
+        first = {}
+        for p in exact:
+            for name, mat in p.terms:
+                k = _first_block(mat)
+                if k is not None:
+                    first[name] = min(first.get(name, k), k)
+        self.int_names.sort(key=lambda n: first.get(n, math.inf))
+        self.node_checks = self._node_checks(exact)
 
         self.stages = {_LIFT: [], _FORCED: [], _PENDING: []}
         prune_rows = list(model.rows)
@@ -472,6 +509,30 @@ class _Plan:
         corners = _corner_scalars(model)
         self.corners = [(n, *corners[n]) for n in self.cont_names if n in corners]
         self.check = _LeafCheck(model)
+
+    def _node_checks(self, pencils):
+        """Per depth, the (leading block, tol) pairs whose variables that depth completes.
+
+        Only the largest block k < order closing at a depth is kept.  tol is
+        the PSD tolerance of a bound on the whole pencil's inf-norm over the
+        domain box, so it is never below the leaf test's own tolerance.
+        """
+        pos = {n: d for d, n in enumerate(self.int_names)}
+        checks = [[] for _ in self.int_names]
+        for p in pencils:
+            box = np.abs(p.const)
+            for name, mat in p.terms:
+                dom = self.doms[name]
+                box = box + float(max(abs(dom.lo), abs(dom.hi))) * np.abs(mat)
+            tol = config.DEFAULT.psd_tol(float(box.sum(axis=1).max(initial=0.0)))
+            closing = {}
+            for k in range(1, p.order):
+                terms = [(n, m[:k, :k]) for n, m in p.terms if m[:k, :k].any()]
+                if terms:  # a constant block is left to the leaf test
+                    closing[max(pos[n] for n, _ in terms)] = MatrixPencil(p.const[:k, :k], terms)
+            for depth, block in closing.items():
+                checks[depth].append((block, tol))
+        return checks
 
     def _run(self, stage, assign):
         for apply, hint in self.stages[stage]:
@@ -524,11 +585,13 @@ class _Search:
             return
         name = plan.int_names[d]
         checker = plan.checker
+        blocks = plan.node_checks[d]
         for v in plan.doms[name].iter_values():
             checker.push(d, v)
             if checker.consistent(d + 1):
                 self.assignment[name] = v
-                self.dfs(d + 1)
+                if not blocks or all(is_psd(b.evaluate(self.assignment), tol=tol) for b, tol in blocks):
+                    self.dfs(d + 1)
                 del self.assignment[name]
             checker.pop(d, v)
 

@@ -48,6 +48,21 @@ class TestBuild:
         assert captured.out == ""
         assert captured.err.splitlines() == [message]
 
+    def test_missing_input_file_exit_code(self, tmp_path, capsys):
+        missing = tmp_path / "nope.json"
+        assert run(["build", "qbpp", "--instance", str(missing)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: [Errno 2] No such file or directory: '{missing}'"]
+
+    def test_mistyped_instance_field_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "inst.json"
+        path.write_text('{"weights": "ab", "capacity": 1, "bin_cost": 1, "dissimilarity": [[0]]}')
+        assert run(["build", "qbpp", "--instance", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: field 'weights' must be a list, got 'ab'"]
+
     def test_tsp_lee_counts(self, tmp_path, capsys):
         dist = tmp_path / "d.txt"
         dist.write_text("5\n" + "\n".join(" ".join("0" if i == j else "1" for j in range(5)) for i in range(5)) + "\n")

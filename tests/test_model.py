@@ -106,6 +106,20 @@ class TestDomains:
             assert dom.contains(v) and dom.contains(v, tol=config.DEFAULT.lin_feas)
             assert dom.lo <= v <= dom.hi
 
+    @given(_domains, st.one_of(st.integers(-8, 8), st.fractions(-8, 8, max_denominator=3)))
+    def test_size_and_contains_agree_with_the_values(self, dom, v):
+        if dom is None:
+            return
+        assert dom.size() == len(dom.iter_values())
+        assert dom.contains(v) == (v in dom.iter_values())
+        assert dom.contains(float(v)) == (v in dom.iter_values())
+
+    def test_wide_integer_range_is_sized_without_its_values(self):
+        dom = VarDomain.integer_range(Fraction(-1, 2), 2**40 + 0.5)
+        assert dom.size() == 2**40 + 1
+        assert dom.contains(0) and dom.contains(2**40) and dom.contains(Fraction(2**39))
+        assert not dom.contains(-1) and not dom.contains(2**40 + 1) and not dom.contains(Fraction(7, 2))
+
     @pytest.mark.parametrize("lo, hi, values", [
         (Fraction(1, 2), 2, (1, 2)),
         (Fraction(-3, 2), Fraction(-1, 2), (-1,)),

@@ -34,6 +34,8 @@ from misdpkit.problems import (
     graph_from_dimacs,
     graph_to_dimacs,
     parse_qaplib,
+    qbpp_from_json,
+    qmkp_from_json,
 )
 from misdpkit.verify import natural_optimum, oracle, solve_by_enumeration
 
@@ -161,6 +163,38 @@ class TestQbpp:
         assert is_psd(pencil.evaluate(point))
         point["z"] = z - 1e-6 * max(1.0, abs(z))
         assert not is_psd(pencil.evaluate(point), tol=1e-9)
+
+
+_QBPP = {"weights": [1, 2], "capacity": 3, "bin_cost": 1.5, "dissimilarity": [[0, 1], [1, 0]]}
+_QMKP = {"weights": [1, 2], "capacities": [2, 3], "profits": [1, 0], "revenue": [[0, 1], [1, 0]]}
+
+
+class TestInstanceJson:
+    def test_well_formed_fields_pass_through(self):
+        assert qbpp_from_json(_QBPP) == (_QBPP["weights"], 3, 1.5, _QBPP["dissimilarity"])
+        assert qmkp_from_json(_QMKP) == tuple(_QMKP.values())
+
+    @pytest.mark.parametrize("reader, base, field, value", [
+        (qbpp_from_json, _QBPP, "weights", "ab"),
+        (qbpp_from_json, _QBPP, "weights", [1, "2"]),
+        (qbpp_from_json, _QBPP, "weights", [1, [2]]),
+        (qbpp_from_json, _QBPP, "capacity", [3]),
+        (qbpp_from_json, _QBPP, "capacity", True),
+        (qbpp_from_json, _QBPP, "bin_cost", None),
+        (qbpp_from_json, _QBPP, "bin_cost", float("nan")),
+        (qbpp_from_json, _QBPP, "dissimilarity", [[0]]),
+        (qbpp_from_json, _QBPP, "dissimilarity", [[0, 1], [1]]),
+        (qbpp_from_json, _QBPP, "dissimilarity", [0, 1]),
+        (qmkp_from_json, _QMKP, "weights", {"a": 1}),
+        (qmkp_from_json, _QMKP, "capacities", 2),
+        (qmkp_from_json, _QMKP, "profits", [1]),
+        (qmkp_from_json, _QMKP, "profits", [1, float("inf")]),
+        (qmkp_from_json, _QMKP, "revenue", [[0, 1], [1, "x"]]),
+        (qmkp_from_json, _QMKP, "revenue", [[0, 1, 2], [1, 0, 2]]),
+    ])
+    def test_malformed_field_raises_parse_error(self, reader, base, field, value):
+        with pytest.raises(ParseError, match=repr(field)):
+            reader(dict(base, **{field: value}))
 
 
 class TestQmkp:

@@ -12,7 +12,7 @@ from misdpkit import verify
 from misdpkit.errors import BudgetExceeded, UnsupportedContinuousPattern
 from misdpkit.linalg import is_psd
 from misdpkit.model import LinRow, MatrixPencil, MisdpModel, Objective, VarDomain, eval_point
-from misdpkit.problems import Graph, build_stable_set, build_tsp_cvetkovic
+from misdpkit.problems import Graph, build_mkcs, build_stable_set, build_tsp_cvetkovic
 from misdpkit.verify import (
     SUITES,
     equivalence_suite,
@@ -40,6 +40,11 @@ class TestEnumeration:
         )
         with pytest.raises(BudgetExceeded):
             solve_by_enumeration(m, budget=1000)
+
+    def test_wide_integer_range_exceeds_budget(self):
+        m = MisdpModel([("r", VarDomain.integer_range(0, 2**40))], Objective("min", {"r": 1}))
+        with pytest.raises(BudgetExceeded):
+            solve_by_enumeration(m)
 
     def test_unsupported_continuous(self):
         # a continuous variable with no elimination pattern at all
@@ -317,14 +322,135 @@ class TestLeafCheck:
         assert feasible > 0
 
     def test_psd_runs_only_on_domain_and_row_feasible_leaves(self, monkeypatch):
-        calls = []
+        leaf, node = [], []
+        current = {}
+        plan_init = verify._Plan.__init__
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return is_psd(*args, **kwargs)
+        def planning(plan, model, budget):
+            (pencil,) = model.pencils  # every sils model has one pencil
+            current["order"] = pencil.order
+            plan_init(plan, model, budget)
 
+        def counted(a, tol=None):
+            ok = is_psd(a, tol=tol)
+            # node checks pass their box tolerance, leaf checks use the default
+            (leaf if tol is None else node).append((len(a), current["order"], ok))
+            return ok
+
+        monkeypatch.setattr(verify._Plan, "__init__", planning)
         monkeypatch.setattr(verify, "is_psd", counted)
         monkeypatch.setattr(model_module, "is_psd", counted)
-        # 22,788 of the 29,079 leaves fail a domain or a row before any pencil
+        # 1,566 of the 4,023 leaves fail a domain or a row before any pencil
         assert equivalence_suite("sils-small").passed
-        assert len(calls) == 6291
+        assert len(leaf) == 2457
+        assert all(n == order for n, order, _ in leaf)
+        # 474 of the 675 node checks prune, each on a leading block below full order
+        assert len(node) == 675
+        assert sum(not ok for _, _, ok in node) == 474
+        assert all(n < order for n, order, _ in node)
+
+
+def _reference_walk(model):
+    """Optimum, feasible count and largest residual by brute force.
+
+    Every integer point in model order, without forward checking or node
+    checks, is completed by the leaf pipeline and judged by eval_point.  To
+    keep it fast, exact rows over integer variables alone are applied first,
+    to all points at once: eval_point rejects any point that fails one.
+    """
+    plan = verify._Plan(model, budget=10**9)
+    names = model.integer_names()
+    points = list(itertools.product(*(plan.doms[n].iter_values() for n in names)))
+    grid = np.array(points, dtype=np.int64).reshape(len(points), len(names))
+    col = {n: i for i, n in enumerate(names)}
+    keep = np.ones(len(points), dtype=bool)
+    for row in model.rows:
+        exact = type(row.rhs) is int and all(type(c) is int for _, c in row.coeffs)
+        if exact and all(n in col for n, _ in row.coeffs):
+            lhs = sum(c * grid[:, col[n]] for n, c in row.coeffs)
+            keep &= {"<=": lhs <= row.rhs, ">=": lhs >= row.rhs, "==": lhs == row.rhs}[row.rel]
+    offer, result = verify._best_tracker(model.objective.sense)
+    max_residual = 0.0
+    for point, kept in zip(points, keep):
+        assign = plan.resolve(dict(zip(names, point))) if kept else None
+        if assign is not None:
+            ref = eval_point(model, assign)
+            if ref.feasible:
+                offer(ref.objective, assign)
+                max_residual = max(max_residual, ref.max_residual)
+    best = result()
+    return best.optimum, best.feasible_count, max_residual
+
+
+def _assert_matches_reference_walk(model):
+    got = solve_by_enumeration(model, budget=10**9)
+    optimum, count, residual = _reference_walk(model)
+    assert type(got.optimum) is type(optimum) and got.optimum == optimum
+    assert got.feasible_count == count
+    assert type(got.max_residual) is float and got.max_residual == residual
+
+
+def _small_symmetric(draw, order):
+    kind = draw(st.sampled_from(["zero", "diagonal", "general", "rank-one", "negative rank-one"]))
+    if kind == "zero":
+        return np.zeros((order, order))
+    if kind == "diagonal":
+        return np.diag(draw(st.lists(st.integers(-1, 3), min_size=order, max_size=order)))
+    if kind == "general":
+        a = np.array(draw(st.lists(st.integers(-2, 2), min_size=order**2, max_size=order**2)))
+        a = a.reshape(order, order)
+        return np.triu(a) + np.triu(a, 1).T
+    u = np.array(draw(st.lists(st.integers(-1, 2), min_size=order, max_size=order)))
+    return np.outer(u, u) * (1 if kind == "rank-one" else -1)
+
+
+@st.composite
+def _integer_pencil_models(draw):
+    names = [f"v{i}" for i in range(draw(st.integers(2, 4)))]
+    domains = st.sampled_from([
+        VarDomain.binary(), VarDomain.ternary(),
+        VarDomain.integer_range(0, 2), VarDomain.integer_range(Fraction(-3, 2), 1),
+    ])
+    pencils = []
+    for _ in range(draw(st.integers(1, 2))):
+        order = draw(st.integers(2, 4))
+        used = draw(st.lists(st.sampled_from(names), min_size=1, unique=True))
+        pencils.append(MatrixPencil(
+            _small_symmetric(draw, order), [(n, _small_symmetric(draw, order)) for n in used]
+        ))
+    rows = [LinRow(((names[0], 1), (names[1], 1)), "<=", r) for r in draw(st.lists(st.integers(-1, 2), max_size=1))]
+    return MisdpModel(
+        [(n, draw(domains)) for n in names],
+        Objective(draw(st.sampled_from(["min", "max"])), {n: draw(st.integers(-3, 3)) for n in names}),
+        rows=rows,
+        pencils=pencils,
+    )
+
+
+class TestNodeChecks:
+    """The reordered search with node checks against a brute-force walk."""
+
+    def test_builders_match_reference_walk(self):
+        for m in _one_model_per_builder():
+            if m.metadata["problem"] == "tsp_qap":
+                continue  # 2^25 points
+            _assert_matches_reference_walk(m)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_integer_pencil_models())
+    def test_random_integer_pencils_match_reference_walk(self, m):
+        _assert_matches_reference_walk(m)
+
+    def test_blocks_close_at_their_last_variable(self):
+        # bordered lift: x_i enters the leading block of order i + 2, X_ij that of order j + 2
+        plan = verify._Plan(build_mkcs(Graph.cycle(4), 2), budget=10**9)
+        assert plan.int_names == ["x[0]", "x[1]", "X[0,1]", "x[2]", "X[0,2]", "X[1,2]",
+                                  "x[3]", "X[0,3]", "X[1,3]", "X[2,3]"]
+        closing = {d: [b.order for b, _ in checks] for d, checks in enumerate(plan.node_checks) if checks}
+        assert closing == {0: [2], 2: [3], 5: [4]}
+
+    def test_float_and_continuous_pencils_keep_order_and_get_no_checks(self):
+        for m in (build_stable_set(Graph.cycle(5)), build_tsp_cvetkovic(np.ones((5, 5)) - np.eye(5))):
+            plan = verify._Plan(m, budget=10**9)
+            assert plan.int_names == m.integer_names()
+            assert not any(plan.node_checks)
