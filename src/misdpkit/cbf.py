@@ -5,16 +5,19 @@ trailing linear rows so external MISDP solvers see the full integer hull.
 Because CBF has no notion of binary/ternary/finite-set domains, the exact
 domain list, the count of synthesized bound rows and the model metadata are
 carried in '#' comment lines; import_cbf uses them for a lossless round trip
-and falls back to a generic reading on foreign files.
+and falls back to a generic reading on foreign files.  A finite-set domain
+with gaps has no such row encoding, so export_cbf refuses it.  import_cbf
+raises only ParseError, with the line number, on malformed or out-of-range
+input.
 """
 
 import json
-import warnings
+import math
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import MisdpkitError, ParseError, UnsupportedDomain
 from .model import (
     BINARY,
     FINITE_SET,
@@ -31,6 +34,8 @@ from .model import (
 _REL_CONE = {"==": "L=", "<=": "L-", ">=": "L+"}
 _CONE_REL = {v: k for k, v in _REL_CONE.items()}
 _FOREIGN_INT_BOUND = 2**31
+# float64 entries the dense pencils of one imported model may hold (128 MB)
+_MAX_DENSE_ENTRIES = 2**24
 
 
 def _num(v) -> str:
@@ -85,7 +90,10 @@ def _domain_from_code(code: str) -> VarDomain:
         lo, _, hi = rest.partition(":")
         return VarDomain.integer_range(_dec_bound(lo), _dec_bound(hi))
     if kind == "f":
-        return VarDomain.finite_set(_dec_bound(v) for v in rest.split("|"))
+        values = [_dec_bound(v) for v in rest.split("|")]
+        if None in values:
+            raise ParseError(f"empty value in domain code {code!r}")
+        return VarDomain.finite_set(values)
     if kind == "c":
         lo, _, hi = rest.partition(":")
         return VarDomain.continuous(_dec_bound(lo), _dec_bound(hi))
@@ -101,14 +109,10 @@ def _bound_rows(variables):
     rows = []
     for name, d in variables:
         lo, hi = d.lo, d.hi
-        if d.kind == FINITE_SET:
-            vals = d.values
-            if vals != tuple(range(int(vals[0]), int(vals[-1]) + 1)):
-                warnings.warn(
-                    f"finite_set domain of {name!r} exported as its integer-range hull",
-                    stacklevel=3,
-                )
-            lo, hi = vals[0], vals[-1]
+        if d.kind == FINITE_SET and d.values != tuple(range(int(lo), int(hi) + 1)):
+            raise UnsupportedDomain(
+                f"finite_set domain of {name!r} has gaps, which CBF bound rows cannot express"
+            )
         if lo is not None and not (lo == 0 and _var_cone(d) == "L+"):
             rows.append(LinRow(((name, 1),), ">=", lo))
         if hi is not None:
@@ -223,11 +227,21 @@ def export_cbf(model: MisdpModel) -> str:
     return "\n".join(out).rstrip("\n") + "\n"
 
 
+_COUNT = range(2**31)  # counts, orders and PSD entry indices
+
+
+def _real(s):
+    v = float(s)
+    if not math.isfinite(v):
+        raise ValueError(f"{s!r} is not a finite number")
+    return v
+
+
 class _Reader:
     def __init__(self, text):
         self.lines = text.splitlines()
         self.pos = 0
-        self.comments = {}
+        self.comments = {}    # key -> (value, line)
 
     def next(self):
         while self.pos < len(self.lines):
@@ -240,7 +254,7 @@ class _Reader:
                 body = s[1:].strip()
                 if body.startswith("misdpkit-"):
                     key, _, val = body.partition(":")
-                    self.comments[key.strip()] = val.strip()
+                    self.comments[key.strip()] = (val.strip(), self.pos)
                 continue
             return s
         return None
@@ -254,8 +268,72 @@ class _Reader:
     def error(self, msg):
         raise ParseError(msg, line=self.pos)
 
+    def fields(self, what, *kinds):
+        """The next line as one value per kind: a range reads an int that
+        must lie in it, any other kind is applied to the text."""
+        parts = self.expect(what).split()
+        if len(parts) != len(kinds):
+            self.error(f"{what} needs {len(kinds)} fields, got {len(parts)}")
+        values = []
+        try:
+            for kind, part in zip(kinds, parts):
+                if isinstance(kind, range):
+                    v = int(part)
+                    if v not in kind:
+                        raise ValueError(f"{v} is outside [{kind.start}, {kind.stop})")
+                    values.append(v)
+                else:
+                    values.append(kind(part))
+        except ValueError as exc:
+            self.error(f"{what}: {exc}")
+        return values
+
+    def count(self, what):
+        return self.fields(what, _COUNT)[0]
+
+    def groups(self, what, total, ngroups, cones):
+        """`total` cone labels read from `ngroups` lines of (cone, count)."""
+        labels = []
+        for _ in range(ngroups):
+            cone, cnt = self.fields(f"{what} group", str, _COUNT)
+            if cone not in cones:
+                self.error(f"unsupported {what} cone {cone!r}")
+            if len(labels) + cnt > total:
+                self.error(f"{what} group sizes exceed the count {total}")
+            labels += [cone] * cnt
+        if len(labels) != total:
+            self.error(f"{what} group sizes do not sum to the count {total}")
+        return labels
+
+    def comment(self, key, parse, default):
+        """`parse` of the misdpkit-`key` comment, `default` when it is absent."""
+        if f"misdpkit-{key}" not in self.comments:
+            return default
+        val, line = self.comments[f"misdpkit-{key}"]
+        try:
+            return parse(val)
+        except (ValueError, ArithmeticError, MisdpkitError) as exc:
+            raise ParseError(f"misdpkit-{key}: {exc}", line=line) from None
+
+
+def _per_variable(nv, item):
+    def parse(val):
+        items = [item(tok) for tok in val.split()]
+        if len(items) != nv:
+            raise ValueError(f"{len(items)} entries for {nv} variables")
+        return items
+    return parse
+
+
+def _metadata(val):
+    meta = json.loads(val)
+    if not isinstance(meta, dict):
+        raise ValueError("metadata must be a JSON object")
+    return meta
+
 
 def import_cbf(text: str) -> MisdpModel:
+    """Read a CBF model; sections must come in CBF order (structure, then data)."""
     rd = _Reader(text)
     sense = "min"
     var_cones = []
@@ -266,8 +344,13 @@ def import_cbf(text: str) -> MisdpModel:
     obj_const = 0.0
     acoord, bcoord, hcoord, dcoord = [], [], [], []
 
+    seen = set()
     tok = rd.next()
     while tok is not None:
+        if tok in seen:
+            rd.error(f"section {tok} appears twice")
+        seen.add(tok)
+        nv, n_rows, n_psd = len(var_cones), len(row_cones), len(psd_dims)
         if tok == "VER":
             ver = rd.expect("version")
             if ver not in ("1", "2", "3"):
@@ -277,75 +360,46 @@ def import_cbf(text: str) -> MisdpModel:
             if sense not in ("min", "max"):
                 rd.error(f"bad OBJSENSE {sense!r}")
         elif tok == "VAR":
-            head = rd.expect("VAR header").split()
-            total, ngroups = int(head[0]), int(head[1])
-            for _ in range(ngroups):
-                cone, cnt = rd.expect("VAR group").split()
-                var_cones.extend([cone] * int(cnt))
-            if len(var_cones) != total:
-                rd.error("VAR group sizes do not sum to the variable count")
+            var_cones = rd.groups("VAR", *rd.fields("VAR header", _COUNT, _COUNT), ("F", "L+"))
         elif tok == "INT":
-            cnt = int(rd.expect("INT count"))
-            for _ in range(cnt):
-                int_vars.add(int(rd.expect("INT index")))
+            for _ in range(rd.count("INT count")):
+                int_vars.add(rd.fields("INT index", range(nv))[0])
         elif tok == "PSDCON":
-            cnt = int(rd.expect("PSDCON count"))
-            for _ in range(cnt):
-                psd_dims.append(int(rd.expect("PSDCON dimension")))
+            psd_dims = [rd.count("PSDCON dimension") for _ in range(rd.count("PSDCON count"))]
         elif tok == "CON":
-            head = rd.expect("CON header").split()
-            total, ngroups = int(head[0]), int(head[1])
-            for _ in range(ngroups):
-                cone, cnt = rd.expect("CON group").split()
-                if cone not in _CONE_REL:
-                    rd.error(f"unsupported row cone {cone!r}")
-                row_cones.extend([cone] * int(cnt))
-            if len(row_cones) != total:
-                rd.error("CON group sizes do not sum to the row count")
+            row_cones = rd.groups("CON", *rd.fields("CON header", _COUNT, _COUNT), _CONE_REL)
         elif tok == "OBJACOORD":
-            cnt = int(rd.expect("OBJACOORD count"))
-            for _ in range(cnt):
-                j, v = rd.expect("OBJACOORD entry").split()
-                obj_coeffs[int(j)] = float(v)
+            for _ in range(rd.count("OBJACOORD count")):
+                j, v = rd.fields("OBJACOORD entry", range(nv), _real)
+                obj_coeffs[j] = v
         elif tok == "OBJBCOORD":
-            obj_const = float(rd.expect("OBJBCOORD value"))
+            obj_const = rd.fields("OBJBCOORD value", _real)[0]
         elif tok == "ACOORD":
-            cnt = int(rd.expect("ACOORD count"))
-            for _ in range(cnt):
-                k, j, v = rd.expect("ACOORD entry").split()
-                acoord.append((int(k), int(j), float(v)))
+            for _ in range(rd.count("ACOORD count")):
+                acoord.append(rd.fields("ACOORD entry", range(n_rows), range(nv), _real))
         elif tok == "BCOORD":
-            cnt = int(rd.expect("BCOORD count"))
-            for _ in range(cnt):
-                k, v = rd.expect("BCOORD entry").split()
-                bcoord.append((int(k), float(v)))
+            for _ in range(rd.count("BCOORD count")):
+                bcoord.append(rd.fields("BCOORD entry", range(n_rows), _real))
         elif tok == "HCOORD":
-            cnt = int(rd.expect("HCOORD count"))
-            for _ in range(cnt):
-                p, j, r, c, v = rd.expect("HCOORD entry").split()
-                hcoord.append((int(p), int(j), int(r), int(c), float(v)))
+            for _ in range(rd.count("HCOORD count")):
+                p, j, r, c, v = rd.fields("HCOORD entry", range(n_psd), range(nv), _COUNT, _COUNT, _real)
+                if max(r, c) >= psd_dims[p]:
+                    rd.error(f"HCOORD entry ({r}, {c}) outside PSD cone {p} of order {psd_dims[p]}")
+                hcoord.append((p, j, r, c, v))
         elif tok == "DCOORD":
-            cnt = int(rd.expect("DCOORD count"))
-            for _ in range(cnt):
-                p, r, c, v = rd.expect("DCOORD entry").split()
-                dcoord.append((int(p), int(r), int(c), float(v)))
+            for _ in range(rd.count("DCOORD count")):
+                p, r, c, v = rd.fields("DCOORD entry", range(n_psd), _COUNT, _COUNT, _real)
+                if max(r, c) >= psd_dims[p]:
+                    rd.error(f"DCOORD entry ({r}, {c}) outside PSD cone {p} of order {psd_dims[p]}")
+                dcoord.append((p, r, c, v))
         else:
             rd.error(f"unsupported CBF section {tok!r}")
         tok = rd.next()
 
-    nv = len(var_cones)
-    if "misdpkit-names" in rd.comments and rd.comments["misdpkit-names"]:
-        names = rd.comments["misdpkit-names"].split()
-        if len(names) != nv:
-            raise ParseError("misdpkit-names length mismatch")
-    else:
-        names = [f"v{i}" for i in range(nv)]
-
-    if "misdpkit-domains" in rd.comments:
-        domains = [_domain_from_code(c) for c in rd.comments["misdpkit-domains"].split()]
-        if len(domains) != nv:
-            raise ParseError("misdpkit-domains length mismatch")
-    else:
+    nv, n_rows = len(var_cones), len(row_cones)
+    names = rd.comment("names", _per_variable(nv, str), [f"v{i}" for i in range(nv)])
+    domains = rd.comment("domains", _per_variable(nv, _domain_from_code), None)
+    if domains is None:
         domains = []
         for i, cone in enumerate(var_cones):
             lo = 0 if cone == "L+" else None
@@ -354,38 +408,48 @@ def import_cbf(text: str) -> MisdpModel:
                                                        _FOREIGN_INT_BOUND))
             else:
                 domains.append(VarDomain.continuous(lo))
+    n_bound = rd.comment("boundrows", lambda val: range(n_rows + 1).index(int(val)), 0)
+    metadata = rd.comment("meta", _metadata, {})
 
-    n_bound = int(rd.comments.get("misdpkit-boundrows", "0"))
-    metadata = json.loads(rd.comments["misdpkit-meta"]) if "misdpkit-meta" in rd.comments else {}
-
-    n_rows = len(row_cones)
     row_coeffs = [[] for _ in range(n_rows)]
     row_rhs = [0.0] * n_rows
     for k, j, v in acoord:
-        if not 0 <= k < n_rows or not 0 <= j < nv:
-            raise ParseError(f"ACOORD entry out of range: {(k, j)}")
         row_coeffs[k].append((names[j], v))
     for k, v in bcoord:
         row_rhs[k] = -v
-    keep = n_rows - n_bound
     rows = [
         LinRow(tuple(row_coeffs[k]), _CONE_REL[row_cones[k]], row_rhs[k])
-        for k in range(keep)
+        for k in range(n_rows - n_bound)
     ]
 
-    consts = [np.zeros((d, d)) for d in psd_dims]
     terms = [{} for _ in psd_dims]
-    for p, r, c, v in dcoord:
-        consts[p][r, c] = v
-        consts[p][c, r] = v
     for p, j, r, c, v in hcoord:
-        mat = terms[p].setdefault(names[j], np.zeros((psd_dims[p], psd_dims[p])))
-        mat[r, c] = v
-        mat[c, r] = v
+        terms[p].setdefault(names[j], []).append((r, c, v))
+    dense = sum(d * d * (1 + len(t)) for d, t in zip(psd_dims, terms))
+    if dense > _MAX_DENSE_ENTRIES:
+        raise ParseError(f"PSD cones need {dense} dense entries, more than {_MAX_DENSE_ENTRIES}")
+    consts = [[] for _ in psd_dims]
+    for p, r, c, v in dcoord:
+        consts[p].append((r, c, v))
     pencils = [
-        MatrixPencil(consts[p], sorted(terms[p].items(), key=lambda kv: names.index(kv[0])))
-        for p in range(len(psd_dims))
+        MatrixPencil(
+            _dense(d, consts[p]),
+            sorted(((n, _dense(d, e)) for n, e in terms[p].items()), key=lambda kv: names.index(kv[0])),
+        )
+        for p, d in enumerate(psd_dims)
     ]
 
     objective = Objective(sense, {names[j]: v for j, v in sorted(obj_coeffs.items())}, obj_const)
-    return MisdpModel(list(zip(names, domains)), objective, rows, pencils, metadata)
+    model = MisdpModel(list(zip(names, domains)), objective, rows, pencils, metadata)
+    defects = validate(model)
+    if defects:
+        raise ParseError(f"model has defects: {defects}")
+    return model
+
+
+def _dense(order, entries):
+    """Symmetric order x order matrix from lower- or upper-triangle (r, c, v) entries."""
+    mat = np.zeros((order, order))
+    for r, c, v in entries:
+        mat[r, c] = mat[c, r] = v
+    return mat

@@ -425,4 +425,11 @@ def _model_from_json(obj):
         for r in obj["rows"]
     ]
     pencils = [MatrixPencil(p["const"], [(n, m) for n, m in p["terms"]]) for p in obj["pencils"]]
-    return MisdpModel(variables, objective, rows, pencils, obj.get("metadata", {}))
+    metadata = obj.get("metadata", {})
+    if not isinstance(metadata, dict):
+        raise ParseError("field 'metadata' must be an object")
+    model = MisdpModel(variables, objective, rows, pencils, metadata)
+    defects = validate(model)
+    if defects:
+        raise ParseError(f"model has defects: {defects}")
+    return model

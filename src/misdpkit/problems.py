@@ -18,6 +18,7 @@ from .errors import (
     EvenOrder,
     InfeasibleItem,
     ParseError,
+    PreconditionViolated,
     SizeMismatch,
     VariantPrecondition,
     json_reader,
@@ -307,8 +308,10 @@ def build_mkcs(g: Graph, k: int) -> MisdpModel:
 def build_qbpp(weights, capacity, bin_cost, dissimilarity) -> MisdpModel:
     """Quadratic bin packing: the bin-count scalar z stays continuous.
 
-    At any optimum z settles at rank(X), so no integrality marker is needed;
-    the enumerator resolves it by bisection against the pencil.
+    The bordered pencil [[z, 1^T], [1, X]] is PSD iff z >= 1^T X^+ 1, which is
+    rank(X) for a PSD binary X, so no integrality marker is needed: the
+    enumerator sets z to that Schur boundary exactly.  A negative bin_cost
+    leaves z unbounded above and raises PreconditionViolated.
     """
     w = [pynum(v) for v in np.asarray(weights)]
     n = len(w)
@@ -319,6 +322,8 @@ def build_qbpp(weights, capacity, bin_cost, dissimilarity) -> MisdpModel:
         raise DimensionMismatch("dissimilarity must be symmetric of order n")
     if any(v <= 0 for v in w):
         raise InfeasibleItem("item weights must be positive")
+    if bin_cost < 0:
+        raise PreconditionViolated(f"bin_cost must be nonnegative, got {bin_cost}: z is unbounded")
     for i, v in enumerate(w):
         if v > capacity:
             raise InfeasibleItem(f"item {i} has weight {v} > capacity {capacity}")

@@ -25,8 +25,8 @@ Each leaf resolves continuous variables in this order:
   2. exact linear closure of the equality rows (Gaussian elimination over
      Fractions) over the continuous variables no hint covers;
   3. builder hints of the "forced" stage (blocks fixed once the closure ran);
-  4. corner scalars: a variable sitting on one diagonal entry of a single
-     pencil and appearing linearly in the objective, resolved by bisection;
+  4. corner scalars: a variable on one diagonal entry of a single pencil and
+     in no row, set to the pencil's exact Schur-complement boundary;
   5. builder hints of the "pending" stage, only while variables remain.
 
 The completed point is then tested by `_LeafCheck`, compiled once per call.
@@ -61,9 +61,6 @@ from .model import LinRow, MatrixPencil, MisdpModel, _exact, validate
 from .problems import Graph, GppInstance, QapInstance
 
 REL_TOL = 1e-7
-_BISECT_SPAN = float(2**40)
-_BISECT_ITERS = 60
-_BISECT_TOL = 1e-9
 _MAX_MINIMIZERS = 4096
 
 
@@ -256,6 +253,27 @@ _HINT_RULES = {
 }
 
 
+def _gauss_jordan(rows, width):
+    """Row-reduce Fraction `rows` in place over their first `width` columns;
+    return the pivot columns.  Row r < rank then has 1 at pivots[r] and 0 in
+    the other pivot columns, and later rows are 0 in the first `width`."""
+    pivots = []
+    for c in range(width):
+        rank = len(pivots)
+        piv = next((r for r in range(rank, len(rows)) if rows[r][c] != 0), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = rows[rank][c]
+        rows[rank] = [v / inv for v in rows[rank]]
+        for r, row in enumerate(rows):
+            if r != rank and row[c] != 0:
+                f = row[c]
+                rows[r] = [x - f * y for x, y in zip(row, rows[rank])]
+        pivots.append(c)
+    return pivots
+
+
 class _ClosureSolver:
     """Exact elimination of equality rows over a fixed set of unknowns.
 
@@ -267,7 +285,6 @@ class _ClosureSolver:
     def __init__(self, rows, unknowns):
         self.active = []      # (known terms, rhs) per participating row
         sys_unknowns = []
-        seen = {}
         coeff_rows = []
         for row in rows:
             if row.rel != "==":
@@ -281,44 +298,21 @@ class _ClosureSolver:
                     known.append((name, _frac(coef)))
             if not unk:
                 continue
-            for name in unk:
-                if name not in seen:
-                    seen[name] = len(seen)
-                    sys_unknowns.append(name)
+            sys_unknowns += [name for name in unk if name not in sys_unknowns]
             coeff_rows.append(unk)
             self.active.append((known, _frac(row.rhs)))
-        self.vars = sys_unknowns
         m, w = len(coeff_rows), len(sys_unknowns)
-        a = [[Fraction(0)] * w for _ in range(m)]
-        for r, unk in enumerate(coeff_rows):
-            for name, c in unk.items():
-                a[r][seen[name]] = c
-        t = [[Fraction(1 if i == j else 0) for j in range(m)] for i in range(m)]
-        rank = 0
-        pivots = []
-        for c in range(w):
-            piv = next((r for r in range(rank, m) if a[r][c] != 0), None)
-            if piv is None:
-                continue
-            a[rank], a[piv] = a[piv], a[rank]
-            t[rank], t[piv] = t[piv], t[rank]
-            inv = a[rank][c]
-            a[rank] = [v / inv for v in a[rank]]
-            t[rank] = [v / inv for v in t[rank]]
-            for r in range(m):
-                if r != rank and a[r][c] != 0:
-                    f = a[r][c]
-                    a[r] = [x - f * y for x, y in zip(a[r], a[rank])]
-                    t[r] = [x - f * y for x, y in zip(t[r], t[rank])]
-            pivots.append(c)
-            rank += 1
-        self.transform = t
-        self.zero_rows = list(range(rank, m))
+        # [A | I]: the right half becomes the row-reduction transform
+        a = [[unk.get(name, Fraction(0)) for name in sys_unknowns] + [Fraction(i == r) for i in range(m)]
+             for r, unk in enumerate(coeff_rows)]
+        pivots = _gauss_jordan(a, w)
+        self.transform = [row[w:] for row in a]
+        self.zero_rows = list(range(len(pivots), m))
         # a pivot row determines its variable when it touches no free column
         self.determined = [
-            (sys_unknowns[pivots[r]], r)
-            for r in range(rank)
-            if all(a[r][c] == 0 for c in range(w) if c != pivots[r])
+            (sys_unknowns[p], r)
+            for r, p in enumerate(pivots)
+            if all(a[r][c] == 0 for c in range(w) if c != p)
         ]
 
     def apply(self, assign):
@@ -337,11 +331,12 @@ class _ClosureSolver:
 
 
 def _corner_scalars(model):
-    """Continuous vars on a single diagonal pencil entry, objective-priced."""
+    """Continuous vars on one positive diagonal pencil entry and in no row:
+    name -> (pencil, diagonal index, entry as a Fraction, objective coefficient)."""
     appearances = {}
-    for pi, pencil in enumerate(model.pencils):
+    for pencil in model.pencils:
         for name, matrix in pencil.terms:
-            appearances.setdefault(name, []).append((pi, matrix))
+            appearances.setdefault(name, []).append((pencil, matrix))
     in_rows = set()
     for row in model.rows:
         for name, _ in row.coeffs:
@@ -353,42 +348,42 @@ def _corner_scalars(model):
         apps = appearances.get(name, [])
         if len(apps) != 1:
             continue
-        pi, matrix = apps[0]
+        pencil, matrix = apps[0]
         nz = np.argwhere(matrix != 0.0)
         if len(nz) == 1 and nz[0][0] == nz[0][1] and matrix[nz[0][0], nz[0][0]] > 0:
+            i = int(nz[0][0])
             coef = model.objective.coeffs.get(name, 0)
-            corners[name] = (pi, matrix, coef)
+            corners[name] = (pencil, i, Fraction(matrix[i, i]), coef)
     return corners
 
 
-def _resolve_corner(model, assign, name, pi, matrix, coef, dom, sense):
-    minimizing = (sense == "min" and coef > 0) or (sense == "max" and coef < 0)
-    if not minimizing:
+def _resolve_corner(pencil, assign, name, i, a, coef, dom, sense):
+    """Set `name` to float(t*), t* the least t >= dom.lo keeping `pencil` PSD.
+
+    With the corner at 0 the pencil is B; let R be the other indices and
+    b = B[R, i].  By the Schur complement B + t*a*e_i e_i^T is PSD iff B[R, R]
+    is PSD (left to the leaf check), B[R, R] y = b is solvable (else False is
+    returned) and t >= (b^T y - B[i, i]) / a.  All of it is exact over Fractions.
+    """
+    if coef < 0 if sense == "min" else coef > 0:
         raise UnsupportedContinuousPattern(
             f"corner scalar {name!r} is not priced toward its feasibility boundary"
         )
-    temp = dict(assign)
-    temp[name] = 0
-    base = model.pencils[pi].evaluate(temp)
-    lb = float(dom.lo) if dom.lo is not None else -float(2**20)
-    hb = lb + _BISECT_SPAN
-
-    def feasible(t):
-        return is_psd(base + t * matrix, tol=_BISECT_TOL)
-
-    if not feasible(hb):
+    base = [[Fraction(v) for v in row] for row in pencil.const.tolist()]
+    for term, mat in pencil.terms:
+        v = 0 if term == name else _frac(assign[term])
+        if v:
+            for r, c in zip(*np.nonzero(mat)):
+                base[r][c] += v * Fraction(mat[r, c])
+    rest = [r for r in range(pencil.order) if r != i]
+    rows = [[base[r][c] for c in rest] + [base[r][i]] for r in rest]
+    pivots = _gauss_jordan(rows, len(rest))
+    if any(row[-1] != 0 for row in rows[len(pivots):]):
         return False
-    if feasible(lb):
-        assign[name] = lb
-        return True
-    a, b = lb, hb
-    for _ in range(_BISECT_ITERS):
-        mid = 0.5 * (a + b)
-        if feasible(mid):
-            b = mid
-        else:
-            a = mid
-    assign[name] = b
+    t = (sum(base[rest[p]][i] * row[-1] for p, row in zip(pivots, rows)) - base[i][i]) / a
+    if dom.lo is not None and t < dom.lo:
+        t = dom.lo
+    assign[name] = float(t)
     return True
 
 
@@ -549,12 +544,10 @@ class _Plan:
         if not self.closure.apply(assign):
             return None
         self._run(_FORCED, assign)
-        for name, pi, matrix, coef in self.corners:
-            if name in assign:
+        for name, pencil, i, a, coef in self.corners:
+            if name in assign or not all(t in assign or t == name for t, _ in pencil.terms):
                 continue
-            if not all(t in assign or t == name for t, _ in model.pencils[pi].terms):
-                continue
-            if not _resolve_corner(model, assign, name, pi, matrix, coef, self.doms[name],
+            if not _resolve_corner(pencil, assign, name, i, a, coef, self.doms[name],
                                    model.objective.sense):
                 return None
         if self._pending(assign):

@@ -63,6 +63,14 @@ class TestBuild:
         assert captured.out == ""
         assert captured.err.splitlines() == ["error: field 'weights' must be a list, got 'ab'"]
 
+    def test_negative_bin_cost_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "inst.json"
+        path.write_text('{"weights": [1, 1], "capacity": 2, "bin_cost": -1, "dissimilarity": [[0, 1], [1, 0]]}')
+        assert run(["build", "qbpp", "--instance", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: bin_cost must be nonnegative, got -1: z is unbounded"]
+
     def test_tsp_lee_counts(self, tmp_path, capsys):
         dist = tmp_path / "d.txt"
         dist.write_text("5\n" + "\n".join(" ".join("0" if i == j else "1" for j in range(5)) for i in range(5)) + "\n")
@@ -196,6 +204,34 @@ class TestConvert:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines() == ["error: malformed data: bad relation '<'"]
+
+    def test_finite_set_with_gaps_to_cbf_exit_code(self, tmp_path, capsys):
+        json_path = tmp_path / "m.json"
+        json_path.write_text(json.dumps({
+            "format": "misdpkit-model",
+            "variables": [["u", {"kind": "finite_set", "values": [-1, 0, 2]}]],
+            "objective": {"sense": "min", "coeffs": [["u", 1]], "constant": 0},
+            "rows": [],
+            "pencils": [],
+        }))
+        out = tmp_path / "m.cbf"
+        assert run(["convert", str(json_path), str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err.splitlines() == [
+            "error: finite_set domain of 'u' has gaps, which CBF bound rows cannot express"
+        ]
+
+    def test_bad_cbf_exit_code(self, c5, tmp_path, capsys):
+        cbf_path = tmp_path / "m.cbf"
+        run(["build", "stable-set", "--graph", c5, "--out", str(cbf_path)])
+        cbf_path.write_text(cbf_path.read_text().replace("INT\n5\n0\n", "INT\n5\nx\n", 1))
+        capsys.readouterr()
+        assert run(["convert", str(cbf_path), str(tmp_path / "m.json")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: line ") and "INT index" in captured.err
 
 
 class TestCliConfig:

@@ -216,7 +216,10 @@ class TestJsonRoundTrip:
         lambda obj: obj["objective"].update(constant="1/0"),
         lambda obj: obj["variables"][0][1].update(kind="integer_range", lo=2, hi=1),
         lambda obj: obj["objective"].update(constant="one"),
-    ], ids=["no-variables", "bad-rel", "zero-denominator", "empty-range", "not-a-number"])
+        lambda obj: obj["variables"].append(obj["variables"][0]),
+        lambda obj: obj.update(metadata=[1]),
+    ], ids=["no-variables", "bad-rel", "zero-denominator", "empty-range", "not-a-number", "duplicate-name",
+            "metadata-not-object"])
     def test_malformed_fields_raise_parse_error(self, mutate):
         obj = json.loads(export_json(stable_set_k2_model()))
         mutate(obj)
@@ -302,3 +305,76 @@ class TestCbfRoundTrip:
     def test_parse_error_has_line(self):
         with pytest.raises(ParseError):
             import_cbf("VER\n2\n\nNOSECTION\n")
+
+    def test_finite_set_with_gaps_is_refused(self):
+        # its hull would also admit u = 1
+        m = MisdpModel([("u", VarDomain.finite_set([-1, 0, 2]))], Objective("min", {"u": 1}))
+        with pytest.raises(UnsupportedDomain, match="'u'"):
+            export_cbf(m)
+
+    def test_contiguous_finite_set_round_trips(self):
+        m = MisdpModel([("u", VarDomain.finite_set([-1, 0, 1, 2]))], Objective("min", {"u": 1}))
+        text = export_cbf(m)
+        assert "# misdpkit-boundrows: 2" in text
+        assert import_cbf(text) == m
+
+    # edits of stable_set_k2_model's CBF text, with the line each one is on
+    @pytest.mark.parametrize("old, new, line", [
+        ("INT\n2\n0\n1\n", "INT\n2\n0\nx\n", 19),
+        ("VAR\n3 1\n", "VAR\n3\n", 13),
+        ("VAR\n3 1\nL+ 3\n", "VAR\n3 1\nL- 3\n", 14),
+        ("\n3 -1\n", "\n4 -1\n", 46),
+        ("\n1 -1\n2 -1\n", "\n-1 -1\n2 -1\n", 44),
+        ("\n0 2 2 1 1\n", "\n1 2 2 1 1\n", 54),
+        ("\n0 2 2 1 1\n", "\n0 2 3 1 1\n", 54),
+        ("\n0 0 0 1\n", "\n0 3 0 1\n", 58),
+        ("\n0 0 0 1\n", "\n0 0 0 nan\n", 58),
+        ("\n1 -1\n\nACOORD", "\n3 -1\n\nACOORD", 33),
+        ("\n1 -1\n\nACOORD", "\n1\n\nACOORD", 33),
+        ('{"problem"', '{"problem', 7),
+        ("misdpkit-meta: {", "misdpkit-meta: [{", 7),
+        ("boundrows: 3", "boundrows: 5", 6),
+        ("domains: b b c:0:1", "domains: b b c:0:1/0", 4),
+        ("names: x[0] x[1] X[0,1]", "names: x[0] x[1]", 5),
+        ("\nOBJACOORD\n", "\nVAR\n1 1\nF 1\n\nOBJACOORD\n", 30),
+    ])
+    def test_malformed_text_raises_parse_error_with_line(self, old, new, line):
+        text = export_cbf(stable_set_k2_model())
+        assert old in text
+        with pytest.raises(ParseError) as exc:
+            import_cbf(text.replace(old, new, 1))
+        assert exc.value.line == line
+
+    def test_defective_model_raises_parse_error(self):
+        text = export_cbf(stable_set_k2_model()).replace("names: x[0] x[1]", "names: x[0] x[0]")
+        with pytest.raises(ParseError, match="duplicate variable names"):
+            import_cbf(text)
+
+    def test_oversized_psd_cone_raises_parse_error(self):
+        # a constant and three terms of order 2100 need more than 2^24 dense
+        # entries; refused before allocating
+        text = export_cbf(stable_set_k2_model()).replace("PSDCON\n1\n3\n", "PSDCON\n1\n2100\n")
+        with pytest.raises(ParseError, match="dense entries"):
+            import_cbf(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_mutated_text_parses_or_raises_parse_error(self, data):
+        text = data.draw(st.sampled_from(_builder_cbf_texts()))
+        for _ in range(data.draw(st.integers(1, 3))):
+            pos = data.draw(st.integers(0, len(text) - 1))
+            op = data.draw(st.sampled_from(["delete", "insert", "replace"]))
+            ch = data.draw(st.sampled_from('0123456789-.+eEFLxn:|#/{}" \n'))
+            if op == "delete":
+                text = text[:pos] + text[pos + 1:]
+            else:
+                text = text[:pos] + ch + text[pos + (op == "replace"):]
+        try:
+            import_cbf(text)
+        except ParseError:
+            pass
+
+
+@functools.lru_cache(maxsize=None)
+def _builder_cbf_texts():
+    return tuple(export_cbf(m) for m in _one_model_per_builder())

@@ -2,12 +2,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from misdpkit.errors import (
     DimensionMismatch,
     EvenOrder,
     InfeasibleItem,
     ParseError,
+    PreconditionViolated,
     SizeMismatch,
     UnsupportedDomain,
     VariantPrecondition,
@@ -37,7 +40,7 @@ from misdpkit.problems import (
     qbpp_from_json,
     qmkp_from_json,
 )
-from misdpkit.verify import natural_optimum, oracle, solve_by_enumeration
+from misdpkit.verify import natural_optimum, optima_match, oracle, solve_by_enumeration
 
 
 def solve(model, budget=10**7):
@@ -163,6 +166,37 @@ class TestQbpp:
         assert is_psd(pencil.evaluate(point))
         point["z"] = z - 1e-6 * max(1.0, abs(z))
         assert not is_psd(pencil.evaluate(point), tol=1e-9)
+
+    def test_zero_bin_cost(self):
+        # z is unpriced and sits at its boundary; the objective is the dissimilarity alone
+        d = [[0, 1], [1, 0]]
+        got, res = solve(build_qbpp([1, 1], 2, 0, d))
+        orc = oracle("qbpp", [1, 1], 2, 0, d)
+        assert orc.optimum == 0 and optima_match(orc.optimum, got)
+        assert res.feasible_count == orc.feasible_count == 2
+
+    def test_negative_bin_cost_is_refused(self):
+        # with a negative price z has no upper bound, so the model is unbounded
+        with pytest.raises(PreconditionViolated, match="bin_cost"):
+            build_qbpp([1, 1], 2, -1, np.zeros((2, 2), dtype=int))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_matches_oracle_beyond_the_suite(self, data):
+        n = data.draw(st.integers(2, 4))
+        w = data.draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+        cap = data.draw(st.integers(max(w), sum(w)))
+        cost = data.draw(st.integers(0, 3))
+        kind = data.draw(st.sampled_from(["zero", "tied", "drawn"]))
+        tied = data.draw(st.integers(1, 3)) if kind == "tied" else 0
+        d = np.zeros((n, n), dtype=int)
+        for i in range(n):
+            for j in range(i + 1, n):
+                d[i, j] = d[j, i] = data.draw(st.integers(0, 3)) if kind == "drawn" else tied
+        got, res = solve(build_qbpp(w, cap, cost, d))
+        orc = oracle("qbpp", w, cap, cost, d)
+        assert optima_match(orc.optimum, got)
+        assert res.feasible_count == orc.feasible_count
 
 
 _QBPP = {"weights": [1, 2], "capacity": 3, "bin_cost": 1.5, "dissimilarity": [[0, 1], [1, 0]]}

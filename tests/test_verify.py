@@ -242,6 +242,96 @@ class TestFloatSuiteReports:
         lines = [report_json(r) for r in equivalence_suite(name).reports]
         assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize("seed,digest", [
+        (1, "8c79f67277a481021256dc73f7b563aa4d0ec5f3a057ef2e62d2443b42233b52"),
+        (2, "0f382629ab8b43c63946b378b5b4bf71fe0ad9b6624628ece9ced02394de2e14"),
+        (3, "faaca75f28f05a324fc654cf02fe6e4ff9bab3162be097d2de25f379c43d5289"),
+        (4, "65592eceefc8d7b08679533b9f414c67ecb68f41fe2d650456c8021e65473de8"),
+        (5, "b975cfde32c8eca7fdadfe2c84f79c87f5e5c5984259a67083df0663f8a1d08a"),
+    ])
+    def test_qbpp_report_bytes_by_seed(self, seed, digest):
+        import hashlib
+
+        lines = [report_json(r) for r in equivalence_suite("qbpp-random", seed=seed).reports]
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest
+
+
+def _corner(const, i, a=1.0, dom=VarDomain.continuous(), coef=1, sense="min"):
+    """The corner stage on pencil const + t * a * e_i e_i^T: t, or None if infeasible."""
+    const = np.asarray(const, dtype=float)
+    mat = np.zeros_like(const)
+    mat[i, i] = a
+    assign = {}
+    if not verify._resolve_corner(MatrixPencil(const, [("t", mat)]), assign, "t", i, Fraction(a),
+                                  coef, dom, sense):
+        return None
+    return assign["t"]
+
+
+class TestCornerScalars:
+    """The corner stage sets a scalar to its exact Schur boundary."""
+
+    def test_two_by_two_boundary_is_exact(self):
+        # [[t, 1], [1, 3]] is PSD iff t >= 1/3
+        t = _corner([[0, 1], [1, 3]], 0)
+        assert t == float(Fraction(1, 3)) and type(t) is float
+
+    def test_singular_block_with_border_in_range(self):
+        # B[R, R] = [[1, 1], [1, 1]] is singular, b = (1, 1) is in its range,
+        # and b^T B[R, R]^+ b = 1, so 2t >= 1
+        const = [[0, 1, 1], [1, 1, 1], [1, 1, 1]]
+        t = _corner(const, 0, a=2.0)
+        assert t == 0.5
+        const = np.asarray(const, dtype=float)
+        assert is_psd(const + t * np.diag([2.0, 0, 0]))
+        assert not is_psd(const + (t - 1e-6) * np.diag([2.0, 0, 0]))
+
+    def test_border_outside_range_is_infeasible(self):
+        # B[R, R] = diag(1, 0) and b = (0, 1): no t makes the pencil PSD
+        assert _corner([[0, 0, 1], [0, 1, 0], [1, 0, 0]], 0) is None
+
+    def test_boundary_below_lower_bound_gives_the_bound(self):
+        assert _corner([[0, 1], [1, 3]], 0, dom=VarDomain.continuous(1)) == 1.0
+        assert _corner([[0, 1], [1, 3]], 0, dom=VarDomain.continuous(Fraction(1, 4))) == float(Fraction(1, 3))
+
+    def test_corner_on_a_later_diagonal_entry(self):
+        # [[4, 2], [2, t]] is PSD iff t >= 1
+        assert _corner([[4, 2], [2, 0]], 1) == 1.0
+
+    @pytest.mark.parametrize("sense,coef", [("min", 1), ("min", 0), ("max", -1), ("max", 0)])
+    def test_priced_toward_the_boundary_or_not_at_all(self, sense, coef):
+        assert _corner([[0, 1], [1, 3]], 0, coef=coef, sense=sense) == float(Fraction(1, 3))
+
+    @pytest.mark.parametrize("sense,coef", [("min", -1), ("max", 1)])
+    def test_priced_away_from_the_boundary_raises(self, sense, coef):
+        with pytest.raises(UnsupportedContinuousPattern, match="not priced"):
+            _corner([[0, 1], [1, 3]], 0, coef=coef, sense=sense)
+
+    def test_corner_path_runs_no_psd_test(self, monkeypatch):
+        # qbpp-random seed 0 resolves 61 corners; every is_psd call comes from
+        # the leaf check, one per leaf that reaches the pencil
+        counts = {"corner": 0, "psd": 0, "psd_in_corner": 0}
+        inside = []
+        real_corner, real_psd = verify._resolve_corner, verify.is_psd
+
+        def corner(*args):
+            counts["corner"] += 1
+            inside.append(True)
+            try:
+                return real_corner(*args)
+            finally:
+                inside.pop()
+
+        def psd(*args, **kwargs):
+            counts["psd"] += 1
+            counts["psd_in_corner"] += bool(inside)
+            return real_psd(*args, **kwargs)
+
+        monkeypatch.setattr(verify, "_resolve_corner", corner)
+        monkeypatch.setattr(verify, "is_psd", psd)
+        assert equivalence_suite("qbpp-random").passed
+        assert counts == {"corner": 61, "psd": 61, "psd_in_corner": 0}
+
 
 @functools.lru_cache(maxsize=None)
 def _plans():
