@@ -100,12 +100,13 @@ def cmd_build(args):
 def cmd_check(args):
     x = linalg.load_matrix(args.matrix)
     props = args.props.split(",") if args.props else ["psd", "rank", "decompose"]
+    exact = x.ints is not None  # integer matrices are decided exactly
     out = {}
     for prop in props:
         if prop == "psd":
-            out["psd"] = linalg.is_psd(x)
+            out["psd"] = linalg.is_psd_exact(x.ints.tolist()) if exact else linalg.is_psd(x)
         elif prop == "rank":
-            out["rank"] = linalg.num_rank(x)
+            out["rank"] = linalg.rank_exact(x.ints.tolist()) if exact else linalg.num_rank(x)
         elif prop == "decompose":
             out["binary"] = x.values_in({0, 1})
             if out["binary"]:

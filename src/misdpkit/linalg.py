@@ -1,4 +1,5 @@
-"""Dense symmetric-matrix numerics: eigenvalues, PSD tests, numerical rank.
+"""Dense symmetric-matrix numerics: eigenvalues, PSD tests, numerical rank,
+and the exact PSD test and rank of integer matrices.
 
 `SymMat` is the universal carrier for every symmetric matrix in the package.
 Integer-valued matrices keep an exact int64 shadow copy so that discrete
@@ -184,6 +185,57 @@ def num_rank(a):
     w = eigen_values(a)
     tol = config.DEFAULT.rank_tol(float(np.max(np.abs(w))) if w.size else 0.0)
     return int(np.sum(np.abs(w) > tol))
+
+
+# -- exact kernels on integer data --------------------------------------------
+# Fraction-free (Bareiss 1968) elimination on lists of Python-int lists.  After
+# pivoting on a set S, entry (i, j) is the minor on rows S+{i}, columns S+{j},
+# so each update divides exactly by the previous pivot.
+
+def is_psd_exact(rows):
+    """Exact PSD test of a symmetric integer matrix, given as a square list of
+    Python-int lists; only the upper triangle is read, and `rows` is consumed.
+
+    Symmetric elimination with diagonal pivots: a negative pivot rejects, and
+    so does a zero pivot whose remaining row has a nonzero entry; a zero pivot
+    with a zero row drops its index.
+    """
+    n = len(rows)
+    prev = 1
+    for k in range(n):
+        top = rows[k]
+        p = top[k]
+        if p < 0:
+            return False
+        if p == 0:
+            if any(top[k + 1:]):
+                return False
+            continue
+        for i in range(k + 1, n):
+            f = top[i]
+            row = rows[i]
+            row[i:] = [(p * x - f * y) // prev for x, y in zip(row[i:], top[i:])]
+        prev = p
+    return True
+
+
+def rank_exact(rows):
+    """Exact rank of an integer matrix given as a list of Python-int lists,
+    by fraction-free elimination that takes any nonzero pivot; consumes `rows`."""
+    rank, prev = 0, 1
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        top = rows[rank]
+        p = top[c]
+        for r in range(rank + 1, len(rows)):
+            f = rows[r][c]
+            rows[r] = [(p * x - f * y) // prev for x, y in zip(rows[r], top)]
+        prev = p
+        rank += 1
+    return rank
 
 
 # -- dense matrix text format ------------------------------------------------

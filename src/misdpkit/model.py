@@ -7,7 +7,9 @@ integrality markers stay per-entry and the IR remains solver-agnostic.
 
 Coefficients may be int, Fraction or float.  Evaluation against an
 assignment is arithmetic-exact whenever every participating number is exact
-(int/Fraction); pencil PSD checks always go through the float eigensolver.
+(int/Fraction).  So is a pencil's PSD test when its matrices are
+integer-valued and the term values are int/Fraction; any other pencil goes
+through the float eigensolver.
 """
 
 import json
@@ -20,7 +22,7 @@ import numpy as np
 
 from . import config
 from .errors import IncompleteAssignment, ParseError, UnsupportedDomain, json_reader
-from .linalg import is_psd
+from .linalg import is_psd, is_psd_exact
 
 CONTINUOUS = "continuous"
 BINARY = "binary"
@@ -140,7 +142,7 @@ class LinRow:
 class MatrixPencil:
     """Affine symmetric matrix A_0 + sum_j v_j A_j, constrained PSD."""
 
-    __slots__ = ("order", "const", "terms")
+    __slots__ = ("order", "const", "terms", "_shadow")
 
     def __init__(self, const, terms):
         const = np.asarray(const, dtype=np.float64)
@@ -157,6 +159,7 @@ class MatrixPencil:
                 raise ValueError(f"pencil term {name!r} must be symmetric of order {self.order}")
             fixed.append((name, m))
         self.terms = tuple(fixed)
+        self._shadow = None
 
     def evaluate(self, values: dict) -> np.ndarray:
         out = self.const.copy()
@@ -165,6 +168,47 @@ class MatrixPencil:
             if v != 0.0:
                 out += v * mat
         return out
+
+    def is_psd_at(self, values: dict) -> bool:
+        """Whether the pencil is PSD at `values`.
+
+        Exact when every term value is int/Fraction and every matrix is
+        integer-valued: the pencil, scaled by the (positive) lcm of the value
+        denominators, goes to `is_psd_exact`.  Otherwise `is_psd` of
+        `evaluate(values)`.
+        """
+        vals = [values[name] for name, _ in self.terms]
+        den = 1
+        for v in vals:
+            if type(v) is not int:
+                if not _exact(v):
+                    return is_psd(self.evaluate(values))
+                den = math.lcm(den, v.denominator)
+        if self._shadow is None:
+            self._shadow = self._integer_shadow()
+        if self._shadow is False:
+            return is_psd(self.evaluate(values))
+        const, terms = self._shadow
+        a = [[den * x for x in row] for row in const] if den != 1 else [row[:] for row in const]
+        for v, triples in zip(vals, terms):
+            if v:
+                if den != 1:
+                    v = int(v * den)
+                for r, c, x in triples:
+                    a[r][c] += v * x
+        return is_psd_exact(a)
+
+    def _integer_shadow(self):
+        """(constant as int lists, per term its nonzero upper-triangle
+        (r, c, int) triples), or False when a matrix is not integer-valued."""
+        stack = np.array([self.const] + [m for _, m in self.terms])
+        if not np.isfinite(stack).all() or (stack % 1).any():
+            return False
+        terms = [[] for _ in self.terms]
+        nz = np.nonzero(np.triu(stack[1:]))
+        for t, r, c, x in zip(*(a.tolist() for a in nz), stack[1:][nz].tolist()):
+            terms[t].append((r, c, int(x)))
+        return [[int(x) for x in row] for row in self.const.tolist()], terms
 
     def __eq__(self, other):
         # term order is presentation, not content
@@ -306,8 +350,7 @@ def eval_point(model: MisdpModel, assignment: dict, tol=None) -> EvalResult:
             violations.append(f"row {k}{' ' + row.label if row.label else ''}: residual {resid}")
 
     for k, pencil in enumerate(model.pencils):
-        mat = pencil.evaluate(assignment)
-        if not is_psd(mat):
+        if not pencil.is_psd_at(assignment):
             violations.append(f"pencil {k}: not PSD")
 
     objective = model.objective.value(assignment)

@@ -5,19 +5,19 @@ checking on linear rows), eliminates the continuous variables, and evaluates
 feasibility exactly.
 
 Interior nodes also test pencils.  An exact integer pencil has every term on
-an integer variable and integer-valued constant and term matrices.  Once the
-search has assigned every variable whose term touches the leading k x k block
-of such a pencil (k < order), that block is fixed for the whole subtree, and
-the subtree is pruned when the block fails `is_psd` at the tolerance of a
-bound on the full pencil's inf-norm over the domain box.  This is sound: a
-principal block of a PSD matrix is PSD, and by interlacing lambda_min(full) <=
-lambda_min(block), so the leaf test, whose tolerance is never larger, rejects
-every completion.  Only the largest block closing at each depth is tested.
-The integer variables are stable-sorted by the smallest leading block of an
-exact integer pencil they enter, so bordered lifts interleave x_i with the
-X_ij and blocks close early; a model without such a pencil keeps its order.
-Leaves still run the full test: the optimum, feasible count and residual
-stay as they were, while `nodes` and the order of the minimizers may change.
+an integer variable with int values and integer-valued constant and term
+matrices, so every PSD test on it, at a node or at a leaf, is exact
+(`MatrixPencil.is_psd_at`) and carries no tolerance.  Once the search has assigned every variable whose
+term touches the leading k x k block of such a pencil (k < order), that block
+is fixed for the whole subtree, and the subtree is pruned when the block is
+not PSD.  A principal block of a PSD matrix is PSD, so the exact leaf test
+rejects every completion of a pruned node.  Only the largest block closing
+at each depth is tested.  The integer variables are stable-sorted by the
+smallest leading block of an exact integer pencil they enter, so bordered
+lifts interleave x_i with the X_ij and blocks close early; a model without
+such a pencil keeps its order.  Leaves still run the full test: the optimum,
+feasible count and residual stay as they were, while `nodes` and the order
+of the minimizers may change.
 
 Each leaf resolves continuous variables in this order:
 
@@ -56,7 +56,7 @@ import numpy as np
 from . import config, dpsd
 from .errors import BudgetExceeded, UnsupportedContinuousPattern
 from .formulations import QcqpInstance, Qmp1Instance, Qmp2Instance, mname, pynum
-from .linalg import eigensym, is_psd
+from .linalg import eigensym
 from .model import LinRow, MatrixPencil, MisdpModel, _exact, validate
 from .problems import Graph, GppInstance, QapInstance
 
@@ -393,8 +393,8 @@ class _LeafCheck:
     Calling it on a complete point gives (objective, max_residual) when
     eval_point finds the point feasible, with equal values and types, and
     None otherwise.  It stops at the first violation, in the order domains,
-    rows, pencils, so a domain- or row-infeasible point never reaches
-    is_psd.  Only bounded continuous domains are checked: every integer value
+    rows, pencils, so a domain- or row-infeasible point never reaches a PSD
+    test.  Only bounded continuous domains are checked: every integer value
     is drawn from its domain's iter_values(), which contains() accepts.  Rows
     keep eval_point's rule: exact when the row's data and values are all
     int/Fraction, floats within `lin_feas` otherwise.  A feasible point's exact
@@ -442,15 +442,17 @@ class _LeafCheck:
                 return None
             max_residual = max(max_residual, resid)
         for pencil in self.pencils:
-            if not is_psd(pencil.evaluate(assign)):
+            if not pencil.is_psd_at(assign):
                 return None
         return self.objective.value(assign), max_residual
 
 
 def _exact_integer_pencil(pencil, doms):
-    """Every term on an integer variable, every matrix integer-valued."""
+    """Every term on an integer variable with int values, every matrix
+    integer-valued: `is_psd_at` then decides it exactly at every node and leaf."""
     mats = [pencil.const] + [m for _, m in pencil.terms]
-    return all(doms[n].is_integer for n, _ in pencil.terms) and all(np.all(m % 1 == 0) for m in mats)
+    return (all(doms[n].is_integer and _exact(*doms[n].values) for n, _ in pencil.terms)
+            and all(np.all(m % 1 == 0) for m in mats))
 
 
 def _first_block(mat):
@@ -506,27 +508,18 @@ class _Plan:
         self.check = _LeafCheck(model)
 
     def _node_checks(self, pencils):
-        """Per depth, the (leading block, tol) pairs whose variables that depth completes.
-
-        Only the largest block k < order closing at a depth is kept.  tol is
-        the PSD tolerance of a bound on the whole pencil's inf-norm over the
-        domain box, so it is never below the leaf test's own tolerance.
-        """
+        """Per depth, the leading blocks (as pencils) whose variables that depth
+        completes; only the largest block k < order closing at a depth is kept."""
         pos = {n: d for d, n in enumerate(self.int_names)}
         checks = [[] for _ in self.int_names]
         for p in pencils:
-            box = np.abs(p.const)
-            for name, mat in p.terms:
-                dom = self.doms[name]
-                box = box + float(max(abs(dom.lo), abs(dom.hi))) * np.abs(mat)
-            tol = config.DEFAULT.psd_tol(float(box.sum(axis=1).max(initial=0.0)))
             closing = {}
             for k in range(1, p.order):
                 terms = [(n, m[:k, :k]) for n, m in p.terms if m[:k, :k].any()]
                 if terms:  # a constant block is left to the leaf test
                     closing[max(pos[n] for n, _ in terms)] = MatrixPencil(p.const[:k, :k], terms)
             for depth, block in closing.items():
-                checks[depth].append((block, tol))
+                checks[depth].append(block)
         return checks
 
     def _run(self, stage, assign):
@@ -583,7 +576,7 @@ class _Search:
             checker.push(d, v)
             if checker.consistent(d + 1):
                 self.assignment[name] = v
-                if not blocks or all(is_psd(b.evaluate(self.assignment), tol=tol) for b, tol in blocks):
+                if not blocks or all(b.is_psd_at(self.assignment) for b in blocks):
                     self.dfs(d + 1)
                 del self.assignment[name]
             checker.pop(d, v)

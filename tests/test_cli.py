@@ -133,6 +133,15 @@ class TestCheck:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
 
+    def test_integer_matrix_is_decided_exactly(self, tmp_path, capsys):
+        # det -1: indefinite and of rank 2, though lambda_min = -1e-8 is
+        # inside the float test's tolerance
+        mat = tmp_path / "tight.txt"
+        mat.write_text("2\n1 10000\n10000 99999999\n")
+        assert run(["check", "--matrix", str(mat), "--props", "psd,rank"]) == 0
+        out = capsys.readouterr().out
+        assert "psd: False" in out and "rank: 2" in out
+
     def test_not_psd(self, tmp_path, capsys):
         mat = tmp_path / "bad.txt"
         mat.write_text("2\n1 1\n1 0\n")

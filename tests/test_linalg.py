@@ -1,10 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from misdpkit import config
-from misdpkit.errors import DimensionMismatch, NonConvergence, ParseError
+from misdpkit import config, dpsd
+from misdpkit.errors import DimensionMismatch, NonConvergence, NotPsd, ParseError
 from misdpkit.linalg import (
     BINARY,
     GENERAL,
@@ -15,8 +16,10 @@ from misdpkit.linalg import (
     eigen_values,
     eigensym,
     is_psd,
+    is_psd_exact,
     loads_matrix,
     num_rank,
+    rank_exact,
 )
 
 
@@ -159,6 +162,90 @@ class TestPsdRank:
             m = SymMat(np.tril(a) + np.tril(a, -1).T)
             p = np.eye(n)[rng.permutation(n)]
             assert num_rank(SymMat(p.T @ m.array @ p)) == num_rank(m)
+
+
+def _symmetric(rng, n, lo, hi):
+    a = rng.integers(lo, hi + 1, size=(n, n))
+    return np.triu(a) + np.triu(a, 1).T
+
+
+class TestExactKernel:
+    """is_psd_exact and rank_exact against Jacobi, LAPACK and the paper's recognisers."""
+
+    def test_agrees_with_jacobi_where_the_spectrum_is_clear(self):
+        rng = np.random.default_rng(11)
+        compared = {True: 0, False: 0}
+        for _ in range(600):
+            n = int(rng.integers(1, 10))
+            a = _symmetric(rng, n, -3, 3)
+            if rng.random() < 0.5:  # push about half of them towards PSD
+                a = a + 3 * n * np.eye(n, dtype=np.int64)
+            lam = float(np.linalg.eigvalsh(a.astype(float))[0])
+            if abs(lam) <= 1e-6 * max(1.0, float(np.abs(a).sum(axis=1).max())):
+                continue
+            exact = is_psd_exact(a.tolist())
+            assert exact == is_psd(SymMat(a)) == (lam > 0)
+            compared[exact] += 1
+        assert min(compared.values()) > 150
+
+    def test_singular_gram_matrices_and_lowered_diagonals(self):
+        # B is n x r with r < n and row i an integer combination of the others,
+        # so z = e_i - sum_j c_j e_j is a null vector of B B^T with z_i = 1 and
+        # lowering (B B^T)_ii by one makes z^T A z = -1
+        rng = np.random.default_rng(12)
+        for _ in range(400):
+            n = int(rng.integers(2, 10))
+            r = int(rng.integers(1, n))
+            b = rng.integers(-40, 41, size=(n, r))
+            i = int(rng.integers(n))
+            c = rng.integers(-2, 3, size=n)
+            c[i] = 0
+            b[i] = c @ b
+            a = b @ b.T
+            assert is_psd_exact(a.tolist())
+            assert rank_exact(a.tolist()) == np.linalg.matrix_rank(b) < n
+            a[i, i] -= 1
+            assert not is_psd_exact(a.tolist())
+
+    @pytest.mark.parametrize("values,recognise", [
+        ((0, 1), dpsd.decompose01),
+        ((-1, 1), dpsd.decompose_pm1),
+        ((-1, 0, 1), dpsd.decompose_ternary),
+    ], ids=["binary", "pm1", "ternary"])
+    def test_paper_recognisers_are_a_second_oracle(self, values, recognise):
+        for n in range(1, 4):
+            upper = [(i, j) for i in range(n) for j in range(i, n)]
+            for combo in itertools.product(values, repeat=len(upper)):
+                a = np.zeros((n, n), dtype=np.int64)
+                for (i, j), v in zip(upper, combo):
+                    a[i, j] = a[j, i] = v
+                try:
+                    recognise(SymMat(a))
+                    ok = True
+                except NotPsd:
+                    ok = False
+                assert is_psd_exact(a.tolist()) == ok
+
+    def test_pinned_disagreement_with_the_tolerance_test(self):
+        # det = -1: indefinite and of rank 2, but lambda_min = -1e-8 is inside
+        # the Jacobi test's tolerance
+        a = [[1, 10000], [10000, 99999999]]
+        assert is_psd(SymMat(a))
+        assert num_rank(SymMat(a)) == 1
+        assert not is_psd_exact([row[:] for row in a])
+        assert rank_exact([row[:] for row in a]) == 2
+
+    def test_rank_matches_lapack_on_rectangular_matrices(self):
+        rng = np.random.default_rng(13)
+        for _ in range(300):
+            m, n, r = (int(v) for v in rng.integers(1, 8, size=3))
+            a = rng.integers(-3, 4, size=(m, r)) @ rng.integers(-3, 4, size=(r, n))
+            assert rank_exact(a.tolist()) == np.linalg.matrix_rank(a)
+        assert rank_exact([]) == 0 and is_psd_exact([])
+
+    def test_reads_only_the_upper_triangle(self):
+        assert is_psd_exact([[1, 1], [99, 1]])
+        assert not is_psd_exact([[1, 2], [0, 1]])
 
 
 class TestAgainstLapack:

@@ -1,6 +1,7 @@
 import functools
 import json
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from misdpkit import config
+from misdpkit import model as model_module
 from misdpkit.cbf import export_cbf, import_cbf
 from misdpkit.errors import IncompleteAssignment, ParseError, UnsupportedDomain
+from misdpkit.linalg import SymMat, dumps_matrix, is_psd, loads_matrix
 from misdpkit.model import (
     LinRow,
     MatrixPencil,
@@ -182,6 +185,67 @@ class TestEvalPoint:
         a = {"x[0]": 1, "x[1]": 0, "X[0,1]": 0}
         assert eval_point(m, a).objective == eval_point(shuffled, a).objective
         assert eval_point(m, a).feasible == eval_point(shuffled, a).feasible
+
+
+def _fractions():
+    return st.fractions(min_value=-4, max_value=4, max_denominator=12)
+
+
+class TestPencilPsd:
+    """MatrixPencil.is_psd_at: exact on integer pencils at int/Fraction points."""
+
+    def _pinned_model(self):
+        # at x = 1 the pencil is [[1, 10^4], [10^4, 10^8 - 1]]: det -1, but
+        # lambda_min = -1e-8 is inside the Jacobi test's tolerance
+        pencil = MatrixPencil([[1, 10000], [10000, 99999998]], [("x", np.diag([0, 1]))])
+        return MisdpModel([("x", VarDomain.integer_range(0, 2))], Objective("min", {"x": 1}),
+                          pencils=[pencil])
+
+    def test_pinned_disagreement_with_the_tolerance_test(self):
+        from misdpkit.verify import solve_by_enumeration
+
+        m = self._pinned_model()
+        (pencil,) = m.pencils
+        assert is_psd(pencil.evaluate({"x": 1}))
+        assert not pencil.is_psd_at({"x": 1})
+        assert eval_point(m, {"x": 1}).violations == ["pencil 0: not PSD"]
+        assert eval_point(m, {"x": 1.0}).feasible  # float values take the float route
+        res = solve_by_enumeration(m)
+        assert res.optimum == 2 and res.feasible_count == 1
+
+    def test_fraction_values_are_scaled_not_rounded(self):
+        # [[10t, -1], [-1, 10s]] is PSD iff 100ts >= 1 (t, s >= 0)
+        pencil = MatrixPencil([[0, -1], [-1, 0]], [("t", np.diag([10, 0])), ("s", np.diag([0, 10]))])
+        tenth = Fraction(1, 10)
+        assert pencil.is_psd_at({"t": tenth, "s": tenth})
+        below = {"t": tenth, "s": tenth - Fraction(1, 10**12)}
+        assert not pencil.is_psd_at(below)
+        assert is_psd(pencil.evaluate(below))
+        assert pencil.is_psd_at({"t": 1, "s": tenth}) and not pencil.is_psd_at({"t": 0, "s": 3})
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(-3, 3), min_size=9, max_size=9), _fractions(), _fractions(),
+           st.integers(-2, 2))
+    def test_matches_the_2x2_criterion_without_the_float_route(self, entries, t, u, w):
+        mats = [np.array([[a, b], [b, c]]) for a, b, c in zip(entries[::3], entries[1::3], entries[2::3])]
+        pencil = MatrixPencil(mats[0], [("t", mats[1]), ("u", mats[2]), ("w", np.eye(2, dtype=int))])
+        values = {"t": t, "u": u, "w": w}
+        m = [[Fraction(int(x)) for x in row] for row in mats[0]]
+        for name, mat in (("t", mats[1]), ("u", mats[2]), ("w", np.eye(2, dtype=int))):
+            for i in range(2):
+                for j in range(2):
+                    m[i][j] += values[name] * int(mat[i, j])
+        expected = m[0][0] >= 0 and m[1][1] >= 0 and m[0][0] * m[1][1] >= m[0][1] ** 2
+        with mock.patch.object(model_module, "is_psd", wraps=is_psd) as float_route:
+            assert pencil.is_psd_at(values) == expected
+        assert float_route.call_count == 0
+
+    def test_float_data_or_values_take_the_jacobi_route(self):
+        half = MatrixPencil([[0.5, 0], [0, 1]], [("t", np.eye(2))])
+        integer = MatrixPencil([[0, 1], [1, 0]], [("t", np.eye(2))])
+        for pencil, values in ((half, {"t": 0}), (integer, {"t": 1.0}), (integer, {"t": 0.999})):
+            assert pencil.is_psd_at(values) == is_psd(pencil.evaluate(values))
+        assert integer.is_psd_at({"t": 1}) and not integer.is_psd_at({"t": 0.999})
 
 
 class TestJsonRoundTrip:
@@ -378,3 +442,146 @@ class TestCbfRoundTrip:
 @functools.lru_cache(maxsize=None)
 def _builder_cbf_texts():
     return tuple(export_cbf(m) for m in _one_model_per_builder())
+
+
+# -- round-trip properties over random models of every builder ----------------
+
+_NUMBERS = st.one_of(st.integers(-3, 3), st.sampled_from([0.5, 0.1, 1 / 3, -2.25, 1e-7]))
+_SMALL = st.integers(0, 3)
+
+
+def _sym(draw, n, entries=_SMALL):
+    a = np.array(draw(st.lists(entries, min_size=n * n, max_size=n * n)), dtype=float).reshape(n, n)
+    a = np.triu(a) + np.triu(a, 1).T
+    return a.astype(int) if np.array_equal(a, np.rint(a)) else a
+
+
+def _ints(draw, shape, lo=-2, hi=2):
+    size = int(np.prod(shape))
+    return np.array(draw(st.lists(st.integers(lo, hi), min_size=size, max_size=size))).reshape(shape)
+
+
+def _graph(draw, n):
+    from misdpkit.problems import Graph
+
+    return Graph.make(n, [(i, j) for i in range(n) for j in range(i + 1, n) if draw(st.booleans())])
+
+
+def _gpp(draw):
+    from misdpkit.problems import GppInstance
+
+    return GppInstance.make(_graph(draw, 4), 2, (2, 2))
+
+
+def _tour_distances(draw, n):
+    d = _sym(draw, n, st.one_of(st.integers(1, 9), st.sampled_from([0.5, 2.75])))
+    np.fill_diagonal(d, 0)
+    return (d,)
+
+
+def _qap(draw):
+    from misdpkit.problems import QapInstance
+
+    n = draw(st.integers(2, 3))
+    return (QapInstance.make(_sym(draw, n, _NUMBERS), _sym(draw, n), _sym(draw, n)),)
+
+
+def _qcqp(draw):
+    from misdpkit.formulations import QcqpInstance
+
+    n = draw(st.integers(2, 3))
+    inst = QcqpInstance(n, _sym(draw, n, _NUMBERS), _ints(draw, n),
+                        quads=[(_sym(draw, n), _ints(draw, n), draw(_SMALL))],
+                        lin_eq=[(_ints(draw, n), draw(_SMALL))])
+    return inst, draw(st.booleans())
+
+
+def _qmp1(draw):
+    from misdpkit.formulations import Qmp1Instance
+
+    n, k = draw(st.integers(2, 3)), draw(st.integers(1, 2))
+    return (Qmp1Instance(n, k, _sym(draw, n, _NUMBERS), partition=draw(st.booleans())),)
+
+
+def _qmp2(draw):
+    from misdpkit.formulations import Qmp2Instance
+
+    n, k = draw(st.integers(2, 3)), draw(st.integers(1, 2))
+    return (Qmp2Instance(n, k, _sym(draw, n, _NUMBERS), _ints(draw, (n, k)), draw(_SMALL),
+                         partition=draw(st.booleans())),)
+
+
+def _weights(draw, n):
+    return draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+
+
+def _qbpp(draw):
+    w = _weights(draw, 3)
+    return w, max(w) + draw(_SMALL), draw(_SMALL), _sym(draw, 3)
+
+
+def _sils(draw):
+    n, k = draw(st.integers(2, 3)), draw(st.integers(1, 2))
+    return _ints(draw, (n, k)), _ints(draw, n), draw(st.integers(0, k))
+
+
+def _completion(draw):
+    observed = {(i, j): draw(st.integers(-1, 1)) for i in range(2) for j in range(2) if draw(st.booleans())}
+    return (2, 2), observed, draw(st.sampled_from([[0, 1], [-1, 0, 1]]))
+
+
+# builder name -> draw -> arguments of a small random instance
+_INSTANCES = {
+    "build_stable_set": lambda draw: (_graph(draw, draw(st.integers(1, 4))),),
+    "build_mkcs": lambda draw: (_graph(draw, 3), draw(st.integers(1, 3))),
+    "build_qbpp": _qbpp,
+    "build_qmkp": lambda draw: (_weights(draw, 3), draw(st.lists(_SMALL, min_size=1, max_size=2)),
+                                draw(st.lists(_SMALL, min_size=3, max_size=3)), _sym(draw, 3)),
+    "build_qap": _qap,
+    "build_tsp_qap": lambda draw: _tour_distances(draw, 3),
+    "build_tsp_cvetkovic": lambda draw: _tour_distances(draw, draw(st.integers(3, 5))),
+    "build_tsp_lee": lambda draw: _tour_distances(draw, 5),
+    "build_gpp": lambda draw: (_gpp(draw), draw(st.sampled_from(["general", "equipartition", "bisection", "orthogonal"]))),
+    "build_kep_assoc": lambda draw: (_gpp(draw), draw(st.booleans())),
+    "build_matrix_completion": _completion,
+    "build_sils": _sils,
+    "build_bsdp_qcqp": _qcqp,
+    "build_bsdp_qmp1": _qmp1,
+    "build_bsdp_qmp2": _qmp2,
+}
+
+
+@st.composite
+def _random_models(draw):
+    from misdpkit import formulations, problems
+
+    name = draw(st.sampled_from(sorted(_INSTANCES)))
+    builder = getattr(problems, name, None) or getattr(formulations, name)
+    return builder(*_INSTANCES[name](draw))
+
+
+class TestRoundTripProperties:
+    def test_every_builder_has_random_instances(self):
+        from misdpkit import formulations, problems
+
+        builders = {n for mod in (problems, formulations) for n in dir(mod) if n.startswith("build_")}
+        assert set(_INSTANCES) == builders
+
+    @settings(max_examples=150, deadline=None)
+    @given(_random_models(), st.sampled_from(["cbf", "json"]))
+    def test_export_import_export_is_byte_identical(self, m, fmt):
+        export, load = (export_cbf, import_cbf) if fmt == "cbf" else (export_json, import_json)
+        text = export(m)
+        again = load(text)
+        assert export(again) == text
+        if fmt == "json":  # CBF writes Fraction data as floats
+            assert again == m
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_dumps_loads_matrix(self, data):
+        m = SymMat(_sym(data.draw, data.draw(st.integers(1, 5)), _NUMBERS))
+        text = dumps_matrix(m)
+        again = loads_matrix(text)
+        assert again == m and (again.ints is None) == (m.ints is None)
+        assert dumps_matrix(again) == text

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from misdpkit import model as model_module
 from misdpkit import verify
 from misdpkit.errors import BudgetExceeded, UnsupportedContinuousPattern
-from misdpkit.linalg import is_psd
+from misdpkit.linalg import is_psd, is_psd_exact
 from misdpkit.model import LinRow, MatrixPencil, MisdpModel, Objective, VarDomain, eval_point
 from misdpkit.problems import Graph, build_mkcs, build_stable_set, build_tsp_cvetkovic
 from misdpkit.verify import (
@@ -308,11 +308,11 @@ class TestCornerScalars:
             _corner([[0, 1], [1, 3]], 0, coef=coef, sense=sense)
 
     def test_corner_path_runs_no_psd_test(self, monkeypatch):
-        # qbpp-random seed 0 resolves 61 corners; every is_psd call comes from
+        # qbpp-random seed 0 resolves 61 corners; every PSD test comes from
         # the leaf check, one per leaf that reaches the pencil
         counts = {"corner": 0, "psd": 0, "psd_in_corner": 0}
         inside = []
-        real_corner, real_psd = verify._resolve_corner, verify.is_psd
+        real_corner, real_psd = verify._resolve_corner, MatrixPencil.is_psd_at
 
         def corner(*args):
             counts["corner"] += 1
@@ -328,7 +328,7 @@ class TestCornerScalars:
             return real_psd(*args, **kwargs)
 
         monkeypatch.setattr(verify, "_resolve_corner", corner)
-        monkeypatch.setattr(verify, "is_psd", psd)
+        monkeypatch.setattr(MatrixPencil, "is_psd_at", psd)
         assert equivalence_suite("qbpp-random").passed
         assert counts == {"corner": 61, "psd": 61, "psd_in_corner": 0}
 
@@ -412,24 +412,36 @@ class TestLeafCheck:
         assert feasible > 0
 
     def test_psd_runs_only_on_domain_and_row_feasible_leaves(self, monkeypatch):
-        leaf, node = [], []
-        current = {}
-        plan_init = verify._Plan.__init__
+        leaf, node, jacobi = [], [], []
+        current = {"at_leaf": False}
+        plan_init, leaf_check = verify._Plan.__init__, verify._LeafCheck.__call__
 
         def planning(plan, model, budget):
             (pencil,) = model.pencils  # every sils model has one pencil
             current["order"] = pencil.order
             plan_init(plan, model, budget)
 
-        def counted(a, tol=None):
-            ok = is_psd(a, tol=tol)
-            # node checks pass their box tolerance, leaf checks use the default
-            (leaf if tol is None else node).append((len(a), current["order"], ok))
+        def checking(check, assign):
+            current["at_leaf"] = True
+            try:
+                return leaf_check(check, assign)
+            finally:
+                current["at_leaf"] = False
+
+        def counted(rows):
+            n = len(rows)
+            ok = is_psd_exact(rows)
+            (leaf if current["at_leaf"] else node).append((n, current["order"], ok))
             return ok
 
+        def float_route(a, tol=None):
+            jacobi.append(len(a))
+            return is_psd(a, tol=tol)
+
         monkeypatch.setattr(verify._Plan, "__init__", planning)
-        monkeypatch.setattr(verify, "is_psd", counted)
-        monkeypatch.setattr(model_module, "is_psd", counted)
+        monkeypatch.setattr(verify._LeafCheck, "__call__", checking)
+        monkeypatch.setattr(model_module, "is_psd_exact", counted)
+        monkeypatch.setattr(model_module, "is_psd", float_route)
         # 1,566 of the 4,023 leaves fail a domain or a row before any pencil
         assert equivalence_suite("sils-small").passed
         assert len(leaf) == 2457
@@ -438,6 +450,8 @@ class TestLeafCheck:
         assert len(node) == 675
         assert sum(not ok for _, _, ok in node) == 474
         assert all(n < order for n, order, _ in node)
+        # integer pencils at int/Fraction points never take the float route
+        assert jacobi == []
 
 
 def _reference_walk(model):
@@ -536,8 +550,21 @@ class TestNodeChecks:
         plan = verify._Plan(build_mkcs(Graph.cycle(4), 2), budget=10**9)
         assert plan.int_names == ["x[0]", "x[1]", "X[0,1]", "x[2]", "X[0,2]", "X[1,2]",
                                   "x[3]", "X[0,3]", "X[1,3]", "X[2,3]"]
-        closing = {d: [b.order for b, _ in checks] for d, checks in enumerate(plan.node_checks) if checks}
+        closing = {d: [b.order for b in checks] for d, checks in enumerate(plan.node_checks) if checks}
         assert closing == {0: [2], 2: [3], 5: [4]}
+
+    def test_float_domain_values_get_no_node_checks(self):
+        # at x = 1.0 the leading block [[1, 10], [10, 99]] has det -1 and
+        # lambda_min ~ -0.01, outside its own float tolerance but inside that
+        # of the whole pencil, whose last diagonal entry is 10^7
+        const = np.diag([1.0, 99.0, 1e7])
+        bordered = np.zeros((3, 3))
+        bordered[0, 1] = bordered[1, 0] = 10.0
+        m = MisdpModel([("x", VarDomain.finite_set([0.0, 1.0]))], Objective("min", {"x": -1}),
+                       pencils=[MatrixPencil(const, [("x", bordered)])])
+        assert not any(verify._Plan(m, budget=10).node_checks)
+        _assert_matches_reference_walk(m)
+        assert solve_by_enumeration(m).feasible_count == 2
 
     def test_float_and_continuous_pencils_keep_order_and_get_no_checks(self):
         for m in (build_stable_set(Graph.cycle(5)), build_tsp_cvetkovic(np.ones((5, 5)) - np.eye(5))):
