@@ -4,8 +4,9 @@ Scalar variables live in F or L+ cones; remaining domain bounds become
 trailing linear rows so external MISDP solvers see the full integer hull.
 Because CBF has no notion of binary/ternary/finite-set domains, the exact
 domain list, the count of synthesized bound rows and the model metadata are
-carried in '#' comment lines; import_cbf uses them for a lossless round trip
-and falls back to a generic reading on foreign files.  A finite-set domain
+carried in '#' comment lines; import_cbf reads them back exactly and falls
+back to a generic reading on foreign files.  Numbers are written as 17-digit
+floats, so Fraction data does not come back exactly.  A finite-set domain
 with gaps has no such row encoding, so export_cbf refuses it.  import_cbf
 raises only ParseError, with the line number, on malformed or out-of-range
 input.
@@ -17,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import MisdpkitError, ParseError, UnsupportedDomain
+from .errors import MisdpkitError, ParseError, UnsupportedDomain, loads_json
 from .model import (
     BINARY,
     FINITE_SET,
@@ -200,19 +201,13 @@ def export_cbf(model: MisdpModel) -> str:
         out += [f"{k} {_num(v)}" for k, v in bcoord]
         out.append("")
 
-    hcoord = []
+    hcoord = []  # CBF lists the lower triangle: upper-triangle entry (r, c) is (c, r)
     dcoord = []
     for p, pencil in enumerate(model.pencils):
-        for name, mat in pencil.terms:
-            j = index[name]
-            for r in range(pencil.order):
-                for c in range(r + 1):
-                    if mat[r, c] != 0.0:
-                        hcoord.append((p, j, r, c, mat[r, c]))
-        for r in range(pencil.order):
-            for c in range(r + 1):
-                if pencil.const[r, c] != 0.0:
-                    dcoord.append((p, r, c, pencil.const[r, c]))
+        const, *terms = pencil.entries
+        for (name, _), entries in zip(pencil.terms, terms):
+            hcoord += [(p, index[name], c, r, v) for r, c, v in entries]
+        dcoord += [(p, c, r, v) for r, c, v in const]
     hcoord.sort(key=lambda e: (e[0], e[1], e[2], e[3]))
     dcoord.sort(key=lambda e: (e[0], e[1], e[2]))
     if hcoord:
@@ -326,7 +321,7 @@ def _per_variable(nv, item):
 
 
 def _metadata(val):
-    meta = json.loads(val)
+    meta = loads_json(val)
     if not isinstance(meta, dict):
         raise ValueError("metadata must be a JSON object")
     return meta

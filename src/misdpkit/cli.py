@@ -5,7 +5,7 @@ import json
 import sys
 
 from . import cbf, dpsd, formulations, linalg, model, problems, schemes, verify
-from .errors import MisdpkitError, ParseError, json_reader
+from .errors import MisdpkitError, json_reader, loads_json
 
 
 def _read(path):
@@ -22,10 +22,7 @@ def _write(path, text):
 
 
 def _load_json(path):
-    try:
-        return json.loads(_read(path))
-    except json.JSONDecodeError as exc:
-        raise ParseError(exc.msg, line=exc.lineno) from None
+    return loads_json(_read(path))
 
 
 @json_reader

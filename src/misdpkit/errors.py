@@ -1,6 +1,8 @@
 """Exception types shared across the package."""
 
 import functools
+import json
+import math
 
 
 class MisdpkitError(Exception):
@@ -102,3 +104,19 @@ def json_reader(fn):
             raise ParseError(f"malformed data: {exc}") from None
 
     return read
+
+
+def _finite(text):
+    v = float(text)
+    if not math.isfinite(v):
+        raise ParseError(f"{text} is not a finite number")
+    return v
+
+
+def loads_json(text):
+    """Decode JSON text; raise ParseError on malformed text (with the line)
+    and on NaN, Infinity or a number too large for a float."""
+    try:
+        return json.loads(text, parse_float=_finite, parse_constant=_finite)
+    except json.JSONDecodeError as exc:
+        raise ParseError(exc.msg, line=exc.lineno) from None

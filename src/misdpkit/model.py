@@ -7,9 +7,9 @@ integrality markers stay per-entry and the IR remains solver-agnostic.
 
 Coefficients may be int, Fraction or float.  Evaluation against an
 assignment is arithmetic-exact whenever every participating number is exact
-(int/Fraction).  So is a pencil's PSD test when its matrices are
-integer-valued and the term values are int/Fraction; any other pencil goes
-through the float eigensolver.
+(int/Fraction).  So is a pencil's PSD test when the pencil is `integral`
+and the term values are int/Fraction; any other pencil goes through the
+float eigensolver.
 """
 
 import json
@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import config
-from .errors import IncompleteAssignment, ParseError, UnsupportedDomain, json_reader
+from .errors import IncompleteAssignment, ParseError, UnsupportedDomain, json_reader, loads_json
 from .linalg import is_psd, is_psd_exact
 
 CONTINUOUS = "continuous"
@@ -140,26 +140,45 @@ class LinRow:
 
 
 class MatrixPencil:
-    """Affine symmetric matrix A_0 + sum_j v_j A_j, constrained PSD."""
+    """Affine symmetric matrix A_0 + sum_j v_j A_j, constrained PSD.
 
-    __slots__ = ("order", "const", "terms", "_shadow")
+    Built once into one read-only, finite float64 stack (const, then terms),
+    whose decoding every reader uses: `entries` holds, per matrix, the nonzero
+    upper-triangle (r, c, value) triples in row-major order, and `integral`
+    whether every matrix is integer-valued, the values then being ints.
+    """
+
+    __slots__ = ("order", "const", "terms", "entries", "integral")
 
     def __init__(self, const, terms):
         const = np.asarray(const, dtype=np.float64)
         if const.ndim != 2 or const.shape[0] != const.shape[1]:
             raise ValueError("pencil constant must be square")
-        if not np.array_equal(const, const.T):
-            raise ValueError("pencil constant must be symmetric")
         self.order = const.shape[0]
-        self.const = const
-        fixed = []
+        names, mats = [], [const]
         for name, mat in terms:
             m = np.asarray(mat, dtype=np.float64)
-            if m.shape != const.shape or not np.array_equal(m, m.T):
-                raise ValueError(f"pencil term {name!r} must be symmetric of order {self.order}")
-            fixed.append((name, m))
-        self.terms = tuple(fixed)
-        self._shadow = None
+            if m.shape != const.shape:
+                raise ValueError(f"pencil term {name!r} must be of order {self.order}")
+            names.append(name)
+            mats.append(m)
+        stack = np.array(mats)
+        for ok, defect in ((np.isfinite(stack).all(axis=(1, 2)), "has a non-finite entry"),
+                           ((stack == stack.transpose(0, 2, 1)).all(axis=(1, 2)), "must be symmetric")):
+            if not ok.all():
+                first = int(ok.argmin())
+                raise ValueError(f"pencil {f'term {names[first - 1]!r}' if first else 'constant'} {defect}")
+        stack.setflags(write=False)
+        self.const = stack[0]
+        self.terms = tuple(zip(names, stack[1:]))
+        upper = np.triu(stack)
+        t, r, c = np.nonzero(upper)
+        values = upper[t, r, c]
+        self.integral = not (values % 1).any()
+        values = values.tolist()
+        triples = list(zip(r.tolist(), c.tolist(), list(map(int, values)) if self.integral else values))
+        cuts = np.searchsorted(t, np.arange(len(mats) + 1)).tolist()
+        self.entries = tuple(tuple(triples[i:j]) for i, j in zip(cuts, cuts[1:]))
 
     def evaluate(self, values: dict) -> np.ndarray:
         out = self.const.copy()
@@ -172,8 +191,8 @@ class MatrixPencil:
     def is_psd_at(self, values: dict) -> bool:
         """Whether the pencil is PSD at `values`.
 
-        Exact when every term value is int/Fraction and every matrix is
-        integer-valued: the pencil, scaled by the (positive) lcm of the value
+        Exact when every term value is int/Fraction and the pencil is
+        `integral`: the pencil, scaled by the (positive) lcm of the value
         denominators, goes to `is_psd_exact`.  Otherwise `is_psd` of
         `evaluate(values)`.
         """
@@ -184,31 +203,17 @@ class MatrixPencil:
                 if not _exact(v):
                     return is_psd(self.evaluate(values))
                 den = math.lcm(den, v.denominator)
-        if self._shadow is None:
-            self._shadow = self._integer_shadow()
-        if self._shadow is False:
+        if not self.integral:
             return is_psd(self.evaluate(values))
-        const, terms = self._shadow
-        a = [[den * x for x in row] for row in const] if den != 1 else [row[:] for row in const]
-        for v, triples in zip(vals, terms):
+        n = self.order
+        a = [[0] * n for _ in range(n)]
+        for v, triples in zip([1, *vals], self.entries):
             if v:
                 if den != 1:
                     v = int(v * den)
                 for r, c, x in triples:
                     a[r][c] += v * x
         return is_psd_exact(a)
-
-    def _integer_shadow(self):
-        """(constant as int lists, per term its nonzero upper-triangle
-        (r, c, int) triples), or False when a matrix is not integer-valued."""
-        stack = np.array([self.const] + [m for _, m in self.terms])
-        if not np.isfinite(stack).all() or (stack % 1).any():
-            return False
-        terms = [[] for _ in self.terms]
-        nz = np.nonzero(np.triu(stack[1:]))
-        for t, r, c, x in zip(*(a.tolist() for a in nz), stack[1:][nz].tolist()):
-            terms[t].append((r, c, int(x)))
-        return [[int(x) for x in row] for row in self.const.tolist()], terms
 
     def __eq__(self, other):
         # term order is presentation, not content
@@ -288,11 +293,9 @@ def validate(model: MisdpModel):
             if name not in known:
                 defects.append(f"row {k} references unknown variable {name!r}")
     for k, pencil in enumerate(model.pencils):
-        for name, mat in pencil.terms:
+        for name, _ in pencil.terms:
             if name not in known:
                 defects.append(f"pencil {k} references unknown variable {name!r}")
-            if not np.array_equal(mat, mat.T):
-                defects.append(f"pencil {k} has an asymmetric coefficient for {name!r}")
     return defects
 
 
@@ -440,11 +443,7 @@ def export_json(model: MisdpModel) -> str:
 
 
 def import_json(text: str) -> MisdpModel:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(str(exc), line=exc.lineno)
-    return _model_from_json(obj)
+    return _model_from_json(loads_json(text))
 
 
 @json_reader

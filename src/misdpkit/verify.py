@@ -4,20 +4,21 @@
 checking on linear rows), eliminates the continuous variables, and evaluates
 feasibility exactly.
 
-Interior nodes also test pencils.  An exact integer pencil has every term on
-an integer variable with int values and integer-valued constant and term
-matrices, so every PSD test on it, at a node or at a leaf, is exact
-(`MatrixPencil.is_psd_at`) and carries no tolerance.  Once the search has assigned every variable whose
-term touches the leading k x k block of such a pencil (k < order), that block
-is fixed for the whole subtree, and the subtree is pruned when the block is
-not PSD.  A principal block of a PSD matrix is PSD, so the exact leaf test
-rejects every completion of a pruned node.  Only the largest block closing
-at each depth is tested.  The integer variables are stable-sorted by the
-smallest leading block of an exact integer pencil they enter, so bordered
-lifts interleave x_i with the X_ij and blocks close early; a model without
-such a pencil keeps its order.  Leaves still run the full test: the optimum,
-feasible count and residual stay as they were, while `nodes` and the order
-of the minimizers may change.
+Interior nodes also test pencils.  An exact integer pencil is
+`MatrixPencil.integral` and has every term on an integer variable with int
+values, so every PSD test on it, at a node or at a leaf, is exact
+(`MatrixPencil.is_psd_at`) and carries no tolerance.  Once the search has
+assigned every variable whose term touches the leading k x k block of such a
+pencil (k < order), that block is fixed for the whole subtree, and the
+subtree is pruned when the block is not PSD.  A principal block of a PSD
+matrix is PSD, so the exact leaf test rejects every completion of a pruned
+node.  Only the largest block closing at each depth is tested.  The integer
+variables are stable-sorted by the smallest leading block of an exact integer
+pencil they enter (an upper-triangle entry (r, c) of a term enters the blocks
+of order c + 1 and up), so bordered lifts interleave x_i with the X_ij and
+blocks close early; a model without such a pencil keeps its order.  Leaves
+still run the full test: the optimum, feasible count and residual stay as
+they were, while `nodes` and the order of the minimizers may change.
 
 Each leaf resolves continuous variables in this order:
 
@@ -335,8 +336,8 @@ def _corner_scalars(model):
     name -> (pencil, diagonal index, entry as a Fraction, objective coefficient)."""
     appearances = {}
     for pencil in model.pencils:
-        for name, matrix in pencil.terms:
-            appearances.setdefault(name, []).append((pencil, matrix))
+        for (name, _), entries in zip(pencil.terms, pencil.entries[1:]):
+            appearances.setdefault(name, []).append((pencil, entries))
     in_rows = set()
     for row in model.rows:
         for name, _ in row.coeffs:
@@ -348,12 +349,11 @@ def _corner_scalars(model):
         apps = appearances.get(name, [])
         if len(apps) != 1:
             continue
-        pencil, matrix = apps[0]
-        nz = np.argwhere(matrix != 0.0)
-        if len(nz) == 1 and nz[0][0] == nz[0][1] and matrix[nz[0][0], nz[0][0]] > 0:
-            i = int(nz[0][0])
-            coef = model.objective.coeffs.get(name, 0)
-            corners[name] = (pencil, i, Fraction(matrix[i, i]), coef)
+        pencil, entries = apps[0]
+        if len(entries) == 1:
+            i, c, x = entries[0]
+            if i == c and x > 0:
+                corners[name] = (pencil, i, Fraction(x), model.objective.coeffs.get(name, 0))
     return corners
 
 
@@ -369,12 +369,12 @@ def _resolve_corner(pencil, assign, name, i, a, coef, dom, sense):
         raise UnsupportedContinuousPattern(
             f"corner scalar {name!r} is not priced toward its feasibility boundary"
         )
-    base = [[Fraction(v) for v in row] for row in pencil.const.tolist()]
-    for term, mat in pencil.terms:
-        v = 0 if term == name else _frac(assign[term])
+    base = [[Fraction(0)] * pencil.order for _ in range(pencil.order)]
+    values = [1] + [0 if term == name else assign[term] for term, _ in pencil.terms]
+    for v, entries in zip(values, pencil.entries):
         if v:
-            for r, c in zip(*np.nonzero(mat)):
-                base[r][c] += v * Fraction(mat[r, c])
+            for r, c, x in entries:
+                base[r][c] = base[c][r] = base[r][c] + _frac(v) * Fraction(x)
     rest = [r for r in range(pencil.order) if r != i]
     rows = [[base[r][c] for c in rest] + [base[r][i]] for r in rest]
     pivots = _gauss_jordan(rows, len(rest))
@@ -447,20 +447,6 @@ class _LeafCheck:
         return self.objective.value(assign), max_residual
 
 
-def _exact_integer_pencil(pencil, doms):
-    """Every term on an integer variable with int values, every matrix
-    integer-valued: `is_psd_at` then decides it exactly at every node and leaf."""
-    mats = [pencil.const] + [m for _, m in pencil.terms]
-    return (all(doms[n].is_integer and _exact(*doms[n].values) for n, _ in pencil.terms)
-            and all(np.all(m % 1 == 0) for m in mats))
-
-
-def _first_block(mat):
-    """Order of the smallest leading block holding a nonzero of `mat`, None if zero."""
-    nz = np.argwhere(mat)
-    return int(nz.max(axis=1).min()) + 1 if len(nz) else None
-
-
 class _Plan:
     """What one solve_by_enumeration call fixes before the search starts."""
 
@@ -477,15 +463,16 @@ class _Plan:
             total *= self.doms[n].size()
             if total > budget:
                 raise BudgetExceeded(f"integer space exceeds budget {budget}")
-        exact = [p for p in model.pencils if _exact_integer_pencil(p, self.doms)]
+        exact = [p for p in model.pencils if p.integral and all(
+            self.doms[n].is_integer and _exact(*self.doms[n].values) for n, _ in p.terms)]
+        # per exact pencil and term, the smallest leading block the term enters
+        blocks = [[min((c + 1 for _, c, _ in e), default=math.inf) for e in p.entries[1:]] for p in exact]
         first = {}
-        for p in exact:
-            for name, mat in p.terms:
-                k = _first_block(mat)
-                if k is not None:
-                    first[name] = min(first.get(name, k), k)
+        for p, ks in zip(exact, blocks):
+            for (name, _), k in zip(p.terms, ks):
+                first[name] = min(first.get(name, k), k)
         self.int_names.sort(key=lambda n: first.get(n, math.inf))
-        self.node_checks = self._node_checks(exact)
+        self.node_checks = self._node_checks(exact, blocks)
 
         self.stages = {_LIFT: [], _FORCED: [], _PENDING: []}
         prune_rows = list(model.rows)
@@ -507,15 +494,15 @@ class _Plan:
         self.corners = [(n, *corners[n]) for n in self.cont_names if n in corners]
         self.check = _LeafCheck(model)
 
-    def _node_checks(self, pencils):
+    def _node_checks(self, pencils, blocks):
         """Per depth, the leading blocks (as pencils) whose variables that depth
         completes; only the largest block k < order closing at a depth is kept."""
         pos = {n: d for d, n in enumerate(self.int_names)}
         checks = [[] for _ in self.int_names]
-        for p in pencils:
+        for p, ks in zip(pencils, blocks):
             closing = {}
             for k in range(1, p.order):
-                terms = [(n, m[:k, :k]) for n, m in p.terms if m[:k, :k].any()]
+                terms = [(n, m[:k, :k]) for (n, m), first in zip(p.terms, ks) if first <= k]
                 if terms:  # a constant block is left to the leaf test
                     closing[max(pos[n] for n, _ in terms)] = MatrixPencil(p.const[:k, :k], terms)
             for depth, block in closing.items():
@@ -871,11 +858,7 @@ class VerificationReport:
 def optima_match(oracle_opt, misdp_opt):
     if oracle_opt is None or misdp_opt is None:
         return oracle_opt is None and misdp_opt is None
-    exact = all(
-        isinstance(v, (int, Fraction)) and not isinstance(v, bool)
-        for v in (oracle_opt, misdp_opt)
-    )
-    if exact:
+    if _exact(oracle_opt, misdp_opt):
         return oracle_opt == misdp_opt
     return abs(float(oracle_opt) - float(misdp_opt)) <= REL_TOL * max(1.0, abs(float(oracle_opt)))
 

@@ -99,6 +99,16 @@ class TestBuild:
         assert run(["build", "qcqp", "--instance", str(inst), "--out", str(out)]) == 0
         assert "INT" in out.read_text()
 
+    def test_non_finite_instance_number_exit_code(self, tmp_path, capsys):
+        inst = tmp_path / "q.json"
+        inst.write_text('{"n": 2, "c0": [-1, -1], "Q0": [[Infinity, 0], [0, 1]],'
+                        ' "quads": [{"Q": [[0, 1], [1, 0]], "d": 0}]}')
+        out = tmp_path / "q.cbf"
+        assert run(["build", "qcqp", "--instance", str(inst), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err.splitlines() == ["error: Infinity is not a finite number"]
+
 
 class TestCheck:
     def test_j3(self, tmp_path, capsys):
@@ -213,6 +223,23 @@ class TestConvert:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines() == ["error: malformed data: bad relation '<'"]
+
+    @pytest.mark.parametrize("old, new, token", [
+        ('"const":[[1.0,', '"const":[[Infinity,', "Infinity"),
+        ('"constant":0,', '"constant":NaN,', "NaN"),
+    ], ids=["pencil-constant", "objective-constant"])
+    def test_non_finite_model_number_exit_code(self, c5, tmp_path, capsys, old, new, token):
+        json_path = tmp_path / "m.json"
+        run(["build", "stable-set", "--graph", c5, "--out", str(json_path), "--format", "json"])
+        text = json_path.read_text()
+        assert old in text
+        json_path.write_text(text.replace(old, new, 1))
+        capsys.readouterr()
+        out = tmp_path / "m.cbf"
+        assert run(["convert", str(json_path), str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err.splitlines() == [f"error: {token} is not a finite number"]
 
     def test_finite_set_with_gaps_to_cbf_exit_code(self, tmp_path, capsys):
         json_path = tmp_path / "m.json"

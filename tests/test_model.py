@@ -1,5 +1,7 @@
 import functools
+import hashlib
 import json
+import math
 from fractions import Fraction
 from unittest import mock
 
@@ -396,6 +398,7 @@ class TestCbfRoundTrip:
         ("\n1 -1\n\nACOORD", "\n3 -1\n\nACOORD", 33),
         ("\n1 -1\n\nACOORD", "\n1\n\nACOORD", 33),
         ('{"problem"', '{"problem', 7),
+        ('{"problem"', '{"x":NaN,"problem"', 7),
         ("misdpkit-meta: {", "misdpkit-meta: [{", 7),
         ("boundrows: 3", "boundrows: 5", 6),
         ("domains: b b c:0:1", "domains: b b c:0:1/0", 4),
@@ -585,3 +588,66 @@ class TestRoundTripProperties:
         again = loads_matrix(text)
         assert again == m and (again.ints is None) == (m.ints is None)
         assert dumps_matrix(again) == text
+
+
+class TestCompiledPencil:
+    """`MatrixPencil.entries` and `integral`, the one decoding of a pencil."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(_random_models())
+    def test_entries_rebuild_the_read_only_matrices(self, m):
+        for p in m.pencils:
+            mats = [p.const] + [mat for _, mat in p.terms]
+            assert len(p.entries) == len(mats)
+            for mat, entries in zip(mats, p.entries):
+                dense = np.zeros((p.order, p.order))
+                for r, c, x in entries:
+                    assert r <= c and x != 0 and type(x) is (int if p.integral else float)
+                    dense[r, c] = dense[c, r] = x
+                assert np.array_equal(dense, mat)
+                with pytest.raises(ValueError, match="read-only"):
+                    mat[...] = 0
+            assert p.integral == all(float(x).is_integer() for mat in mats for x in mat.flat)
+
+    def test_float_entries(self):
+        p = MatrixPencil([[1, 0.5], [0.5, 2]], [("x", [[0, 0], [0, 3]]), ("y", np.zeros((2, 2)))])
+        assert not p.integral
+        assert p.entries == (((0, 0, 1.0), (0, 1, 0.5), (1, 1, 2.0)), ((1, 1, 3.0),), ())
+
+    def test_the_caller_keeps_its_arrays(self):
+        const = np.eye(2)
+        p = MatrixPencil(const, [("x", const)])
+        const[0, 0] = 5
+        assert p.const[0, 0] == 1 and p.terms[0][1][0, 0] == 1 and p.entries[0][0] == (0, 0, 1)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_entries_are_refused(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            MatrixPencil([[bad, 0], [0, 1]], [])
+        with pytest.raises(ValueError, match="non-finite"):
+            MatrixPencil(np.eye(2), [("x", [[0, bad], [bad, 0]])])
+
+    @pytest.mark.parametrize("token", ["Infinity", "-Infinity", "NaN", "1e400"])
+    def test_import_json_refuses_non_finite_pencil_entries(self, token):
+        text = export_json(stable_set_k2_model())
+        bad = text.replace('"const":[[1.0,', f'"const":[[{token},', 1)
+        assert bad != text
+        with pytest.raises(ParseError, match="is not a finite number"):
+            import_json(bad)
+
+
+class TestExportBytes:
+    """The writers' bytes on one model per builder; export-import-export
+    self-consistency alone would not see them change."""
+
+    def test_cbf(self):
+        text = "".join(_builder_cbf_texts())
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "a0d8a23bc7dc01cc19f012f4ee2e0b2779e6f3dd91b3f7819550f446635ad19e"
+        )
+
+    def test_json(self):
+        text = "".join(_builder_texts())
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "7ca08224558b4346d75a1395b1da522ac140aa321d78cd730365c7d60657fb5c"
+        )

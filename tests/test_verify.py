@@ -226,21 +226,39 @@ class TestHintRules:
             solve_by_enumeration(m)
 
 
+def _report_digest(name, seed=0):
+    import hashlib
+
+    lines = [report_json(r) for r in equivalence_suite(name, seed=seed).reports]
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+_FLOAT_SUITE_DIGESTS = [
+    ("completion-2x2", "3aa2e5ddf72cd70228324fb1708b3ec6838ce4147d95e35bea18403a8ea56e20"),
+    ("cvetkovic-hamiltonicity", "ea08021cf84f0d285147e115da5210dca4a2bf9e39dff1c8e2a8b815964b5fad"),
+    ("qbpp-random", "df42458c381a4b925fcc4e133498953bfa94bcc8f836898477f0455c146d9b5a"),
+    ("tsp-small", "337d6213a456a7d90c15361b1773b3ac51c7f282f79e3da57b58a37726e995c3"),
+]
+_INTEGER_SUITE_DIGESTS = [
+    ("gpp-cross", "3ca42b22af2f88734b29c5335722c549a6b816cf4a71b6f222344f57b33ff596"),
+    ("kep-gep-vs-assoc", "5df7f0bfe1b960f051b6aca9be72f8ee47ab914f2d54460d00fd539ced32f23b"),
+    ("mkcs-small", "9f69a16e0045603b7802af17f7131185dab0ac44e7916c86bedb6fa241cd603e"),
+    ("qap-random", "263f428bf56a8055b9d29daaf900c9881a35b349612ec8a3617c8ccc3f5e2070"),
+    ("qcqp-random", "282b1766c47cce2113bcdfc5cfc8104a4fe3dfd6abc9de7062b7ecfa89bc2fe0"),
+    ("qmkp-random", "9144e7b41939d35e9fe1e3e1bf76b44176b074d41fe8126a2345ec4da42acc6c"),
+    ("sils-small", "07053412fa67a52c8bdc01c061450e75e804007732edba416e1da820739ccdaf"),
+    ("stable-set-n4", "b13652b81bd4c6aa5e12af1e4079c48784dddbdeb02c6422212cc12f58bbc241"),
+    ("stable-set-n5", "69b2a5ae642c0e4389b30314c4e481641efcb59e5faa87d2a304cb25125a5926"),
+]
+
+
 class TestFloatSuiteReports:
     """Report bytes of the suites that exercise the nuclear, cycle_distance
     and valid_cuts hints and the corner scalars."""
 
-    @pytest.mark.parametrize("name,digest", [
-        ("completion-2x2", "3aa2e5ddf72cd70228324fb1708b3ec6838ce4147d95e35bea18403a8ea56e20"),
-        ("cvetkovic-hamiltonicity", "ea08021cf84f0d285147e115da5210dca4a2bf9e39dff1c8e2a8b815964b5fad"),
-        ("qbpp-random", "df42458c381a4b925fcc4e133498953bfa94bcc8f836898477f0455c146d9b5a"),
-        ("tsp-small", "337d6213a456a7d90c15361b1773b3ac51c7f282f79e3da57b58a37726e995c3"),
-    ])
+    @pytest.mark.parametrize("name,digest", _FLOAT_SUITE_DIGESTS)
     def test_report_bytes(self, name, digest):
-        import hashlib
-
-        lines = [report_json(r) for r in equivalence_suite(name).reports]
-        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest
+        assert _report_digest(name) == digest
 
     @pytest.mark.parametrize("seed,digest", [
         (1, "8c79f67277a481021256dc73f7b563aa4d0ec5f3a057ef2e62d2443b42233b52"),
@@ -250,10 +268,20 @@ class TestFloatSuiteReports:
         (5, "b975cfde32c8eca7fdadfe2c84f79c87f5e5c5984259a67083df0663f8a1d08a"),
     ])
     def test_qbpp_report_bytes_by_seed(self, seed, digest):
-        import hashlib
+        assert _report_digest("qbpp-random", seed) == digest
 
-        lines = [report_json(r) for r in equivalence_suite("qbpp-random", seed=seed).reports]
-        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest
+
+class TestIntegerSuiteReports:
+    """Report bytes of the suites whose pencils are integral: the exact PSD
+    test, the node checks and the variable order decide them."""
+
+    @pytest.mark.parametrize("name,digest", _INTEGER_SUITE_DIGESTS)
+    def test_report_bytes(self, name, digest):
+        assert _report_digest(name) == digest
+
+    def test_every_suite_is_pinned(self):
+        pinned = [name for name, _ in _FLOAT_SUITE_DIGESTS + _INTEGER_SUITE_DIGESTS]
+        assert sorted(pinned) == sorted(SUITES)
 
 
 def _corner(const, i, a=1.0, dom=VarDomain.continuous(), coef=1, sense="min"):
