@@ -5,8 +5,12 @@ trailing linear rows so external MISDP solvers see the full integer hull.
 Because CBF has no notion of binary/ternary/finite-set domains, the exact
 domain list, the count of synthesized bound rows and the model metadata are
 carried in '#' comment lines; import_cbf reads them back exactly and falls
-back to a generic reading on foreign files.  Numbers are written as 17-digit
-floats, so Fraction data does not come back exactly.  A finite-set domain
+back to a generic reading on foreign files.  Integers are written as decimal
+integers, and the integer tokens of the objective and row sections
+(OBJACOORD, OBJBCOORD, ACOORD, BCOORD) are read back as ints, of any size.
+Every other number is written as a 17-digit float, so Fraction data does not
+come back exactly, and the PSD sections (HCOORD, DCOORD) are read as finite
+floats.  A finite-set domain
 with gaps has no such row encoding, so export_cbf refuses it.  import_cbf
 raises only ParseError, with the line number, on malformed or out-of-range
 input.
@@ -14,6 +18,7 @@ input.
 
 import json
 import math
+import numbers
 from fractions import Fraction
 
 import numpy as np
@@ -40,7 +45,7 @@ _MAX_DENSE_ENTRIES = 2**24
 
 
 def _num(v) -> str:
-    return f"{float(v):.17g}"
+    return str(int(v)) if isinstance(v, numbers.Integral) else f"{float(v):.17g}"
 
 
 def _enc_bound(v) -> str:
@@ -232,6 +237,14 @@ def _real(s):
     return v
 
 
+def _scalar(s):
+    """An objective or row number: an int when the token is one, else a finite float."""
+    try:
+        return int(s)
+    except ValueError:
+        return _real(s)
+
+
 class _Reader:
     def __init__(self, text):
         self.lines = text.splitlines()
@@ -336,7 +349,7 @@ def import_cbf(text: str) -> MisdpModel:
     psd_dims = []
     row_cones = []
     obj_coeffs = {}
-    obj_const = 0.0
+    obj_const = 0
     acoord, bcoord, hcoord, dcoord = [], [], [], []
 
     seen = set()
@@ -365,16 +378,16 @@ def import_cbf(text: str) -> MisdpModel:
             row_cones = rd.groups("CON", *rd.fields("CON header", _COUNT, _COUNT), _CONE_REL)
         elif tok == "OBJACOORD":
             for _ in range(rd.count("OBJACOORD count")):
-                j, v = rd.fields("OBJACOORD entry", range(nv), _real)
+                j, v = rd.fields("OBJACOORD entry", range(nv), _scalar)
                 obj_coeffs[j] = v
         elif tok == "OBJBCOORD":
-            obj_const = rd.fields("OBJBCOORD value", _real)[0]
+            obj_const = rd.fields("OBJBCOORD value", _scalar)[0]
         elif tok == "ACOORD":
             for _ in range(rd.count("ACOORD count")):
-                acoord.append(rd.fields("ACOORD entry", range(n_rows), range(nv), _real))
+                acoord.append(rd.fields("ACOORD entry", range(n_rows), range(nv), _scalar))
         elif tok == "BCOORD":
             for _ in range(rd.count("BCOORD count")):
-                bcoord.append(rd.fields("BCOORD entry", range(n_rows), _real))
+                bcoord.append(rd.fields("BCOORD entry", range(n_rows), _scalar))
         elif tok == "HCOORD":
             for _ in range(rd.count("HCOORD count")):
                 p, j, r, c, v = rd.fields("HCOORD entry", range(n_psd), range(nv), _COUNT, _COUNT, _real)
@@ -407,7 +420,7 @@ def import_cbf(text: str) -> MisdpModel:
     metadata = rd.comment("meta", _metadata, {})
 
     row_coeffs = [[] for _ in range(n_rows)]
-    row_rhs = [0.0] * n_rows
+    row_rhs = [0] * n_rows
     for k, j, v in acoord:
         row_coeffs[k].append((names[j], v))
     for k, v in bcoord:

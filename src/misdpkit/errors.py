@@ -3,6 +3,7 @@
 import functools
 import json
 import math
+import re
 
 
 class MisdpkitError(Exception):
@@ -106,17 +107,30 @@ def json_reader(fn):
     return read
 
 
+# a JSON string, or (group 1) a number or constant token as the decoder reads it
+_TOKENS = re.compile(r'"(?:[^"\\]|\\.)*"|(NaN|-?Infinity|-?(?:0|[1-9]\d*)(?:\.\d+)?(?:[eE][-+]?\d+)?)')
+
+
+class _NotFinite(ValueError):
+    pass
+
+
 def _finite(text):
     v = float(text)
     if not math.isfinite(v):
-        raise ParseError(f"{text} is not a finite number")
+        raise _NotFinite(text)
     return v
 
 
 def loads_json(text):
-    """Decode JSON text; raise ParseError on malformed text (with the line)
+    """Decode JSON text; raise ParseError, with the line, on malformed text
     and on NaN, Infinity or a number too large for a float."""
     try:
         return json.loads(text, parse_float=_finite, parse_constant=_finite)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, line=exc.lineno) from None
+    except _NotFinite as exc:
+        # the decoder reads in text order, so the first such token outside a string failed
+        (token,) = exc.args
+        at = next(m.start() for m in _TOKENS.finditer(text) if m.group(1) == token)
+        raise ParseError(f"{token} is not a finite number", line=text.count("\n", 0, at) + 1) from None

@@ -1,8 +1,9 @@
 """Desk-scale exact verification of compiled models.
 
-`solve_by_enumeration` walks every integer assignment of a model (forward
-checking on linear rows), eliminates the continuous variables, and evaluates
-feasibility exactly.
+`solve_by_enumeration` walks every integer assignment of a model, pruning by
+windows on the linear rows, eliminates the continuous variables, and
+evaluates feasibility exactly.  The windows of a row with int/Fraction data
+are decided in integers; only rows with float data get a tolerance.
 
 Interior nodes also test pencils.  An exact integer pencil is
 `MatrixPencil.integral` and has every term on an integer variable with int
@@ -23,8 +24,8 @@ they were, while `nodes` and the order of the minimizers may change.
 Each leaf resolves continuous variables in this order:
 
   1. builder hints of the "lift" stage (entries pinned by the integer part);
-  2. exact linear closure of the equality rows (Gaussian elimination over
-     Fractions) over the continuous variables no hint covers;
+  2. exact linear closure over the continuous variables no hint covers: the
+     equality rows are reduced once to affine maps of the known values;
   3. builder hints of the "forced" stage (blocks fixed once the closure ran);
   4. corner scalars: a variable on one diagonal entry of a single pencil and
      in no row, set to the pencil's exact Schur-complement boundary;
@@ -95,67 +96,71 @@ def _contribution_bounds(coef, dom):
     lo, hi = dom.lo, dom.hi
     if dom.is_integer:
         lo, hi = math.ceil(lo), math.floor(hi)
-    c = float(coef)
-    if c >= 0:
-        cmin = -math.inf if lo is None else c * float(lo)
-        cmax = math.inf if hi is None else c * float(hi)
-    else:
-        cmin = -math.inf if hi is None else c * float(hi)
-        cmax = math.inf if lo is None else c * float(lo)
-    return cmin, cmax
+    if coef < 0:
+        lo, hi = hi, lo
+    return -math.inf if lo is None else coef * lo, math.inf if hi is None else coef * hi
 
 
 class _ForwardChecker:
-    """Window-based pruning of linear rows under prefix integer assignments."""
+    """Window-based pruning of linear rows under prefix integer assignments.
+
+    A row whose coefficients, rhs and continuous bounds are all int/Fraction
+    is scaled to ints by the lcm of its denominators, with the range of its
+    continuous part folded into int thresholds: its windows are exact.  Only
+    rows with float data get eps = 1e-9 (1 + |rhs|).  Rows that never prune
+    are dropped.
+    """
 
     def __init__(self, rows, int_names, doms):
         pos = {n: i for i, n in enumerate(int_names)}
         depth = len(int_names)
-        self.rows = []
+        self.tests = []
+        self.touch = [[] for _ in range(depth)]
         for row in rows:
+            cont = [(c, doms[n]) for n, c in row.coeffs if n not in pos]
+            bounds = [b for _, d in cont for b in (d.lo, d.hi) if b is not None]
+            if exact := _exact(row.rhs, *(c for _, c in row.coeffs), *bounds):
+                scale = math.lcm(row.rhs.denominator, *(c.denominator for _, c in row.coeffs))
+                num, eps = (lambda x: x.numerator * (scale // x.denominator)), 0
+            else:
+                num, eps = float, 1e-9 * (1.0 + abs(float(row.rhs)))
             by_depth = {}
-            cont_min = cont_max = 0.0
             for name, coef in row.coeffs:
                 if name in pos:
-                    by_depth[pos[name]] = by_depth.get(pos[name], 0.0) + float(coef)
-                else:
-                    lo, hi = _contribution_bounds(coef, doms[name])
-                    cont_min += lo
-                    cont_max += hi
-            smin = [0.0] * (depth + 1)
-            smax = [0.0] * (depth + 1)
+                    by_depth[pos[name]] = by_depth.get(pos[name], 0) + num(coef)
+            cmin = cmax = 0
+            for coef, dom in cont:
+                lo, hi = _contribution_bounds(num(coef), dom)
+                cmin, cmax = cmin + lo, cmax + hi
+            rhs = num(row.rhs)
+            up = rhs + eps if row.rel != ">=" and cmin != -math.inf else None
+            down = rhs - eps if row.rel != "<=" and cmax != math.inf else None
+            if exact:  # the integer part's sums are ints: move the rest to the thresholds
+                up = None if up is None else math.floor(up - cmin)
+                down = None if down is None else math.ceil(down - cmax)
+                cmin = cmax = 0
+            if up is None and down is None:
+                continue
+            smin, smax = [0] * (depth + 1), [0] * (depth + 1)
             for d in range(depth - 1, -1, -1):
-                smin[d], smax[d] = smin[d + 1], smax[d + 1]
-                if d in by_depth:
-                    lo, hi = _contribution_bounds(by_depth[d], doms[int_names[d]])
-                    smin[d] += lo
-                    smax[d] += hi
-            rhs = float(row.rhs)
-            eps = 1e-9 * (1.0 + abs(rhs))
-            self.rows.append((row.rel, rhs, eps, by_depth, smin, smax, cont_min, cont_max))
-        self.touch = [[] for _ in range(depth)]
-        for ridx, (_, _, _, by_depth, *_rest) in enumerate(self.rows):
+                lo, hi = _contribution_bounds(by_depth[d], doms[int_names[d]]) if d in by_depth else (0, 0)
+                smin[d], smax[d] = smin[d + 1] + lo, smax[d + 1] + hi
             for d, c in by_depth.items():
-                self.touch[d].append((ridx, c))
-        self.partial = [0.0] * len(self.rows)
+                self.touch[d].append((len(self.tests), c))
+            self.tests.append((smin, smax, cmin, cmax, up, down))
+        self.partial = [0] * len(self.tests)
 
     def push(self, d, value):
+        """Add the value at depth d to the partial sums (its negation undoes it)."""
+        value = int(value)  # integer domains hold integral values only
         for ridx, c in self.touch[d]:
             self.partial[ridx] += c * value
 
-    def pop(self, d, value):
-        for ridx, c in self.touch[d]:
-            self.partial[ridx] -= c * value
-
     def consistent(self, next_depth):
-        for ridx, (rel, rhs, eps, _bd, smin, smax, cmin, cmax) in enumerate(self.rows):
-            lo = self.partial[ridx] + smin[next_depth] + cmin
-            hi = self.partial[ridx] + smax[next_depth] + cmax
-            if rel == "==" and (lo > rhs + eps or hi < rhs - eps):
+        for (smin, smax, cmin, cmax, up, down), s in zip(self.tests, self.partial):
+            if up is not None and s + smin[next_depth] + cmin > up:
                 return False
-            if rel == "<=" and lo > rhs + eps:
-                return False
-            if rel == ">=" and hi < rhs - eps:
+            if down is not None and s + smax[next_depth] + cmax < down:
                 return False
         return True
 
@@ -275,59 +280,52 @@ def _gauss_jordan(rows, width):
     return pivots
 
 
+def _affine(tail, known):
+    """b - K.y for a reduced row tail [K | b]: (int terms on `known`, int constant, denominator)."""
+    den = math.lcm(*(x.denominator for x in tail))
+    *k, b = tail
+    return [(name, int(-c * den)) for name, c in zip(known, k) if c], int(b * den), den
+
+
+def _numerator(form, assign):
+    terms, const, _ = form
+    for name, c in terms:
+        v = assign[name]
+        const += c * (v if type(v) is int else _frac(v))
+    return const
+
+
 class _ClosureSolver:
     """Exact elimination of equality rows over a fixed set of unknowns.
 
-    The coefficient block over the unknowns never changes between leaves, so
-    the row-reduction transform is computed once; each leaf only rebuilds the
-    right-hand side from the current assignment and applies the transform.
+    The rows are reduced once, over [unknowns | known variables | rhs], to
+    affine forms of the known values (int coefficients and constant over one
+    denominator): one per determined unknown, which gets the form's value as
+    a Fraction, and one per dependent row, which must give 0.
     """
 
     def __init__(self, rows, unknowns):
-        self.active = []      # (known terms, rhs) per participating row
-        sys_unknowns = []
-        coeff_rows = []
-        for row in rows:
-            if row.rel != "==":
-                continue
-            unk = {}
-            known = []
+        eqs = [row for row in rows if row.rel == "==" and any(n in unknowns for n, _ in row.coeffs)]
+        unk = list(dict.fromkeys(n for row in eqs for n, _ in row.coeffs if n in unknowns))
+        known = list(dict.fromkeys(n for row in eqs for n, _ in row.coeffs if n not in unknowns))
+        col = {n: i for i, n in enumerate(unk + known)}
+        a = []
+        for row in eqs:
+            a.append([Fraction(0)] * len(col) + [_frac(row.rhs)])
             for name, coef in row.coeffs:
-                if name in unknowns:
-                    unk[name] = unk.get(name, Fraction(0)) + _frac(coef)
-                else:
-                    known.append((name, _frac(coef)))
-            if not unk:
-                continue
-            sys_unknowns += [name for name in unk if name not in sys_unknowns]
-            coeff_rows.append(unk)
-            self.active.append((known, _frac(row.rhs)))
-        m, w = len(coeff_rows), len(sys_unknowns)
-        # [A | I]: the right half becomes the row-reduction transform
-        a = [[unk.get(name, Fraction(0)) for name in sys_unknowns] + [Fraction(i == r) for i in range(m)]
-             for r, unk in enumerate(coeff_rows)]
+                a[-1][col[name]] += _frac(coef)
+        w = len(unk)
         pivots = _gauss_jordan(a, w)
-        self.transform = [row[w:] for row in a]
-        self.zero_rows = list(range(len(pivots), m))
         # a pivot row determines its variable when it touches no free column
-        self.determined = [
-            (sys_unknowns[p], r)
-            for r, p in enumerate(pivots)
-            if all(a[r][c] == 0 for c in range(w) if c != p)
-        ]
+        self.determined = [(unk[p], _affine(a[r][w:], known)) for r, p in enumerate(pivots)
+                           if all(a[r][c] == 0 for c in range(w) if c != p)]
+        self.dependent = [_affine(row[w:], known) for row in a[len(pivots):] if any(row[w:])]
 
     def apply(self, assign):
-        if not self.active:
-            return True
-        b = [
-            rhs - sum(c * _frac(assign[name]) for name, c in known)
-            for known, rhs in self.active
-        ]
-        for r in self.zero_rows:
-            if sum(c * v for c, v in zip(self.transform[r], b) if c != 0) != 0:
-                return False
-        for name, r in self.determined:
-            assign[name] = sum(c * v for c, v in zip(self.transform[r], b) if c != 0)
+        if any(_numerator(form, assign) != 0 for form in self.dependent):
+            return False
+        for name, form in self.determined:
+            assign[name] = Fraction(_numerator(form, assign), form[2])
         return True
 
 
@@ -566,7 +564,7 @@ class _Search:
                 if not blocks or all(b.is_psd_at(self.assignment) for b in blocks):
                     self.dfs(d + 1)
                 del self.assignment[name]
-            checker.pop(d, v)
+            checker.push(d, -v)
 
     def leaf(self):
         assign = self.plan.resolve(self.assignment)

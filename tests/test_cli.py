@@ -1,3 +1,4 @@
+import hashlib
 import json
 import warnings
 
@@ -99,6 +100,15 @@ class TestBuild:
         assert run(["build", "qcqp", "--instance", str(inst), "--out", str(out)]) == 0
         assert "INT" in out.read_text()
 
+    def test_qcqp_instance_with_a_401_digit_integer(self, tmp_path):
+        big = 10**400
+        inst = tmp_path / "q.json"
+        inst.write_text('{"n": 2, "c0": [-1, -1], "Q0": [[%d, 0], [0, 1]],'
+                        ' "quads": [{"Q": [[0, 1], [1, 0]], "d": 0}]}' % big)
+        out = tmp_path / "q.cbf"
+        assert run(["build", "qcqp", "--instance", str(inst), "--out", str(out)]) == 0
+        assert import_cbf(out.read_text()).objective.coeffs["x[0]"] == big - 1
+
     def test_non_finite_instance_number_exit_code(self, tmp_path, capsys):
         inst = tmp_path / "q.json"
         inst.write_text('{"n": 2, "c0": [-1, -1], "Q0": [[Infinity, 0], [0, 1]],'
@@ -107,7 +117,7 @@ class TestBuild:
         assert run(["build", "qcqp", "--instance", str(inst), "--out", str(out)]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and not out.exists()
-        assert captured.err.splitlines() == ["error: Infinity is not a finite number"]
+        assert captured.err.splitlines() == ["error: line 1: Infinity is not a finite number"]
 
 
 class TestCheck:
@@ -185,6 +195,14 @@ class TestVerify:
         assert all(json.loads(ln)["match"] for ln in lines)
         assert "PASS" in capsys.readouterr().out
 
+    def test_all_suites_at_seed_1_report_bytes(self, tmp_path):
+        # seed 0 is pinned suite by suite in test_verify
+        out = tmp_path / "reports.jsonl"
+        assert run(["verify", "--suite", "all", "--seed", "1", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "f2a9951ce12d1afec25e0fcd7b61cb9820d5f9dcbab2ac4a12d1a743608ad9ca"
+        )
+
 
 class TestScheme:
     def test_cycle(self, tmp_path, capsys):
@@ -239,7 +257,7 @@ class TestConvert:
         assert run(["convert", str(json_path), str(out)]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and not out.exists()
-        assert captured.err.splitlines() == [f"error: {token} is not a finite number"]
+        assert captured.err.splitlines() == [f"error: line 1: {token} is not a finite number"]
 
     def test_finite_set_with_gaps_to_cbf_exit_code(self, tmp_path, capsys):
         json_path = tmp_path / "m.json"

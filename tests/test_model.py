@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from misdpkit import config
 from misdpkit import model as model_module
 from misdpkit.cbf import export_cbf, import_cbf
-from misdpkit.errors import IncompleteAssignment, ParseError, UnsupportedDomain
+from misdpkit.errors import IncompleteAssignment, ParseError, UnsupportedDomain, loads_json
 from misdpkit.linalg import SymMat, dumps_matrix, is_psd, loads_matrix
 from misdpkit.model import (
     LinRow,
@@ -319,6 +319,17 @@ def _builder_texts():
     return tuple(export_json(m) for m in _one_model_per_builder())
 
 
+class TestLoadsJson:
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e400", "-2.5E999"])
+    def test_non_finite_number_reports_its_line(self, token):
+        # the same token sits earlier inside strings, one with an escaped quote
+        text = '{"note": "%s",\n "k\\"%s": [1,\n  2.5, %s]}' % (token, token, token)
+        with pytest.raises(ParseError) as exc:
+            loads_json(text)
+        assert str(exc.value) == f"line 3: {token} is not a finite number"
+        assert exc.value.line == 3
+
+
 class TestCbfRoundTrip:
     def test_round_trip_equal_model(self):
         m = stable_set_k2_model()
@@ -372,6 +383,19 @@ class TestCbfRoundTrip:
         with pytest.raises(ParseError):
             import_cbf("VER\n2\n\nNOSECTION\n")
 
+    def test_integers_of_any_size_round_trip(self):
+        big = 10**400 + 1  # 401 digits
+        m = MisdpModel(
+            [("x", VarDomain.binary()), ("y", VarDomain.integer_range(-3, 3))],
+            Objective("min", {"x": big, "y": -big}, big),
+            rows=[LinRow((("x", big), ("y", 1)), "<=", -big)],
+        )
+        text = export_cbf(m)
+        assert f"\nOBJBCOORD\n{big}\n" in text
+        back = import_cbf(text)
+        assert back == m and export_cbf(back) == text
+        assert type(back.objective.constant) is int and type(back.rows[0].rhs) is int
+
     def test_finite_set_with_gaps_is_refused(self):
         # its hull would also admit u = 1
         m = MisdpModel([("u", VarDomain.finite_set([-1, 0, 2]))], Objective("min", {"u": 1}))
@@ -395,6 +419,8 @@ class TestCbfRoundTrip:
         ("\n0 2 2 1 1\n", "\n0 2 3 1 1\n", 54),
         ("\n0 0 0 1\n", "\n0 3 0 1\n", 58),
         ("\n0 0 0 1\n", "\n0 0 0 nan\n", 58),
+        ("\n0 0 0 1\n", "\n0 0 0 " + "9" * 401 + "\n", 58),
+        ("\n0 2 2 1 1\n", "\n0 2 2 1 1" + "0" * 400 + "\n", 54),
         ("\n1 -1\n\nACOORD", "\n3 -1\n\nACOORD", 33),
         ("\n1 -1\n\nACOORD", "\n1\n\nACOORD", 33),
         ('{"problem"', '{"problem', 7),

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from misdpkit import model as model_module
 from misdpkit import verify
 from misdpkit.errors import BudgetExceeded, UnsupportedContinuousPattern
-from misdpkit.linalg import is_psd, is_psd_exact
+from misdpkit.linalg import is_psd, is_psd_exact, rank_exact
 from misdpkit.model import LinRow, MatrixPencil, MisdpModel, Objective, VarDomain, eval_point
 from misdpkit.problems import Graph, build_mkcs, build_stable_set, build_tsp_cvetkovic
 from misdpkit.verify import (
@@ -599,3 +600,143 @@ class TestNodeChecks:
             plan = verify._Plan(m, budget=10**9)
             assert plan.int_names == m.integer_names()
             assert not any(plan.node_checks)
+
+
+def _brute_force(model):
+    """Optimum and feasible count over every integer point, judged by eval_point."""
+    names = [n for n, _ in model.variables]
+    offer, result = verify._best_tracker(model.objective.sense)
+    for point in itertools.product(*(d.iter_values() for _, d in model.variables)):
+        ref = eval_point(model, dict(zip(names, point)))
+        if ref.feasible:
+            offer(ref.objective, point)
+    best = result()
+    return best.optimum, best.feasible_count
+
+
+_HUGE = st.integers(-10**18, 10**18)
+
+
+@st.composite
+def _exact_row_models(draw):
+    """Integer variables only, with rows of int/Fraction data up to 10^18 in
+    size, some with a pair of coefficients beyond float precision that nearly
+    cancel, each row tight at a drawn point or off by a little."""
+    doms = {
+        f"v{i}": draw(st.sampled_from([
+            VarDomain.binary(), VarDomain.ternary(),
+            VarDomain.integer_range(-2, 2), VarDomain.finite_set([-1, 1, 3]),
+        ]))
+        for i in range(draw(st.integers(2, 4)))
+    }
+    coef = st.one_of(_HUGE, st.integers(-3, 3), st.fractions(-3, 3, max_denominator=6))
+    rows = []
+    for _ in range(draw(st.integers(1, 3))):
+        used = draw(st.lists(st.sampled_from(list(doms)), min_size=1, max_size=3, unique=True))
+        coeffs = [(n, draw(coef)) for n in used]
+        if len(used) > 1 and draw(st.booleans()):
+            big = draw(st.integers(2**54, 10**18)) * draw(st.sampled_from([1, -1]))
+            coeffs[:2] = [(used[0], big + draw(st.integers(-2, 2))), (used[1], -big)]
+        witness = {n: draw(st.sampled_from(doms[n].iter_values())) for n in used}
+        lhs = sum(c * witness[n] for n, c in coeffs)
+        rhs = lhs + draw(st.sampled_from([0, 0, 1, -1, Fraction(1, 2)]))
+        rows.append(LinRow(tuple(coeffs), draw(st.sampled_from(["==", "<=", ">="])), rhs))
+    return MisdpModel(
+        list(doms.items()),
+        Objective(draw(st.sampled_from(["min", "max"])), {n: draw(st.integers(-3, 3)) for n in doms}),
+        rows=rows,
+    )
+
+
+class TestExactRows:
+    """The forward checker decides rows with int/Fraction data exactly."""
+
+    def test_cancelling_coefficients(self):
+        # float(10**17 + 1) == 1e17, so float windows rejected a = b = 1
+        m = MisdpModel(
+            [("a", VarDomain.binary()), ("b", VarDomain.binary())],
+            Objective("min", {"a": 1}),
+            rows=[LinRow((("a", 10**17 + 1), ("b", -10**17)), "==", 1)],
+        )
+        assert eval_point(m, {"a": 1, "b": 1}).feasible
+        res = solve_by_enumeration(m)
+        assert res.optimum == 1 and res.feasible_count == 1
+
+    @pytest.mark.parametrize("coef, nodes", [(10**10, 4), (1e10, 7)])
+    def test_only_float_rows_get_a_tolerance(self, coef, nodes):
+        # 10^10 a <= 10^10 - 1 fails at a = 1 by 1, inside the float window's
+        # eps of about 10; the leaf check rejects a = 1 either way
+        m = MisdpModel(
+            [("a", VarDomain.binary()), ("b", VarDomain.binary())],
+            Objective("min", {"b": 1}),
+            rows=[LinRow((("a", coef),), "<=", coef - 1)],
+        )
+        res = solve_by_enumeration(m)
+        assert res.feasible_count == 2 and res.nodes == nodes
+
+    def test_continuous_range_folds_into_the_window(self):
+        # a + t == 0 with t in [-1/2, 1/2] leaves a in [-1/2, 1/2]: the
+        # window rounds inward and keeps only a = 0, so a = +-1 never reach a leaf
+        m = MisdpModel(
+            [("a", VarDomain.integer_range(-2, 2)),
+             ("t", VarDomain.continuous(Fraction(-1, 2), Fraction(1, 2)))],
+            Objective("min", {"a": 1}),
+            rows=[LinRow((("a", 1), ("t", 1)), "==", 0)],
+        )
+        res = solve_by_enumeration(m)
+        assert res.optimum == 0 and res.feasible_count == 1 and res.nodes == 2
+
+    @settings(max_examples=300, deadline=None)
+    @given(_exact_row_models())
+    def test_matches_brute_force(self, m):
+        res = solve_by_enumeration(m)
+        assert (res.optimum, res.feasible_count) == _brute_force(m)
+
+
+@st.composite
+def _equality_systems(draw):
+    """Equality rows over unknowns u_i and known values k_j, each row naming
+    an unknown, sometimes with a dependent row that may contradict."""
+    unknowns = [f"u{i}" for i in range(draw(st.integers(1, 3)))]
+    value = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4))
+    known = {f"k{j}": draw(value) for j in range(draw(st.integers(0, 2)))}
+    coef = st.one_of(st.integers(-2, 2), st.fractions(-2, 2, max_denominator=3))
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        names = draw(st.lists(st.sampled_from(unknowns), min_size=1, unique=True))
+        names += draw(st.lists(st.sampled_from(sorted(known)), unique=True)) if known else []
+        rows.append(LinRow(tuple((n, draw(coef)) for n in names), "==", draw(coef)))
+    if len(rows) > 1 and draw(st.booleans()):
+        combo = {}
+        for n, c in rows[0].coeffs + rows[1].coeffs:
+            combo[n] = combo.get(n, 0) + c
+        rhs = rows[0].rhs + rows[1].rhs + draw(st.sampled_from([0, 0, 1]))
+        rows.append(LinRow(tuple(combo.items()), "==", rhs))
+    return rows, unknowns, known
+
+
+class TestClosure:
+    """The closure's affine maps against exact ranks."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_equality_systems())
+    def test_accepts_exactly_the_consistent_systems(self, system):
+        rows, unknowns, known = system
+        assign = dict(known)
+        accepted = verify._ClosureSolver(rows, set(unknowns)).apply(assign)
+        # A u = b - K k is consistent iff [A | b - K k] has the rank of A;
+        # each row is scaled to integers first
+        augmented = []
+        for row in rows:
+            coeffs = dict(row.coeffs)
+            line = [Fraction(coeffs.get(u, 0)) for u in unknowns]
+            line.append(row.rhs - sum(c * known[n] for n, c in row.coeffs if n in known))
+            den = math.lcm(*(Fraction(x).denominator for x in line))
+            augmented.append([int(x * den) for x in line])
+        consistent = rank_exact([r[:-1] for r in augmented]) == rank_exact(augmented)
+        assert accepted == consistent
+        if accepted:
+            assert all(type(assign[u]) is Fraction for u in unknowns if u in assign)
+            for row in rows:
+                if all(n in assign for n, _ in row.coeffs):
+                    assert sum(c * assign[n] for n, c in row.coeffs) == row.rhs
