@@ -19,6 +19,7 @@ input.
 import json
 import math
 import numbers
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -237,12 +238,22 @@ def _real(s):
     return v
 
 
-def _scalar(s):
-    """An objective or row number: an int when the token is one, else a finite float."""
+_DIGITS = re.compile(r"[+-]?\d+")
+
+
+def _integer(s):
+    """int(s); a decimal token past the interpreter's limit on digits is named too long."""
     try:
         return int(s)
     except ValueError:
-        return _real(s)
+        if _DIGITS.fullmatch(s):
+            raise ValueError(f"integer token of {len(s.lstrip('+-'))} digits is too long") from None
+        raise
+
+
+def _scalar(s):
+    """An objective or row number: an int when the token is one, else a finite float."""
+    return _integer(s) if _DIGITS.fullmatch(s) else _real(s)
 
 
 class _Reader:
@@ -286,7 +297,7 @@ class _Reader:
         try:
             for kind, part in zip(kinds, parts):
                 if isinstance(kind, range):
-                    v = int(part)
+                    v = _integer(part)
                     if v not in kind:
                         raise ValueError(f"{v} is outside [{kind.start}, {kind.stop})")
                     values.append(v)

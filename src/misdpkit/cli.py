@@ -47,7 +47,8 @@ def _load_graph(path):
 
 
 def _load_dist(path):
-    return linalg.load_matrix(path).array
+    d = linalg.load_matrix(path)
+    return d.ints if d.ints is not None else d.array  # integer distances stay exact
 
 
 def cmd_build(args):

@@ -111,26 +111,34 @@ def json_reader(fn):
 _TOKENS = re.compile(r'"(?:[^"\\]|\\.)*"|(NaN|-?Infinity|-?(?:0|[1-9]\d*)(?:\.\d+)?(?:[eE][-+]?\d+)?)')
 
 
-class _NotFinite(ValueError):
-    pass
+class _BadNumber(ValueError):
+    """A number token the decoder refuses; args: the token and the message."""
 
 
 def _finite(text):
     v = float(text)
     if not math.isfinite(v):
-        raise _NotFinite(text)
+        raise _BadNumber(text, f"{text} is not a finite number")
     return v
 
 
-def loads_json(text):
-    """Decode JSON text; raise ParseError, with the line, on malformed text
-    and on NaN, Infinity or a number too large for a float."""
+def _integer(text):
     try:
-        return json.loads(text, parse_float=_finite, parse_constant=_finite)
+        return int(text)
+    except ValueError:  # past the interpreter's limit on digits
+        raise _BadNumber(text, f"integer of {len(text.lstrip('-'))} digits is too long") from None
+
+
+def loads_json(text):
+    """Decode JSON text; raise ParseError, with the line, on malformed text,
+    on NaN, Infinity or a number too large for a float, and on an integer
+    too long to convert."""
+    try:
+        return json.loads(text, parse_float=_finite, parse_int=_integer, parse_constant=_finite)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, line=exc.lineno) from None
-    except _NotFinite as exc:
+    except _BadNumber as exc:
         # the decoder reads in text order, so the first such token outside a string failed
-        (token,) = exc.args
+        token, message = exc.args
         at = next(m.start() for m in _TOKENS.finditer(text) if m.group(1) == token)
-        raise ParseError(f"{token} is not a finite number", line=text.count("\n", 0, at) + 1) from None
+        raise ParseError(message, line=text.count("\n", 0, at) + 1) from None

@@ -1,9 +1,20 @@
 """Generic compilers from binary quadratic programs to binary SDP models.
 
-Three source program shapes are supported: quadratically constrained
-quadratic programs over binary vectors (vector lifting, bordered pencil of
-order n+1) and two quadratic matrix program shapes over packing/partition
-matrices (matrix lifting, pencils of order n+1 and n+k).
+Two lifts are built here, each in one place:
+
+- bordered lift (`bordered_vars`, `bordered_pencil`): binary x and lifted
+  X[i,j], i < j, with diag(X) aliased to x, in [[c, x^T], [x, X]] of order
+  n+1; the vector lift of `build_bsdp_qcqp` (c = 1) and the matrix lift of
+  `build_bsdp_qmp1` (c = k);
+- matrix lift (`matrix_lift`, `lift_pencil`): binary P[i,a] and X[i,j],
+  i <= j, tied by X_ii = sum_a P_ia, in [[I_k, P^T], [P, X]] of order n+k;
+  `build_bsdp_qmp2`.
+
+The builders of `problems` reuse them: stable set and max k-colorable
+subgraph the bordered lift (bin packing its variables), quadratic multiple
+knapsack and the "general" and "orthogonal" graph partitions the matrix lift.
+Objectives and rows use two coefficient maps, `quad_form_coeffs` (diagonal
+aliased to x) and `inner_coeffs` (<Q, X> over X[i,j], i <= j).
 
 Only the border variables carry integrality in the vector-lifted model; the
 off-diagonal lifted entries stay continuous because the unit-corner pencil
@@ -36,6 +47,10 @@ def xname(i):
 
 def mname(prefix, i, j):
     return f"{prefix}[{i},{j}]"
+
+
+def pname(i, j):
+    return f"P[{i},{j}]"
 
 
 def sym_coeff(order, i, j, value=1.0):
@@ -88,6 +103,26 @@ def quad_form_coeffs(q, c, n):
     return coeffs
 
 
+def inner_coeffs(q, n, var="X"):
+    """Coefficients of <Q, X> over var[i,j], i <= j: q_ii on the diagonal, 2 q_ij off it."""
+    coeffs = {}
+    for i in range(n):
+        v = pynum(q[i, i])
+        if v != 0:
+            coeffs[mname(var, i, i)] = v
+        for j in range(i + 1, n):
+            v = 2 * pynum(q[i, j])
+            if v != 0:
+                coeffs[mname(var, i, j)] = v
+    return coeffs
+
+
+def bordered_vars(n, off):
+    """Bordered lift: binary border x[i] and lifted X[i,j], i < j, of domain `off`."""
+    variables = [(xname(i), VarDomain.binary()) for i in range(n)]
+    return variables + [(mname("X", i, j), off) for i in range(n) for j in range(i + 1, n)]
+
+
 def bordered_pencil(n, corner):
     """Pencil [[corner, diag^T], [diag, X]] with diag(X) aliased to x."""
     const = sym_matrix(n + 1, [(0, 0, corner)])
@@ -114,6 +149,33 @@ def gram_hint(n):
         "factors": [[xname(i)] for i in range(n)],
         "targets": [[mname("X", i, j), i, j] for i in range(n) for j in range(i + 1, n)],
     }
+
+
+def lift_pencil(n, k, prefix="X"):
+    """Pencil [[I_k, P^T], [P, X]] of order n+k over P[i,a] and prefix[i,j], i <= j."""
+    order = n + k
+    const = np.zeros((order, order))
+    const[:k, :k] = np.eye(k)
+    terms = [(pname(i, a), sym_coeff(order, a, k + i)) for i in range(n) for a in range(k)]
+    terms += [
+        (mname(prefix, i, j), sym_coeff(order, k + i, k + j)) for i in range(n) for j in range(i, n)
+    ]
+    return MatrixPencil(const, terms)
+
+
+def matrix_lift(n, k):
+    """Matrix lift: binary P[i,a] and X[i,j] (i <= j), the diag-tie rows
+    X_ii = sum_a P_ia and the pencil [[I_k, P^T], [P, X]]."""
+    variables = [(pname(i, a), VarDomain.binary()) for i in range(n) for a in range(k)]
+    variables += [
+        (mname("X", i, j), VarDomain.binary()) for i in range(n) for j in range(i, n)
+    ]
+    ties = [
+        LinRow(((mname("X", i, i), 1),) + tuple((pname(i, a), -1) for a in range(k)), "==", 0,
+               label="diag-tie")
+        for i in range(n)
+    ]
+    return variables, ties, lift_pencil(n, k)
 
 
 # ---------------------------------------------------------------------------
@@ -152,12 +214,7 @@ def build_bsdp_qcqp(inst: QcqpInstance, compact: bool = False) -> MisdpModel:
     point satisfies the aggregate iff it satisfies every original equality.
     """
     n = inst.n
-    variables = [(xname(i), VarDomain.binary()) for i in range(n)]
-    variables += [
-        (mname("X", i, j), VarDomain.continuous(0, 1))
-        for i in range(n)
-        for j in range(i + 1, n)
-    ]
+    variables = bordered_vars(n, VarDomain.continuous(0, 1))
     rows = []
     for q, c, d in inst.quads:
         rows.append(LinRow(tuple(quad_form_coeffs(q, c, n).items()), "<=", d, label="quad"))
@@ -166,16 +223,7 @@ def build_bsdp_qcqp(inst: QcqpInstance, compact: bool = False) -> MisdpModel:
         for a, b in inst.lin_eq:
             v = np.concatenate([[-float(b)], np.asarray(a, dtype=float)])
             s += np.outer(v, v)
-        coeffs = {}
-        for i in range(n):
-            v = 2 * s[0, i + 1] + s[i + 1, i + 1]
-            if v != 0:
-                coeffs[xname(i)] = pynum(v)
-        for i in range(n):
-            for j in range(i + 1, n):
-                v = 2 * s[i + 1, j + 1]
-                if v != 0:
-                    coeffs[mname("X", i, j)] = pynum(v)
+        coeffs = quad_form_coeffs(s[1:, 1:], 2 * s[0, 1:], n)
         rows.append(LinRow(tuple(coeffs.items()), "==", pynum(-s[0, 0]), label="aggregated"))
     elif inst.lin_eq:
         for a, b in inst.lin_eq:
@@ -227,20 +275,6 @@ def _lifted_entry(i, j):
     return xname(i) if i == j else mname("X", min(i, j), max(i, j))
 
 
-def _lifted_coeffs(q, n, scale=1):
-    coeffs = {}
-    for i in range(n):
-        v = scale * pynum(q[i, i])
-        if v != 0:
-            coeffs[xname(i)] = v
-    for i in range(n):
-        for j in range(i + 1, n):
-            v = 2 * scale * pynum(q[i, j])
-            if v != 0:
-                coeffs[mname("X", i, j)] = v
-    return coeffs
-
-
 def build_bsdp_qmp1(inst: Qmp1Instance) -> MisdpModel:
     """Matrix-lifted binary SDP with pencil [[k, diag^T], [diag, X]].
 
@@ -248,16 +282,13 @@ def build_bsdp_qmp1(inst: Qmp1Instance) -> MisdpModel:
     index, reused as the pencil border.
     """
     n, k = inst.n, inst.k
-    variables = [(xname(i), VarDomain.binary()) for i in range(n)]
-    variables += [
-        (mname("X", i, j), VarDomain.binary()) for i in range(n) for j in range(i + 1, n)
-    ]
+    variables = bordered_vars(n, VarDomain.binary())
     rows = []
     if inst.partition:
         for i in range(n):
             rows.append(LinRow(((xname(i), 1),), "==", 1, label="partition"))
     for q, d in inst.quads:
-        rows.append(LinRow(tuple(_lifted_coeffs(q, n).items()), "<=", -d, label="quad"))
+        rows.append(LinRow(tuple(quad_form_coeffs(q, None, n).items()), "<=", -d, label="quad"))
     for a, b in inst.caps:
         for t in range(n):
             coeffs = {}
@@ -267,7 +298,7 @@ def build_bsdp_qmp1(inst: Qmp1Instance) -> MisdpModel:
             coeffs[xname(t)] = coeffs.get(xname(t), 0) - b
             entries = tuple((m, c) for m, c in coeffs.items() if c != 0)
             rows.append(LinRow(entries, "<=", 0, label="capacity"))
-    objective = Objective("min", _lifted_coeffs(inst.q0, n))
+    objective = Objective("min", quad_form_coeffs(inst.q0, None, n))
     return MisdpModel(
         variables,
         objective,
@@ -311,25 +342,15 @@ class Qmp2Instance:
         self.constraints = fixed
 
 
-def pname(i, j):
-    return f"P[{i},{j}]"
-
-
 def _qmp2_coeffs(q, b, n, k):
+    """Coefficients of tr(P^T Q P) + 2 tr(B^T P) on the matrix lift."""
     coeffs = {}
     for i in range(n):
         for a in range(k):
             v = 2 * pynum(b[i, a])
             if v != 0:
                 coeffs[pname(i, a)] = v
-    for i in range(n):
-        v = pynum(q[i, i])
-        if v != 0:
-            coeffs[mname("X", i, i)] = v
-        for j in range(i + 1, n):
-            v = 2 * pynum(q[i, j])
-            if v != 0:
-                coeffs[mname("X", i, j)] = v
+    coeffs.update(inner_coeffs(q, n))
     return coeffs
 
 
@@ -340,14 +361,7 @@ def build_bsdp_qmp2(inst: Qmp2Instance) -> MisdpModel:
     `exact_rank` the column-cover rows force rank(X) = k at feasibility.
     """
     n, k = inst.n, inst.k
-    variables = [(pname(i, a), VarDomain.binary()) for i in range(n) for a in range(k)]
-    variables += [
-        (mname("X", i, j), VarDomain.binary()) for i in range(n) for j in range(i, n)
-    ]
-    rows = []
-    for i in range(n):
-        coeffs = ((mname("X", i, i), 1),) + tuple((pname(i, a), -1) for a in range(k))
-        rows.append(LinRow(coeffs, "==", 0, label="diag-tie"))
+    variables, rows, pencil = matrix_lift(n, k)
     if inst.partition:
         for i in range(n):
             rows.append(LinRow(((mname("X", i, i), 1),), "==", 1, label="partition"))
@@ -358,19 +372,6 @@ def build_bsdp_qmp2(inst: Qmp2Instance) -> MisdpModel:
             )
     for q, b, d in inst.constraints:
         rows.append(LinRow(tuple(_qmp2_coeffs(q, b, n, k).items()), "<=", -d, label="qmp2"))
-
-    order = n + k
-    const = np.zeros((order, order))
-    const[:k, :k] = np.eye(k)
-    terms = []
-    for i in range(n):
-        for a in range(k):
-            terms.append((pname(i, a), sym_coeff(order, a, k + i)))
-    for i in range(n):
-        for j in range(i, n):
-            terms.append((mname("X", i, j), sym_coeff(order, k + i, k + j)))
-    pencil = MatrixPencil(const, terms)
-
     objective = Objective("min", _qmp2_coeffs(inst.q0, inst.b0, n, k), inst.d0)
     return MisdpModel(
         variables,

@@ -5,6 +5,20 @@ integer-feasible points correspond to the problem's solutions; the verify
 module pairs every builder with a brute-force oracle.  Metadata carries
 resolution hints for continuous variables that are pinned by pencil
 structure rather than by equality rows (see verify.solve_by_enumeration).
+
+The builders reuse the generic lifts of `formulations`:
+
+- bordered lift (`bordered_vars`, `bordered_pencil`): `build_stable_set`
+  (corner 1) and `build_mkcs` (corner k); `build_qbpp` takes its variables
+  and puts the bin count z in the corner of its own pencil;
+- matrix lift (`matrix_lift`, `lift_pencil`): `build_qmkp`, `build_gpp`
+  "general" (without the diag-tie rows) and the first pencil of `build_gpp`
+  "orthogonal" (over X1);
+- `inner_coeffs`, the <Q, X> map: `build_qap`'s objective and the
+  bisection mass row.
+
+The equipartition, bisection, assignment, tour, association-scheme,
+completion and sparse least squares models have pencils of their own.
 """
 
 import math
@@ -23,7 +37,20 @@ from .errors import (
     VariantPrecondition,
     json_reader,
 )
-from .formulations import mname, pname, pynum, sym_coeff, sym_matrix, xname
+from .formulations import (
+    bordered_pencil,
+    bordered_vars,
+    gram_hint,
+    inner_coeffs,
+    lift_pencil,
+    matrix_lift,
+    mname,
+    pname,
+    pynum,
+    sym_coeff,
+    sym_matrix,
+    xname,
+)
 from .model import LinRow, MatrixPencil, MisdpModel, Objective, VarDomain
 
 GPP_VARIANTS = ("general", "equipartition", "bisection", "orthogonal")
@@ -261,17 +288,9 @@ def build_stable_set(g: Graph) -> MisdpModel:
     unit corner and diagonal tie pin them to x_i x_j at feasibility.
     """
     n = g.n
-    variables = [(xname(i), VarDomain.binary()) for i in range(n)]
-    variables += [
-        (mname("X", i, j), VarDomain.continuous(0, 1))
-        for i in range(n)
-        for j in range(i + 1, n)
-    ]
     rows = [LinRow(((mname("X", u, v), 1),), "==", 0, label="edge") for u, v in g.edges]
-    from .formulations import bordered_pencil, gram_hint
-
     return MisdpModel(
-        variables,
+        bordered_vars(n, VarDomain.continuous(0, 1)),
         _lifted_objective_max_count(n),
         rows,
         [bordered_pencil(n, 1.0)],
@@ -285,15 +304,9 @@ def build_mkcs(g: Graph, k: int) -> MisdpModel:
     if not 1 <= k <= g.n:
         raise VariantPrecondition(f"need 1 <= k <= n, got k={k}")
     n = g.n
-    variables = [(xname(i), VarDomain.binary()) for i in range(n)]
-    variables += [
-        (mname("X", i, j), VarDomain.binary()) for i in range(n) for j in range(i + 1, n)
-    ]
     rows = [LinRow(((mname("X", u, v), 1),), "==", 0, label="edge") for u, v in g.edges]
-    from .formulations import bordered_pencil
-
     return MisdpModel(
-        variables,
+        bordered_vars(n, VarDomain.binary()),
         _lifted_objective_max_count(n),
         rows,
         [bordered_pencil(n, float(k))],
@@ -328,11 +341,7 @@ def build_qbpp(weights, capacity, bin_cost, dissimilarity) -> MisdpModel:
         if v > capacity:
             raise InfeasibleItem(f"item {i} has weight {v} > capacity {capacity}")
 
-    variables = [("z", VarDomain.continuous())]
-    variables += [(xname(i), VarDomain.binary()) for i in range(n)]
-    variables += [
-        (mname("X", i, j), VarDomain.binary()) for i in range(n) for j in range(i + 1, n)
-    ]
+    variables = [("z", VarDomain.continuous())] + bordered_vars(n, VarDomain.binary())
     rows = [LinRow(((xname(i), 1),), "==", 1, label="partition") for i in range(n)]
     for t in range(n):
         coeffs = {xname(t): w[t]}
@@ -382,30 +391,11 @@ def build_qmkp(weights, capacities, profits, revenue) -> MisdpModel:
     if any(v < 0 for v in c):
         raise DimensionMismatch("capacities must be nonnegative")
 
-    variables = [(pname(i, a), VarDomain.binary()) for i in range(n) for a in range(k)]
-    variables += [
-        (mname("X", i, j), VarDomain.binary()) for i in range(n) for j in range(i, n)
-    ]
-    rows = []
-    for i in range(n):
-        coeffs = ((mname("X", i, i), 1),) + tuple((pname(i, a), -1) for a in range(k))
-        rows.append(LinRow(coeffs, "==", 0, label="diag-tie"))
+    variables, rows, pencil = matrix_lift(n, k)
     for a in range(k):
         rows.append(
             LinRow(tuple((pname(i, a), w[i]) for i in range(n)), "<=", c[a], label="capacity")
         )
-
-    order = n + k
-    const = np.zeros((order, order))
-    const[:k, :k] = np.eye(k)
-    terms = []
-    for i in range(n):
-        for a in range(k):
-            terms.append((pname(i, a), sym_coeff(order, a, k + i)))
-    for i in range(n):
-        for j in range(i, n):
-            terms.append((mname("X", i, j), sym_coeff(order, k + i, k + j)))
-
     coeffs = {}
     for i in range(n):
         if p[i] != 0:
@@ -420,7 +410,7 @@ def build_qmkp(weights, capacities, profits, revenue) -> MisdpModel:
         variables,
         Objective("min", coeffs),
         rows,
-        [MatrixPencil(const, terms)],
+        [pencil],
         metadata={"problem": "qmkp", "k": k, "sense_original": "max"},
     )
 
@@ -482,15 +472,7 @@ def _qap_skeleton(inst: QapInstance, objective: Objective, problem: str) -> Misd
 def build_qap(inst: QapInstance) -> MisdpModel:
     """Matrix-lifted assignment model with one pencil of order 3n."""
     n = inst.n
-    coeffs = {}
-    for i in range(n):
-        v = pynum(inst.a[i, i])
-        if v != 0:
-            coeffs[mname("Y", i, i)] = v
-        for j in range(i + 1, n):
-            v = 2 * pynum(inst.a[i, j])
-            if v != 0:
-                coeffs[mname("Y", i, j)] = v
+    coeffs = inner_coeffs(inst.a, n, var="Y")
     for i in range(n):
         for j in range(n):
             v = pynum(inst.c[i, j])
@@ -507,6 +489,20 @@ def cycle_adjacency(n):
     return b
 
 
+def _laplacian_objective(lap, n, var="X"):
+    """<L, var> / 2 over var[i,j], i <= j; the halved diagonal is a Fraction on ints."""
+    coeffs = {}
+    for i in range(n):
+        v = pynum(lap[i, i])
+        if v != 0:
+            coeffs[mname(var, i, i)] = Fraction(v, 2) if isinstance(v, int) else v / 2
+        for j in range(i + 1, n):
+            v = pynum(lap[i, j])
+            if v != 0:
+                coeffs[mname(var, i, j)] = v
+    return Objective("min", coeffs)
+
+
 def build_tsp_qap(d) -> MisdpModel:
     """TSP as an assignment model against the standard tour adjacency."""
     d = np.asarray(d)
@@ -516,20 +512,17 @@ def build_tsp_qap(d) -> MisdpModel:
     if not np.array_equal(d, d.T):
         raise DimensionMismatch("distance matrix must be symmetric")
     inst = QapInstance.make(d, cycle_adjacency(n))
-    coeffs = {}
-    for i in range(n):
-        v = pynum(d[i, i])
-        if v != 0:
-            coeffs[mname("Y", i, i)] = Fraction(v, 2) if isinstance(v, int) else v / 2
-        for j in range(i + 1, n):
-            v = pynum(d[i, j])
-            if v != 0:
-                coeffs[mname("Y", i, j)] = v
-    return _qap_skeleton(inst, Objective("min", coeffs), "tsp_qap")
+    return _qap_skeleton(inst, _laplacian_objective(d, n, var="Y"), "tsp_qap")
 
 
 def _pair_var(prefix, i, j):
     return mname(prefix, min(i, j), max(i, j))
+
+
+def _pair_coeffs(m, n, var):
+    """m_ij over var[i,j] for each pair i < j with m_ij != 0: <M, var> / 2 at zero diagonal."""
+    return {mname(var, i, j): pynum(m[i, j]) for i in range(n) for j in range(i + 1, n)
+            if pynum(m[i, j]) != 0}
 
 
 def build_tsp_cvetkovic(d) -> MisdpModel:
@@ -556,15 +549,9 @@ def build_tsp_cvetkovic(d) -> MisdpModel:
         for i in range(n)
         for j in range(i + 1, n)
     ]
-    coeffs = {
-        mname("X", i, j): pynum(d[i, j])
-        for i in range(n)
-        for j in range(i + 1, n)
-        if pynum(d[i, j]) != 0
-    }
     return MisdpModel(
         variables,
-        Objective("min", coeffs),
+        Objective("min", _pair_coeffs(d, n, "X")),
         rows,
         [MatrixPencil(const, terms)],
         metadata={"problem": "tsp_cvetkovic"},
@@ -608,12 +595,6 @@ def build_tsp_lee(d) -> MisdpModel:
                 for j in range(i + 1, n):
                     terms.append((mname(names[t - 1], i, j), sym_coeff(n, i, j, coef)))
         pencils.append(MatrixPencil(np.eye(n), terms))
-    coeffs = {
-        mname("X1", i, j): pynum(d[i, j])
-        for i in range(n)
-        for j in range(i + 1, n)
-        if pynum(d[i, j]) != 0
-    }
     cuts = [
         {
             "coeffs": [[_pair_var("X1", i, j), 1] for j in range(n) if j != i],
@@ -628,7 +609,7 @@ def build_tsp_lee(d) -> MisdpModel:
     ]
     return MisdpModel(
         variables,
-        Objective("min", coeffs),
+        Objective("min", _pair_coeffs(d, n, "X1")),
         rows,
         pencils,
         metadata={"problem": "tsp_lee", "hints": hints},
@@ -639,19 +620,6 @@ def build_tsp_lee(d) -> MisdpModel:
 # graph partition variants
 # ---------------------------------------------------------------------------
 
-def _laplacian_objective(lap, n, var="X"):
-    coeffs = {}
-    for i in range(n):
-        v = pynum(lap[i, i])
-        if v != 0:
-            coeffs[mname(var, i, i)] = Fraction(v, 2) if isinstance(v, int) else v / 2
-        for j in range(i + 1, n):
-            v = pynum(lap[i, j])
-            if v != 0:
-                coeffs[mname(var, i, j)] = v
-    return Objective("min", coeffs)
-
-
 def build_gpp(inst: GppInstance, variant: str = "general") -> MisdpModel:
     """Graph partition models; `variant` picks the displayed formulation."""
     if variant not in GPP_VARIANTS:
@@ -659,95 +627,58 @@ def build_gpp(inst: GppInstance, variant: str = "general") -> MisdpModel:
     g, k, sizes = inst.graph, inst.k, inst.sizes
     n = g.n
     lap = g.laplacian()
+    metadata = {"problem": "gpp", "variant": variant, "k": k, "sizes": list(sizes)}
 
+    def diag(prefix):
+        return [LinRow(((mname(prefix, i, i), 1),), "==", 1, label="diag") for i in range(n)]
+
+    if variant in ("equipartition", "bisection"):
+        # X alone with the pencil scale * X - J
+        if variant == "equipartition":
+            if n % k != 0 or any(s != n // k for s in sizes):
+                raise VariantPrecondition("equipartition requires equal sizes n/k")
+            scale = k
+            extra = [
+                LinRow(tuple((_pair_var("X", i, j), 1) for j in range(n)), "==", n // k,
+                       label="row-sum")
+                for i in range(n)
+            ]
+        else:
+            if k != 2:
+                raise VariantPrecondition("bisection requires k = 2")
+            m1 = min(sizes)
+            if not 1 <= m1 <= n / 2:
+                raise VariantPrecondition("bisection requires 1 <= m_1 <= n/2")
+            scale = 2
+            mass = inner_coeffs(np.ones((n, n), dtype=np.int64), n)
+            extra = [LinRow(tuple(mass.items()), "==", m1 * m1 + (n - m1) * (n - m1), label="mass")]
+        variables = [
+            (mname("X", i, j), VarDomain.binary()) for i in range(n) for j in range(i, n)
+        ]
+        terms = [
+            (mname("X", i, j), sym_coeff(n, i, j, float(scale)))
+            for i in range(n)
+            for j in range(i, n)
+        ]
+        return MisdpModel(
+            variables,
+            _laplacian_objective(lap, n),
+            diag("X") + extra,
+            [MatrixPencil(-np.ones((n, n)), terms)],
+            metadata=metadata,
+        )
+
+    assign = [
+        LinRow(tuple((pname(i, a), 1) for a in range(k)), "==", 1, label="assign") for i in range(n)
+    ]
     if variant == "general":
-        variables = [(pname(i, a), VarDomain.binary()) for i in range(n) for a in range(k)]
-        variables += [
-            (mname("X", i, j), VarDomain.binary()) for i in range(n) for j in range(i, n)
+        variables, _, pencil = matrix_lift(n, k)
+        sized = [
+            LinRow(tuple((pname(i, a), 1) for i in range(n)), "==", sizes[a], label="size")
+            for a in range(k)
         ]
-        rows = []
-        for i in range(n):
-            rows.append(LinRow(tuple((pname(i, a), 1) for a in range(k)), "==", 1, label="assign"))
-        for a in range(k):
-            rows.append(
-                LinRow(tuple((pname(i, a), 1) for i in range(n)), "==", sizes[a], label="size")
-            )
-        for i in range(n):
-            rows.append(LinRow(((mname("X", i, i), 1),), "==", 1, label="diag"))
-        order = n + k
-        const = np.zeros((order, order))
-        const[:k, :k] = np.eye(k)
-        terms = [
-            (pname(i, a), sym_coeff(order, a, k + i)) for i in range(n) for a in range(k)
-        ]
-        terms += [
-            (mname("X", i, j), sym_coeff(order, k + i, k + j))
-            for i in range(n)
-            for j in range(i, n)
-        ]
-        return MisdpModel(
-            variables,
-            _laplacian_objective(lap, n),
-            rows,
-            [MatrixPencil(const, terms)],
-            metadata={"problem": "gpp", "variant": variant, "k": k, "sizes": list(sizes)},
-        )
-
-    if variant == "equipartition":
-        if n % k != 0 or any(s != n // k for s in sizes):
-            raise VariantPrecondition("equipartition requires equal sizes n/k")
-        variables = [
-            (mname("X", i, j), VarDomain.binary()) for i in range(n) for j in range(i, n)
-        ]
-        rows = [LinRow(((mname("X", i, i), 1),), "==", 1, label="diag") for i in range(n)]
-        for i in range(n):
-            coeffs = tuple((_pair_var("X", i, j), 1) for j in range(n))
-            rows.append(LinRow(coeffs, "==", n // k, label="row-sum"))
-        const = -np.ones((n, n))
-        terms = [
-            (mname("X", i, j), sym_coeff(n, i, j, float(k)))
-            for i in range(n)
-            for j in range(i, n)
-        ]
-        return MisdpModel(
-            variables,
-            _laplacian_objective(lap, n),
-            rows,
-            [MatrixPencil(const, terms)],
-            metadata={"problem": "gpp", "variant": variant, "k": k, "sizes": list(sizes)},
-        )
-
-    if variant == "bisection":
-        if k != 2:
-            raise VariantPrecondition("bisection requires k = 2")
-        m1 = min(sizes)
-        if not 1 <= m1 <= n / 2:
-            raise VariantPrecondition("bisection requires 1 <= m_1 <= n/2")
-        variables = [
-            (mname("X", i, j), VarDomain.binary()) for i in range(n) for j in range(i, n)
-        ]
-        rows = [LinRow(((mname("X", i, i), 1),), "==", 1, label="diag") for i in range(n)]
-        coeffs = {}
-        for i in range(n):
-            coeffs[mname("X", i, i)] = 1
-            for j in range(i + 1, n):
-                coeffs[mname("X", i, j)] = 2
-        rows.append(
-            LinRow(tuple(coeffs.items()), "==", m1 * m1 + (n - m1) * (n - m1), label="mass")
-        )
-        const = -np.ones((n, n))
-        terms = [
-            (mname("X", i, j), sym_coeff(n, i, j, 2.0))
-            for i in range(n)
-            for j in range(i, n)
-        ]
-        return MisdpModel(
-            variables,
-            _laplacian_objective(lap, n),
-            rows,
-            [MatrixPencil(const, terms)],
-            metadata={"problem": "gpp", "variant": variant, "k": k, "sizes": list(sizes)},
-        )
+        return MisdpModel(variables, _laplacian_objective(lap, n), assign + sized + diag("X"),
+                          [pencil], metadata=metadata)
 
     # orthogonal: explicit P with two pencils and X2 pinned to Diag(sizes)
     variables = [(pname(i, a), VarDomain.binary()) for i in range(n) for a in range(k)]
@@ -757,49 +688,30 @@ def build_gpp(inst: GppInstance, variant: str = "general") -> MisdpModel:
     variables += [
         (mname("X2", a, b), VarDomain.continuous()) for a in range(k) for b in range(a, k)
     ]
-    rows = []
-    for i in range(n):
-        rows.append(LinRow(tuple((pname(i, a), 1) for a in range(k)), "==", 1, label="assign"))
-    for i in range(n):
-        rows.append(LinRow(((mname("X1", i, i), 1),), "==", 1, label="diag"))
-    for a in range(k):
-        for b in range(a, k):
-            rows.append(
-                LinRow(((mname("X2", a, b), 1),), "==", sizes[a] if a == b else 0, label="x2")
-            )
-    order1 = n + k
-    const1 = np.zeros((order1, order1))
-    const1[:k, :k] = np.eye(k)
-    terms1 = [(pname(i, a), sym_coeff(order1, a, k + i)) for i in range(n) for a in range(k)]
-    terms1 += [
-        (mname("X1", i, j), sym_coeff(order1, k + i, k + j))
-        for i in range(n)
-        for j in range(i, n)
-    ]
-    const2 = np.zeros((order1, order1))
-    const2[:n, :n] = np.eye(n)
-    terms2 = [(pname(i, a), sym_coeff(order1, i, n + a)) for i in range(n) for a in range(k)]
-    terms2 += [
-        (mname("X2", a, b), sym_coeff(order1, n + a, n + b))
+    pinned = [
+        LinRow(((mname("X2", a, b), 1),), "==", sizes[a] if a == b else 0, label="x2")
         for a in range(k)
         for b in range(a, k)
     ]
-    hints = [
+    const2 = np.zeros((n + k, n + k))
+    const2[:n, :n] = np.eye(n)
+    terms2 = [(pname(i, a), sym_coeff(n + k, i, n + a)) for i in range(n) for a in range(k)]
+    terms2 += [
+        (mname("X2", a, b), sym_coeff(n + k, n + a, n + b)) for a in range(k) for b in range(a, k)
+    ]
+    metadata["hints"] = [
         {
             "rule": "gram",
             "factors": [[pname(i, a) for a in range(k)] for i in range(n)],
-            "targets": [
-                [mname("X1", i, j), i, j] for i in range(n) for j in range(i + 1, n)
-            ],
+            "targets": [[mname("X1", i, j), i, j] for i in range(n) for j in range(i + 1, n)],
         }
     ]
     return MisdpModel(
         variables,
         _laplacian_objective(lap, n, var="X1"),
-        rows,
-        [MatrixPencil(const1, terms1), MatrixPencil(const2, terms2)],
-        metadata={"problem": "gpp", "variant": variant, "k": k, "sizes": list(sizes),
-                  "hints": hints},
+        assign + diag("X1") + pinned,
+        [lift_pencil(n, k, "X1"), MatrixPencil(const2, terms2)],
+        metadata=metadata,
     )
 
 
@@ -848,15 +760,9 @@ def build_kep_assoc(inst: GppInstance, degree_rows: bool = False) -> MisdpModel:
             terms2.append((mname("X1", i, j), sym_coeff(n, i, j, -1.0)))
             terms2.append((mname("X2", i, j), sym_coeff(n, i, j, float(k - 1))))
     pencils.append(MatrixPencil(const2, terms2))
-    coeffs = {
-        mname("X1", i, j): pynum(w[i, j])
-        for i in range(n)
-        for j in range(i + 1, n)
-        if pynum(w[i, j]) != 0
-    }
     return MisdpModel(
         variables,
-        Objective("min", coeffs),
+        Objective("min", _pair_coeffs(w, n, "X1")),
         rows,
         pencils,
         metadata={"problem": "kep_assoc", "k": k, "m": m},

@@ -1148,24 +1148,9 @@ def _suite_completion(budget=None, seed=0):
 def _suite_cvetkovic_hamiltonicity(budget=None, seed=0):
     from .problems import build_tsp_cvetkovic
 
-    n = 6
-    d = np.ones((n, n), dtype=np.int64) - np.eye(n, dtype=np.int64)
-    t0 = time.perf_counter()
-    enum = solve_by_enumeration(build_tsp_cvetkovic(d), budget=budget or 2**20)
-    orc = oracle("tsp", d)
-    wall = (time.perf_counter() - t0) * 1e3
-    yield VerificationReport(
-        "cvetkovic/n6-hamiltonicity",
-        orc.optimum,
-        enum.optimum,
-        enum.feasible_count,
-        orc.feasible_count,
-        enum.feasible_count == orc.feasible_count,
-        enum.max_residual,
-        wall,
-        optima_match(orc.optimum, enum.optimum)
-        and enum.feasible_count == orc.feasible_count,
-    )
+    d = np.ones((6, 6), dtype=np.int64) - np.eye(6, dtype=np.int64)
+    yield run_case("cvetkovic/n6-hamiltonicity", build_tsp_cvetkovic(d), "tsp", (d,), True,
+                   budget=budget or 2**20)
 
 
 SUITES = {

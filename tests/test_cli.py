@@ -2,11 +2,12 @@ import hashlib
 import json
 import warnings
 
+import numpy as np
 import pytest
 
-from misdpkit import cli
-from misdpkit.cbf import import_cbf
-from misdpkit.model import import_json
+from misdpkit import cli, formulations, problems
+from misdpkit.cbf import export_cbf, import_cbf
+from misdpkit.model import export_json, import_json
 
 
 @pytest.fixture
@@ -109,6 +110,16 @@ class TestBuild:
         assert run(["build", "qcqp", "--instance", str(inst), "--out", str(out)]) == 0
         assert import_cbf(out.read_text()).objective.coeffs["x[0]"] == big - 1
 
+    def test_qcqp_instance_with_a_5001_digit_integer_exit_code(self, tmp_path, capsys):
+        # past the interpreter's 4,300-digit limit on int conversion
+        inst = tmp_path / "q.json"
+        inst.write_text('{"n": 2, "c0": [-1, -1],\n "Q0": [[%s, 0], [0, 1]]}' % ("1" * 5001))
+        out = tmp_path / "q.cbf"
+        assert run(["build", "qcqp", "--instance", str(inst), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err.splitlines() == ["error: line 2: integer of 5001 digits is too long"]
+
     def test_non_finite_instance_number_exit_code(self, tmp_path, capsys):
         inst = tmp_path / "q.json"
         inst.write_text('{"n": 2, "c0": [-1, -1], "Q0": [[Infinity, 0], [0, 1]],'
@@ -118,6 +129,52 @@ class TestBuild:
         captured = capsys.readouterr()
         assert captured.out == "" and not out.exists()
         assert captured.err.splitlines() == ["error: line 1: Infinity is not a finite number"]
+
+
+_W4 = [[0, 3, 0, 1], [3, 0, 2, 0], [0, 2, 0, 5], [1, 0, 5, 0]]
+_REVENUE = [[1, 2, 0], [2, 0, 1], [0, 1, 3]]
+_QMKP = {"weights": [1, 2, 1], "capacities": [2, 3], "profits": [1, 0, 2], "revenue": _REVENUE}
+_QMP2 = {"n": 3, "k": 2, "Q0": _REVENUE, "B0": [[1, 0], [0, -1], [2, 1]], "d0": 1,
+         "constraints": [{"Q": [[0, 1, 0], [1, 0, 0], [0, 0, 0]], "d": -1}], "partition": True}
+
+
+def _w4_gpp():
+    return problems.GppInstance.make(problems.Graph.make(4, [(0, 1), (0, 3), (1, 2), (2, 3)],
+                                                         np.array(_W4)), 2, (2, 2))
+
+
+# argv after `build`, the input file each reads, and the library model it must write
+_BUILDS = [
+    (["qmkp", "--instance"], json.dumps(_QMKP),
+     lambda: problems.build_qmkp([1, 2, 1], [2, 3], [1, 0, 2], np.array(_REVENUE))),
+    (["qmp2", "--instance"], json.dumps(_QMP2),
+     lambda: formulations.build_bsdp_qmp2(formulations.Qmp2Instance(
+         3, 2, np.array(_REVENUE), np.array([[1, 0], [0, -1], [2, 1]]), 1,
+         constraints=[(np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]]), None, -1)], partition=True))),
+    (["tsp-qap", "--dist"], "4\n0 1 2 1\n1 0 1 2\n2 1 0 1\n1 2 1 0\n",
+     lambda: problems.build_tsp_qap(np.array([[0, 1, 2, 1], [1, 0, 1, 2], [2, 1, 0, 1], [1, 2, 1, 0]]))),
+    (["kep-assoc", "--k", "2", "--graph"], "p edge 4 4\ne 1 2 3\ne 1 4 1\ne 2 3 2\ne 3 4 5\n",
+     lambda: problems.build_kep_assoc(_w4_gpp())),
+] + [
+    (["gpp", "--variant", v, "--k", "2", "--sizes", "2,2", "--graph"],
+     "p edge 4 4\ne 1 2 3\ne 1 4 1\ne 2 3 2\ne 3 4 5\n",
+     lambda v=v: problems.build_gpp(_w4_gpp(), v))
+    for v in problems.GPP_VARIANTS
+]
+
+
+class TestBuildBytes:
+    @pytest.mark.parametrize("fmt", ["cbf", "json"])
+    @pytest.mark.parametrize("argv, text, build", _BUILDS, ids=[
+        "qmkp", "qmp2", "tsp-qap", "kep-assoc", *(f"gpp-{v}" for v in problems.GPP_VARIANTS)])
+    def test_writes_the_library_model(self, tmp_path, capsys, argv, text, build, fmt):
+        inp = tmp_path / "input"
+        inp.write_text(text)
+        out = tmp_path / f"m.{fmt}"
+        assert run(["build", argv[0], *argv[1:], str(inp), "--out", str(out), "--format", fmt]) == 0
+        writer = export_cbf if fmt == "cbf" else export_json
+        assert out.read_text() == writer(build())
+        assert capsys.readouterr().err.startswith("variables=")
 
 
 class TestCheck:

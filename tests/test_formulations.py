@@ -1,25 +1,93 @@
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from misdpkit import model as model_module
 from misdpkit.errors import NegativeCapacity
 from misdpkit.formulations import (
     QcqpInstance,
     Qmp1Instance,
     Qmp2Instance,
+    bordered_pencil,
     build_bsdp_qcqp,
     build_bsdp_qmp1,
     build_bsdp_qmp2,
+    matrix_lift,
+    mname,
+    pname,
+    xname,
 )
-from misdpkit.linalg import SymMat, num_rank
+from misdpkit.linalg import SymMat, is_psd, num_rank
 from misdpkit.model import validate
-from misdpkit.verify import natural_optimum, oracle, solve_by_enumeration
+from misdpkit.verify import natural_optimum, optima_match, oracle, solve_by_enumeration
 
 
 def rand_sym(rng, n, lo, hi):
     a = rng.integers(lo, hi + 1, (n, n))
     return np.tril(a) + np.tril(a, -1).T
+
+
+def draw_sym(data, n, lo, hi):
+    a = np.zeros((n, n), dtype=np.int64)
+    for i in range(n):
+        for j in range(i, n):
+            a[i, j] = a[j, i] = data.draw(st.integers(lo, hi))
+    return a
+
+
+def draw_ints(data, shape, lo, hi):
+    size = int(np.prod(shape))
+    return np.array(data.draw(st.lists(st.integers(lo, hi), min_size=size, max_size=size)),
+                    dtype=np.int64).reshape(shape)
+
+
+def exact_psd_at(pencil, values):
+    """`pencil.is_psd_at(values)`, failing if it leaves the exact route."""
+    assert pencil.integral
+    with mock.patch.object(model_module, "is_psd", wraps=is_psd) as float_route:
+        psd = pencil.is_psd_at(values)
+    assert float_route.call_count == 0
+    return psd
+
+
+class TestLiftExactness:
+    """The lift theorem: at binary points that satisfy the diagonal tie, the
+    lifted pencil is PSD iff the lifted block is the Gram matrix."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matrix_lift(self, data):
+        n, k = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 3))
+        # binary P whose rows hold at most one 1, so X_ii = sum_a P_ia is binary
+        p = np.zeros((n, k), dtype=np.int64)
+        for i, a in enumerate(data.draw(st.lists(st.integers(-1, k - 1), min_size=n, max_size=n))):
+            if a >= 0:
+                p[i, a] = 1
+        x = p @ p.T
+        if not data.draw(st.booleans()):
+            x = draw_sym(data, n, 0, 1)
+            np.fill_diagonal(x, p.sum(axis=1))
+        _, ties, pencil = matrix_lift(n, k)
+        values = {pname(i, a): int(p[i, a]) for i in range(n) for a in range(k)}
+        values.update({mname("X", i, j): int(x[i, j]) for i in range(n) for j in range(i, n)})
+        assert all(sum(c * values[v] for v, c in row.coeffs) == row.rhs for row in ties)
+        assert exact_psd_at(pencil, values) == np.array_equal(x, p @ p.T)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_bordered_lift(self, data):
+        n = data.draw(st.integers(1, 4))
+        x = draw_ints(data, (n,), 0, 1)
+        gram = np.outer(x, x)
+        lifted = gram if data.draw(st.booleans()) else draw_sym(data, n, 0, 1)
+        values = {xname(i): int(x[i]) for i in range(n)}
+        values.update({mname("X", i, j): int(lifted[i, j]) for i in range(n) for j in range(i + 1, n)})
+        off = ~np.eye(n, dtype=bool)
+        assert exact_psd_at(bordered_pencil(n, 1.0), values) == np.array_equal(lifted[off], gram[off])
 
 
 class TestQcqp:
@@ -167,6 +235,24 @@ class TestQmp2:
             orc = oracle("qmp2", inst)
             assert res.optimum == orc.optimum
             assert res.feasible_count == orc.feasible_count
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_oracle_beyond_the_family(self, data):
+        n, k = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 2))
+        inst = Qmp2Instance(
+            n, k, draw_sym(data, n, -2, 2), draw_ints(data, (n, k), -2, 2),
+            data.draw(st.integers(-2, 2)),
+            constraints=[(draw_sym(data, n, -1, 1), draw_ints(data, (n, k), -1, 1),
+                          data.draw(st.integers(-4, 1)))],
+            partition=data.draw(st.booleans()),
+            exact_rank=data.draw(st.booleans()),
+        )
+        m = build_bsdp_qmp2(inst)
+        res = solve_by_enumeration(m)
+        orc = oracle("qmp2", inst)
+        assert optima_match(orc.optimum, natural_optimum(m, res.optimum))
+        assert res.feasible_count == orc.feasible_count
 
     def test_exact_rank_forces_rank_k(self):
         inst = Qmp2Instance(3, 2, np.zeros((3, 3), dtype=int), exact_rank=True)

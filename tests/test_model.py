@@ -329,6 +329,13 @@ class TestLoadsJson:
         assert str(exc.value) == f"line 3: {token} is not a finite number"
         assert exc.value.line == 3
 
+    def test_integer_past_the_digit_limit_reports_its_line(self):
+        token = "-" + "7" * 5001  # int() refuses more than 4,300 digits
+        text = '{"note": "%s",\n "a": [1,\n  %s]}' % (token, token)
+        with pytest.raises(ParseError) as exc:
+            loads_json(text)
+        assert str(exc.value) == "line 3: integer of 5001 digits is too long"
+
 
 class TestCbfRoundTrip:
     def test_round_trip_equal_model(self):
@@ -395,6 +402,14 @@ class TestCbfRoundTrip:
         back = import_cbf(text)
         assert back == m and export_cbf(back) == text
         assert type(back.objective.constant) is int and type(back.rows[0].rhs) is int
+
+    @pytest.mark.parametrize("new", ["\n1 -" + "9" * 5001 + "\n2 -1\n", "\n" + "9" * 5001 + " -1\n2 -1\n"],
+                             ids=["coefficient", "index"])
+    def test_integer_past_the_digit_limit_is_named_too_long(self, new):
+        text = export_cbf(stable_set_k2_model())
+        with pytest.raises(ParseError) as exc:
+            import_cbf(text.replace("\n1 -1\n2 -1\n", new, 1))
+        assert str(exc.value) == "line 44: BCOORD entry: integer token of 5001 digits is too long"
 
     def test_finite_set_with_gaps_is_refused(self):
         # its hull would also admit u = 1

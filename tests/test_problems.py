@@ -1,9 +1,13 @@
 from fractions import Fraction
 
+import math
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_formulations import draw_ints, draw_sym
 
 from misdpkit.errors import (
     DimensionMismatch,
@@ -238,6 +242,26 @@ class TestQmkp:
         assert solve(build_qmkp([1, 1], [4], [1, 1], big))[0] == 202
         assert solve(build_qmkp([1, 1], [0], [1, 1], np.zeros((2, 2), dtype=int)))[0] == 0
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_oracle_beyond_the_suite(self, data):
+        n, k = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 2))
+        w = data.draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+        if data.draw(st.booleans()):
+            c = data.draw(st.lists(st.integers(0, min(w) - 1), min_size=k, max_size=k))
+        else:
+            c = data.draw(st.lists(st.integers(0, sum(w)), min_size=k, max_size=k))
+        kind = data.draw(st.sampled_from(["zero", "tied", "drawn"]))
+        if kind == "drawn":
+            p = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        else:
+            p = [data.draw(st.integers(1, 3)) if kind == "tied" else 0] * n
+        r = draw_sym(data, n, 0, 2)
+        got, res = solve(build_qmkp(w, c, p, r))
+        orc = oracle("qmkp", w, c, p, r)
+        assert optima_match(orc.optimum, got)
+        assert res.feasible_count == orc.feasible_count
+
 
 class TestQap:
     def test_spec_examples(self):
@@ -255,6 +279,17 @@ class TestQap:
             b = np.tril(b) + np.tril(b, -1).T
             inst = QapInstance.make(a, b)
             assert solve(build_qap(inst))[0] == oracle("qap", inst).optimum
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_matches_oracle_with_a_linear_term(self, data):
+        n = data.draw(st.integers(1, 3))
+        inst = QapInstance.make(draw_sym(data, n, -1, 3), draw_sym(data, n, 0, 3),
+                                draw_ints(data, (n, n), -2, 3))
+        got, res = solve(build_qap(inst))
+        orc = oracle("qap", inst)
+        assert optima_match(orc.optimum, got)
+        assert res.feasible_count == orc.feasible_count == math.factorial(n)
 
     def test_schur_forcing(self):
         # at every integer-feasible point the Y block equals X B X^T
@@ -281,6 +316,18 @@ class TestTsp:
         assert solve(build_tsp_qap(d))[0] == 4
         d5 = metric(5, np.random.default_rng(7))
         assert solve(build_tsp_qap(d5), budget=2**26)[0] == oracle("tsp", d5).optimum
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.data())
+    def test_tsp_qap_matches_oracle(self, data):
+        n = data.draw(st.integers(3, 4))
+        d = draw_sym(data, n, 1, 9)
+        np.fill_diagonal(d, 0)
+        got, res = solve(build_tsp_qap(d))
+        orc = oracle("tsp", d)
+        assert optima_match(orc.optimum, got)
+        # each tour is reached from n starting slots in 2 directions
+        assert res.feasible_count == 2 * n * orc.feasible_count
 
     def test_cvetkovic(self):
         d = np.ones((5, 5), dtype=int) - np.eye(5, dtype=int)
@@ -339,6 +386,25 @@ class TestGpp:
             build_gpp(inst, "equipartition")
         with pytest.raises(VariantPrecondition):
             build_gpp(GppInstance.make(Graph.complete(4), 2, (2, 2)), "nope")
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    def test_variants_match_oracle_on_weighted_graphs(self, data):
+        weights = draw_sym(data, 4, 0, 3)
+        np.fill_diagonal(weights, 0)
+        edges = [(i, j) for i in range(4) for j in range(i + 1, 4) if weights[i, j]]
+        sizes = data.draw(st.sampled_from([(2, 2), (3, 1)]))
+        inst = GppInstance.make(Graph.make(4, edges, weights), 2, sizes)
+        orc = oracle("gpp", inst)
+        # P labels the classes: equal sizes can swap labels
+        labelings = math.prod(math.factorial(c) for c in Counter(sizes).values())
+        for variant in GPP_VARIANTS:
+            if variant == "equipartition" and sizes != (2, 2):
+                continue
+            got, res = solve(build_gpp(inst, variant), budget=2**20)
+            assert optima_match(orc.optimum, got), variant
+            per_partition = labelings if variant in ("general", "orthogonal") else 1
+            assert res.feasible_count == per_partition * orc.feasible_count, variant
 
     def test_gbp_block_structure(self):
         from misdpkit.dpsd import block_form01
