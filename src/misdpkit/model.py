@@ -205,15 +205,9 @@ class MatrixPencil:
                 den = math.lcm(den, v.denominator)
         if not self.integral:
             return is_psd(self.evaluate(values))
-        n = self.order
-        a = [[0] * n for _ in range(n)]
-        for v, triples in zip([1, *vals], self.entries):
-            if v:
-                if den != 1:
-                    v = int(v * den)
-                for r, c, x in triples:
-                    a[r][c] += v * x
-        return is_psd_exact(a)
+        if den != 1:
+            vals = [v and int(v * den) for v in vals]
+        return psd_exact_sum(self.order, [den, *vals], self.entries)
 
     def __eq__(self, other):
         # term order is presentation, not content
@@ -297,6 +291,17 @@ def validate(model: MisdpModel):
             if name not in known:
                 defects.append(f"pencil {k} references unknown variable {name!r}")
     return defects
+
+
+def psd_exact_sum(order, values, entries):
+    """`is_psd_exact` of sum_t values[t] * M_t, each M_t of the given order
+    given by its upper-triangle (r, c, int) triples; the values are integral."""
+    a = [[0] * order for _ in range(order)]
+    for v, triples in zip(values, entries):
+        if v:
+            for r, c, x in triples:
+                a[r][c] += v * x
+    return is_psd_exact(a)
 
 
 def _exact(*vals):

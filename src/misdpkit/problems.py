@@ -894,13 +894,15 @@ def build_sils(m_mat, b, cap) -> MisdpModel:
 # instance JSON (schemas documented in the README)
 # ---------------------------------------------------------------------------
 
-def _json_numbers(obj, field, shape):
-    """obj[field] as nested lists of finite numbers of `shape` (None: any length)."""
+def _json_numbers(obj, field, shape, integral=False):
+    """obj[field] as nested lists of finite numbers (ints if `integral`) of
+    `shape` (None: any length)."""
+    kinds, kind = (int, "an integer") if integral else ((int, float), "a finite number")
 
     def check(v, shape):
         if not shape:
-            if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
-                raise ParseError(f"field {field!r} holds {v!r}, not a finite number")
+            if isinstance(v, bool) or not isinstance(v, kinds) or not math.isfinite(v):
+                raise ParseError(f"field {field!r} holds {v!r}, not {kind}")
             return v
         if not isinstance(v, list) or shape[0] not in (None, len(v)):
             size = "" if shape[0] is None else f" of length {shape[0]}"
@@ -928,16 +930,21 @@ def qmkp_from_json(obj):
 
 @json_reader
 def sils_from_json(obj):
-    return (np.asarray(obj["M"]), np.asarray(obj["b"]), int(obj["K"]))
+    m = _json_numbers(obj, "M", (None, None))
+    return (np.asarray(m), np.asarray(_json_numbers(obj, "b", (len(m),))),
+            _json_numbers(obj, "K", (), integral=True))
 
 
 @json_reader
 def completion_from_json(obj):
-    shape = tuple(obj["shape"])
-    observed = {(int(i), int(j)): v for i, j, v in obj.get("observed", [])}
+    shape = tuple(_json_numbers(obj, "shape", (2,), integral=True))
+    observed = _json_numbers(obj, "observed", (None, 3)) if "observed" in obj else []
+    if any(x != int(x) for i, j, _ in observed for x in (i, j)):
+        raise ParseError("field 'observed' holds an index that is not an integer")
+    observed = {(int(i), int(j)): v for i, j, v in observed}
     dom = obj["domain"]
     if "values" in dom:
-        domain = VarDomain.finite_set(dom["values"])
+        domain = VarDomain.finite_set(_json_numbers(dom, "values", (None,)))
     else:
-        domain = VarDomain.integer_range(dom["lo"], dom["hi"])
+        domain = VarDomain.integer_range(_json_numbers(dom, "lo", ()), _json_numbers(dom, "hi", ()))
     return shape, observed, domain

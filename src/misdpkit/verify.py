@@ -5,13 +5,20 @@ windows on the linear rows, eliminates the continuous variables, and
 evaluates feasibility exactly.  The windows of a row with int/Fraction data
 are decided in integers; only rows with float data get a tolerance.
 
+A continuous `gram` target over integer factors (`_HintRule.lifts`) that a
+pruning row reads is set from the depth of its last factor, and the forward
+checker takes its domain bounds before that depth and its value after.  The
+leaf would compute the same value and rejects one outside the domain, so no
+feasible leaf is pruned.
+
 Interior nodes also test pencils.  An exact integer pencil is
 `MatrixPencil.integral` and has every term on an integer variable with int
 values, so every PSD test on it, at a node or at a leaf, is exact
-(`MatrixPencil.is_psd_at`) and carries no tolerance.  Once the search has
+(`linalg.is_psd_exact`) and carries no tolerance.  Once the search has
 assigned every variable whose term touches the leading k x k block of such a
-pencil (k < order), that block is fixed for the whole subtree, and the
-subtree is pruned when the block is not PSD.  A principal block of a PSD
+pencil (k < order), that block is fixed for the whole subtree: it is built
+from the pencil's `entries` inside it, and the subtree is pruned when it is
+not PSD.  A principal block of a PSD
 matrix is PSD, so the exact leaf test rejects every completion of a pruned
 node.  Only the largest block closing at each depth is tested.  The integer
 variables are stable-sorted by the smallest leading block of an exact integer
@@ -45,10 +52,12 @@ combinatorial side, and `equivalence_suite` compares the two on named
 instance families.
 """
 
+import collections
 import functools
 import itertools
 import json
 import math
+import operator
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -59,7 +68,7 @@ from . import config, dpsd
 from .errors import BudgetExceeded, UnsupportedContinuousPattern
 from .formulations import QcqpInstance, Qmp1Instance, Qmp2Instance, mname, pynum
 from .linalg import eigensym
-from .model import LinRow, MatrixPencil, MisdpModel, _exact, validate
+from .model import LinRow, MisdpModel, _exact, psd_exact_sum, validate
 from .problems import Graph, GppInstance, QapInstance
 
 REL_TOL = 1e-7
@@ -108,26 +117,31 @@ class _ForwardChecker:
     is scaled to ints by the lcm of its denominators, with the range of its
     continuous part folded into int thresholds: its windows are exact.  Only
     rows with float data get eps = 1e-9 (1 + |rhs|).  Rows that never prune
-    are dropped.
+    are dropped.  Slots 0..depth-1 are the integer variables; each (name,
+    depth) of `lifted` adds a slot pushed at that depth, whose domain bounds
+    enter smin/smax before it.
     """
 
-    def __init__(self, rows, int_names, doms):
-        pos = {n: i for i, n in enumerate(int_names)}
+    def __init__(self, rows, int_names, doms, lifted):
         depth = len(int_names)
+        names = [*int_names, *(n for n, _ in lifted)]
+        at = [*range(depth), *(d for _, d in lifted)]
+        slot = {n: i for i, n in enumerate(names)}
         self.tests = []
-        self.touch = [[] for _ in range(depth)]
+        self.touch = [[] for _ in names]
         for row in rows:
-            cont = [(c, doms[n]) for n, c in row.coeffs if n not in pos]
-            bounds = [b for _, d in cont for b in (d.lo, d.hi) if b is not None]
+            cont = [(c, doms[n]) for n, c in row.coeffs if n not in slot]
+            bounds = [b for n, _ in row.coeffs if not doms[n].is_integer
+                      for b in (doms[n].lo, doms[n].hi) if b is not None]
             if exact := _exact(row.rhs, *(c for _, c in row.coeffs), *bounds):
                 scale = math.lcm(row.rhs.denominator, *(c.denominator for _, c in row.coeffs))
                 num, eps = (lambda x: x.numerator * (scale // x.denominator)), 0
             else:
                 num, eps = float, 1e-9 * (1.0 + abs(float(row.rhs)))
-            by_depth = {}
+            by_slot = {}
             for name, coef in row.coeffs:
-                if name in pos:
-                    by_depth[pos[name]] = by_depth.get(pos[name], 0) + num(coef)
+                if name in slot:
+                    by_slot[slot[name]] = by_slot.get(slot[name], 0) + num(coef)
             cmin = cmax = 0
             for coef, dom in cont:
                 lo, hi = _contribution_bounds(num(coef), dom)
@@ -142,18 +156,21 @@ class _ForwardChecker:
             if up is None and down is None:
                 continue
             smin, smax = [0] * (depth + 1), [0] * (depth + 1)
+            for s, c in by_slot.items():
+                lo, hi = _contribution_bounds(c, doms[names[s]])
+                smin[at[s]] += lo
+                smax[at[s]] += hi
+                self.touch[s].append((len(self.tests), c))
             for d in range(depth - 1, -1, -1):
-                lo, hi = _contribution_bounds(by_depth[d], doms[int_names[d]]) if d in by_depth else (0, 0)
-                smin[d], smax[d] = smin[d + 1] + lo, smax[d + 1] + hi
-            for d, c in by_depth.items():
-                self.touch[d].append((len(self.tests), c))
+                smin[d] += smin[d + 1]
+                smax[d] += smax[d + 1]
             self.tests.append((smin, smax, cmin, cmax, up, down))
         self.partial = [0] * len(self.tests)
 
-    def push(self, d, value):
-        """Add the value at depth d to the partial sums (its negation undoes it)."""
-        value = int(value)  # integer domains hold integral values only
-        for ridx, c in self.touch[d]:
+    def push(self, s, value):
+        """Add the value of slot s to the partial sums (its negation undoes it)."""
+        value = int(value)  # integral: from an integer domain, or a function of such values
+        for ridx, c in self.touch[s]:
             self.partial[ridx] += c * value
 
     def consistent(self, next_depth):
@@ -165,11 +182,21 @@ class _ForwardChecker:
         return True
 
 
+def _gram_entry(left, right, assign):
+    return sum(assign[a] * assign[b] for a, b in zip(left, right))
+
+
 def _apply_gram(hint, model, assign):
     factors = hint["factors"]
     for target, i, j in hint["targets"]:
         if target not in assign:
-            assign[target] = sum(assign[a] * assign[b] for a, b in zip(factors[i], factors[j]))
+            assign[target] = _gram_entry(factors[i], factors[j], assign)
+
+
+def _gram_lifts(hint):
+    factors = hint["factors"]
+    return [(target, factors[i] + factors[j], functools.partial(_gram_entry, factors[i], factors[j]))
+            for target, i, j in hint["targets"]]
 
 
 def _apply_cycle_distance(hint, model, assign):
@@ -238,18 +265,22 @@ _LIFT, _FORCED, _PENDING = "lift", "forced", "pending"
 class _HintRule:
     """One hint rule: `apply(hint, model, assign)` runs in `stage` (None: never
     at a leaf); `covers(hint)` names the variables it determines, which the
-    exact closure leaves alone; `valid_cuts(hint)` gives pruning-only rows.
+    exact closure leaves alone; `valid_cuts(hint)` gives pruning-only rows;
+    `lifts(hint)` gives (target, inputs, value) for targets that `apply` sets
+    to `value(assign)`, a function of the variables `inputs` alone.
     """
 
     stage: object = None
     apply: object = None
     covers: object = lambda hint: ()
     valid_cuts: object = lambda hint: ()
+    lifts: object = lambda hint: ()
 
 
 # The one list of hint rules that builders may emit in metadata["hints"].
 _HINT_RULES = {
-    "gram": _HintRule(_LIFT, _apply_gram, covers=lambda h: [t[0] for t in h["targets"]]),
+    "gram": _HintRule(_LIFT, _apply_gram, covers=lambda h: [t[0] for t in h["targets"]],
+                      lifts=_gram_lifts),
     "cycle_distance": _HintRule(_LIFT, _apply_cycle_distance, covers=_cycle_distance_covers),
     "qap_schur": _HintRule(_FORCED, _apply_qap_schur),
     "nuclear": _HintRule(_PENDING, _apply_nuclear),
@@ -395,11 +426,13 @@ class _LeafCheck:
     test.  Only bounded continuous domains are checked: every integer value
     is drawn from its domain's iter_values(), which contains() accepts.  Rows
     keep eval_point's rule: exact when the row's data and values are all
-    int/Fraction, floats within `lin_feas` otherwise.  A feasible point's exact
+    int/Fraction (on the row scaled to ints once, when every value is an int;
+    a row on a variable in `fractional`, which always gets a Fraction, skips
+    that test), floats within `lin_feas` otherwise.  A feasible point's exact
     rows all have residual 0, so only float rows raise max_residual.
     """
 
-    def __init__(self, model):
+    def __init__(self, model, fractional=frozenset()):
         tol = self.tol = config.DEFAULT.lin_feas
         self.bounds = [
             (name, None if d.lo is None else d.lo - tol, None if d.hi is None else d.hi + tol)
@@ -410,8 +443,13 @@ class _LeafCheck:
         for row in model.rows:
             names = [n for n, _ in row.coeffs]
             coefs = [c for _, c in row.coeffs]
-            exact = _exact(row.rhs, *coefs)
-            self.rows.append((row.rel, names, exact, coefs, row.rhs, [float(c) for c in coefs], float(row.rhs)))
+            exact, ints = _exact(row.rhs, *coefs), None
+            if exact and fractional.isdisjoint(names):
+                scale = math.lcm(row.rhs.denominator, *(c.denominator for c in coefs))
+                irhs, *icoefs = [c.numerator * (scale // c.denominator) for c in (row.rhs, *coefs)]
+                ints = (icoefs, irhs)
+            self.rows.append((row.rel, names, exact, ints, coefs, row.rhs, [float(c) for c in coefs],
+                              float(row.rhs)))
         self.pencils = model.pencils
         self.objective = model.objective
 
@@ -422,23 +460,21 @@ class _LeafCheck:
                 return None
         tol = self.tol
         max_residual = 0.0
-        for rel, names, exact, coefs, rhs, fcoefs, frhs in self.rows:
+        for rel, names, exact, ints, coefs, rhs, fcoefs, frhs in self.rows:
             vals = [assign[n] for n in names]
-            if exact and _exact(*vals):
+            if ints and all(type(v) is int for v in vals):
+                gap = sum(map(operator.mul, ints[0], vals)) - ints[1]
+            elif exact and _exact(*vals):
                 gap = sum(c * v for c, v in zip(coefs, vals)) - rhs
-                if gap > 0 if rel == "<=" else gap < 0 if rel == ">=" else gap != 0:
-                    return None
-                continue
-            gap = sum(c * float(v) for c, v in zip(fcoefs, vals)) - frhs
-            if rel == "==":
-                resid = abs(gap)
-            elif rel == "<=":
-                resid = max(gap, 0.0)
             else:
-                resid = max(-gap, 0.0)
-            if resid > tol:
+                gap = sum(c * float(v) for c, v in zip(fcoefs, vals)) - frhs
+                resid = abs(gap) if rel == "==" else max(gap if rel == "<=" else -gap, 0.0)
+                if resid > tol:
+                    return None
+                max_residual = max(max_residual, resid)
+                continue
+            if gap > 0 if rel == "<=" else gap < 0 if rel == ">=" else gap != 0:
                 return None
-            max_residual = max(max_residual, resid)
         for pencil in self.pencils:
             if not pencil.is_psd_at(assign):
                 return None
@@ -470,11 +506,13 @@ class _Plan:
             for (name, _), k in zip(p.terms, ks):
                 first[name] = min(first.get(name, k), k)
         self.int_names.sort(key=lambda n: first.get(n, math.inf))
-        self.node_checks = self._node_checks(exact, blocks)
+        pos = {n: d for d, n in enumerate(self.int_names)}
+        self.node_checks = self._node_checks(exact, blocks, pos)
 
         self.stages = {_LIFT: [], _FORCED: [], _PENDING: []}
         prune_rows = list(model.rows)
         covered = set()
+        lifted = []  # (target, depth, value): known from the depth its last input is set
         for hint in model.metadata.get("hints", []):
             try:
                 rule = _HINT_RULES[hint["rule"]]
@@ -485,24 +523,33 @@ class _Plan:
             if rule.stage is not None:
                 self.stages[rule.stage].append((rule.apply, hint))
             prune_rows += rule.valid_cuts(hint)
+            for target, inputs, value in rule.lifts(hint):
+                if target not in covered and target not in pos and inputs and all(n in pos for n in inputs):
+                    lifted.append((target, max(pos[n] for n in inputs), value))
+                covered.add(target)
             covered.update(rule.covers(hint))
-        self.checker = _ForwardChecker(prune_rows, self.int_names, self.doms)
+        self.checker = _ForwardChecker(prune_rows, self.int_names, self.doms, [t[:2] for t in lifted])
+        self.lifts = [[] for _ in self.int_names]
+        for s, (target, d, value) in enumerate(lifted, len(self.int_names)):
+            if self.checker.touch[s]:  # a target no pruning row reads is left to the leaf
+                self.lifts[d].append((s, target, value))
         self.closure = _ClosureSolver(model.rows, {n for n in self.cont_names if n not in covered})
         corners = _corner_scalars(model)
         self.corners = [(n, *corners[n]) for n in self.cont_names if n in corners]
-        self.check = _LeafCheck(model)
+        self.check = _LeafCheck(model, {name for name, _ in self.closure.determined})
 
-    def _node_checks(self, pencils, blocks):
-        """Per depth, the leading blocks (as pencils) whose variables that depth
-        completes; only the largest block k < order closing at a depth is kept."""
-        pos = {n: d for d, n in enumerate(self.int_names)}
+    def _node_checks(self, pencils, blocks, pos):
+        """Per depth, the leading blocks whose variables that depth completes;
+        only the largest block k < order closing at a depth is kept."""
         checks = [[] for _ in self.int_names]
         for p, ks in zip(pencils, blocks):
             closing = {}
             for k in range(1, p.order):
-                terms = [(n, m[:k, :k]) for (n, m), first in zip(p.terms, ks) if first <= k]
-                if terms:  # a constant block is left to the leaf test
-                    closing[max(pos[n] for n, _ in terms)] = MatrixPencil(p.const[:k, :k], terms)
+                inside = [t for t, first in enumerate(ks) if first <= k]
+                if inside:  # a constant block is left to the leaf test
+                    names = [p.terms[t][0] for t in inside]
+                    entries = [[e for e in p.entries[i] if e[1] < k] for i in (0, *(t + 1 for t in inside))]
+                    closing[max(pos[n] for n in names)] = _LeadingBlock(k, names, entries)
             for depth, block in closing.items():
                 checks[depth].append(block)
         return checks
@@ -538,6 +585,14 @@ class _Plan:
         return assign
 
 
+class _LeadingBlock(collections.namedtuple("_LeadingBlock", "order names entries")):
+    """A leading block of an exact integer pencil: its order, the terms that enter
+    it and the (r, c, value) triples of the constant and of those terms inside it."""
+
+    def is_psd_at(self, assign):
+        return psd_exact_sum(self.order, [1, *(assign[n] for n in self.names)], self.entries)
+
+
 class _Search:
     """Depth-first walk over the integer assignments of a plan, keeping the best."""
 
@@ -557,14 +612,24 @@ class _Search:
         name = plan.int_names[d]
         checker = plan.checker
         blocks = plan.node_checks[d]
+        lifts = plan.lifts[d]
+        assignment = self.assignment
         for v in plan.doms[name].iter_values():
-            checker.push(d, v)
-            if checker.consistent(d + 1):
-                self.assignment[name] = v
-                if not blocks or all(b.is_psd_at(self.assignment) for b in blocks):
-                    self.dfs(d + 1)
-                del self.assignment[name]
-            checker.push(d, -v)
+            if v:  # a zero moves no partial sum
+                checker.push(d, v)
+            assignment[name] = v
+            for s, target, value in lifts:
+                assignment[target] = t = value(assignment)
+                if t:
+                    checker.push(s, t)
+            if checker.consistent(d + 1) and (not blocks or all(b.is_psd_at(assignment) for b in blocks)):
+                self.dfs(d + 1)
+            for s, target, _ in lifts:
+                if t := assignment.pop(target):
+                    checker.push(s, -t)
+            if v:
+                checker.push(d, -v)
+        del assignment[name]
 
     def leaf(self):
         assign = self.plan.resolve(self.assignment)

@@ -41,6 +41,19 @@ class TestBuild:
         (["build", "qbpp", "--instance"], '{"weights": [1, 2]}', "error: missing field 'capacity'"),
         (["build", "sils", "--instance"], "M = [[1]]\n", "error: line 1: Expecting value"),
         (["scheme", "--mats"], '{"mats": []}', "error: missing field 'matrices'"),
+        (["build", "sils", "--instance"], '{"M": [[1, "a"], [0, 1]], "b": [1, 0], "K": 1}',
+         "error: field 'M' holds 'a', not a finite number"),
+        (["build", "sils", "--instance"], '{"M": [[1, 0], [0, 1]], "b": [1, 0], "K": 1.5}',
+         "error: field 'K' holds 1.5, not an integer"),
+        (["build", "completion", "--instance"],
+         '{"shape": [2, 2], "observed": [[0, 0, "x"]], "domain": {"values": [0, 1]}}',
+         "error: field 'observed' holds 'x', not a finite number"),
+        (["build", "completion", "--instance"],
+         '{"shape": [2.0, 2], "domain": {"lo": 0, "hi": 1}}',
+         "error: field 'shape' holds 2.0, not an integer"),
+        (["build", "completion", "--instance"],
+         '{"shape": [2, 2], "observed": [[0.5, 1, 1]], "domain": {"values": [0, 1]}}',
+         "error: field 'observed' holds an index that is not an integer"),
     ])
     def test_bad_instance_file_exit_code(self, tmp_path, capsys, argv, text, message):
         path = tmp_path / "inst.json"

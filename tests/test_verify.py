@@ -740,3 +740,168 @@ class TestClosure:
             for row in rows:
                 if all(n in assign for n, _ in row.coeffs):
                     assert sum(c * assign[n] for n, c in row.coeffs) == row.rhs
+
+
+def _gram(factors, targets):
+    return {"rule": "gram", "factors": factors, "targets": targets}
+
+
+def _lifted(plan):
+    return {target for lifts in plan.lifts for _, target, _ in lifts}
+
+
+@st.composite
+def _graphs(draw, max_n):
+    n = draw(st.integers(1, max_n))
+    return verify.graph_from_mask(n, draw(st.integers(0, 2 ** (n * (n - 1) // 2) - 1)))
+
+
+@st.composite
+def _qcqp_instances(draw, max_n):
+    """Binary QCQPs whose data may be zero, tied or negative."""
+    from misdpkit.formulations import QcqpInstance
+
+    n = draw(st.integers(1, max_n))
+    vector = st.one_of(
+        st.just([0] * n),
+        st.integers(-2, 2).map(lambda v: [v] * n),
+        st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+    )
+    quads = [
+        (_small_symmetric(draw, n), np.array(draw(vector)), draw(st.integers(-2, 4)))
+        for _ in range(draw(st.integers(0, 2)))
+    ]
+    lin_eq = [
+        (np.array(draw(st.lists(st.integers(-1, 2), min_size=n, max_size=n))), draw(st.integers(-1, 2)))
+        for _ in range(draw(st.integers(0, 1)))
+    ]
+    return QcqpInstance(n, _small_symmetric(draw, n), np.array(draw(vector)), quads, lin_eq,
+                        draw(st.sampled_from(["min", "max"])))
+
+
+class TestLiftsAtNodes:
+    """Gram targets over integer factors are set, and pruned on, from the
+    depth where their last factor is assigned; the leaf computes the same
+    values, so every search still matches the brute-force walk."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_graphs(6))
+    def test_stable_set_matches_reference_walk(self, g):
+        m = build_stable_set(g)
+        assert _lifted(verify._Plan(m, budget=10**9)) == {f"X[{u},{v}]" for u, v in g.edges}
+        _assert_matches_reference_walk(m)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_qcqp_instances(4), st.booleans())
+    def test_qcqp_matches_reference_walk(self, inst, compact):
+        from misdpkit.formulations import build_bsdp_qcqp
+
+        _assert_matches_reference_walk(build_bsdp_qcqp(inst, compact=compact))
+
+    @settings(max_examples=20, deadline=None)
+    @given(_graphs(4), st.data())
+    def test_orthogonal_gpp_matches_reference_walk(self, g, data):
+        from misdpkit.problems import GppInstance, build_gpp
+
+        k = data.draw(st.integers(1, min(2, g.n)))
+        first = data.draw(st.integers(1, g.n - k + 1))
+        inst = GppInstance.make(g, k, (first, g.n - first) if k == 2 else (g.n,))
+        _assert_matches_reference_walk(build_gpp(inst, "orthogonal"))
+
+    def test_integer_target_is_enumerated_not_lifted(self):
+        m = MisdpModel(
+            [("a", VarDomain.binary()), ("b", VarDomain.binary()), ("X", VarDomain.binary())],
+            Objective("min", {"a": -1, "b": -1, "X": 1}),
+            rows=[LinRow((("X", 1), ("a", -1)), "<=", 0)],
+            metadata={"hints": [_gram([["a"], ["b"]], [["X", 0, 1]])]},
+        )
+        plan = verify._Plan(m, budget=10)
+        assert plan.int_names == ["a", "b", "X"] and _lifted(plan) == set()
+        _assert_matches_reference_walk(m)
+        assert solve_by_enumeration(m).feasible_count == 6
+
+    def test_target_with_a_continuous_factor_is_set_at_the_leaf(self):
+        # Y = a * a has an integer factor and is lifted; Z = Y * Y has the
+        # continuous factor Y, so only the leaf's gram stage sets it
+        m = MisdpModel(
+            [("a", VarDomain.binary()), ("Y", VarDomain.continuous(0, 1)),
+             ("Z", VarDomain.continuous(0, 1))],
+            Objective("min", {"a": -1}),
+            rows=[LinRow((("Y", 1), ("Z", 1)), "<=", 2), LinRow((("Z", 2), ("a", -1)), "<=", 1)],
+            metadata={"hints": [_gram([["a"]], [["Y", 0, 0]]), _gram([["Y"]], [["Z", 0, 0]])]},
+        )
+        assert _lifted(verify._Plan(m, budget=10)) == {"Y"}
+        res = solve_by_enumeration(m)
+        assert res.feasible_count == 2 and res.optimum == -1
+        assert res.minimizers == [{"a": 1, "Y": 1, "Z": 1}]
+        _assert_matches_reference_walk(m)
+
+    def test_a_target_no_row_reads_is_left_to_the_leaf(self):
+        m = build_stable_set(Graph.make(3, [(0, 1)]))
+        assert _lifted(verify._Plan(m, budget=10)) == {"X[0,1]"}
+        assert all(sol["X[0,2]"] == sol["x[0]"] * sol["x[2]"] for sol in solve_by_enumeration(m).minimizers)
+
+    @pytest.mark.parametrize("coef, nodes", [(10**10, 6), (1e10, 7)])
+    def test_float_row_over_a_lifted_target_keeps_its_window(self, coef, nodes):
+        # X = a b; 10^10 X <= 10^10 - 1 fails at a = b = 1 by 1, inside the
+        # float window's eps of about 10, so only the exact row prunes that
+        # node; the leaf check rejects it either way
+        m = MisdpModel(
+            [("a", VarDomain.binary()), ("b", VarDomain.binary()), ("X", VarDomain.continuous(0, 1))],
+            Objective("min", {"a": 1}),
+            rows=[LinRow((("X", coef),), "<=", coef - 1)],
+            metadata={"hints": [_gram([["a"], ["b"]], [["X", 0, 1]])]},
+        )
+        res = solve_by_enumeration(m)
+        assert res.feasible_count == 3 and res.nodes == nodes
+        _assert_matches_reference_walk(m)
+
+    def test_seed_zero_node_totals(self, monkeypatch):
+        counts = {"nodes": 0, "leaves": 0}
+        real_solve, real_leaf = verify.solve_by_enumeration, verify._Search.leaf
+
+        def solve(model, budget=10**7):
+            res = real_solve(model, budget)
+            counts["nodes"] += res.nodes
+            return res
+
+        def leaf(search):
+            counts["leaves"] += 1
+            real_leaf(search)
+
+        monkeypatch.setattr(verify, "solve_by_enumeration", solve)
+        monkeypatch.setattr(verify._Search, "leaf", leaf)
+        totals = {}
+        for name in ("stable-set-n4", "stable-set-n5", "qcqp-random"):
+            counts.update(nodes=0, leaves=0)
+            reports = equivalence_suite(name).reports
+            totals[name] = (counts["nodes"], counts["leaves"], sum(r.misdp_feasible for r in reports))
+        # 64,512, 1,984 and 361 nodes before lifting; every leaf of
+        # stable-set-n5 is now a stable set, as the edge rows prune the rest
+        assert {name: t[0] for name, t in totals.items()} == {
+            "stable-set-n4": 1321, "stable-set-n5": 33761, "qcqp-random": 322,
+        }
+        assert totals["stable-set-n5"][1:] == (12625, 12625)
+
+
+class TestOracleProperties:
+    """Builders against their brute-force oracles on random instances; each
+    claims a bijection, so the feasible counts must agree as well."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(_graphs(6))
+    def test_stable_set(self, g):
+        assert run_case("g", build_stable_set(g), "stable_set", (g,), True).ok()
+
+    @settings(max_examples=40, deadline=None)
+    @given(_graphs(5), st.data())
+    def test_mkcs(self, g, data):
+        k = data.draw(st.integers(1, g.n))
+        assert run_case("g", build_mkcs(g, k), "mkcs", (g, k), True).ok()
+
+    @settings(max_examples=60, deadline=None)
+    @given(_qcqp_instances(4), st.booleans())
+    def test_bsdp_qcqp(self, inst, compact):
+        from misdpkit.formulations import build_bsdp_qcqp
+
+        assert run_case("q", build_bsdp_qcqp(inst, compact=compact), "qcqp", (inst,), True).ok()
