@@ -277,7 +277,9 @@ def validate(model: MisdpModel):
         if dom.kind == FINITE_SET and not dom.values:
             defects.append(f"{name}: empty finite_set")
         lo, hi = dom.lo, dom.hi
-        if lo is not None and hi is not None and lo > hi:
+        if lo != lo or hi != hi:  # NaN fails every comparison: every leaf would be rejected
+            defects.append(f"{name}: NaN bound")
+        elif lo is not None and hi is not None and lo > hi:
             defects.append(f"{name}: lo > hi")
     for name in model.objective.coeffs:
         if name not in known:

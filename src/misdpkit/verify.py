@@ -32,15 +32,17 @@ Each leaf resolves continuous variables in this order:
 
   1. builder hints of the "lift" stage (entries pinned by the integer part);
   2. exact linear closure over the continuous variables no hint covers: the
-     equality rows are reduced once to affine maps of the known values;
+     equality rows are reduced once to affine maps of the known values, and
+     a value outside its bounds is rejected on its numerator;
   3. builder hints of the "forced" stage (blocks fixed once the closure ran);
   4. corner scalars: a variable on one diagonal entry of a single pencil and
      in no row, set to the pencil's exact Schur-complement boundary;
   5. builder hints of the "pending" stage, only while variables remain.
 
-The completed point is then tested by `_LeafCheck`, compiled once per call.
-It stops at the first violation, in the order domains, rows, pencils, so no
-PSD test runs on a point that a domain or a row rejects.  `eval_point` stays
+The completed point is then tested by `_LeafCheck`, compiled once per call,
+minus the bounds and rows the closure decided.  It stops at the first
+violation, in the order domains, rows, pencils, so no PSD test runs on a
+point that a domain or a row rejects.  `eval_point` stays
 the slow reference that reports every violation; the two agree on
 feasibility, objective and residual on every point the search builds.
 
@@ -331,11 +333,14 @@ class _ClosureSolver:
 
     The rows are reduced once, over [unknowns | known variables | rhs], to
     affine forms of the known values (int coefficients and constant over one
-    denominator): one per determined unknown, which gets the form's value as
-    a Fraction, and one per dependent row, which must give 0.
+    denominator): one per dependent row, which must give 0, and one per
+    determined unknown, a Fraction whose bounds (widened by `lin_feas` as in
+    eval_point) are a window on its numerator.  When every unknown is
+    determined, the rows with int/Fraction data over unknowns and exact
+    integer variables hold at every accepted point; their ids are `proven`.
     """
 
-    def __init__(self, rows, unknowns):
+    def __init__(self, rows, unknowns, doms):
         eqs = [row for row in rows if row.rel == "==" and any(n in unknowns for n, _ in row.coeffs)]
         unk = list(dict.fromkeys(n for row in eqs for n, _ in row.coeffs if n in unknowns))
         known = list(dict.fromkeys(n for row in eqs for n, _ in row.coeffs if n not in unknowns))
@@ -350,14 +355,35 @@ class _ClosureSolver:
         # a pivot row determines its variable when it touches no free column
         self.determined = [(unk[p], _affine(a[r][w:], known)) for r, p in enumerate(pivots)
                            if all(a[r][c] == 0 for c in range(w) if c != p)]
+        self.windows = [_window(doms[name], form[2], all(doms[n].is_integer for n, _ in form[0]))
+                        for name, form in self.determined]
         self.dependent = [_affine(row[w:], known) for row in a[len(pivots):] if any(row[w:])]
+        exact = {n for n in known if doms[n].is_integer and _exact(*doms[n].values)}
+        self.proven = {id(row) for row in eqs if len(self.determined) == w
+                       and _exact(row.rhs, *(c for _, c in row.coeffs))
+                       and all(n in unknowns or n in exact for n, _ in row.coeffs)}
 
     def apply(self, assign):
         if any(_numerator(form, assign) != 0 for form in self.dependent):
             return False
-        for name, form in self.determined:
-            assign[name] = Fraction(_numerator(form, assign), form[2])
+        for (name, form), (lo, hi) in zip(self.determined, self.windows):
+            num = _numerator(form, assign)
+            if not lo <= num <= hi:
+                return False
+            assign[name] = Fraction(num, form[2])
         return True
+
+
+def _window(dom, den, integral):
+    """Least and greatest num with `lo - tol <= num / den <= hi + tol`, as ints when `integral`."""
+    tol = config.DEFAULT.lin_feas
+    lo = -math.inf if dom.lo is None else dom.lo - tol
+    hi = math.inf if dom.hi is None else dom.hi + tol
+    if math.isfinite(lo):
+        lo = math.ceil(Fraction(lo) * den) if integral else Fraction(lo) * den
+    if math.isfinite(hi):
+        hi = math.floor(Fraction(hi) * den) if integral else Fraction(hi) * den
+    return lo, hi
 
 
 def _corner_scalars(model):
@@ -423,28 +449,30 @@ class _LeafCheck:
     eval_point finds the point feasible, with equal values and types, and
     None otherwise.  It stops at the first violation, in the order domains,
     rows, pencils, so a domain- or row-infeasible point never reaches a PSD
-    test.  Only bounded continuous domains are checked: every integer value
-    is drawn from its domain's iter_values(), which contains() accepts.  Rows
-    keep eval_point's rule: exact when the row's data and values are all
-    int/Fraction (on the row scaled to ints once, when every value is an int;
-    a row on a variable in `fractional`, which always gets a Fraction, skips
-    that test), floats within `lin_feas` otherwise.  A feasible point's exact
-    rows all have residual 0, so only float rows raise max_residual.
+    test.  The closure decided the bounds of `determined` variables and the
+    rows `proven` by id, so they are skipped.  Of the rest, only bounded
+    continuous domains are checked: every integer value is drawn from its
+    domain's iter_values(), which contains() accepts.  Rows keep eval_point's
+    rule: exact when the row's data and values are all int/Fraction (on the
+    row scaled to ints once, when every value is an int; a row on a
+    determined variable, always a Fraction, skips that test), floats within
+    `lin_feas` otherwise.  A feasible point's exact rows all have residual 0,
+    so only float rows raise max_residual.
     """
 
-    def __init__(self, model, fractional=frozenset()):
+    def __init__(self, model, determined=frozenset(), proven=frozenset()):
         tol = self.tol = config.DEFAULT.lin_feas
         self.bounds = [
             (name, None if d.lo is None else d.lo - tol, None if d.hi is None else d.hi + tol)
             for name, d in model.variables
-            if not d.is_integer and (d.lo is not None or d.hi is not None)
+            if not d.is_integer and name not in determined and (d.lo is not None or d.hi is not None)
         ]
         self.rows = []
-        for row in model.rows:
+        for row in [r for r in model.rows if id(r) not in proven]:
             names = [n for n, _ in row.coeffs]
             coefs = [c for _, c in row.coeffs]
             exact, ints = _exact(row.rhs, *coefs), None
-            if exact and fractional.isdisjoint(names):
+            if exact and determined.isdisjoint(names):
                 scale = math.lcm(row.rhs.denominator, *(c.denominator for c in coefs))
                 irhs, *icoefs = [c.numerator * (scale // c.denominator) for c in (row.rhs, *coefs)]
                 ints = (icoefs, irhs)
@@ -533,10 +561,10 @@ class _Plan:
         for s, (target, d, value) in enumerate(lifted, len(self.int_names)):
             if self.checker.touch[s]:  # a target no pruning row reads is left to the leaf
                 self.lifts[d].append((s, target, value))
-        self.closure = _ClosureSolver(model.rows, {n for n in self.cont_names if n not in covered})
+        self.closure = _ClosureSolver(model.rows, {n for n in self.cont_names if n not in covered}, self.doms)
         corners = _corner_scalars(model)
         self.corners = [(n, *corners[n]) for n in self.cont_names if n in corners]
-        self.check = _LeafCheck(model, {name for name, _ in self.closure.determined})
+        self.check = _LeafCheck(model, {name for name, _ in self.closure.determined}, self.closure.proven)
 
     def _node_checks(self, pencils, blocks, pos):
         """Per depth, the leading blocks whose variables that depth completes;

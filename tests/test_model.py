@@ -66,6 +66,32 @@ class TestValidate:
         )
         assert len(validate(m)) == 1
 
+    @staticmethod
+    def _tied(y_domain):
+        return MisdpModel(
+            [("a", VarDomain.binary()), ("y", y_domain)],
+            Objective("min", {}),
+            rows=[LinRow((("a", 1), ("y", -1)), "==", 0)],
+        )
+
+    @pytest.mark.parametrize("lo, hi", [(math.nan, None), (None, math.nan), (0, math.nan)])
+    def test_nan_bound_is_a_defect(self, lo, hi):
+        from misdpkit.verify import solve_by_enumeration
+
+        # without the defect the search rejected every leaf: optimum None
+        m = self._tied(VarDomain.continuous(lo, hi))
+        assert validate(m) == ["y: NaN bound"]
+        with pytest.raises(ValueError, match="NaN bound"):
+            solve_by_enumeration(m)
+
+    def test_infinite_bounds_stay_legal(self):
+        from misdpkit.verify import solve_by_enumeration
+
+        m = self._tied(VarDomain.continuous(-math.inf, math.inf))
+        assert validate(m) == []
+        res = solve_by_enumeration(m)
+        assert res.optimum == 0 and res.feasible_count == 2
+
     def test_asymmetric_pencil_rejected(self):
         with pytest.raises(ValueError):
             MatrixPencil(np.zeros((2, 2)), [("x", np.array([[0, 1], [0, 0]]))])

@@ -448,6 +448,23 @@ class TestKepAssoc:
         b = solve(build_kep_assoc(inst, degree_rows=True))
         assert a[0] == b[0] and a[1].feasible_count == b[1].feasible_count
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_oracle_beyond_the_suite(self, data):
+        # zero, tied and negative weights; k = 1 and k = n as well; X2 marks
+        # the within-class pairs of an unlabelled partition, one point each
+        n = data.draw(st.integers(1, 4))
+        k = data.draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]))
+        kind = data.draw(st.sampled_from(["zero", "tied", "drawn"]))
+        weights = draw_sym(data, n, -2, 3) if kind == "drawn" else np.full((n, n), 0 if kind == "zero" else 2)
+        np.fill_diagonal(weights, 0)
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n) if weights[i, j]]
+        inst = GppInstance.make(Graph.make(n, edges, weights), k, (n // k,) * k)
+        got, res = solve(build_kep_assoc(inst, degree_rows=data.draw(st.booleans())))
+        orc = oracle("gpp", inst)
+        assert optima_match(orc.optimum, got)
+        assert res.feasible_count == orc.feasible_count
+
     def test_size_mismatch(self):
         with pytest.raises(SizeMismatch):
             GppInstance.make(Graph.complete(4), 2, (3, 2))
@@ -488,6 +505,24 @@ class TestSils:
 
         assert solve(build_sils(np.eye(2, dtype=int), np.array([1, 1]), 1))[0] == Fraction(1, 2)
         assert solve(build_sils(np.eye(2, dtype=int), np.array([1, 1]), 0))[0] == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_oracle_beyond_the_suite(self, data):
+        # singular and zero M among the drawn ones; no bijection is claimed:
+        # X may exceed x x^T on the diagonal
+        n, k = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 3))
+        kind = data.draw(st.sampled_from(["zero", "rank-one", "drawn"]))
+        if kind == "zero":
+            m = np.zeros((n, k), dtype=np.int64)
+        elif kind == "rank-one":
+            m = np.outer(draw_ints(data, n, -2, 2), draw_ints(data, k, -2, 2))
+        else:
+            m = draw_ints(data, (n, k), -2, 2)
+        b = draw_ints(data, n, -2, 2)
+        cap = data.draw(st.integers(0, k))
+        got, _ = solve(build_sils(m, b, cap))
+        assert optima_match(oracle("sils", m, b, cap).optimum, got)
 
     def test_dimension_errors(self):
         with pytest.raises(DimensionMismatch):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from misdpkit import config
 from misdpkit import model as model_module
 from misdpkit import verify
 from misdpkit.errors import BudgetExceeded, UnsupportedContinuousPattern
@@ -471,7 +472,8 @@ class TestLeafCheck:
         monkeypatch.setattr(verify._LeafCheck, "__call__", checking)
         monkeypatch.setattr(model_module, "is_psd_exact", counted)
         monkeypatch.setattr(model_module, "is_psd", float_route)
-        # 1,566 of the 4,023 leaves fail a domain or a row before any pencil
+        # 1,566 of the 4,023 leaves fail before any pencil, all of them in the
+        # closure's windows (y1, y2 >= 0); the check keeps only the support row
         assert equivalence_suite("sils-small").passed
         assert len(leaf) == 2457
         assert all(n == order for n, order, _ in leaf)
@@ -723,7 +725,8 @@ class TestClosure:
     def test_accepts_exactly_the_consistent_systems(self, system):
         rows, unknowns, known = system
         assign = dict(known)
-        accepted = verify._ClosureSolver(rows, set(unknowns)).apply(assign)
+        doms = {n: VarDomain.continuous() for n in [*unknowns, *known]}
+        accepted = verify._ClosureSolver(rows, set(unknowns), doms).apply(assign)
         # A u = b - K k is consistent iff [A | b - K k] has the rank of A;
         # each row is scaled to integers first
         augmented = []
@@ -740,6 +743,108 @@ class TestClosure:
             for row in rows:
                 if all(n in assign for n, _ in row.coeffs):
                     assert sum(c * assign[n] for n, c in row.coeffs) == row.rhs
+
+
+    @settings(max_examples=100, deadline=None)
+    @given(_equality_systems(), st.data())
+    def test_windows_accept_exactly_the_values_inside_the_bounds(self, system, data):
+        rows, unknowns, known = system
+        # quarters as floats too: the values often sit on a bound
+        bound = st.one_of(st.none(), st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4),
+                          st.integers(-12, 12).map(lambda q: q / 4))
+        free = {n: VarDomain.continuous() for n in [*unknowns, *known]}
+        doms = dict(free, **{u: VarDomain.continuous(data.draw(bound), data.draw(bound)) for u in unknowns})
+        closure = verify._ClosureSolver(rows, set(unknowns), doms)
+        unbounded = dict(known)
+        expected = verify._ClosureSolver(rows, set(unknowns), free).apply(unbounded) and all(
+            doms[n].contains(unbounded[n], tol=config.DEFAULT.lin_feas) for n, _ in closure.determined
+        )
+        assert closure.apply(dict(known)) == expected
+
+    @pytest.mark.parametrize("lo, hi, accepted", [
+        (-1.75, None, True), (None, -1.5, True), (-1.25, None, False), (None, -1.75, False),
+    ])
+    def test_windows_on_a_fractional_numerator_are_not_rounded(self, lo, hi, accepted):
+        # u = k = -3/2 over denominator 1: an int window would be [-1, inf) or (-inf, -2]
+        rows = [LinRow((("u", 1), ("k", -1)), "==", 0)]
+        doms = {"u": VarDomain.continuous(lo, hi), "k": VarDomain.continuous()}
+        assert verify._ClosureSolver(rows, {"u"}, doms).apply({"k": Fraction(-3, 2)}) == accepted
+
+
+class TestClosureDecidesItsRows:
+    """The bounds of determined unknowns and the rows the closure proves
+    leave the leaf check; everything else stays, and the check still agrees
+    with eval_point."""
+
+    def test_a_free_unknown_keeps_every_row(self):
+        # z + w = a leaves z and w free: y = a is determined, no row is proven
+        m = MisdpModel(
+            [("a", VarDomain.binary()), ("y", VarDomain.continuous(0, 1)),
+             ("z", VarDomain.continuous(0)), ("w", VarDomain.continuous(0))],
+            Objective("min", {"a": 1}),
+            rows=[LinRow((("y", 1), ("a", -1)), "==", 0), LinRow((("z", 1), ("w", 1), ("a", -1)), "==", 0)],
+        )
+        plan = verify._Plan(m, budget=10)
+        assert [n for n, _ in plan.closure.determined] == ["y"] and plan.closure.proven == frozenset()
+        assert [r[1] for r in plan.check.rows] == [["y", "a"], ["z", "w", "a"]]
+        assert [b[0] for b in plan.check.bounds] == ["z", "w"]
+        with pytest.raises(UnsupportedContinuousPattern):
+            solve_by_enumeration(m)
+
+    @pytest.mark.parametrize("domain, coef, residual", [
+        (VarDomain.integer_range(1, 3), 0.7, 4.440892098500626e-16),  # float data
+        (VarDomain.finite_set((1.0, 2.0)), 49, 2.220446049250313e-16),  # float values
+    ])
+    def test_float_data_or_values_stay_in_the_check(self, domain, coef, residual):
+        # coef * y == b with y = b / coef exactly; the row is checked in floats
+        m = MisdpModel([("b", domain), ("y", VarDomain.continuous(0))], Objective("min", {"y": 1}),
+                       rows=[LinRow((("y", coef), ("b", -1)), "==", 0)])
+        plan = verify._Plan(m, budget=10)
+        assert plan.closure.proven == frozenset() and len(plan.check.rows) == 1
+        res = solve_by_enumeration(m)
+        points = [plan.resolve({"b": b}) for b in domain.iter_values()]
+        assert res.feasible_count == len(points)
+        assert res.max_residual == max(eval_point(m, p).max_residual for p in points) == residual
+
+    @pytest.mark.parametrize("side", ["lo", "hi"])
+    @pytest.mark.parametrize("bound", [0, Fraction(1, 3), 0.1])
+    def test_values_at_the_widened_bound_agree_with_eval_point(self, side, bound):
+        # y = edge + a / D, edge = bound -/+ tol exactly and D its denominator:
+        # a = -1, 0, 1 puts y one step below, on and one step above the edge
+        tol = config.DEFAULT.lin_feas
+        edge = Fraction(bound - tol if side == "lo" else bound + tol)
+        m = MisdpModel(
+            [("a", VarDomain.ternary()),
+             ("y", VarDomain.continuous(bound) if side == "lo" else VarDomain.continuous(None, bound))],
+            Objective("min", {"a": 1}),
+            rows=[LinRow((("y", 1), ("a", Fraction(-1, edge.denominator))), "==", edge)],
+        )
+        plan = verify._Plan(m, budget=10)
+        assert plan.check.rows == [] and plan.check.bounds == []
+        feasible = []
+        for a in (-1, 0, 1):
+            point = {"a": a, "y": edge + Fraction(a, edge.denominator)}
+            assign = plan.resolve({"a": a})
+            assert assign is None or assign == point
+            got = None if assign is None else plan.check(assign)
+            _assert_agrees(m, got, point)
+            feasible.append(got is not None)
+        assert feasible == ([False, True, True] if side == "lo" else [True, True, False])
+
+    def test_sils_checks_keep_only_the_support_row(self, monkeypatch):
+        plans, plan_init = [], verify._Plan.__init__
+
+        def planning(plan, model, budget):
+            plan_init(plan, model, budget)
+            plans.append(plan)
+
+        monkeypatch.setattr(verify._Plan, "__init__", planning)
+        assert equivalence_suite("sils-small").passed
+        assert len(plans) == 18
+        for plan in plans:
+            (support,) = [r for r in plan.model.rows if r.label == "support"]
+            assert [r[1] for r in plan.check.rows] == [[n for n, _ in support.coeffs]]
+            assert plan.check.bounds == []
 
 
 def _gram(factors, targets):
