@@ -24,6 +24,7 @@ the pencil does not pin the off-diagonal entries, so dropping their
 integrality genuinely weakens the model.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -123,8 +124,13 @@ def bordered_vars(n, off):
     return variables + [(mname("X", i, j), off) for i in range(n) for j in range(i + 1, n)]
 
 
+@functools.lru_cache(maxsize=32)
 def bordered_pencil(n, corner):
-    """Pencil [[corner, diag^T], [diag, X]] with diag(X) aliased to x."""
+    """Pencil [[corner, diag^T], [diag, X]] with diag(X) aliased to x.
+
+    One shared, read-only pencil per (n, corner): every model of that shape
+    holds the same object, and so the same memo of exact PSD decisions.
+    """
     const = sym_matrix(n + 1, [(0, 0, corner)])
     terms = []
     for i in range(n):
@@ -151,8 +157,12 @@ def gram_hint(n):
     }
 
 
+@functools.lru_cache(maxsize=32)
 def lift_pencil(n, k, prefix="X"):
-    """Pencil [[I_k, P^T], [P, X]] of order n+k over P[i,a] and prefix[i,j], i <= j."""
+    """Pencil [[I_k, P^T], [P, X]] of order n+k over P[i,a] and prefix[i,j], i <= j.
+
+    One shared, read-only pencil per (n, k, prefix), as for `bordered_pencil`.
+    """
     order = n + k
     const = np.zeros((order, order))
     const[:k, :k] = np.eye(k)

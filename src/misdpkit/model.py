@@ -139,6 +139,11 @@ class LinRow:
         )
 
 
+# exact PSD decisions one pencil remembers; a full memo stops inserting, so a
+# long enumeration, whose leaves are all distinct, cannot grow it further
+_PSD_MEMO_CAP = 4096
+
+
 class MatrixPencil:
     """Affine symmetric matrix A_0 + sum_j v_j A_j, constrained PSD.
 
@@ -146,9 +151,14 @@ class MatrixPencil:
     whose decoding every reader uses: `entries` holds, per matrix, the nonzero
     upper-triangle (r, c, value) triples in row-major order, and `integral`
     whether every matrix is integer-valued, the values then being ints.
+
+    The exact route of `is_psd_at` remembers its decisions, keyed by the
+    scaled integer values, in a private memo of at most `_PSD_MEMO_CAP`
+    entries.  The lift builders share one pencil per shape across models, so
+    a pencil must never be mutated: its answers would then be stale.
     """
 
-    __slots__ = ("order", "const", "terms", "entries", "integral")
+    __slots__ = ("order", "const", "terms", "entries", "integral", "_psd")
 
     def __init__(self, const, terms):
         const = np.asarray(const, dtype=np.float64)
@@ -179,6 +189,7 @@ class MatrixPencil:
         triples = list(zip(r.tolist(), c.tolist(), list(map(int, values)) if self.integral else values))
         cuts = np.searchsorted(t, np.arange(len(mats) + 1)).tolist()
         self.entries = tuple(tuple(triples[i:j]) for i, j in zip(cuts, cuts[1:]))
+        self._psd = {}
 
     def evaluate(self, values: dict) -> np.ndarray:
         out = self.const.copy()
@@ -193,8 +204,8 @@ class MatrixPencil:
 
         Exact when every term value is int/Fraction and the pencil is
         `integral`: the pencil, scaled by the (positive) lcm of the value
-        denominators, goes to `is_psd_exact`.  Otherwise `is_psd` of
-        `evaluate(values)`.
+        denominators, goes to `is_psd_exact`, unless the memo already holds
+        that scaled point.  Otherwise `is_psd` of `evaluate(values)`.
         """
         vals = [values[name] for name, _ in self.terms]
         den = 1
@@ -207,7 +218,13 @@ class MatrixPencil:
             return is_psd(self.evaluate(values))
         if den != 1:
             vals = [v and int(v * den) for v in vals]
-        return psd_exact_sum(self.order, [den, *vals], self.entries)
+        key = (den, *vals)
+        psd = self._psd.get(key)
+        if psd is None:
+            psd = psd_exact_sum(self.order, key, self.entries)
+            if len(self._psd) < _PSD_MEMO_CAP:
+                self._psd[key] = psd
+        return psd
 
     def __eq__(self, other):
         # term order is presentation, not content
@@ -285,9 +302,13 @@ def validate(model: MisdpModel):
         if name not in known:
             defects.append(f"objective references unknown variable {name!r}")
     for k, row in enumerate(model.rows):
-        for name, _ in row.coeffs:
+        for name, c in row.coeffs:
             if name not in known:
                 defects.append(f"row {k} references unknown variable {name!r}")
+            if c != c or abs(c) == math.inf:  # a NaN makes the row vacuous, and inf * 0 is NaN
+                defects.append(f"row {k}: {'NaN' if c != c else 'infinite'} coefficient of {name!r}")
+        if row.rhs != row.rhs:
+            defects.append(f"row {k}: NaN rhs")
     for k, pencil in enumerate(model.pencils):
         for name, _ in pencil.terms:
             if name not in known:

@@ -201,6 +201,23 @@ class TestQmp1:
             assert res.optimum == orc.optimum
             assert res.feasible_count == orc.feasible_count
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_oracle_beyond_the_family(self, data):
+        # zero, tied and negative Q0; capacities from 0; partition at every k.
+        # The pencil is the shared bordered_pencil(n, k) of mkcs as well, so
+        # its memo answers for models with other rows
+        n, k = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 3))
+        kind = data.draw(st.sampled_from(["zero", "tied", "drawn"]))
+        q0 = draw_sym(data, n, -2, 2) if kind == "drawn" else np.full((n, n), 0 if kind == "zero" else -1)
+        quads = [(draw_sym(data, n, 0, 1), -data.draw(st.integers(0, 4)))] if data.draw(st.booleans()) else []
+        caps = [(draw_ints(data, (n,), 0, 2), data.draw(st.integers(0, 3)))] if data.draw(st.booleans()) else []
+        inst = Qmp1Instance(n, k, q0, quads=quads, caps=caps, partition=data.draw(st.booleans()))
+        res = solve_by_enumeration(build_bsdp_qmp1(inst))
+        orc = oracle("qmp1", inst)
+        assert res.optimum == orc.optimum
+        assert res.feasible_count == orc.feasible_count
+
 
 class TestQmp2:
     def test_qmkp_shape(self):

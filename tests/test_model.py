@@ -14,6 +14,7 @@ from misdpkit import config
 from misdpkit import model as model_module
 from misdpkit.cbf import export_cbf, import_cbf
 from misdpkit.errors import IncompleteAssignment, ParseError, UnsupportedDomain, loads_json
+from misdpkit.formulations import bordered_pencil
 from misdpkit.linalg import SymMat, dumps_matrix, is_psd, loads_matrix
 from misdpkit.model import (
     LinRow,
@@ -24,6 +25,7 @@ from misdpkit.model import (
     eval_point,
     export_json,
     import_json,
+    psd_exact_sum,
     validate,
 )
 from test_verify import _one_model_per_builder
@@ -91,6 +93,37 @@ class TestValidate:
         assert validate(m) == []
         res = solve_by_enumeration(m)
         assert res.optimum == 0 and res.feasible_count == 2
+
+    @staticmethod
+    def _pair(coeffs, rhs):
+        return MisdpModel(
+            [("a", VarDomain.binary()), ("b", VarDomain.binary())],
+            Objective("min", {"a": -1, "b": -1}),
+            rows=[LinRow(tuple(zip("ab", coeffs)), "<=", rhs, label="cap")],
+        )
+
+    @pytest.mark.parametrize("coeffs, rhs, defect", [
+        ((1, math.nan), 1, "row 0: NaN coefficient of 'b'"),
+        ((1, 1), math.nan, "row 0: NaN rhs"),
+        ((math.inf, 1), 1, "row 0: infinite coefficient of 'a'"),
+        ((1, -math.inf), 1, "row 0: infinite coefficient of 'b'"),
+    ])
+    def test_non_finite_row_is_a_defect(self, coeffs, rhs, defect):
+        from misdpkit.verify import solve_by_enumeration
+
+        # without the defect a NaN row accepted every point: optimum -2, count 4
+        m = self._pair(coeffs, rhs)
+        assert validate(m) == [defect]
+        with pytest.raises(ValueError, match=defect):
+            solve_by_enumeration(m)
+
+    def test_finite_row_stays_legal(self):
+        from misdpkit.verify import solve_by_enumeration
+
+        m = self._pair((1, 1), 1)
+        assert validate(m) == []
+        res = solve_by_enumeration(m)
+        assert res.optimum == -1 and res.feasible_count == 3
 
     def test_asymmetric_pencil_rejected(self):
         with pytest.raises(ValueError):
@@ -274,6 +307,33 @@ class TestPencilPsd:
         for pencil, values in ((half, {"t": 0}), (integer, {"t": 1.0}), (integer, {"t": 0.999})):
             assert pencil.is_psd_at(values) == is_psd(pencil.evaluate(values))
         assert integer.is_psd_at({"t": 1}) and not integer.is_psd_at({"t": 0.999})
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_memo_on_a_shared_pencil_matches_a_fresh_decision(self, data):
+        n = data.draw(st.integers(1, 3))
+        pencil = bordered_pencil(n, data.draw(st.sampled_from([1.0, 2.0, 3.0])))
+        number = st.integers(-2, 2) if data.draw(st.booleans()) else _fractions()
+        values = {name: data.draw(number) for name, _ in pencil.terms}
+        den = math.lcm(*(Fraction(v).denominator for v in values.values()))
+        scaled = [int(values[name] * den) for name, _ in pencil.terms]
+        expected = psd_exact_sum(pencil.order, [den, *scaled], pencil.entries)
+        full = len(pencil._psd) >= model_module._PSD_MEMO_CAP  # other tests share the pencil
+        with mock.patch.object(model_module, "is_psd", wraps=is_psd) as float_route:
+            assert pencil.is_psd_at(values) == expected
+            assert pencil.is_psd_at(values) == expected  # now from the memo
+        assert float_route.call_count == 0
+        assert full or pencil._psd[(den, *scaled)] == expected
+
+    def test_memo_stops_inserting_at_its_cap(self):
+        # [[t, 1], [1, 1]] is PSD iff t >= 1
+        pencil = MatrixPencil([[0, 1], [1, 1]], [("t", np.diag([1, 0]))])
+        cap = model_module._PSD_MEMO_CAP
+        points = range(-50, cap + 50)
+        for _ in range(2):
+            assert [pencil.is_psd_at({"t": t}) for t in points] == [t >= 1 for t in points]
+            assert len(pencil._psd) == cap
+        assert pencil.is_psd_at({"t": Fraction(cap + 101, 2)}) and len(pencil._psd) == cap
 
 
 class TestJsonRoundTrip:

@@ -132,6 +132,16 @@ class TestStableSet:
         _, res = solve(build_stable_set(g))
         assert res.feasible_count == oracle("stable_set", g).feasible_count == 11
 
+    def test_graphs_of_one_order_share_one_read_only_pencil(self):
+        a, b = build_stable_set(Graph.cycle(5)), build_stable_set(Graph.complete(5))
+        assert a.rows != b.rows and a.pencils[0] is b.pencils[0]
+        assert build_stable_set(Graph.cycle(4)).pencils[0] is not a.pencils[0]
+        pencil = a.pencils[0]
+        for mat in (pencil.const, *(m for _, m in pencil.terms)):
+            assert not mat.flags.writeable
+            with pytest.raises(ValueError):
+                mat[0, 0] = 2.0
+
 
 class TestMkcs:
     def test_spec_examples(self):
