@@ -141,7 +141,9 @@ def bordered_pencil(n, corner):
     for i in range(n):
         for j in range(i + 1, n):
             terms.append((mname("X", i, j), sym_coeff(n + 1, i + 1, j + 1)))
-    return MatrixPencil(const, terms)
+    pencil = MatrixPencil(const, terms)
+    pencil._psd = {}  # its leaves repeat across models: remember exact decisions
+    return pencil
 
 
 def gram_hint(n):
@@ -170,7 +172,9 @@ def lift_pencil(n, k, prefix="X"):
     terms += [
         (mname(prefix, i, j), sym_coeff(order, k + i, k + j)) for i in range(n) for j in range(i, n)
     ]
-    return MatrixPencil(const, terms)
+    pencil = MatrixPencil(const, terms)
+    pencil._psd = {}  # as in bordered_pencil
+    return pencil
 
 
 def matrix_lift(n, k):

@@ -152,10 +152,10 @@ class MatrixPencil:
     upper-triangle (r, c, value) triples in row-major order, and `integral`
     whether every matrix is integer-valued, the values then being ints.
 
-    The exact route of `is_psd_at` remembers its decisions, keyed by the
-    scaled integer values, in a private memo of at most `_PSD_MEMO_CAP`
-    entries.  The lift builders share one pencil per shape across models, so
-    a pencil must never be mutated: its answers would then be stale.
+    The lift builders share one pencil per shape across models and turn on
+    its private memo `_psd` (None otherwise), where the exact route of
+    `is_psd_at` keeps its decisions by scaled integer values, at most
+    `_PSD_MEMO_CAP` of them.  A shared pencil must never be mutated.
     """
 
     __slots__ = ("order", "const", "terms", "entries", "integral", "_psd")
@@ -189,7 +189,7 @@ class MatrixPencil:
         triples = list(zip(r.tolist(), c.tolist(), list(map(int, values)) if self.integral else values))
         cuts = np.searchsorted(t, np.arange(len(mats) + 1)).tolist()
         self.entries = tuple(tuple(triples[i:j]) for i, j in zip(cuts, cuts[1:]))
-        self._psd = {}
+        self._psd = None
 
     def evaluate(self, values: dict) -> np.ndarray:
         out = self.const.copy()
@@ -204,7 +204,7 @@ class MatrixPencil:
 
         Exact when every term value is int/Fraction and the pencil is
         `integral`: the pencil, scaled by the (positive) lcm of the value
-        denominators, goes to `is_psd_exact`, unless the memo already holds
+        denominators, goes to `is_psd_exact`, unless a memo already holds
         that scaled point.  Otherwise `is_psd` of `evaluate(values)`.
         """
         vals = [values[name] for name, _ in self.terms]
@@ -218,12 +218,12 @@ class MatrixPencil:
             return is_psd(self.evaluate(values))
         if den != 1:
             vals = [v and int(v * den) for v in vals]
-        key = (den, *vals)
-        psd = self._psd.get(key)
+        key, memo = (den, *vals), self._psd
+        psd = None if memo is None else memo.get(key)
         if psd is None:
             psd = psd_exact_sum(self.order, key, self.entries)
-            if len(self._psd) < _PSD_MEMO_CAP:
-                self._psd[key] = psd
+            if memo is not None and len(memo) < _PSD_MEMO_CAP:
+                memo[key] = psd
         return psd
 
     def __eq__(self, other):

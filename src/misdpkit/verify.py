@@ -5,28 +5,23 @@ windows on the linear rows, eliminates the continuous variables, and
 evaluates feasibility exactly.  The windows of a row with int/Fraction data
 are decided in integers; only rows with float data get a tolerance.
 
-A continuous `gram` target over integer factors (`_HintRule.lifts`) that a
-pruning row reads is set from the depth of its last factor, and the forward
-checker takes its domain bounds before that depth and its value after.  The
-leaf would compute the same value and rejects one outside the domain, so no
-feasible leaf is pruned.
+Each linear row is decided once, by one owner.  The forward checker decides
+a row with int/Fraction data over integer variables with int values and the
+`gram` targets lifted from them (a continuous target over integer factors
+that a pruning row reads is set from the depth of its last factor; the leaf
+would compute the same value).  The exact closure decides the equality rows
+it proves.  The leaf check decides every other row.
 
-Interior nodes also test pencils.  An exact integer pencil is
-`MatrixPencil.integral` and has every term on an integer variable with int
-values, so every PSD test on it, at a node or at a leaf, is exact
-(`linalg.is_psd_exact`) and carries no tolerance.  Once the search has
+Interior nodes also test pencils.  On an exact integer pencil
+(`MatrixPencil.integral`, every term on an integer variable with int values)
+every PSD test is exact (`linalg.is_psd_exact`).  Once the search has
 assigned every variable whose term touches the leading k x k block of such a
-pencil (k < order), that block is fixed for the whole subtree: it is built
-from the pencil's `entries` inside it, and the subtree is pruned when it is
-not PSD.  A principal block of a PSD
-matrix is PSD, so the exact leaf test rejects every completion of a pruned
-node.  Only the largest block closing at each depth is tested.  The integer
-variables are stable-sorted by the smallest leading block of an exact integer
-pencil they enter (an upper-triangle entry (r, c) of a term enters the blocks
-of order c + 1 and up), so bordered lifts interleave x_i with the X_ij and
-blocks close early; a model without such a pencil keeps its order.  Leaves
-still run the full test: the optimum, feasible count and residual stay as
-they were, while `nodes` and the order of the minimizers may change.
+pencil (k < order), the subtree is pruned when that block is not PSD, as
+every principal block of a PSD matrix is PSD; only the largest block closing
+at a depth is tested.  The integer variables are stable-sorted by the
+smallest such block they enter, so bordered lifts interleave x_i with the
+X_ij and blocks close early.  Leaves still run the full PSD test, so only
+`nodes` and the order of the minimizers may change.
 
 Each leaf resolves continuous variables in this order:
 
@@ -40,11 +35,11 @@ Each leaf resolves continuous variables in this order:
   5. builder hints of the "pending" stage, only while variables remain.
 
 The completed point is then tested by `_LeafCheck`, compiled once per call,
-minus the bounds and rows the closure decided.  It stops at the first
-violation, in the order domains, rows, pencils, so no PSD test runs on a
-point that a domain or a row rejects.  `eval_point` stays
-the slow reference that reports every violation; the two agree on
-feasibility, objective and residual on every point the search builds.
+minus the bounds the closure decided and the rows that the checker or the
+closure decided.  It stops at the first violation, in the order domains,
+rows, pencils.  `eval_point` stays the slow reference that reports every
+violation; the two agree on feasibility, objective and residual on every
+point the search reaches.
 
 `_HINT_RULES` is the one list of hint rules a model's metadata may name: each
 entry gives its stage, the variables it covers, and any pruning-only rows
@@ -121,16 +116,22 @@ class _ForwardChecker:
     rows with float data get eps = 1e-9 (1 + |rhs|).  Rows that never prune
     are dropped.  Slots 0..depth-1 are the integer variables; each (name,
     depth) of `lifted` adds a slot pushed at that depth, whose domain bounds
-    enter smin/smax before it.
+    enter smin/smax before it.  A test moves only at the depths of its slots,
+    so `consistent(d)` checks those that depth d moves (all of them at depth
+    0) and prunes the nodes a scan of every test would.  A kept exact row over
+    `ints` alone (slots whose values are ints) is decided exactly at its last
+    slot: its id is in `decided`, and no leaf needs to check it again.
     """
 
-    def __init__(self, rows, int_names, doms, lifted):
+    def __init__(self, rows, int_names, doms, lifted, ints):
         depth = len(int_names)
         names = [*int_names, *(n for n, _ in lifted)]
         at = [*range(depth), *(d for _, d in lifted)]
         slot = {n: i for i, n in enumerate(names)}
-        self.tests = []
         self.touch = [[] for _ in names]
+        self.checks = [[] for _ in range(depth)]  # per depth: (test, smin, smax, cmin, cmax, up, down)
+        self.decided = set()
+        self.partial = []  # per kept test, the sum of its pushed slots
         for row in rows:
             cont = [(c, doms[n]) for n, c in row.coeffs if n not in slot]
             bounds = [b for n, _ in row.coeffs if not doms[n].is_integer
@@ -157,17 +158,21 @@ class _ForwardChecker:
                 cmin = cmax = 0
             if up is None and down is None:
                 continue
+            if exact and all(n in ints for n, _ in row.coeffs):
+                self.decided.add(id(row))
             smin, smax = [0] * (depth + 1), [0] * (depth + 1)
             for s, c in by_slot.items():
                 lo, hi = _contribution_bounds(c, doms[names[s]])
                 smin[at[s]] += lo
                 smax[at[s]] += hi
-                self.touch[s].append((len(self.tests), c))
+                self.touch[s].append((len(self.partial), c))
             for d in range(depth - 1, -1, -1):
                 smin[d] += smin[d + 1]
                 smax[d] += smax[d + 1]
-            self.tests.append((smin, smax, cmin, cmax, up, down))
-        self.partial = [0] * len(self.tests)
+            up, down = math.inf if up is None else up, -math.inf if down is None else down
+            for d in {0, *(at[s] for s in by_slot)} if depth else ():
+                self.checks[d].append((len(self.partial), smin[d + 1], smax[d + 1], cmin, cmax, up, down))
+            self.partial.append(0)
 
     def push(self, s, value):
         """Add the value of slot s to the partial sums (its negation undoes it)."""
@@ -175,11 +180,12 @@ class _ForwardChecker:
         for ridx, c in self.touch[s]:
             self.partial[ridx] += c * value
 
-    def consistent(self, next_depth):
-        for (smin, smax, cmin, cmax, up, down), s in zip(self.tests, self.partial):
-            if up is not None and s + smin[next_depth] + cmin > up:
-                return False
-            if down is not None and s + smax[next_depth] + cmax < down:
+    def consistent(self, d):
+        """Whether every test that depth d moves still has room."""
+        partial = self.partial
+        for t, smin, smax, cmin, cmax, up, down in self.checks[d]:
+            s = partial[t]
+            if s + smin + cmin > up or s + smax + cmax < down:
                 return False
         return True
 
@@ -447,17 +453,17 @@ class _LeafCheck:
 
     Calling it on a complete point gives (objective, max_residual) when
     eval_point finds the point feasible, with equal values and types, and
-    None otherwise.  It stops at the first violation, in the order domains,
-    rows, pencils, so a domain- or row-infeasible point never reaches a PSD
-    test.  The closure decided the bounds of `determined` variables and the
-    rows `proven` by id, so they are skipped.  Of the rest, only bounded
-    continuous domains are checked: every integer value is drawn from its
-    domain's iter_values(), which contains() accepts.  Rows keep eval_point's
-    rule: exact when the row's data and values are all int/Fraction (on the
-    row scaled to ints once, when every value is an int; a row on a
-    determined variable, always a Fraction, skips that test), floats within
-    `lin_feas` otherwise.  A feasible point's exact rows all have residual 0,
-    so only float rows raise max_residual.
+    None otherwise, on every point that meets the rows and bounds it skips:
+    the bounds of `determined` variables (decided by the closure) and the
+    rows `proven` by id (decided by the forward checker or the closure).  It
+    stops at the first violation, in the order domains, rows, pencils.  Of
+    the rest, only bounded continuous domains are checked: every integer
+    value is drawn from its domain's iter_values(), which contains() accepts.
+    Rows keep eval_point's rule: exact when the row's data and values are all
+    int/Fraction (on the row scaled to ints once, when every value is an int;
+    a row on a determined variable, always a Fraction, skips that test),
+    floats within `lin_feas` otherwise.  A feasible point's exact rows all
+    have residual 0, so only float rows raise max_residual.
     """
 
     def __init__(self, model, determined=frozenset(), proven=frozenset()):
@@ -525,8 +531,8 @@ class _Plan:
             total *= self.doms[n].size()
             if total > budget:
                 raise BudgetExceeded(f"integer space exceeds budget {budget}")
-        exact = [p for p in model.pencils if p.integral and all(
-            self.doms[n].is_integer and _exact(*self.doms[n].values) for n, _ in p.terms)]
+        ints = {n for n in self.int_names if _exact(*self.doms[n].values)}  # values always ints
+        exact = [p for p in model.pencils if p.integral and all(n in ints for n, _ in p.terms)]
         # per exact pencil and term, the smallest leading block the term enters
         blocks = [[min((c + 1 for _, c, _ in e), default=math.inf) for e in p.entries[1:]] for p in exact]
         first = {}
@@ -554,17 +560,21 @@ class _Plan:
             for target, inputs, value in rule.lifts(hint):
                 if target not in covered and target not in pos and inputs and all(n in pos for n in inputs):
                     lifted.append((target, max(pos[n] for n in inputs), value))
+                    if ints.issuperset(inputs):
+                        ints.add(target)  # a sum of products of ints
                 covered.add(target)
             covered.update(rule.covers(hint))
-        self.checker = _ForwardChecker(prune_rows, self.int_names, self.doms, [t[:2] for t in lifted])
+        self.checker = _ForwardChecker(prune_rows, self.int_names, self.doms, [t[:2] for t in lifted], ints)
         self.lifts = [[] for _ in self.int_names]
         for s, (target, d, value) in enumerate(lifted, len(self.int_names)):
             if self.checker.touch[s]:  # a target no pruning row reads is left to the leaf
                 self.lifts[d].append((s, target, value))
         self.closure = _ClosureSolver(model.rows, {n for n in self.cont_names if n not in covered}, self.doms)
+        self.closes = bool(self.closure.determined or self.closure.dependent)
         corners = _corner_scalars(model)
         self.corners = [(n, *corners[n]) for n in self.cont_names if n in corners]
-        self.check = _LeafCheck(model, {name for name, _ in self.closure.determined}, self.closure.proven)
+        self.check = _LeafCheck(model, {name for name, _ in self.closure.determined},
+                                self.closure.proven | self.checker.decided)
 
     def _node_checks(self, pencils, blocks, pos):
         """Per depth, the leading blocks whose variables that depth completes;
@@ -582,31 +592,26 @@ class _Plan:
                 checks[depth].append(block)
         return checks
 
-    def _run(self, stage, assign):
-        for apply, hint in self.stages[stage]:
-            apply(hint, self.model, assign)
-
-    def _pending(self, assign):
-        return [n for n in self.cont_names if n not in assign]
-
     def resolve(self, assignment):
         """The leaf pipeline: complete an integer assignment, None if infeasible."""
         model = self.model
         assign = dict(assignment)
-        self._run(_LIFT, assign)
-        if not self.closure.apply(assign):
+        for apply, hint in self.stages[_LIFT]:
+            apply(hint, model, assign)
+        if self.closes and not self.closure.apply(assign):
             return None
-        self._run(_FORCED, assign)
+        for apply, hint in self.stages[_FORCED]:
+            apply(hint, model, assign)
         for name, pencil, i, a, coef in self.corners:
             if name in assign or not all(t in assign or t == name for t, _ in pencil.terms):
                 continue
             if not _resolve_corner(pencil, assign, name, i, a, coef, self.doms[name],
                                    model.objective.sense):
                 return None
-        if self._pending(assign):
-            self._run(_PENDING, assign)
-            pending = self._pending(assign)
-            if pending:
+        if len(assign) < len(self.doms):
+            for apply, hint in self.stages[_PENDING]:
+                apply(hint, model, assign)
+            if pending := [n for n in self.cont_names if n not in assign]:
                 raise UnsupportedContinuousPattern(
                     f"cannot resolve continuous variables {pending[:4]}"
                 )
@@ -650,7 +655,7 @@ class _Search:
                 assignment[target] = t = value(assignment)
                 if t:
                     checker.push(s, t)
-            if checker.consistent(d + 1) and (not blocks or all(b.is_psd_at(assignment) for b in blocks)):
+            if checker.consistent(d) and (not blocks or all(b.is_psd_at(assignment) for b in blocks)):
                 self.dfs(d + 1)
             for s, target, _ in lifts:
                 if t := assignment.pop(target):

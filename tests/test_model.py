@@ -14,7 +14,7 @@ from misdpkit import config
 from misdpkit import model as model_module
 from misdpkit.cbf import export_cbf, import_cbf
 from misdpkit.errors import IncompleteAssignment, ParseError, UnsupportedDomain, loads_json
-from misdpkit.formulations import bordered_pencil
+from misdpkit.formulations import bordered_pencil, lift_pencil
 from misdpkit.linalg import SymMat, dumps_matrix, is_psd, loads_matrix
 from misdpkit.model import (
     LinRow,
@@ -326,14 +326,27 @@ class TestPencilPsd:
         assert full or pencil._psd[(den, *scaled)] == expected
 
     def test_memo_stops_inserting_at_its_cap(self):
-        # [[t, 1], [1, 1]] is PSD iff t >= 1
+        # [[t, 1], [1, 1]] is PSD iff t >= 1; the memo is turned on as the
+        # lift builders turn it on
         pencil = MatrixPencil([[0, 1], [1, 1]], [("t", np.diag([1, 0]))])
+        pencil._psd = {}
         cap = model_module._PSD_MEMO_CAP
         points = range(-50, cap + 50)
         for _ in range(2):
             assert [pencil.is_psd_at({"t": t}) for t in points] == [t >= 1 for t in points]
             assert len(pencil._psd) == cap
         assert pencil.is_psd_at({"t": Fraction(cap + 101, 2)}) and len(pencil._psd) == cap
+
+    def test_only_the_shared_lift_pencils_remember(self):
+        from misdpkit.problems import build_sils
+
+        assert bordered_pencil(2, 1.0)._psd is not None and lift_pencil(2, 1)._psd is not None
+        (own,) = build_sils(np.array([[1, -1], [0, 2]]), np.array([1, 0]), 1).pencils
+        values = {name: 1 for name, _ in own.terms}
+        with mock.patch.object(model_module, "psd_exact_sum", wraps=psd_exact_sum) as exact:
+            decided = own.is_psd_at(values)
+            assert own.is_psd_at(values) == decided
+        assert own.integral and exact.call_count == 2 and own._psd is None
 
 
 class TestJsonRoundTrip:

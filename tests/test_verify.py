@@ -368,6 +368,23 @@ def _plans():
     return [verify._Plan(m, budget=10**9) for m in _one_model_per_builder()]
 
 
+def _forward_passes(plan, point):
+    """Whether the forward checker passes every depth of the search path to `point`."""
+    checker, assign, saved = plan.checker, {}, list(plan.checker.partial)
+    try:
+        for d, name in enumerate(plan.int_names):
+            assign[name] = point[name]
+            checker.push(d, point[name])
+            for s, target, value in plan.lifts[d]:
+                assign[target] = value(assign)
+                checker.push(s, assign[target])
+            if not checker.consistent(d):
+                return False
+        return True
+    finally:
+        checker.partial[:] = saved
+
+
 def _assert_agrees(model, got, assign):
     """`got`, the compiled check's result on `assign`, matches eval_point's."""
     ref = eval_point(model, assign)
@@ -384,11 +401,14 @@ class TestLeafCheck:
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_agrees_with_eval_point_on_random_points(self, data):
+        # the check skips the rows the forward checker decided, so the
+        # search accepts a point when the checker passes its whole path and
+        # the check then accepts it
         plan = data.draw(st.sampled_from(_plans()))
         point = {n: data.draw(st.sampled_from(plan.doms[n].iter_values())) for n in plan.int_names}
         assign = plan.resolve(point)
         if assign is not None:
-            _assert_agrees(plan.model, plan.check(assign), assign)
+            _assert_agrees(plan.model, plan.check(assign) if _forward_passes(plan, point) else None, assign)
 
     def test_agrees_with_eval_point_on_mixed_data(self):
         # exact, float and mixed rows of each relation, bounded continuous
@@ -473,7 +493,7 @@ class TestLeafCheck:
         monkeypatch.setattr(model_module, "is_psd_exact", counted)
         monkeypatch.setattr(model_module, "is_psd", float_route)
         # 1,566 of the 4,023 leaves fail before any pencil, all of them in the
-        # closure's windows (y1, y2 >= 0); the check keeps only the support row
+        # closure's windows (y1, y2 >= 0); the check keeps no row
         assert equivalence_suite("sils-small").passed
         assert len(leaf) == 2457
         assert all(n == order for n, order, _ in leaf)
@@ -695,6 +715,18 @@ class TestExactRows:
         assert (res.optimum, res.feasible_count) == _brute_force(m)
 
 
+class TestPerDepthChecks:
+    """Depth 0 checks every row and a later depth only the rows it moves, so
+    the search prunes the nodes a scan of every row at every depth would."""
+
+    @pytest.mark.parametrize("rhs, nodes", [(-1, 1), (0, 5), (1, 7)])
+    def test_a_row_on_a_later_variable_prunes_from_the_root(self, rhs, nodes):
+        # b <= rhs reads only the second variable; no b meets rhs = -1
+        m = MisdpModel([("a", VarDomain.binary()), ("b", VarDomain.binary())],
+                       Objective("min", {"a": 1}), rows=[LinRow((("b", 1),), "<=", rhs)])
+        assert solve_by_enumeration(m).nodes == nodes
+
+
 @st.composite
 def _equality_systems(draw):
     """Equality rows over unknowns u_i and known values k_j, each row naming
@@ -831,7 +863,9 @@ class TestClosureDecidesItsRows:
             feasible.append(got is not None)
         assert feasible == ([False, True, True] if side == "lo" else [True, True, False])
 
-    def test_sils_checks_keep_only_the_support_row(self, monkeypatch):
+    def test_sils_checks_keep_no_row_and_no_bound(self, monkeypatch):
+        # the closure proves the equality rows and the forward checker
+        # decides the support row, a cap on integer variables alone
         plans, plan_init = [], verify._Plan.__init__
 
         def planning(plan, model, budget):
@@ -843,8 +877,69 @@ class TestClosureDecidesItsRows:
         assert len(plans) == 18
         for plan in plans:
             (support,) = [r for r in plan.model.rows if r.label == "support"]
-            assert [r[1] for r in plan.check.rows] == [[n for n, _ in support.coeffs]]
-            assert plan.check.bounds == []
+            assert plan.checker.decided >= {id(support)}
+            assert plan.check.rows == [] and plan.check.bounds == []
+
+
+class TestCheckerDecidesItsRows:
+    """A kept row with int/Fraction data over integer variables with int
+    values and lifted targets over them leaves the leaf check, which the
+    forward checker decided exactly; every other row stays."""
+
+    @staticmethod
+    def _leaf_rows(m):
+        return [r[1] for r in verify._Plan(m, budget=10**6).check.rows]
+
+    def test_rows_over_int_values_and_lifted_targets_leave(self):
+        m = build_stable_set(Graph.make(4, [(0, 1), (1, 2), (2, 3)]))
+        plan = verify._Plan(m, budget=10**6)
+        assert plan.checker.decided == {id(r) for r in m.rows} and plan.check.rows == []
+        _assert_matches_reference_walk(m)
+
+    def test_float_row_stays(self):
+        m = MisdpModel([("a", VarDomain.integer_range(0, 3)), ("b", VarDomain.binary())],
+                       Objective("min", {"a": -1, "b": 1}),
+                       rows=[LinRow((("a", 0.5), ("b", 1)), "<=", 1.5)])
+        assert self._leaf_rows(m) == [["a", "b"]]
+        _assert_matches_reference_walk(m)
+
+    def test_row_over_a_continuous_variable_stays(self):
+        # the closure sets t = b and proves that row; a + t <= 2 reads t
+        m = MisdpModel(
+            [("a", VarDomain.integer_range(0, 3)), ("b", VarDomain.binary()), ("t", VarDomain.continuous(0, 1))],
+            Objective("min", {"a": -1, "t": 1}),
+            rows=[LinRow((("t", 1), ("b", -1)), "==", 0), LinRow((("a", 1), ("t", 1)), "<=", 2)],
+        )
+        assert self._leaf_rows(m) == [["a", "t"]]
+        assert solve_by_enumeration(m).feasible_count == 5
+        _assert_matches_reference_walk(m)
+
+    def test_row_that_never_prunes_stays(self):
+        # u is unbounded, so a - u <= 1 gives the checker no window
+        m = MisdpModel(
+            [("a", VarDomain.integer_range(0, 3)), ("b", VarDomain.binary()), ("u", VarDomain.continuous())],
+            Objective("min", {"a": -1}),
+            rows=[LinRow((("u", 1), ("b", -1)), "==", 0), LinRow((("a", 1), ("u", -1)), "<=", 1)],
+        )
+        plan = verify._Plan(m, budget=10**6)
+        assert len(plan.checker.partial) == 0 and self._leaf_rows(m) == [["a", "u"]]
+        assert solve_by_enumeration(m).feasible_count == 5
+        _assert_matches_reference_walk(m)
+
+    def test_row_over_float_values_stays(self):
+        # exactly, the row holds at a = b = 1.0, so the checker passes that
+        # leaf; eval_point sums in floats, where 10**17 + 1 is 10**17, and
+        # finds a residual of 1, so the leaf must still check the row
+        dom = VarDomain.finite_set([1.0, 2.0])
+        m = MisdpModel([("a", dom), ("b", dom)], Objective("min", {"a": 1}),
+                       rows=[LinRow((("a", 10**17 + 1), ("b", -10**17)), "==", 1)])
+        plan = verify._Plan(m, budget=10)
+        assert plan.checker.decided == set() and self._leaf_rows(m) == [["a", "b"]]
+        assert _forward_passes(plan, {"a": 1.0, "b": 1.0})
+        for a, b in itertools.product(dom.iter_values(), repeat=2):
+            point = {"a": a, "b": b}
+            _assert_agrees(m, plan.check(point) if _forward_passes(plan, point) else None, point)
+        assert solve_by_enumeration(m).feasible_count == 0
 
 
 def _gram(factors, targets):
@@ -977,14 +1072,18 @@ class TestLiftsAtNodes:
         monkeypatch.setattr(verify, "solve_by_enumeration", solve)
         monkeypatch.setattr(verify._Search, "leaf", leaf)
         totals = {}
-        for name in ("stable-set-n4", "stable-set-n5", "qcqp-random"):
+        for name in SUITES:
             counts.update(nodes=0, leaves=0)
             reports = equivalence_suite(name).reports
             totals[name] = (counts["nodes"], counts["leaves"], sum(r.misdp_feasible for r in reports))
-        # 64,512, 1,984 and 361 nodes before lifting; every leaf of
-        # stable-set-n5 is now a stable set, as the edge rows prune the rest
+        # stable-set-n5, n4 and qcqp-random took 64,512, 1,984 and 361 nodes
+        # before lifting; every leaf of stable-set-n5 is now a stable set, as
+        # the edge rows prune the rest
         assert {name: t[0] for name, t in totals.items()} == {
-            "stable-set-n4": 1321, "stable-set-n5": 33761, "qcqp-random": 322,
+            "stable-set-n5": 33761, "stable-set-n4": 1321, "mkcs-small": 37084, "qcqp-random": 322,
+            "qbpp-random": 219, "qmkp-random": 3072, "qap-random": 900, "tsp-small": 2180,
+            "gpp-cross": 738, "kep-gep-vs-assoc": 288, "sils-small": 10191, "completion-2x2": 146,
+            "cvetkovic-hamiltonicity": 725,
         }
         assert totals["stable-set-n5"][1:] == (12625, 12625)
 
@@ -1010,3 +1109,25 @@ class TestOracleProperties:
         from misdpkit.formulations import build_bsdp_qcqp
 
         assert run_case("q", build_bsdp_qcqp(inst, compact=compact), "qcqp", (inst,), True).ok()
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.integers(0, 3), min_size=10, max_size=10))
+    def test_tsp_cvetkovic(self, upper):
+        # ties and zeros; on 5 vertices every 2-regular graph is a tour
+        d = np.zeros((5, 5), dtype=np.int64)
+        d[np.triu_indices(5, 1)] = upper
+        d += d.T
+        assert run_case("t", build_tsp_cvetkovic(d), "tsp", (d,), True).ok()
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([(2, 2), (2, 3)]), st.data())
+    def test_matrix_completion(self, shape, data):
+        from misdpkit.problems import build_matrix_completion
+
+        cells = [(i, j) for i in range(shape[0]) for j in range(shape[1])]
+        observed = {c: data.draw(st.integers(-2, 3)) for c in data.draw(st.lists(st.sampled_from(cells), unique=True))}
+        # a value set with gaps: steps of 2 or 3 from the first value
+        values = list(itertools.accumulate(data.draw(st.lists(st.integers(2, 3), max_size=2)),
+                                           initial=data.draw(st.integers(-2, 1))))
+        m = build_matrix_completion(shape, observed, values)
+        assert run_case("c", m, "completion", (shape, observed, tuple(values)), True).ok()
