@@ -10,10 +10,10 @@ integers, and the integer tokens of the objective and row sections
 (OBJACOORD, OBJBCOORD, ACOORD, BCOORD) are read back as ints, of any size.
 Every other number is written as a 17-digit float, so Fraction data does not
 come back exactly, and the PSD sections (HCOORD, DCOORD) are read as finite
-floats.  A finite-set domain
-with gaps has no such row encoding, so export_cbf refuses it.  import_cbf
-raises only ParseError, with the line number, on malformed or out-of-range
-input.
+floats, whose coordinates go to each pencil as they are; a coordinate given
+twice, in either triangle, is refused.  A finite-set domain with gaps has no
+such row encoding, so export_cbf refuses it.  import_cbf raises only
+ParseError, with the line number, on malformed or out-of-range input.
 """
 
 import json
@@ -21,8 +21,6 @@ import math
 import numbers
 import re
 from fractions import Fraction
-
-import numpy as np
 
 from .errors import MisdpkitError, ParseError, UnsupportedDomain, loads_json
 from .model import (
@@ -41,7 +39,7 @@ from .model import (
 _REL_CONE = {"==": "L=", "<=": "L-", ">=": "L+"}
 _CONE_REL = {v: k for k, v in _REL_CONE.items()}
 _FOREIGN_INT_BOUND = 2**31
-# float64 entries the dense pencils of one imported model may hold (128 MB)
+# float64 entries the float stacks of one imported model's pencils may hold (128 MB)
 _MAX_DENSE_ENTRIES = 2**24
 
 
@@ -443,20 +441,19 @@ def import_cbf(text: str) -> MisdpModel:
 
     terms = [{} for _ in psd_dims]
     for p, j, r, c, v in hcoord:
-        terms[p].setdefault(names[j], []).append((r, c, v))
+        terms[p].setdefault(j, []).append((r, c, v))
     dense = sum(d * d * (1 + len(t)) for d, t in zip(psd_dims, terms))
     if dense > _MAX_DENSE_ENTRIES:
         raise ParseError(f"PSD cones need {dense} dense entries, more than {_MAX_DENSE_ENTRIES}")
     consts = [[] for _ in psd_dims]
     for p, r, c, v in dcoord:
         consts[p].append((r, c, v))
-    pencils = [
-        MatrixPencil(
-            _dense(d, consts[p]),
-            sorted(((n, _dense(d, e)) for n, e in terms[p].items()), key=lambda kv: names.index(kv[0])),
-        )
-        for p, d in enumerate(psd_dims)
-    ]
+    pencils = []
+    for p, d in enumerate(psd_dims):
+        try:
+            pencils.append(MatrixPencil(d, consts[p], [(names[j], e) for j, e in sorted(terms[p].items())]))
+        except ValueError as exc:  # a coordinate given twice
+            raise ParseError(f"PSD cone {p}: {exc}") from None
 
     objective = Objective(sense, {names[j]: v for j, v in sorted(obj_coeffs.items())}, obj_const)
     model = MisdpModel(list(zip(names, domains)), objective, rows, pencils, metadata)
@@ -464,11 +461,3 @@ def import_cbf(text: str) -> MisdpModel:
     if defects:
         raise ParseError(f"model has defects: {defects}")
     return model
-
-
-def _dense(order, entries):
-    """Symmetric order x order matrix from lower- or upper-triangle (r, c, v) entries."""
-    mat = np.zeros((order, order))
-    for r, c, v in entries:
-        mat[r, c] = mat[c, r] = v
-    return mat

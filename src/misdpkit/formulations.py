@@ -54,21 +54,6 @@ def pname(i, j):
     return f"P[{i},{j}]"
 
 
-def sym_coeff(order, i, j, value=1.0):
-    m = np.zeros((order, order))
-    m[i, j] = value
-    m[j, i] = value
-    return m
-
-
-def sym_matrix(order, entries):
-    m = np.zeros((order, order))
-    for i, j, v in entries:
-        m[i, j] = v
-        m[j, i] = v
-    return m
-
-
 def _as_sym(a, n, what):
     arr = np.asarray(a)
     if arr.shape != (n, n):
@@ -131,17 +116,9 @@ def bordered_pencil(n, corner):
     One shared, read-only pencil per (n, corner): every model of that shape
     holds the same object, and so the same memo of exact PSD decisions.
     """
-    const = sym_matrix(n + 1, [(0, 0, corner)])
-    terms = []
-    for i in range(n):
-        m = np.zeros((n + 1, n + 1))
-        m[0, i + 1] = m[i + 1, 0] = 1.0
-        m[i + 1, i + 1] = 1.0
-        terms.append((xname(i), m))
-    for i in range(n):
-        for j in range(i + 1, n):
-            terms.append((mname("X", i, j), sym_coeff(n + 1, i + 1, j + 1)))
-    pencil = MatrixPencil(const, terms)
+    terms = [(xname(i), [(0, i + 1, 1), (i + 1, i + 1, 1)]) for i in range(n)]
+    terms += [(mname("X", i, j), [(i + 1, j + 1, 1)]) for i in range(n) for j in range(i + 1, n)]
+    pencil = MatrixPencil(n + 1, [(0, 0, corner)], terms)
     pencil._psd = {}  # its leaves repeat across models: remember exact decisions
     return pencil
 
@@ -165,14 +142,9 @@ def lift_pencil(n, k, prefix="X"):
 
     One shared, read-only pencil per (n, k, prefix), as for `bordered_pencil`.
     """
-    order = n + k
-    const = np.zeros((order, order))
-    const[:k, :k] = np.eye(k)
-    terms = [(pname(i, a), sym_coeff(order, a, k + i)) for i in range(n) for a in range(k)]
-    terms += [
-        (mname(prefix, i, j), sym_coeff(order, k + i, k + j)) for i in range(n) for j in range(i, n)
-    ]
-    pencil = MatrixPencil(const, terms)
+    terms = [(pname(i, a), [(a, k + i, 1)]) for i in range(n) for a in range(k)]
+    terms += [(mname(prefix, i, j), [(k + i, k + j, 1)]) for i in range(n) for j in range(i, n)]
+    pencil = MatrixPencil(n + k, [(a, a, 1) for a in range(k)], terms)
     pencil._psd = {}  # as in bordered_pencil
     return pencil
 
@@ -252,7 +224,7 @@ def build_bsdp_qcqp(inst: QcqpInstance, compact: bool = False) -> MisdpModel:
         variables,
         objective,
         rows,
-        [bordered_pencil(n, 1.0)],
+        [bordered_pencil(n, 1)],
         metadata=metadata,
     )
 
@@ -317,7 +289,7 @@ def build_bsdp_qmp1(inst: Qmp1Instance) -> MisdpModel:
         variables,
         objective,
         rows,
-        [bordered_pencil(n, float(k))],
+        [bordered_pencil(n, k)],
         metadata={"problem": "bsdp_qmp1", "k": k},
     )
 

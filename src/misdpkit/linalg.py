@@ -16,13 +16,6 @@ from . import config
 from .errors import DimensionMismatch, NonConvergence, ParseError
 from ._kernels import JACOBI_OFF, JACOBI_SWEEPS, jacobi_eigh
 
-# entry character sets
-BINARY = "binary"        # {0,1}
-PM_ONE = "pm1"           # {+1,-1}
-TERNARY = "ternary"      # {0,+1,-1}
-GENERAL = "general"
-
-
 class SymMat:
     """Immutable dense real symmetric matrix.
 
@@ -32,7 +25,7 @@ class SymMat:
     float storage.
     """
 
-    __slots__ = ("n", "_a", "ints", "charset")
+    __slots__ = ("n", "_a", "ints")
 
     def __init__(self, data, check_symmetry=True):
         a = np.array(data, dtype=np.float64)
@@ -54,7 +47,6 @@ class SymMat:
                 ints = r.astype(np.int64)
                 ints.setflags(write=False)
         self.ints = ints
-        self.charset = _charset(ints)
 
     # -- constructors -------------------------------------------------------
     @staticmethod
@@ -99,20 +91,7 @@ class SymMat:
         return hash((self.n, self._a.tobytes()))
 
     def __repr__(self):
-        return f"SymMat(n={self.n}, charset={self.charset})"
-
-
-def _charset(ints):
-    if ints is None:
-        return GENERAL
-    vals = set(np.unique(ints).tolist())
-    if vals <= {0, 1}:
-        return BINARY
-    if vals <= {-1, 1}:
-        return PM_ONE
-    if vals <= {-1, 0, 1}:
-        return TERNARY
-    return GENERAL
+        return f"SymMat(n={self.n}, integral={self.ints is not None})"
 
 
 @dataclass(frozen=True)
@@ -165,16 +144,11 @@ def _inf_norm(arr):
     return float(np.max(np.sum(np.abs(arr), axis=1)))
 
 
-def is_psd(a, tol=None):
-    """True iff lambda_min(a) >= -tol.
-
-    Default tol is psd_scale * max(1, ||a||_inf).
-    """
+def is_psd(a):
+    """True iff lambda_min(a) >= -tol, tol = psd_scale * max(1, ||a||_inf)."""
     arr = _as_array(a)
-    if tol is None:
-        tol = config.DEFAULT.psd_tol(_inf_norm(arr))
     w = eigen_values(arr)
-    return bool(w.size == 0 or w[-1] >= -tol)
+    return bool(w.size == 0 or w[-1] >= -config.DEFAULT.psd_tol(_inf_norm(arr)))
 
 
 def num_rank(a):

@@ -15,6 +15,7 @@ float eigensolver.
 import json
 import math
 import numbers
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -71,12 +72,14 @@ class VarDomain:
 
     @staticmethod
     def finite_set(values):
+        # integral values of any number type are stored as ints
         vals = tuple(sorted(set(values)))
         if not vals:
             raise UnsupportedDomain("finite_set must be nonempty")
         odd = [v for v in vals if not _integral(v)]
         if odd:
             raise UnsupportedDomain(f"finite_set values must be integers, got {odd[:4]}")
+        vals = tuple(map(int, vals))
         return VarDomain(FINITE_SET, vals[0], vals[-1], vals)
 
     @property
@@ -139,6 +142,42 @@ class LinRow:
         )
 
 
+def _entry(x, what):
+    """A pencil entry as `entries` keeps it: an int when integral, else the
+    Fraction or float given."""
+    if isinstance(x, numbers.Integral):
+        x = int(x)
+    elif isinstance(x, Fraction):
+        x = x.numerator if x.denominator == 1 else x
+    elif isinstance(x, numbers.Real):
+        x = float(x)
+        x = int(x) if x.is_integer() else x
+    else:
+        raise ValueError(f"pencil {what} has entry {x!r}, not a real number")
+    try:
+        if math.isfinite(x):
+            return x
+    except OverflowError:  # past the float64 range
+        pass
+    raise ValueError(f"pencil {what} has a non-finite entry")
+
+
+def _upper_triples(order, triples, what):
+    """The nonzero entries of (r, c, value) `triples` as (r, c, value) with
+    r <= c, in row-major order; ValueError on a bad triple, naming `what`."""
+    seen = {}
+    for r, c, x in triples:
+        r, c = operator.index(r), operator.index(c)
+        if r > c:
+            r, c = c, r
+        if r < 0 or c >= order:
+            raise ValueError(f"pencil {what} has entry ({r}, {c}) outside order {order}")
+        if (r, c) in seen:
+            raise ValueError(f"pencil {what} repeats entry ({r}, {c})")
+        seen[r, c] = _entry(x, what)
+    return tuple((r, c, x) for (r, c), x in sorted(seen.items()) if x)
+
+
 # exact PSD decisions one pencil remembers; a full memo stops inserting, so a
 # long enumeration, whose leaves are all distinct, cannot grow it further
 _PSD_MEMO_CAP = 4096
@@ -147,10 +186,15 @@ _PSD_MEMO_CAP = 4096
 class MatrixPencil:
     """Affine symmetric matrix A_0 + sum_j v_j A_j, constrained PSD.
 
-    Built once into one read-only, finite float64 stack (const, then terms),
-    whose decoding every reader uses: `entries` holds, per matrix, the nonzero
-    upper-triangle (r, c, value) triples in row-major order, and `integral`
-    whether every matrix is integer-valued, the values then being ints.
+    `MatrixPencil(order, const, terms)` takes the constant and each
+    `(name, triples)` term as (r, c, value) triples of matrix entries, in
+    either triangle.  They are kept exact in `entries`: per matrix, the nonzero
+    upper-triangle triples in row-major order, an integral value as an int and
+    any other as the Fraction or float given.  `integral` is whether every
+    value is an int.  A triple out of range, a coordinate given twice (also as
+    (r, c) and (c, r)) or a value that is not a finite real raises ValueError
+    naming the matrix.  The read-only float64 stack (`const`, the matrices of
+    `terms`) is derived from the entries, and `evaluate` and `__eq__` read it.
 
     The lift builders share one pencil per shape across models and turn on
     its private memo `_psd` (None otherwise), where the exact route of
@@ -160,35 +204,21 @@ class MatrixPencil:
 
     __slots__ = ("order", "const", "terms", "entries", "integral", "_psd")
 
-    def __init__(self, const, terms):
-        const = np.asarray(const, dtype=np.float64)
-        if const.ndim != 2 or const.shape[0] != const.shape[1]:
-            raise ValueError("pencil constant must be square")
-        self.order = const.shape[0]
-        names, mats = [], [const]
-        for name, mat in terms:
-            m = np.asarray(mat, dtype=np.float64)
-            if m.shape != const.shape:
-                raise ValueError(f"pencil term {name!r} must be of order {self.order}")
+    def __init__(self, order, const, terms):
+        names, entries = [], [_upper_triples(order, const, "constant")]
+        for name, triples in terms:
             names.append(name)
-            mats.append(m)
-        stack = np.array(mats)
-        for ok, defect in ((np.isfinite(stack).all(axis=(1, 2)), "has a non-finite entry"),
-                           ((stack == stack.transpose(0, 2, 1)).all(axis=(1, 2)), "must be symmetric")):
-            if not ok.all():
-                first = int(ok.argmin())
-                raise ValueError(f"pencil {f'term {names[first - 1]!r}' if first else 'constant'} {defect}")
+            entries.append(_upper_triples(order, triples, f"term {name!r}"))
+        stack = np.zeros((len(entries), order, order))
+        for mat, triples in zip(stack, entries):
+            for r, c, x in triples:
+                mat[r, c] = mat[c, r] = x
         stack.setflags(write=False)
+        self.order = order
         self.const = stack[0]
         self.terms = tuple(zip(names, stack[1:]))
-        upper = np.triu(stack)
-        t, r, c = np.nonzero(upper)
-        values = upper[t, r, c]
-        self.integral = not (values % 1).any()
-        values = values.tolist()
-        triples = list(zip(r.tolist(), c.tolist(), list(map(int, values)) if self.integral else values))
-        cuts = np.searchsorted(t, np.arange(len(mats) + 1)).tolist()
-        self.entries = tuple(tuple(triples[i:j]) for i, j in zip(cuts, cuts[1:]))
+        self.entries = tuple(entries)
+        self.integral = all(type(x) is int for triples in entries for _, _, x in triples)
         self._psd = None
 
     def evaluate(self, values: dict) -> np.ndarray:
@@ -339,15 +369,14 @@ class EvalResult:
     max_residual: float
 
 
-def eval_point(model: MisdpModel, assignment: dict, tol=None) -> EvalResult:
+def eval_point(model: MisdpModel, assignment: dict) -> EvalResult:
     """Check an assignment against domains, rows and pencils.
 
     Row checks are exact whenever the row data and values are int/Fraction;
-    float data uses `tol` (default from the tolerance policy).  The objective
-    is always reported.
+    float data uses the `lin_feas` tolerance.  The objective is always
+    reported.
     """
-    if tol is None:
-        tol = config.DEFAULT.lin_feas
+    tol = config.DEFAULT.lin_feas
     missing = [n for n, _ in model.variables if n not in assignment]
     if missing:
         raise IncompleteAssignment(f"missing values for {missing[:4]}{'...' if len(missing) > 4 else ''}")
@@ -389,7 +418,7 @@ def eval_point(model: MisdpModel, assignment: dict, tol=None) -> EvalResult:
 
 
 # ---------------------------------------------------------------------------
-# JSON serialization (lossless, byte-stable)
+# JSON serialization (byte-stable; pencil matrices are written as floats)
 # ---------------------------------------------------------------------------
 
 def _enc_num(v):
@@ -436,6 +465,22 @@ def _dec_domain(obj):
         lo, hi = obj.get("lo"), obj.get("hi")
         return VarDomain.continuous(lo if lo is None else _dec_num(lo), hi if hi is None else _dec_num(hi))
     raise ParseError(f"unknown domain kind {kind!r}")
+
+
+def _dense_triples(mat, order, what):
+    """The upper-triangle (r, c, value) triples of a dense square symmetric
+    list of lists, as a pencil takes them; ParseError otherwise."""
+    if len(mat) != order or any(len(row) != order for row in mat):
+        raise ParseError(f"pencil {what} must be square of order {order}")
+    triples = []
+    for r, row in enumerate(mat):
+        for c in range(r, order):
+            x = row[c]
+            if x != mat[c][r]:
+                raise ParseError(f"pencil {what} must be symmetric")
+            if x != 0:
+                triples.append((r, c, x))
+    return triples
 
 
 def export_json(model: MisdpModel) -> str:
@@ -494,7 +539,11 @@ def _model_from_json(obj):
         )
         for r in obj["rows"]
     ]
-    pencils = [MatrixPencil(p["const"], [(n, m) for n, m in p["terms"]]) for p in obj["pencils"]]
+    pencils = []
+    for p in obj["pencils"]:
+        order = len(p["const"])
+        pencils.append(MatrixPencil(order, _dense_triples(p["const"], order, "constant"),
+                                    [(n, _dense_triples(m, order, f"term {n!r}")) for n, m in p["terms"]]))
     metadata = obj.get("metadata", {})
     if not isinstance(metadata, dict):
         raise ParseError("field 'metadata' must be an object")

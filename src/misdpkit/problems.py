@@ -47,8 +47,6 @@ from .formulations import (
     mname,
     pname,
     pynum,
-    sym_coeff,
-    sym_matrix,
     xname,
 )
 from .model import LinRow, MatrixPencil, MisdpModel, Objective, VarDomain
@@ -293,7 +291,7 @@ def build_stable_set(g: Graph) -> MisdpModel:
         bordered_vars(n, VarDomain.continuous(0, 1)),
         _lifted_objective_max_count(n),
         rows,
-        [bordered_pencil(n, 1.0)],
+        [bordered_pencil(n, 1)],
         metadata={"problem": "stable_set", "sense_original": "max",
                   "hints": [gram_hint(n)]},
     )
@@ -309,7 +307,7 @@ def build_mkcs(g: Graph, k: int) -> MisdpModel:
         bordered_vars(n, VarDomain.binary()),
         _lifted_objective_max_count(n),
         rows,
-        [bordered_pencil(n, float(k))],
+        [bordered_pencil(n, k)],
         metadata={"problem": "mkcs", "k": k, "sense_original": "max"},
     )
 
@@ -351,14 +349,8 @@ def build_qbpp(weights, capacity, bin_cost, dissimilarity) -> MisdpModel:
                 coeffs[name] = w[j]
         rows.append(LinRow(tuple(coeffs.items()), "<=", capacity, label="capacity"))
 
-    order = n + 1
-    const = sym_matrix(order, [(0, i + 1, 1.0) for i in range(n)])
-    terms = [("z", sym_matrix(order, [(0, 0, 1.0)]))]
-    for i in range(n):
-        terms.append((xname(i), sym_coeff(order, i + 1, i + 1)))
-    for i in range(n):
-        for j in range(i + 1, n):
-            terms.append((mname("X", i, j), sym_coeff(order, i + 1, j + 1)))
+    terms = [("z", [(0, 0, 1)])] + [(xname(i), [(i + 1, i + 1, 1)]) for i in range(n)]
+    terms += [(mname("X", i, j), [(i + 1, j + 1, 1)]) for i in range(n) for j in range(i + 1, n)]
 
     coeffs = {"z": bin_cost}
     for i in range(n):
@@ -371,7 +363,7 @@ def build_qbpp(weights, capacity, bin_cost, dissimilarity) -> MisdpModel:
         variables,
         Objective("min", coeffs),
         rows,
-        [MatrixPencil(const, terms)],
+        [MatrixPencil(n + 1, [(0, i + 1, 1) for i in range(n)], terms)],
         metadata={"problem": "qbpp"},
     )
 
@@ -441,24 +433,17 @@ def _qap_skeleton(inst: QapInstance, objective: Objective, problem: str) -> Misd
                     coeffs.append((mname("X", i, t), -v))
             rows.append(LinRow(tuple(coeffs), "==", 0, label="r-def"))
 
-    order = 3 * n
-    const = np.zeros((order, order))
-    const[:n, :n] = np.eye(n)
-    const[n:2 * n, n:2 * n] = np.eye(n)
     terms = []
     for i in range(n):
         for j in range(n):
-            terms.append((mname("X", i, j), sym_coeff(order, j, n + i)))
-            terms.append((mname("R", i, j), sym_coeff(order, j, 2 * n + i)))
+            terms.append((mname("X", i, j), [(j, n + i, 1)]))
+            terms.append((mname("R", i, j), [(j, 2 * n + i, 1)]))
     for i in range(n):
         for j in range(i, n):
-            m = np.zeros((order, order))
-            m[n + i, 2 * n + j] = m[2 * n + j, n + i] = 1.0
-            if i != j:
-                m[n + j, 2 * n + i] = m[2 * n + i, n + j] = 1.0
-            terms.append((mname("Y", i, j), m))
-            terms.append((mname("Z", i, j), sym_coeff(order, 2 * n + i, 2 * n + j)))
-    pencil = MatrixPencil(const, terms)
+            y = [(n + i, 2 * n + j, 1)] + ([(n + j, 2 * n + i, 1)] if i != j else [])
+            terms.append((mname("Y", i, j), y))
+            terms.append((mname("Z", i, j), [(2 * n + i, 2 * n + j, 1)]))
+    pencil = MatrixPencil(3 * n, [(i, i, 1) for i in range(2 * n)], terms)
     hints = [{"rule": "qap_schur", "n": n, "x": "X", "r": "R", "y": "Y", "z": "Z"}]
     return MisdpModel(
         variables,
@@ -543,17 +528,13 @@ def build_tsp_cvetkovic(d) -> MisdpModel:
                    label="degree")
         )
     alpha = 2.0 * (1.0 - math.cos(2.0 * math.pi / n))
-    const = 2.0 * np.eye(n) + alpha * (np.ones((n, n)) - np.eye(n))
-    terms = [
-        (mname("X", i, j), sym_coeff(n, i, j, -1.0))
-        for i in range(n)
-        for j in range(i + 1, n)
-    ]
+    const = [(i, j, 2 if i == j else alpha) for i in range(n) for j in range(i, n)]
+    terms = [(mname("X", i, j), [(i, j, -1)]) for i in range(n) for j in range(i + 1, n)]
     return MisdpModel(
         variables,
         Objective("min", _pair_coeffs(d, n, "X")),
         rows,
-        [MatrixPencil(const, terms)],
+        [MatrixPencil(n, const, terms)],
         metadata={"problem": "tsp_cvetkovic"},
     )
 
@@ -593,8 +574,8 @@ def build_tsp_lee(d) -> MisdpModel:
             coef = math.cos(2.0 * math.pi * t * lmi / n)
             for i in range(n):
                 for j in range(i + 1, n):
-                    terms.append((mname(names[t - 1], i, j), sym_coeff(n, i, j, coef)))
-        pencils.append(MatrixPencil(np.eye(n), terms))
+                    terms.append((mname(names[t - 1], i, j), [(i, j, coef)]))
+        pencils.append(MatrixPencil(n, [(i, i, 1) for i in range(n)], terms))
     cuts = [
         {
             "coeffs": [[_pair_var("X1", i, j), 1] for j in range(n) if j != i],
@@ -655,16 +636,13 @@ def build_gpp(inst: GppInstance, variant: str = "general") -> MisdpModel:
         variables = [
             (mname("X", i, j), VarDomain.binary()) for i in range(n) for j in range(i, n)
         ]
-        terms = [
-            (mname("X", i, j), sym_coeff(n, i, j, float(scale)))
-            for i in range(n)
-            for j in range(i, n)
-        ]
+        terms = [(mname("X", i, j), [(i, j, scale)]) for i in range(n) for j in range(i, n)]
+        minus_j = [(i, j, -1) for i in range(n) for j in range(i, n)]
         return MisdpModel(
             variables,
             _laplacian_objective(lap, n),
             diag("X") + extra,
-            [MatrixPencil(-np.ones((n, n)), terms)],
+            [MatrixPencil(n, minus_j, terms)],
             metadata=metadata,
         )
 
@@ -693,12 +671,8 @@ def build_gpp(inst: GppInstance, variant: str = "general") -> MisdpModel:
         for a in range(k)
         for b in range(a, k)
     ]
-    const2 = np.zeros((n + k, n + k))
-    const2[:n, :n] = np.eye(n)
-    terms2 = [(pname(i, a), sym_coeff(n + k, i, n + a)) for i in range(n) for a in range(k)]
-    terms2 += [
-        (mname("X2", a, b), sym_coeff(n + k, n + a, n + b)) for a in range(k) for b in range(a, k)
-    ]
+    terms2 = [(pname(i, a), [(i, n + a, 1)]) for i in range(n) for a in range(k)]
+    terms2 += [(mname("X2", a, b), [(n + a, n + b, 1)]) for a in range(k) for b in range(a, k)]
     metadata["hints"] = [
         {
             "rule": "gram",
@@ -710,7 +684,7 @@ def build_gpp(inst: GppInstance, variant: str = "general") -> MisdpModel:
         variables,
         _laplacian_objective(lap, n, var="X1"),
         assign + diag("X1") + pinned,
-        [lift_pencil(n, k, "X1"), MatrixPencil(const2, terms2)],
+        [lift_pencil(n, k, "X1"), MatrixPencil(n + k, [(i, i, 1) for i in range(n)], terms2)],
         metadata=metadata,
     )
 
@@ -746,20 +720,14 @@ def build_kep_assoc(inst: GppInstance, degree_rows: bool = False) -> MisdpModel:
             coeffs = tuple((_pair_var("X2", i, j), 1) for j in range(n) if j != i)
             rows.append(LinRow(coeffs, "==", m - 1, label="within-degree"))
     else:
-        const = (m - 1.0) * np.eye(n)
-        terms = [
-            (mname("X2", i, j), sym_coeff(n, i, j, -1.0))
-            for i in range(n)
-            for j in range(i + 1, n)
-        ]
-        pencils.append(MatrixPencil(const, terms))
-    const2 = (k - 1.0) * np.eye(n)
+        terms = [(mname("X2", i, j), [(i, j, -1)]) for i in range(n) for j in range(i + 1, n)]
+        pencils.append(MatrixPencil(n, [(i, i, m - 1) for i in range(n)], terms))
     terms2 = []
     for i in range(n):
         for j in range(i + 1, n):
-            terms2.append((mname("X1", i, j), sym_coeff(n, i, j, -1.0)))
-            terms2.append((mname("X2", i, j), sym_coeff(n, i, j, float(k - 1))))
-    pencils.append(MatrixPencil(const2, terms2))
+            terms2.append((mname("X1", i, j), [(i, j, -1)]))
+            terms2.append((mname("X2", i, j), [(i, j, k - 1)]))
+    pencils.append(MatrixPencil(n, [(i, i, k - 1) for i in range(n)], terms2))
     return MisdpModel(
         variables,
         Objective("min", _pair_coeffs(w, n, "X1")),
@@ -796,21 +764,12 @@ def build_matrix_completion(shape, observed, domain) -> MisdpModel:
     variables += [
         (mname("Z2", a, b), VarDomain.continuous()) for a in range(m) for b in range(a, m)
     ]
-    order = n + m
-    const = np.zeros((order, order))
-    for (i, j), v in observed.items():
-        const[i, n + j] = const[n + j, i] = float(v)
-    terms = []
-    for i in range(n):
-        for j in range(m):
-            if (i, j) not in observed:
-                terms.append((mname("X", i, j), sym_coeff(order, i, n + j)))
-    for i in range(n):
-        for j in range(i, n):
-            terms.append((mname("Z1", i, j), sym_coeff(order, i, j)))
-    for a in range(m):
-        for b in range(a, m):
-            terms.append((mname("Z2", a, b), sym_coeff(order, n + a, n + b)))
+    terms = [
+        (mname("X", i, j), [(i, n + j, 1)]) for i in range(n) for j in range(m) if (i, j) not in observed
+    ]
+    terms += [(mname("Z1", i, j), [(i, j, 1)]) for i in range(n) for j in range(i, n)]
+    terms += [(mname("Z2", a, b), [(n + a, n + b, 1)]) for a in range(m) for b in range(a, m)]
+    const = [(i, n + j, v) for (i, j), v in observed.items()]
     coeffs = {mname("Z1", i, i): Fraction(1, 2) for i in range(n)}
     coeffs.update({mname("Z2", a, a): Fraction(1, 2) for a in range(m)})
     hints = [{"rule": "nuclear", "pencil": 0, "rows": n, "cols": m, "z1": "Z1", "z2": "Z2"}]
@@ -818,7 +777,7 @@ def build_matrix_completion(shape, observed, domain) -> MisdpModel:
         variables,
         Objective("min", coeffs),
         rows=[],
-        pencils=[MatrixPencil(const, terms)],
+        pencils=[MatrixPencil(n + m, const, terms)],
         metadata={"problem": "matrix_completion", "shape": [n, m], "hints": hints},
     )
 
@@ -855,16 +814,8 @@ def build_sils(m_mat, b, cap) -> MisdpModel:
         LinRow(tuple((mname("X", i, i), 1) for i in range(k)), "<=", cap, label="support")
     )
 
-    order = k + 1
-    const = sym_matrix(order, [(0, 0, 1.0)])
-    terms = [
-        (xname(i), sym_coeff(order, 0, i + 1)) for i in range(k)
-    ]
-    terms += [
-        (mname("X", i, j), sym_coeff(order, i + 1, j + 1))
-        for i in range(k)
-        for j in range(i, k)
-    ]
+    terms = [(xname(i), [(0, i + 1, 1)]) for i in range(k)]
+    terms += [(mname("X", i, j), [(i + 1, j + 1, 1)]) for i in range(k) for j in range(i, k)]
 
     coeffs = {}
     for i in range(k):
@@ -885,7 +836,7 @@ def build_sils(m_mat, b, cap) -> MisdpModel:
         variables,
         Objective("min", coeffs, constant),
         rows,
-        [MatrixPencil(const, terms)],
+        [MatrixPencil(k + 1, [(0, 0, 1)], terms)],
         metadata={"problem": "sils", "cap": int(cap), "n_rows": n},
     )
 

@@ -6,14 +6,14 @@ evaluates feasibility exactly.  The windows of a row with int/Fraction data
 are decided in integers; only rows with float data get a tolerance.
 
 Each linear row is decided once, by one owner.  The forward checker decides
-a row with int/Fraction data over integer variables with int values and the
-`gram` targets lifted from them (a continuous target over integer factors
-that a pruning row reads is set from the depth of its last factor; the leaf
-would compute the same value).  The exact closure decides the equality rows
-it proves.  The leaf check decides every other row.
+a row with int/Fraction data over integer variables (their values are ints)
+and the `gram` targets lifted from them (a continuous target over integer
+factors that a pruning row reads is set from the depth of its last factor;
+the leaf would compute the same value).  The exact closure decides the
+equality rows it proves.  The leaf check decides every other row.
 
 Interior nodes also test pencils.  On an exact integer pencil
-(`MatrixPencil.integral`, every term on an integer variable with int values)
+(`MatrixPencil.integral`, every term on an integer variable)
 every PSD test is exact (`linalg.is_psd_exact`).  Once the search has
 assigned every variable whose term touches the leading k x k block of such a
 pencil (k < order), the subtree is pruned when that block is not PSD, as
@@ -55,7 +55,6 @@ import itertools
 import json
 import math
 import operator
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -342,8 +341,8 @@ class _ClosureSolver:
     denominator): one per dependent row, which must give 0, and one per
     determined unknown, a Fraction whose bounds (widened by `lin_feas` as in
     eval_point) are a window on its numerator.  When every unknown is
-    determined, the rows with int/Fraction data over unknowns and exact
-    integer variables hold at every accepted point; their ids are `proven`.
+    determined, the rows with int/Fraction data over unknowns and integer
+    variables hold at every accepted point; their ids are `proven`.
     """
 
     def __init__(self, rows, unknowns, doms):
@@ -364,10 +363,9 @@ class _ClosureSolver:
         self.windows = [_window(doms[name], form[2], all(doms[n].is_integer for n, _ in form[0]))
                         for name, form in self.determined]
         self.dependent = [_affine(row[w:], known) for row in a[len(pivots):] if any(row[w:])]
-        exact = {n for n in known if doms[n].is_integer and _exact(*doms[n].values)}
         self.proven = {id(row) for row in eqs if len(self.determined) == w
                        and _exact(row.rhs, *(c for _, c in row.coeffs))
-                       and all(n in unknowns or n in exact for n, _ in row.coeffs)}
+                       and all(n in unknowns or doms[n].is_integer for n, _ in row.coeffs)}
 
     def apply(self, assign):
         if any(_numerator(form, assign) != 0 for form in self.dependent):
@@ -531,7 +529,7 @@ class _Plan:
             total *= self.doms[n].size()
             if total > budget:
                 raise BudgetExceeded(f"integer space exceeds budget {budget}")
-        ints = {n for n in self.int_names if _exact(*self.doms[n].values)}  # values always ints
+        ints = set(self.int_names)  # integer domains hold ints
         exact = [p for p in model.pencils if p.integral and all(n in ints for n, _ in p.terms)]
         # per exact pencil and term, the smallest leading block the term enters
         blocks = [[min((c + 1 for _, c, _ in e), default=math.inf) for e in p.entries[1:]] for p in exact]
@@ -943,7 +941,6 @@ class VerificationReport:
     oracle_feasible: int
     bijection: object      # True/False when claimed, None otherwise
     max_residual: float
-    wall_ms: float
     match: bool
     seed: object = None
 
@@ -959,7 +956,7 @@ def optima_match(oracle_opt, misdp_opt):
     return abs(float(oracle_opt) - float(misdp_opt)) <= REL_TOL * max(1.0, abs(float(oracle_opt)))
 
 
-def report_json(report: VerificationReport, include_timing: bool = False) -> str:
+def report_json(report: VerificationReport) -> str:
     def enc(v):
         if isinstance(v, Fraction):
             return f"{v.numerator}/{v.denominator}"
@@ -976,8 +973,6 @@ def report_json(report: VerificationReport, include_timing: bool = False) -> str
         "match": report.match,
         "seed": report.seed,
     }
-    if include_timing:
-        obj["wall_ms"] = round(report.wall_ms, 3)
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
@@ -994,10 +989,8 @@ def render_table(reports) -> str:
 
 
 def run_case(instance_id, model, okind, oargs, bijection_claimed=False, budget=10**7, seed=None):
-    t0 = time.perf_counter()
     enum = solve_by_enumeration(model, budget=budget)
     orc = oracle(okind, *oargs)
-    wall = (time.perf_counter() - t0) * 1e3
     misdp_opt = natural_optimum(model, enum.optimum)
     bij = None
     if bijection_claimed:
@@ -1010,7 +1003,6 @@ def run_case(instance_id, model, okind, oargs, bijection_claimed=False, budget=1
         orc.feasible_count,
         bij,
         enum.max_residual,
-        wall,
         optima_match(orc.optimum, misdp_opt),
         seed,
     )
@@ -1185,11 +1177,9 @@ def _suite_kep(budget=None, seed=0):
     ]
     for gname, g in cases:
         inst = GppInstance.make(g, 2, (2, 2))
-        t0 = time.perf_counter()
         gep = solve_by_enumeration(build_gpp(inst, "equipartition"), budget=budget or 10**7)
         ass = solve_by_enumeration(build_kep_assoc(inst), budget=budget or 10**7)
         orc = oracle("gpp", inst)
-        wall = (time.perf_counter() - t0) * 1e3
         gep_opt, ass_opt = gep.optimum, ass.optimum
         ok = optima_match(orc.optimum, gep_opt) and optima_match(orc.optimum, ass_opt)
         yield VerificationReport(
@@ -1200,7 +1190,6 @@ def _suite_kep(budget=None, seed=0):
             gep.feasible_count,
             gep.feasible_count == ass.feasible_count,
             max(gep.max_residual, ass.max_residual),
-            wall,
             ok and gep_opt == ass_opt,
         )
 

@@ -7,10 +7,6 @@ import pytest
 from misdpkit import config, dpsd
 from misdpkit.errors import DimensionMismatch, NonConvergence, NotPsd, ParseError
 from misdpkit.linalg import (
-    BINARY,
-    GENERAL,
-    PM_ONE,
-    TERNARY,
     SymMat,
     dumps_matrix,
     eigen_values,
@@ -32,19 +28,12 @@ class TestSymMat:
     def test_mirrored_storage(self):
         m = SymMat([[1, 2], [2, 5]])
         assert m[0, 1] == m[1, 0]
-        assert m.charset == GENERAL
         assert m.ints is not None
+        assert SymMat([[0.5, 0], [0, 1]]).ints is None
 
     def test_rejects_asymmetric(self):
         with pytest.raises(DimensionMismatch):
             SymMat([[1, 2], [3, 4]])
-
-    def test_charsets(self):
-        assert SymMat.identity(3).charset == BINARY
-        assert SymMat([[1, -1], [-1, 1]]).charset == PM_ONE
-        assert SymMat([[1, 0], [0, -1]]).charset == TERNARY
-        assert SymMat([[0.5, 0], [0, 1]]).charset == GENERAL
-        assert SymMat([[0.5, 0], [0, 1]]).ints is None
 
     def test_text_round_trip(self):
         m = SymMat([[2, 1, 0], [1, 3, -1], [0, -1, 4]])

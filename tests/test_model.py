@@ -28,20 +28,12 @@ from misdpkit.model import (
     psd_exact_sum,
     validate,
 )
-from test_verify import _one_model_per_builder
+from test_verify import _one_model_per_builder, _pencil
 
 
 def stable_set_k2_model():
     """Hand-built bordered model for the 2-vertex single-edge stable set."""
-    e = np.zeros((3, 3))
-    pencil_const = e.copy()
-    pencil_const[0, 0] = 1.0
-    t_x0 = np.zeros((3, 3))
-    t_x0[0, 1] = t_x0[1, 0] = t_x0[1, 1] = 1.0
-    t_x1 = np.zeros((3, 3))
-    t_x1[0, 2] = t_x1[2, 0] = t_x1[2, 2] = 1.0
-    t_x01 = np.zeros((3, 3))
-    t_x01[1, 2] = t_x01[2, 1] = 1.0
+    terms = [("x[0]", [(0, 1, 1), (1, 1, 1)]), ("x[1]", [(0, 2, 1), (2, 2, 1)]), ("X[0,1]", [(1, 2, 1)])]
     return MisdpModel(
         variables=[
             ("x[0]", VarDomain.binary()),
@@ -50,7 +42,7 @@ def stable_set_k2_model():
         ],
         objective=Objective("min", {"x[0]": -1, "x[1]": -1}),
         rows=[LinRow((("X[0,1]", 1),), "==", 0, label="edge")],
-        pencils=[MatrixPencil(pencil_const, [("x[0]", t_x0), ("x[1]", t_x1), ("X[0,1]", t_x01)])],
+        pencils=[MatrixPencil(3, [(0, 0, 1)], terms)],
         metadata={"problem": "stable_set", "sense_original": "max"},
     )
 
@@ -64,7 +56,7 @@ class TestValidate:
         m = MisdpModel(
             [("x", VarDomain.binary())],
             Objective("min", {"x": 1}),
-            pencils=[MatrixPencil(np.zeros((1, 1)), [("ghost", np.ones((1, 1)))])],
+            pencils=[MatrixPencil(1, [], [("ghost", [(0, 0, 1)])])],
         )
         assert len(validate(m)) == 1
 
@@ -125,9 +117,17 @@ class TestValidate:
         res = solve_by_enumeration(m)
         assert res.optimum == -1 and res.feasible_count == 3
 
-    def test_asymmetric_pencil_rejected(self):
-        with pytest.raises(ValueError):
-            MatrixPencil(np.zeros((2, 2)), [("x", np.array([[0, 1], [0, 0]]))])
+    @pytest.mark.parametrize("old, new", [
+        ("[0.0,0.0,1.0],[0.0,1.0,0.0]]]", "[0.0,0.0,1.0],[0.0,1.5,0.0]]]"),
+        ("[0.0,0.0,1.0],[0.0,1.0,0.0]]]", "[0.0,0.0,1.0]]]"),
+        ('"const":[[1.0,0.0,0.0],', '"const":[[1.0,0.0],'),
+    ], ids=["asymmetric", "term-not-square", "constant-not-square"])
+    def test_json_pencil_must_be_square_and_symmetric(self, old, new):
+        # the first two edit the last term, X[0,1]
+        text = export_json(stable_set_k2_model())
+        assert text.count(old) == 1
+        with pytest.raises(ParseError, match="square of order 3|must be symmetric"):
+            import_json(text.replace(old, new))
 
 
 _small = st.integers(-6, 6)
@@ -233,9 +233,9 @@ class TestEvalPoint:
             Objective("min", {"a": Fraction(1, 3)}),
             rows=[LinRow((("a", Fraction(1, 3)),), "==", Fraction(2, 3))],
         )
-        r = eval_point(m, {"a": 2}, tol=0)
+        r = eval_point(m, {"a": 2})
         assert r.feasible and r.objective == Fraction(2, 3)
-        r = eval_point(m, {"a": 3}, tol=0)
+        r = eval_point(m, {"a": 3})
         assert not r.feasible
 
     def test_variable_order_invariance(self):
@@ -258,7 +258,7 @@ class TestPencilPsd:
     def _pinned_model(self):
         # at x = 1 the pencil is [[1, 10^4], [10^4, 10^8 - 1]]: det -1, but
         # lambda_min = -1e-8 is inside the Jacobi test's tolerance
-        pencil = MatrixPencil([[1, 10000], [10000, 99999998]], [("x", np.diag([0, 1]))])
+        pencil = MatrixPencil(2, [(0, 0, 1), (0, 1, 10000), (1, 1, 99999998)], [("x", [(1, 1, 1)])])
         return MisdpModel([("x", VarDomain.integer_range(0, 2))], Objective("min", {"x": 1}),
                           pencils=[pencil])
 
@@ -276,7 +276,7 @@ class TestPencilPsd:
 
     def test_fraction_values_are_scaled_not_rounded(self):
         # [[10t, -1], [-1, 10s]] is PSD iff 100ts >= 1 (t, s >= 0)
-        pencil = MatrixPencil([[0, -1], [-1, 0]], [("t", np.diag([10, 0])), ("s", np.diag([0, 10]))])
+        pencil = MatrixPencil(2, [(0, 1, -1)], [("t", [(0, 0, 10)]), ("s", [(1, 1, 10)])])
         tenth = Fraction(1, 10)
         assert pencil.is_psd_at({"t": tenth, "s": tenth})
         below = {"t": tenth, "s": tenth - Fraction(1, 10**12)}
@@ -289,7 +289,7 @@ class TestPencilPsd:
            st.integers(-2, 2))
     def test_matches_the_2x2_criterion_without_the_float_route(self, entries, t, u, w):
         mats = [np.array([[a, b], [b, c]]) for a, b, c in zip(entries[::3], entries[1::3], entries[2::3])]
-        pencil = MatrixPencil(mats[0], [("t", mats[1]), ("u", mats[2]), ("w", np.eye(2, dtype=int))])
+        pencil = _pencil(mats[0], [("t", mats[1]), ("u", mats[2]), ("w", np.eye(2, dtype=int))])
         values = {"t": t, "u": u, "w": w}
         m = [[Fraction(int(x)) for x in row] for row in mats[0]]
         for name, mat in (("t", mats[1]), ("u", mats[2]), ("w", np.eye(2, dtype=int))):
@@ -302,8 +302,8 @@ class TestPencilPsd:
         assert float_route.call_count == 0
 
     def test_float_data_or_values_take_the_jacobi_route(self):
-        half = MatrixPencil([[0.5, 0], [0, 1]], [("t", np.eye(2))])
-        integer = MatrixPencil([[0, 1], [1, 0]], [("t", np.eye(2))])
+        half = MatrixPencil(2, [(0, 0, 0.5), (1, 1, 1)], [("t", [(0, 0, 1), (1, 1, 1)])])
+        integer = MatrixPencil(2, [(0, 1, 1)], [("t", [(0, 0, 1), (1, 1, 1)])])
         for pencil, values in ((half, {"t": 0}), (integer, {"t": 1.0}), (integer, {"t": 0.999})):
             assert pencil.is_psd_at(values) == is_psd(pencil.evaluate(values))
         assert integer.is_psd_at({"t": 1}) and not integer.is_psd_at({"t": 0.999})
@@ -328,7 +328,7 @@ class TestPencilPsd:
     def test_memo_stops_inserting_at_its_cap(self):
         # [[t, 1], [1, 1]] is PSD iff t >= 1; the memo is turned on as the
         # lift builders turn it on
-        pencil = MatrixPencil([[0, 1], [1, 1]], [("t", np.diag([1, 0]))])
+        pencil = MatrixPencil(2, [(0, 1, 1), (1, 1, 1)], [("t", [(0, 0, 1)])])
         pencil._psd = {}
         cap = model_module._PSD_MEMO_CAP
         points = range(-50, cap + 50)
@@ -731,7 +731,8 @@ class TestRoundTripProperties:
 
 
 class TestCompiledPencil:
-    """`MatrixPencil.entries` and `integral`, the one decoding of a pencil."""
+    """`MatrixPencil(order, const, terms)` from (r, c, value) triples: the exact
+    `entries`, `integral`, and the float stack derived from them."""
 
     @settings(max_examples=100, deadline=None)
     @given(_random_models())
@@ -742,30 +743,76 @@ class TestCompiledPencil:
             for mat, entries in zip(mats, p.entries):
                 dense = np.zeros((p.order, p.order))
                 for r, c, x in entries:
-                    assert r <= c and x != 0 and type(x) is (int if p.integral else float)
+                    assert r <= c and x != 0
+                    assert type(x) is int or (type(x) in (float, Fraction) and x != int(x))
                     dense[r, c] = dense[c, r] = x
                 assert np.array_equal(dense, mat)
                 with pytest.raises(ValueError, match="read-only"):
                     mat[...] = 0
-            assert p.integral == all(float(x).is_integer() for mat in mats for x in mat.flat)
+            assert p.integral == all(type(x) is int for entries in p.entries for _, _, x in entries)
+
+    def test_every_builder_pencil_is_rebuilt_from_its_entries(self):
+        for m in _one_model_per_builder():
+            for p in m.pencils:
+                names = [name for name, _ in p.terms]
+                again = MatrixPencil(p.order, p.entries[0], list(zip(names, p.entries[1:])))
+                assert again == p and again.entries == p.entries and again.integral == p.integral
 
     def test_float_entries(self):
-        p = MatrixPencil([[1, 0.5], [0.5, 2]], [("x", [[0, 0], [0, 3]]), ("y", np.zeros((2, 2)))])
+        p = MatrixPencil(2, [(0, 0, 1), (1, 0, 0.5), (1, 1, 2.0)], [("x", [(1, 1, 3.0)]), ("y", [])])
         assert not p.integral
-        assert p.entries == (((0, 0, 1.0), (0, 1, 0.5), (1, 1, 2.0)), ((1, 1, 3.0),), ())
+        assert p.entries == (((0, 0, 1), (0, 1, 0.5), (1, 1, 2)), ((1, 1, 3),), ())
+        assert [type(x) for _, _, x in p.entries[0]] == [int, float, int]
+        assert np.array_equal(p.const, [[1, 0.5], [0.5, 2]])
 
-    def test_the_caller_keeps_its_arrays(self):
-        const = np.eye(2)
-        p = MatrixPencil(const, [("x", const)])
-        const[0, 0] = 5
+    def test_fraction_entries_stay_exact(self):
+        third = Fraction(1, 3)
+        p = MatrixPencil(2, [(0, 0, third), (1, 1, Fraction(4, 2))], [("x", [(1, 0, third)])])
+        assert p.entries == (((0, 0, third), (1, 1, 2)), ((0, 1, third),))
+        assert type(p.entries[0][1][2]) is int and not p.integral
+        assert p.const[0, 0] == p.terms[0][1][1, 0] == 1 / 3
+
+    def test_integral_values_of_every_type_are_ints(self):
+        p = MatrixPencil(2, [(0, 0, 2.0), (0, 1, Fraction(-3)), (1, 1, np.int64(5))],
+                         [("x", [(1, 0, np.float64(-1.0)), (1, 1, 0.0)])])
+        assert p.integral and p.entries == (((0, 0, 2), (0, 1, -3), (1, 1, 5)), ((0, 1, -1),))
+        assert all(type(x) is int for entries in p.entries for _, _, x in entries)
+
+    def test_the_caller_keeps_its_triples(self):
+        const = [(0, 0, 1), (1, 1, 1)]
+        p = MatrixPencil(2, const, [("x", const)])
+        const[0] = (0, 0, 5)
         assert p.const[0, 0] == 1 and p.terms[0][1][0, 0] == 1 and p.entries[0][0] == (0, 0, 1)
 
-    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, 10**400, Fraction(10**400, 3)])
     def test_non_finite_entries_are_refused(self, bad):
-        with pytest.raises(ValueError, match="non-finite"):
-            MatrixPencil([[bad, 0], [0, 1]], [])
-        with pytest.raises(ValueError, match="non-finite"):
-            MatrixPencil(np.eye(2), [("x", [[0, bad], [bad, 0]])])
+        with pytest.raises(ValueError, match="pencil constant has a non-finite entry"):
+            MatrixPencil(2, [(0, 0, bad)], [])
+        with pytest.raises(ValueError, match="pencil term 'x' has a non-finite entry"):
+            MatrixPencil(2, [], [("x", [(0, 1, bad)])])
+
+    def test_entries_that_are_not_numbers_are_refused(self):
+        with pytest.raises(ValueError, match="pencil term 'x' has entry '1', not a real number"):
+            MatrixPencil(2, [], [("x", [(0, 1, "1")])])
+
+    @pytest.mark.parametrize("r, c", [(2, 0), (0, 2), (-1, 0), (1, -1)])
+    def test_entries_out_of_range_are_refused(self, r, c):
+        with pytest.raises(ValueError, match=r"pencil term 'x' has entry \(-?\d, -?\d\) outside order 2"):
+            MatrixPencil(2, [], [("x", [(r, c, 1)])])
+
+    @pytest.mark.parametrize("triples", [
+        [(0, 1, 1), (0, 1, 1)], [(0, 1, 1), (1, 0, 2)], [(1, 1, 0), (1, 1, 3)],
+    ], ids=["twice", "mirrored", "zero-first"])
+    def test_repeated_entries_are_refused(self, triples):
+        with pytest.raises(ValueError, match=r"pencil constant repeats entry \((0, 1|1, 1)\)"):
+            MatrixPencil(2, triples, [])
+
+    def test_import_cbf_refuses_a_repeated_coordinate(self):
+        # (0, 1) of x[0] twice: once as written, once mirrored
+        text = export_cbf(stable_set_k2_model())
+        assert "\n0 0 1 1 1\n" in text
+        with pytest.raises(ParseError, match=r"PSD cone 0: pencil term 'x\[0\]' repeats entry \(0, 1\)"):
+            import_cbf(text.replace("\n0 0 1 1 1\n", "\n0 0 0 1 1\n", 1))
 
     @pytest.mark.parametrize("token", ["Infinity", "-Infinity", "NaN", "1e400"])
     def test_import_json_refuses_non_finite_pencil_entries(self, token):

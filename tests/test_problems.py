@@ -179,7 +179,7 @@ class TestQbpp:
         pencil = m.pencils[0]
         assert is_psd(pencil.evaluate(point))
         point["z"] = z - 1e-6 * max(1.0, abs(z))
-        assert not is_psd(pencil.evaluate(point), tol=1e-9)
+        assert not is_psd(pencil.evaluate(point))  # at the default tolerance
 
     def test_zero_bin_cost(self):
         # z is unpriced and sits at its boundary; the objective is the dissimilarity alone

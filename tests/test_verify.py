@@ -28,6 +28,17 @@ from misdpkit.verify import (
 )
 
 
+def _triples(mat):
+    """The nonzero upper-triangle (r, c, value) triples of a dense symmetric matrix."""
+    mat = np.asarray(mat)
+    return [(r, c, mat[r, c].item()) for r in range(len(mat)) for c in range(r, len(mat)) if mat[r, c]]
+
+
+def _pencil(const, terms):
+    """A MatrixPencil of dense symmetric matrices."""
+    return MatrixPencil(len(const), _triples(const), [(name, _triples(mat)) for name, mat in terms])
+
+
 class TestEnumeration:
     def test_stable_set_c5(self):
         m = build_stable_set(Graph.cycle(5))
@@ -54,10 +65,7 @@ class TestEnumeration:
             [("x", VarDomain.binary()), ("t", VarDomain.continuous())],
             Objective("min", {"x": 1}),
             pencils=[
-                MatrixPencil(
-                    np.zeros((2, 2)),
-                    [("t", np.eye(2)), ("x", np.ones((2, 2)))],
-                )
+                MatrixPencil(2, [], [("t", [(0, 0, 1), (1, 1, 1)]), ("x", [(0, 0, 1), (0, 1, 1), (1, 1, 1)])])
             ],
         )
         with pytest.raises(UnsupportedContinuousPattern):
@@ -289,11 +297,9 @@ class TestIntegerSuiteReports:
 def _corner(const, i, a=1.0, dom=VarDomain.continuous(), coef=1, sense="min"):
     """The corner stage on pencil const + t * a * e_i e_i^T: t, or None if infeasible."""
     const = np.asarray(const, dtype=float)
-    mat = np.zeros_like(const)
-    mat[i, i] = a
+    pencil = MatrixPencil(len(const), _triples(const), [("t", [(i, i, a)])])
     assign = {}
-    if not verify._resolve_corner(MatrixPencil(const, [("t", mat)]), assign, "t", i, Fraction(a),
-                                  coef, dom, sense):
+    if not verify._resolve_corner(pencil, assign, "t", i, Fraction(a), coef, dom, sense):
         return None
     return assign["t"]
 
@@ -428,10 +434,7 @@ class TestLeafCheck:
                 LinRow((("t", 0.1), ("u", 0.2)), "<=", 0.7),
                 LinRow((("b", 2), ("u", Fraction(-1, 2))), "==", Fraction(-1, 4)),
             ],
-            pencils=[MatrixPencil(
-                np.diag([0.0, 4.0]),
-                [("t", np.diag([1.0, 0.0])), ("a", np.array([[0.0, 1.0], [1.0, 0.0]]))],
-            )],
+            pencils=[MatrixPencil(2, [(1, 1, 4.0)], [("t", [(0, 0, 1.0)]), ("a", [(0, 1, 1.0)])])],
         )
         check = verify._LeafCheck(m)
         ts = [0, Fraction(1, 2), 3, 3.0, -1, 5.0000000001, 6]
@@ -484,9 +487,9 @@ class TestLeafCheck:
             (leaf if current["at_leaf"] else node).append((n, current["order"], ok))
             return ok
 
-        def float_route(a, tol=None):
+        def float_route(a):
             jacobi.append(len(a))
-            return is_psd(a, tol=tol)
+            return is_psd(a)
 
         monkeypatch.setattr(verify._Plan, "__init__", planning)
         monkeypatch.setattr(verify._LeafCheck, "__call__", checking)
@@ -570,9 +573,8 @@ def _integer_pencil_models(draw):
     for _ in range(draw(st.integers(1, 2))):
         order = draw(st.integers(2, 4))
         used = draw(st.lists(st.sampled_from(names), min_size=1, unique=True))
-        pencils.append(MatrixPencil(
-            _small_symmetric(draw, order), [(n, _small_symmetric(draw, order)) for n in used]
-        ))
+        terms = [(n, _small_symmetric(draw, order)) for n in used]
+        pencils.append(_pencil(_small_symmetric(draw, order), terms))
     rows = [LinRow(((names[0], 1), (names[1], 1)), "<=", r) for r in draw(st.lists(st.integers(-1, 2), max_size=1))]
     return MisdpModel(
         [(n, draw(domains)) for n in names],
@@ -604,18 +606,20 @@ class TestNodeChecks:
         closing = {d: [b.order for b in checks] for d, checks in enumerate(plan.node_checks) if checks}
         assert closing == {0: [2], 2: [3], 5: [4]}
 
-    def test_float_domain_values_get_no_node_checks(self):
-        # at x = 1.0 the leading block [[1, 10], [10, 99]] has det -1 and
-        # lambda_min ~ -0.01, outside its own float tolerance but inside that
-        # of the whole pencil, whose last diagonal entry is 10^7
-        const = np.diag([1.0, 99.0, 1e7])
-        bordered = np.zeros((3, 3))
-        bordered[0, 1] = bordered[1, 0] = 10.0
-        m = MisdpModel([("x", VarDomain.finite_set([0.0, 1.0]))], Objective("min", {"x": -1}),
-                       pencils=[MatrixPencil(const, [("x", bordered)])])
-        assert not any(verify._Plan(m, budget=10).node_checks)
+    def test_integral_float_domain_values_are_ints_and_get_node_checks(self):
+        # at x = 1 the leading block [[1, 10], [10, 99]] has det -1: lambda_min
+        # ~ -0.01 is outside its own float tolerance but inside that of the
+        # whole pencil, whose last diagonal entry is 10^7.  The values 0.0 and
+        # 1.0 are stored as ints, so every test of it is exact.
+        dom = VarDomain.finite_set([0.0, 1.0])
+        assert [type(v) for v in dom.values] == [int, int]
+        pencil = MatrixPencil(3, [(0, 0, 1.0), (1, 1, 99.0), (2, 2, 1e7)], [("x", [(0, 1, 10.0)])])
+        m = MisdpModel([("x", dom)], Objective("min", {"x": -1}), pencils=[pencil])
+        closing = [[b.order for b in checks] for checks in verify._Plan(m, budget=10).node_checks]
+        assert pencil.integral and closing == [[2]]
         _assert_matches_reference_walk(m)
-        assert solve_by_enumeration(m).feasible_count == 2
+        assert solve_by_enumeration(m).feasible_count == 1
+        assert not eval_point(m, {"x": dom.values[1]}).feasible
 
     def test_float_and_continuous_pencils_keep_order_and_get_no_checks(self):
         for m in (build_stable_set(Graph.cycle(5)), build_tsp_cvetkovic(np.ones((5, 5)) - np.eye(5))):
@@ -823,20 +827,34 @@ class TestClosureDecidesItsRows:
         with pytest.raises(UnsupportedContinuousPattern):
             solve_by_enumeration(m)
 
-    @pytest.mark.parametrize("domain, coef, residual", [
-        (VarDomain.integer_range(1, 3), 0.7, 4.440892098500626e-16),  # float data
-        (VarDomain.finite_set((1.0, 2.0)), 49, 2.220446049250313e-16),  # float values
-    ])
-    def test_float_data_or_values_stay_in_the_check(self, domain, coef, residual):
-        # coef * y == b with y = b / coef exactly; the row is checked in floats
-        m = MisdpModel([("b", domain), ("y", VarDomain.continuous(0))], Objective("min", {"y": 1}),
-                       rows=[LinRow((("y", coef), ("b", -1)), "==", 0)])
+    @staticmethod
+    def _scaled(domain, coef):
+        # coef * y == b, so y = b / coef exactly
+        return MisdpModel([("b", domain), ("y", VarDomain.continuous(0))], Objective("min", {"y": 1}),
+                          rows=[LinRow((("y", coef), ("b", -1)), "==", 0)])
+
+    def test_float_data_stays_in_the_check(self):
+        # the row is checked in floats
+        domain = VarDomain.integer_range(1, 3)
+        m = self._scaled(domain, 0.7)
         plan = verify._Plan(m, budget=10)
         assert plan.closure.proven == frozenset() and len(plan.check.rows) == 1
         res = solve_by_enumeration(m)
         points = [plan.resolve({"b": b}) for b in domain.iter_values()]
         assert res.feasible_count == len(points)
-        assert res.max_residual == max(eval_point(m, p).max_residual for p in points) == residual
+        assert res.max_residual == max(eval_point(m, p).max_residual for p in points) == 4.440892098500626e-16
+
+    def test_integral_float_values_are_ints_and_the_closure_proves_the_row(self):
+        domain = VarDomain.finite_set((1.0, 2.0))
+        assert domain.values == (1, 2) and {type(v) for v in domain.values} == {int}
+        m = self._scaled(domain, 49)
+        plan = verify._Plan(m, budget=10)
+        assert plan.closure.proven == {id(m.rows[0])} and plan.check.rows == []
+        res = solve_by_enumeration(m)
+        points = [plan.resolve({"b": b}) for b in domain.iter_values()]
+        assert [p["y"] for p in points] == [Fraction(1, 49), Fraction(2, 49)]
+        assert res.feasible_count == 2 and res.max_residual == 0.0
+        assert all(eval_point(m, p).feasible and eval_point(m, p).max_residual == 0 for p in points)
 
     @pytest.mark.parametrize("side", ["lo", "hi"])
     @pytest.mark.parametrize("bound", [0, Fraction(1, 3), 0.1])
@@ -926,20 +944,22 @@ class TestCheckerDecidesItsRows:
         assert solve_by_enumeration(m).feasible_count == 5
         _assert_matches_reference_walk(m)
 
-    def test_row_over_float_values_stays(self):
-        # exactly, the row holds at a = b = 1.0, so the checker passes that
-        # leaf; eval_point sums in floats, where 10**17 + 1 is 10**17, and
-        # finds a residual of 1, so the leaf must still check the row
+    def test_row_over_integral_float_values_is_decided_exactly(self):
+        # the values 1.0 and 2.0 are stored as ints, so eval_point sums
+        # (10**17 + 1) a - 10**17 b exactly, as the checker does: at
+        # a = b = 1 the residual is 1, not the 0 of a float sum
         dom = VarDomain.finite_set([1.0, 2.0])
+        assert dom.values == (1, 2) and {type(v) for v in dom.values} == {int}
         m = MisdpModel([("a", dom), ("b", dom)], Objective("min", {"a": 1}),
-                       rows=[LinRow((("a", 10**17 + 1), ("b", -10**17)), "==", 1)])
+                       rows=[LinRow((("a", 10**17 + 1), ("b", -10**17)), "==", 0)])
         plan = verify._Plan(m, budget=10)
-        assert plan.checker.decided == set() and self._leaf_rows(m) == [["a", "b"]]
-        assert _forward_passes(plan, {"a": 1.0, "b": 1.0})
+        assert plan.checker.decided == {id(m.rows[0])} and self._leaf_rows(m) == []
         for a, b in itertools.product(dom.iter_values(), repeat=2):
             point = {"a": a, "b": b}
-            _assert_agrees(m, plan.check(point) if _forward_passes(plan, point) else None, point)
+            assert not _forward_passes(plan, point) and not eval_point(m, point).feasible
+        assert eval_point(m, {"a": 1, "b": 1}).max_residual == 1
         assert solve_by_enumeration(m).feasible_count == 0
+        _assert_matches_reference_walk(m)
 
 
 def _gram(factors, targets):
@@ -1118,6 +1138,17 @@ class TestOracleProperties:
         d[np.triu_indices(5, 1)] = upper
         d += d.T
         assert run_case("t", build_tsp_cvetkovic(d), "tsp", (d,), True).ok()
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.integers(0, 3), min_size=10, max_size=10))
+    def test_tsp_lee(self, upper):
+        # ties and zeros; each of the 12 tours on 5 vertices is one binary X1
+        from misdpkit.problems import build_tsp_lee
+
+        d = np.zeros((5, 5), dtype=np.int64)
+        d[np.triu_indices(5, 1)] = upper
+        d += d.T
+        assert run_case("t", build_tsp_lee(d), "tsp", (d,), True).ok()
 
     @settings(max_examples=40, deadline=None)
     @given(st.sampled_from([(2, 2), (2, 3)]), st.data())
