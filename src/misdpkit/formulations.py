@@ -14,7 +14,8 @@ The builders of `problems` reuse them: stable set and max k-colorable
 subgraph the bordered lift (bin packing its variables), quadratic multiple
 knapsack and the "general" and "orthogonal" graph partitions the matrix lift.
 Objectives and rows use two coefficient maps, `quad_form_coeffs` (diagonal
-aliased to x) and `inner_coeffs` (<Q, X> over X[i,j], i <= j).
+aliased to x) and `inner_coeffs` (<Q, X> over X[i,j], i <= j).  Every builder,
+here and in `problems`, takes its pencils from `shared_pencil`, one per content.
 
 Only the border variables carry integrality in the vector-lifted model; the
 off-diagonal lifted entries stay continuous because the unit-corner pencil
@@ -109,18 +110,43 @@ def bordered_vars(n, off):
     return variables + [(mname("X", i, j), off) for i in range(n) for j in range(i + 1, n)]
 
 
-@functools.lru_cache(maxsize=32)
-def bordered_pencil(n, corner):
-    """Pencil [[corner, diag^T], [diag, X]] with diag(X) aliased to x.
+# distinct pencils `shared_pencil` keeps; one `verify --suite all` run holds 40
+_SHARED_PENCILS = 256
 
-    One shared, read-only pencil per (n, corner): every model of that shape
-    holds the same object, and so the same memo of exact PSD decisions.
+
+def shared_pencil(order, const, terms):
+    """`MatrixPencil(order, const, terms)`, one read-only object per content.
+
+    Every builder takes its pencils here, so the models of one shape hold one
+    pencil, and the memos of exact PSD decisions this turns on (of `is_psd_at`
+    and of its leading blocks) answer for all of them.  A bounded lru_cache
+    keys the triples with each value's type, so Fraction(1, 2) and 0.5 differ.
     """
+    try:
+        return _shared_pencil(order, _key(const), tuple((name, _key(triples)) for name, triples in terms))
+    except TypeError:  # an unhashable value, which MatrixPencil refuses by name
+        return MatrixPencil(order, const, terms)
+
+
+def _key(triples):
+    return tuple((r, c, x, type(x)) for r, c, x in triples)
+
+
+@functools.lru_cache(maxsize=_SHARED_PENCILS)
+def _shared_pencil(order, const, terms):
+    pencil = MatrixPencil(order, [t[:3] for t in const], [(name, [t[:3] for t in key]) for name, key in terms])
+    pencil._psd = {}
+    return pencil
+
+
+shared_pencil.cache_clear = _shared_pencil.cache_clear
+
+
+def bordered_pencil(n, corner):
+    """Pencil [[corner, diag^T], [diag, X]] with diag(X) aliased to x."""
     terms = [(xname(i), [(0, i + 1, 1), (i + 1, i + 1, 1)]) for i in range(n)]
     terms += [(mname("X", i, j), [(i + 1, j + 1, 1)]) for i in range(n) for j in range(i + 1, n)]
-    pencil = MatrixPencil(n + 1, [(0, 0, corner)], terms)
-    pencil._psd = {}  # its leaves repeat across models: remember exact decisions
-    return pencil
+    return shared_pencil(n + 1, [(0, 0, corner)], terms)
 
 
 def gram_hint(n):
@@ -136,17 +162,11 @@ def gram_hint(n):
     }
 
 
-@functools.lru_cache(maxsize=32)
 def lift_pencil(n, k, prefix="X"):
-    """Pencil [[I_k, P^T], [P, X]] of order n+k over P[i,a] and prefix[i,j], i <= j.
-
-    One shared, read-only pencil per (n, k, prefix), as for `bordered_pencil`.
-    """
+    """Pencil [[I_k, P^T], [P, X]] of order n+k over P[i,a] and prefix[i,j], i <= j."""
     terms = [(pname(i, a), [(a, k + i, 1)]) for i in range(n) for a in range(k)]
     terms += [(mname(prefix, i, j), [(k + i, k + j, 1)]) for i in range(n) for j in range(i, n)]
-    pencil = MatrixPencil(n + k, [(a, a, 1) for a in range(k)], terms)
-    pencil._psd = {}  # as in bordered_pencil
-    return pencil
+    return shared_pencil(n + k, [(a, a, 1) for a in range(k)], terms)
 
 
 def matrix_lift(n, k):

@@ -194,15 +194,19 @@ class MatrixPencil:
     value is an int.  A triple out of range, a coordinate given twice (also as
     (r, c) and (c, r)) or a value that is not a finite real raises ValueError
     naming the matrix.  The read-only float64 stack (`const`, the matrices of
-    `terms`) is derived from the entries, and `evaluate` and `__eq__` read it.
+    `terms`) is derived from the entries, and `evaluate` reads it.  `__eq__`
+    compares the entries, so a Fraction and its nearest float differ.
 
-    The lift builders share one pencil per shape across models and turn on
-    its private memo `_psd` (None otherwise), where the exact route of
-    `is_psd_at` keeps its decisions by scaled integer values, at most
-    `_PSD_MEMO_CAP` of them.  A shared pencil must never be mutated.
+    `leading_blocks()` gives the leading blocks that some term enters, each a
+    pencil of its own, built once.  The builders take every pencil from
+    `formulations.shared_pencil`, one per content, which turns on its private
+    memo `_psd` (None otherwise) and that of its blocks.  There the exact
+    route of `is_psd_at` keeps its decisions by scaled integer values, at most
+    `_PSD_MEMO_CAP` per pencil; the float route keeps none.  A shared pencil
+    must never be mutated.
     """
 
-    __slots__ = ("order", "const", "terms", "entries", "integral", "_psd")
+    __slots__ = ("order", "const", "terms", "entries", "integral", "_psd", "_blocks")
 
     def __init__(self, order, const, terms):
         names, entries = [], [_upper_triples(order, const, "constant")]
@@ -219,7 +223,7 @@ class MatrixPencil:
         self.terms = tuple(zip(names, stack[1:]))
         self.entries = tuple(entries)
         self.integral = all(type(x) is int for triples in entries for _, _, x in triples)
-        self._psd = None
+        self._psd = self._blocks = None
 
     def evaluate(self, values: dict) -> np.ndarray:
         out = self.const.copy()
@@ -256,16 +260,34 @@ class MatrixPencil:
                 memo[key] = psd
         return psd
 
+    def leading_blocks(self):
+        """The leading k x k blocks, k < order, that some term enters (an
+        upper-triangle entry (r, c) enters the blocks of order c + 1 and up),
+        by increasing k: each the pencil of order k over the terms that enter
+        it, holding the entries of the constant and of those terms inside it.
+        Built on the first call; each block has a memo when this pencil has one.
+        """
+        if self._blocks is None:
+            blocks = []
+            for k in range(1, self.order):
+                terms = [(name, inside) for (name, _), triples in zip(self.terms, self.entries[1:])
+                         if (inside := [e for e in triples if e[1] < k])]
+                if terms:  # a constant block is left to the full test
+                    blocks.append(MatrixPencil(k, [e for e in self.entries[0] if e[1] < k], terms))
+                    blocks[-1]._psd = None if self._psd is None else {}
+            self._blocks = tuple(blocks)
+        return self._blocks
+
     def __eq__(self, other):
         # term order is presentation, not content
         if not isinstance(other, MatrixPencil):
             return NotImplemented
-        if self.order != other.order or not np.array_equal(self.const, other.const):
-            return False
-        mine, theirs = dict(self.terms), dict(other.terms)
-        if set(mine) != set(theirs):
-            return False
-        return all(np.array_equal(mine[k], theirs[k]) for k in mine)
+        return (
+            self.order == other.order
+            and self.entries[0] == other.entries[0]
+            and dict(zip((n for n, _ in self.terms), self.entries[1:]))
+            == dict(zip((n for n, _ in other.terms), other.entries[1:]))
+        )
 
 
 @dataclass

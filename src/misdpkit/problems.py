@@ -18,7 +18,8 @@ The builders reuse the generic lifts of `formulations`:
   bisection mass row.
 
 The equipartition, bisection, assignment, tour, association-scheme,
-completion and sparse least squares models have pencils of their own.
+completion and sparse least squares models have pencils of their own.  Every
+pencil comes from `formulations.shared_pencil`, one object per content.
 """
 
 import math
@@ -47,9 +48,10 @@ from .formulations import (
     mname,
     pname,
     pynum,
+    shared_pencil,
     xname,
 )
-from .model import LinRow, MatrixPencil, MisdpModel, Objective, VarDomain
+from .model import LinRow, MisdpModel, Objective, VarDomain
 
 GPP_VARIANTS = ("general", "equipartition", "bisection", "orthogonal")
 
@@ -363,7 +365,7 @@ def build_qbpp(weights, capacity, bin_cost, dissimilarity) -> MisdpModel:
         variables,
         Objective("min", coeffs),
         rows,
-        [MatrixPencil(n + 1, [(0, i + 1, 1) for i in range(n)], terms)],
+        [shared_pencil(n + 1, [(0, i + 1, 1) for i in range(n)], terms)],
         metadata={"problem": "qbpp"},
     )
 
@@ -443,7 +445,7 @@ def _qap_skeleton(inst: QapInstance, objective: Objective, problem: str) -> Misd
             y = [(n + i, 2 * n + j, 1)] + ([(n + j, 2 * n + i, 1)] if i != j else [])
             terms.append((mname("Y", i, j), y))
             terms.append((mname("Z", i, j), [(2 * n + i, 2 * n + j, 1)]))
-    pencil = MatrixPencil(3 * n, [(i, i, 1) for i in range(2 * n)], terms)
+    pencil = shared_pencil(3 * n, [(i, i, 1) for i in range(2 * n)], terms)
     hints = [{"rule": "qap_schur", "n": n, "x": "X", "r": "R", "y": "Y", "z": "Z"}]
     return MisdpModel(
         variables,
@@ -527,14 +529,15 @@ def build_tsp_cvetkovic(d) -> MisdpModel:
             LinRow(tuple((_pair_var("X", i, j), 1) for j in range(n) if j != i), "==", 2,
                    label="degree")
         )
-    alpha = 2.0 * (1.0 - math.cos(2.0 * math.pi / n))
+    # 2cos(2pi/n) is rational only for n = 3, 4 and 6 (Niven), where alpha is an integer
+    alpha = {3: 3, 4: 2, 6: 1}.get(n) or 2.0 * (1.0 - math.cos(2.0 * math.pi / n))
     const = [(i, j, 2 if i == j else alpha) for i in range(n) for j in range(i, n)]
     terms = [(mname("X", i, j), [(i, j, -1)]) for i in range(n) for j in range(i + 1, n)]
     return MisdpModel(
         variables,
         Objective("min", _pair_coeffs(d, n, "X")),
         rows,
-        [MatrixPencil(n, const, terms)],
+        [shared_pencil(n, const, terms)],
         metadata={"problem": "tsp_cvetkovic"},
     )
 
@@ -575,7 +578,7 @@ def build_tsp_lee(d) -> MisdpModel:
             for i in range(n):
                 for j in range(i + 1, n):
                     terms.append((mname(names[t - 1], i, j), [(i, j, coef)]))
-        pencils.append(MatrixPencil(n, [(i, i, 1) for i in range(n)], terms))
+        pencils.append(shared_pencil(n, [(i, i, 1) for i in range(n)], terms))
     cuts = [
         {
             "coeffs": [[_pair_var("X1", i, j), 1] for j in range(n) if j != i],
@@ -642,7 +645,7 @@ def build_gpp(inst: GppInstance, variant: str = "general") -> MisdpModel:
             variables,
             _laplacian_objective(lap, n),
             diag("X") + extra,
-            [MatrixPencil(n, minus_j, terms)],
+            [shared_pencil(n, minus_j, terms)],
             metadata=metadata,
         )
 
@@ -684,7 +687,7 @@ def build_gpp(inst: GppInstance, variant: str = "general") -> MisdpModel:
         variables,
         _laplacian_objective(lap, n, var="X1"),
         assign + diag("X1") + pinned,
-        [lift_pencil(n, k, "X1"), MatrixPencil(n + k, [(i, i, 1) for i in range(n)], terms2)],
+        [lift_pencil(n, k, "X1"), shared_pencil(n + k, [(i, i, 1) for i in range(n)], terms2)],
         metadata=metadata,
     )
 
@@ -721,13 +724,13 @@ def build_kep_assoc(inst: GppInstance, degree_rows: bool = False) -> MisdpModel:
             rows.append(LinRow(coeffs, "==", m - 1, label="within-degree"))
     else:
         terms = [(mname("X2", i, j), [(i, j, -1)]) for i in range(n) for j in range(i + 1, n)]
-        pencils.append(MatrixPencil(n, [(i, i, m - 1) for i in range(n)], terms))
+        pencils.append(shared_pencil(n, [(i, i, m - 1) for i in range(n)], terms))
     terms2 = []
     for i in range(n):
         for j in range(i + 1, n):
             terms2.append((mname("X1", i, j), [(i, j, -1)]))
             terms2.append((mname("X2", i, j), [(i, j, k - 1)]))
-    pencils.append(MatrixPencil(n, [(i, i, k - 1) for i in range(n)], terms2))
+    pencils.append(shared_pencil(n, [(i, i, k - 1) for i in range(n)], terms2))
     return MisdpModel(
         variables,
         Objective("min", _pair_coeffs(w, n, "X1")),
@@ -777,7 +780,7 @@ def build_matrix_completion(shape, observed, domain) -> MisdpModel:
         variables,
         Objective("min", coeffs),
         rows=[],
-        pencils=[MatrixPencil(n + m, const, terms)],
+        pencils=[shared_pencil(n + m, const, terms)],
         metadata={"problem": "matrix_completion", "shape": [n, m], "hints": hints},
     )
 
@@ -836,7 +839,7 @@ def build_sils(m_mat, b, cap) -> MisdpModel:
         variables,
         Objective("min", coeffs, constant),
         rows,
-        [MatrixPencil(k + 1, [(0, 0, 1)], terms)],
+        [shared_pencil(k + 1, [(0, 0, 1)], terms)],
         metadata={"problem": "sils", "cap": int(cap), "n_rows": n},
     )
 

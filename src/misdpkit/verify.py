@@ -49,7 +49,6 @@ combinatorial side, and `equivalence_suite` compares the two on named
 instance families.
 """
 
-import collections
 import functools
 import itertools
 import json
@@ -64,7 +63,7 @@ from . import config, dpsd
 from .errors import BudgetExceeded, UnsupportedContinuousPattern
 from .formulations import QcqpInstance, Qmp1Instance, Qmp2Instance, mname, pynum
 from .linalg import eigensym
-from .model import LinRow, MisdpModel, _exact, psd_exact_sum, validate
+from .model import LinRow, MisdpModel, _exact, validate
 from .problems import Graph, GppInstance, QapInstance
 
 REL_TOL = 1e-7
@@ -539,7 +538,7 @@ class _Plan:
                 first[name] = min(first.get(name, k), k)
         self.int_names.sort(key=lambda n: first.get(n, math.inf))
         pos = {n: d for d, n in enumerate(self.int_names)}
-        self.node_checks = self._node_checks(exact, blocks, pos)
+        self.node_checks = self._node_checks(exact, pos)
 
         self.stages = {_LIFT: [], _FORCED: [], _PENDING: []}
         prune_rows = list(model.rows)
@@ -574,18 +573,12 @@ class _Plan:
         self.check = _LeafCheck(model, {name for name, _ in self.closure.determined},
                                 self.closure.proven | self.checker.decided)
 
-    def _node_checks(self, pencils, blocks, pos):
-        """Per depth, the leading blocks whose variables that depth completes;
-        only the largest block k < order closing at a depth is kept."""
+    def _node_checks(self, pencils, pos):
+        """Per depth, the leading blocks (`MatrixPencil.leading_blocks`) whose
+        variables that depth completes; only the largest closing at a depth is kept."""
         checks = [[] for _ in self.int_names]
-        for p, ks in zip(pencils, blocks):
-            closing = {}
-            for k in range(1, p.order):
-                inside = [t for t, first in enumerate(ks) if first <= k]
-                if inside:  # a constant block is left to the leaf test
-                    names = [p.terms[t][0] for t in inside]
-                    entries = [[e for e in p.entries[i] if e[1] < k] for i in (0, *(t + 1 for t in inside))]
-                    closing[max(pos[n] for n in names)] = _LeadingBlock(k, names, entries)
+        for p in pencils:
+            closing = {max(pos[n] for n, _ in block.terms): block for block in p.leading_blocks()}
             for depth, block in closing.items():
                 checks[depth].append(block)
         return checks
@@ -614,14 +607,6 @@ class _Plan:
                     f"cannot resolve continuous variables {pending[:4]}"
                 )
         return assign
-
-
-class _LeadingBlock(collections.namedtuple("_LeadingBlock", "order names entries")):
-    """A leading block of an exact integer pencil: its order, the terms that enter
-    it and the (r, c, value) triples of the constant and of those terms inside it."""
-
-    def is_psd_at(self, assign):
-        return psd_exact_sum(self.order, [1, *(assign[n] for n in self.names)], self.entries)
 
 
 class _Search:

@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -19,6 +20,7 @@ from misdpkit.formulations import (
     matrix_lift,
     mname,
     pname,
+    shared_pencil,
     xname,
 )
 from misdpkit.linalg import SymMat, is_psd, num_rank
@@ -283,3 +285,38 @@ class TestQmp2:
                 for j in range(i, 3):
                     x[i, j] = x[j, i] = point[f"X[{i},{j}]"]
             assert num_rank(SymMat(x, check_symmetry=False)) == 2
+
+
+class TestSharedPencils:
+    """`shared_pencil`: one pencil object per content, for every builder."""
+
+    def test_two_builds_of_one_shape_share_every_pencil(self):
+        from test_verify import _one_model_per_builder
+
+        first, second = _one_model_per_builder(), _one_model_per_builder()
+        for a, b in zip(first, second):
+            assert len(a.pencils) == len(b.pencils)
+            assert all(p is q for p, q in zip(a.pencils, b.pencils))
+
+    def test_distinct_content_gets_its_own_pencil(self):
+        from misdpkit.problems import build_matrix_completion
+
+        def pencil(observed):
+            return build_matrix_completion((2, 2), observed, [0, 1]).pencils[0]
+
+        assert pencil({(0, 0): 1}) is pencil({(0, 0): 1})
+        assert pencil({(0, 0): 1}) is not pencil({(0, 1): 1})
+        # equal values of another type keep their own exact entries
+        half, float_half = pencil({(0, 0): Fraction(1, 2)}), pencil({(0, 0): 0.5})
+        assert half is not float_half
+        assert [type(x) for _, _, x in half.entries[0]] == [Fraction]
+        assert [type(x) for _, _, x in float_half.entries[0]] == [float]
+        terms = [("t", [(0, 0, 1)])]
+        assert shared_pencil(2, [(0, 1, 1)], terms) is not shared_pencil(3, [(0, 1, 1)], terms)
+
+    def test_an_unhashable_value_is_refused_by_name(self):
+        from misdpkit.problems import build_matrix_completion
+
+        for value in (np.array(1), [1]):
+            with pytest.raises(ValueError, match="not a real number"):
+                build_matrix_completion((2, 2), {(0, 0): value}, [0, 1])

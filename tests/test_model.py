@@ -14,7 +14,7 @@ from misdpkit import config
 from misdpkit import model as model_module
 from misdpkit.cbf import export_cbf, import_cbf
 from misdpkit.errors import IncompleteAssignment, ParseError, UnsupportedDomain, loads_json
-from misdpkit.formulations import bordered_pencil, lift_pencil
+from misdpkit.formulations import bordered_pencil, shared_pencil
 from misdpkit.linalg import SymMat, dumps_matrix, is_psd, loads_matrix
 from misdpkit.model import (
     LinRow,
@@ -310,24 +310,36 @@ class TestPencilPsd:
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
-    def test_memo_on_a_shared_pencil_matches_a_fresh_decision(self, data):
+    def test_memoised_leaf_and_block_decisions_match_the_kernel(self, data):
+        # a fresh shared pencil and each of its leading blocks, with their
+        # memos empty or filled to the cap with keys that no point makes (a
+        # denominator of 0)
+        shared_pencil.cache_clear()
         n = data.draw(st.integers(1, 3))
-        pencil = bordered_pencil(n, data.draw(st.sampled_from([1.0, 2.0, 3.0])))
+        pencil = bordered_pencil(n, data.draw(st.integers(1, 3)))
         number = st.integers(-2, 2) if data.draw(st.booleans()) else _fractions()
         values = {name: data.draw(number) for name, _ in pencil.terms}
-        den = math.lcm(*(Fraction(v).denominator for v in values.values()))
-        scaled = [int(values[name] * den) for name, _ in pencil.terms]
-        expected = psd_exact_sum(pencil.order, [den, *scaled], pencil.entries)
-        full = len(pencil._psd) >= model_module._PSD_MEMO_CAP  # other tests share the pencil
-        with mock.patch.object(model_module, "is_psd", wraps=is_psd) as float_route:
-            assert pencil.is_psd_at(values) == expected
-            assert pencil.is_psd_at(values) == expected  # now from the memo
-        assert float_route.call_count == 0
-        assert full or pencil._psd[(den, *scaled)] == expected
+        full = data.draw(st.booleans())
+        cap = model_module._PSD_MEMO_CAP
+        for p in (pencil, *pencil.leading_blocks()):
+            if full:
+                p._psd.update(((0, i), False) for i in range(cap - len(p._psd)))
+            mine = [values[name] for name, _ in p.terms]
+            den = math.lcm(*(Fraction(v).denominator for v in mine))
+            key = (den, *(int(v * den) for v in mine))
+            expected = psd_exact_sum(p.order, key, p.entries)
+            with mock.patch.object(model_module, "is_psd", wraps=is_psd) as float_route:
+                assert p.is_psd_at(values) == expected
+                assert p.is_psd_at(values) == expected  # from the memo unless it is full
+            assert float_route.call_count == 0
+            if full:
+                assert len(p._psd) == cap and key not in p._psd
+            else:
+                assert p._psd[key] == expected
 
     def test_memo_stops_inserting_at_its_cap(self):
-        # [[t, 1], [1, 1]] is PSD iff t >= 1; the memo is turned on as the
-        # lift builders turn it on
+        # [[t, 1], [1, 1]] is PSD iff t >= 1; the memo is turned on as
+        # shared_pencil turns it on
         pencil = MatrixPencil(2, [(0, 1, 1), (1, 1, 1)], [("t", [(0, 0, 1)])])
         pencil._psd = {}
         cap = model_module._PSD_MEMO_CAP
@@ -337,16 +349,30 @@ class TestPencilPsd:
             assert len(pencil._psd) == cap
         assert pencil.is_psd_at({"t": Fraction(cap + 101, 2)}) and len(pencil._psd) == cap
 
-    def test_only_the_shared_lift_pencils_remember(self):
+    def test_builder_pencils_remember_and_others_do_not(self):
         from misdpkit.problems import build_sils
 
-        assert bordered_pencil(2, 1.0)._psd is not None and lift_pencil(2, 1)._psd is not None
-        (own,) = build_sils(np.array([[1, -1], [0, 2]]), np.array([1, 0]), 1).pencils
-        values = {name: 1 for name, _ in own.terms}
-        with mock.patch.object(model_module, "psd_exact_sum", wraps=psd_exact_sum) as exact:
-            decided = own.is_psd_at(values)
-            assert own.is_psd_at(values) == decided
-        assert own.integral and exact.call_count == 2 and own._psd is None
+        for m in _one_model_per_builder():
+            for p in m.pencils:
+                assert p._psd is not None and all(b._psd is not None for b in p.leading_blocks())
+            for back in (import_json(export_json(m)), import_cbf(export_cbf(m))):
+                for p in back.pencils:
+                    assert p._psd is None and all(b._psd is None for b in p.leading_blocks())
+        assert stable_set_k2_model().pencils[0]._psd is None
+        m = build_sils(np.array([[1, -1], [0, 2]]), np.array([1, 0]), 1)
+        (shared,), (own,) = m.pencils, import_json(export_json(m)).pencils
+        values = {name: 1 for name, _ in shared.terms}
+        for pencil, calls in ((shared, 1), (own, 2)):
+            with mock.patch.object(model_module, "psd_exact_sum", wraps=psd_exact_sum) as exact:
+                decided = pencil.is_psd_at(values)
+                assert pencil.is_psd_at(values) == decided
+            assert pencil.integral and exact.call_count == calls
+
+    def test_equality_compares_the_exact_entries(self):
+        third = MatrixPencil(2, [(0, 1, Fraction(1, 3))], [("t", [(0, 0, 1)])])
+        rounded = MatrixPencil(2, [(0, 1, 0.3333333333333333)], [("t", [(0, 0, 1)])])
+        assert np.array_equal(third.const, rounded.const) and third != rounded
+        assert third == MatrixPencil(2, [(1, 0, Fraction(1, 3))], [("t", [(0, 0, 1.0)])])
 
 
 class TestJsonRoundTrip:

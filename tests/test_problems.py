@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import math
@@ -20,6 +21,7 @@ from misdpkit.errors import (
     VariantPrecondition,
 )
 from misdpkit.linalg import SymMat, num_rank
+from misdpkit.model import MatrixPencil
 from misdpkit.problems import (
     GPP_VARIANTS,
     Graph,
@@ -345,6 +347,24 @@ class TestTsp:
         assert opt == 5 and res.feasible_count == 12
         d6 = metric(6, np.random.default_rng(8))
         assert solve(build_tsp_cvetkovic(d6))[0] == oracle("tsp", d6).optimum
+
+    def test_cvetkovic_constant_is_exact_where_rational(self):
+        # 2(1 - cos 2pi/n) is 3, 2 and 1 at n = 3, 4 and 6 (Niven); at n = 6 the
+        # float is 0.9999999999999998, and that pencil decides the same tours
+        for n in (3, 4, 6):
+            assert build_tsp_cvetkovic(metric(n)).pencils[0].integral
+        assert not build_tsp_cvetkovic(metric(5)).pencils[0].integral
+        d = np.ones((6, 6), dtype=int) - np.eye(6, dtype=int)
+        m = build_tsp_cvetkovic(d)
+        (pencil,) = m.pencils
+        alpha = 2.0 * (1.0 - math.cos(2.0 * math.pi / 6))
+        const = [(r, c, x if r == c else alpha) for r, c, x in pencil.entries[0]]
+        floats = MatrixPencil(6, const, [(name, e) for (name, _), e in zip(pencil.terms, pencil.entries[1:])])
+        assert alpha != 1 and not floats.integral
+        opt, res = solve(m)
+        float_opt, float_res = solve(dataclasses.replace(m, pencils=[floats]))
+        assert (opt, res.feasible_count) == (float_opt, float_res.feasible_count) == (6, 60)
+        assert opt == oracle("tsp", d).optimum
 
     def test_cvetkovic_rejects_triangle_pair(self):
         # two disjoint triangles satisfy the degree rows but fail the pencil

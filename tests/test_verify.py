@@ -12,8 +12,8 @@ from misdpkit import config
 from misdpkit import model as model_module
 from misdpkit import verify
 from misdpkit.errors import BudgetExceeded, UnsupportedContinuousPattern
-from misdpkit.linalg import is_psd, is_psd_exact, rank_exact
-from misdpkit.model import LinRow, MatrixPencil, MisdpModel, Objective, VarDomain, eval_point
+from misdpkit.linalg import is_psd, rank_exact
+from misdpkit.model import LinRow, MatrixPencil, MisdpModel, Objective, VarDomain, eval_point, psd_exact_sum
 from misdpkit.problems import Graph, build_mkcs, build_stable_set, build_tsp_cvetkovic
 from misdpkit.verify import (
     SUITES,
@@ -465,9 +465,11 @@ class TestLeafCheck:
         assert feasible > 0
 
     def test_psd_runs_only_on_domain_and_row_feasible_leaves(self, monkeypatch):
+        # counts PSD decisions (is_psd_at calls), which the memos do not change
         leaf, node, jacobi = [], [], []
         current = {"at_leaf": False}
         plan_init, leaf_check = verify._Plan.__init__, verify._LeafCheck.__call__
+        is_psd_at = MatrixPencil.is_psd_at
 
         def planning(plan, model, budget):
             (pencil,) = model.pencils  # every sils model has one pencil
@@ -481,10 +483,9 @@ class TestLeafCheck:
             finally:
                 current["at_leaf"] = False
 
-        def counted(rows):
-            n = len(rows)
-            ok = is_psd_exact(rows)
-            (leaf if current["at_leaf"] else node).append((n, current["order"], ok))
+        def deciding(pencil, values):
+            ok = is_psd_at(pencil, values)
+            (leaf if current["at_leaf"] else node).append((pencil.order, current["order"], ok))
             return ok
 
         def float_route(a):
@@ -493,7 +494,7 @@ class TestLeafCheck:
 
         monkeypatch.setattr(verify._Plan, "__init__", planning)
         monkeypatch.setattr(verify._LeafCheck, "__call__", checking)
-        monkeypatch.setattr(model_module, "is_psd_exact", counted)
+        monkeypatch.setattr(MatrixPencil, "is_psd_at", deciding)
         monkeypatch.setattr(model_module, "is_psd", float_route)
         # 1,566 of the 4,023 leaves fail before any pencil, all of them in the
         # closure's windows (y1, y2 >= 0); the check keeps no row
@@ -506,6 +507,22 @@ class TestLeafCheck:
         assert all(n < order for n, order, _ in node)
         # integer pencils at int/Fraction points never take the float route
         assert jacobi == []
+
+    def test_cold_pass_kernel_calls(self, monkeypatch):
+        # the sils and mkcs models of one shape share a pencil and its memos:
+        # one cold pass at seed 0 asked the kernel 3,132 and 6,056 times when
+        # only the lift pencils remembered, and their leading blocks did not
+        calls = []
+
+        def kernel(*args):
+            calls.append(args[0])
+            return psd_exact_sum(*args)
+
+        monkeypatch.setattr(model_module, "psd_exact_sum", kernel)
+        for name, most in (("sils-small", 780), ("mkcs-small", 896)):
+            calls.clear()
+            assert equivalence_suite(name).passed
+            assert 0 < len(calls) <= most
 
 
 def _reference_walk(model):
@@ -1098,12 +1115,14 @@ class TestLiftsAtNodes:
             totals[name] = (counts["nodes"], counts["leaves"], sum(r.misdp_feasible for r in reports))
         # stable-set-n5, n4 and qcqp-random took 64,512, 1,984 and 361 nodes
         # before lifting; every leaf of stable-set-n5 is now a stable set, as
-        # the edge rows prune the rest
+        # the edge rows prune the rest.  cvetkovic-hamiltonicity took 725 while
+        # its constant 1 was the float 0.9999999999999998: the integral pencil
+        # gets node checks and another variable order
         assert {name: t[0] for name, t in totals.items()} == {
             "stable-set-n5": 33761, "stable-set-n4": 1321, "mkcs-small": 37084, "qcqp-random": 322,
             "qbpp-random": 219, "qmkp-random": 3072, "qap-random": 900, "tsp-small": 2180,
             "gpp-cross": 738, "kep-gep-vs-assoc": 288, "sils-small": 10191, "completion-2x2": 146,
-            "cvetkovic-hamiltonicity": 725,
+            "cvetkovic-hamiltonicity": 756,
         }
         assert totals["stable-set-n5"][1:] == (12625, 12625)
 
