@@ -132,11 +132,13 @@ def _integer(text):
 def loads_json(text):
     """Decode JSON text; raise ParseError, with the line, on malformed text,
     on NaN, Infinity or a number too large for a float, and on an integer
-    too long to convert."""
+    too long to convert, and without it on nesting too deep to decode."""
     try:
         return json.loads(text, parse_float=_finite, parse_int=_integer, parse_constant=_finite)
     except json.JSONDecodeError as exc:
         raise ParseError(exc.msg, line=exc.lineno) from None
+    except RecursionError:
+        raise ParseError("JSON nesting is too deep") from None
     except _BadNumber as exc:
         # the decoder reads in text order, so the first such token outside a string failed
         token, message = exc.args

@@ -225,9 +225,9 @@ def build_bsdp_qcqp(inst: QcqpInstance, compact: bool = False) -> MisdpModel:
     for q, c, d in inst.quads:
         rows.append(LinRow(tuple(quad_form_coeffs(q, c, n).items()), "<=", d, label="quad"))
     if compact and inst.lin_eq:
-        s = np.zeros((n + 1, n + 1))
+        s = np.zeros((n + 1, n + 1), dtype=object)  # Python numbers: int data sums exactly
         for a, b in inst.lin_eq:
-            v = np.concatenate([[-float(b)], np.asarray(a, dtype=float)])
+            v = np.array([-b, *map(pynum, a)], dtype=object)
             s += np.outer(v, v)
         coeffs = quad_form_coeffs(s[1:, 1:], 2 * s[0, 1:], n)
         rows.append(LinRow(tuple(coeffs.items()), "==", pynum(-s[0, 0]), label="aggregated"))

@@ -236,6 +236,8 @@ def loads_matrix(text: str) -> SymMat:
         n = int(lines[0].split()[0])
     except ValueError:
         raise ParseError(f"expected matrix order, got {lines[0]!r}", line=1)
+    if n < 0:
+        raise ParseError(f"matrix order {n} is negative", line=1)
     if len(lines) < n + 1:
         raise ParseError(f"expected {n} rows, found {len(lines) - 1}", line=len(lines))
     rows = []

@@ -27,8 +27,9 @@ Each leaf resolves continuous variables in this order:
 
   1. builder hints of the "lift" stage (entries pinned by the integer part);
   2. exact linear closure over the continuous variables no hint covers: the
-     equality rows are reduced once to affine maps of the known values, and
-     a value outside its bounds is rejected on its numerator;
+     equality rows are reduced once to affine maps of the known values, a
+     value outside its bounds is rejected on its numerator, and an integral
+     value is an int, so the later stages compute in ints where they can;
   3. builder hints of the "forced" stage (blocks fixed once the closure ran);
   4. corner scalars: a variable on one diagonal entry of a single pencil and
      in no row, set to the pencil's exact Schur-complement boundary;
@@ -39,7 +40,10 @@ minus the bounds the closure decided and the rows that the checker or the
 closure decided.  It stops at the first violation, in the order domains,
 rows, pencils.  `eval_point` stays the slow reference that reports every
 violation; the two agree on feasibility, objective and residual on every
-point the search reaches.
+point the search reaches.  The optimum keeps the type it has with every
+closure value a Fraction: when the closure takes part, the first minimizer
+is resolved once more with Fraction closure values, and its objective is the
+optimum.
 
 `_HINT_RULES` is the one list of hint rules a model's metadata may name: each
 entry gives its stage, the variables it covers, and any pruning-only rows
@@ -338,8 +342,10 @@ class _ClosureSolver:
     The rows are reduced once, over [unknowns | known variables | rhs], to
     affine forms of the known values (int coefficients and constant over one
     denominator): one per dependent row, which must give 0, and one per
-    determined unknown, a Fraction whose bounds (widened by `lin_feas` as in
-    eval_point) are a window on its numerator.  When every unknown is
+    determined unknown, whose bounds (widened by `lin_feas` as in
+    eval_point) are a window on its numerator.  `apply` writes the value of a
+    determined unknown as an int when it is integral and as a Fraction
+    otherwise, or always as a Fraction with `fractions`.  When every unknown is
     determined, the rows with int/Fraction data over unknowns and integer
     variables hold at every accepted point; their ids are `proven`.
     """
@@ -366,14 +372,15 @@ class _ClosureSolver:
                        and _exact(row.rhs, *(c for _, c in row.coeffs))
                        and all(n in unknowns or doms[n].is_integer for n, _ in row.coeffs)}
 
-    def apply(self, assign):
+    def apply(self, assign, fractions=False):
         if any(_numerator(form, assign) != 0 for form in self.dependent):
             return False
         for (name, form), (lo, hi) in zip(self.determined, self.windows):
             num = _numerator(form, assign)
             if not lo <= num <= hi:
                 return False
-            assign[name] = Fraction(num, form[2])
+            whole, rest = divmod(num, form[2])
+            assign[name] = Fraction(num, form[2]) if rest or fractions else whole
         return True
 
 
@@ -457,10 +464,10 @@ class _LeafCheck:
     the rest, only bounded continuous domains are checked: every integer
     value is drawn from its domain's iter_values(), which contains() accepts.
     Rows keep eval_point's rule: exact when the row's data and values are all
-    int/Fraction (on the row scaled to ints once, when every value is an int;
-    a row on a determined variable, always a Fraction, skips that test),
-    floats within `lin_feas` otherwise.  A feasible point's exact rows all
-    have residual 0, so only float rows raise max_residual.
+    int/Fraction (on the row scaled to ints once, when every value is an int,
+    integral closure values included), floats within `lin_feas` otherwise.
+    A feasible point's exact rows all have residual 0, so only float rows
+    raise max_residual.
     """
 
     def __init__(self, model, determined=frozenset(), proven=frozenset()):
@@ -475,7 +482,7 @@ class _LeafCheck:
             names = [n for n, _ in row.coeffs]
             coefs = [c for _, c in row.coeffs]
             exact, ints = _exact(row.rhs, *coefs), None
-            if exact and determined.isdisjoint(names):
+            if exact:
                 scale = math.lcm(row.rhs.denominator, *(c.denominator for c in coefs))
                 irhs, *icoefs = [c.numerator * (scale // c.denominator) for c in (row.rhs, *coefs)]
                 ints = (icoefs, irhs)
@@ -583,13 +590,14 @@ class _Plan:
                 checks[depth].append(block)
         return checks
 
-    def resolve(self, assignment):
-        """The leaf pipeline: complete an integer assignment, None if infeasible."""
+    def resolve(self, assignment, fractions=False):
+        """The leaf pipeline: complete an integer assignment, None if infeasible.
+        With `fractions` every closure value is a Fraction, also an integral one."""
         model = self.model
         assign = dict(assignment)
         for apply, hint in self.stages[_LIFT]:
             apply(hint, model, assign)
-        if self.closes and not self.closure.apply(assign):
+        if self.closes and not self.closure.apply(assign, fractions):
             return None
         for apply, hint in self.stages[_FORCED]:
             apply(hint, model, assign)
@@ -665,11 +673,17 @@ def solve_by_enumeration(model: MisdpModel, budget: int = 10**7) -> EnumerationR
     patterns, otherwise UnsupportedContinuousPattern is raised.  A hint whose
     rule is not in _HINT_RULES raises ValueError before the search starts.
     """
-    search = _Search(_Plan(model, budget))
+    plan = _Plan(model, budget)
+    search = _Search(plan)
     search.dfs(0)
     best = search.result()
+    optimum = best.optimum
+    if plan.closes and best.solutions:
+        # the optimum keeps the type it has with every closure value a Fraction
+        first = {n: best.solutions[0][n] for n in plan.int_names}
+        optimum = model.objective.value(plan.resolve(first, fractions=True))
     return EnumerationResult(
-        best.optimum, best.solutions, best.feasible_count, search.max_residual, search.nodes
+        optimum, best.solutions, best.feasible_count, search.max_residual, search.nodes
     )
 
 

@@ -291,6 +291,14 @@ class TestScheme:
         assert run(["scheme", "--mats", str(bad)]) == 2
         assert "axiom" in capsys.readouterr().err
 
+    def test_deep_mats_exit_code(self, tmp_path, capsys):
+        deep = tmp_path / "deep.json"
+        deep.write_text('{"matrices": ' + "[" * 100000 + "]" * 100000 + "}")
+        assert run(["scheme", "--mats", str(deep)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: JSON nesting is too deep"]
+
 
 class TestConvert:
     def test_cbf_json_cycle(self, c5, tmp_path):
@@ -328,6 +336,15 @@ class TestConvert:
         captured = capsys.readouterr()
         assert captured.out == "" and not out.exists()
         assert captured.err.splitlines() == [f"error: line 1: {token} is not a finite number"]
+
+    def test_deep_json_exit_code(self, tmp_path, capsys):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100000 + "]" * 100000)
+        out = tmp_path / "m.cbf"
+        assert run(["convert", str(deep), str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err.splitlines() == ["error: JSON nesting is too deep"]
 
     def test_finite_set_with_gaps_to_cbf_exit_code(self, tmp_path, capsys):
         json_path = tmp_path / "m.json"

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from misdpkit import model as model_module
+from misdpkit import verify
 from misdpkit.errors import NegativeCapacity
 from misdpkit.formulations import (
     QcqpInstance,
@@ -126,6 +127,21 @@ class TestQcqp:
             compact = solve_by_enumeration(build_bsdp_qcqp(inst, compact=True))
             assert plain.feasible_count == compact.feasible_count
             assert plain.optimum == compact.optimum
+
+    def test_compact_row_of_exact_data_is_exact_and_left_to_the_checker(self):
+        # a + b = 1 aggregates to -x0 - x1 + 2 X01 == -1, summed in ints
+        inst = QcqpInstance(2, np.zeros((2, 2), dtype=int), lin_eq=[(np.array([1, 1]), 1)])
+        m = build_bsdp_qcqp(inst, compact=True)
+        (row,) = [r for r in m.rows if r.label == "aggregated"]
+        assert row.coeffs == (("x[0]", -1), ("x[1]", -1), ("X[0,1]", 2)) and row.rhs == -1
+        assert {type(v) for v in (row.rhs, *(c for _, c in row.coeffs))} == {int}
+        plan = verify._Plan(m, budget=10)
+        assert id(row) in plan.checker.decided and plan.check.rows == []
+        # a/2 + b = 1/2 gives Fractions
+        half = Fraction(1, 2)
+        inst = QcqpInstance(2, np.zeros((2, 2), dtype=int), lin_eq=[(np.array([half, 1]), half)])
+        (row,) = build_bsdp_qcqp(inst, compact=True).rows
+        assert row.coeffs == (("x[0]", Fraction(-1, 4)), ("X[0,1]", 1)) and row.rhs == Fraction(-1, 4)
 
     def test_aggregated_row_iff_all_equalities(self):
         # binary points: the Gram-aggregated equality holds iff every source

@@ -45,6 +45,10 @@ class TestSymMat:
         with pytest.raises(ParseError):
             loads_matrix("2\n0 1\n0 0\n")
 
+    def test_load_rejects_negative_order(self):
+        with pytest.raises(ParseError, match="^line 1: matrix order -1 is negative$"):
+            loads_matrix("-1\n")
+
     @pytest.mark.parametrize("entry", ["inf", "-inf", "nan", "1e400"])
     def test_load_rejects_non_finite(self, entry):
         with pytest.raises(ParseError, match=f"line 3: entry '{entry}' is not a finite number"):

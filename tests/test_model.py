@@ -461,6 +461,11 @@ class TestLoadsJson:
             loads_json(text)
         assert str(exc.value) == "line 3: integer of 5001 digits is too long"
 
+    @pytest.mark.parametrize("text", ["[" * 100000 + "]" * 100000, '{"a":' * 100000 + "1" + "}" * 100000])
+    def test_nesting_too_deep_raises_parse_error(self, text):
+        with pytest.raises(ParseError, match="^JSON nesting is too deep$"):
+            loads_json(text)
+
 
 class TestCbfRoundTrip:
     def test_round_trip_equal_model(self):
@@ -577,6 +582,14 @@ class TestCbfRoundTrip:
         with pytest.raises(ParseError) as exc:
             import_cbf(text.replace(old, new, 1))
         assert exc.value.line == line
+
+    def test_deep_metadata_raises_parse_error_with_line(self):
+        text = export_cbf(stable_set_k2_model())
+        meta = next(ln for ln in text.splitlines() if ln.startswith("# misdpkit-meta: "))
+        deep = "# misdpkit-meta: " + "[" * 100000 + "]" * 100000
+        with pytest.raises(ParseError, match="misdpkit-meta: JSON nesting is too deep") as exc:
+            import_cbf(text.replace(meta, deep, 1))
+        assert exc.value.line == 7
 
     def test_defective_model_raises_parse_error(self):
         text = export_cbf(stable_set_k2_model()).replace("names: x[0] x[1]", "names: x[0] x[0]")
@@ -860,7 +873,8 @@ class TestExportBytes:
         )
 
     def test_json(self):
+        # the compact qcqp row sums its int data in ints: -1, 2 where -1.0, 2.0 were
         text = "".join(_builder_texts())
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "7ca08224558b4346d75a1395b1da522ac140aa321d78cd730365c7d60657fb5c"
+            "c180d4cbe70405eda9b6296453a7a70ac871524295b6cdf367d899b20e0ff43e"
         )

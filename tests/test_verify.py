@@ -529,9 +529,11 @@ def _reference_walk(model):
     """Optimum, feasible count and largest residual by brute force.
 
     Every integer point in model order, without forward checking or node
-    checks, is completed by the leaf pipeline and judged by eval_point.  To
-    keep it fast, exact rows over integer variables alone are applied first,
-    to all points at once: eval_point rejects any point that fails one.
+    checks, is completed by the leaf pipeline, with every closure value a
+    Fraction (the types the enumerator's optimum keeps), and judged by
+    eval_point.  To keep it fast, exact rows over integer variables alone
+    are applied first, to all points at once: eval_point rejects any point
+    that fails one.
     """
     plan = verify._Plan(model, budget=10**9)
     names = model.integer_names()
@@ -547,7 +549,7 @@ def _reference_walk(model):
     offer, result = verify._best_tracker(model.objective.sense)
     max_residual = 0.0
     for point, kept in zip(points, keep):
-        assign = plan.resolve(dict(zip(names, point))) if kept else None
+        assign = plan.resolve(dict(zip(names, point)), fractions=True) if kept else None
         if assign is not None:
             ref = eval_point(model, assign)
             if ref.feasible:
@@ -791,8 +793,9 @@ class TestClosure:
             augmented.append([int(x * den) for x in line])
         consistent = rank_exact([r[:-1] for r in augmented]) == rank_exact(augmented)
         assert accepted == consistent
-        if accepted:
-            assert all(type(assign[u]) is Fraction for u in unknowns if u in assign)
+        if accepted:  # an int when integral, a Fraction otherwise
+            for v in (assign[u] for u in unknowns if u in assign):
+                assert type(v) is (int if Fraction(v).denominator == 1 else Fraction)
             for row in rows:
                 if all(n in assign for n, _ in row.coeffs):
                     assert sum(c * assign[n] for n, c in row.coeffs) == row.rhs
@@ -822,6 +825,31 @@ class TestClosure:
         rows = [LinRow((("u", 1), ("k", -1)), "==", 0)]
         doms = {"u": VarDomain.continuous(lo, hi), "k": VarDomain.continuous()}
         assert verify._ClosureSolver(rows, {"u"}, doms).apply({"k": Fraction(-3, 2)}) == accepted
+
+
+class TestIntegralClosureValues:
+    """The closure writes an int where its value is integral, so the search
+    computes in ints; the optimum keeps the type it has with every closure
+    value a Fraction, which the reports print."""
+
+    def test_closing_models_keep_their_optimum(self):
+        expected = {"qap": Fraction(12), "gpp": Fraction(4), "kep_assoc": Fraction(4), "sils": Fraction(2, 3)}
+        closing = []
+        for m in _one_model_per_builder():
+            problem = m.metadata["problem"]
+            if problem == "tsp_qap":
+                continue  # 2^25 points
+            plan = verify._Plan(m, budget=10**9)
+            if not plan.closes:
+                continue
+            closing.append(problem)
+            got = solve_by_enumeration(m, budget=10**9)
+            assert type(got.optimum) is Fraction and got.optimum == expected[problem]
+            for v in (got.minimizers[0][n] for n, _ in plan.closure.determined):
+                assert type(v) is (int if Fraction(v).denominator == 1 else Fraction)
+            if problem == "qap":  # its qap_schur products of int closure values are ints too
+                assert {type(v) for v in got.minimizers[0].values()} == {int}
+        assert sorted(set(closing)) == sorted(expected)
 
 
 class TestClosureDecidesItsRows:
