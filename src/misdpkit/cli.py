@@ -51,47 +51,52 @@ def _load_dist(path):
     return d.ints if d.ints is not None else d.array  # integer distances stay exact
 
 
-def cmd_build(args):
-    p = args.problem
-    if p == "stable-set":
-        m = problems.build_stable_set(_load_graph(args.graph))
-    elif p == "mkcs":
-        m = problems.build_mkcs(_load_graph(args.graph), args.k)
-    elif p == "qbpp":
-        m = problems.build_qbpp(*problems.qbpp_from_json(_load_json(args.instance)))
-    elif p == "qmkp":
-        m = problems.build_qmkp(*problems.qmkp_from_json(_load_json(args.instance)))
-    elif p == "qap":
-        m = problems.build_qap(problems.parse_qaplib(_read(args.qaplib)))
-    elif p == "tsp-qap":
-        m = problems.build_tsp_qap(_load_dist(args.dist))
-    elif p == "tsp-cvetkovic":
-        m = problems.build_tsp_cvetkovic(_load_dist(args.dist))
-    elif p == "tsp-lee":
-        m = problems.build_tsp_lee(_load_dist(args.dist))
-    elif p == "gpp":
+def _gpp(args):
+    try:
         sizes = [int(s) for s in args.sizes.split(",")]
-        inst = problems.GppInstance.make(_load_graph(args.graph), args.k, sizes)
-        m = problems.build_gpp(inst, args.variant)
-    elif p == "kep-assoc":
-        g = _load_graph(args.graph)
-        sizes = [g.n // args.k] * args.k
-        inst = problems.GppInstance.make(g, args.k, sizes)
-        m = problems.build_kep_assoc(inst)
-    elif p == "completion":
-        m = problems.build_matrix_completion(*problems.completion_from_json(_load_json(args.instance)))
-    elif p == "sils":
-        m = problems.build_sils(*problems.sils_from_json(_load_json(args.instance)))
-    elif p == "qcqp":
-        inst = formulations.qcqp_from_json(_load_json(args.instance))
-        m = formulations.build_bsdp_qcqp(inst, compact=args.compact)
-    elif p == "qmp1":
-        m = formulations.build_bsdp_qmp1(formulations.qmp1_from_json(_load_json(args.instance)))
-    elif p == "qmp2":
-        m = formulations.build_bsdp_qmp2(formulations.qmp2_from_json(_load_json(args.instance)))
-    else:
-        raise MisdpkitError(f"unknown problem {p!r}")
-    _emit_model(m, args.out, args.format)
+    except ValueError:
+        raise MisdpkitError(f"--sizes must be comma-separated integers, got {args.sizes!r}") from None
+    inst = problems.GppInstance.make(_load_graph(args.graph), args.k, sizes)
+    return problems.build_gpp(inst, args.variant)
+
+
+def _kep_assoc(args):
+    if args.k < 1:
+        raise MisdpkitError(f"need k >= 1, got k={args.k}")
+    g = _load_graph(args.graph)
+    return problems.build_kep_assoc(problems.GppInstance.make(g, args.k, [g.n // args.k] * args.k))
+
+
+# each problem: the input flags it reads, and how it builds its model from them
+_PROBLEMS = {
+    "stable-set": (("graph",), lambda a: problems.build_stable_set(_load_graph(a.graph))),
+    "mkcs": (("graph",), lambda a: problems.build_mkcs(_load_graph(a.graph), a.k)),
+    "qbpp": (("instance",), lambda a: problems.build_qbpp(*problems.qbpp_from_json(_load_json(a.instance)))),
+    "qmkp": (("instance",), lambda a: problems.build_qmkp(*problems.qmkp_from_json(_load_json(a.instance)))),
+    "qap": (("qaplib",), lambda a: problems.build_qap(problems.parse_qaplib(_read(a.qaplib)))),
+    "tsp-qap": (("dist",), lambda a: problems.build_tsp_qap(_load_dist(a.dist))),
+    "tsp-cvetkovic": (("dist",), lambda a: problems.build_tsp_cvetkovic(_load_dist(a.dist))),
+    "tsp-lee": (("dist",), lambda a: problems.build_tsp_lee(_load_dist(a.dist))),
+    "gpp": (("graph", "sizes"), _gpp),
+    "kep-assoc": (("graph",), _kep_assoc),
+    "completion": (("instance",), lambda a: problems.build_matrix_completion(
+        *problems.completion_from_json(_load_json(a.instance)))),
+    "sils": (("instance",), lambda a: problems.build_sils(*problems.sils_from_json(_load_json(a.instance)))),
+    "qcqp": (("instance",), lambda a: formulations.build_bsdp_qcqp(
+        formulations.qcqp_from_json(_load_json(a.instance)), compact=a.compact)),
+    "qmp1": (("instance",), lambda a: formulations.build_bsdp_qmp1(
+        formulations.qmp1_from_json(_load_json(a.instance)))),
+    "qmp2": (("instance",), lambda a: formulations.build_bsdp_qmp2(
+        formulations.qmp2_from_json(_load_json(a.instance)))),
+}
+
+
+def cmd_build(args):
+    flags, build = _PROBLEMS[args.problem]
+    missing = [f"--{f}" for f in flags if getattr(args, f) is None]
+    if missing:
+        raise MisdpkitError(f"build {args.problem} needs {' and '.join(missing)}")
+    _emit_model(build(args), args.out, args.format)
     return 0
 
 
@@ -200,16 +205,13 @@ def build_parser():
     sub = ap.add_subparsers(dest="command", required=True)
 
     b = sub.add_parser("build", help="compile a problem instance to a model file")
-    b.add_argument("problem", choices=[
-        "stable-set", "mkcs", "qbpp", "qmkp", "qap", "tsp-qap", "tsp-cvetkovic",
-        "tsp-lee", "gpp", "kep-assoc", "completion", "sils", "qcqp", "qmp1", "qmp2",
-    ])
+    b.add_argument("problem", choices=list(_PROBLEMS))
     b.add_argument("--graph", help="DIMACS edge file")
     b.add_argument("--dist", help="dense distance matrix file")
     b.add_argument("--qaplib", help="QAPLIB instance file")
     b.add_argument("--instance", help="instance JSON file")
     b.add_argument("--k", type=int, default=2)
-    b.add_argument("--sizes", default="", help="comma-separated part sizes for gpp")
+    b.add_argument("--sizes", help="comma-separated part sizes for gpp")
     b.add_argument("--variant", default="general", choices=problems.GPP_VARIANTS)
     b.add_argument("--compact", action="store_true", help="aggregate linear equalities (qcqp)")
     b.add_argument("--out", default="-")
@@ -233,12 +235,11 @@ def build_parser():
     k.set_defaults(fn=cmd_count)
 
     v = sub.add_parser("verify", help="run a verification suite")
-    v.add_argument("--suite", default="all",
-                   help="suite name or 'all'; see misdpkit.verify.SUITES")
+    v.add_argument("--suite", default="all", choices=["all", *sorted(verify.SUITES)])
     v.add_argument("--out", help="write JSON-lines reports here")
     v.add_argument("--table", action="store_true")
-    v.add_argument("--budget", type=int, default=10**7,
-                   help="enumeration budget per instance (default 1e7)")
+    v.add_argument("--budget", type=int, default=verify.DEFAULT_BUDGET,
+                   help="enumeration budget per instance, every suite (default 1e7)")
     v.add_argument("--seed", type=int, default=0,
                    help="offset for the fixed suite seeds (0 reproduces the canonical reports)")
     v.set_defaults(fn=cmd_verify)

@@ -49,8 +49,8 @@ optimum.
 entry gives its stage, the variables it covers, and any pruning-only rows
 ("valid_cuts") that every integer-feasible point satisfies.  A hint naming
 any other rule raises ValueError.  `oracle` provides the brute-force
-combinatorial side, and `equivalence_suite` compares the two on named
-instance families.
+combinatorial side.  Each of the `SUITES` checks its lazily built cases one
+per step under the caller's budget; `equivalence_suite` runs one by name.
 """
 
 import functools
@@ -65,12 +65,28 @@ import numpy as np
 
 from . import config, dpsd
 from .errors import BudgetExceeded, UnsupportedContinuousPattern
-from .formulations import QcqpInstance, Qmp1Instance, Qmp2Instance, mname, pynum
+from .formulations import QcqpInstance, Qmp1Instance, Qmp2Instance, build_bsdp_qcqp, mname, pynum
 from .linalg import eigensym
 from .model import LinRow, MisdpModel, _exact, validate
-from .problems import Graph, GppInstance, QapInstance
+from .problems import (
+    Graph,
+    GppInstance,
+    QapInstance,
+    build_gpp,
+    build_kep_assoc,
+    build_matrix_completion,
+    build_mkcs,
+    build_qap,
+    build_qbpp,
+    build_qmkp,
+    build_sils,
+    build_stable_set,
+    build_tsp_cvetkovic,
+    build_tsp_lee,
+)
 
 REL_TOL = 1e-7
+DEFAULT_BUDGET = 10**7  # largest integer space one enumeration may walk
 _MAX_MINIMIZERS = 4096
 
 
@@ -666,7 +682,7 @@ class _Search:
             self.max_residual = max(self.max_residual, residual)
 
 
-def solve_by_enumeration(model: MisdpModel, budget: int = 10**7) -> EnumerationResult:
+def solve_by_enumeration(model: MisdpModel, budget: int = DEFAULT_BUDGET) -> EnumerationResult:
     """Exact optimum of a model over its integer assignments.
 
     Every continuous variable must fall to one of the documented elimination
@@ -959,6 +975,8 @@ def report_json(report: VerificationReport) -> str:
     def enc(v):
         if isinstance(v, Fraction):
             return f"{v.numerator}/{v.denominator}"
+        if isinstance(v, tuple):  # the two optima of a mismatched kep pair
+            return [enc(x) for x in v]
         return v
 
     obj = {
@@ -980,14 +998,17 @@ def render_table(reports) -> str:
     lines = [head, "-" * len(head)]
     for r in reports:
         bij = "-" if r.bijection is None else ("yes" if r.bijection else "NO")
+        misdp = r.misdp_optimum
+        if isinstance(misdp, tuple):  # str() of a tuple shows its members' repr
+            misdp = f"({', '.join(map(str, misdp))})"
         lines.append(
-            f"{r.instance:<32} {str(r.oracle_optimum):>12} {str(r.misdp_optimum):>12} "
+            f"{r.instance:<32} {str(r.oracle_optimum):>12} {str(misdp):>12} "
             f"{r.misdp_feasible:>7} {r.oracle_feasible:>8} {bij:>5} {'yes' if r.ok() else 'NO':>4}"
         )
     return "\n".join(lines)
 
 
-def run_case(instance_id, model, okind, oargs, bijection_claimed=False, budget=10**7, seed=None):
+def run_case(instance_id, model, okind, oargs, bijection_claimed=False, seed=None, budget=DEFAULT_BUDGET):
     enum = solve_by_enumeration(model, budget=budget)
     orc = oracle(okind, *oargs)
     misdp_opt = natural_optimum(model, enum.optimum)
@@ -1007,252 +1028,189 @@ def run_case(instance_id, model, okind, oargs, bijection_claimed=False, budget=1
     )
 
 
-def _edge_pairs(n):
-    return [(i, j) for i in range(n) for j in range(i + 1, n)]
+def _check_kep(instance_id, inst, budget):
+    """The GEP and the association-scheme KEP model of one GPP instance,
+    checked against the oracle and against each other."""
+    gep = solve_by_enumeration(build_gpp(inst, "equipartition"), budget=budget)
+    ass = solve_by_enumeration(build_kep_assoc(inst), budget=budget)
+    orc = oracle("gpp", inst)
+    gep_opt, ass_opt = gep.optimum, ass.optimum
+    ok = optima_match(orc.optimum, gep_opt) and optima_match(orc.optimum, ass_opt)
+    return VerificationReport(
+        instance_id,
+        orc.optimum,
+        gep_opt if gep_opt == ass_opt else (gep_opt, ass_opt),
+        ass.feasible_count,
+        gep.feasible_count,
+        gep.feasible_count == ass.feasible_count,
+        max(gep.max_residual, ass.max_residual),
+        ok and gep_opt == ass_opt,
+    )
+
+
+def _suite(cases, check=run_case):
+    """The suite whose cases `cases(seed)` yields, one checked per `next()`.
+
+    A case is the positional arguments of `check`; for `run_case` that is the
+    instance id, model, oracle kind, oracle args, bijection claimed and, in a
+    seeded family, the report seed.  `cases` builds each model only when it
+    yields it, so every step builds, enumerates and checks one case.
+    """
+    def suite(budget=None, seed=0):
+        budget = DEFAULT_BUDGET if budget is None else budget
+        for case in cases(seed):
+            yield check(*case, budget=budget)
+    return suite
+
+
+def _seeded(base, count, draw):
+    """The cases of a random family: case t draws its instance(s) with
+    `draw(t, rng)` from its own generator, seeded base + seed + t, and the
+    reports record that seed."""
+    def cases(seed):
+        for t in range(count):
+            seed_v = base + seed + t
+            for case in draw(t, np.random.default_rng(seed_v)):
+                yield *case, seed_v
+    return cases
 
 
 def graph_from_mask(n, mask):
-    pairs = _edge_pairs(n)
+    pairs = list(itertools.combinations(range(n), 2))
     return Graph.make(n, [pairs[t] for t in range(len(pairs)) if mask >> t & 1])
 
 
-def _suite_stable_set(n, width, budget=None, seed=0):
-    from .problems import build_stable_set
-
+def _stable_set_cases(n, width, seed):
     for mask in range(1 << (n * (n - 1) // 2)):
         g = graph_from_mask(n, mask)
-        yield run_case(f"stable-set/g{mask:0{width}d}", build_stable_set(g), "stable_set", (g,),
-                       True, budget=budget or 10**7)
+        yield f"stable-set/g{mask:0{width}d}", build_stable_set(g), "stable_set", (g,), True
 
 
-def _suite_mkcs(budget=None, seed=0):
-    from .problems import build_mkcs
-
+def _mkcs_cases(seed):
     for n in (2, 3, 4):
         for mask in range(1 << (n * (n - 1) // 2)):
             g = graph_from_mask(n, mask)
             for k in range(1, min(3, n) + 1):
-                yield run_case(
-                    f"mkcs/n{n}-g{mask}-k{k}", build_mkcs(g, k), "mkcs", (g, k), True,
-                    budget=budget or 10**7,
-                )
+                yield f"mkcs/n{n}-g{mask}-k{k}", build_mkcs(g, k), "mkcs", (g, k), True
 
 
-def _suite_qcqp(budget=None, seed=0):
-    from .formulations import build_bsdp_qcqp
-
-    for case in range(20):
-        seed_v = 1000 + seed + case
-        rng = np.random.default_rng(seed_v)
-        n = 3
-        q0 = rng.integers(-3, 4, (n, n))
-        q0 = np.tril(q0) + np.tril(q0, -1).T
-        c0 = rng.integers(-3, 4, n)
-        q1 = rng.integers(0, 3, (n, n))
-        q1 = np.tril(q1) + np.tril(q1, -1).T
-        d1 = int(rng.integers(2, 9))
-        a = rng.integers(0, 2, n)
-        if not a.any():
-            a[0] = 1
-        xstar = rng.integers(0, 2, n)
-        b = int(a @ xstar)
-        inst = QcqpInstance(n, q0, c0, quads=[(q1, None, d1)], lin_eq=[(a, b)])
-        for compact in (False, True):
-            tag = "compact" if compact else "plain"
-            yield run_case(
-                f"qcqp/s{case}-{tag}",
-                build_bsdp_qcqp(inst, compact=compact),
-                "qcqp",
-                (inst,),
-                True,
-                seed=seed_v,
-            )
+def _symmetric(a, diagonal=True):
+    """The symmetric matrix on the lower triangle of `a`, with its diagonal or a zero one."""
+    return np.tril(a, 0 if diagonal else -1) + np.tril(a, -1).T
 
 
-def _suite_qbpp(budget=None, seed=0):
-    from .problems import build_qbpp
-
-    for case in range(20):
-        seed_v = 2000 + seed + case
-        rng = np.random.default_rng(seed_v)
-        n = 3
-        w = [int(v) for v in rng.integers(1, 4, n)]
-        cap = max(w) + int(rng.integers(0, 4))
-        cost = int(rng.integers(1, 4))
-        d = rng.integers(0, 4, (n, n))
-        d = np.tril(d, -1) + np.tril(d, -1).T
-        yield run_case(
-            f"qbpp/s{case}",
-            build_qbpp(w, cap, cost, d),
-            "qbpp",
-            (w, cap, cost, d),
-            True,
-            seed=seed_v,
-        )
+def _draw_qcqp(t, rng):
+    n = 3
+    q0 = _symmetric(rng.integers(-3, 4, (n, n)))
+    c0 = rng.integers(-3, 4, n)
+    q1 = _symmetric(rng.integers(0, 3, (n, n)))
+    d1 = int(rng.integers(2, 9))
+    a = rng.integers(0, 2, n)
+    if not a.any():
+        a[0] = 1
+    xstar = rng.integers(0, 2, n)
+    b = int(a @ xstar)
+    inst = QcqpInstance(n, q0, c0, quads=[(q1, None, d1)], lin_eq=[(a, b)])
+    for tag in ("plain", "compact"):
+        yield f"qcqp/s{t}-{tag}", build_bsdp_qcqp(inst, compact=tag == "compact"), "qcqp", (inst,), True
 
 
-def _suite_qmkp(budget=None, seed=0):
-    from .problems import build_qmkp
-
-    for case in range(20):
-        seed_v = 3000 + seed + case
-        rng = np.random.default_rng(seed_v)
-        n, k = 3, 2
-        w = [int(v) for v in rng.integers(1, 4, n)]
-        c = [int(v) for v in rng.integers(0, 5, k)]
-        p = [int(v) for v in rng.integers(0, 4, n)]
-        r = rng.integers(0, 3, (n, n))
-        r = np.tril(r) + np.tril(r, -1).T
-        yield run_case(
-            f"qmkp/s{case}",
-            build_qmkp(w, c, p, r),
-            "qmkp",
-            (w, c, p, r),
-            True,
-            seed=seed_v,
-        )
+def _draw_qbpp(t, rng):
+    n = 3
+    w = [int(v) for v in rng.integers(1, 4, n)]
+    cap = max(w) + int(rng.integers(0, 4))
+    cost = int(rng.integers(1, 4))
+    d = _symmetric(rng.integers(0, 4, (n, n)), diagonal=False)
+    yield f"qbpp/s{t}", build_qbpp(w, cap, cost, d), "qbpp", (w, cap, cost, d), True
 
 
-def _suite_qap(budget=None, seed=0):
-    from .problems import build_qap
-
-    for case in range(20):
-        seed_v = 4000 + seed + case
-        rng = np.random.default_rng(seed_v)
-        n = 3
-        a = rng.integers(0, 4, (n, n))
-        a = np.tril(a) + np.tril(a, -1).T
-        b = rng.integers(0, 4, (n, n))
-        b = np.tril(b) + np.tril(b, -1).T
-        c = rng.integers(0, 4, (n, n))
-        inst = QapInstance.make(a, b, c)
-        yield run_case(f"qap/s{case}", build_qap(inst), "qap", (inst,), False, seed=seed_v)
+def _draw_qmkp(t, rng):
+    n, k = 3, 2
+    w = [int(v) for v in rng.integers(1, 4, n)]
+    c = [int(v) for v in rng.integers(0, 5, k)]
+    p = [int(v) for v in rng.integers(0, 4, n)]
+    r = _symmetric(rng.integers(0, 3, (n, n)))
+    yield f"qmkp/s{t}", build_qmkp(w, c, p, r), "qmkp", (w, c, p, r), True
 
 
-def _suite_tsp(budget=None, seed=0):
-    from .problems import build_tsp_cvetkovic, build_tsp_lee
-
-    for case in range(10):
-        seed_v = 5000 + seed + case
-        rng = np.random.default_rng(seed_v)
-        n = 5
-        d = rng.integers(1, 10, (n, n))
-        d = np.tril(d, -1) + np.tril(d, -1).T
-        yield run_case(
-            f"tsp/s{case}-cvetkovic", build_tsp_cvetkovic(d), "tsp", (d,), False,
-            seed=seed_v,
-        )
-        yield run_case(
-            f"tsp/s{case}-lee", build_tsp_lee(d), "tsp", (d,), False, seed=seed_v
-        )
+def _draw_qap(t, rng):
+    n = 3
+    a = _symmetric(rng.integers(0, 4, (n, n)))
+    b = _symmetric(rng.integers(0, 4, (n, n)))
+    c = rng.integers(0, 4, (n, n))
+    inst = QapInstance.make(a, b, c)
+    yield f"qap/s{t}", build_qap(inst), "qap", (inst,), False
 
 
-def _suite_gpp(budget=None, seed=0):
-    from .problems import build_gpp
+def _draw_tsp(t, rng):
+    n = 5
+    d = _symmetric(rng.integers(1, 10, (n, n)), diagonal=False)
+    yield f"tsp/s{t}-cvetkovic", build_tsp_cvetkovic(d), "tsp", (d,), False
+    yield f"tsp/s{t}-lee", build_tsp_lee(d), "tsp", (d,), False
 
+
+def _gpp_cases(seed):
     for gname, g in (("K4", Graph.complete(4)), ("C4", Graph.cycle(4))):
         inst = GppInstance.make(g, 2, (2, 2))
         for variant in ("general", "equipartition", "bisection", "orthogonal"):
-            yield run_case(
-                f"gpp/{gname}-{variant}",
-                build_gpp(inst, variant),
-                "gpp",
-                (inst,),
-                False,
-                budget=budget or 2**20,
-            )
+            yield f"gpp/{gname}-{variant}", build_gpp(inst, variant), "gpp", (inst,), False
 
 
-def _suite_kep(budget=None, seed=0):
-    from .problems import build_gpp, build_kep_assoc
-
+def _kep_cases(seed):
+    pairs = list(itertools.combinations(range(4), 2))
     w = np.zeros((4, 4), dtype=np.int64)
-    for (u, v), val in zip(_edge_pairs(4), (1, 2, 3, 4, 5, 6)):
+    for (u, v), val in zip(pairs, (1, 2, 3, 4, 5, 6)):
         w[u, v] = w[v, u] = val
     cases = [
         ("C4", Graph.cycle(4)),
         ("K4", Graph.complete(4)),
-        ("K4w", Graph.make(4, _edge_pairs(4), w)),
+        ("K4w", Graph.make(4, pairs, w)),
     ]
     for gname, g in cases:
-        inst = GppInstance.make(g, 2, (2, 2))
-        gep = solve_by_enumeration(build_gpp(inst, "equipartition"), budget=budget or 10**7)
-        ass = solve_by_enumeration(build_kep_assoc(inst), budget=budget or 10**7)
-        orc = oracle("gpp", inst)
-        gep_opt, ass_opt = gep.optimum, ass.optimum
-        ok = optima_match(orc.optimum, gep_opt) and optima_match(orc.optimum, ass_opt)
-        yield VerificationReport(
-            f"kep/{gname}",
-            orc.optimum,
-            gep_opt if gep_opt == ass_opt else (gep_opt, ass_opt),
-            ass.feasible_count,
-            gep.feasible_count,
-            gep.feasible_count == ass.feasible_count,
-            max(gep.max_residual, ass.max_residual),
-            ok and gep_opt == ass_opt,
-        )
+        yield f"kep/{gname}", GppInstance.make(g, 2, (2, 2))
 
 
-def _suite_sils(budget=None, seed=0):
-    from .problems import build_sils
-
+def _sils_cases(seed):
     for k in (2, 3):
-        for case in range(3):
-            seed_v = 6000 + 10 * k + seed + case
-            rng = np.random.default_rng(seed_v)
-            n = 3
-            m = rng.integers(-2, 3, (n, k))
-            b = rng.integers(-2, 3, n)
-            for cap in (0, 1, k):
-                yield run_case(
-                    f"sils/k{k}-s{case}-K{cap}",
-                    build_sils(m, b, cap),
-                    "sils",
-                    (m, b, cap),
-                    False,
-                    seed=seed_v,
-                )
+        yield from _seeded(6000 + 10 * k, 3, functools.partial(_draw_sils, k))(seed)
 
 
-def _suite_completion(budget=None, seed=0):
-    from .problems import build_matrix_completion
+def _draw_sils(k, t, rng):
+    n = 3
+    m = rng.integers(-2, 3, (n, k))
+    b = rng.integers(-2, 3, n)
+    for cap in (0, 1, k):
+        yield f"sils/k{k}-s{t}-K{cap}", build_sils(m, b, cap), "sils", (m, b, cap), False
 
+
+def _completion_cases(seed):
     base = {(0, 0): 1, (0, 1): 0, (1, 0): 0, (1, 1): 1}
     cells = [(0, 0), (0, 1), (1, 0), (1, 1)]
     for mask in range(16):
         observed = {c: base[c] for t, c in enumerate(cells) if mask >> t & 1}
-        yield run_case(
-            f"completion/omega{mask:02d}",
-            build_matrix_completion((2, 2), observed, [0, 1]),
-            "completion",
-            ((2, 2), observed, (0, 1)),
-            True,
-            budget=budget or 10**7,
-        )
+        yield (f"completion/omega{mask:02d}", build_matrix_completion((2, 2), observed, [0, 1]),
+               "completion", ((2, 2), observed, (0, 1)), True)
 
 
-def _suite_cvetkovic_hamiltonicity(budget=None, seed=0):
-    from .problems import build_tsp_cvetkovic
-
+def _cvetkovic_cases(seed):
     d = np.ones((6, 6), dtype=np.int64) - np.eye(6, dtype=np.int64)
-    yield run_case("cvetkovic/n6-hamiltonicity", build_tsp_cvetkovic(d), "tsp", (d,), True,
-                   budget=budget or 2**20)
+    yield "cvetkovic/n6-hamiltonicity", build_tsp_cvetkovic(d), "tsp", (d,), True
 
 
 SUITES = {
-    "stable-set-n5": functools.partial(_suite_stable_set, 5, 4),
-    "stable-set-n4": functools.partial(_suite_stable_set, 4, 2),
-    "mkcs-small": _suite_mkcs,
-    "qcqp-random": _suite_qcqp,
-    "qbpp-random": _suite_qbpp,
-    "qmkp-random": _suite_qmkp,
-    "qap-random": _suite_qap,
-    "tsp-small": _suite_tsp,
-    "gpp-cross": _suite_gpp,
-    "kep-gep-vs-assoc": _suite_kep,
-    "sils-small": _suite_sils,
-    "completion-2x2": _suite_completion,
-    "cvetkovic-hamiltonicity": _suite_cvetkovic_hamiltonicity,
+    "stable-set-n5": _suite(functools.partial(_stable_set_cases, 5, 4)),
+    "stable-set-n4": _suite(functools.partial(_stable_set_cases, 4, 2)),
+    "mkcs-small": _suite(_mkcs_cases),
+    "qcqp-random": _suite(_seeded(1000, 20, _draw_qcqp)),
+    "qbpp-random": _suite(_seeded(2000, 20, _draw_qbpp)),
+    "qmkp-random": _suite(_seeded(3000, 20, _draw_qmkp)),
+    "qap-random": _suite(_seeded(4000, 20, _draw_qap)),
+    "tsp-small": _suite(_seeded(5000, 10, _draw_tsp)),
+    "gpp-cross": _suite(_gpp_cases),
+    "kep-gep-vs-assoc": _suite(_kep_cases, _check_kep),
+    "sils-small": _suite(_sils_cases),
+    "completion-2x2": _suite(_completion_cases),
+    "cvetkovic-hamiltonicity": _suite(_cvetkovic_cases),
 }
 
 
@@ -1266,9 +1224,9 @@ class SuiteResult:
 def equivalence_suite(name: str, budget=None, seed=0) -> SuiteResult:
     """Run one named verification suite; passes iff every report is clean.
 
-    `budget` raises the per-case enumeration cap; `seed` offsets the fixed
-    generator seeds of the random families (defaults reproduce the canonical
-    byte-identical reports).
+    `budget` sets the per-case enumeration cap (`DEFAULT_BUDGET` when None);
+    `seed` offsets the fixed generator seeds of the random families (defaults
+    reproduce the canonical byte-identical reports).
     """
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; have {sorted(SUITES)}")

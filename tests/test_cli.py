@@ -63,6 +63,23 @@ class TestBuild:
         assert captured.out == ""
         assert captured.err.splitlines() == [message]
 
+    @pytest.mark.parametrize("argv, message", [
+        (["stable-set"], "error: build stable-set needs --graph"),
+        (["qap"], "error: build qap needs --qaplib"),
+        (["tsp-lee"], "error: build tsp-lee needs --dist"),
+        (["qcqp"], "error: build qcqp needs --instance"),
+        (["completion"], "error: build completion needs --instance"),
+        (["gpp"], "error: build gpp needs --graph and --sizes"),
+        (["gpp", "--graph", "C5"], "error: build gpp needs --sizes"),
+        (["gpp", "--graph", "C5", "--sizes", "2,x"], "error: --sizes must be comma-separated integers, got '2,x'"),
+        (["kep-assoc", "--graph", "C5", "--k", "0"], "error: need k >= 1, got k=0"),
+    ])
+    def test_argument_error_exit_code(self, c5, capsys, argv, message):
+        assert run(["build", *(c5 if a == "C5" else a for a in argv)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [message]
+
     def test_missing_input_file_exit_code(self, tmp_path, capsys):
         missing = tmp_path / "nope.json"
         assert run(["build", "qbpp", "--instance", str(missing)]) == 2
@@ -379,6 +396,21 @@ class TestCliConfig:
     def test_budget_must_be_positive(self, capsys):
         assert run(["verify", "--suite", "gpp-cross", "--budget", "0"]) == 2
         assert "budget" in capsys.readouterr().err
+
+    def test_budget_reaches_the_suite(self, capsys):
+        assert run(["verify", "--suite", "qap-random", "--budget", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: integer space exceeds budget 1"]
+
+    def test_unknown_suite_exit_code(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["verify", "--suite", "nope"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        errors = [ln for ln in err.splitlines() if "error:" in ln]
+        assert len(errors) == 1 and "invalid choice: 'nope'" in errors[0]
+        assert "Traceback" not in err
 
     def test_seed_offset_changes_instances(self, tmp_path):
         a = tmp_path / "a.jsonl"

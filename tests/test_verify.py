@@ -1,5 +1,6 @@
 import functools
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -152,6 +153,36 @@ class TestReports:
     def test_unknown_suite(self):
         with pytest.raises(ValueError):
             equivalence_suite("nope")
+
+    def test_mismatched_kep_pair(self):
+        # the kep suite reports both optima when its two models disagree
+        rep = verify.VerificationReport("kep/x", 2, (Fraction(5, 2), 2), 3, 3, True, 0.0, False)
+        assert json.loads(report_json(rep))["misdp"] == ["5/2", 2]
+        assert "(5/2, 2)" in render_table([rep])
+
+
+class TestSuiteDriver:
+    @pytest.mark.parametrize("name", sorted(SUITES))
+    def test_budget_reaches_every_suite(self, name):
+        # the first case of every suite has more than one integer point
+        with pytest.raises(BudgetExceeded, match="exceeds budget 1$"):
+            next(SUITES[name](budget=1, seed=0))
+
+    @pytest.mark.parametrize("name", sorted(SUITES))
+    def test_one_case_per_step(self, name, monkeypatch):
+        # each next() builds, enumerates and checks one case, so a benchmark
+        # that times each step times one case
+        calls = []
+        solve = verify.solve_by_enumeration
+
+        def counting(model, **kw):
+            calls.append(model)
+            return solve(model, **kw)
+
+        monkeypatch.setattr(verify, "solve_by_enumeration", counting)
+        rep = next(SUITES[name](budget=None, seed=0))
+        assert rep.ok()
+        assert len(calls) == (2 if name == "kep-gep-vs-assoc" else 1)
 
 
 class TestSmallSuites:
