@@ -1,8 +1,13 @@
 """Hot numeric kernel: cyclic Jacobi sweeps for dense symmetric matrices.
 
-This is the one eigensolver of the package: every PSD test, eigenvalue and
-numerical rank goes through `jacobi_eigh`, in plain Python over a float64
-array.  Its convergence threshold and sweep budget are the constants below.
+This is the one eigensolver of the package: every eigenvalue and
+eigenvector, and every float PSD test and numerical rank (`linalg.is_psd`,
+`linalg.num_rank`), goes through `jacobi_eigh`, in plain Python over a
+float64 array.  Integer data takes the exact kernels instead: the pencils of
+`model` (`MatrixPencil.is_psd_at`) and `misdpkit check` on an integer matrix
+call `linalg.is_psd_exact` and `linalg.rank_exact`, which use no
+eigensolver.  The convergence threshold and sweep budget of `jacobi_eigh`
+are the constants below.
 """
 
 import math

@@ -178,7 +178,7 @@ def cmd_verify(args):
 
 
 def cmd_scheme(args):
-    if args.cycle:
+    if args.cycle is not None:
         scheme = schemes.lee_scheme(args.cycle)
     elif args.kep:
         m, k = args.kep
@@ -245,10 +245,11 @@ def build_parser():
     v.set_defaults(fn=cmd_verify)
 
     s = sub.add_parser("scheme", help="verify an association scheme")
-    s.add_argument("--cycle", type=int, help="cycle length (odd)")
-    s.add_argument("--kep", nargs=2, type=int, metavar=("M", "K"),
-                   help="k classes of size m")
-    s.add_argument("--mats", help="JSON file with a 'matrices' list")
+    source = s.add_mutually_exclusive_group(required=True)
+    source.add_argument("--cycle", type=int, help="cycle length (odd)")
+    source.add_argument("--kep", nargs=2, type=int, metavar=("M", "K"),
+                        help="k classes of size m")
+    source.add_argument("--mats", help="JSON file with a 'matrices' list")
     s.add_argument("--out", default="-")
     s.set_defaults(fn=cmd_scheme)
 

@@ -9,6 +9,8 @@ discrete-PSD polytopes (a few hundred columns); no attempt at efficiency.
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import DimensionMismatch
+
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
@@ -28,9 +30,16 @@ def solve_feasibility(columns, rhs, n_le=0):
 
     `columns` is a list of column vectors (each a list of Fractions of length
     m).  The first (m - n_le) rows are equalities; the last `n_le` rows are
-    <= rows, handled by appended slack columns.  Returns a FeasResult.
+    <= rows, handled by appended slack columns.  Returns a FeasResult.  A
+    column whose length is not m raises DimensionMismatch, and an `n_le`
+    outside 0..m raises ValueError.
     """
     m = len(rhs)
+    for j, col in enumerate(columns):
+        if len(col) != m:
+            raise DimensionMismatch(f"column {j} has {len(col)} entries, rhs has {m}")
+    if not 0 <= n_le <= m:
+        raise ValueError(f"n_le must lie in [0, {m}], got {n_le}")
     b = [Fraction(v) for v in rhs]
     cols = [[Fraction(v) for v in col] for col in columns]
     n_struct = len(cols)

@@ -135,7 +135,7 @@ def _key(triples):
 @functools.lru_cache(maxsize=_SHARED_PENCILS)
 def _shared_pencil(order, const, terms):
     pencil = MatrixPencil(order, [t[:3] for t in const], [(name, [t[:3] for t in key]) for name, key in terms])
-    pencil._psd = {}
+    pencil._psd, pencil._families = {}, {}
     return pencil
 
 

@@ -200,13 +200,15 @@ class MatrixPencil:
     `leading_blocks()` gives the leading blocks that some term enters, each a
     pencil of its own, built once.  The builders take every pencil from
     `formulations.shared_pencil`, one per content, which turns on its private
-    memo `_psd` (None otherwise) and that of its blocks.  There the exact
+    memo `_psd` (None otherwise) and that of its blocks, and the store of
+    plan parts that `verify` shares among the models of one family
+    (`_families`, None otherwise).  There the exact
     route of `is_psd_at` keeps its decisions by scaled integer values, at most
     `_PSD_MEMO_CAP` per pencil; the float route keeps none.  A shared pencil
     must never be mutated.
     """
 
-    __slots__ = ("order", "const", "terms", "entries", "integral", "_psd", "_blocks")
+    __slots__ = ("order", "const", "terms", "entries", "integral", "_psd", "_blocks", "_families")
 
     def __init__(self, order, const, terms):
         names, entries = [], [_upper_triples(order, const, "constant")]
@@ -223,7 +225,7 @@ class MatrixPencil:
         self.terms = tuple(zip(names, stack[1:]))
         self.entries = tuple(entries)
         self.integral = all(type(x) is int for triples in entries for _, _, x in triples)
-        self._psd = self._blocks = None
+        self._psd = self._blocks = self._families = None
 
     def evaluate(self, values: dict) -> np.ndarray:
         out = self.const.copy()

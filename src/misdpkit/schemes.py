@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import config
-from .errors import AxiomViolation, Disconnected, EvenOrder, MisdpkitError
+from .errors import AxiomViolation, Disconnected, EvenOrder, MisdpkitError, PreconditionViolated
 from .linalg import SymMat, eigensym
 from .problems import Graph
 
@@ -196,7 +196,10 @@ def lee_scheme(n: int) -> AssociationScheme:
 
 
 def kep_scheme_matrices(m: int, k: int):
-    """Basis {I, between-class, within-class} for k classes of size m."""
+    """Basis {I, between-class, within-class} for k classes of size m;
+    PreconditionViolated unless m >= 1 and k >= 1."""
+    if m < 1 or k < 1:
+        raise PreconditionViolated(f"need m >= 1 and k >= 1, got m={m}, k={k}")
     n = m * k
     a2 = np.kron(np.eye(k, dtype=np.int64), np.ones((m, m), dtype=np.int64) - np.eye(m, dtype=np.int64))
     a1 = np.ones((n, n), dtype=np.int64) - np.eye(n, dtype=np.int64) - a2

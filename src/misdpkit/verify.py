@@ -5,6 +5,14 @@ windows on the linear rows, eliminates the continuous variables, and
 evaluates feasibility exactly.  The windows of a row with int/Fraction data
 are decided in integers; only rows with float data get a tolerance.
 
+A plan is compiled in two parts.  The part that the variables, pencils and
+hints fix (`_Family`: the variable order, the integer-space size, the node
+checks, the hint stages and the lifted targets) is built once per family of
+models and kept, bounded, by the model's first shared pencil, so the 1,024
+models of `stable-set-n5` share one.  Each row is compiled once per content
+within a family, into the int test the forward checker reads and the form
+the leaf check reads; so is the closure of a family's equality rows.
+
 Each linear row is decided once, by one owner.  The forward checker decides
 a row with int/Fraction data over integer variables (their values are ints)
 and the `gram` targets lifted from them (a continuous target over integer
@@ -27,9 +35,12 @@ Each leaf resolves continuous variables in this order:
 
   1. builder hints of the "lift" stage (entries pinned by the integer part);
   2. exact linear closure over the continuous variables no hint covers: the
-     equality rows are reduced once to affine maps of the known values, a
-     value outside its bounds is rejected on its numerator, and an integral
-     value is an int, so the later stages compute in ints where they can;
+     equality rows are reduced once to affine maps of the known values, and
+     an integral value is an int, so the later stages compute in ints where
+     they can.  A value outside its bounds is rejected on its numerator: at
+     the node that assigns the last slot its map reads, when the map reads
+     only integer variables and lifted targets (the forward checker holds
+     that window as one more exact test), and at the leaf otherwise;
   3. builder hints of the "forced" stage (blocks fixed once the closure ran);
   4. corner scalars: a variable on one diagonal entry of a single pencil and
      in no row, set to the pencil's exact Schur-complement boundary;
@@ -38,12 +49,12 @@ Each leaf resolves continuous variables in this order:
 The completed point is then tested by `_LeafCheck`, compiled once per call,
 minus the bounds the closure decided and the rows that the checker or the
 closure decided.  It stops at the first violation, in the order domains,
-rows, pencils.  `eval_point` stays the slow reference that reports every
-violation; the two agree on feasibility, objective and residual on every
-point the search reaches.  The optimum keeps the type it has with every
-closure value a Fraction: when the closure takes part, the first minimizer
-is resolved once more with Fraction closure values, and its objective is the
-optimum.
+rows, pencils, and sums an objective of int/Fraction data in ints.
+`eval_point` stays the slow reference that reports every violation; the two
+agree on feasibility, objective and residual on every point the search
+reaches.  The optimum keeps the type it has with every closure value a
+Fraction: when the closure takes part, the first minimizer is resolved once
+more with Fraction closure values, and its objective is the optimum.
 
 `_HINT_RULES` is the one list of hint rules a model's metadata may name: each
 entry gives its stage, the variables it covers, and any pruning-only rows
@@ -58,6 +69,7 @@ import itertools
 import json
 import math
 import operator
+import pickle
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -126,70 +138,30 @@ def _contribution_bounds(coef, dom):
 
 
 class _ForwardChecker:
-    """Window-based pruning of linear rows under prefix integer assignments.
+    """Window-based pruning of linear tests under prefix integer assignments.
 
-    A row whose coefficients, rhs and continuous bounds are all int/Fraction
-    is scaled to ints by the lcm of its denominators, with the range of its
-    continuous part folded into int thresholds: its windows are exact.  Only
-    rows with float data get eps = 1e-9 (1 + |rhs|).  Rows that never prune
-    are dropped.  Slots 0..depth-1 are the integer variables; each (name,
-    depth) of `lifted` adds a slot pushed at that depth, whose domain bounds
-    enter smin/smax before it.  A test moves only at the depths of its slots,
-    so `consistent(d)` checks those that depth d moves (all of them at depth
-    0) and prunes the nodes a scan of every test would.  A kept exact row over
-    `ints` alone (slots whose values are ints) is decided exactly at its last
-    slot: its id is in `decided`, and no leaf needs to check it again.
+    Each test, compiled by `_Family`, is (slot coefficients, per-depth
+    checks): slots 0..depth-1 are the integer variables and the later slots
+    the lifted targets, each pushed at the depth of its last input.  A check
+    (depth, (smin, smax, cmin, cmax, up, down)) fails when no completion of
+    the partial sum fits [down, up].  A test moves only at the depths of its
+    slots, so `consistent(d)` checks those that depth d moves (all of them at
+    depth 0) and prunes the nodes a scan of every test would.  `decided`
+    holds the ids of the model rows the tests decide exactly, which no leaf
+    needs to check again.
     """
 
-    def __init__(self, rows, int_names, doms, lifted, ints):
-        depth = len(int_names)
-        names = [*int_names, *(n for n, _ in lifted)]
-        at = [*range(depth), *(d for _, d in lifted)]
-        slot = {n: i for i, n in enumerate(names)}
-        self.touch = [[] for _ in names]
-        self.checks = [[] for _ in range(depth)]  # per depth: (test, smin, smax, cmin, cmax, up, down)
-        self.decided = set()
-        self.partial = []  # per kept test, the sum of its pushed slots
-        for row in rows:
-            cont = [(c, doms[n]) for n, c in row.coeffs if n not in slot]
-            bounds = [b for n, _ in row.coeffs if not doms[n].is_integer
-                      for b in (doms[n].lo, doms[n].hi) if b is not None]
-            if exact := _exact(row.rhs, *(c for _, c in row.coeffs), *bounds):
-                scale = math.lcm(row.rhs.denominator, *(c.denominator for _, c in row.coeffs))
-                num, eps = (lambda x: x.numerator * (scale // x.denominator)), 0
-            else:
-                num, eps = float, 1e-9 * (1.0 + abs(float(row.rhs)))
-            by_slot = {}
-            for name, coef in row.coeffs:
-                if name in slot:
-                    by_slot[slot[name]] = by_slot.get(slot[name], 0) + num(coef)
-            cmin = cmax = 0
-            for coef, dom in cont:
-                lo, hi = _contribution_bounds(num(coef), dom)
-                cmin, cmax = cmin + lo, cmax + hi
-            rhs = num(row.rhs)
-            up = rhs + eps if row.rel != ">=" and cmin != -math.inf else None
-            down = rhs - eps if row.rel != "<=" and cmax != math.inf else None
-            if exact:  # the integer part's sums are ints: move the rest to the thresholds
-                up = None if up is None else math.floor(up - cmin)
-                down = None if down is None else math.ceil(down - cmax)
-                cmin = cmax = 0
-            if up is None and down is None:
-                continue
-            if exact and all(n in ints for n, _ in row.coeffs):
-                self.decided.add(id(row))
-            smin, smax = [0] * (depth + 1), [0] * (depth + 1)
-            for s, c in by_slot.items():
-                lo, hi = _contribution_bounds(c, doms[names[s]])
-                smin[at[s]] += lo
-                smax[at[s]] += hi
-                self.touch[s].append((len(self.partial), c))
-            for d in range(depth - 1, -1, -1):
-                smin[d] += smin[d + 1]
-                smax[d] += smax[d + 1]
-            up, down = math.inf if up is None else up, -math.inf if down is None else down
-            for d in {0, *(at[s] for s in by_slot)} if depth else ():
-                self.checks[d].append((len(self.partial), smin[d + 1], smax[d + 1], cmin, cmax, up, down))
+    def __init__(self, tests, nslots, depth, decided=frozenset()):
+        self.touch = [[] for _ in range(nslots)]
+        self.checks = [[] for _ in range(depth)]  # per depth: (test, (smin, smax, cmin, cmax, up, down))
+        self.decided = decided
+        self.partial = []  # per test, the sum of its pushed slots
+        for coefs, checks in tests:
+            t = len(self.partial)
+            for s, c in coefs:
+                self.touch[s].append((t, c))
+            for d, window in checks:
+                self.checks[d].append((t, window))
             self.partial.append(0)
 
     def push(self, s, value):
@@ -201,7 +173,7 @@ class _ForwardChecker:
     def consistent(self, d):
         """Whether every test that depth d moves still has room."""
         partial = self.partial
-        for t, smin, smax, cmin, cmax, up, down in self.checks[d]:
+        for t, (smin, smax, cmin, cmax, up, down) in self.checks[d]:
             s = partial[t]
             if s + smin + cmin > up or s + smax + cmax < down:
                 return False
@@ -328,11 +300,11 @@ def _gauss_jordan(rows, width):
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
         inv = rows[rank][c]
-        rows[rank] = [v / inv for v in rows[rank]]
+        rows[rank] = [v and v / inv for v in rows[rank]]  # the rows are sparse: zeros stay
         for r, row in enumerate(rows):
             if r != rank and row[c] != 0:
                 f = row[c]
-                rows[r] = [x - f * y for x, y in zip(row, rows[rank])]
+                rows[r] = [x - f * y if y else x for x, y in zip(row, rows[rank])]
         pivots.append(c)
     return pivots
 
@@ -352,6 +324,37 @@ def _numerator(form, assign):
     return const
 
 
+def _reduce(eqs, unknowns, doms, slots=None):
+    """What `_ClosureSolver` derives from its equality rows `eqs`: the
+    determined unknowns with their forms, their windows, the dependent forms,
+    the window tests (of the bounded windows whose forms read only `slots`),
+    the windows left to a searched point, and whether every unknown is
+    determined."""
+    unk = list(dict.fromkeys(n for row in eqs for n, _ in row.coeffs if n in unknowns))
+    known = list(dict.fromkeys(n for row in eqs for n, _ in row.coeffs if n not in unknowns))
+    col = {n: i for i, n in enumerate(unk + known)}
+    a = []
+    for row in eqs:
+        a.append([Fraction(0)] * len(col) + [_frac(row.rhs)])
+        for name, coef in row.coeffs:
+            a[-1][col[name]] += _frac(coef)
+    w = len(unk)
+    pivots = _gauss_jordan(a, w)
+    # a pivot row determines its variable when it touches no free column
+    determined = [(unk[p], _affine(a[r][w:], known)) for r, p in enumerate(pivots)
+                  if all(a[r][c] == 0 for c in range(w) if c != p)]
+    windows = [_window(doms[name], form[2], all(doms[n].is_integer for n, _ in form[0]))
+               for name, form in determined]
+    dependent = [_affine(row[w:], known) for row in a[len(pivots):] if any(row[w:])]
+    tests, searched = [], list(windows)
+    for k, ((_, (terms, const, _)), (lo, hi)) in enumerate(zip(determined, windows)):
+        if slots is not None and (lo != -math.inf or hi != math.inf) and all(n in slots for n, _ in terms):
+            tests.append((terms, lo if lo == -math.inf else math.ceil(lo - const),
+                          hi if hi == math.inf else math.floor(hi - const)))
+            searched[k] = (-math.inf, math.inf)
+    return determined, windows, dependent, tests, searched, len(determined) == w
+
+
 class _ClosureSolver:
     """Exact elimination of equality rows over a fixed set of unknowns.
 
@@ -364,34 +367,29 @@ class _ClosureSolver:
     otherwise, or always as a Fraction with `fractions`.  When every unknown is
     determined, the rows with int/Fraction data over unknowns and integer
     variables hold at every accepted point; their ids are `proven`.
+
+    `reduce(eqs)`, when given, stands for `_reduce` (a family's, which keeps
+    its results).  There a bounded window whose form reads only the forward
+    checker's slots (names whose values are ints known at the search's
+    nodes) is also one of `tests`: (terms, down, up), the least and greatest
+    int value of the terms' sum inside it, for the checker to decide from
+    the depth of the form's last slot.  `apply(..., searched=True)`, on a
+    point that passed those tests, skips their windows and only writes the
+    values.
     """
 
-    def __init__(self, rows, unknowns, doms):
+    def __init__(self, rows, unknowns, doms, reduce=None):
         eqs = [row for row in rows if row.rel == "==" and any(n in unknowns for n, _ in row.coeffs)]
-        unk = list(dict.fromkeys(n for row in eqs for n, _ in row.coeffs if n in unknowns))
-        known = list(dict.fromkeys(n for row in eqs for n, _ in row.coeffs if n not in unknowns))
-        col = {n: i for i, n in enumerate(unk + known)}
-        a = []
-        for row in eqs:
-            a.append([Fraction(0)] * len(col) + [_frac(row.rhs)])
-            for name, coef in row.coeffs:
-                a[-1][col[name]] += _frac(coef)
-        w = len(unk)
-        pivots = _gauss_jordan(a, w)
-        # a pivot row determines its variable when it touches no free column
-        self.determined = [(unk[p], _affine(a[r][w:], known)) for r, p in enumerate(pivots)
-                           if all(a[r][c] == 0 for c in range(w) if c != p)]
-        self.windows = [_window(doms[name], form[2], all(doms[n].is_integer for n, _ in form[0]))
-                        for name, form in self.determined]
-        self.dependent = [_affine(row[w:], known) for row in a[len(pivots):] if any(row[w:])]
-        self.proven = {id(row) for row in eqs if len(self.determined) == w
+        reduced = reduce(eqs) if reduce else _reduce(eqs, unknowns, doms)
+        self.determined, self.windows, self.dependent, self.tests, self.searched, complete = reduced
+        self.proven = {id(row) for row in eqs if complete
                        and _exact(row.rhs, *(c for _, c in row.coeffs))
                        and all(n in unknowns or doms[n].is_integer for n, _ in row.coeffs)}
 
-    def apply(self, assign, fractions=False):
+    def apply(self, assign, fractions=False, searched=False):
         if any(_numerator(form, assign) != 0 for form in self.dependent):
             return False
-        for (name, form), (lo, hi) in zip(self.determined, self.windows):
+        for (name, form), (lo, hi) in zip(self.determined, self.searched if searched else self.windows):
             num = _numerator(form, assign)
             if not lo <= num <= hi:
                 return False
@@ -410,32 +408,6 @@ def _window(dom, den, integral):
     if math.isfinite(hi):
         hi = math.floor(Fraction(hi) * den) if integral else Fraction(hi) * den
     return lo, hi
-
-
-def _corner_scalars(model):
-    """Continuous vars on one positive diagonal pencil entry and in no row:
-    name -> (pencil, diagonal index, entry as a Fraction, objective coefficient)."""
-    appearances = {}
-    for pencil in model.pencils:
-        for (name, _), entries in zip(pencil.terms, pencil.entries[1:]):
-            appearances.setdefault(name, []).append((pencil, entries))
-    in_rows = set()
-    for row in model.rows:
-        for name, _ in row.coeffs:
-            in_rows.add(name)
-    corners = {}
-    for name, dom in model.variables:
-        if dom.is_integer or name in in_rows:
-            continue
-        apps = appearances.get(name, [])
-        if len(apps) != 1:
-            continue
-        pencil, entries = apps[0]
-        if len(entries) == 1:
-            i, c, x = entries[0]
-            if i == c and x > 0:
-                corners[name] = (pencil, i, Fraction(x), model.objective.coeffs.get(name, 0))
-    return corners
 
 
 def _resolve_corner(pencil, assign, name, i, a, coef, dom, sense):
@@ -468,6 +440,46 @@ def _resolve_corner(pencil, assign, name, i, a, coef, dom, sense):
     return True
 
 
+def _leaf_row(row):
+    """A row as `_LeafCheck` reads it: (rel, names, exact, ints, coefs, rhs,
+    float coefs, float rhs), with `ints` the row scaled to int coefficients
+    and rhs by the lcm of its denominators when its data is int/Fraction."""
+    names = [n for n, _ in row.coeffs]
+    coefs = [c for _, c in row.coeffs]
+    exact, ints = _exact(row.rhs, *coefs), None
+    if exact:
+        scale = math.lcm(row.rhs.denominator, *(c.denominator for c in coefs))
+        irhs, *icoefs = [c.numerator * (scale // c.denominator) for c in (row.rhs, *coefs)]
+        ints = (icoefs, irhs)
+    try:
+        floats = [float(c) for c in coefs], float(row.rhs)
+    except OverflowError:  # exact data past the float range: only a float value, which
+        floats = coefs, row.rhs  # overflows in eval_point as well, needs the float form
+    return row.rel, names, exact, ints, coefs, row.rhs, *floats
+
+
+def _bounds(variables):
+    """(name, lo - tol, hi + tol) of each continuous variable with a bound,
+    None for a missing bound, tol = `lin_feas`, as `VarDomain.contains` widens them."""
+    tol = config.DEFAULT.lin_feas
+    return [(name, None if d.lo is None else d.lo - tol, None if d.hi is None else d.hi + tol)
+            for name, d in variables if not d.is_integer and (d.lo is not None or d.hi is not None)]
+
+
+def _linear_objective(objective):
+    """(names, int coefficients, int constant, denominator, as Fraction): the
+    objective over one denominator, or None unless every coefficient and the
+    constant is an int or a Fraction.  At int values it is the numerator over
+    the denominator, a Fraction exactly when some coefficient or the constant
+    is one, as in `Objective.value`."""
+    data = [*objective.coeffs.values(), objective.constant]
+    if not all(type(v) is int or type(v) is Fraction for v in data):
+        return None
+    den = math.lcm(*(v.denominator for v in data))
+    *coefs, const = [v.numerator * (den // v.denominator) for v in data]
+    return list(objective.coeffs), coefs, const, den, any(type(v) is Fraction for v in data)
+
+
 class _LeafCheck:
     """`eval_point` compiled once per model for the points the search builds.
 
@@ -483,29 +495,22 @@ class _LeafCheck:
     int/Fraction (on the row scaled to ints once, when every value is an int,
     integral closure values included), floats within `lin_feas` otherwise.
     A feasible point's exact rows all have residual 0, so only float rows
-    raise max_residual.
+    raise max_residual.  `rows` and `bounds`, when given, are the model's
+    rows as `_leaf_row` compiles them and its variables' `_bounds`.  An
+    objective of int/Fraction data is summed
+    in ints at a point whose objective variables are all ints; any other
+    point takes `Objective.value`.
     """
 
-    def __init__(self, model, determined=frozenset(), proven=frozenset()):
-        tol = self.tol = config.DEFAULT.lin_feas
-        self.bounds = [
-            (name, None if d.lo is None else d.lo - tol, None if d.hi is None else d.hi + tol)
-            for name, d in model.variables
-            if not d.is_integer and name not in determined and (d.lo is not None or d.hi is not None)
-        ]
-        self.rows = []
-        for row in [r for r in model.rows if id(r) not in proven]:
-            names = [n for n, _ in row.coeffs]
-            coefs = [c for _, c in row.coeffs]
-            exact, ints = _exact(row.rhs, *coefs), None
-            if exact:
-                scale = math.lcm(row.rhs.denominator, *(c.denominator for c in coefs))
-                irhs, *icoefs = [c.numerator * (scale // c.denominator) for c in (row.rhs, *coefs)]
-                ints = (icoefs, irhs)
-            self.rows.append((row.rel, names, exact, ints, coefs, row.rhs, [float(c) for c in coefs],
-                              float(row.rhs)))
+    def __init__(self, model, determined=frozenset(), proven=frozenset(), rows=None, bounds=None):
+        self.tol = config.DEFAULT.lin_feas
+        bounds = _bounds(model.variables) if bounds is None else bounds
+        self.bounds = [b for b in bounds if b[0] not in determined]
+        rows = map(_leaf_row, model.rows) if rows is None else rows
+        self.rows = [leaf for row, leaf in zip(model.rows, rows) if id(row) not in proven]
         self.pencils = model.pencils
         self.objective = model.objective
+        self.linear = _linear_objective(model.objective)
 
     def __call__(self, assign):
         for name, lo, hi in self.bounds:
@@ -532,27 +537,65 @@ class _LeafCheck:
         for pencil in self.pencils:
             if not pencil.is_psd_at(assign):
                 return None
+        if self.linear:
+            names, coefs, const, den, as_fraction = self.linear
+            vals = [assign[n] for n in names]
+            if all(type(v) is int for v in vals):
+                num = sum(map(operator.mul, coefs, vals), const)
+                return Fraction(num, den) if as_fraction else num, max_residual
         return self.objective.value(assign), max_residual
 
 
-class _Plan:
-    """What one solve_by_enumeration call fixes before the search starts."""
+# families one shared pencil keeps, and rows (or closures) one family keeps
+# compiled; a full cache drops its oldest entry
+_FAMILY_CAP = 16
+_ROW_CAP = 512
 
-    def __init__(self, model, budget):
-        defects = validate(model)
-        if defects:
-            raise ValueError(f"model has defects: {defects}")
-        self.model = model
-        self.doms = dict(model.variables)
-        self.int_names = [n for n, d in model.variables if d.is_integer]
-        self.cont_names = [n for n, d in model.variables if not d.is_integer]
-        total = 1
-        for n in self.int_names:
-            total *= self.doms[n].size()
-            if total > budget:
-                raise BudgetExceeded(f"integer space exceeds budget {budget}")
+
+def _evict(cache, cap):
+    if len(cache) >= cap:
+        del cache[next(iter(cache))]
+
+
+def _row_key(row):
+    """A row's content, with the type of each number."""
+    return row.rel, row.rhs, type(row.rhs), row.coeffs, tuple(type(c) for _, c in row.coeffs)
+
+
+def _kept(cache, key, make, *args):
+    """`make(*args)`, kept in `cache` under `key` (at most `_ROW_CAP` entries);
+    with an unhashable key, made and not kept."""
+    try:
+        return cache[key]
+    except KeyError:
+        _evict(cache, _ROW_CAP)
+        value = cache[key] = make(*args)
+        return value
+    except TypeError:
+        return make(*args)
+
+
+class _Family:
+    """The part of a plan that a model's variables, pencils and hints fix.
+
+    It holds the integer variables in search order, the size of their space,
+    the node checks, the hint stages, the lifted targets, the corner-scalar
+    candidates and the forward checker's slots: the integer variables, then
+    the lifted targets, whose values are ints.  `row(row)` compiles a linear
+    row once per content into (forward-checker test or None, whether the
+    test decides it, `_leaf_row` form); `test` compiles a window on a sum
+    over slots.  `_family` shares one family among the models that agree on
+    all three, so the models of one shape set it up once.
+    """
+
+    def __init__(self, variables, pencils, hints):
+        self.pencils = list(pencils)
+        self.doms = doms = dict(variables)
+        self.int_names = [n for n, d in variables if d.is_integer]
+        self.cont_names = [n for n, d in variables if not d.is_integer]
+        self.space = math.prod(doms[n].size() for n in self.int_names)
         ints = set(self.int_names)  # integer domains hold ints
-        exact = [p for p in model.pencils if p.integral and all(n in ints for n, _ in p.terms)]
+        exact = [p for p in pencils if p.integral and all(n in ints for n, _ in p.terms)]
         # per exact pencil and term, the smallest leading block the term enters
         blocks = [[min((c + 1 for _, c, _ in e), default=math.inf) for e in p.entries[1:]] for p in exact]
         first = {}
@@ -561,13 +604,15 @@ class _Plan:
                 first[name] = min(first.get(name, k), k)
         self.int_names.sort(key=lambda n: first.get(n, math.inf))
         pos = {n: d for d, n in enumerate(self.int_names)}
-        self.node_checks = self._node_checks(exact, pos)
+        self.node_checks = [[] for _ in self.int_names]
+        for p in exact:  # per depth, the largest leading block whose variables it completes
+            closing = {max(pos[n] for n, _ in block.terms): block for block in p.leading_blocks()}
+            for depth, block in closing.items():
+                self.node_checks[depth].append(block)
 
         self.stages = {_LIFT: [], _FORCED: [], _PENDING: []}
-        prune_rows = list(model.rows)
-        covered = set()
-        lifted = []  # (target, depth, value): known from the depth its last input is set
-        for hint in model.metadata.get("hints", []):
+        cuts, covered, lifted = [], set(), []  # lifted: (target, depth, value), known from that depth
+        for hint in hints:
             try:
                 rule = _HINT_RULES[hint["rule"]]
             except (KeyError, TypeError):
@@ -576,44 +621,166 @@ class _Plan:
                 ) from None
             if rule.stage is not None:
                 self.stages[rule.stage].append((rule.apply, hint))
-            prune_rows += rule.valid_cuts(hint)
+            cuts += rule.valid_cuts(hint)
             for target, inputs, value in rule.lifts(hint):
                 if target not in covered and target not in pos and inputs and all(n in pos for n in inputs):
                     lifted.append((target, max(pos[n] for n in inputs), value))
-                    if ints.issuperset(inputs):
-                        ints.add(target)  # a sum of products of ints
+                    ints.add(target)  # a sum of products of ints
                 covered.add(target)
             covered.update(rule.covers(hint))
-        self.checker = _ForwardChecker(prune_rows, self.int_names, self.doms, [t[:2] for t in lifted], ints)
-        self.lifts = [[] for _ in self.int_names]
-        for s, (target, d, value) in enumerate(lifted, len(self.int_names)):
-            if self.checker.touch[s]:  # a target no pruning row reads is left to the leaf
-                self.lifts[d].append((s, target, value))
-        self.closure = _ClosureSolver(model.rows, {n for n in self.cont_names if n not in covered}, self.doms)
+        self.ints = ints
+        self.bounds = _bounds(variables)
+        self.unknowns = {n for n in self.cont_names if n not in covered}
+        self.slots = [*self.int_names, *(t for t, _, _ in lifted)]
+        self.slot = {n: s for s, n in enumerate(self.slots)}
+        self.at = [*range(len(self.int_names)), *(d for _, d, _ in lifted)]
+        self.lifted = [(s, target, d, value) for s, (target, d, value) in enumerate(lifted, len(self.int_names))]
+        self.rows, self.reduced = {}, {}
+        self.cuts = [test for test, _, _ in map(self.row, cuts) if test]
+
+        # corner-scalar candidates: continuous variables on one positive
+        # diagonal entry of a single pencil, as (name, pencil index, entry, value)
+        appearances = {}
+        for k, pencil in enumerate(pencils):
+            for (name, _), entries in zip(pencil.terms, pencil.entries[1:]):
+                appearances.setdefault(name, []).append((k, entries))
+        self.corners = []
+        for name in self.cont_names:
+            if len(apps := appearances.get(name, [])) == 1 and len(apps[0][1]) == 1:
+                k, ((i, c, x),) = apps[0]
+                if i == c and x > 0:
+                    self.corners.append((name, k, i, Fraction(x)))
+
+    def row(self, row):
+        """(test, decided, leaf) of a linear row, compiled once per content."""
+        return _kept(self.rows, _row_key(row), self._compile, row)
+
+    def reduce(self, eqs):
+        """`_reduce` of equality rows over the family's unknowns, once per
+        content; with integer variables, windows over slots go to the nodes."""
+        slots = self.slot if self.int_names else None
+        return _kept(self.reduced, tuple(map(_row_key, eqs)), _reduce, eqs, self.unknowns, self.doms, slots)
+
+    def _compile(self, row):
+        """A row with int/Fraction coefficients, rhs and continuous bounds is
+        scaled to ints by the lcm of its denominators, with the range of its
+        continuous part folded into int thresholds: its windows are exact.
+        Only rows with float data get eps = 1e-9 (1 + |rhs|).  A row that
+        never prunes gets no test.  An exact row over `ints` alone is decided
+        exactly at its last slot."""
+        doms, slot = self.doms, self.slot
+        leaf = rel, names, exact, ints, _, rhs, fcoefs, frhs = _leaf_row(row)
+        bounds = [b for n in names if not doms[n].is_integer for b in (doms[n].lo, doms[n].hi) if b is not None]
+        if exact := exact and _exact(*bounds):
+            (coefs, rhs), eps = ints, 0
+        else:
+            coefs, rhs, eps = fcoefs, frhs, 1e-9 * (1.0 + abs(frhs))
+        terms, cmin, cmax = [], 0, 0
+        for name, coef in zip(names, coefs):
+            if name in slot:
+                terms.append((name, coef))
+            else:
+                lo, hi = _contribution_bounds(coef, doms[name])
+                cmin, cmax = cmin + lo, cmax + hi
+        up = rhs + eps if rel != ">=" and cmin != -math.inf else None
+        down = rhs - eps if rel != "<=" and cmax != math.inf else None
+        if exact:  # the integer part's sums are ints: move the rest to the thresholds
+            up = None if up is None else math.floor(up - cmin)
+            down = None if down is None else math.ceil(down - cmax)
+            cmin = cmax = 0
+        if up is None and down is None:
+            return None, False, leaf
+        test = self.test(terms, -math.inf if down is None else down, math.inf if up is None else up, cmin, cmax)
+        return test, exact and all(n in self.ints for n in names), leaf
+
+    def test(self, terms, down, up, cmin=0, cmax=0):
+        """The forward-checker test that the sum of (slot name, coefficient)
+        `terms`, plus a continuous part in [cmin, cmax], lies in [down, up]:
+        (slot coefficients, checks at depth 0 and at each depth that pushes
+        one of its slots)."""
+        by_slot = {}
+        for name, c in terms:
+            by_slot[self.slot[name]] = by_slot.get(self.slot[name], 0) + c
+        depth = len(self.int_names)
+        smin, smax = [0] * (depth + 1), [0] * (depth + 1)
+        for s, c in by_slot.items():
+            lo, hi = _contribution_bounds(c, self.doms[self.slots[s]])
+            smin[self.at[s]] += lo
+            smax[self.at[s]] += hi
+        for d in range(depth - 1, -1, -1):
+            smin[d] += smin[d + 1]
+            smax[d] += smax[d + 1]
+        checks = [(d, (smin[d + 1], smax[d + 1], cmin, cmax, up, down))
+                  for d in ({0, *(self.at[s] for s in by_slot)} if depth else ())]
+        return list(by_slot.items()), checks
+
+
+def _family(model):
+    """The model's `_Family`.  A shared pencil (`formulations.shared_pencil`)
+    first in the model keeps the families of its models, bounded, keyed by the
+    variables (with their bounds' number types) and the pickled hints, and
+    used for a model whose pencils equal the family's."""
+    hints = model.metadata.get("hints", [])
+    store = model.pencils[0]._families if model.pencils else None
+    if store is None:
+        return _Family(model.variables, model.pencils, hints)
+    try:
+        key = (tuple((n, d.kind, d.lo, type(d.lo), d.hi, type(d.hi), d.values) for n, d in model.variables),
+               pickle.dumps(hints))
+        family = store.get(key)
+    except (TypeError, AttributeError, pickle.PicklingError):  # variables or hints with no content key
+        return _Family(model.variables, model.pencils, hints)
+    if family is None or family.pencils != list(model.pencils):
+        family = _Family(model.variables, model.pencils, hints)
+        store.pop(key, None)
+        _evict(store, _FAMILY_CAP)
+        store[key] = family
+    return family
+
+
+class _Plan:
+    """What one solve_by_enumeration call fixes before the search starts:
+    its model's `_Family`, and the rows, closure, corners and leaf check
+    that the model's rows and objective fix."""
+
+    def __init__(self, model, budget):
+        defects = validate(model)
+        if defects:
+            raise ValueError(f"model has defects: {defects}")
+        family = _family(model)
+        if family.space > budget:
+            raise BudgetExceeded(f"integer space exceeds budget {budget}")
+        self.model = model
+        self.doms, self.int_names, self.cont_names = family.doms, family.int_names, family.cont_names
+        self.node_checks, self.stages = family.node_checks, family.stages
+        compiled = [family.row(row) for row in model.rows]
+        self.closure = _ClosureSolver(model.rows, family.unknowns, self.doms, family.reduce)
         self.closes = bool(self.closure.determined or self.closure.dependent)
-        corners = _corner_scalars(model)
-        self.corners = [(n, *corners[n]) for n in self.cont_names if n in corners]
+        # with no integer variable the search tests no node, so no test decides a row
+        decided = {id(row) for row, (_, dec, _) in zip(model.rows, compiled) if dec and self.int_names}
+        tests = [test for test, _, _ in compiled if test] + family.cuts
+        tests += [family.test(*window) for window in self.closure.tests]
+        self.checker = _ForwardChecker(tests, len(family.slots), len(self.int_names), decided)
+        self.lifts = [[] for _ in self.int_names]
+        for s, target, d, value in family.lifted:
+            if self.checker.touch[s]:  # a target no test reads is left to the leaf
+                self.lifts[d].append((s, target, value))
+        in_rows = {name for row in model.rows for name, _ in row.coeffs} if family.corners else ()
+        self.corners = [(name, model.pencils[k], i, a, model.objective.coeffs.get(name, 0))
+                        for name, k, i, a in family.corners if name not in in_rows]
         self.check = _LeafCheck(model, {name for name, _ in self.closure.determined},
-                                self.closure.proven | self.checker.decided)
+                                self.closure.proven | decided, [leaf for _, _, leaf in compiled], family.bounds)
 
-    def _node_checks(self, pencils, pos):
-        """Per depth, the leading blocks (`MatrixPencil.leading_blocks`) whose
-        variables that depth completes; only the largest closing at a depth is kept."""
-        checks = [[] for _ in self.int_names]
-        for p in pencils:
-            closing = {max(pos[n] for n, _ in block.terms): block for block in p.leading_blocks()}
-            for depth, block in closing.items():
-                checks[depth].append(block)
-        return checks
-
-    def resolve(self, assignment, fractions=False):
+    def resolve(self, assignment, fractions=False, searched=False):
         """The leaf pipeline: complete an integer assignment, None if infeasible.
-        With `fractions` every closure value is a Fraction, also an integral one."""
+        With `fractions` every closure value is a Fraction, also an integral one.
+        `searched` says the assignment passed every forward-checker test, so
+        the closure skips the windows those tests decided."""
         model = self.model
         assign = dict(assignment)
         for apply, hint in self.stages[_LIFT]:
             apply(hint, model, assign)
-        if self.closes and not self.closure.apply(assign, fractions):
+        if self.closes and not self.closure.apply(assign, fractions, searched):
             return None
         for apply, hint in self.stages[_FORCED]:
             apply(hint, model, assign)
@@ -672,7 +839,7 @@ class _Search:
         del assignment[name]
 
     def leaf(self):
-        assign = self.plan.resolve(self.assignment)
+        assign = self.plan.resolve(self.assignment, searched=True)
         if assign is None:
             return
         res = self.plan.check(assign)

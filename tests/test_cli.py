@@ -317,6 +317,32 @@ class TestScheme:
         assert captured.err.splitlines() == ["error: JSON nesting is too deep"]
 
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--cycle", "0"], "error: the cycle distance scheme is built here for odd n only"),
+        (["--kep", "-1", "2"], "error: need m >= 1 and k >= 1, got m=-1, k=2"),
+        (["--kep", "2", "0"], "error: need m >= 1 and k >= 1, got m=2, k=0"),
+    ])
+    def test_bad_source_exit_code(self, capsys, argv, message):
+        # --cycle 0 was read as no source and ended in a TypeError traceback
+        assert run(["scheme", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [message]
+
+    @pytest.mark.parametrize("argv, message", [
+        ([], "one of the arguments --cycle --kep --mats is required"),
+        (["--cycle", "5", "--kep", "2", "2"], "argument --kep: not allowed with argument --cycle"),
+    ])
+    def test_source_is_one_option_exit_code(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            run(["scheme", *argv])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        errors = [ln for ln in err.splitlines() if "error:" in ln]
+        assert len(errors) == 1 and message in errors[0]
+        assert "Traceback" not in err
+
+
 class TestConvert:
     def test_cbf_json_cycle(self, c5, tmp_path):
         cbf_path = tmp_path / "m.cbf"

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from misdpkit.errors import AxiomViolation, Disconnected, EvenOrder
+from misdpkit.errors import AxiomViolation, Disconnected, EvenOrder, PreconditionViolated
 from misdpkit.linalg import SymMat
 from misdpkit.problems import Graph
 from misdpkit.schemes import (
@@ -126,6 +126,12 @@ class TestKepScheme:
         assert kep_scheme_eigen(2, 2).tolist() == [[1, 2, 1], [1, 0, -1], [1, -2, 1]]
         for m, k in [(2, 2), (4, 3), (3, 5)]:
             assert all(kep_scheme_eigen(m, k)[:, 0] == 1)
+
+    @pytest.mark.parametrize("m,k", [(-1, 2), (0, 2), (2, 0)])
+    def test_needs_a_class_of_one_vertex_or_more(self, m, k):
+        # m = -1 raised a numpy ValueError; m = 0 or k = 0 gave empty matrices
+        with pytest.raises(PreconditionViolated):
+            kep_scheme_matrices(m, k)
 
     def test_duality_orthogonality(self):
         # columns of Q are orthogonal under the valency weights:

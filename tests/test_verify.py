@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from misdpkit import config
+from misdpkit import config, formulations
 from misdpkit import model as model_module
 from misdpkit import verify
 from misdpkit.errors import BudgetExceeded, UnsupportedContinuousPattern
@@ -497,15 +497,23 @@ class TestLeafCheck:
 
     def test_psd_runs_only_on_domain_and_row_feasible_leaves(self, monkeypatch):
         # counts PSD decisions (is_psd_at calls), which the memos do not change
-        leaf, node, jacobi = [], [], []
+        leaf, node, jacobi, leaves = [], [], [], []
         current = {"at_leaf": False}
         plan_init, leaf_check = verify._Plan.__init__, verify._LeafCheck.__call__
-        is_psd_at = MatrixPencil.is_psd_at
+        resolve, is_psd_at = verify._Plan.resolve, MatrixPencil.is_psd_at
 
         def planning(plan, model, budget):
             (pencil,) = model.pencils  # every sils model has one pencil
             current["order"] = pencil.order
             plan_init(plan, model, budget)
+
+        def resolving(plan, assignment, fractions=False, searched=False):
+            assign = resolve(plan, assignment, fractions, searched)
+            if searched:  # a search leaf: is every closure value inside its domain?
+                leaves.append(assign is not None and all(
+                    plan.doms[n].contains(assign[n], tol=config.DEFAULT.lin_feas)
+                    for n, _ in plan.closure.determined))
+            return assign
 
         def checking(check, assign):
             current["at_leaf"] = True
@@ -524,17 +532,22 @@ class TestLeafCheck:
             return is_psd(a)
 
         monkeypatch.setattr(verify._Plan, "__init__", planning)
+        monkeypatch.setattr(verify._Plan, "resolve", resolving)
         monkeypatch.setattr(verify._LeafCheck, "__call__", checking)
         monkeypatch.setattr(MatrixPencil, "is_psd_at", deciding)
         monkeypatch.setattr(model_module, "is_psd", float_route)
-        # 1,566 of the 4,023 leaves fail before any pencil, all of them in the
-        # closure's windows (y1, y2 >= 0); the check keeps no row
+        # the closure's windows (y1, y2 >= 0) read only x and X, so the forward
+        # checker decides them at the nodes: no leaf fails one (1,566 of 4,023
+        # leaves did when the leaf decided them), and the check keeps no row,
+        # so every leaf reaches the pencil
         assert equivalence_suite("sils-small").passed
+        assert len(leaves) == 2457 and all(leaves)
         assert len(leaf) == 2457
         assert all(n == order for n, order, _ in leaf)
-        # 474 of the 675 node checks prune, each on a leading block below full order
-        assert len(node) == 675
-        assert sum(not ok for _, _, ok in node) == 474
+        # 222 of the 423 node checks prune, each on a leading block below full
+        # order (474 of 675 when the windows waited for the leaf)
+        assert len(node) == 423
+        assert sum(not ok for _, _, ok in node) == 222
         assert all(n < order for n, order, _ in node)
         # integer pencils at int/Fraction points never take the float route
         assert jacobi == []
@@ -761,6 +774,17 @@ class TestExactRows:
         )
         res = solve_by_enumeration(m)
         assert res.optimum == 0 and res.feasible_count == 1 and res.nodes == 2
+
+    def test_coefficients_past_the_float_range(self):
+        # the checker decides the first row, the closure proves the second
+        # and the leaf check decides the third in ints: none needs a float
+        big = 10**400
+        m = MisdpModel([("a", VarDomain.binary()), ("t", VarDomain.continuous())], Objective("min", {"a": -1}),
+                       rows=[LinRow((("a", big),), "<=", big), LinRow((("t", 1), ("a", -1)), "==", 0),
+                             LinRow((("t", big), ("a", 1)), "<=", big + 1)])
+        res = solve_by_enumeration(m)
+        assert res.feasible_count == 2 and res.optimum == -1
+        assert all(eval_point(m, {"a": a, "t": a}).feasible for a in (0, 1))
 
     @settings(max_examples=300, deadline=None)
     @given(_exact_row_models())
@@ -1020,6 +1044,16 @@ class TestCheckerDecidesItsRows:
         assert solve_by_enumeration(m).feasible_count == 5
         _assert_matches_reference_walk(m)
 
+    def test_with_no_integer_variable_every_row_stays(self):
+        # the search of such a model is one leaf and never tests a node, so
+        # the checker decides nothing: 0 >= 1 was skipped and t = 1/2 accepted
+        m = MisdpModel([("t", VarDomain.continuous(0, 1))], Objective("min", {"t": 1}),
+                       rows=[LinRow((("t", 1),), "==", Fraction(1, 2)), LinRow((), ">=", 1)])
+        plan = verify._Plan(m, budget=1)
+        assert plan.checker.decided == set() and self._leaf_rows(m) == [[]]
+        assert not eval_point(m, {"t": Fraction(1, 2)}).feasible
+        assert solve_by_enumeration(m).feasible_count == 0
+
     def test_row_over_integral_float_values_is_decided_exactly(self):
         # the values 1.0 and 2.0 are stored as ints, so eval_point sums
         # (10**17 + 1) a - 10**17 b exactly, as the checker does: at
@@ -1176,14 +1210,187 @@ class TestLiftsAtNodes:
         # before lifting; every leaf of stable-set-n5 is now a stable set, as
         # the edge rows prune the rest.  cvetkovic-hamiltonicity took 725 while
         # its constant 1 was the float 0.9999999999999998: the integral pencil
-        # gets node checks and another variable order
+        # gets node checks and another variable order.  sils-small took 10,191
+        # while its closure windows (y1, y2 >= 0) were decided at the leaves
         assert {name: t[0] for name, t in totals.items()} == {
             "stable-set-n5": 33761, "stable-set-n4": 1321, "mkcs-small": 37084, "qcqp-random": 322,
             "qbpp-random": 219, "qmkp-random": 3072, "qap-random": 900, "tsp-small": 2180,
-            "gpp-cross": 738, "kep-gep-vs-assoc": 288, "sils-small": 10191, "completion-2x2": 146,
+            "gpp-cross": 738, "kep-gep-vs-assoc": 288, "sils-small": 8625, "completion-2x2": 146,
             "cvetkovic-hamiltonicity": 756,
         }
         assert totals["stable-set-n5"][1:] == (12625, 12625)
+
+
+class TestLinearObjective:
+    """The leaf check sums an objective of int/Fraction data in ints at int
+    values, with the value and type of `Objective.value`."""
+
+    @staticmethod
+    def _check(objective, point):
+        names = sorted(point)
+        m = MisdpModel([(n, VarDomain.continuous()) for n in names], objective)
+        got, residual = verify._LeafCheck(m)(point)
+        ref = objective.value(point)
+        assert type(got) is type(ref) and got == ref and residual == 0.0
+
+    @pytest.mark.parametrize("coeffs, constant, as_fraction", [
+        ({"a": 2, "b": -3}, 5, False),
+        ({"a": Fraction(4, 2), "b": -3}, 5, True),  # a Fraction with denominator 1 keeps its type
+        ({"a": 2, "b": -3}, Fraction(1, 3), True),
+        ({"a": Fraction(1, 6), "b": Fraction(-3, 4)}, Fraction(5, 8), True),
+        ({}, 7, False),
+        ({}, Fraction(7, 2), True),
+    ])
+    def test_int_values_match_objective_value(self, coeffs, constant, as_fraction):
+        objective = Objective("min", coeffs, constant)
+        assert verify._linear_objective(objective)[-1] is as_fraction
+        for a, b in itertools.product((-2, 0, 3), (0, 1, 5)):
+            self._check(objective, {"a": a, "b": b})
+
+    @pytest.mark.parametrize("a", [Fraction(1, 2), Fraction(4, 2), 0.5, 2.0])
+    def test_other_values_fall_back_on_objective_value(self, a):
+        for constant in (5, Fraction(1, 3)):
+            self._check(Objective("min", {"a": Fraction(4, 2), "b": -3}, constant), {"a": a, "b": 1})
+
+    @pytest.mark.parametrize("coeffs, constant", [({"a": 0.5}, 1), ({"a": 1}, 0.5), ({"a": True}, 0),
+                                                  ({"a": np.int64(2)}, 0)])
+    def test_other_data_is_not_compiled(self, coeffs, constant):
+        objective = Objective("min", coeffs, constant)
+        assert verify._linear_objective(objective) is None
+        self._check(objective, {"a": 3})
+
+
+class TestFamilies:
+    """Models that agree on variables, pencils and hints share one family;
+    any difference gives another, and the caches stay bounded."""
+
+    def test_same_content_shares_one_family(self):
+        g = Graph.cycle(4)
+        a, b = build_stable_set(g), build_stable_set(Graph.make(4, [(0, 2)]))
+        assert a.pencils[0] is b.pencils[0]
+        assert verify._family(a) is verify._family(b) is verify._family(build_stable_set(g))
+
+    def test_hints_domains_and_variables_part_families(self):
+        base = build_stable_set(Graph.cycle(4))
+        family = verify._family(base)
+        no_hints = MisdpModel(base.variables, base.objective, base.rows, base.pencils, {})
+        # continuous(0.0, 1.0) equals continuous(0, 1), but its float bounds
+        # leave the edge row over X[0,1] to the float route and the leaf check
+        floats = [(n, VarDomain.continuous(0.0, 1.0) if n == "X[0,1]" else d) for n, d in base.variables]
+        wider = [*base.variables, ("spare", VarDomain.binary())]
+        variants = [no_hints, *(MisdpModel(v, base.objective, base.rows, base.pencils, base.metadata)
+                                for v in (floats, wider, base.variables[::-1]))]
+        families = [verify._family(m) for m in variants]
+        assert all(f is not family for f in families) and len(set(map(id, families))) == len(families)
+        assert verify._Plan(base, 10**6).check.rows == []
+        assert _lifted(verify._Plan(no_hints, 10**6)) == set()
+        assert [r[1] for r in verify._Plan(variants[1], 10**6).check.rows] == [["X[0,1]"]]
+        assert verify._Plan(variants[2], 10**6).int_names[-1] == "spare"
+        for m in variants[1:]:
+            _assert_matches_reference_walk(m)
+        assert solve_by_enumeration(variants[2]).feasible_count == 2 * solve_by_enumeration(base).feasible_count
+
+    def test_unknown_rule_raises_on_a_cache_hit(self):
+        m = build_stable_set(Graph.cycle(4))
+        solve_by_enumeration(m)  # the family is kept
+        m.metadata["hints"] = m.metadata["hints"] + [{"rule": "grahm"}]
+        for _ in range(2):
+            with pytest.raises(ValueError, match="unknown hint rule"):
+                solve_by_enumeration(m)
+
+    def test_caches_stay_bounded(self):
+        # a few hundred one-off families on one pencil, and as many distinct
+        # rows in one family, keep at most the caps
+        pencil = formulations.shared_pencil(2, [(1, 1, 1)], [("a", [(0, 0, 1)])])
+        for t in range(300):
+            m = MisdpModel([("a", VarDomain.binary()), (f"b{t}", VarDomain.binary())], Objective("min", {"a": 1}),
+                           pencils=[pencil])
+            verify._Plan(m, budget=10)
+        assert len(pencil._families) == verify._FAMILY_CAP
+        variables = [("a", VarDomain.binary()), ("b", VarDomain.integer_range(0, 2 * verify._ROW_CAP))]
+        for t in range(2 * verify._ROW_CAP):
+            m = MisdpModel(variables, Objective("min", {"a": 1}),
+                           rows=[LinRow((("a", 1), ("b", 1)), "<=", t)], pencils=[pencil])
+            plan = verify._Plan(m, budget=10**6)
+        family = verify._family(m)
+        assert len(family.rows) == verify._ROW_CAP and len(family.reduced) == 1
+        assert len(pencil._families) <= verify._FAMILY_CAP
+        # a + b <= t with t = 2 * _ROW_CAP - 1 and a pencil PSD at a >= 0
+        assert plan.check.rows == [] and solve_by_enumeration(m).feasible_count == 2 * t + 1
+
+
+@st.composite
+def _bounded_closure_models(draw):
+    """Integer variables and bounded continuous unknowns u0, u1, ..., set by
+    equality rows over integer variables in which row j also reads some
+    later unknowns, so only the closure's forms, not the rows, bound the
+    integer part; sometimes one more row over the unknowns."""
+    doms = {
+        f"v{i}": draw(st.sampled_from([
+            VarDomain.binary(), VarDomain.ternary(), VarDomain.integer_range(-2, 2), VarDomain.finite_set([-1, 2]),
+        ]))
+        for i in range(draw(st.integers(1, 3)))
+    }
+    ints = sorted(doms)
+    bound = st.one_of(st.none(), st.integers(-2, 2), st.fractions(-2, 2, max_denominator=3),
+                      st.sampled_from([-1.5, 0.5, 1.0]))
+    coef = st.one_of(st.integers(-2, 2), st.fractions(-2, 2, max_denominator=3)).filter(bool)
+    unknowns = [f"u{j}" for j in range(draw(st.integers(1, 3)))]
+    rows = []
+    for j, name in enumerate(unknowns):
+        lo, hi = draw(bound), draw(bound)
+        if lo is not None and hi is not None and lo > hi:
+            lo, hi = hi, lo
+        doms[name] = VarDomain.continuous(lo, hi)
+        used = [name, *draw(st.lists(st.sampled_from(unknowns[j + 1:] or [name]), unique=True))]
+        used += draw(st.lists(st.sampled_from(ints), max_size=3, unique=True))
+        rows.append(LinRow(tuple((n, draw(coef)) for n in dict.fromkeys(used)), "==",
+                           draw(st.one_of(st.just(0), coef))))
+    if draw(st.booleans()):
+        rows.append(LinRow(tuple((n, draw(coef)) for n in unknowns), draw(st.sampled_from(["<=", ">=", "=="])),
+                           draw(st.integers(-2, 2))))
+    return MisdpModel(
+        list(doms.items()),
+        Objective(draw(st.sampled_from(["min", "max"])), {n: draw(st.integers(-2, 2)) for n in doms}),
+        rows=rows,
+    )
+
+
+class TestWindowsAtNodes:
+    """A closure window over integer variables alone is a forward-checker
+    test, so no search leaf fails it; the brute-force walk still checks
+    every window at the leaf."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_bounded_closure_models())
+    def test_random_models_match_reference_walk(self, m):
+        _assert_matches_reference_walk(m)
+
+    def test_window_prunes_at_its_last_slot(self):
+        # y1 - y2 = a and y1 + y2 = b give y1 = (a + b) / 2 and y2 = (b - a) / 2;
+        # neither row alone bounds a or b, but y1, y2 >= 0 keep |a| <= b, so
+        # (a, b) = (+-1, 0) are pruned at b and no leaf is rejected
+        m = MisdpModel([("a", VarDomain.ternary()), ("b", VarDomain.binary()),
+                        ("y1", VarDomain.continuous(0)), ("y2", VarDomain.continuous(0))],
+                       Objective("max", {"y1": 1}),
+                       rows=[LinRow((("y1", 1), ("y2", -1), ("a", -1)), "==", 0),
+                             LinRow((("y1", 1), ("y2", 1), ("b", -1)), "==", 0)])
+        plan = verify._Plan(m, budget=10)
+        assert sorted(plan.closure.tests) == [([("a", -1), ("b", 1)], 0, math.inf),
+                                              ([("a", 1), ("b", 1)], 0, math.inf)]
+        assert plan.check.rows == [] and plan.check.bounds == []
+        leaves = []
+        search = verify._Search(plan)
+        search.leaf = lambda: leaves.append(dict(search.assignment))
+        search.dfs(0)
+        assert leaves == [{"a": -1, "b": 1}, {"a": 0, "b": 0}, {"a": 0, "b": 1}, {"a": 1, "b": 1}]
+        res = solve_by_enumeration(m)
+        assert res.feasible_count == 4 and res.nodes == 8 and res.optimum == 1
+        # outside the search every window is still checked at the leaf
+        assert plan.resolve({"a": 1, "b": 0}) is None
+        assert plan.resolve({"a": 1, "b": 0}, searched=True) == {"a": 1, "b": 0, "y1": Fraction(1, 2),
+                                                                  "y2": Fraction(-1, 2)}
+        _assert_matches_reference_walk(m)
 
 
 class TestOracleProperties:
