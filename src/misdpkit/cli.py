@@ -142,15 +142,14 @@ def cmd_check(args):
 
 
 def cmd_enumerate(args):
-    mats = dpsd.enumerate_Dnr(args.n, args.r)
-    if args.format == "packings":
-        for m in mats:
-            print(dpsd.decompose01(m).to_line())
-    else:
-        for m in mats:
-            sys.stdout.write(linalg.dumps_matrix(m))
+    packings = dpsd._packings_Dnr(args.n, args.r)
+    for p in packings:
+        if args.format == "packings":
+            print(p.to_line())
+        else:
+            sys.stdout.write(linalg.dumps_matrix(p.to_matrix()))
             sys.stdout.write("\n")
-    print(f"count: {len(mats)}", file=sys.stderr)
+    print(f"count: {len(packings)}", file=sys.stderr)
     return 0
 
 

@@ -3,7 +3,8 @@
 Decompositions, block forms, rank certificates, enumeration, exact counting
 and polytope membership.  Decompositions are purely combinatorial (support
 and sign analysis on the exact integer shadow), never floating point; the
-LMI-based certificates go through the float eigensolver.
+LMI-based certificates go through the float eigensolver.  D^n_r and the LP
+columns of conv(D^n_r) come from packings' upper triangles in Python ints.
 
 Ground-set elements, packing parts and reported triples are 0-based.
 """
@@ -61,12 +62,22 @@ class Packing:
         canon = tuple(sorted((tuple(sorted(p)) for p in parts), key=lambda p: p[0]))
         return Packing(n, canon)
 
+    def labels(self):
+        """Each element's part index, or -1 where no part covers it."""
+        lab = [-1] * self.n
+        for k, part in enumerate(self.parts):
+            for e in part:
+                lab[e] = k
+        return lab
+
+    def upper(self):
+        """The characteristic matrix's upper triangle, row by row, as ints."""
+        lab = self.labels()
+        return [int(a == b) if a >= 0 else 0 for i, a in enumerate(lab) for b in lab[i:]]
+
     def to_matrix(self) -> SymMat:
-        x = np.zeros((self.n, self.n), dtype=np.int64)
-        for part in self.parts:
-            idx = list(part)
-            x[np.ix_(idx, idx)] = 1
-        return SymMat(x, check_symmetry=False)
+        lab = np.array(self.labels(), dtype=np.int64)
+        return SymMat._of_ints(((lab[:, None] == lab) & (lab >= 0)).astype(np.int64))
 
     def to_line(self) -> str:
         body = ",".join("{" + ",".join(map(str, p)) + "}" for p in self.parts)
@@ -399,19 +410,23 @@ def ternary_rank1_check(y: SymMat) -> bool:
 # enumeration and counting
 # ---------------------------------------------------------------------------
 
+def _packings_Dnr(n, r):
+    """The packings of `enumerate_Dnr(n, r)`, in its order."""
+    if not 0 <= r <= n:
+        raise PreconditionViolated(f"need 0 <= r <= n, got r={r}, n={n}")
+    if n > ENUM_MAX_N:
+        raise SizeLimit(f"enumerate_Dnr is desk-scale only (n <= {ENUM_MAX_N})")
+    return sorted(iter_packings(n, r), key=Packing.upper)
+
+
 def enumerate_Dnr(n, r):
     """All PSD binary n x n matrices of rank <= r, upper-triangle lex order.
 
-    Generated through the packing bijection rather than by filtering all
-    2^(n(n+1)/2) symmetric binary matrices.
+    Generated through the packing bijection, sorted by `Packing.upper` in ints
+    before any matrix is built, rather than by filtering all 2^(n(n+1)/2)
+    symmetric binary matrices.  D^n_0 holds the zero matrix alone.
     """
-    if not 1 <= r <= n:
-        raise PreconditionViolated(f"need 1 <= r <= n, got r={r}, n={n}")
-    if n > ENUM_MAX_N:
-        raise SizeLimit(f"enumerate_Dnr is desk-scale only (n <= {ENUM_MAX_N})")
-    mats = [p.to_matrix() for p in iter_packings(n, r)]
-    mats.sort(key=lambda m: tuple(m.ints[i, j] for i in range(n) for j in range(i, n)))
-    return mats
+    return [p.to_matrix() for p in _packings_Dnr(n, r)]
 
 
 def stirling2(n, k):
@@ -487,10 +502,7 @@ def membership_Pnr(x, r) -> MembershipResult:
         raise SizeLimit(f"membership_Pnr is desk-scale only (n <= {MEMBERSHIP_MAX_N})")
     entries = _upper_entries(n)
     packings = list(iter_packings(n, r))
-    columns = []
-    for p in packings:
-        mat = p.to_matrix().ints
-        columns.append([Fraction(int(mat[i, j])) for i, j in entries] + [Fraction(1)])
+    columns = [p.upper() + [1] for p in packings]
     rhs = [xi[i][j] for i, j in entries] + [Fraction(1)]
     res = solve_feasibility(columns, rhs)
     if res.feasible:

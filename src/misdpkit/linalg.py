@@ -38,15 +38,21 @@ class SymMat:
         a.setflags(write=False)
         self.n = a.shape[0]
         self._a = a
-        ints = None
-        if a.size == 0:
-            ints = np.zeros((0, 0), dtype=np.int64)
-        else:
-            r = np.rint(a)
-            if np.array_equal(r, a) and np.all(np.abs(a) < 2**53):
-                ints = r.astype(np.int64)
-                ints.setflags(write=False)
-        self.ints = ints
+        self.ints = None
+        r = np.rint(a)
+        if np.array_equal(r, a) and np.all(np.abs(a) < 2**53):
+            self.ints = r.astype(np.int64)
+            self.ints.setflags(write=False)
+
+    @classmethod
+    def _of_ints(cls, ints):
+        """A SymMat of a symmetric int64 array that the package built itself,
+        kept as the `ints` shadow: no float round trip and no checks."""
+        m = cls.__new__(cls)
+        m.n, m._a, m.ints = ints.shape[0], ints.astype(np.float64), ints
+        m._a.setflags(write=False)
+        ints.setflags(write=False)
+        return m
 
     # -- constructors -------------------------------------------------------
     @staticmethod

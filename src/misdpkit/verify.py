@@ -128,10 +128,13 @@ def _frac(v):
     return v if isinstance(v, Fraction) else Fraction(v)
 
 
-def _contribution_bounds(coef, dom):
+def _contribution_bounds(coef, dom, tol=None):
+    """coef * v over `dom`; with `tol`, over eval_point's [lo - tol, hi + tol], exactly."""
     lo, hi = dom.lo, dom.hi
     if dom.is_integer:
         lo, hi = math.ceil(lo), math.floor(hi)
+    elif tol is not None:
+        lo, hi = lo if lo is None else Fraction(lo - tol), hi if hi is None else Fraction(hi + tol)
     if coef < 0:
         lo, hi = hi, lo
     return -math.inf if lo is None else coef * lo, math.inf if hi is None else coef * hi
@@ -662,16 +665,16 @@ class _Family:
         return _kept(self.reduced, tuple(map(_row_key, eqs)), _reduce, eqs, self.unknowns, self.doms, slots)
 
     def _compile(self, row):
-        """A row with int/Fraction coefficients, rhs and continuous bounds is
-        scaled to ints by the lcm of its denominators, with the range of its
-        continuous part folded into int thresholds: its windows are exact.
+        """A row with int/Fraction data and int, Fraction or finite float bounds
+        is scaled to ints by the lcm of its denominators, with the range that
+        eval_point accepts of its continuous part folded into int thresholds.
         Only rows with float data get eps = 1e-9 (1 + |rhs|).  A row that
         never prunes gets no test.  An exact row over `ints` alone is decided
         exactly at its last slot."""
         doms, slot = self.doms, self.slot
         leaf = rel, names, exact, ints, _, rhs, fcoefs, frhs = _leaf_row(row)
         bounds = [b for n in names if not doms[n].is_integer for b in (doms[n].lo, doms[n].hi) if b is not None]
-        if exact := exact and _exact(*bounds):
+        if exact := exact and all(_exact(b) or type(b) is float and math.isfinite(b) for b in bounds):
             (coefs, rhs), eps = ints, 0
         else:
             coefs, rhs, eps = fcoefs, frhs, 1e-9 * (1.0 + abs(frhs))
@@ -680,7 +683,7 @@ class _Family:
             if name in slot:
                 terms.append((name, coef))
             else:
-                lo, hi = _contribution_bounds(coef, doms[name])
+                lo, hi = _contribution_bounds(coef, doms[name], config.DEFAULT.lin_feas if exact else None)
                 cmin, cmax = cmin + lo, cmax + hi
         up = rhs + eps if rel != ">=" and cmin != -math.inf else None
         down = rhs - eps if rel != "<=" and cmax != math.inf else None

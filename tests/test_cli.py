@@ -272,6 +272,35 @@ class TestEnumerateCount:
     def test_size_limit_exit_code(self, capsys):
         assert run(["enumerate", "--n", "9", "--r", "2"]) == 2
 
+    def test_rank_zero_agrees_with_count(self, capsys):
+        assert run(["count", "--n", "3", "--r", "0"]) == 0
+        assert capsys.readouterr().out == "1\n"
+        assert run(["enumerate", "--n", "3", "--r", "0"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == "3\n0 0 0\n0 0 0\n0 0 0\n\n" and "count: 1" in captured.err
+        assert run(["enumerate", "--n", "3", "--r", "0", "--format", "packings"]) == 0
+        assert capsys.readouterr().out == "3; \n"
+        for r in ("-1", "4"):
+            assert run(["enumerate", "--n", "3", "--r", r]) == 2
+            assert "need 0 <= r <= n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fmt, digest", [
+        ("matrices", "8a4e8e402880d3496d2efb3e3445790fe3e4a7e2f406bb44f7a1dc53a79a4964"),
+        ("packings", "482f40c85d6b65ca0fb253a8c6b901f5134d48671e7f9bb26fc39deece4051f6"),
+    ])
+    def test_enumerate_bytes(self, fmt, digest, capsys):
+        # every 1 <= r <= n <= 5 in one digest, as printed when each packing was
+        # read back from its matrix by decompose01; r = 0 prints the zero matrix
+        h = hashlib.sha256()
+        for n in range(1, 6):
+            assert run(["enumerate", "--n", str(n), "--r", "0", "--format", fmt]) == 0
+            zero = f"{n}\n" + f"{' '.join(['0'] * n)}\n" * n + "\n" if fmt == "matrices" else f"{n}; \n"
+            assert capsys.readouterr().out == zero
+            for r in range(1, n + 1):
+                assert run(["enumerate", "--n", str(n), "--r", str(r), "--format", fmt]) == 0
+                h.update(capsys.readouterr().out.encode())
+        assert h.hexdigest() == digest
+
 
 class TestVerify:
     def test_suite_pass_and_report(self, tmp_path, capsys):

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from misdpkit.dpsd import (
     Packing,
@@ -27,7 +29,8 @@ from misdpkit.dpsd import (
     upper_certificate,
 )
 from misdpkit.errors import NotPsd, PreconditionViolated, ShapeMismatch, SizeLimit
-from misdpkit.linalg import SymMat, is_psd, num_rank
+from misdpkit.exactlp import solve_feasibility
+from misdpkit.linalg import SymMat, is_psd, is_psd_exact, num_rank, rank_exact
 
 
 def sym_from_upper(n, vals):
@@ -63,6 +66,77 @@ class TestPacking:
         assert Packing.from_line(p.to_line()) == p
         empty = Packing.make(3, [])
         assert Packing.from_line(empty.to_line()) == empty
+
+
+def _ix_matrix(p):
+    """A packing's characteristic matrix built one np.ix_ block per part."""
+    x = np.zeros((p.n, p.n), dtype=np.int64)
+    for part in p.parts:
+        x[np.ix_(part, part)] = 1
+    return SymMat(x, check_symmetry=False)
+
+
+@st.composite
+def _packings(draw):
+    n = draw(st.integers(0, 8))
+    labels = draw(st.lists(st.integers(-1, n - 1), min_size=n, max_size=n))
+    parts = {}
+    for e, k in enumerate(labels):
+        if k >= 0:
+            parts.setdefault(k, []).append(e)
+    return Packing.make(n, parts.values())
+
+
+class TestPackingMatrices:
+    """Matrices, upper triangles and LP columns built from part labels."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_packings())
+    def test_matches_ix_construction(self, p):
+        got, ref = p.to_matrix(), _ix_matrix(p)
+        assert got == ref and got.n == ref.n == p.n
+        assert got.ints.dtype == ref.ints.dtype == np.int64 and np.array_equal(got.ints, ref.ints)
+        assert got.array.dtype == np.float64 and np.array_equal(got.array, ref.array)
+        for a in (got.ints, got.array, ref.ints, ref.array):
+            assert not a.flags.writeable
+        assert p.upper() == [int(ref.ints[i, j]) for i in range(p.n) for j in range(i, p.n)]
+        assert all(lab == next((k for k, part in enumerate(p.parts) if e in part), -1)
+                   for e, lab in enumerate(p.labels()))
+
+    def test_enumeration_is_the_sorted_brute_force_filter(self):
+        # every symmetric binary matrix, without packings: PSD and rank <= r
+        for n in range(5):
+            cands = [x for x in all_symmetric_matrices(n, (0, 1)) if is_psd_exact(x.ints.tolist())]
+            ranks = [rank_exact(x.ints.tolist()) for x in cands]
+            for r in range(n + 1):
+                want = sorted((x for x, k in zip(cands, ranks) if k <= r),
+                              key=lambda x: [int(x.ints[i, j]) for i in range(n) for j in range(i, n)])
+                got = enumerate_Dnr(n, r)
+                assert got == want
+                assert [m.ints.tolist() for m in got] == [m.ints.tolist() for m in want]
+
+    def test_membership_matches_ix_columns(self, perfbench):
+        # the theory-io membership points, against the LP built on np.ix_ matrices
+        seeded = perfbench("workloads").membership_points(np.random.default_rng(0))
+        points = [(x, r) for _, r, _, inside, outside in seeded for x in (inside, outside)]
+        points += [([[Fraction(int(i == j), n) for j in range(n)] for i in range(n)], r)
+                   for n in range(1, 5) for r in range(1, n + 1)]
+        assert any(not membership_Pnr(x, r).member for x, r in points)
+        for x, r in points:
+            n = len(x)
+            upper = [(i, j) for i in range(n) for j in range(i, n)]
+            packings = list(iter_packings(n, r))
+            columns = [[Fraction(int(_ix_matrix(p).ints[i, j])) for i, j in upper] + [Fraction(1)]
+                       for p in packings]
+            ref = solve_feasibility(columns, [x[i][j] for i, j in upper] + [Fraction(1)])
+            got = membership_Pnr(x, r)
+            assert got.member == ref.feasible
+            if ref.feasible:
+                assert got.weights == {p: w for p, w in zip(packings, ref.x) if w != 0}
+            else:
+                g, gamma = got.separating
+                assert [g[i][j] for i, j in upper] + [-gamma] == ref.farkas
+                assert all(g[i][j] == g[j][i] for i, j in upper)
 
 
 class TestDecompose01:
@@ -314,8 +388,8 @@ class TestCounting:
             assert count_Dnr(n, 1) == 2**n
 
     def test_counts_match_enumeration(self):
-        for n in range(1, 6):
-            for r in range(1, n + 1):
+        for n in range(6):
+            for r in range(n + 1):
                 mats = enumerate_Dnr(n, r)
                 assert len(mats) == count_Dnr(n, r)
                 assert len({m for m in mats}) == len(mats)
@@ -332,6 +406,13 @@ class TestCounting:
             SymMat.ones(2),
         }
         assert set(got) == expected
+
+    def test_rank_zero_is_the_zero_matrix(self):
+        for n in range(5):
+            assert enumerate_Dnr(n, 0) == [SymMat.zeros(n)] and count_Dnr(n, 0) == 1
+        for n, r in ((3, -1), (3, 4)):
+            with pytest.raises(PreconditionViolated):
+                enumerate_Dnr(n, r)
 
     def test_size_limit(self):
         with pytest.raises(SizeLimit):

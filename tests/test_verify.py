@@ -786,6 +786,35 @@ class TestExactRows:
         assert res.feasible_count == 2 and res.optimum == -1
         assert all(eval_point(m, {"a": a, "t": a}).feasible for a in (0, 1))
 
+    def test_float_bounds_past_the_float_range(self):
+        # t in continuous(0.0, 1.0) used to send the row to the float route,
+        # whose float(rhs) overflowed; its finite float bounds fold exactly
+        big = 10**400
+        row = LinRow((("a", big), ("t", 1)), "<=", big + 1)
+        m = MisdpModel([("a", VarDomain.binary()), ("t", VarDomain.continuous(0.0, 1.0))],
+                       Objective("max", {"a": 1, "t": 1}), rows=[row])
+        assert eval_point(m, {"a": 1, "t": 1}).feasible
+        (_, ((_, (_, _, cmin, cmax, up, down)),)), decided, _ = verify._family(m).row(row)
+        assert (cmin, cmax, up, down, decided) == (0, 0, big + 1, -math.inf, False)
+        for rhs, optimum, count in ((big + 1, 2, 2), (big, 0, 1)):
+            m = MisdpModel(m.variables, m.objective,
+                           rows=[LinRow(row.coeffs, "<=", rhs), LinRow((("t", 1), ("a", -1)), "==", 0)])
+            res = solve_by_enumeration(m)
+            assert (res.optimum, res.feasible_count) == (optimum, count)
+            _assert_matches_reference_walk(m)
+
+    def test_float_bounds_fold_as_eval_point_reads_them(self):
+        # Fraction(0.1) > 1/10, yet eval_point accepts u = 1/10 within lin_feas,
+        # so the window folds [0.1 - tol, 1.0 + tol]; folding [0.1, 1.0] would
+        # prune v = 0, u = 1/10
+        m = MisdpModel([("v", VarDomain.binary()), ("u", VarDomain.continuous(0.1, 1.0))],
+                       Objective("min", {"v": 1}),
+                       rows=[LinRow((("u", 10), ("v", -1)), "==", 1), LinRow((("v", 1), ("u", 10)), "<=", 1)])
+        assert eval_point(m, {"v": 0, "u": Fraction(1, 10)}).feasible
+        res = solve_by_enumeration(m)
+        assert (res.optimum, res.feasible_count) == (0, 1)
+        _assert_matches_reference_walk(m)
+
     @settings(max_examples=300, deadline=None)
     @given(_exact_row_models())
     def test_matches_brute_force(self, m):
@@ -1274,8 +1303,9 @@ class TestFamilies:
         base = build_stable_set(Graph.cycle(4))
         family = verify._family(base)
         no_hints = MisdpModel(base.variables, base.objective, base.rows, base.pencils, {})
-        # continuous(0.0, 1.0) equals continuous(0, 1), but its float bounds
-        # leave the edge row over X[0,1] to the float route and the leaf check
+        # continuous(0.0, 1.0) equals continuous(0, 1) and parts the family; its
+        # finite float bounds keep the edge row over X[0,1] exact, decided at its
+        # last slot as in `base`
         floats = [(n, VarDomain.continuous(0.0, 1.0) if n == "X[0,1]" else d) for n, d in base.variables]
         wider = [*base.variables, ("spare", VarDomain.binary())]
         variants = [no_hints, *(MisdpModel(v, base.objective, base.rows, base.pencils, base.metadata)
@@ -1284,7 +1314,7 @@ class TestFamilies:
         assert all(f is not family for f in families) and len(set(map(id, families))) == len(families)
         assert verify._Plan(base, 10**6).check.rows == []
         assert _lifted(verify._Plan(no_hints, 10**6)) == set()
-        assert [r[1] for r in verify._Plan(variants[1], 10**6).check.rows] == [["X[0,1]"]]
+        assert verify._Plan(variants[1], 10**6).check.rows == []
         assert verify._Plan(variants[2], 10**6).int_names[-1] == "spare"
         for m in variants[1:]:
             _assert_matches_reference_walk(m)
@@ -1332,8 +1362,9 @@ def _bounded_closure_models(draw):
         for i in range(draw(st.integers(1, 3)))
     }
     ints = sorted(doms)
+    # float bounds, some next to a closure value (1/3, 0.1) that eval_point accepts within lin_feas
     bound = st.one_of(st.none(), st.integers(-2, 2), st.fractions(-2, 2, max_denominator=3),
-                      st.sampled_from([-1.5, 0.5, 1.0]))
+                      st.sampled_from([-1.5, 0.5, 1.0, 1 / 3, -2 / 3, 0.1, -0.1]))
     coef = st.one_of(st.integers(-2, 2), st.fractions(-2, 2, max_denominator=3)).filter(bool)
     unknowns = [f"u{j}" for j in range(draw(st.integers(1, 3)))]
     rows = []
