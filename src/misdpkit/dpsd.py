@@ -235,8 +235,7 @@ def upper_certificate(x: SymMat, r: int) -> RankCertificate:
 def rank_upper_certificate(x: SymMat, r: int) -> bool:
     """True guarantees num_rank(x) <= r (bordered LMI test)."""
     _require_values(x, {0, 1}, "rank_upper_certificate")
-    if not 0 <= r <= x.n:
-        raise PreconditionViolated(f"need 0 <= r <= n, got r={r}")
+    _need_rank(x.n, r)
     return is_psd(upper_certificate(x, r).bordered)
 
 
@@ -410,10 +409,14 @@ def ternary_rank1_check(y: SymMat) -> bool:
 # enumeration and counting
 # ---------------------------------------------------------------------------
 
-def _packings_Dnr(n, r):
-    """The packings of `enumerate_Dnr(n, r)`, in its order."""
+def _need_rank(n, r):
     if not 0 <= r <= n:
         raise PreconditionViolated(f"need 0 <= r <= n, got r={r}, n={n}")
+
+
+def _packings_Dnr(n, r):
+    """The packings of `enumerate_Dnr(n, r)`, in its order."""
+    _need_rank(n, r)
     if n > ENUM_MAX_N:
         raise SizeLimit(f"enumerate_Dnr is desk-scale only (n <= {ENUM_MAX_N})")
     return sorted(iter_packings(n, r), key=Packing.upper)
@@ -448,8 +451,7 @@ def bell(n):
 
 def count_Dnr(n, r):
     """|D^n_r| = sum_{k=1}^{r+1} S(n+1, k), exact."""
-    if not 0 <= r <= n:
-        raise PreconditionViolated(f"need 0 <= r <= n, got r={r}, n={n}")
+    _need_rank(n, r)
     if n > 60:
         raise SizeLimit("count_Dnr supports n <= 60")
     return sum(stirling2(n + 1, k) for k in range(1, r + 2))
@@ -500,10 +502,11 @@ def membership_Pnr(x, r) -> MembershipResult:
     n = len(xi)
     if n > MEMBERSHIP_MAX_N:
         raise SizeLimit(f"membership_Pnr is desk-scale only (n <= {MEMBERSHIP_MAX_N})")
+    _need_rank(n, r)
     entries = _upper_entries(n)
     packings = list(iter_packings(n, r))
     columns = [p.upper() + [1] for p in packings]
-    rhs = [xi[i][j] for i, j in entries] + [Fraction(1)]
+    rhs = [xi[i][j] for i, j in entries] + [1]
     res = solve_feasibility(columns, rhs)
     if res.feasible:
         weights = {p: w for p, w in zip(packings, res.x) if w != 0}
@@ -517,17 +520,18 @@ def membership_Rnr(x, r) -> MembershipResult:
     n = len(xi)
     if n > MEMBERSHIP_MAX_N:
         raise SizeLimit(f"membership_Rnr is desk-scale only (n <= {MEMBERSHIP_MAX_N})")
+    _need_rank(n, r)
     entries = _upper_entries(n)
     subsets = list(itertools.chain.from_iterable(
         itertools.combinations(range(n), k) for k in range(n + 1)))
     columns = []
     for s in subsets:
         inset = set(s)
-        col = [Fraction(1 if (i in inset and j in inset) else 0) for i, j in entries]
-        col.append(Fraction(1))  # total-weight row
-        col.extend(Fraction(1 if i in inset else 0) for i in range(n))  # <= 1 rows
+        col = [int(i in inset and j in inset) for i, j in entries]
+        col.append(1)  # total-weight row
+        col.extend(int(i in inset) for i in range(n))  # <= 1 rows
         columns.append(col)
-    rhs = [xi[i][j] for i, j in entries] + [Fraction(r)] + [Fraction(1)] * n
+    rhs = [xi[i][j] for i, j in entries] + [r] + [1] * n
     res = solve_feasibility(columns, rhs, n_le=n)
     if res.feasible:
         weights = {s: w for s, w in zip(subsets, res.x) if w != 0}

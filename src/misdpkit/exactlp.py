@@ -1,18 +1,22 @@
 """Exact rational LP feasibility via a textbook phase-1 primal simplex.
 
-All arithmetic is over `fractions.Fraction` (arbitrary-precision integers),
-so feasibility answers and Farkas certificates are exact.  Bland's rule
-guarantees termination.  Intended for the small membership systems of the
-discrete-PSD polytopes (a few hundred columns); no attempt at efficiency.
+The tableau holds Python ints: the system is scaled to integers by the lcm
+of its denominators, and every pivot is `linalg.pivot`'s fraction-free update
+(Edmonds 1967; the "Q-pivot" of Azulay & Pique, CP 1998), so each row is the
+current basis solution times the last pivot d, which stays positive.  No
+Fraction is made until the answer, so feasibility answers and Farkas
+certificates are exact.  Bland's rule, which reads only signs, and a ratio
+test by cross-multiplication pick the pivots a Fraction tableau picks and
+guarantee termination.  Intended for the small membership systems of the
+discrete-PSD polytopes (a few hundred columns).
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DimensionMismatch
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
+from .linalg import pivot
 
 
 @dataclass
@@ -25,14 +29,19 @@ class FeasResult:
     farkas: list | None
 
 
+def _rational(v):
+    return v if type(v) is int else Fraction(v)
+
+
 def solve_feasibility(columns, rhs, n_le=0):
     """Decide existence of x >= 0 with  A x (=|<=) b.
 
-    `columns` is a list of column vectors (each a list of Fractions of length
-    m).  The first (m - n_le) rows are equalities; the last `n_le` rows are
-    <= rows, handled by appended slack columns.  Returns a FeasResult.  A
-    column whose length is not m raises DimensionMismatch, and an `n_le`
-    outside 0..m raises ValueError.
+    `columns` is a list of column vectors (each a list of ints or Fractions
+    of length m).  The first (m - n_le) rows are equalities; the last `n_le`
+    rows are <= rows, handled by appended slack columns.  Returns a FeasResult
+    whose weights and certificate are Fractions.  A column whose length is
+    not m raises DimensionMismatch, and an `n_le` outside 0..m raises
+    ValueError.
     """
     m = len(rhs)
     for j, col in enumerate(columns):
@@ -40,86 +49,57 @@ def solve_feasibility(columns, rhs, n_le=0):
             raise DimensionMismatch(f"column {j} has {len(col)} entries, rhs has {m}")
     if not 0 <= n_le <= m:
         raise ValueError(f"n_le must lie in [0, {m}], got {n_le}")
-    b = [Fraction(v) for v in rhs]
-    cols = [[Fraction(v) for v in col] for col in columns]
+    b = [_rational(v) for v in rhs]
+    cols = [[_rational(v) for v in col] for col in columns]
     n_struct = len(cols)
     # slack columns for the trailing <= rows
-    for i in range(m - n_le, m):
-        e = [ZERO] * m
-        e[i] = ONE
-        cols.append(e)
+    cols += [[int(i == k) for i in range(m)] for k in range(m - n_le, m)]
     n = len(cols)
+    den = math.lcm(*(v.denominator for v in b), *(v.denominator for col in cols for v in col))
 
-    # sign-normalize so b >= 0, then add one artificial per row
-    row_sign = [ONE] * m
+    # tableau [den A | I_art | den b], each row signed so that b >= 0; the last
+    # row is the reduced-cost row of min sum(artificials): z_j - c_j, the row sum
+    # less 1 on the artificials.  The initial basis, the artificials, is I.
+    row_sign = [-1 if v < 0 else 1 for v in b]
+    t = []
+    for i, s in enumerate(row_sign):
+        row = [s * v.numerator * (den // v.denominator) for v in (*(col[i] for col in cols), b[i])]
+        t.append(row[:-1] + [int(i == k) for k in range(m)] + row[-1:])
+    obj = [sum(col) for col in zip(*t)] if t else [0] * (n + 1)
     for i in range(m):
-        if b[i] < 0:
-            row_sign[i] = -ONE
-            b[i] = -b[i]
-            for col in cols:
-                col[i] = -col[i]
-
-    # tableau T: m rows of [A | I_art | b]; objective = sum of artificials
-    width = n + m + 1
-    t = [[ZERO] * width for _ in range(m)]
-    for j, col in enumerate(cols):
-        for i in range(m):
-            t[i][j] = col[i]
-    for i in range(m):
-        t[i][n + i] = ONE
-        t[i][width - 1] = b[i]
+        obj[n + i] -= 1
+    t.append(obj)
     basis = [n + i for i in range(m)]
 
-    # reduced-cost row for min sum(artificials): z_j - c_j = sum over rows
-    obj = [ZERO] * width
-    for i in range(m):
-        for j in range(width):
-            obj[j] += t[i][j]
-    for j in range(n, n + m):
-        obj[j] -= ONE
-
+    d = 1
     while True:
-        enter = -1
-        for j in range(n + m):  # Bland: smallest eligible index
-            if obj[j] > 0:
-                enter = j
-                break
+        # Bland: smallest eligible index
+        enter = next((j for j in range(n + m) if obj[j] > 0), -1)
         if enter < 0:
             break
-        leave, best = -1, None
+        # ratio test: t[i][-1] / a against the best row's, cross-multiplied
+        leave = -1
         for i in range(m):
             a = t[i][enter]
             if a > 0:
-                ratio = t[i][width - 1] / a
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best, leave = ratio, i
+                if leave >= 0:
+                    here, best = t[i][-1] * t[leave][enter], t[leave][-1] * a
+                if leave < 0 or here < best or (here == best and basis[i] < basis[leave]):
+                    leave = i
         if leave < 0:
             break  # unbounded cannot happen in phase 1, defensive
-        piv = t[leave][enter]
-        trow = t[leave]
-        for j in range(width):
-            trow[j] /= piv
-        for i in range(m):
-            if i != leave and t[i][enter] != 0:
-                f = t[i][enter]
-                row = t[i]
-                for j in range(width):
-                    row[j] -= f * trow[j]
-        if obj[enter] != 0:
-            f = obj[enter]
-            for j in range(width):
-                obj[j] -= f * trow[j]
+        d = pivot(t, leave, enter, d)
+        obj = t[m]
         basis[leave] = enter
 
-    opt = obj[width - 1]
-    if opt == 0:
-        x = [ZERO] * n_struct
+    if obj[-1] == 0:
+        x = [Fraction(0)] * n_struct
         for i, bv in enumerate(basis):
             if bv < n_struct:
-                x[bv] = t[i][width - 1]
+                x[bv] = Fraction(t[i][-1], d)
         return FeasResult(True, x, None)
 
-    # infeasible: obj[n+i] holds z_j - c_j of artificial i, i.e. y_i - 1;
+    # infeasible: obj[n+i] / d holds z_j - c_j of artificial i, i.e. y_i - 1;
     # undo the row sign normalization to certify the original system
-    y = [row_sign[i] * (obj[n + i] + ONE) for i in range(m)]
+    y = [s * (Fraction(obj[n + i], d) + 1) for i, s in enumerate(row_sign)]
     return FeasResult(False, None, y)

@@ -1,5 +1,6 @@
 """Dense symmetric-matrix numerics: eigenvalues, PSD tests, numerical rank,
-and the exact PSD test and rank of integer matrices.
+the exact PSD test and rank of integer matrices, and the fraction-free pivot
+that every exact elimination of the package shares.
 
 `SymMat` is the universal carrier for every symmetric matrix in the package.
 Integer-valued matrices keep an exact int64 shadow copy so that discrete
@@ -168,9 +169,39 @@ def num_rank(a):
 
 
 # -- exact kernels on integer data --------------------------------------------
-# Fraction-free (Bareiss 1968) elimination on lists of Python-int lists.  After
-# pivoting on a set S, entry (i, j) is the minor on rows S+{i}, columns S+{j},
-# so each update divides exactly by the previous pivot.
+# Fraction-free (Edmonds 1967, Bareiss 1968) elimination on lists of Python-int
+# lists.  After pivoting on a set S, entry (i, j) is the minor on rows S+{i},
+# columns S+{j}, so each update divides exactly by the previous pivot.
+
+def pivot(rows, r, c, prev):
+    """Fraction-free pivot on rows[r][c] = p: every other row i becomes
+    (p * rows[i] - rows[i][c] * rows[r]) // prev, an exact division when prev
+    is the previous pivot (1 at the start).  Returns p, the next prev."""
+    top = rows[r]
+    p = top[c]
+    for i, row in enumerate(rows):
+        if i != r:
+            f = row[c]
+            rows[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+    return p
+
+
+def eliminate(rows, width):
+    """Fraction-free Gauss-Jordan reduction of int `rows` in place over their
+    first `width` columns, pivoting on the first nonzero entry of each column;
+    returns (pivot columns, d).  Row k < rank is then d at pivots[k] and 0 in
+    the other pivot columns, later rows are 0 in the first `width` columns, and
+    every row is d times the row a reduction over Fractions gives."""
+    pivots, d = [], 1
+    for c in range(width):
+        rank = len(pivots)
+        piv = next((r for r in range(rank, len(rows)) if rows[r][c]), None)
+        if piv is not None:
+            rows[rank], rows[piv] = rows[piv], rows[rank]
+            d = pivot(rows, rank, c, d)
+            pivots.append(c)
+    return pivots, d
+
 
 def is_psd_exact(rows):
     """Exact PSD test of a symmetric integer matrix, given as a square list of
@@ -178,7 +209,8 @@ def is_psd_exact(rows):
 
     Symmetric elimination with diagonal pivots: a negative pivot rejects, and
     so does a zero pivot whose remaining row has a nonzero entry; a zero pivot
-    with a zero row drops its index.
+    with a zero row drops its index.  The update is `pivot`'s, kept to the
+    upper triangle below the pivot row.
     """
     n = len(rows)
     prev = 1
@@ -200,22 +232,8 @@ def is_psd_exact(rows):
 
 
 def rank_exact(rows):
-    """Exact rank of an integer matrix given as a list of Python-int lists,
-    by fraction-free elimination that takes any nonzero pivot; consumes `rows`."""
-    rank, prev = 0, 1
-    for c in range(len(rows[0]) if rows else 0):
-        piv = next((r for r in range(rank, len(rows)) if rows[r][c]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        top = rows[rank]
-        p = top[c]
-        for r in range(rank + 1, len(rows)):
-            f = rows[r][c]
-            rows[r] = [(p * x - f * y) // prev for x, y in zip(rows[r], top)]
-        prev = p
-        rank += 1
-    return rank
+    """Exact rank of an integer matrix given as a list of Python-int lists; consumes `rows`."""
+    return len(eliminate(rows, len(rows[0]) if rows else 0)[0])
 
 
 # -- dense matrix text format ------------------------------------------------

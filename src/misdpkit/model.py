@@ -40,6 +40,15 @@ def _integral(v):
     return isinstance(v, numbers.Real) and float(v).is_integer()
 
 
+def widen(bound, tol):
+    """`bound + tol`, the way eval_point widens a continuous bound: in floats,
+    or exactly for a bound past the float range."""
+    try:
+        return bound + tol
+    except OverflowError:
+        return Fraction(bound) + Fraction(tol)
+
+
 @dataclass(frozen=True)
 class VarDomain:
     kind: str
@@ -104,8 +113,8 @@ class VarDomain:
 
     def contains(self, v, tol=0.0):
         if self.kind == CONTINUOUS:
-            lo_ok = self.lo is None or v >= self.lo - tol
-            hi_ok = self.hi is None or v <= self.hi + tol
+            lo_ok = self.lo is None or v >= widen(self.lo, -tol)
+            hi_ok = self.hi is None or v <= widen(self.hi, tol)
             return lo_ok and hi_ok
         if isinstance(v, float):
             if abs(v - round(v)) > tol:

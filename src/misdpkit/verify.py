@@ -78,8 +78,8 @@ import numpy as np
 from . import config, dpsd
 from .errors import BudgetExceeded, UnsupportedContinuousPattern
 from .formulations import QcqpInstance, Qmp1Instance, Qmp2Instance, build_bsdp_qcqp, mname, pynum
-from .linalg import eigensym
-from .model import LinRow, MisdpModel, _exact, validate
+from .linalg import eigensym, eliminate
+from .model import LinRow, MisdpModel, _exact, validate, widen
 from .problems import (
     Graph,
     GppInstance,
@@ -134,7 +134,7 @@ def _contribution_bounds(coef, dom, tol=None):
     if dom.is_integer:
         lo, hi = math.ceil(lo), math.floor(hi)
     elif tol is not None:
-        lo, hi = lo if lo is None else Fraction(lo - tol), hi if hi is None else Fraction(hi + tol)
+        lo, hi = lo if lo is None else Fraction(widen(lo, -tol)), hi if hi is None else Fraction(widen(hi, tol))
     if coef < 0:
         lo, hi = hi, lo
     return -math.inf if lo is None else coef * lo, math.inf if hi is None else coef * hi
@@ -291,32 +291,12 @@ _HINT_RULES = {
 }
 
 
-def _gauss_jordan(rows, width):
-    """Row-reduce Fraction `rows` in place over their first `width` columns;
-    return the pivot columns.  Row r < rank then has 1 at pivots[r] and 0 in
-    the other pivot columns, and later rows are 0 in the first `width`."""
-    pivots = []
-    for c in range(width):
-        rank = len(pivots)
-        piv = next((r for r in range(rank, len(rows)) if rows[r][c] != 0), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = rows[rank][c]
-        rows[rank] = [v and v / inv for v in rows[rank]]  # the rows are sparse: zeros stay
-        for r, row in enumerate(rows):
-            if r != rank and row[c] != 0:
-                f = row[c]
-                rows[r] = [x - f * y if y else x for x, y in zip(row, rows[rank])]
-        pivots.append(c)
-    return pivots
-
-
-def _affine(tail, known):
-    """b - K.y for a reduced row tail [K | b]: (int terms on `known`, int constant, denominator)."""
-    den = math.lcm(*(x.denominator for x in tail))
+def _affine(tail, known, d):
+    """b - K.y for the tail [K | b] of a reduced int row over d: (int terms on
+    `known`, int constant, denominator > 0), in lowest terms."""
+    g = math.gcd(d, *tail) * (1 if d > 0 else -1)
     *k, b = tail
-    return [(name, int(-c * den)) for name, c in zip(known, k) if c], int(b * den), den
+    return [(name, -c // g) for name, c in zip(known, k) if c], b // g, d // g
 
 
 def _numerator(form, assign):
@@ -336,19 +316,21 @@ def _reduce(eqs, unknowns, doms, slots=None):
     unk = list(dict.fromkeys(n for row in eqs for n, _ in row.coeffs if n in unknowns))
     known = list(dict.fromkeys(n for row in eqs for n, _ in row.coeffs if n not in unknowns))
     col = {n: i for i, n in enumerate(unk + known)}
-    a = []
-    for row in eqs:
-        a.append([Fraction(0)] * len(col) + [_frac(row.rhs)])
+    a = [[0] * len(col) + [_frac(row.rhs)] for row in eqs]
+    for r, row in zip(a, eqs):
         for name, coef in row.coeffs:
-            a[-1][col[name]] += _frac(coef)
+            r[col[name]] += _frac(coef)
+    scale = math.lcm(*(x.denominator for r in a for x in r))
+    a = [[x.numerator * (scale // x.denominator) for x in r] for r in a]
     w = len(unk)
-    pivots = _gauss_jordan(a, w)
-    # a pivot row determines its variable when it touches no free column
-    determined = [(unk[p], _affine(a[r][w:], known)) for r, p in enumerate(pivots)
+    pivots, d = eliminate(a, w)
+    # a pivot row determines its variable when it touches no free column; a
+    # pivot row over d is the reduced row of `eqs`, a later row that of scale * eqs
+    determined = [(unk[p], _affine(a[r][w:], known, d)) for r, p in enumerate(pivots)
                   if all(a[r][c] == 0 for c in range(w) if c != p)]
     windows = [_window(doms[name], form[2], all(doms[n].is_integer for n, _ in form[0]))
                for name, form in determined]
-    dependent = [_affine(row[w:], known) for row in a[len(pivots):] if any(row[w:])]
+    dependent = [_affine(row[w:], known, d * scale) for row in a[len(pivots):] if any(row[w:])]
     tests, searched = [], list(windows)
     for k, ((_, (terms, const, _)), (lo, hi)) in enumerate(zip(determined, windows)):
         if slots is not None and (lo != -math.inf or hi != math.inf) and all(n in slots for n, _ in terms):
@@ -404,11 +386,11 @@ class _ClosureSolver:
 def _window(dom, den, integral):
     """Least and greatest num with `lo - tol <= num / den <= hi + tol`, as ints when `integral`."""
     tol = config.DEFAULT.lin_feas
-    lo = -math.inf if dom.lo is None else dom.lo - tol
-    hi = math.inf if dom.hi is None else dom.hi + tol
-    if math.isfinite(lo):
+    lo = -math.inf if dom.lo is None else widen(dom.lo, -tol)
+    hi = math.inf if dom.hi is None else widen(dom.hi, tol)
+    if abs(lo) != math.inf:
         lo = math.ceil(Fraction(lo) * den) if integral else Fraction(lo) * den
-    if math.isfinite(hi):
+    if abs(hi) != math.inf:
         hi = math.floor(Fraction(hi) * den) if integral else Fraction(hi) * den
     return lo, hi
 
@@ -419,7 +401,8 @@ def _resolve_corner(pencil, assign, name, i, a, coef, dom, sense):
     With the corner at 0 the pencil is B; let R be the other indices and
     b = B[R, i].  By the Schur complement B + t*a*e_i e_i^T is PSD iff B[R, R]
     is PSD (left to the leaf check), B[R, R] y = b is solvable (else False is
-    returned) and t >= (b^T y - B[i, i]) / a.  All of it is exact over Fractions.
+    returned) and t >= (b^T y - B[i, i]) / a.  All of it is exact: B is scaled
+    to ints, and `eliminate` leaves y[p] = row[-1] / d.
     """
     if coef < 0 if sense == "min" else coef > 0:
         raise UnsupportedContinuousPattern(
@@ -431,12 +414,14 @@ def _resolve_corner(pencil, assign, name, i, a, coef, dom, sense):
         if v:
             for r, c, x in entries:
                 base[r][c] = base[c][r] = base[r][c] + _frac(v) * Fraction(x)
+    scale = math.lcm(*(x.denominator for row in base for x in row))
+    base = [[x.numerator * (scale // x.denominator) for x in row] for row in base]
     rest = [r for r in range(pencil.order) if r != i]
     rows = [[base[r][c] for c in rest] + [base[r][i]] for r in rest]
-    pivots = _gauss_jordan(rows, len(rest))
-    if any(row[-1] != 0 for row in rows[len(pivots):]):
+    pivots, d = eliminate(rows, len(rest))
+    if any(row[-1] for row in rows[len(pivots):]):
         return False
-    t = (sum(base[rest[p]][i] * row[-1] for p, row in zip(pivots, rows)) - base[i][i]) / a
+    t = Fraction(sum(base[rest[p]][i] * row[-1] for p, row in zip(pivots, rows)) - d * base[i][i], d * scale) / a
     if dom.lo is not None and t < dom.lo:
         t = dom.lo
     assign[name] = float(t)
@@ -465,7 +450,7 @@ def _bounds(variables):
     """(name, lo - tol, hi + tol) of each continuous variable with a bound,
     None for a missing bound, tol = `lin_feas`, as `VarDomain.contains` widens them."""
     tol = config.DEFAULT.lin_feas
-    return [(name, None if d.lo is None else d.lo - tol, None if d.hi is None else d.hi + tol)
+    return [(name, None if d.lo is None else widen(d.lo, -tol), None if d.hi is None else widen(d.hi, tol))
             for name, d in variables if not d.is_integer and (d.lo is not None or d.hi is not None)]
 
 

@@ -31,6 +31,16 @@ def test_one_step_of_every_group(perfbench, name):
         assert ok, group
 
 
+def test_every_membership_step(perfbench):
+    # the theory-io membership LPs, seeded points and I/n alike, each with its check
+    groups = perfbench("workloads").prepare("theory-io", 0)()
+    (steps, check), = [(steps, check) for group, steps, check, _ in groups if group == "theory.membership"]
+    assert len(steps) == 44
+    for k, step in enumerate(steps):
+        ok, _ = check(step())
+        assert ok, k
+
+
 def test_traced_functions_exist(perfbench):
     for name, (module, attr) in perfbench("tracer").TRACED.items():
         target = importlib.import_module(module)

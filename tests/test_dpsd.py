@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 from fractions import Fraction
 
@@ -470,6 +471,36 @@ class TestMembership:
     def test_size_limit(self):
         with pytest.raises(SizeLimit):
             membership_Pnr(SymMat.identity(6), 2)
+
+    @pytest.mark.parametrize("r", [-1, 3])
+    @pytest.mark.parametrize("membership", [membership_Pnr, membership_Rnr])
+    def test_rank_outside_zero_to_n_raises(self, membership, r):
+        # at r = -1 the zero matrix used to be in P (the empty packing is a
+        # column) but not in R (the total weight had to be -1)
+        with pytest.raises(PreconditionViolated, match="need 0 <= r <= n"):
+            membership([[0, 0], [0, 0]], r)
+
+    def test_rank_zero_holds_only_the_zero_matrix(self):
+        zero, one = [[0, 0], [0, 0]], [[1, 0], [0, 0]]
+        assert membership_Pnr(zero, 0).member and membership_Rnr(zero, 0).member
+        assert not membership_Pnr(one, 0).member and not membership_Rnr(one, 0).member
+
+    @pytest.mark.parametrize("seed, digest", [
+        (0, "6ea1e43f6435266ae3143515543e57da8de8ac2ad0c98d96ff8cfa669ec22165"),
+        (1, "022e4b7e814cc152e15df9eb68f90635c3fbf4d005160a87a1ae0f780f2e6c97"),
+    ])
+    def test_weights_and_separating_functionals_are_pinned(self, perfbench, seed, digest):
+        # the theory-io membership points; digests of the Fraction simplex's answers
+        seeded = perfbench("workloads").membership_points(np.random.default_rng(seed))
+        points = [(x, r) for _, r, _, inside, outside in seeded for x in (inside, outside)]
+        points += [([[Fraction(int(i == j), n) for j in range(n)] for i in range(n)], r)
+                   for n in range(1, 5) for r in range(1, n + 1)]
+        h = hashlib.sha256()
+        for x, r in points:
+            for membership in (membership_Pnr, membership_Rnr):
+                res = membership(x, r)
+                h.update(repr((res.member, res.weights and list(res.weights.items()), res.separating)).encode())
+        assert h.hexdigest() == digest
 
 
 class TestCharacterizationEquivalence:

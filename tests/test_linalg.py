@@ -1,8 +1,11 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from misdpkit import config, dpsd
 from misdpkit.errors import DimensionMismatch, NonConvergence, NotPsd, ParseError
@@ -11,12 +14,43 @@ from misdpkit.linalg import (
     dumps_matrix,
     eigen_values,
     eigensym,
+    eliminate,
     is_psd,
     is_psd_exact,
     loads_matrix,
     num_rank,
     rank_exact,
 )
+
+
+@st.composite
+def _int_matrices(draw):
+    """Integer matrices with small or huge entries, some rows combinations of others."""
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    entry = st.one_of(st.integers(-3, 3), st.integers(-10**30, 10**30))
+    rows = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(m)]
+    for _ in range(draw(st.integers(0, 2))):
+        i, j, c = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1)), draw(st.integers(-2, 2))
+        rows.append([x + c * y for x, y in zip(rows[i], rows[j])])
+    return rows
+
+
+def _fraction_gauss_jordan(rows, width):
+    """Gauss-Jordan over Fractions in place, pivoting on the first nonzero
+    entry of each column; pivot rows are scaled to 1 at their pivot."""
+    pivots = []
+    for c in range(width):
+        rank = len(pivots)
+        piv = next((r for r in range(rank, len(rows)) if rows[r][c] != 0), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        rows[rank] = [v / rows[rank][c] for v in rows[rank]]
+        for r, row in enumerate(rows):
+            if r != rank:
+                rows[r] = [x - row[c] * y for x, y in zip(row, rows[rank])]
+        pivots.append(c)
+    return pivots
 
 
 def bordered_counterexample():
@@ -239,6 +273,20 @@ class TestExactKernel:
     def test_reads_only_the_upper_triangle(self):
         assert is_psd_exact([[1, 1], [99, 1]])
         assert not is_psd_exact([[1, 2], [0, 1]])
+
+    @settings(max_examples=300, deadline=None)
+    @given(_int_matrices())
+    def test_rank_and_reduction_match_fractions(self, a):
+        # entries up to 10**30 and dependent rows: eliminate's rows are d
+        # times those of Gauss-Jordan over Fractions, with the same pivots
+        ref = [[Fraction(x) for x in row] for row in a]
+        ref_pivots = _fraction_gauss_jordan(ref, len(a[0]))
+        assert rank_exact([row[:] for row in a]) == len(ref_pivots)
+        rows = [row[:] for row in a]
+        pivots, d = eliminate(rows, len(a[0]))
+        assert pivots == ref_pivots and d != 0
+        assert rows == [[d * x for x in row] for row in ref]
+        assert all(type(x) is int for row in rows for x in row)
 
 
 class TestAgainstLapack:

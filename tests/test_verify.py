@@ -14,7 +14,16 @@ from misdpkit import model as model_module
 from misdpkit import verify
 from misdpkit.errors import BudgetExceeded, UnsupportedContinuousPattern
 from misdpkit.linalg import is_psd, rank_exact
-from misdpkit.model import LinRow, MatrixPencil, MisdpModel, Objective, VarDomain, eval_point, psd_exact_sum
+from misdpkit.model import (
+    LinRow,
+    MatrixPencil,
+    MisdpModel,
+    Objective,
+    VarDomain,
+    eval_point,
+    psd_exact_sum,
+    widen,
+)
 from misdpkit.problems import Graph, build_mkcs, build_stable_set, build_tsp_cvetkovic
 from misdpkit.verify import (
     SUITES,
@@ -803,6 +812,24 @@ class TestExactRows:
             assert (res.optimum, res.feasible_count) == (optimum, count)
             _assert_matches_reference_walk(m)
 
+    @pytest.mark.parametrize("lo, hi", [
+        (0, 10**400), (-10**400, 10**400), (Fraction(-10**400, 3), 1), (10**400, None), (None, -10**400),
+    ])
+    def test_bounds_past_the_float_range(self, lo, hi):
+        # lin_feas widened these bounds in floats, and both eval_point and
+        # the search raised OverflowError; they widen exactly now
+        m = MisdpModel([("a", VarDomain.binary()), ("t", VarDomain.continuous(lo, hi))],
+                       Objective("min", {"a": -1}), rows=[LinRow((("t", 1), ("a", -1)), "==", 0)])
+        inside = (lo is None or lo <= 1) and (hi is None or 1 <= hi)
+        assert eval_point(m, {"a": 1, "t": 1}).feasible == inside
+        _assert_matches_reference_walk(m)
+
+    def test_widening_stays_in_floats_inside_the_float_range(self):
+        assert widen(1, 1e-9) == 1 + 1e-9 and type(widen(Fraction(1, 3), -1e-9)) is float
+        assert widen(10**400, -1e-9) == 10**400 - Fraction(1e-9)
+        dom = VarDomain.continuous(0, 10**400)
+        assert dom.contains(10**400, tol=1e-9) and not dom.contains(10**400 + 1, tol=1e-9)
+
     def test_float_bounds_fold_as_eval_point_reads_them(self):
         # Fraction(0.1) > 1/10, yet eval_point accepts u = 1/10 within lin_feas,
         # so the window folds [0.1 - tol, 1.0 + tol]; folding [0.1, 1.0] would
@@ -909,6 +936,156 @@ class TestClosure:
         rows = [LinRow((("u", 1), ("k", -1)), "==", 0)]
         doms = {"u": VarDomain.continuous(lo, hi), "k": VarDomain.continuous()}
         assert verify._ClosureSolver(rows, {"u"}, doms).apply({"k": Fraction(-3, 2)}) == accepted
+
+
+# The Fraction Gauss-Jordan that `verify._reduce` and `_resolve_corner` ran
+# before they reduced int rows fraction-free, kept as the reference.
+
+def _ref_gauss_jordan(rows, width):
+    """Row-reduce Fraction `rows` in place over their first `width` columns;
+    return the pivot columns.  Row r < rank then has 1 at pivots[r] and 0 in
+    the other pivot columns, and later rows are 0 in the first `width`."""
+    pivots = []
+    for c in range(width):
+        rank = len(pivots)
+        piv = next((r for r in range(rank, len(rows)) if rows[r][c] != 0), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = rows[rank][c]
+        rows[rank] = [v and v / inv for v in rows[rank]]  # the rows are sparse: zeros stay
+        for r, row in enumerate(rows):
+            if r != rank and row[c] != 0:
+                f = row[c]
+                rows[r] = [x - f * y if y else x for x, y in zip(row, rows[rank])]
+        pivots.append(c)
+    return pivots
+
+
+def _ref_affine(tail, known):
+    """b - K.y for a reduced row tail [K | b]: (int terms on `known`, int constant, denominator)."""
+    den = math.lcm(*(x.denominator for x in tail))
+    *k, b = tail
+    return [(name, int(-c * den)) for name, c in zip(known, k) if c], int(b * den), den
+
+
+def _ref_reduce(eqs, unknowns, doms, slots=None):
+    """`verify._reduce` over Fractions."""
+    unk = list(dict.fromkeys(n for row in eqs for n, _ in row.coeffs if n in unknowns))
+    known = list(dict.fromkeys(n for row in eqs for n, _ in row.coeffs if n not in unknowns))
+    col = {n: i for i, n in enumerate(unk + known)}
+    a = []
+    for row in eqs:
+        a.append([Fraction(0)] * len(col) + [verify._frac(row.rhs)])
+        for name, coef in row.coeffs:
+            a[-1][col[name]] += verify._frac(coef)
+    w = len(unk)
+    pivots = _ref_gauss_jordan(a, w)
+    # a pivot row determines its variable when it touches no free column
+    determined = [(unk[p], _ref_affine(a[r][w:], known)) for r, p in enumerate(pivots)
+                  if all(a[r][c] == 0 for c in range(w) if c != p)]
+    windows = [verify._window(doms[name], form[2], all(doms[n].is_integer for n, _ in form[0]))
+               for name, form in determined]
+    dependent = [_ref_affine(row[w:], known) for row in a[len(pivots):] if any(row[w:])]
+    tests, searched = [], list(windows)
+    for k, ((_, (terms, const, _)), (lo, hi)) in enumerate(zip(determined, windows)):
+        if slots is not None and (lo != -math.inf or hi != math.inf) and all(n in slots for n, _ in terms):
+            tests.append((terms, lo if lo == -math.inf else math.ceil(lo - const),
+                          hi if hi == math.inf else math.floor(hi - const)))
+            searched[k] = (-math.inf, math.inf)
+    return determined, windows, dependent, tests, searched, len(determined) == w
+
+
+def _ref_resolve_corner(pencil, assign, name, i, a, coef, dom, sense):
+    """`verify._resolve_corner` over Fractions."""
+    if coef < 0 if sense == "min" else coef > 0:
+        raise UnsupportedContinuousPattern(
+            f"corner scalar {name!r} is not priced toward its feasibility boundary"
+        )
+    base = [[Fraction(0)] * pencil.order for _ in range(pencil.order)]
+    values = [1] + [0 if term == name else assign[term] for term, _ in pencil.terms]
+    for v, entries in zip(values, pencil.entries):
+        if v:
+            for r, c, x in entries:
+                base[r][c] = base[c][r] = base[r][c] + verify._frac(v) * Fraction(x)
+    rest = [r for r in range(pencil.order) if r != i]
+    rows = [[base[r][c] for c in rest] + [base[r][i]] for r in rest]
+    pivots = _ref_gauss_jordan(rows, len(rest))
+    if any(row[-1] != 0 for row in rows[len(pivots):]):
+        return False
+    t = (sum(base[rest[p]][i] * row[-1] for p, row in zip(pivots, rows)) - base[i][i]) / a
+    if dom.lo is not None and t < dom.lo:
+        t = dom.lo
+    assign[name] = float(t)
+    return True
+
+
+class TestFractionFreeElimination:
+    """`_reduce` and `_resolve_corner` against the Fraction reductions above:
+    the same forms, windows and tests, and the same corner values."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_equality_systems(), st.data())
+    def test_reduce_matches_the_fraction_reduction(self, system, data):
+        rows, unknowns, known = system
+        bound = st.one_of(st.none(), st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4),
+                          st.integers(-12, 12).map(lambda q: q / 4))
+        doms = {u: VarDomain.continuous(data.draw(bound), data.draw(bound)) for u in unknowns}
+        kinds = st.sampled_from([VarDomain.continuous(), VarDomain.integer_range(-3, 3)])
+        doms.update({k: data.draw(kinds) for k in known})
+        slots = set(data.draw(st.lists(st.sampled_from(sorted(known)), unique=True))) if known else set()
+        args = rows, set(unknowns), doms, slots
+        assert repr(verify._reduce(*args)) == repr(_ref_reduce(*args))
+
+    def test_reduce_matches_on_every_suite_at_seed_zero(self, monkeypatch):
+        real, determined = verify._reduce, []
+
+        def reduce(*args):
+            got = real(*args)
+            assert repr(got) == repr(_ref_reduce(*args))
+            determined.append(len(got[0]))
+            return got
+
+        monkeypatch.setattr(verify, "_reduce", reduce)
+        for name in SUITES:
+            assert equivalence_suite(name).passed, name
+        assert sum(determined) > 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_corner_values_match_on_fractional_data(self, data):
+        # const + x * M + t * a * e_i e_i^T with float and Fraction data, which
+        # the int rows scale by the lcm of their denominators
+        order = data.draw(st.integers(1, 4))
+        entry = st.sampled_from([0, 0, 1, -1, 2, 0.5, 0.1, -0.25])
+        const, term = np.zeros((order, order)), np.zeros((order, order))
+        for r, c in itertools.combinations_with_replacement(range(order), 2):
+            const[r, c] = const[c, r] = data.draw(entry)
+            term[r, c] = term[c, r] = data.draw(entry)
+        i, a = data.draw(st.integers(0, order - 1)), data.draw(st.sampled_from([1, 2, 0.5]))
+        pencil = MatrixPencil(order, _triples(const), [("x", _triples(term)), ("t", [(i, i, a)])])
+        x = data.draw(st.sampled_from([0, 1, Fraction(1, 3), Fraction(-2, 5)]))
+        dom = VarDomain.continuous(data.draw(st.sampled_from([None, 0, Fraction(1, 7)])))
+        got, expected = {"x": x}, {"x": x}
+        args = "t", i, Fraction(a), 1, dom, "min"
+        assert verify._resolve_corner(pencil, got, *args) == _ref_resolve_corner(pencil, expected, *args)
+        assert got == expected
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_corner_values_match_on_qbpp(self, monkeypatch, seed):
+        real, results = verify._resolve_corner, []
+
+        def corner(pencil, assign, name, *args):
+            expected = dict(assign)
+            ok = _ref_resolve_corner(pencil, expected, name, *args)
+            assert real(pencil, assign, name, *args) == ok and assign == expected
+            assert not ok or type(assign[name]) is float
+            results.append(ok)
+            return ok
+
+        monkeypatch.setattr(verify, "_resolve_corner", corner)
+        assert equivalence_suite("qbpp-random", seed=seed).passed
+        assert any(results)
 
 
 class TestIntegralClosureValues:
