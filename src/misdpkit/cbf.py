@@ -33,14 +33,13 @@ from .model import (
     MisdpModel,
     Objective,
     VarDomain,
+    check_dense_entries,
     validate,
 )
 
 _REL_CONE = {"==": "L=", "<=": "L-", ">=": "L+"}
 _CONE_REL = {v: k for k, v in _REL_CONE.items()}
 _FOREIGN_INT_BOUND = 2**31
-# float64 entries the float stacks of one imported model's pencils may hold (128 MB)
-_MAX_DENSE_ENTRIES = 2**24
 
 
 def _num(v) -> str:
@@ -208,10 +207,9 @@ def export_cbf(model: MisdpModel) -> str:
     hcoord = []  # CBF lists the lower triangle: upper-triangle entry (r, c) is (c, r)
     dcoord = []
     for p, pencil in enumerate(model.pencils):
-        const, *terms = pencil.entries
-        for (name, _), entries in zip(pencil.terms, terms):
+        for name, entries in pencil.terms:
             hcoord += [(p, index[name], c, r, v) for r, c, v in entries]
-        dcoord += [(p, c, r, v) for r, c, v in const]
+        dcoord += [(p, c, r, v) for r, c, v in pencil.entries[0]]
     hcoord.sort(key=lambda e: (e[0], e[1], e[2], e[3]))
     dcoord.sort(key=lambda e: (e[0], e[1], e[2]))
     if hcoord:
@@ -439,12 +437,17 @@ def import_cbf(text: str) -> MisdpModel:
         for k in range(n_rows - n_bound)
     ]
 
+    objective = Objective(sense, {names[j]: v for j, v in sorted(obj_coeffs.items())}, obj_const)
+    variables = list(zip(names, domains))
+    defects = validate(MisdpModel(variables, objective, rows, metadata=metadata))
+    if defects:
+        raise ParseError(f"model has defects: {defects}")
+
+    # the pencils' term names are the variables' names, so a name given twice
+    # is refused above as a defect and never merges two terms
     terms = [{} for _ in psd_dims]
     for p, j, r, c, v in hcoord:
         terms[p].setdefault(j, []).append((r, c, v))
-    dense = sum(d * d * (1 + len(t)) for d, t in zip(psd_dims, terms))
-    if dense > _MAX_DENSE_ENTRIES:
-        raise ParseError(f"PSD cones need {dense} dense entries, more than {_MAX_DENSE_ENTRIES}")
     consts = [[] for _ in psd_dims]
     for p, r, c, v in dcoord:
         consts[p].append((r, c, v))
@@ -454,10 +457,5 @@ def import_cbf(text: str) -> MisdpModel:
             pencils.append(MatrixPencil(d, consts[p], [(names[j], e) for j, e in sorted(terms[p].items())]))
         except ValueError as exc:  # a coordinate given twice
             raise ParseError(f"PSD cone {p}: {exc}") from None
-
-    objective = Objective(sense, {names[j]: v for j, v in sorted(obj_coeffs.items())}, obj_const)
-    model = MisdpModel(list(zip(names, domains)), objective, rows, pencils, metadata)
-    defects = validate(model)
-    if defects:
-        raise ParseError(f"model has defects: {defects}")
-    return model
+    check_dense_entries(pencils)
+    return MisdpModel(variables, objective, rows, pencils, metadata)

@@ -193,7 +193,9 @@ def cmd_scheme(args):
 
 def cmd_convert(args):
     text = _read(args.infile)
-    m = cbf.import_cbf(text) if text.lstrip().startswith("VER") else model.import_json(text)
+    # CBF opens with VER, after any blank or '#' comment lines; JSON has no comments
+    first = next((s for line in text.splitlines() if (s := line.strip()) and not s.startswith("#")), "")
+    m = cbf.import_cbf(text) if first.startswith("VER") else model.import_json(text)
     out_fmt = "cbf" if args.outfile.endswith(".cbf") else "json"
     _write(args.outfile, cbf.export_cbf(m) if out_fmt == "cbf" else model.export_json(m))
     return 0

@@ -176,6 +176,8 @@ def _upper_triples(order, triples, what):
     r <= c, in row-major order; ValueError on a bad triple, naming `what`."""
     seen = {}
     for r, c, x in triples:
+        if isinstance(r, bool) or isinstance(c, bool):
+            raise ValueError(f"pencil {what} has coordinate ({r}, {c}), not two integers")
         r, c = operator.index(r), operator.index(c)
         if r > c:
             r, c = c, r
@@ -197,14 +199,15 @@ class MatrixPencil:
 
     `MatrixPencil(order, const, terms)` takes the constant and each
     `(name, triples)` term as (r, c, value) triples of matrix entries, in
-    either triangle.  They are kept exact in `entries`: per matrix, the nonzero
+    either triangle.  A pencil is its exact `entries`: per matrix, the nonzero
     upper-triangle triples in row-major order, an integral value as an int and
-    any other as the Fraction or float given.  `integral` is whether every
+    any other as the Fraction or float given.  `terms` pairs each name with
+    its matrix's triples (`entries[1:]`), and `integral` is whether every
     value is an int.  A triple out of range, a coordinate given twice (also as
-    (r, c) and (c, r)) or a value that is not a finite real raises ValueError
-    naming the matrix.  The read-only float64 stack (`const`, the matrices of
-    `terms`) is derived from the entries, and `evaluate` reads it.  `__eq__`
-    compares the entries, so a Fraction and its nearest float differ.
+    (r, c) and (c, r)), a term name given twice or a value that is not a
+    finite real raises ValueError naming it.  `evaluate` sums the entries in
+    floats; `__eq__` compares the entries, so a Fraction and its nearest float
+    differ.
 
     `leading_blocks()` gives the leading blocks that some term enters, each a
     pencil of its own, built once.  The builders take every pencil from
@@ -217,32 +220,30 @@ class MatrixPencil:
     must never be mutated.
     """
 
-    __slots__ = ("order", "const", "terms", "entries", "integral", "_psd", "_blocks", "_families")
+    __slots__ = ("order", "terms", "entries", "integral", "_psd", "_blocks", "_families")
 
     def __init__(self, order, const, terms):
-        names, entries = [], [_upper_triples(order, const, "constant")]
+        const, named = _upper_triples(order, const, "constant"), {}
         for name, triples in terms:
-            names.append(name)
-            entries.append(_upper_triples(order, triples, f"term {name!r}"))
-        stack = np.zeros((len(entries), order, order))
-        for mat, triples in zip(stack, entries):
-            for r, c, x in triples:
-                mat[r, c] = mat[c, r] = x
-        stack.setflags(write=False)
+            if name in named:
+                raise ValueError(f"pencil repeats term {name!r}")
+            named[name] = _upper_triples(order, triples, f"term {name!r}")
         self.order = order
-        self.const = stack[0]
-        self.terms = tuple(zip(names, stack[1:]))
-        self.entries = tuple(entries)
-        self.integral = all(type(x) is int for triples in entries for _, _, x in triples)
+        self.terms = tuple(named.items())
+        self.entries = (const, *named.values())
+        self.integral = all(type(x) is int for triples in self.entries for _, _, x in triples)
         self._psd = self._blocks = self._families = None
 
     def evaluate(self, values: dict) -> np.ndarray:
-        out = self.const.copy()
-        for name, mat in self.terms:
-            v = float(values[name])
-            if v != 0.0:
-                out += v * mat
-        return out
+        """A fresh float64 matrix: the constant plus float(v) * each term, in term order."""
+        out = [[0.0] * self.order for _ in range(self.order)]
+        scale = [1.0, *(float(values[name]) for name, _ in self.terms)]
+        for v, triples in zip(scale, self.entries):
+            if v:
+                for r, c, x in triples:
+                    out[r][c] += v * float(x)
+                    out[c][r] = out[r][c]
+        return np.array(out).reshape(self.order, self.order)
 
     def is_psd_at(self, values: dict) -> bool:
         """Whether the pencil is PSD at `values`.
@@ -281,7 +282,7 @@ class MatrixPencil:
         if self._blocks is None:
             blocks = []
             for k in range(1, self.order):
-                terms = [(name, inside) for (name, _), triples in zip(self.terms, self.entries[1:])
+                terms = [(name, inside) for name, triples in self.terms
                          if (inside := [e for e in triples if e[1] < k])]
                 if terms:  # a constant block is left to the full test
                     blocks.append(MatrixPencil(k, [e for e in self.entries[0] if e[1] < k], terms))
@@ -296,8 +297,7 @@ class MatrixPencil:
         return (
             self.order == other.order
             and self.entries[0] == other.entries[0]
-            and dict(zip((n for n, _ in self.terms), self.entries[1:]))
-            == dict(zip((n for n, _ in other.terms), other.entries[1:]))
+            and dict(self.terms) == dict(other.terms)
         )
 
 
@@ -333,17 +333,6 @@ class MisdpModel:
 
     def integer_names(self):
         return [n for n, d in self.variables if d.is_integer]
-
-    def __eq__(self, other):
-        if not isinstance(other, MisdpModel):
-            return NotImplemented
-        return (
-            self.variables == other.variables
-            and self.objective == other.objective
-            and self.rows == other.rows
-            and self.pencils == other.pencils
-            and self.metadata == other.metadata
-        )
 
 
 def validate(model: MisdpModel):
@@ -451,16 +440,28 @@ def eval_point(model: MisdpModel, assignment: dict) -> EvalResult:
 
 
 # ---------------------------------------------------------------------------
-# JSON serialization (byte-stable; pencil matrices are written as floats)
+# JSON serialization (byte-stable).  A pencil is its exact entries, as CBF
+# writes them: {"order": n, "const": [[r, c, v], ...], "terms": [[name, [[r, c, v], ...]], ...]}
 # ---------------------------------------------------------------------------
+
+# dense entries, sum of order^2 * (1 + terms), that a read model's pencils may
+# need: `evaluate` and the exact PSD test build order x order matrices, which a
+# sparse file does not pay for (2^24 float64s are 128 MB)
+_MAX_DENSE_ENTRIES = 2**24
+
+
+def check_dense_entries(pencils):
+    """ParseError when the dense matrices of `pencils` pass _MAX_DENSE_ENTRIES."""
+    dense = sum(p.order * p.order * (1 + len(p.terms)) for p in pencils)
+    if dense > _MAX_DENSE_ENTRIES:
+        raise ParseError(f"pencils need {dense} dense entries, more than {_MAX_DENSE_ENTRIES}")
+
 
 def _enc_num(v):
     if isinstance(v, Fraction):
         return f"{v.numerator}/{v.denominator}"
-    if isinstance(v, (np.integer,)):
+    if isinstance(v, np.integer):  # json writes a float64 as the float it is
         return int(v)
-    if isinstance(v, (np.floating,)):
-        return float(v)
     return v
 
 
@@ -500,26 +501,18 @@ def _dec_domain(obj):
     raise ParseError(f"unknown domain kind {kind!r}")
 
 
-def _dense_triples(mat, order, what):
-    """The upper-triangle (r, c, value) triples of a dense square symmetric
-    list of lists, as a pencil takes them; ParseError otherwise."""
-    if len(mat) != order or any(len(row) != order for row in mat):
-        raise ParseError(f"pencil {what} must be square of order {order}")
-    triples = []
-    for r, row in enumerate(mat):
-        for c in range(r, order):
-            x = row[c]
-            if x != mat[c][r]:
-                raise ParseError(f"pencil {what} must be symmetric")
-            if x != 0:
-                triples.append((r, c, x))
-    return triples
+def _enc_triples(triples):
+    return [[r, c, _enc_num(x)] for r, c, x in triples]
+
+
+def _dec_triples(triples):
+    return [(r, c, _dec_num(x)) for r, c, x in triples]
 
 
 def export_json(model: MisdpModel) -> str:
     obj = {
         "format": "misdpkit-model",
-        "version": 1,
+        "version": 2,
         "metadata": model.metadata,
         "variables": [[n, _enc_domain(d)] for n, d in model.variables],
         "objective": {
@@ -539,8 +532,8 @@ def export_json(model: MisdpModel) -> str:
         "pencils": [
             {
                 "order": p.order,
-                "const": p.const.tolist(),
-                "terms": [[n, m.tolist()] for n, m in p.terms],
+                "const": _enc_triples(p.entries[0]),
+                "terms": [[n, _enc_triples(t)] for n, t in p.terms],
             }
             for p in model.pencils
         ],
@@ -556,6 +549,8 @@ def import_json(text: str) -> MisdpModel:
 def _model_from_json(obj):
     if not isinstance(obj, dict) or obj.get("format") != "misdpkit-model":
         raise ParseError("not a misdpkit model file")
+    if obj.get("version") != 2:
+        raise ParseError(f"unsupported model file version {obj.get('version')!r}, expected 2")
     variables = [(n, _dec_domain(d)) for n, d in obj["variables"]]
     o = obj["objective"]
     objective = Objective(
@@ -574,9 +569,11 @@ def _model_from_json(obj):
     ]
     pencils = []
     for p in obj["pencils"]:
-        order = len(p["const"])
-        pencils.append(MatrixPencil(order, _dense_triples(p["const"], order, "constant"),
-                                    [(n, _dense_triples(m, order, f"term {n!r}")) for n, m in p["terms"]]))
+        if type(p["order"]) is not int or p["order"] < 0:
+            raise ParseError(f"pencil order must be a nonnegative integer, got {p['order']!r}")
+        pencils.append(MatrixPencil(p["order"], _dec_triples(p["const"]),
+                                    [(n, _dec_triples(t)) for n, t in p["terms"]]))
+    check_dense_entries(pencils)
     metadata = obj.get("metadata", {})
     if not isinstance(metadata, dict):
         raise ParseError("field 'metadata' must be an object")

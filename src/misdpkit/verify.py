@@ -584,11 +584,11 @@ class _Family:
         self.space = math.prod(doms[n].size() for n in self.int_names)
         ints = set(self.int_names)  # integer domains hold ints
         exact = [p for p in pencils if p.integral and all(n in ints for n, _ in p.terms)]
-        # per exact pencil and term, the smallest leading block the term enters
-        blocks = [[min((c + 1 for _, c, _ in e), default=math.inf) for e in p.entries[1:]] for p in exact]
+        # per variable, the smallest leading block of an exact pencil that it enters
         first = {}
-        for p, ks in zip(exact, blocks):
-            for (name, _), k in zip(p.terms, ks):
+        for p in exact:
+            for name, triples in p.terms:
+                k = min((c + 1 for _, c, _ in triples), default=math.inf)
                 first[name] = min(first.get(name, k), k)
         self.int_names.sort(key=lambda n: first.get(n, math.inf))
         pos = {n: d for d, n in enumerate(self.int_names)}
@@ -630,7 +630,7 @@ class _Family:
         # diagonal entry of a single pencil, as (name, pencil index, entry, value)
         appearances = {}
         for k, pencil in enumerate(pencils):
-            for (name, _), entries in zip(pencil.terms, pencil.entries[1:]):
+            for name, entries in pencil.terms:
                 appearances.setdefault(name, []).append((k, entries))
         self.corners = []
         for name in self.cont_names:

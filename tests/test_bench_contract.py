@@ -41,6 +41,17 @@ def test_every_membership_step(perfbench):
         assert ok, k
 
 
+def test_every_roundtrip_step(perfbench):
+    # the theory-io CBF and JSON round trips, one build per builder and GPP variant and
+    # both qcqp forms, each with its check
+    groups = perfbench("workloads").prepare("theory-io", 0)()
+    (steps, check), = [(steps, check) for group, steps, check, _ in groups if group == "theory.roundtrip"]
+    assert len(steps) == 19
+    for k, step in enumerate(steps):
+        ok, _ = check(step())
+        assert ok, k
+
+
 def test_traced_functions_exist(perfbench):
     for name, (module, attr) in perfbench("tracer").TRACED.items():
         target = importlib.import_module(module)

@@ -382,6 +382,17 @@ class TestConvert:
         assert run(["convert", str(json_path), str(back)]) == 0
         assert back.read_text() == cbf_path.read_text()
 
+    def test_cbf_with_leading_comments(self, c5, tmp_path):
+        # the format is read off the first line that is neither blank nor a comment
+        cbf_path = tmp_path / "m.cbf"
+        run(["build", "stable-set", "--graph", c5, "--out", str(cbf_path)])
+        commented = tmp_path / "commented.cbf"
+        commented.write_text("# stable set of C5\n\n  # second comment\n" + cbf_path.read_text())
+        plain, with_comments = tmp_path / "plain.json", tmp_path / "commented.json"
+        assert run(["convert", str(cbf_path), str(plain)]) == 0
+        assert run(["convert", str(commented), str(with_comments)]) == 0
+        assert with_comments.read_text() == plain.read_text()
+
     def test_malformed_json_model_exit_code(self, c5, tmp_path, capsys):
         json_path = tmp_path / "m.json"
         run(["build", "stable-set", "--graph", c5, "--out", str(json_path), "--format", "json"])
@@ -393,7 +404,7 @@ class TestConvert:
         assert captured.err.splitlines() == ["error: malformed data: bad relation '<'"]
 
     @pytest.mark.parametrize("old, new, token", [
-        ('"const":[[1.0,', '"const":[[Infinity,', "Infinity"),
+        ('"const":[[0,0,1]]', '"const":[[0,0,Infinity]]', "Infinity"),
         ('"constant":0,', '"constant":NaN,', "NaN"),
     ], ids=["pencil-constant", "objective-constant"])
     def test_non_finite_model_number_exit_code(self, c5, tmp_path, capsys, old, new, token):
@@ -422,6 +433,7 @@ class TestConvert:
         json_path = tmp_path / "m.json"
         json_path.write_text(json.dumps({
             "format": "misdpkit-model",
+            "version": 2,
             "variables": [["u", {"kind": "finite_set", "values": [-1, 0, 2]}]],
             "objective": {"sense": "min", "coeffs": [["u", 1]], "constant": 0},
             "rows": [],

@@ -2,6 +2,7 @@ import functools
 import hashlib
 import json
 import math
+import re
 from fractions import Fraction
 from unittest import mock
 
@@ -118,15 +119,16 @@ class TestValidate:
         assert res.optimum == -1 and res.feasible_count == 3
 
     @pytest.mark.parametrize("old, new", [
-        ("[0.0,0.0,1.0],[0.0,1.0,0.0]]]", "[0.0,0.0,1.0],[0.0,1.5,0.0]]]"),
-        ("[0.0,0.0,1.0],[0.0,1.0,0.0]]]", "[0.0,0.0,1.0]]]"),
-        ('"const":[[1.0,0.0,0.0],', '"const":[[1.0,0.0],'),
+        ('["X[0,1]",[[1,2,1]]]', '["X[0,1]",[[1,2,1],[2,1,2]]]'),
+        ('["X[0,1]",[[1,2,1]]]', '["X[0,1]",[[1,3,1]]]'),
+        ('"const":[[0,0,1]]', '"const":[[0,3,1]]'),
     ], ids=["asymmetric", "term-not-square", "constant-not-square"])
     def test_json_pencil_must_be_square_and_symmetric(self, old, new):
-        # the first two edit the last term, X[0,1]
+        # in the sparse file an asymmetric matrix gives one coordinate in both
+        # triangles, and a matrix of another shape a coordinate past the order
         text = export_json(stable_set_k2_model())
         assert text.count(old) == 1
-        with pytest.raises(ParseError, match="square of order 3|must be symmetric"):
+        with pytest.raises(ParseError, match=r"outside order 3|repeats entry \(1, 2\)"):
             import_json(text.replace(old, new))
 
 
@@ -371,7 +373,7 @@ class TestPencilPsd:
     def test_equality_compares_the_exact_entries(self):
         third = MatrixPencil(2, [(0, 1, Fraction(1, 3))], [("t", [(0, 0, 1)])])
         rounded = MatrixPencil(2, [(0, 1, 0.3333333333333333)], [("t", [(0, 0, 1)])])
-        assert np.array_equal(third.const, rounded.const) and third != rounded
+        assert np.array_equal(third.evaluate({"t": 1}), rounded.evaluate({"t": 1})) and third != rounded
         assert third == MatrixPencil(2, [(1, 0, Fraction(1, 3))], [("t", [(0, 0, 1.0)])])
 
 
@@ -420,6 +422,31 @@ class TestJsonRoundTrip:
     def test_non_object_raises_parse_error(self):
         with pytest.raises(ParseError, match="not a misdpkit model file"):
             import_json("[1]")
+
+    @staticmethod
+    def _edited(edit):
+        obj = json.loads(export_json(stable_set_k2_model()))
+        edit(obj)
+        return json.dumps(obj)
+
+    @pytest.mark.parametrize("version", [1, 3, "2", None])
+    def test_other_versions_are_refused(self, version):
+        text = self._edited(lambda obj: obj.update(version=version))
+        with pytest.raises(ParseError, match=re.escape(f"unsupported model file version {version!r}, expected 2")):
+            import_json(text)
+
+    @pytest.mark.parametrize("order", [-1, True, 3.0, "3", None])
+    def test_pencil_order_must_be_a_nonnegative_int(self, order):
+        text = self._edited(lambda obj: obj["pencils"][0].update(order=order))
+        with pytest.raises(ParseError, match=re.escape(f"pencil order must be a nonnegative integer, got {order!r}")):
+            import_json(text)
+
+    @pytest.mark.parametrize("triple", [[True, 2, 1], [1, True, 1]], ids=["row", "column"])
+    def test_bool_coordinates_are_refused(self, triple):
+        # True would index as 1
+        text = self._edited(lambda obj: obj["pencils"][0]["terms"][2].__setitem__(1, [triple]))
+        with pytest.raises(ParseError, match=r"term 'X\[0,1\]' has coordinate \((True, 2|1, True)\), not two integers"):
+            import_json(text)
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -742,6 +769,15 @@ def _random_models(draw):
     return builder(*_INSTANCES[name](draw))
 
 
+@st.composite
+def _fraction_pencil_models(draw):
+    # matrix completion keeps its observed values in the pencil's constant
+    from misdpkit.problems import build_matrix_completion
+
+    observed = {(i, j): draw(_fractions()) for i in range(2) for j in range(2) if draw(st.booleans())}
+    return build_matrix_completion((2, 2), observed, draw(st.sampled_from([[0, 1], [-1, 0, 1]])))
+
+
 class TestRoundTripProperties:
     def test_every_builder_has_random_instances(self):
         from misdpkit import formulations, problems
@@ -750,7 +786,7 @@ class TestRoundTripProperties:
         assert set(_INSTANCES) == builders
 
     @settings(max_examples=150, deadline=None)
-    @given(_random_models(), st.sampled_from(["cbf", "json"]))
+    @given(st.one_of(_random_models(), _fraction_pencil_models()), st.sampled_from(["cbf", "json"]))
     def test_export_import_export_is_byte_identical(self, m, fmt):
         export, load = (export_cbf, import_cbf) if fmt == "cbf" else (export_json, import_json)
         text = export(m)
@@ -769,47 +805,100 @@ class TestRoundTripProperties:
         assert dumps_matrix(again) == text
 
 
+def _dense_sum(pencil, values):
+    """`pencil` at `values` as the dense float64 stack summed it: the constant
+    plus float(v) times each term matrix whose v is nonzero, in term order.
+    `evaluate` must equal it bit for bit."""
+    mats = np.zeros((len(pencil.entries), pencil.order, pencil.order))
+    for mat, triples in zip(mats, pencil.entries):
+        for r, c, x in triples:
+            mat[r, c] = mat[c, r] = x
+    out = mats[0].copy()
+    for (name, _), mat in zip(pencil.terms, mats[1:]):
+        v = float(values[name])
+        if v != 0.0:
+            out += v * mat
+    return out
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+_VALUES = st.one_of(st.integers(-3, 3), _fractions(), st.floats(-4, 4), st.sampled_from([1 / 3, -0.1, 1e-300]))
+
+
+@st.composite
+def _random_pencils(draw):
+    order = draw(st.integers(1, 4))
+    coord = st.integers(0, order - 1)
+
+    def triples():
+        cells = draw(st.lists(st.tuples(coord, coord).map(sorted).map(tuple), unique=True, max_size=6))
+        return [(r, c, draw(_VALUES)) for r, c in cells]
+
+    names = draw(st.lists(st.sampled_from("abcde"), unique=True, max_size=4))
+    return MatrixPencil(order, triples(), [(name, triples()) for name in names])
+
+
 class TestCompiledPencil:
     """`MatrixPencil(order, const, terms)` from (r, c, value) triples: the exact
-    `entries`, `integral`, and the float stack derived from them."""
+    `entries`, `integral`, and `evaluate`, which sums the entries in floats."""
 
     @settings(max_examples=100, deadline=None)
-    @given(_random_models())
-    def test_entries_rebuild_the_read_only_matrices(self, m):
+    @given(_random_models(), st.data())
+    def test_entries_rebuild_the_read_only_matrices(self, m, data):
+        # entries are nested tuples, and an evaluate result is the caller's own
         for p in m.pencils:
-            mats = [p.const] + [mat for _, mat in p.terms]
-            assert len(p.entries) == len(mats)
-            for mat, entries in zip(mats, p.entries):
-                dense = np.zeros((p.order, p.order))
-                for r, c, x in entries:
-                    assert r <= c and x != 0
+            assert type(p.entries) is tuple and all(type(e) is tuple for e in p.entries)
+            assert p.terms == tuple(zip((name for name, _ in p.terms), p.entries[1:]))
+            for entries in p.entries:
+                for triple in entries:
+                    r, c, x = triple
+                    assert type(triple) is tuple and r <= c and x != 0
                     assert type(x) is int or (type(x) in (float, Fraction) and x != int(x))
-                    dense[r, c] = dense[c, r] = x
-                assert np.array_equal(dense, mat)
-                with pytest.raises(ValueError, match="read-only"):
-                    mat[...] = 0
             assert p.integral == all(type(x) is int for entries in p.entries for _, _, x in entries)
+            values = {name: data.draw(_VALUES) for name, _ in p.terms}
+            first = p.evaluate(values)
+            assert _same_bits(first, _dense_sum(p, values))
+            first[...] = 7.0
+            assert _same_bits(p.evaluate(values), _dense_sum(p, values))
 
     def test_every_builder_pencil_is_rebuilt_from_its_entries(self):
         for m in _one_model_per_builder():
             for p in m.pencils:
-                names = [name for name, _ in p.terms]
-                again = MatrixPencil(p.order, p.entries[0], list(zip(names, p.entries[1:])))
+                again = MatrixPencil(p.order, p.entries[0], p.terms)
                 assert again == p and again.entries == p.entries and again.integral == p.integral
+
+    def test_evaluate_is_the_dense_sum_on_every_builder_pencil(self):
+        points = [1, -1, 2, Fraction(1, 3), Fraction(-5, 2), 0.1, -2.75, 1e-300, 0]
+        for m in _one_model_per_builder():
+            for p in m.pencils:
+                for shift in range(len(points)):
+                    values = {name: points[(k + shift) % len(points)] for k, (name, _) in enumerate(p.terms)}
+                    assert _same_bits(p.evaluate(values), _dense_sum(p, values))
+
+    @settings(max_examples=300, deadline=None)
+    @given(_random_pencils(), st.data())
+    def test_evaluate_is_the_dense_sum_on_random_pencils(self, p, data):
+        # int, Fraction and float entries and values, tiny products included
+        values = {name: data.draw(_VALUES) for name, _ in p.terms}
+        assert _same_bits(p.evaluate(values), _dense_sum(p, values))
 
     def test_float_entries(self):
         p = MatrixPencil(2, [(0, 0, 1), (1, 0, 0.5), (1, 1, 2.0)], [("x", [(1, 1, 3.0)]), ("y", [])])
         assert not p.integral
         assert p.entries == (((0, 0, 1), (0, 1, 0.5), (1, 1, 2)), ((1, 1, 3),), ())
         assert [type(x) for _, _, x in p.entries[0]] == [int, float, int]
-        assert np.array_equal(p.const, [[1, 0.5], [0.5, 2]])
+        assert np.array_equal(p.evaluate({"x": 0, "y": 5}), [[1, 0.5], [0.5, 2]])
 
     def test_fraction_entries_stay_exact(self):
         third = Fraction(1, 3)
         p = MatrixPencil(2, [(0, 0, third), (1, 1, Fraction(4, 2))], [("x", [(1, 0, third)])])
         assert p.entries == (((0, 0, third), (1, 1, 2)), ((0, 1, third),))
         assert type(p.entries[0][1][2]) is int and not p.integral
-        assert p.const[0, 0] == p.terms[0][1][1, 0] == 1 / 3
+        assert p.terms == (("x", ((0, 1, third),)),)
+        assert p.evaluate({"x": 0})[0, 0] == p.evaluate({"x": 1})[1, 0] == 1 / 3
 
     def test_integral_values_of_every_type_are_ints(self):
         p = MatrixPencil(2, [(0, 0, 2.0), (0, 1, Fraction(-3)), (1, 1, np.int64(5))],
@@ -821,7 +910,7 @@ class TestCompiledPencil:
         const = [(0, 0, 1), (1, 1, 1)]
         p = MatrixPencil(2, const, [("x", const)])
         const[0] = (0, 0, 5)
-        assert p.const[0, 0] == 1 and p.terms[0][1][0, 0] == 1 and p.entries[0][0] == (0, 0, 1)
+        assert p.entries[0] == p.terms[0][1] == ((0, 0, 1), (1, 1, 1))
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, 10**400, Fraction(10**400, 3)])
     def test_non_finite_entries_are_refused(self, bad):
@@ -846,6 +935,40 @@ class TestCompiledPencil:
         with pytest.raises(ValueError, match=r"pencil constant repeats entry \((0, 1|1, 1)\)"):
             MatrixPencil(2, triples, [])
 
+    def test_repeated_term_names_are_refused(self):
+        # as one term ("x", (0, 1)) the pencil is not PSD at x = 1; as two it is
+        with pytest.raises(ValueError, match="pencil repeats term 'x'"):
+            MatrixPencil(2, [(0, 0, 1)], [("x", [(1, 1, 1)]), ("x", [(0, 1, 1)])])
+        obj = json.loads(export_json(stable_set_k2_model()))
+        obj["pencils"][0]["terms"].append(["x[0]", [[2, 2, 1]]])
+        with pytest.raises(ParseError, match="pencil repeats term 'x\\[0\\]'"):
+            import_json(json.dumps(obj))
+        # CBF names a term by its variable: two terms of one cone under one
+        # name are two variables of one name, and are not merged
+        text = export_cbf(stable_set_k2_model())
+        assert "\n0 0 1 0 1\n0 0 1 1 1\n0 1 2 0 1\n0 1 2 2 1\n" in text  # cone 0, variables 0 and 1
+        with pytest.raises(ParseError, match="duplicate variable names"):
+            import_cbf(text.replace("names: x[0] x[1]", "names: x[0] x[0]"))
+
+    @pytest.mark.parametrize("fmt", ["cbf", "json"])
+    def test_both_readers_bound_the_dense_entries(self, fmt):
+        # a sparse file does not pay for its order, but evaluate and the exact
+        # PSD test build order^2 entries per matrix, 2^24 in all at most
+        export, load = (export_cbf, import_cbf) if fmt == "cbf" else (export_json, import_json)
+
+        def model(order):
+            return MisdpModel([("x", VarDomain.binary())], Objective("min", {"x": 1}),
+                              pencils=[MatrixPencil(order, [(0, 0, 1)], [("x", [(1, 1, 1)])])])
+
+        assert load(export(model(2896))) == model(2896)  # 2 * 2896^2 <= 2^24
+        with pytest.raises(ParseError, match=f"pencils need {2 * 2897**2} dense entries, more than {2**24}"):
+            load(export(model(2897)))
+        old, new = ('"order":2', '"order":1000000') if fmt == "json" else ("PSDCON\n1\n2\n", "PSDCON\n1\n1000000\n")
+        text = export(model(2))
+        assert text.count(old) == 1
+        with pytest.raises(ParseError, match="pencils need 2000000000000 dense entries"):
+            load(text.replace(old, new))
+
     def test_import_cbf_refuses_a_repeated_coordinate(self):
         # (0, 1) of x[0] twice: once as written, once mirrored
         text = export_cbf(stable_set_k2_model())
@@ -856,7 +979,7 @@ class TestCompiledPencil:
     @pytest.mark.parametrize("token", ["Infinity", "-Infinity", "NaN", "1e400"])
     def test_import_json_refuses_non_finite_pencil_entries(self, token):
         text = export_json(stable_set_k2_model())
-        bad = text.replace('"const":[[1.0,', f'"const":[[{token},', 1)
+        bad = text.replace('"const":[[0,0,1]]', f'"const":[[0,0,{token}]]', 1)
         assert bad != text
         with pytest.raises(ParseError, match="is not a finite number"):
             import_json(bad)
@@ -873,8 +996,8 @@ class TestExportBytes:
         )
 
     def test_json(self):
-        # the compact qcqp row sums its int data in ints: -1, 2 where -1.0, 2.0 were
+        # version 2: each pencil is its exact sparse entries, not dense float matrices
         text = "".join(_builder_texts())
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "c180d4cbe70405eda9b6296453a7a70ac871524295b6cdf367d899b20e0ff43e"
+            "dec881e2db052285b84a69689af0a83999ef23bc1f5941082f2a176cd278f6e3"
         )

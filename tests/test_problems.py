@@ -138,11 +138,14 @@ class TestStableSet:
         a, b = build_stable_set(Graph.cycle(5)), build_stable_set(Graph.complete(5))
         assert a.rows != b.rows and a.pencils[0] is b.pencils[0]
         assert build_stable_set(Graph.cycle(4)).pencils[0] is not a.pencils[0]
+        # read-only: the entries are nested tuples, and an evaluate result is a fresh array
         pencil = a.pencils[0]
-        for mat in (pencil.const, *(m for _, m in pencil.terms)):
-            assert not mat.flags.writeable
-            with pytest.raises(ValueError):
-                mat[0, 0] = 2.0
+        assert type(pencil.entries) is tuple and all(type(t) is tuple for e in pencil.entries for t in (e, *e))
+        values = {name: 1 for name, _ in pencil.terms}
+        first = pencil.evaluate(values)
+        again = first.copy()
+        first[0, 0] = 2.0
+        assert np.array_equal(pencil.evaluate(values), again)
 
 
 class TestMkcs:
@@ -359,7 +362,7 @@ class TestTsp:
         (pencil,) = m.pencils
         alpha = 2.0 * (1.0 - math.cos(2.0 * math.pi / 6))
         const = [(r, c, x if r == c else alpha) for r, c, x in pencil.entries[0]]
-        floats = MatrixPencil(6, const, [(name, e) for (name, _), e in zip(pencil.terms, pencil.entries[1:])])
+        floats = MatrixPencil(6, const, pencil.terms)
         assert alpha != 1 and not floats.integral
         opt, res = solve(m)
         float_opt, float_res = solve(dataclasses.replace(m, pencils=[floats]))
