@@ -3,10 +3,13 @@
 This is the one eigensolver of the package: every eigenvalue and
 eigenvector, and every float PSD test and numerical rank (`linalg.is_psd`,
 `linalg.num_rank`), goes through `jacobi_eigh`, in plain Python over a
-float64 array.  Integer data takes the exact kernels instead: the pencils of
-`model` (`MatrixPencil.is_psd_at`) and `misdpkit check` on an integer matrix
-call `linalg.is_psd_exact` and `linalg.rank_exact`, which use no
-eigensolver.  The convergence threshold and sweep budget of `jacobi_eigh`
+float64 array.  Exact data takes the exact kernels instead: the pencils of
+`model` whose entries are ints or, as in the tour models, elements of
+Z[2cos(2pi/n)] (`MatrixPencil.is_psd_at`), and `misdpkit check` on an
+integer matrix, call `linalg.is_psd_exact` and `linalg.rank_exact`, which
+use no eigensolver.  In the verification suites the kernel runs only for
+the float pencils of `completion-2x2` (its nuclear hint) and for the
+`qbpp-random` corner scalars.  The convergence threshold and sweep budget of `jacobi_eigh`
 are the constants below.
 """
 

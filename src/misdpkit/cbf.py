@@ -7,11 +7,12 @@ domain list, the count of synthesized bound rows and the model metadata are
 carried in '#' comment lines; import_cbf reads them back exactly and falls
 back to a generic reading on foreign files.  Integers are written as decimal
 integers, and the integer tokens of the objective and row sections
-(OBJACOORD, OBJBCOORD, ACOORD, BCOORD) are read back as ints, of any size.
-Every other number is written as a 17-digit float, so Fraction data does not
-come back exactly, and the PSD sections (HCOORD, DCOORD) are read as finite
-floats, whose coordinates go to each pencil as they are; a coordinate given
-twice, in either triangle, is refused.  A finite-set domain with gaps has no
+(OBJACOORD, OBJBCOORD, ACOORD, BCOORD) and the PSD sections (HCOORD,
+DCOORD) are read back as ints, of any size.  Every other number is written
+as a 17-digit float, so Fraction data and pencil entries in Z[2cos(2pi/n)]
+do not come back exactly; the coordinates of the PSD sections go to each
+pencil as they are, and a coordinate given twice, in either triangle, is
+refused.  A finite-set domain with gaps has no
 such row encoding, so export_cbf refuses it.  import_cbf raises only
 ParseError, with the line number, on malformed or out-of-range input.
 """
@@ -252,6 +253,12 @@ def _scalar(s):
     return _integer(s) if _DIGITS.fullmatch(s) else _real(s)
 
 
+def _pencil_number(s):
+    """A pencil number: `_scalar`, but within the float range, as a pencil's entries are."""
+    v = _real(s)
+    return int(s) if _DIGITS.fullmatch(s) else v
+
+
 class _Reader:
     def __init__(self, text):
         self.lines = text.splitlines()
@@ -397,13 +404,13 @@ def import_cbf(text: str) -> MisdpModel:
                 bcoord.append(rd.fields("BCOORD entry", range(n_rows), _scalar))
         elif tok == "HCOORD":
             for _ in range(rd.count("HCOORD count")):
-                p, j, r, c, v = rd.fields("HCOORD entry", range(n_psd), range(nv), _COUNT, _COUNT, _real)
+                p, j, r, c, v = rd.fields("HCOORD entry", range(n_psd), range(nv), _COUNT, _COUNT, _pencil_number)
                 if max(r, c) >= psd_dims[p]:
                     rd.error(f"HCOORD entry ({r}, {c}) outside PSD cone {p} of order {psd_dims[p]}")
                 hcoord.append((p, j, r, c, v))
         elif tok == "DCOORD":
             for _ in range(rd.count("DCOORD count")):
-                p, r, c, v = rd.fields("DCOORD entry", range(n_psd), _COUNT, _COUNT, _real)
+                p, r, c, v = rd.fields("DCOORD entry", range(n_psd), _COUNT, _COUNT, _pencil_number)
                 if max(r, c) >= psd_dims[p]:
                     rd.error(f"DCOORD entry ({r}, {c}) outside PSD cone {p} of order {psd_dims[p]}")
                 dcoord.append((p, r, c, v))

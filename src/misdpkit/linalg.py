@@ -206,6 +206,9 @@ def eliminate(rows, width):
 def is_psd_exact(rows):
     """Exact PSD test of a symmetric integer matrix, given as a square list of
     Python-int lists; only the upper triangle is read, and `rows` is consumed.
+    The entries may also lie in another ordered ring whose `//` is exact
+    division, as `cosring.CosInt` does for Z[2cos(2pi/n)], since the
+    elimination is fraction-free.
 
     Symmetric elimination with diagonal pivots: a negative pivot rejects, and
     so does a zero pivot whose remaining row has a nonzero entry; a zero pivot

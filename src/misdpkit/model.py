@@ -5,11 +5,12 @@ constraints and affine PSD constraints (matrix pencils).  Matrix variables
 are flattened by the builders to scalar entries of the upper triangle, so
 integrality markers stay per-entry and the IR remains solver-agnostic.
 
-Coefficients may be int, Fraction or float.  Evaluation against an
-assignment is arithmetic-exact whenever every participating number is exact
-(int/Fraction).  So is a pencil's PSD test when the pencil is `integral`
-and the term values are int/Fraction; any other pencil goes through the
-float eigensolver.
+Coefficients may be int, Fraction or float, and a pencil entry may also be
+an algebraic integer of Z[2cos(2pi/n)] (`cosring.CosInt`).  Evaluation
+against an assignment is arithmetic-exact whenever every participating
+number is exact (int/Fraction).  So is a pencil's PSD test when every entry
+of the pencil is an int or a CosInt (`exact`) and the term values are
+int/Fraction; any other pencil goes through the float eigensolver.
 """
 
 import json
@@ -22,6 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import config
+from .cosring import CosInt, cosint, degree
 from .errors import IncompleteAssignment, ParseError, UnsupportedDomain, json_reader, loads_json
 from .linalg import is_psd, is_psd_exact
 
@@ -153,7 +155,9 @@ class LinRow:
 
 def _entry(x, what):
     """A pencil entry as `entries` keeps it: an int when integral, else the
-    Fraction or float given."""
+    Fraction, float or CosInt given."""
+    if type(x) is CosInt:
+        return x
     if isinstance(x, numbers.Integral):
         x = int(x)
     elif isinstance(x, Fraction):
@@ -201,11 +205,12 @@ class MatrixPencil:
     `(name, triples)` term as (r, c, value) triples of matrix entries, in
     either triangle.  A pencil is its exact `entries`: per matrix, the nonzero
     upper-triangle triples in row-major order, an integral value as an int and
-    any other as the Fraction or float given.  `terms` pairs each name with
-    its matrix's triples (`entries[1:]`), and `integral` is whether every
-    value is an int.  A triple out of range, a coordinate given twice (also as
-    (r, c) and (c, r)), a term name given twice or a value that is not a
-    finite real raises ValueError naming it.  `evaluate` sums the entries in
+    any other as the Fraction, float or CosInt given.  `terms` pairs each name
+    with its matrix's triples (`entries[1:]`), `integral` is whether every
+    value is an int, and `exact` whether every value is an int or a CosInt.
+    A triple out of range, a coordinate given twice (also as (r, c) and
+    (c, r)), a term name given twice or a value that is not a finite real or
+    a CosInt raises ValueError naming it.  `evaluate` sums the entries in
     floats; `__eq__` compares the entries, so a Fraction and its nearest float
     differ.
 
@@ -220,7 +225,7 @@ class MatrixPencil:
     must never be mutated.
     """
 
-    __slots__ = ("order", "terms", "entries", "integral", "_psd", "_blocks", "_families")
+    __slots__ = ("order", "terms", "entries", "integral", "exact", "_psd", "_blocks", "_families")
 
     def __init__(self, order, const, terms):
         const, named = _upper_triples(order, const, "constant"), {}
@@ -232,6 +237,7 @@ class MatrixPencil:
         self.terms = tuple(named.items())
         self.entries = (const, *named.values())
         self.integral = all(type(x) is int for triples in self.entries for _, _, x in triples)
+        self.exact = self.integral or all(type(x) in (int, CosInt) for triples in self.entries for _, _, x in triples)
         self._psd = self._blocks = self._families = None
 
     def evaluate(self, values: dict) -> np.ndarray:
@@ -249,9 +255,10 @@ class MatrixPencil:
         """Whether the pencil is PSD at `values`.
 
         Exact when every term value is int/Fraction and the pencil is
-        `integral`: the pencil, scaled by the (positive) lcm of the value
-        denominators, goes to `is_psd_exact`, unless a memo already holds
-        that scaled point.  Otherwise `is_psd` of `evaluate(values)`.
+        `exact`: the pencil, scaled by the (positive) lcm of the value
+        denominators, goes to `is_psd_exact`, over Z[2cos(2pi/n)] when it
+        holds CosInt entries, unless a memo already holds that scaled point.
+        Otherwise `is_psd` of `evaluate(values)`.
         """
         vals = [values[name] for name, _ in self.terms]
         den = 1
@@ -260,7 +267,7 @@ class MatrixPencil:
                 if not _exact(v):
                     return is_psd(self.evaluate(values))
                 den = math.lcm(den, v.denominator)
-        if not self.integral:
+        if not self.exact:
             return is_psd(self.evaluate(values))
         if den != 1:
             vals = [v and int(v * den) for v in vals]
@@ -370,7 +377,8 @@ def validate(model: MisdpModel):
 
 def psd_exact_sum(order, values, entries):
     """`is_psd_exact` of sum_t values[t] * M_t, each M_t of the given order
-    given by its upper-triangle (r, c, int) triples; the values are integral."""
+    given by its upper-triangle (r, c, x) triples, x an int or a CosInt; the
+    values are integral."""
     a = [[0] * order for _ in range(order)]
     for v, triples in zip(values, entries):
         if v:
@@ -441,7 +449,8 @@ def eval_point(model: MisdpModel, assignment: dict) -> EvalResult:
 
 # ---------------------------------------------------------------------------
 # JSON serialization (byte-stable).  A pencil is its exact entries, as CBF
-# writes them: {"order": n, "const": [[r, c, v], ...], "terms": [[name, [[r, c, v], ...]], ...]}
+# writes them: {"order": n, "const": [[r, c, v], ...], "terms": [[name, [[r, c, v], ...]], ...]},
+# with a CosInt v as {"ring": n, "coeffs": [c_0, ..., c_(d-1)]}
 # ---------------------------------------------------------------------------
 
 # dense entries, sum of order^2 * (1 + terms), that a read model's pencils may
@@ -458,6 +467,8 @@ def check_dense_entries(pencils):
 
 
 def _enc_num(v):
+    if type(v) is CosInt:
+        return {"ring": v.n, "coeffs": list(v.coeffs)}
     if isinstance(v, Fraction):
         return f"{v.numerator}/{v.denominator}"
     if isinstance(v, np.integer):  # json writes a float64 as the float it is
@@ -505,8 +516,29 @@ def _enc_triples(triples):
     return [[r, c, _enc_num(x)] for r, c, x in triples]
 
 
-def _dec_triples(triples):
-    return [(r, c, _dec_num(x)) for r, c, x in triples]
+# the largest n of a ring entry read: the ring's tables take O(phi(n)^2) ints
+_MAX_RING = 1024
+
+
+def _dec_entry(x, where):
+    """A pencil entry: a number, or a ring entry {"ring": n, "coeffs": [...]}
+    that has an alpha part, phi(n)/2 ints and n in 3.._MAX_RING with phi(n) > 2."""
+    if not isinstance(x, dict):
+        return _dec_num(x)
+    n, coeffs = x.get("ring"), x.get("coeffs")
+    if sorted(x) != ["coeffs", "ring"] or type(n) is not int or not 3 <= n <= _MAX_RING:
+        raise ParseError(f"{where}: ring entry {x!r} needs just an integer ring n in 3..{_MAX_RING} and coeffs")
+    if degree(n) == 1:
+        raise ParseError(f"{where}: 2cos(2pi/{n}) is an integer, so ring entry {x!r} must be written as an int")
+    if type(coeffs) is not list or len(coeffs) != degree(n) or any(type(c) is not int for c in coeffs):
+        raise ParseError(f"{where}: ring entry {x!r} needs {degree(n)} integer coefficients")
+    if not any(coeffs[1:]):
+        raise ParseError(f"{where}: ring entry {x!r} has no alpha part, so must be written as an int")
+    return cosint(n, coeffs)
+
+
+def _dec_triples(triples, where):
+    return [(r, c, _dec_entry(x, where)) for r, c, x in triples]
 
 
 def export_json(model: MisdpModel) -> str:
@@ -568,11 +600,11 @@ def _model_from_json(obj):
         for r in obj["rows"]
     ]
     pencils = []
-    for p in obj["pencils"]:
+    for k, p in enumerate(obj["pencils"]):
         if type(p["order"]) is not int or p["order"] < 0:
             raise ParseError(f"pencil order must be a nonnegative integer, got {p['order']!r}")
-        pencils.append(MatrixPencil(p["order"], _dec_triples(p["const"]),
-                                    [(n, _dec_triples(t)) for n, t in p["terms"]]))
+        pencils.append(MatrixPencil(p["order"], _dec_triples(p["const"], f"pencil {k} constant"),
+                                    [(n, _dec_triples(t, f"pencil {k} term {n!r}")) for n, t in p["terms"]]))
     check_dense_entries(pencils)
     metadata = obj.get("metadata", {})
     if not isinstance(metadata, dict):

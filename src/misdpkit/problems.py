@@ -28,6 +28,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import cosring
 from .errors import (
     DimensionMismatch,
     EvenOrder,
@@ -529,9 +530,10 @@ def build_tsp_cvetkovic(d) -> MisdpModel:
             LinRow(tuple((_pair_var("X", i, j), 1) for j in range(n) if j != i), "==", 2,
                    label="degree")
         )
-    # 2cos(2pi/n) is rational only for n = 3, 4 and 6 (Niven), where alpha is an integer
-    alpha = {3: 3, 4: 2, 6: 1}.get(n) or 2.0 * (1.0 - math.cos(2.0 * math.pi / n))
-    const = [(i, j, 2 if i == j else alpha) for i in range(n) for j in range(i, n)]
+    # 2 - 2cos(2pi/n), exactly: an int at n = 3, 4 and 6, where 2cos(2pi/n) is
+    # rational (Niven), else an element of Z[2cos(2pi/n)], which is_psd_at decides exactly
+    gap = 2 - cosring.alpha(n)
+    const = [(i, j, 2 if i == j else gap) for i in range(n) for j in range(i, n)]
     terms = [(mname("X", i, j), [(i, j, -1)]) for i in range(n) for j in range(i + 1, n)]
     return MisdpModel(
         variables,
@@ -546,7 +548,9 @@ def build_tsp_lee(d) -> MisdpModel:
     """Tour model over the distance-matrix variables of a cycle (odd n only).
 
     X_1 is binary; the higher distance classes stay continuous and are
-    completed by the cycle recurrence during verification.  Degree rows on
+    completed by the cycle recurrence during verification.  Pencil l is
+    2I + sum_t 2cos(2pi tl/n) X_t, twice the paper's, so that its entries lie
+    in Z[2cos(2pi/n)] and are decided exactly.  Degree rows on
     X_1 are attached as pruning-only valid cuts: every integer-feasible X_1
     is a tour adjacency, so they cut no feasible point.
     """
@@ -570,15 +574,20 @@ def build_tsp_lee(d) -> MisdpModel:
             rows.append(
                 LinRow(tuple((mname(base, i, j), 1) for base in names), "==", 1, label="cover")
             )
+    # alphas[k] = 2cos(2pi k/n) in Z[alpha], alpha = alphas[1], by
+    # alpha_(k+1) = alpha alpha_k - alpha_(k-1) from alpha_0 = 2
+    alphas = [2, cosring.alpha(n)]
+    while len(alphas) <= r * r:
+        alphas.append(alphas[1] * alphas[-1] - alphas[-2])
     pencils = []
     for lmi in range(1, r + 1):
         terms = []
         for t in range(1, r + 1):
-            coef = math.cos(2.0 * math.pi * t * lmi / n)
+            coef = alphas[t * lmi]
             for i in range(n):
                 for j in range(i + 1, n):
                     terms.append((mname(names[t - 1], i, j), [(i, j, coef)]))
-        pencils.append(shared_pencil(n, [(i, i, 1) for i in range(n)], terms))
+        pencils.append(shared_pencil(n, [(i, i, 2) for i in range(n)], terms))
     cuts = [
         {
             "coeffs": [[_pair_var("X1", i, j), 1] for j in range(n) if j != i],

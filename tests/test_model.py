@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from misdpkit import config
 from misdpkit import model as model_module
 from misdpkit.cbf import export_cbf, import_cbf
+from misdpkit.cosring import CosInt
 from misdpkit.errors import IncompleteAssignment, ParseError, UnsupportedDomain, loads_json
 from misdpkit.formulations import bordered_pencil, shared_pencil
 from misdpkit.linalg import SymMat, dumps_matrix, is_psd, loads_matrix
@@ -29,6 +30,7 @@ from misdpkit.model import (
     psd_exact_sum,
     validate,
 )
+from misdpkit.problems import build_tsp_cvetkovic, build_tsp_lee
 from test_verify import _one_model_per_builder, _pencil
 
 
@@ -448,6 +450,46 @@ class TestJsonRoundTrip:
         with pytest.raises(ParseError, match=r"term 'X\[0,1\]' has coordinate \((True, 2|1, True)\), not two integers"):
             import_json(text)
 
+    def test_ring_entries_are_written_exactly(self):
+        # 2 - alpha off the diagonal, alpha = 2cos(2pi/5)
+        m = build_tsp_cvetkovic(np.ones((5, 5), dtype=int) - np.eye(5, dtype=int))
+        text = export_json(m)
+        assert '"const":[[0,0,2],[0,1,{"coeffs":[2,-1],"ring":5}],' in text
+        assert import_json(text) == m and export_json(import_json(text)) == text
+        # the Cvetkovic and Lee texts that the mutation property edits hold ring entries
+        assert sum('"ring":5' in t for t in _builder_texts()) == 2
+
+    @pytest.mark.parametrize("entry,message", [
+        ({"ring": 5, "coeffs": [2, -1, 0]}, "needs 2 integer coefficients"),
+        ({"ring": 7, "coeffs": [2, -1]}, "needs 3 integer coefficients"),
+        ({"ring": 5, "coeffs": [2, -1.0]}, "needs 2 integer coefficients"),
+        ({"ring": 5, "coeffs": [2, True]}, "needs 2 integer coefficients"),
+        ({"ring": 5, "coeffs": [2, "-1"]}, "needs 2 integer coefficients"),
+        ({"ring": 5, "coeffs": 2}, "needs 2 integer coefficients"),
+        ({"ring": 6, "coeffs": [1]}, "2cos\\(2pi/6\\) is an integer, so ring entry .* must be written as an int"),
+        ({"ring": 4, "coeffs": [0]}, "2cos\\(2pi/4\\) is an integer"),
+        ({"ring": 5, "coeffs": [3, 0]}, "has no alpha part, so must be written as an int"),
+        ({"ring": True, "coeffs": [2, -1]}, "needs just an integer ring n in 3..1024 and coeffs"),
+        ({"ring": 2, "coeffs": [2]}, "needs just an integer ring n in 3..1024"),
+        ({"ring": 1025, "coeffs": [0, 1]}, "needs just an integer ring n in 3..1024"),
+        ({"ring": 5.0, "coeffs": [2, -1]}, "needs just an integer ring n"),
+        ({"coeffs": [2, -1]}, "needs just an integer ring n"),
+        ({"ring": 5, "coeffs": [2, -1], "scale": 2}, "needs just an integer ring n"),
+    ])
+    def test_malformed_ring_entries_name_the_pencil(self, entry, message):
+        m = build_tsp_cvetkovic(np.ones((5, 5), dtype=int) - np.eye(5, dtype=int))
+        obj = json.loads(export_json(m))
+        assert obj["pencils"][0]["const"][1] == [0, 1, {"ring": 5, "coeffs": [2, -1]}]
+        obj["pencils"][0]["const"][1][2] = entry
+        with pytest.raises(ParseError, match="^pencil 0 constant: .*" + message):
+            import_json(json.dumps(obj))
+        # a Lee pencil's ring entries sit in its terms
+        obj = json.loads(export_json(build_tsp_lee(np.ones((5, 5), dtype=int) - np.eye(5, dtype=int))))
+        name, triples = obj["pencils"][1]["terms"][0]
+        triples[0][2] = entry
+        with pytest.raises(ParseError, match=f"^pencil 1 term {re.escape(repr(name))}: .*" + message):
+            import_json(json.dumps(obj))
+
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_mutated_text_parses_or_raises_parse_error(self, data):
@@ -559,6 +601,16 @@ class TestCbfRoundTrip:
         back = import_cbf(text)
         assert back == m and export_cbf(back) == text
         assert type(back.objective.constant) is int and type(back.rows[0].rhs) is int
+
+    def test_pencil_integers_round_trip_exactly(self):
+        # read as a float, -(2^53 + 1) became -2^53, which is PSD at x = 2^53
+        m = MisdpModel([("x", VarDomain.continuous())], Objective("min", {"x": 1}),
+                       pencils=[MatrixPencil(1, [(0, 0, -(2**53 + 1))], [("x", [(0, 0, 1)])])])
+        back = import_cbf(export_cbf(m))
+        assert back == m and type(back.pencils[0].entries[0][0][2]) is int
+        for model in (m, back):
+            assert not model.pencils[0].is_psd_at({"x": 2**53})
+            assert model.pencils[0].is_psd_at({"x": 2**53 + 1})
 
     @pytest.mark.parametrize("new", ["\n1 -" + "9" * 5001 + "\n2 -1\n", "\n" + "9" * 5001 + " -1\n2 -1\n"],
                              ids=["coefficient", "index"])
@@ -748,8 +800,8 @@ _INSTANCES = {
                                 draw(st.lists(_SMALL, min_size=3, max_size=3)), _sym(draw, 3)),
     "build_qap": _qap,
     "build_tsp_qap": lambda draw: _tour_distances(draw, 3),
-    "build_tsp_cvetkovic": lambda draw: _tour_distances(draw, draw(st.integers(3, 5))),
-    "build_tsp_lee": lambda draw: _tour_distances(draw, 5),
+    "build_tsp_cvetkovic": lambda draw: _tour_distances(draw, draw(st.integers(3, 7))),
+    "build_tsp_lee": lambda draw: _tour_distances(draw, draw(st.sampled_from([5, 7]))),
     "build_gpp": lambda draw: (_gpp(draw), draw(st.sampled_from(["general", "equipartition", "bisection", "orthogonal"]))),
     "build_kep_assoc": lambda draw: (_gpp(draw), draw(st.booleans())),
     "build_matrix_completion": _completion,
@@ -856,8 +908,10 @@ class TestCompiledPencil:
                 for triple in entries:
                     r, c, x = triple
                     assert type(triple) is tuple and r <= c and x != 0
-                    assert type(x) is int or (type(x) in (float, Fraction) and x != int(x))
+                    assert type(x) is int or (type(x) in (float, Fraction) and x != int(x)) or (
+                        type(x) is CosInt and any(x.coeffs[1:]))
             assert p.integral == all(type(x) is int for entries in p.entries for _, _, x in entries)
+            assert p.exact == all(type(x) in (int, CosInt) for entries in p.entries for _, _, x in entries)
             values = {name: data.draw(_VALUES) for name, _ in p.terms}
             first = p.evaluate(values)
             assert _same_bits(first, _dense_sum(p, values))
@@ -990,14 +1044,16 @@ class TestExportBytes:
     self-consistency alone would not see them change."""
 
     def test_cbf(self):
+        # the Lee pencils are written scaled by 2, as 2I + sum_t 2cos(2pi tl/n) X_t
         text = "".join(_builder_cbf_texts())
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "a0d8a23bc7dc01cc19f012f4ee2e0b2779e6f3dd91b3f7819550f446635ad19e"
+            "82f614bc9e7e69a06e9e0475235f71c33eca8a23e54ee72f412754a66bdfc630"
         )
 
     def test_json(self):
-        # version 2: each pencil is its exact sparse entries, not dense float matrices
+        # version 2: each pencil is its exact sparse entries, not dense float
+        # matrices, and the tour pencils' entries in Z[2cos(2pi/5)] are ring entries
         text = "".join(_builder_texts())
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "dec881e2db052285b84a69689af0a83999ef23bc1f5941082f2a176cd278f6e3"
+            "11d08d2aeee7a477977b96ba321f974f5ae4110917256f6f7517dff23c01172b"
         )

@@ -356,7 +356,8 @@ class TestTsp:
         # float is 0.9999999999999998, and that pencil decides the same tours
         for n in (3, 4, 6):
             assert build_tsp_cvetkovic(metric(n)).pencils[0].integral
-        assert not build_tsp_cvetkovic(metric(5)).pencils[0].integral
+        five = build_tsp_cvetkovic(metric(5)).pencils[0]
+        assert five.exact and not five.integral  # 2 - 2cos(2pi/5) lies in Z[2cos(2pi/5)]
         d = np.ones((6, 6), dtype=int) - np.eye(6, dtype=int)
         m = build_tsp_cvetkovic(d)
         (pencil,) = m.pencils

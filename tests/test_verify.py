@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from misdpkit import config, formulations
+from misdpkit import _kernels, config, formulations, linalg
 from misdpkit import model as model_module
 from misdpkit import verify
 from misdpkit.errors import BudgetExceeded, UnsupportedContinuousPattern
@@ -576,6 +576,22 @@ class TestLeafCheck:
             calls.clear()
             assert equivalence_suite(name).passed
             assert 0 < len(calls) <= most
+
+    def test_jacobi_runs_only_in_the_float_suites(self, monkeypatch):
+        # the tour pencils are decided in Z[2cos(2pi/n)] (tsp-small made 360
+        # Jacobi calls when they held floats); what is left at seed 0 is the
+        # completion-2x2 nuclear hint and the qbpp-random corners
+        calls, current = {}, {}
+
+        def counting(*args):
+            calls[current["suite"]] = calls.get(current["suite"], 0) + 1
+            return _kernels.jacobi_eigh(*args)
+
+        monkeypatch.setattr(linalg, "jacobi_eigh", counting)
+        for name in SUITES:
+            current["suite"] = name
+            assert equivalence_suite(name).passed
+        assert calls == {"completion-2x2": 162, "qbpp-random": 61}  # 223 in all
 
 
 def _reference_walk(model):
