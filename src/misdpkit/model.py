@@ -221,8 +221,11 @@ class MatrixPencil:
     plan parts that `verify` shares among the models of one family
     (`_families`, None otherwise).  There the exact
     route of `is_psd_at` keeps its decisions by scaled integer values, at most
-    `_PSD_MEMO_CAP` per pencil; the float route keeps none.  A shared pencil
-    must never be mutated.
+    `_PSD_MEMO_CAP` per pencil; the float route keeps none.  Each family in
+    `_families` also keeps, per integer assignment of its search, the
+    verdict of every `exact` pencil that reads only integer variables and
+    lift-stage targets, so a leaf that the family met before asks no
+    pencil.  A shared pencil must never be mutated.
     """
 
     __slots__ = ("order", "terms", "entries", "integral", "exact", "_psd", "_blocks", "_families")

@@ -11,7 +11,10 @@ checks, the hint stages and the lifted targets) is built once per family of
 models and kept, bounded, by the model's first shared pencil, so the 1,024
 models of `stable-set-n5` share one.  Each row is compiled once per content
 within a family, into the int test the forward checker reads and the form
-the leaf check reads; so is the closure of a family's equality rows.
+the leaf check reads; so is the closure of a family's equality rows.  A
+family also keeps, per integer assignment, what it alone fixes at a leaf:
+the lift-stage values, whether they meet their bounds, and the verdicts of
+the exact pencils that read nothing else (`_Family.leaves`).
 
 Each linear row is decided once, by one owner.  The forward checker decides
 a row with int/Fraction data over integer variables (their values are ints)
@@ -49,7 +52,9 @@ Each leaf resolves continuous variables in this order:
 The completed point is then tested by `_LeafCheck`, compiled once per call,
 minus the bounds the closure decided and the rows that the checker or the
 closure decided.  It stops at the first violation, in the order domains,
-rows, pencils, and sums an objective of int/Fraction data in ints.
+rows, pencils, and sums an objective of int/Fraction data in ints.  At a
+search leaf it reads the family's entry for the bounds of the lifted
+targets and for a kept pencil whose verdict some leaf already asked.
 `eval_point` stays the slow reference that reports every violation; the two
 agree on feasibility, objective and residual on every point the search
 reaches.  The optimum keeps the type it has with every closure value a
@@ -76,6 +81,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import config, dpsd
+from .cosring import CosInt
 from .errors import BudgetExceeded, UnsupportedContinuousPattern
 from .formulations import QcqpInstance, Qmp1Instance, Qmp2Instance, build_bsdp_qcqp, mname, pynum
 from .linalg import eigensym, eliminate
@@ -184,7 +190,8 @@ class _ForwardChecker:
 
 
 def _gram_entry(left, right, assign):
-    return sum(assign[a] * assign[b] for a, b in zip(left, right))
+    get = assign.__getitem__
+    return sum(map(operator.mul, map(get, left), map(get, right)))
 
 
 def _apply_gram(hint, model, assign):
@@ -486,22 +493,44 @@ class _LeafCheck:
     raise max_residual.  `rows` and `bounds`, when given, are the model's
     rows as `_leaf_row` compiles them and its variables' `_bounds`.  An
     objective of int/Fraction data is summed
-    in ints at a point whose objective variables are all ints; any other
-    point takes `Objective.value`.
+    in ints at a point whose objective variables are all ints (an integer
+    variable's value is drawn from its domain, so only the continuous ones
+    are looked at); any other point takes `Objective.value`.
+
+    Given the model's `family`, a call may also pass the family's `leaf`
+    entry for the point's integer part (the point then holds the entry's
+    lift values).  The entry's bounds verdict then stands for the bounds of
+    the lift-stage targets, and its verdicts for the family's kept pencils:
+    a verdict not yet asked is decided here, at its pencil's turn, and
+    written into the entry for the next model of the family.  The model's
+    own rows, the other bounds and pencils and the objective are decided on
+    every call.
     """
 
-    def __init__(self, model, determined=frozenset(), proven=frozenset(), rows=None, bounds=None):
+    def __init__(self, model, determined=frozenset(), proven=frozenset(), rows=None, bounds=None, family=None):
         self.tol = config.DEFAULT.lin_feas
         bounds = _bounds(model.variables) if bounds is None else bounds
         self.bounds = [b for b in bounds if b[0] not in determined]
+        lifted = family.lift_names if family else ()
+        self.own_bounds = [b for b in self.bounds if b[0] not in lifted]
         rows = map(_leaf_row, model.rows) if rows is None else rows
         self.rows = [leaf for row, leaf in zip(model.rows, rows) if id(row) not in proven]
-        self.pencils = model.pencils
+        kept = family.kept_pencils if family else {}
+        self.pencils = [(pencil, kept.get(k)) for k, pencil in enumerate(model.pencils)]
         self.objective = model.objective
         self.linear = _linear_objective(model.objective)
+        # the objective variables whose values may not be ints: integer domains hold ints
+        doms = family.doms if family else dict(model.variables)
+        self.cont_objective = [name for name in model.objective.coeffs if not doms[name].is_integer]
 
-    def __call__(self, assign):
-        for name, lo, hi in self.bounds:
+    def __call__(self, assign, leaf=None):
+        if leaf is None:
+            bounds = self.bounds
+        elif not leaf[1]:
+            return None
+        else:
+            bounds = self.own_bounds
+        for name, lo, hi in bounds:
             v = assign[name]
             if (lo is not None and not v >= lo) or (hi is not None and not v <= hi):
                 return None
@@ -522,15 +551,17 @@ class _LeafCheck:
                 continue
             if gap > 0 if rel == "<=" else gap < 0 if rel == ">=" else gap != 0:
                 return None
-        for pencil in self.pencils:
-            if not pencil.is_psd_at(assign):
+        for pencil, at in self.pencils:
+            if leaf is None or at is None:
+                psd = pencil.is_psd_at(assign)
+            elif (psd := leaf[at]) is None:
+                psd = leaf[at] = pencil.is_psd_at(assign)
+            if not psd:
                 return None
-        if self.linear:
+        if self.linear and (not self.cont_objective or all(type(assign[n]) is int for n in self.cont_objective)):
             names, coefs, const, den, as_fraction = self.linear
-            vals = [assign[n] for n in names]
-            if all(type(v) is int for v in vals):
-                num = sum(map(operator.mul, coefs, vals), const)
-                return Fraction(num, den) if as_fraction else num, max_residual
+            num = sum(map(operator.mul, coefs, map(assign.__getitem__, names)), const)
+            return Fraction(num, den) if as_fraction else num, max_residual
         return self.objective.value(assign), max_residual
 
 
@@ -538,6 +569,8 @@ class _LeafCheck:
 # compiled; a full cache drops its oldest entry
 _FAMILY_CAP = 16
 _ROW_CAP = 512
+# leaves one family keeps; a full store keeps what it holds and adds nothing
+_LEAF_CAP = 4096
 
 
 def _evict(cache, cap):
@@ -574,6 +607,17 @@ class _Family:
     test decides it, `_leaf_row` form); `test` compiles a window on a sum
     over slots.  `_family` shares one family among the models that agree on
     all three, so the models of one shape set it up once.
+
+    It also keeps what it alone fixes at a leaf, in `leaves`: keyed by the
+    tuple of the integer values in search order, at most `_LEAF_CAP`
+    entries, each a short list [the values the lift-stage hints set, in
+    `lift_names` order; whether they meet their variables' bounds; one
+    verdict per pencil in `kept_pencils`, None until a leaf check asks it].
+    A pencil is kept when it is `exact` and reads only integer variables
+    and lift names, so its verdict is the same for every model of the
+    family.  What a model's rows and objective fix stays with the model's
+    `_Plan`: its rows, the closure over its equality rows, its corner
+    scalars, the later hint stages and the objective.
     """
 
     def __init__(self, variables, pencils, hints):
@@ -600,6 +644,7 @@ class _Family:
 
         self.stages = {_LIFT: [], _FORCED: [], _PENDING: []}
         cuts, covered, lifted = [], set(), []  # lifted: (target, depth, value), known from that depth
+        lift_names = {}  # what the lift stage writes, in the order it writes it
         for hint in hints:
             try:
                 rule = _HINT_RULES[hint["rule"]]
@@ -609,6 +654,8 @@ class _Family:
                 ) from None
             if rule.stage is not None:
                 self.stages[rule.stage].append((rule.apply, hint))
+            if rule.stage == _LIFT:
+                lift_names.update((n, None) for n in rule.covers(hint) if n not in pos)
             cuts += rule.valid_cuts(hint)
             for target, inputs, value in rule.lifts(hint):
                 if target not in covered and target not in pos and inputs and all(n in pos for n in inputs):
@@ -626,8 +673,17 @@ class _Family:
         self.rows, self.reduced = {}, {}
         self.cuts = [test for test, _, _ in map(self.row, cuts) if test]
 
+        self.lift_names = tuple(lift_names)
+        known = {*pos, *lift_names}
+        self.lift_bounds = [(self.lift_names.index(name), lo, hi) for name, lo, hi in self.bounds if name in lift_names]
+        kept = [k for k, p in enumerate(pencils) if p.exact and all(n in known for n, _ in p.terms)]
+        self.kept_pencils = {k: at for at, k in enumerate(kept, 2)}  # pencil index -> entry position
+        self.key = operator.itemgetter(*self.int_names) if self.int_names else lambda assignment: ()
+        self.leaves = {}
+
         # corner-scalar candidates: continuous variables on one positive
-        # diagonal entry of a single pencil, as (name, pencil index, entry, value)
+        # diagonal entry of a single pencil, as (name, pencil index, entry,
+        # value as a Fraction, or None on a pencil with CosInt entries)
         appearances = {}
         for k, pencil in enumerate(pencils):
             for name, entries in pencil.terms:
@@ -637,7 +693,26 @@ class _Family:
             if len(apps := appearances.get(name, [])) == 1 and len(apps[0][1]) == 1:
                 k, ((i, c, x),) = apps[0]
                 if i == c and x > 0:
-                    self.corners.append((name, k, i, Fraction(x)))
+                    ring = any(type(v) is CosInt for triples in pencils[k].entries for _, _, v in triples)
+                    self.corners.append((name, k, i, None if ring else Fraction(x)))
+
+    def leaf(self, model, assignment):
+        """The `leaves` entry of an integer assignment (a search node's
+        assignment at full depth), made on a miss by running the lift stage
+        on the integer values alone; past `_LEAF_CAP`, made and not kept."""
+        key = self.key(assignment)
+        entry = self.leaves.get(key)
+        if entry is None:
+            assign = {n: assignment[n] for n in self.int_names}
+            for apply, hint in self.stages[_LIFT]:
+                apply(hint, model, assign)
+            values = tuple(assign[n] for n in self.lift_names)
+            ok = all((lo is None or values[k] >= lo) and (hi is None or values[k] <= hi)
+                     for k, lo, hi in self.lift_bounds)
+            entry = [values, ok, *(None for _ in self.kept_pencils)]
+            if len(self.leaves) < _LEAF_CAP:
+                self.leaves[key] = entry
+        return entry
 
     def row(self, row):
         """(test, decided, leaf) of a linear row, compiled once per content."""
@@ -729,7 +804,9 @@ def _family(model):
 class _Plan:
     """What one solve_by_enumeration call fixes before the search starts:
     its model's `_Family`, and the rows, closure, corners and leaf check
-    that the model's rows and objective fix."""
+    that the model's rows and objective fix.  A corner scalar on a pencil
+    with CosInt entries raises UnsupportedContinuousPattern: its boundary
+    is computed over the rationals."""
 
     def __init__(self, model, budget):
         defects = validate(model)
@@ -738,7 +815,7 @@ class _Plan:
         family = _family(model)
         if family.space > budget:
             raise BudgetExceeded(f"integer space exceeds budget {budget}")
-        self.model = model
+        self.model, self.family = model, family
         self.doms, self.int_names, self.cont_names = family.doms, family.int_names, family.cont_names
         self.node_checks, self.stages = family.node_checks, family.stages
         compiled = [family.row(row) for row in model.rows]
@@ -756,18 +833,28 @@ class _Plan:
         in_rows = {name for row in model.rows for name, _ in row.coeffs} if family.corners else ()
         self.corners = [(name, model.pencils[k], i, a, model.objective.coeffs.get(name, 0))
                         for name, k, i, a in family.corners if name not in in_rows]
+        for name, _, _, a, _ in self.corners:
+            if a is None:
+                raise UnsupportedContinuousPattern(
+                    f"corner scalar {name!r} sits on a pencil with entries in Z[2cos(2pi/n)]"
+                )
         self.check = _LeafCheck(model, {name for name, _ in self.closure.determined},
-                                self.closure.proven | decided, [leaf for _, _, leaf in compiled], family.bounds)
+                                self.closure.proven | decided, [leaf for _, _, leaf in compiled], family.bounds,
+                                family)
 
-    def resolve(self, assignment, fractions=False, searched=False):
+    def resolve(self, assignment, fractions=False, searched=False, leaf=None):
         """The leaf pipeline: complete an integer assignment, None if infeasible.
         With `fractions` every closure value is a Fraction, also an integral one.
         `searched` says the assignment passed every forward-checker test, so
-        the closure skips the windows those tests decided."""
+        the closure skips the windows those tests decided.  `leaf`, the
+        family's entry for the assignment, gives the lift stage's values."""
         model = self.model
         assign = dict(assignment)
-        for apply, hint in self.stages[_LIFT]:
-            apply(hint, model, assign)
+        if leaf is None:
+            for apply, hint in self.stages[_LIFT]:
+                apply(hint, model, assign)
+        else:
+            assign.update(zip(self.family.lift_names, leaf[0]))
         if self.closes and not self.closure.apply(assign, fractions, searched):
             return None
         for apply, hint in self.stages[_FORCED]:
@@ -827,10 +914,12 @@ class _Search:
         del assignment[name]
 
     def leaf(self):
-        assign = self.plan.resolve(self.assignment, searched=True)
+        plan = self.plan
+        leaf = plan.family.leaf(plan.model, self.assignment)
+        assign = plan.resolve(self.assignment, searched=True, leaf=leaf)
         if assign is None:
             return
-        res = self.plan.check(assign)
+        res = plan.check(assign, leaf)
         if res is not None:
             objective, residual = res
             self.offer(objective, assign)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from misdpkit import _kernels, config, formulations, linalg
+from misdpkit import _kernels, config, cosring, formulations, linalg
 from misdpkit import model as model_module
 from misdpkit import verify
 from misdpkit.errors import BudgetExceeded, UnsupportedContinuousPattern
@@ -383,6 +383,22 @@ class TestCornerScalars:
         with pytest.raises(UnsupportedContinuousPattern, match="not priced"):
             _corner([[0, 1], [1, 3]], 0, coef=coef, sense=sense)
 
+    def test_corner_on_a_ring_pencil_is_refused(self):
+        # [[1 + x, a], [a, a t]] with a = 2cos(2pi/5): t sits alone on a
+        # diagonal entry, but its boundary would be an element of Z[a]
+        alpha = cosring.alpha(5)
+        pencil = MatrixPencil(2, [(0, 0, 1), (0, 1, alpha)], [("x", [(0, 0, 1)]), ("t", [(1, 1, alpha)])])
+        m = MisdpModel([("x", VarDomain.binary()), ("t", VarDomain.continuous(0, 10))],
+                       Objective("min", {"t": 1}), pencils=[pencil])
+        for _ in range(2):  # also once the family is kept
+            with pytest.raises(UnsupportedContinuousPattern, match="corner scalar 't'"):
+                solve_by_enumeration(m)
+        # in a row, t is no corner, and the closure sets it: at t = 1/2 the
+        # determinant is a/2 - a^2 < 0 at x = 0 and a - a^2 > 0 at x = 1
+        m.rows = [LinRow((("t", 1),), "==", Fraction(1, 2))]
+        res = solve_by_enumeration(m)
+        assert res.feasible_count == 1 and res.minimizers == [{"x": 1, "t": Fraction(1, 2)}]
+
     def test_corner_path_runs_no_psd_test(self, monkeypatch):
         # qbpp-random seed 0 resolves 61 corners; every PSD test comes from
         # the leaf check, one per leaf that reaches the pencil
@@ -492,21 +508,23 @@ class TestLeafCheck:
         for m in _one_model_per_builder():
             if m.metadata["problem"] == "tsp_qap":
                 continue  # 2 s of order-15 pencils; the random points cover it
-            search = verify._Search(verify._Plan(m, budget=10**9))
+            # the second search reads the verdicts the first wrote into the family's leaf store
+            for _ in range(2):
+                search = verify._Search(verify._Plan(m, budget=10**9))
 
-            def recording(assign, m=m, compiled=search.plan.check):
-                got = compiled(assign)
-                _assert_agrees(m, got, assign)
-                return got
+                def recording(assign, leaf=None, m=m, compiled=search.plan.check):
+                    got = compiled(assign, leaf)
+                    _assert_agrees(m, got, assign)
+                    return got
 
-            search.plan.check = recording
-            search.dfs(0)
-            feasible += search.result().feasible_count
+                search.plan.check = recording
+                search.dfs(0)
+                feasible += search.result().feasible_count
         assert feasible > 0
 
     def test_psd_runs_only_on_domain_and_row_feasible_leaves(self, monkeypatch):
         # counts PSD decisions (is_psd_at calls), which the memos do not change
-        leaf, node, jacobi, leaves = [], [], [], []
+        leaf, node, jacobi, leaves, keys = [], [], [], [], set()
         current = {"at_leaf": False}
         plan_init, leaf_check = verify._Plan.__init__, verify._LeafCheck.__call__
         resolve, is_psd_at = verify._Plan.resolve, MatrixPencil.is_psd_at
@@ -516,18 +534,19 @@ class TestLeafCheck:
             current["order"] = pencil.order
             plan_init(plan, model, budget)
 
-        def resolving(plan, assignment, fractions=False, searched=False):
-            assign = resolve(plan, assignment, fractions, searched)
+        def resolving(plan, assignment, fractions=False, searched=False, leaf=None):
+            assign = resolve(plan, assignment, fractions, searched, leaf)
             if searched:  # a search leaf: is every closure value inside its domain?
                 leaves.append(assign is not None and all(
                     plan.doms[n].contains(assign[n], tol=config.DEFAULT.lin_feas)
                     for n, _ in plan.closure.determined))
+                keys.add((id(plan.family), plan.family.key(assignment)))
             return assign
 
-        def checking(check, assign):
+        def checking(check, assign, leaf=None):
             current["at_leaf"] = True
             try:
-                return leaf_check(check, assign)
+                return leaf_check(check, assign, leaf)
             finally:
                 current["at_leaf"] = False
 
@@ -551,7 +570,9 @@ class TestLeafCheck:
         # so every leaf reaches the pencil
         assert equivalence_suite("sils-small").passed
         assert len(leaves) == 2457 and all(leaves)
-        assert len(leaf) == 2457
+        # the models of one k share a family, which decides its pencil once
+        # per integer assignment (each leaf asked it before the leaf store)
+        assert len(leaf) == len(keys) == 696
         assert all(n == order for n, order, _ in leaf)
         # 222 of the 423 node checks prune, each on a leading block below full
         # order (474 of 675 when the windows waited for the leaf)
@@ -560,6 +581,63 @@ class TestLeafCheck:
         assert all(n < order for n, order, _ in node)
         # integer pencils at int/Fraction points never take the float route
         assert jacobi == []
+
+    @staticmethod
+    def _row_at_the_leaf():
+        # u = a + b is set by the closure, and only the leaf check reads the
+        # float row u + 0.5 a <= rhs; the kept pencil [[b, a], [a, 1]] fails
+        # at (a, b) = (1, 0), which the row rejects first when rhs < 1.5
+        pencil = formulations.shared_pencil(2, [(1, 1, 1)], [("a", [(0, 1, 1)]), ("b", [(0, 0, 1)])])
+        feasible = []
+        for rhs in (1.2, 2.5, 1.2, 0.5):
+            m = MisdpModel([("a", VarDomain.binary()), ("b", VarDomain.binary()), ("u", VarDomain.continuous(0, 10))],
+                           Objective("max", {"u": 1}),
+                           rows=[LinRow((("u", 1), ("a", -1), ("b", -1)), "==", 0),
+                                 LinRow((("u", 1), ("a", 0.5)), "<=", rhs)],
+                           pencils=[pencil])
+            feasible.append(solve_by_enumeration(m).feasible_count)
+        return feasible == [2, 3, 2, 1]
+
+    @pytest.mark.parametrize("name", ["stable-set-n4", "mkcs-small", "row-at-the-leaf"])
+    def test_kept_verdicts_are_asked_once_on_row_feasible_leaves(self, monkeypatch, name):
+        # each search leaf passes the family's leaf entry to the check; a kept
+        # pencil verdict is decided at the first leaf of the family whose
+        # integer part meets its model's domains and rows, and read after that
+        asked, reached, entries = [], set(), []
+        current = {"leaf": None}
+        plan_init, leaf_check, is_psd_at = verify._Plan.__init__, verify._LeafCheck.__call__, MatrixPencil.is_psd_at
+
+        def planning(plan, model, budget):
+            plan_init(plan, model, budget)
+            current["plan"] = plan
+
+        def checking(check, assign, leaf=None):
+            plan = current["plan"]
+            m = plan.model
+            key = (id(plan.family), plan.family.key(assign))
+            feasible = eval_point(MisdpModel(m.variables, m.objective, m.rows), assign).feasible
+            if feasible:
+                reached.add(key)
+            entries.append(leaf)
+            current["leaf"] = key, feasible
+            try:
+                return leaf_check(check, assign, leaf)
+            finally:
+                current["leaf"] = None
+
+        def deciding(pencil, values):
+            if current["leaf"]:
+                asked.append(current["leaf"])
+            return is_psd_at(pencil, values)
+
+        monkeypatch.setattr(verify._Plan, "__init__", planning)
+        monkeypatch.setattr(verify._LeafCheck, "__call__", checking)
+        monkeypatch.setattr(MatrixPencil, "is_psd_at", deciding)
+        assert self._row_at_the_leaf() if name == "row-at-the-leaf" else equivalence_suite(name).passed
+        assert all(entry is not None for entry in entries) and len(entries) > len(asked) > 0
+        assert all(feasible for _, feasible in asked)
+        keys = [key for key, _ in asked]
+        assert len(keys) == len(set(keys)) and set(keys) == reached
 
     def test_cold_pass_kernel_calls(self, monkeypatch):
         # the sils and mkcs models of one shape share a pencil and its memos:
@@ -1521,6 +1599,38 @@ class TestFamilies:
             with pytest.raises(ValueError, match="unknown hint rule"):
                 solve_by_enumeration(m)
 
+    def test_no_cache_hit_leaks_between_models(self):
+        # the models of one family, solved in interleaved orders, each match
+        # a brute-force walk that reads no leaf store
+        models = [build_stable_set(verify.graph_from_mask(4, mask)) for mask in range(64)]
+        models += [build_mkcs(verify.graph_from_mask(3, mask), k) for mask in range(8) for k in (1, 2, 3)]
+        expected = [_reference_walk(m) for m in models]
+        order = list(range(len(models)))
+        for _ in range(2):
+            np.random.default_rng(len(order)).shuffle(order)
+            for t in order:
+                got = solve_by_enumeration(models[t])
+                assert (got.optimum, got.feasible_count, got.max_residual) == expected[t]
+                assert type(got.optimum) is type(expected[t][0])
+            order.reverse()
+        assert len({id(verify._family(m)) for m in models}) == 4
+        assert all(verify._family(m).leaves for m in models)
+
+    def test_lift_values_outside_their_bounds_are_rejected(self):
+        # X = x0 x1 over ternary factors is -1 at two of the nine points, below
+        # the bound 0; no row reads X, so only the leaf entry's bounds verdict
+        # rejects them, on a cold and on a warm store
+        pencil = formulations.shared_pencil(1, [(0, 0, 2)], [("x0", [(0, 0, 1)])])
+        m = MisdpModel([("x0", VarDomain.ternary()), ("x1", VarDomain.ternary()), ("X", VarDomain.continuous(0, 1))],
+                       Objective("min", {"x0": 1, "x1": 2}), pencils=[pencil],
+                       metadata={"hints": [{"rule": "gram", "factors": [["x0"], ["x1"]], "targets": [["X", 0, 1]]}]})
+        expected = _reference_walk(m)
+        for _ in range(2):
+            got = solve_by_enumeration(m)
+            assert (got.optimum, got.feasible_count, got.max_residual) == expected == (-3, 7, 0.0)
+        leaves = verify._family(m).leaves
+        assert {key for key, (_, ok, _) in leaves.items() if not ok} == {(-1, 1), (1, -1)}
+
     def test_caches_stay_bounded(self):
         # a few hundred one-off families on one pencil, and as many distinct
         # rows in one family, keep at most the caps
@@ -1540,6 +1650,20 @@ class TestFamilies:
         assert len(pencil._families) <= verify._FAMILY_CAP
         # a + b <= t with t = 2 * _ROW_CAP - 1 and a pencil PSD at a >= 0
         assert plan.check.rows == [] and solve_by_enumeration(m).feasible_count == 2 * t + 1
+        # twice as many leaves as the leaf store keeps: the pencil b - 3000 - 2000 a
+        # is PSD on both sides of the cap; the store keeps the first leaves
+        # (a = 0, b < _LEAF_CAP) and the rest are decided at every visit
+        cap = verify._LEAF_CAP
+        line = formulations.shared_pencil(1, [(0, 0, -3000)], [("a", [(0, 0, -2000)]), ("b", [(0, 0, 1)])])
+        m = MisdpModel([("a", VarDomain.binary()), ("b", VarDomain.integer_range(0, 2 * cap))],
+                       Objective("min", {"b": 1}), pencils=[line])
+        for _ in range(2):
+            res = solve_by_enumeration(m)
+            assert res.feasible_count == 2 * (2 * cap + 1) - 3000 - 5000
+            assert res.optimum == 3000 and res.minimizers == [{"a": 0, "b": 3000}]
+        leaves = verify._family(m).leaves
+        assert len(leaves) == cap and set(leaves) == {(0, b) for b in range(cap)}
+        assert all(entry == [(), True, b >= 3000] for (_, b), entry in leaves.items())
 
 
 @st.composite
