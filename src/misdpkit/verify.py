@@ -36,7 +36,9 @@ X_ij and blocks close early.  Leaves still run the full PSD test, so only
 
 Each leaf resolves continuous variables in this order:
 
-  1. builder hints of the "lift" stage (entries pinned by the integer part);
+  1. builder hints of the "lift" stage (entries pinned by the integer part),
+     whose values the family's leaf entry holds: the stage runs only when
+     `_Family.leaf` makes an entry;
   2. exact linear closure over the continuous variables no hint covers: the
      equality rows are reduced once to affine maps of the known values, and
      an integral value is an int, so the later stages compute in ints where
@@ -190,8 +192,7 @@ class _ForwardChecker:
 
 
 def _gram_entry(left, right, assign):
-    get = assign.__getitem__
-    return sum(map(operator.mul, map(get, left), map(get, right)))
+    return sum(assign[a] * assign[b] for a, b in zip(left, right))
 
 
 def _apply_gram(hint, model, assign):
@@ -569,7 +570,7 @@ class _LeafCheck:
 # compiled; a full cache drops its oldest entry
 _FAMILY_CAP = 16
 _ROW_CAP = 512
-# leaves one family keeps; a full store keeps what it holds and adds nothing
+# leaves one kept family keeps; a full store keeps what it holds and adds nothing
 _LEAF_CAP = 4096
 
 
@@ -609,18 +610,19 @@ class _Family:
     all three, so the models of one shape set it up once.
 
     It also keeps what it alone fixes at a leaf, in `leaves`: keyed by the
-    tuple of the integer values in search order, at most `_LEAF_CAP`
-    entries, each a short list [the values the lift-stage hints set, in
-    `lift_names` order; whether they meet their variables' bounds; one
-    verdict per pencil in `kept_pencils`, None until a leaf check asks it].
-    A pencil is kept when it is `exact` and reads only integer variables
-    and lift names, so its verdict is the same for every model of the
-    family.  What a model's rows and objective fix stays with the model's
-    `_Plan`: its rows, the closure over its equality rows, its corner
-    scalars, the later hint stages and the objective.
+    tuple of the integer values in search order, at most `leaf_cap` entries
+    (`_LEAF_CAP` for a family that `_family` keeps, 0 for a one-off family,
+    whose one search meets each leaf once), each a short list [the values
+    the lift-stage hints set, in `lift_names` order; whether they meet their
+    variables' bounds; one verdict per pencil in `kept_pencils`, None until
+    a leaf check asks it].  A pencil is kept when it is `exact` and reads
+    only integer variables and lift names, so its verdict is the same for
+    every model of the family.  What a model's rows and objective fix stays
+    with the model's `_Plan`: its rows, the closure over its equality rows,
+    its corner scalars, the later hint stages and the objective.
     """
 
-    def __init__(self, variables, pencils, hints):
+    def __init__(self, variables, pencils, hints, leaf_cap=0):
         self.pencils = list(pencils)
         self.doms = doms = dict(variables)
         self.int_names = [n for n, d in variables if d.is_integer]
@@ -679,7 +681,7 @@ class _Family:
         kept = [k for k, p in enumerate(pencils) if p.exact and all(n in known for n, _ in p.terms)]
         self.kept_pencils = {k: at for at, k in enumerate(kept, 2)}  # pencil index -> entry position
         self.key = operator.itemgetter(*self.int_names) if self.int_names else lambda assignment: ()
-        self.leaves = {}
+        self.leaves, self.leaf_cap = {}, leaf_cap
 
         # corner-scalar candidates: continuous variables on one positive
         # diagonal entry of a single pencil, as (name, pencil index, entry,
@@ -699,7 +701,7 @@ class _Family:
     def leaf(self, model, assignment):
         """The `leaves` entry of an integer assignment (a search node's
         assignment at full depth), made on a miss by running the lift stage
-        on the integer values alone; past `_LEAF_CAP`, made and not kept."""
+        on the integer values alone; past `leaf_cap`, made and not kept."""
         key = self.key(assignment)
         entry = self.leaves.get(key)
         if entry is None:
@@ -710,7 +712,7 @@ class _Family:
             ok = all((lo is None or values[k] >= lo) and (hi is None or values[k] <= hi)
                      for k, lo, hi in self.lift_bounds)
             entry = [values, ok, *(None for _ in self.kept_pencils)]
-            if len(self.leaves) < _LEAF_CAP:
+            if len(self.leaves) < self.leaf_cap:
                 self.leaves[key] = entry
         return entry
 
@@ -794,7 +796,7 @@ def _family(model):
     except (TypeError, AttributeError, pickle.PicklingError):  # variables or hints with no content key
         return _Family(model.variables, model.pencils, hints)
     if family is None or family.pencils != list(model.pencils):
-        family = _Family(model.variables, model.pencils, hints)
+        family = _Family(model.variables, model.pencils, hints, _LEAF_CAP)
         store.pop(key, None)
         _evict(store, _FAMILY_CAP)
         store[key] = family
@@ -846,15 +848,14 @@ class _Plan:
         """The leaf pipeline: complete an integer assignment, None if infeasible.
         With `fractions` every closure value is a Fraction, also an integral one.
         `searched` says the assignment passed every forward-checker test, so
-        the closure skips the windows those tests decided.  `leaf`, the
-        family's entry for the assignment, gives the lift stage's values."""
+        the closure skips the windows those tests decided.  The lift stage's
+        values come from `leaf`, the family's entry for the assignment, which
+        is looked up when not given."""
         model = self.model
-        assign = dict(assignment)
         if leaf is None:
-            for apply, hint in self.stages[_LIFT]:
-                apply(hint, model, assign)
-        else:
-            assign.update(zip(self.family.lift_names, leaf[0]))
+            leaf = self.family.leaf(model, assignment)
+        assign = dict(assignment)
+        assign.update(zip(self.family.lift_names, leaf[0]))
         if self.closes and not self.closure.apply(assign, fractions, searched):
             return None
         for apply, hint in self.stages[_FORCED]:

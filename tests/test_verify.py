@@ -1650,20 +1650,30 @@ class TestFamilies:
         assert len(pencil._families) <= verify._FAMILY_CAP
         # a + b <= t with t = 2 * _ROW_CAP - 1 and a pencil PSD at a >= 0
         assert plan.check.rows == [] and solve_by_enumeration(m).feasible_count == 2 * t + 1
-        # twice as many leaves as the leaf store keeps: the pencil b - 3000 - 2000 a
-        # is PSD on both sides of the cap; the store keeps the first leaves
-        # (a = 0, b < _LEAF_CAP) and the rest are decided at every visit
+        # twice as many leaves as the leaf store keeps: the pencil b - 1000
+        # changes its verdict inside the cap, and the lift X = a b its bounds
+        # verdict (X <= 3000) past it; the store keeps the first leaves
+        # (b < _LEAF_CAP / 2, in search order b then a), and the rest are
+        # lifted, bounded and decided at every visit
         cap = verify._LEAF_CAP
-        line = formulations.shared_pencil(1, [(0, 0, -3000)], [("a", [(0, 0, -2000)]), ("b", [(0, 0, 1)])])
-        m = MisdpModel([("a", VarDomain.binary()), ("b", VarDomain.integer_range(0, 2 * cap))],
-                       Objective("min", {"b": 1}), pencils=[line])
+        line = formulations.shared_pencil(1, [(0, 0, -1000)], [("b", [(0, 0, 1)])])
+        m = MisdpModel([("a", VarDomain.binary()), ("b", VarDomain.integer_range(0, 2 * cap)),
+                        ("X", VarDomain.continuous(0, 3000))],
+                       Objective("min", {"b": 1, "X": -2}), pencils=[line],
+                       metadata={"hints": [{"rule": "gram", "factors": [["a"], ["b"]], "targets": [["X", 0, 1]]}]})
         for _ in range(2):
             res = solve_by_enumeration(m)
-            assert res.feasible_count == 2 * (2 * cap + 1) - 3000 - 5000
-            assert res.optimum == 3000 and res.minimizers == [{"a": 0, "b": 3000}]
+            assert res.feasible_count == (2 * cap + 1 - 1000) + 2001
+            assert res.optimum == -3000 and res.minimizers == [{"a": 1, "b": 3000, "X": 3000}]
         leaves = verify._family(m).leaves
-        assert len(leaves) == cap and set(leaves) == {(0, b) for b in range(cap)}
-        assert all(entry == [(), True, b >= 3000] for (_, b), entry in leaves.items())
+        assert len(leaves) == cap and set(leaves) == {(b, a) for b in range(cap // 2) for a in (0, 1)}
+        assert all(entry == [(a * b,), True, b >= 1000] for (b, a), entry in leaves.items())
+        # a family that no shared pencil keeps serves one search, which meets
+        # each leaf once, so it keeps no entry
+        m.pencils = [MatrixPencil(1, [(0, 0, -1000)], [("b", [(0, 0, 1)])])]
+        search = verify._Search(verify._Plan(m, budget=10**9))
+        search.dfs(0)
+        assert search.result().feasible_count == res.feasible_count and search.plan.family.leaves == {}
 
 
 @st.composite
