@@ -161,6 +161,8 @@ def cmd_count(args):
 def cmd_verify(args):
     if args.budget <= 0:
         raise MisdpkitError("enumeration budget must be positive")
+    if args.seed < 0:
+        raise MisdpkitError("suite seed must be non-negative")
     names = sorted(verify.SUITES) if args.suite == "all" else [args.suite]
     all_ok = True
     lines = []
@@ -242,7 +244,7 @@ def build_parser():
     v.add_argument("--budget", type=int, default=verify.DEFAULT_BUDGET,
                    help="enumeration budget per instance, every suite (default 1e7)")
     v.add_argument("--seed", type=int, default=0,
-                   help="offset for the fixed suite seeds (0 reproduces the canonical reports)")
+                   help="offset for the fixed suite seeds, 0 or more (0 reproduces the canonical reports)")
     v.set_defaults(fn=cmd_verify)
 
     s = sub.add_parser("scheme", help="verify an association scheme")

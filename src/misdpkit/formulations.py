@@ -121,6 +121,8 @@ def shared_pencil(order, const, terms):
     pencil, and the memos of exact PSD decisions this turns on (of `is_psd_at`
     and of its leading blocks) answer for all of them.  A bounded lru_cache
     keys the triples with each value's type, so Fraction(1, 2) and 0.5 differ.
+    `shared_pencil.cache_clear()` also empties the caches of `bordered_pencil`
+    and `lift_pencil`, which keep their pencils by their arguments.
     """
     try:
         return _shared_pencil(order, _key(const), tuple((name, _key(triples)) for name, triples in terms))
@@ -139,9 +141,36 @@ def _shared_pencil(order, const, terms):
     return pencil
 
 
-shared_pencil.cache_clear = _shared_pencil.cache_clear
+_helper_caches = []  # the caches of `_kept_by_arguments`
 
 
+def _kept_by_arguments(build):
+    """`build`, whose result is a `shared_pencil`, kept by its arguments and
+    their types (so a corner 1, 1.0 or Fraction(1) keeps its own pencil, as
+    in `shared_pencil`), at most `_SHARED_PENCILS` of them: a builder asks for
+    its pencil without keying the pencil's triples.  Unhashable arguments
+    build anew.  `shared_pencil.cache_clear()` empties it."""
+    kept = functools.lru_cache(maxsize=_SHARED_PENCILS, typed=True)(build)
+    _helper_caches.append(kept)
+
+    @functools.wraps(build)
+    def pencil(*args, **kwargs):
+        try:
+            return kept(*args, **kwargs)
+        except TypeError:  # an unhashable argument
+            return build(*args, **kwargs)
+    return pencil
+
+
+def _clear_shared_pencils():
+    for cache in (_shared_pencil, *_helper_caches):
+        cache.cache_clear()
+
+
+shared_pencil.cache_clear = _clear_shared_pencils
+
+
+@_kept_by_arguments
 def bordered_pencil(n, corner):
     """Pencil [[corner, diag^T], [diag, X]] with diag(X) aliased to x."""
     terms = [(xname(i), [(0, i + 1, 1), (i + 1, i + 1, 1)]) for i in range(n)]
@@ -162,6 +191,7 @@ def gram_hint(n):
     }
 
 
+@_kept_by_arguments
 def lift_pencil(n, k, prefix="X"):
     """Pencil [[I_k, P^T], [P, X]] of order n+k over P[i,a] and prefix[i,j], i <= j."""
     terms = [(pname(i, a), [(a, k + i, 1)]) for i in range(n) for a in range(k)]

@@ -364,17 +364,24 @@ def validate(model: MisdpModel):
         if name not in known:
             defects.append(f"objective references unknown variable {name!r}")
     for k, row in enumerate(model.rows):
-        for name, c in row.coeffs:
-            if name not in known:
-                defects.append(f"row {k} references unknown variable {name!r}")
-            if c != c or abs(c) == math.inf:  # a NaN makes the row vacuous, and inf * 0 is NaN
-                defects.append(f"row {k}: {'NaN' if c != c else 'infinite'} coefficient of {name!r}")
-        if row.rhs != row.rhs:
-            defects.append(f"row {k}: NaN rhs")
+        defects += row_defects(k, row, known)
     for k, pencil in enumerate(model.pencils):
         for name, _ in pencil.terms:
             if name not in known:
                 defects.append(f"pencil {k} references unknown variable {name!r}")
+    return defects
+
+
+def row_defects(k, row, known):
+    """The defects `validate` reports of `row`, row k of a model whose variables are `known`."""
+    defects = []
+    for name, c in row.coeffs:
+        if name not in known:
+            defects.append(f"row {k} references unknown variable {name!r}")
+        if c != c or abs(c) == math.inf:  # a NaN makes the row vacuous, and inf * 0 is NaN
+            defects.append(f"row {k}: {'NaN' if c != c else 'infinite'} coefficient of {name!r}")
+    if row.rhs != row.rhs:
+        defects.append(f"row {k}: NaN rhs")
     return defects
 
 

@@ -6,12 +6,15 @@ evaluates feasibility exactly.  The windows of a row with int/Fraction data
 are decided in integers; only rows with float data get a tolerance.
 
 A plan is compiled in two parts.  The part that the variables, pencils and
-hints fix (`_Family`: the variable order, the integer-space size, the node
-checks, the hint stages and the lifted targets) is built once per family of
-models and kept, bounded, by the model's first shared pencil, so the 1,024
-models of `stable-set-n5` share one.  Each row is compiled once per content
-within a family, into the int test the forward checker reads and the form
-the leaf check reads; so is the closure of a family's equality rows.  A
+hints fix (`_Family`: the variable order and per-depth levels, the node
+checks, the hint stages, the lifted targets, the variables-and-pencils half
+of `validate`, the leaf check's bounds and pencils) is built once per family
+of models and kept, bounded, by the model's first shared pencil, so the
+1,024 models of `stable-set-n5` share one.  Within a family each row is
+compiled once per content, into the int test the forward checker reads and
+the form the leaf check reads; so are each objective and the closure of the
+equality rows.  A model's `_Plan` only binds its rows: the forward checker
+binds their tests into the per-depth step tables the search reads.  A
 family also keeps, per integer assignment, what it alone fixes at a leaf:
 the lift-stage values, whether they meet their bounds, and the verdicts of
 the exact pencils that read nothing else (`_Family.leaves`).
@@ -51,7 +54,7 @@ Each leaf resolves continuous variables in this order:
      in no row, set to the pencil's exact Schur-complement boundary;
   5. builder hints of the "pending" stage, only while variables remain.
 
-The completed point is then tested by `_LeafCheck`, compiled once per call,
+The completed point is then tested by `_LeafCheck`, bound once per call,
 minus the bounds the closure decided and the rows that the checker or the
 closure decided.  It stops at the first violation, in the order domains,
 rows, pencils, and sums an objective of int/Fraction data in ints.  At a
@@ -87,7 +90,7 @@ from .cosring import CosInt
 from .errors import BudgetExceeded, UnsupportedContinuousPattern
 from .formulations import QcqpInstance, Qmp1Instance, Qmp2Instance, build_bsdp_qcqp, mname, pynum
 from .linalg import eigensym, eliminate
-from .model import LinRow, MisdpModel, _exact, validate, widen
+from .model import INTEGER_RANGE, LinRow, MisdpModel, Objective, _exact, row_defects, validate, widen
 from .problems import (
     Graph,
     GppInstance,
@@ -156,39 +159,38 @@ class _ForwardChecker:
     the lifted targets, each pushed at the depth of its last input.  A check
     (depth, (smin, smax, cmin, cmax, up, down)) fails when no completion of
     the partial sum fits [down, up].  A test moves only at the depths of its
-    slots, so `consistent(d)` checks those that depth d moves (all of them at
-    depth 0) and prunes the nodes a scan of every test would.  `decided`
+    slots, so depth d checks those that it moves (all of them at depth 0) and
+    prunes the nodes a scan of every test would.
+
+    The checker binds a model's tests into its family's `levels`: `steps`
+    holds per depth (the variable, its domain values, the slot's (test,
+    coefficient) list, the lifts, the depth's window checks, the node
+    blocks), a lift being (target, value, the target slot's (test,
+    coefficient) list) for each lifted target that some test reads (the
+    others are left to the leaf).  `_Search.dfs` steps through them and
+    keeps, per test, the sum of its pushed slots in `partial`.  `decided`
     holds the ids of the model rows the tests decide exactly, which no leaf
     needs to check again.
     """
 
-    def __init__(self, tests, nslots, depth, decided=frozenset()):
-        self.touch = [[] for _ in range(nslots)]
-        self.checks = [[] for _ in range(depth)]  # per depth: (test, (smin, smax, cmin, cmax, up, down))
-        self.decided = decided
-        self.partial = []  # per test, the sum of its pushed slots
-        for coefs, checks in tests:
+    def __init__(self, tests, family, decided=frozenset()):
+        touch = [[] for _ in family.slots]
+        checks = [[] for _ in family.levels]
+        self.partial = []
+        for coefs, windows in tests:
             t = len(self.partial)
             for s, c in coefs:
-                self.touch[s].append((t, c))
-            for d, window in checks:
-                self.checks[d].append((t, window))
+                touch[s].append((t, c))
+            for d, window in windows:
+                checks[d].append((t, window))
             self.partial.append(0)
-
-    def push(self, s, value):
-        """Add the value of slot s to the partial sums (its negation undoes it)."""
-        value = int(value)  # integral: from an integer domain, or a function of such values
-        for ridx, c in self.touch[s]:
-            self.partial[ridx] += c * value
-
-    def consistent(self, d):
-        """Whether every test that depth d moves still has room."""
-        partial = self.partial
-        for t, (smin, smax, cmin, cmax, up, down) in self.checks[d]:
-            s = partial[t]
-            if s + smin + cmin > up or s + smax + cmax < down:
-                return False
-        return True
+        lifts = [[] for _ in family.levels]
+        for s, target, d, value in family.lifted:
+            if touch[s]:  # a target no test reads is left to the leaf
+                lifts[d].append((target, value, touch[s]))
+        self.steps = [(name, values, touch[d], lifts[d], checks[d], blocks)
+                      for d, (name, values, blocks) in enumerate(family.levels)]
+        self.decided = decided
 
 
 def _gram_entry(left, right, assign):
@@ -491,38 +493,34 @@ class _LeafCheck:
     int/Fraction (on the row scaled to ints once, when every value is an int,
     integral closure values included), floats within `lin_feas` otherwise.
     A feasible point's exact rows all have residual 0, so only float rows
-    raise max_residual.  `rows` and `bounds`, when given, are the model's
-    rows as `_leaf_row` compiles them and its variables' `_bounds`.  An
-    objective of int/Fraction data is summed
-    in ints at a point whose objective variables are all ints (an integer
-    variable's value is drawn from its domain, so only the continuous ones
-    are looked at); any other point takes `Objective.value`.
+    raise max_residual.  An objective of int/Fraction data is summed in ints
+    at a point whose objective variables are all ints (an integer variable's
+    value is drawn from its domain, so only the continuous ones are looked
+    at); any other point takes `Objective.value`.
 
-    Given the model's `family`, a call may also pass the family's `leaf`
-    entry for the point's integer part (the point then holds the entry's
-    lift values).  The entry's bounds verdict then stands for the bounds of
-    the lift-stage targets, and its verdicts for the family's kept pencils:
-    a verdict not yet asked is decided here, at its pencil's turn, and
-    written into the entry for the next model of the family.  The model's
-    own rows, the other bounds and pencils and the objective are decided on
-    every call.
+    What it reads comes from the model's `family` (without one, a one-off
+    family with no hints): the bounds, the pencils, the compiled objective
+    (`objective`, as `_Family.objective` gives it) and each row's `_leaf_row`
+    form (`rows`, as `_Family.row` gives them, in model order).  A call may
+    also pass the family's `leaf` entry for the point's integer part (the
+    point then holds the entry's lift values).  The entry's bounds verdict
+    then stands for the bounds of the lift-stage targets, and its verdicts
+    for the family's kept pencils: a verdict not yet asked is decided here,
+    at its pencil's turn, and written into the entry for the next model of
+    the family.  The model's own rows, the other bounds and pencils and the
+    objective are decided on every call.
     """
 
-    def __init__(self, model, determined=frozenset(), proven=frozenset(), rows=None, bounds=None, family=None):
+    def __init__(self, model, family=None, rows=None, objective=None, determined=(), proven=()):
+        family = family or _Family(model.variables, model.pencils, ())
+        rows = [family.row(row) for row in model.rows] if rows is None else rows
         self.tol = config.DEFAULT.lin_feas
-        bounds = _bounds(model.variables) if bounds is None else bounds
-        self.bounds = [b for b in bounds if b[0] not in determined]
-        lifted = family.lift_names if family else ()
-        self.own_bounds = [b for b in self.bounds if b[0] not in lifted]
-        rows = map(_leaf_row, model.rows) if rows is None else rows
-        self.rows = [leaf for row, leaf in zip(model.rows, rows) if id(row) not in proven]
-        kept = family.kept_pencils if family else {}
-        self.pencils = [(pencil, kept.get(k)) for k, pencil in enumerate(model.pencils)]
+        self.bounds = [b for b in family.bounds if b[0] not in determined]
+        self.own_bounds = [b for b in family.own_bounds if b[0] not in determined]
+        self.rows = [leaf for row, (_, _, leaf) in zip(model.rows, rows) if id(row) not in proven]
+        self.pencils = family.leaf_pencils
         self.objective = model.objective
-        self.linear = _linear_objective(model.objective)
-        # the objective variables whose values may not be ints: integer domains hold ints
-        doms = family.doms if family else dict(model.variables)
-        self.cont_objective = [name for name in model.objective.coeffs if not doms[name].is_integer]
+        self.linear, self.cont_objective = objective or family.objective(model.objective)
 
     def __call__(self, assign, leaf=None):
         if leaf is None:
@@ -603,11 +601,24 @@ class _Family:
     It holds the integer variables in search order, the size of their space,
     the node checks, the hint stages, the lifted targets, the corner-scalar
     candidates and the forward checker's slots: the integer variables, then
-    the lifted targets, whose values are ints.  `row(row)` compiles a linear
-    row once per content into (forward-checker test or None, whether the
-    test decides it, `_leaf_row` form); `test` compiles a window on a sum
-    over slots.  `_family` shares one family among the models that agree on
-    all three, so the models of one shape set it up once.
+    the lifted targets, whose values are ints.  `levels` gives per depth the
+    variable, its domain values (a tuple, or a range for an integer range)
+    and the node blocks that close there, which each model's
+    `_ForwardChecker` binds its tests into.  A family also holds whether
+    `validate` finds no defect in the variables and pencils (`sound`; an
+    unsound family holds nothing else), and what the leaf check reads of
+    them: the bounds, with the lift-stage targets' bounds apart, and the
+    pencils, each with its entry position when it is kept.
+
+    A model's own parts are compiled once per content: `row(row)` compiles
+    a linear row into (forward-checker test or None, whether the test
+    decides it, `_leaf_row` form), or None when `validate` finds the row
+    defective; `objective(objective)` compiles an objective; `reduce(eqs)`
+    reduces the closure's equality rows; `test` compiles a window on a sum
+    over slots.  Each cache is bounded (`_ROW_CAP`).  `_family` shares one
+    family among the models that agree on variables, pencils and hints, so
+    the models of one shape set it up once, and a model's `_Plan` only binds
+    its own rows to it.
 
     It also keeps what it alone fixes at a leaf, in `leaves`: keyed by the
     tuple of the integer values in search order, at most `leaf_cap` entries
@@ -617,13 +628,17 @@ class _Family:
     variables' bounds; one verdict per pencil in `kept_pencils`, None until
     a leaf check asks it].  A pencil is kept when it is `exact` and reads
     only integer variables and lift names, so its verdict is the same for
-    every model of the family.  What a model's rows and objective fix stays
-    with the model's `_Plan`: its rows, the closure over its equality rows,
-    its corner scalars, the later hint stages and the objective.
+    every model of the family.  What a model's rows fix stays with its
+    `_Plan`: which rows the checker or the closure decides, the closure's
+    values, its corner scalars and the later hint stages.
     """
 
     def __init__(self, variables, pencils, hints, leaf_cap=0):
         self.pencils = list(pencils)
+        # what `validate` finds with no objective and no rows
+        self.sound = not validate(MisdpModel(variables, Objective("min", {}), pencils=self.pencils))
+        if not self.sound:
+            return
         self.doms = doms = dict(variables)
         self.int_names = [n for n, d in variables if d.is_integer]
         self.cont_names = [n for n, d in variables if not d.is_integer]
@@ -673,6 +688,8 @@ class _Family:
         self.at = [*range(len(self.int_names)), *(d for _, d, _ in lifted)]
         self.lifted = [(s, target, d, value) for s, (target, d, value) in enumerate(lifted, len(self.int_names))]
         self.rows, self.reduced = {}, {}
+        if defects := [d for k, cut in enumerate(cuts) for d in row_defects(k, cut, doms)]:
+            raise ValueError(f"valid_cuts hint has defects: {defects}")
         self.cuts = [test for test, _, _ in map(self.row, cuts) if test]
 
         self.lift_names = tuple(lift_names)
@@ -682,6 +699,12 @@ class _Family:
         self.kept_pencils = {k: at for at, k in enumerate(kept, 2)}  # pencil index -> entry position
         self.key = operator.itemgetter(*self.int_names) if self.int_names else lambda assignment: ()
         self.leaves, self.leaf_cap = {}, leaf_cap
+        # each depth's values as iter_values() gives them, an integer range as a range (no tuple of them is kept)
+        self.levels = [(n, range(math.ceil(doms[n].lo), math.floor(doms[n].hi) + 1) if doms[n].kind == INTEGER_RANGE
+                        else doms[n].iter_values(), checks) for n, checks in zip(self.int_names, self.node_checks)]
+        self.own_bounds = [b for b in self.bounds if b[0] not in lift_names]
+        self.leaf_pencils = [(pencil, self.kept_pencils.get(k)) for k, pencil in enumerate(pencils)]
+        self.objectives = {}
 
         # corner-scalar candidates: continuous variables on one positive
         # diagonal entry of a single pencil, as (name, pencil index, entry,
@@ -720,6 +743,20 @@ class _Family:
         """(test, decided, leaf) of a linear row, compiled once per content."""
         return _kept(self.rows, _row_key(row), self._compile, row)
 
+    def objective(self, objective):
+        """(`_linear_objective`, the objective variables whose values may not
+        be ints) of an objective, once per content; None when it names a
+        variable the family does not have."""
+        coeffs, const = objective.coeffs, objective.constant
+        key = tuple(coeffs.items()), tuple(map(type, coeffs.values())), const, type(const)
+        return _kept(self.objectives, key, self._objective, objective)
+
+    def _objective(self, objective):
+        doms = self.doms
+        if any(name not in doms for name in objective.coeffs):
+            return None
+        return _linear_objective(objective), [n for n in objective.coeffs if not doms[n].is_integer]
+
     def reduce(self, eqs):
         """`_reduce` of equality rows over the family's unknowns, once per
         content; with integer variables, windows over slots go to the nodes."""
@@ -734,6 +771,8 @@ class _Family:
         never prunes gets no test.  An exact row over `ints` alone is decided
         exactly at its last slot."""
         doms, slot = self.doms, self.slot
+        if row_defects(0, row, doms):
+            return None
         leaf = rel, names, exact, ints, _, rhs, fcoefs, frhs = _leaf_row(row)
         bounds = [b for n in names if not doms[n].is_integer for b in (doms[n].lo, doms[n].hi) if b is not None]
         if exact := exact and all(_exact(b) or type(b) is float and math.isfinite(b) for b in bounds):
@@ -784,7 +823,7 @@ def _family(model):
     """The model's `_Family`.  A shared pencil (`formulations.shared_pencil`)
     first in the model keeps the families of its models, bounded, keyed by the
     variables (with their bounds' number types) and the pickled hints, and
-    used for a model whose pencils equal the family's."""
+    used for a model whose pencils are the family's, object for object."""
     hints = model.metadata.get("hints", [])
     store = model.pencils[0]._families if model.pencils else None
     if store is None:
@@ -795,7 +834,7 @@ def _family(model):
         family = store.get(key)
     except (TypeError, AttributeError, pickle.PicklingError):  # variables or hints with no content key
         return _Family(model.variables, model.pencils, hints)
-    if family is None or family.pencils != list(model.pencils):
+    if family is None or list(map(id, family.pencils)) != list(map(id, model.pencils)):
         family = _Family(model.variables, model.pencils, hints, _LEAF_CAP)
         store.pop(key, None)
         _evict(store, _FAMILY_CAP)
@@ -805,33 +844,33 @@ def _family(model):
 
 class _Plan:
     """What one solve_by_enumeration call fixes before the search starts:
-    its model's `_Family`, and the rows, closure, corners and leaf check
-    that the model's rows and objective fix.  A corner scalar on a pencil
-    with CosInt entries raises UnsupportedContinuousPattern: its boundary
-    is computed over the rationals."""
+    its model's `_Family`, and the model's rows bound to it.  The family
+    compiles each row and the objective once per content, and a model whose
+    rows, objective, variables or pencils `validate` finds defective raises
+    ValueError with `validate`'s list.  The plan keeps which rows the forward
+    checker and the closure decide, the checker with its step tables, the
+    closure, the corners and the leaf check.  A corner scalar on a pencil
+    with CosInt entries raises UnsupportedContinuousPattern: its boundary is
+    computed over the rationals."""
 
     def __init__(self, model, budget):
-        defects = validate(model)
-        if defects:
-            raise ValueError(f"model has defects: {defects}")
         family = _family(model)
+        compiled = [family.row(row) for row in model.rows] if family.sound else [None]
+        objective = family.objective(model.objective) if family.sound else None
+        if objective is None or None in compiled:
+            raise ValueError(f"model has defects: {validate(model)}")
         if family.space > budget:
             raise BudgetExceeded(f"integer space exceeds budget {budget}")
         self.model, self.family = model, family
         self.doms, self.int_names, self.cont_names = family.doms, family.int_names, family.cont_names
         self.node_checks, self.stages = family.node_checks, family.stages
-        compiled = [family.row(row) for row in model.rows]
         self.closure = _ClosureSolver(model.rows, family.unknowns, self.doms, family.reduce)
         self.closes = bool(self.closure.determined or self.closure.dependent)
         # with no integer variable the search tests no node, so no test decides a row
-        decided = {id(row) for row, (_, dec, _) in zip(model.rows, compiled) if dec and self.int_names}
+        decided = {id(row) for row, (_, dec, _) in zip(model.rows, compiled) if dec} if self.int_names else set()
         tests = [test for test, _, _ in compiled if test] + family.cuts
         tests += [family.test(*window) for window in self.closure.tests]
-        self.checker = _ForwardChecker(tests, len(family.slots), len(self.int_names), decided)
-        self.lifts = [[] for _ in self.int_names]
-        for s, target, d, value in family.lifted:
-            if self.checker.touch[s]:  # a target no test reads is left to the leaf
-                self.lifts[d].append((s, target, value))
+        self.checker = _ForwardChecker(tests, family, decided)
         in_rows = {name for row in model.rows for name, _ in row.coeffs} if family.corners else ()
         self.corners = [(name, model.pencils[k], i, a, model.objective.coeffs.get(name, 0))
                         for name, k, i, a in family.corners if name not in in_rows]
@@ -840,9 +879,8 @@ class _Plan:
                 raise UnsupportedContinuousPattern(
                     f"corner scalar {name!r} sits on a pencil with entries in Z[2cos(2pi/n)]"
                 )
-        self.check = _LeafCheck(model, {name for name, _ in self.closure.determined},
-                                self.closure.proven | decided, [leaf for _, _, leaf in compiled], family.bounds,
-                                family)
+        self.check = _LeafCheck(model, family, compiled, objective, {name for name, _ in self.closure.determined},
+                                self.closure.proven | decided)
 
     def resolve(self, assignment, fractions=False, searched=False, leaf=None):
         """The leaf pipeline: complete an integer assignment, None if infeasible.
@@ -877,41 +915,51 @@ class _Plan:
 
 
 class _Search:
-    """Depth-first walk over the integer assignments of a plan, keeping the best."""
+    """Depth-first walk over the integer assignments of a plan, keeping the
+    best.  Each depth reads its step table (`_ForwardChecker.steps`)."""
 
     def __init__(self, plan):
         self.plan = plan
+        self.steps, self.partial = plan.checker.steps, plan.checker.partial
         self.assignment = {}
         self.nodes = 0
         self.max_residual = 0.0
         self.offer, self.result = _best_tracker(plan.model.objective.sense)
 
     def dfs(self, d):
+        """Visit the node at depth d: each value, and the targets lifted with
+        it, moves the partial sums, and its subtree is entered when the
+        depth's window checks and node blocks pass (a zero moves no sum)."""
         self.nodes += 1
-        plan = self.plan
-        if d == len(plan.int_names):
+        if d == len(self.steps):
             self.leaf()
             return
-        name = plan.int_names[d]
-        checker = plan.checker
-        blocks = plan.node_checks[d]
-        lifts = plan.lifts[d]
-        assignment = self.assignment
-        for v in plan.doms[name].iter_values():
-            if v:  # a zero moves no partial sum
-                checker.push(d, v)
-            assignment[name] = v
-            for s, target, value in lifts:
-                assignment[target] = t = value(assignment)
-                if t:
-                    checker.push(s, t)
-            if checker.consistent(d) and (not blocks or all(b.is_psd_at(assignment) for b in blocks)):
-                self.dfs(d + 1)
-            for s, target, _ in lifts:
-                if t := assignment.pop(target):
-                    checker.push(s, -t)
+        name, values, touch, lifts, checks, blocks = self.steps[d]
+        assignment, partial = self.assignment, self.partial
+        for v in values:
             if v:
-                checker.push(d, -v)
+                for t, c in touch:
+                    partial[t] += c * v
+            assignment[name] = v
+            for target, value, moved in lifts:
+                assignment[target] = x = value(assignment)
+                if x:
+                    for t, c in moved:
+                        partial[t] += c * x
+            for t, (smin, smax, cmin, cmax, up, down) in checks:
+                s = partial[t]
+                if s + smin + cmin > up or s + smax + cmax < down:
+                    break
+            else:
+                if not blocks or all(b.is_psd_at(assignment) for b in blocks):
+                    self.dfs(d + 1)
+            for target, _, moved in lifts:
+                if x := assignment.pop(target):
+                    for t, c in moved:
+                        partial[t] -= c * x
+            if v:
+                for t, c in touch:
+                    partial[t] -= c * v
         del assignment[name]
 
     def leaf(self):

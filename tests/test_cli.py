@@ -470,6 +470,13 @@ class TestCliConfig:
         assert captured.out == ""
         assert captured.err.splitlines() == ["error: integer space exceeds budget 1"]
 
+    def test_negative_seed_is_refused(self, capsys):
+        # numpy refuses a negative generator seed; the CLI refuses it first
+        assert run(["verify", "--suite", "qap-random", "--seed", "-5000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: suite seed must be non-negative"]
+
     def test_unknown_suite_exit_code(self, capsys):
         with pytest.raises(SystemExit) as exc:
             run(["verify", "--suite", "nope"])

@@ -330,6 +330,31 @@ class TestSharedPencils:
         terms = [("t", [(0, 0, 1)])]
         assert shared_pencil(2, [(0, 1, 1)], terms) is not shared_pencil(3, [(0, 1, 1)], terms)
 
+    def test_lift_helpers_keep_their_pencils_by_arguments(self):
+        from misdpkit.formulations import lift_pencil
+
+        # equal arguments give the identical pencil, also past the helpers'
+        # own cache (the default prefix given or not)
+        assert bordered_pencil(3, 2) is bordered_pencil(3, 2)
+        assert lift_pencil(3, 2) is lift_pencil(3, 2) is lift_pencil(3, 2, "X") is lift_pencil(3, 2, prefix="X")
+        assert lift_pencil(3, 2, "X1") is not lift_pencil(3, 2)
+        # a corner's type parts pencils as shared_pencil parts them
+        corners = (1, 1.0, Fraction(1), True)
+        pencils = [bordered_pencil(3, c) for c in corners]
+        assert len(set(map(id, pencils))) == len(corners)
+        for c, p in zip(corners, pencils):
+            assert p is bordered_pencil(3, c) is shared_pencil(4, [(0, 0, c)], p.terms)
+        # an unhashable corner builds anew, and is refused by name as before
+        for corner in (np.array(1), [1]):
+            with pytest.raises(ValueError, match="not a real number"):
+                bordered_pencil(2, corner)
+        # clearing the shared pencils clears the helpers: a fresh pencil with empty memos
+        kept, lifted = bordered_pencil(3, 2), lift_pencil(2, 2)
+        kept._psd[(0,)] = True
+        shared_pencil.cache_clear()
+        assert bordered_pencil(3, 2) is not kept and bordered_pencil(3, 2)._psd == {}
+        assert lift_pencil(2, 2) is not lifted
+
     def test_an_unhashable_value_is_refused_by_name(self):
         from misdpkit.problems import build_matrix_completion
 

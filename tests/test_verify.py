@@ -275,6 +275,14 @@ class TestHintRules:
         with pytest.raises(ValueError, match="unknown hint rule"):
             solve_by_enumeration(m)
 
+    def test_defective_valid_cut_raises_before_search(self):
+        m = build_stable_set(Graph.cycle(4))
+        cut = {"coeffs": [["x[0]", 1], ["ghost", 1]], "rel": "<=", "rhs": 1}
+        m.metadata["hints"] = m.metadata["hints"] + [{"rule": "valid_cuts", "rows": [cut]}]
+        with pytest.raises(ValueError) as exc:
+            solve_by_enumeration(m)
+        assert str(exc.value) == "valid_cuts hint has defects: [\"row 0 references unknown variable 'ghost'\"]"
+
 
 def _report_digest(name, seed=0):
     import hashlib
@@ -431,20 +439,13 @@ def _plans():
 
 
 def _forward_passes(plan, point):
-    """Whether the forward checker passes every depth of the search path to `point`."""
-    checker, assign, saved = plan.checker, {}, list(plan.checker.partial)
-    try:
-        for d, name in enumerate(plan.int_names):
-            assign[name] = point[name]
-            checker.push(d, point[name])
-            for s, target, value in plan.lifts[d]:
-                assign[target] = value(assign)
-                checker.push(s, assign[target])
-            if not checker.consistent(d):
-                return False
-        return True
-    finally:
-        checker.partial[:] = saved
+    """Whether the search passes every depth of its path to `point`: the
+    search itself, on step tables that offer only the point's values."""
+    search, reached = verify._Search(plan), []
+    search.steps = [(name, (point[name],), *rest) for name, _, *rest in search.steps]
+    search.leaf = lambda: reached.append(True)
+    search.dfs(0)
+    return bool(reached)
 
 
 def _assert_agrees(model, got, assign):
@@ -1377,7 +1378,7 @@ def _gram(factors, targets):
 
 
 def _lifted(plan):
-    return {target for lifts in plan.lifts for _, target, _ in lifts}
+    return {target for _, _, _, lifts, _, _ in plan.checker.steps for target, _, _ in lifts}
 
 
 @st.composite
@@ -1615,6 +1616,74 @@ class TestFamilies:
             order.reverse()
         assert len({id(verify._family(m)) for m in models}) == 4
         assert all(verify._family(m).leaves for m in models)
+
+    @staticmethod
+    def _first_suite_models(monkeypatch, count=3):
+        """The models that the first `count` cases of each suite solve."""
+        models, real = [], verify.solve_by_enumeration
+
+        def recording(model, budget=verify.DEFAULT_BUDGET):
+            models.append(model)
+            return real(model, budget)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(verify, "solve_by_enumeration", recording)
+            for name in SUITES:
+                assert all(r.ok() for r in itertools.islice(SUITES[name](), count))
+        return models
+
+    def test_binding_changes_nothing(self, monkeypatch):
+        # each model solved on its kept family (bound) equals the same model
+        # on a fresh one-off family (unbound): cold stores, warm stores, and
+        # warm again in a shuffled order
+        models = [m for m in _one_model_per_builder() if m.metadata["problem"] != "tsp_qap"]  # 2 s each
+        models += self._first_suite_models(monkeypatch)
+        # one family, objectives that differ only in their numbers' types
+        base = build_stable_set(Graph.cycle(4))
+        models += [MisdpModel(base.variables, Objective("min", {"x[0]": c, "x[1]": -1}, k), base.rows, base.pencils,
+                              base.metadata) for c, k in ((-1, 0), (Fraction(-1), 0), (-1.0, 0), (-1, Fraction(0)))]
+
+        def fresh(m):
+            return verify._Family(m.variables, m.pencils, m.metadata.get("hints", []))
+
+        with monkeypatch.context() as patch:
+            patch.setattr(verify, "_family", fresh)
+            expected = [repr(solve_by_enumeration(m, budget=10**9)) for m in models]
+        for m in models:
+            for p in m.pencils:
+                if p._families is not None:
+                    p._families.clear()
+        order = list(range(len(models)))
+        for shuffled in (False, False, True):
+            if shuffled:
+                np.random.default_rng(0).shuffle(order)
+            for t in order:
+                assert repr(solve_by_enumeration(models[t], budget=10**9)) == expected[t]
+        assert sum(len(p._families or ()) for m in models for p in m.pencils[:1]) > 0
+
+    def test_defects_on_a_kept_family_raise_validates_list(self):
+        base = build_stable_set(Graph.cycle(4))
+        solve_by_enumeration(base)  # the family is kept
+        variants = [
+            (base.objective, [LinRow((("ghost", 1), ("x[0]", 1)), "<=", 1)]),
+            (base.objective, [LinRow((("x[0]", float("nan")),), "<=", 1)]),
+            (base.objective, [LinRow((("x[1]", math.inf),), ">=", 0), LinRow((("X[0,1]", 1),), "==", math.nan)]),
+            (Objective("min", {"x[0]": 1, "ghost": 2}), []),
+        ]
+        for objective, rows in variants:
+            m = MisdpModel(base.variables, objective, base.rows + rows, base.pencils, base.metadata)
+            assert verify._family(m) is verify._family(base)
+            for _ in range(2):  # compiled, then read from the family's caches
+                with pytest.raises(ValueError) as exc:
+                    solve_by_enumeration(m)
+                assert str(exc.value) == f"model has defects: {model_module.validate(m)}"
+        # an unsound family (a variable named twice) holds nothing but its verdict
+        twice = MisdpModel([*base.variables, base.variables[0]], base.objective, base.rows, base.pencils,
+                           base.metadata)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="duplicate variable names"):
+                solve_by_enumeration(twice)
+        assert not verify._family(twice).sound
 
     def test_lift_values_outside_their_bounds_are_rejected(self):
         # X = x0 x1 over ternary factors is -1 at two of the nine points, below
