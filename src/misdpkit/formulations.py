@@ -118,9 +118,9 @@ def shared_pencil(order, const, terms):
     """`MatrixPencil(order, const, terms)`, one read-only object per content.
 
     Every builder takes its pencils here, so the models of one shape hold one
-    pencil, and the memos of exact PSD decisions this turns on (of `is_psd_at`
-    and of its leading blocks) answer for all of them.  A bounded lru_cache
-    keys the triples with each value's type, so Fraction(1, 2) and 0.5 differ.
+    pencil, whose memo of exact PSD decisions answers for all of them, and
+    `verify` sets up their family once.  A bounded lru_cache keys the triples
+    with each value's type, so Fraction(1, 2) and 0.5 differ.
     `shared_pencil.cache_clear()` also empties the caches of `bordered_pencil`
     and `lift_pencil`, which keep their pencils by their arguments.
     """
@@ -136,9 +136,7 @@ def _key(triples):
 
 @functools.lru_cache(maxsize=_SHARED_PENCILS)
 def _shared_pencil(order, const, terms):
-    pencil = MatrixPencil(order, [t[:3] for t in const], [(name, [t[:3] for t in key]) for name, key in terms])
-    pencil._psd, pencil._families = {}, {}
-    return pencil
+    return MatrixPencil(order, [t[:3] for t in const], [(name, [t[:3] for t in key]) for name, key in terms])
 
 
 _helper_caches = []  # the caches of `_kept_by_arguments`

@@ -214,21 +214,16 @@ class MatrixPencil:
     floats; `__eq__` compares the entries, so a Fraction and its nearest float
     differ.
 
-    `leading_blocks()` gives the leading blocks that some term enters, each a
-    pencil of its own, built once.  The builders take every pencil from
-    `formulations.shared_pencil`, one per content, which turns on its private
-    memo `_psd` (None otherwise) and that of its blocks, and the store of
-    plan parts that `verify` shares among the models of one family
-    (`_families`, None otherwise).  There the exact
-    route of `is_psd_at` keeps its decisions by scaled integer values, at most
-    `_PSD_MEMO_CAP` per pencil; the float route keeps none.  Each family in
-    `_families` also keeps, per integer assignment of its search, the
-    verdict of every `exact` pencil that reads only integer variables and
-    lift-stage targets, so a leaf that the family met before asks no
-    pencil.  A shared pencil must never be mutated.
+    Every pencil remembers its exact PSD decisions: the exact route of
+    `is_psd_at` keeps them in the memo `_psd`, by scaled integer values, at
+    most `_PSD_MEMO_CAP` of them; the float route keeps none.
+    `leading_blocks()` builds the leading blocks that some term enters, each
+    a pencil with its own memo.  The builders take every pencil from
+    `formulations.shared_pencil`, one per content, so the models of one
+    shape share one memo.  A pencil must never be mutated.
     """
 
-    __slots__ = ("order", "terms", "entries", "integral", "exact", "_psd", "_blocks", "_families")
+    __slots__ = ("order", "terms", "entries", "integral", "exact", "_psd")
 
     def __init__(self, order, const, terms):
         const, named = _upper_triples(order, const, "constant"), {}
@@ -241,7 +236,7 @@ class MatrixPencil:
         self.entries = (const, *named.values())
         self.integral = all(type(x) is int for triples in self.entries for _, _, x in triples)
         self.exact = self.integral or all(type(x) in (int, CosInt) for triples in self.entries for _, _, x in triples)
-        self._psd = self._blocks = self._families = None
+        self._psd = {}
 
     def evaluate(self, values: dict) -> np.ndarray:
         """A fresh float64 matrix: the constant plus float(v) * each term, in term order."""
@@ -275,10 +270,10 @@ class MatrixPencil:
         if den != 1:
             vals = [v and int(v * den) for v in vals]
         key, memo = (den, *vals), self._psd
-        psd = None if memo is None else memo.get(key)
+        psd = memo.get(key)
         if psd is None:
             psd = psd_exact_sum(self.order, key, self.entries)
-            if memo is not None and len(memo) < _PSD_MEMO_CAP:
+            if len(memo) < _PSD_MEMO_CAP:
                 memo[key] = psd
         return psd
 
@@ -287,18 +282,15 @@ class MatrixPencil:
         upper-triangle entry (r, c) enters the blocks of order c + 1 and up),
         by increasing k: each the pencil of order k over the terms that enter
         it, holding the entries of the constant and of those terms inside it.
-        Built on the first call; each block has a memo when this pencil has one.
+        Built anew on each call: a caller keeps the blocks it tests.
         """
-        if self._blocks is None:
-            blocks = []
-            for k in range(1, self.order):
-                terms = [(name, inside) for name, triples in self.terms
-                         if (inside := [e for e in triples if e[1] < k])]
-                if terms:  # a constant block is left to the full test
-                    blocks.append(MatrixPencil(k, [e for e in self.entries[0] if e[1] < k], terms))
-                    blocks[-1]._psd = None if self._psd is None else {}
-            self._blocks = tuple(blocks)
-        return self._blocks
+        blocks = []
+        for k in range(1, self.order):
+            terms = [(name, inside) for name, triples in self.terms
+                     if (inside := [e for e in triples if e[1] < k])]
+            if terms:  # a constant block is left to the full test
+                blocks.append(MatrixPencil(k, [e for e in self.entries[0] if e[1] < k], terms))
+        return blocks
 
     def __eq__(self, other):
         # term order is presentation, not content
@@ -360,9 +352,7 @@ def validate(model: MisdpModel):
             defects.append(f"{name}: NaN bound")
         elif lo is not None and hi is not None and lo > hi:
             defects.append(f"{name}: lo > hi")
-    for name in model.objective.coeffs:
-        if name not in known:
-            defects.append(f"objective references unknown variable {name!r}")
+    defects += objective_defects(model.objective, known)
     for k, row in enumerate(model.rows):
         defects += row_defects(k, row, known)
     for k, pencil in enumerate(model.pencils):
@@ -372,16 +362,25 @@ def validate(model: MisdpModel):
     return defects
 
 
+def objective_defects(objective, known):
+    """The defects `validate` reports of `objective`, over the variables `known`."""
+    return _linear_defects("objective", objective.coeffs.items(), "constant", objective.constant, known)
+
+
 def row_defects(k, row, known):
     """The defects `validate` reports of `row`, row k of a model whose variables are `known`."""
+    return _linear_defects(f"row {k}", row.coeffs, "rhs", row.rhs, known)
+
+
+def _linear_defects(what, coeffs, const_name, const, known):
     defects = []
-    for name, c in row.coeffs:
+    for name, c in coeffs:
         if name not in known:
-            defects.append(f"row {k} references unknown variable {name!r}")
-        if c != c or abs(c) == math.inf:  # a NaN makes the row vacuous, and inf * 0 is NaN
-            defects.append(f"row {k}: {'NaN' if c != c else 'infinite'} coefficient of {name!r}")
-    if row.rhs != row.rhs:
-        defects.append(f"row {k}: NaN rhs")
+            defects.append(f"{what} references unknown variable {name!r}")
+        if c != c or abs(c) == math.inf:  # a NaN makes the form vacuous, and inf * 0 is NaN
+            defects.append(f"{what}: {'NaN' if c != c else 'infinite'} coefficient of {name!r}")
+    if const != const:
+        defects.append(f"{what}: NaN {const_name}")
     return defects
 
 

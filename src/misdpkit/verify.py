@@ -9,11 +9,11 @@ A plan is compiled in two parts.  The part that the variables, pencils and
 hints fix (`_Family`: the variable order and per-depth levels, the node
 checks, the hint stages, the lifted targets, the variables-and-pencils half
 of `validate`, the leaf check's bounds and pencils) is built once per family
-of models and kept, bounded, by the model's first shared pencil, so the
-1,024 models of `stable-set-n5` share one.  Within a family each row is
-compiled once per content, into the int test the forward checker reads and
-the form the leaf check reads; so are each objective and the closure of the
-equality rows.  A model's `_Plan` only binds its rows: the forward checker
+of models and kept, bounded, in `_FAMILIES`, so the 1,024 models of
+`stable-set-n5`, which hold one shared pencil, share one.  Within a family
+each row is compiled once per content, into the int test the forward checker
+reads and the form the leaf check reads; so is the closure of the equality
+rows.  A model's `_Plan` only binds its rows: the forward checker
 binds their tests into the per-depth step tables the search reads.  A
 family also keeps, per integer assignment, what it alone fixes at a leaf:
 the lift-stage values, whether they meet their bounds, and the verdicts of
@@ -90,7 +90,7 @@ from .cosring import CosInt
 from .errors import BudgetExceeded, UnsupportedContinuousPattern
 from .formulations import QcqpInstance, Qmp1Instance, Qmp2Instance, build_bsdp_qcqp, mname, pynum
 from .linalg import eigensym, eliminate
-from .model import INTEGER_RANGE, LinRow, MisdpModel, Objective, _exact, row_defects, validate, widen
+from .model import INTEGER_RANGE, LinRow, MisdpModel, Objective, _exact, objective_defects, row_defects, validate, widen
 from .problems import (
     Graph,
     GppInstance,
@@ -274,13 +274,15 @@ _LIFT, _FORCED, _PENDING = "lift", "forced", "pending"
 
 @dataclass(frozen=True)
 class _HintRule:
-    """One hint rule: `apply(hint, model, assign)` runs in `stage` (None: never
+    """One hint rule: `fields` names what a hint of the rule must hold besides
+    "rule"; `apply(hint, model, assign)` runs in `stage` (None: never
     at a leaf); `covers(hint)` names the variables it determines, which the
     exact closure leaves alone; `valid_cuts(hint)` gives pruning-only rows;
     `lifts(hint)` gives (target, inputs, value) for targets that `apply` sets
     to `value(assign)`, a function of the variables `inputs` alone.
     """
 
+    fields: tuple
     stage: object = None
     apply: object = None
     covers: object = lambda hint: ()
@@ -290,12 +292,13 @@ class _HintRule:
 
 # The one list of hint rules that builders may emit in metadata["hints"].
 _HINT_RULES = {
-    "gram": _HintRule(_LIFT, _apply_gram, covers=lambda h: [t[0] for t in h["targets"]],
+    "gram": _HintRule(("factors", "targets"), _LIFT, _apply_gram, covers=lambda h: [t[0] for t in h["targets"]],
                       lifts=_gram_lifts),
-    "cycle_distance": _HintRule(_LIFT, _apply_cycle_distance, covers=_cycle_distance_covers),
-    "qap_schur": _HintRule(_FORCED, _apply_qap_schur),
-    "nuclear": _HintRule(_PENDING, _apply_nuclear),
-    "valid_cuts": _HintRule(valid_cuts=lambda h: [
+    "cycle_distance": _HintRule(("n", "base", "others"), _LIFT, _apply_cycle_distance,
+                                covers=_cycle_distance_covers),
+    "qap_schur": _HintRule(("n", "x", "r", "y", "z"), _FORCED, _apply_qap_schur),
+    "nuclear": _HintRule(("pencil", "rows", "cols", "z1", "z2"), _PENDING, _apply_nuclear),
+    "valid_cuts": _HintRule(("rows",), valid_cuts=lambda h: [
         LinRow(tuple((nm, c) for nm, c in r["coeffs"]), r["rel"], r["rhs"]) for r in h["rows"]
     ]),
 }
@@ -471,11 +474,14 @@ def _linear_objective(objective):
     the denominator, a Fraction exactly when some coefficient or the constant
     is one, as in `Objective.value`."""
     data = [*objective.coeffs.values(), objective.constant]
-    if not all(type(v) is int or type(v) is Fraction for v in data):
+    types, den = set(map(type, data)), 1
+    if not types <= {int, Fraction}:
         return None
-    den = math.lcm(*(v.denominator for v in data))
-    *coefs, const = [v.numerator * (den // v.denominator) for v in data]
-    return list(objective.coeffs), coefs, const, den, any(type(v) is Fraction for v in data)
+    if Fraction in types:
+        den = math.lcm(*(v.denominator for v in data))
+        data = [v.numerator * (den // v.denominator) for v in data]
+    *coefs, const = data
+    return list(objective.coeffs), coefs, const, den, Fraction in types
 
 
 class _LeafCheck:
@@ -498,7 +504,7 @@ class _LeafCheck:
     value is drawn from its domain, so only the continuous ones are looked
     at); any other point takes `Objective.value`.
 
-    What it reads comes from the model's `family` (without one, a one-off
+    What it reads comes from the model's `family` (without one, a new
     family with no hints): the bounds, the pencils, the compiled objective
     (`objective`, as `_Family.objective` gives it) and each row's `_leaf_row`
     form (`rows`, as `_Family.row` gives them, in model order).  A call may
@@ -512,7 +518,7 @@ class _LeafCheck:
     """
 
     def __init__(self, model, family=None, rows=None, objective=None, determined=(), proven=()):
-        family = family or _Family(model.variables, model.pencils, ())
+        family = family or _Family(model.variables, model.pencils, [])
         rows = [family.row(row) for row in model.rows] if rows is None else rows
         self.tol = config.DEFAULT.lin_feas
         self.bounds = [b for b in family.bounds if b[0] not in determined]
@@ -564,11 +570,12 @@ class _LeafCheck:
         return self.objective.value(assign), max_residual
 
 
-# families one shared pencil keeps, and rows (or closures) one family keeps
-# compiled; a full cache drops its oldest entry
-_FAMILY_CAP = 16
+# families `_FAMILIES` keeps (a `verify --suite all` run makes 39), and rows
+# (or closures) one family keeps compiled; a full cache drops its oldest entry
+_FAMILY_CAP = 64
 _ROW_CAP = 512
-# leaves one kept family keeps; a full store keeps what it holds and adds nothing
+_FAMILIES = {}
+# leaves one family keeps; a full store keeps what it holds and adds nothing
 _LEAF_CAP = 4096
 
 
@@ -610,30 +617,27 @@ class _Family:
     them: the bounds, with the lift-stage targets' bounds apart, and the
     pencils, each with its entry position when it is kept.
 
-    A model's own parts are compiled once per content: `row(row)` compiles
-    a linear row into (forward-checker test or None, whether the test
-    decides it, `_leaf_row` form), or None when `validate` finds the row
-    defective; `objective(objective)` compiles an objective; `reduce(eqs)`
-    reduces the closure's equality rows; `test` compiles a window on a sum
-    over slots.  Each cache is bounded (`_ROW_CAP`).  `_family` shares one
-    family among the models that agree on variables, pencils and hints, so
-    the models of one shape set it up once, and a model's `_Plan` only binds
-    its own rows to it.
+    `row(row)` compiles a linear row into (forward-checker test or None,
+    whether the test decides it, `_leaf_row` form), or None when `validate`
+    finds the row defective, and `reduce(eqs)` reduces the closure's
+    equality rows, each once per content (at most `_ROW_CAP`);
+    `objective(objective)` compiles an objective, and `test` a window on a
+    sum over slots.  A hint that is not a dict, names no rule of
+    `_HINT_RULES` or lacks one of its rule's `fields` raises ValueError.
 
     It also keeps what it alone fixes at a leaf, in `leaves`: keyed by the
-    tuple of the integer values in search order, at most `leaf_cap` entries
-    (`_LEAF_CAP` for a family that `_family` keeps, 0 for a one-off family,
-    whose one search meets each leaf once), each a short list [the values
-    the lift-stage hints set, in `lift_names` order; whether they meet their
-    variables' bounds; one verdict per pencil in `kept_pencils`, None until
-    a leaf check asks it].  A pencil is kept when it is `exact` and reads
+    tuple of the integer values in search order, at most `_LEAF_CAP`
+    entries, each a short list [the values the lift-stage hints set, in
+    `lift_names` order; whether they meet their variables' bounds; one
+    verdict per pencil in `kept_pencils`, None until a leaf check asks
+    it].  A pencil is kept when it is `exact` and reads
     only integer variables and lift names, so its verdict is the same for
     every model of the family.  What a model's rows fix stays with its
     `_Plan`: which rows the checker or the closure decides, the closure's
     values, its corner scalars and the later hint stages.
     """
 
-    def __init__(self, variables, pencils, hints, leaf_cap=0):
+    def __init__(self, variables, pencils, hints):
         self.pencils = list(pencils)
         # what `validate` finds with no objective and no rows
         self.sound = not validate(MisdpModel(variables, Objective("min", {}), pencils=self.pencils))
@@ -662,13 +666,19 @@ class _Family:
         self.stages = {_LIFT: [], _FORCED: [], _PENDING: []}
         cuts, covered, lifted = [], set(), []  # lifted: (target, depth, value), known from that depth
         lift_names = {}  # what the lift stage writes, in the order it writes it
+        if not isinstance(hints, list):
+            raise ValueError(f"hints must be a list, not {hints!r}")
         for hint in hints:
+            if not isinstance(hint, dict):
+                raise ValueError(f"hint {hint!r} is not a dict")
             try:
                 rule = _HINT_RULES[hint["rule"]]
             except (KeyError, TypeError):
                 raise ValueError(
                     f"unknown hint rule in {hint!r}; have {sorted(_HINT_RULES)}"
                 ) from None
+            if missing := [field for field in rule.fields if field not in hint]:
+                raise ValueError(f"hint {hint!r} has no field {missing[0]!r}")
             if rule.stage is not None:
                 self.stages[rule.stage].append((rule.apply, hint))
             if rule.stage == _LIFT:
@@ -698,13 +708,12 @@ class _Family:
         kept = [k for k, p in enumerate(pencils) if p.exact and all(n in known for n, _ in p.terms)]
         self.kept_pencils = {k: at for at, k in enumerate(kept, 2)}  # pencil index -> entry position
         self.key = operator.itemgetter(*self.int_names) if self.int_names else lambda assignment: ()
-        self.leaves, self.leaf_cap = {}, leaf_cap
+        self.leaves = {}
         # each depth's values as iter_values() gives them, an integer range as a range (no tuple of them is kept)
         self.levels = [(n, range(math.ceil(doms[n].lo), math.floor(doms[n].hi) + 1) if doms[n].kind == INTEGER_RANGE
                         else doms[n].iter_values(), checks) for n, checks in zip(self.int_names, self.node_checks)]
         self.own_bounds = [b for b in self.bounds if b[0] not in lift_names]
         self.leaf_pencils = [(pencil, self.kept_pencils.get(k)) for k, pencil in enumerate(pencils)]
-        self.objectives = {}
 
         # corner-scalar candidates: continuous variables on one positive
         # diagonal entry of a single pencil, as (name, pencil index, entry,
@@ -724,7 +733,7 @@ class _Family:
     def leaf(self, model, assignment):
         """The `leaves` entry of an integer assignment (a search node's
         assignment at full depth), made on a miss by running the lift stage
-        on the integer values alone; past `leaf_cap`, made and not kept."""
+        on the integer values alone; past `_LEAF_CAP`, made and not kept."""
         key = self.key(assignment)
         entry = self.leaves.get(key)
         if entry is None:
@@ -735,7 +744,7 @@ class _Family:
             ok = all((lo is None or values[k] >= lo) and (hi is None or values[k] <= hi)
                      for k, lo, hi in self.lift_bounds)
             entry = [values, ok, *(None for _ in self.kept_pencils)]
-            if len(self.leaves) < self.leaf_cap:
+            if len(self.leaves) < _LEAF_CAP:
                 self.leaves[key] = entry
         return entry
 
@@ -745,15 +754,9 @@ class _Family:
 
     def objective(self, objective):
         """(`_linear_objective`, the objective variables whose values may not
-        be ints) of an objective, once per content; None when it names a
-        variable the family does not have."""
-        coeffs, const = objective.coeffs, objective.constant
-        key = tuple(coeffs.items()), tuple(map(type, coeffs.values())), const, type(const)
-        return _kept(self.objectives, key, self._objective, objective)
-
-    def _objective(self, objective):
+        be ints) of an objective; None when `validate` finds it defective."""
         doms = self.doms
-        if any(name not in doms for name in objective.coeffs):
+        if objective_defects(objective, doms):
             return None
         return _linear_objective(objective), [n for n in objective.coeffs if not doms[n].is_integer]
 
@@ -820,25 +823,21 @@ class _Family:
 
 
 def _family(model):
-    """The model's `_Family`.  A shared pencil (`formulations.shared_pencil`)
-    first in the model keeps the families of its models, bounded, keyed by the
-    variables (with their bounds' number types) and the pickled hints, and
-    used for a model whose pencils are the family's, object for object."""
+    """The model's `_Family`, kept in `_FAMILIES` under the ids of its
+    pencils (a kept family holds them, so no other pencil takes their ids),
+    its variables with their bounds' number types, and its pickled hints."""
     hints = model.metadata.get("hints", [])
-    store = model.pencils[0]._families if model.pencils else None
-    if store is None:
-        return _Family(model.variables, model.pencils, hints)
     try:
-        key = (tuple((n, d.kind, d.lo, type(d.lo), d.hi, type(d.hi), d.values) for n, d in model.variables),
+        key = (tuple(map(id, model.pencils)),
+               tuple((n, d.kind, d.lo, type(d.lo), d.hi, type(d.hi), d.values) for n, d in model.variables),
                pickle.dumps(hints))
-        family = store.get(key)
+        family = _FAMILIES.get(key)
     except (TypeError, AttributeError, pickle.PicklingError):  # variables or hints with no content key
         return _Family(model.variables, model.pencils, hints)
-    if family is None or list(map(id, family.pencils)) != list(map(id, model.pencils)):
-        family = _Family(model.variables, model.pencils, hints, _LEAF_CAP)
-        store.pop(key, None)
-        _evict(store, _FAMILY_CAP)
-        store[key] = family
+    if family is None:
+        family = _Family(model.variables, model.pencils, hints)
+        _evict(_FAMILIES, _FAMILY_CAP)
+        _FAMILIES[key] = family
     return family
 
 

@@ -4,14 +4,17 @@ from pathlib import Path
 
 import pytest
 
+from misdpkit import verify
 from misdpkit.formulations import shared_pencil
 
 
 @pytest.fixture(autouse=True)
 def _cold_shared_pencils():
-    """Start every test without shared pencils, so that what their memos
-    answer, and so every kernel count, does not depend on the tests before."""
+    """Start every test without shared pencils and without kept families, so
+    that what their memos and leaf stores answer, and so every kernel count,
+    does not depend on the tests before."""
     shared_pencil.cache_clear()
+    verify._FAMILIES.clear()
 
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"

@@ -112,6 +112,27 @@ class TestValidate:
         with pytest.raises(ValueError, match=defect):
             solve_by_enumeration(m)
 
+    @pytest.mark.parametrize("coeffs, constant, defect", [
+        ({"a": math.nan, "b": -1}, 0, "objective: NaN coefficient of 'a'"),
+        ({"a": -1, "b": math.inf}, 0, "objective: infinite coefficient of 'b'"),
+        ({"a": -math.inf, "b": -1}, 0, "objective: infinite coefficient of 'a'"),
+        ({"a": -1, "b": -1}, math.nan, "objective: NaN constant"),
+    ])
+    def test_non_finite_objective_is_a_defect(self, coeffs, constant, defect):
+        from misdpkit.verify import solve_by_enumeration
+
+        # without the defect the optimum was NaN (or -inf), export_cbf wrote
+        # `nan` and export_json `NaN`, which their readers refuse
+        m = self._pair((1, 1), 1)
+        m.objective = Objective("min", coeffs, constant)
+        assert validate(m) == [defect]
+        for _ in range(2):  # a new family, then the kept one
+            with pytest.raises(ValueError) as exc:
+                solve_by_enumeration(m)
+            assert str(exc.value) == f"model has defects: {[defect]}"
+        with pytest.raises(ValueError, match=re.escape(defect)):
+            export_cbf(m)
+
     def test_finite_row_stays_legal(self):
         from misdpkit.verify import solve_by_enumeration
 
@@ -342,10 +363,9 @@ class TestPencilPsd:
                 assert p._psd[key] == expected
 
     def test_memo_stops_inserting_at_its_cap(self):
-        # [[t, 1], [1, 1]] is PSD iff t >= 1; the memo is turned on as
-        # shared_pencil turns it on
+        # [[t, 1], [1, 1]] is PSD iff t >= 1; a pencil built by hand has its memo
         pencil = MatrixPencil(2, [(0, 1, 1), (1, 1, 1)], [("t", [(0, 0, 1)])])
-        pencil._psd = {}
+        assert pencil._psd == {}
         cap = model_module._PSD_MEMO_CAP
         points = range(-50, cap + 50)
         for _ in range(2):
@@ -353,24 +373,29 @@ class TestPencilPsd:
             assert len(pencil._psd) == cap
         assert pencil.is_psd_at({"t": Fraction(cap + 101, 2)}) and len(pencil._psd) == cap
 
-    def test_builder_pencils_remember_and_others_do_not(self):
+    def test_every_pencil_remembers(self):
+        # a shared pencil, the same pencil read back by import_json and by
+        # import_cbf, a pencil built by hand, and each leading block of each:
+        # the kernel is asked once for a repeated point, at an int and at a
+        # Fraction value
         from misdpkit.problems import build_sils
 
-        for m in _one_model_per_builder():
-            for p in m.pencils:
-                assert p._psd is not None and all(b._psd is not None for b in p.leading_blocks())
-            for back in (import_json(export_json(m)), import_cbf(export_cbf(m))):
-                for p in back.pencils:
-                    assert p._psd is None and all(b._psd is None for b in p.leading_blocks())
-        assert stable_set_k2_model().pencils[0]._psd is None
         m = build_sils(np.array([[1, -1], [0, 2]]), np.array([1, 0]), 1)
-        (shared,), (own,) = m.pencils, import_json(export_json(m)).pencils
-        values = {name: 1 for name, _ in shared.terms}
-        for pencil, calls in ((shared, 1), (own, 2)):
-            with mock.patch.object(model_module, "psd_exact_sum", wraps=psd_exact_sum) as exact:
-                decided = pencil.is_psd_at(values)
-                assert pencil.is_psd_at(values) == decided
-            assert pencil.integral and exact.call_count == calls
+        pencils = [m.pencils[0], import_json(export_json(m)).pencils[0], import_cbf(export_cbf(m)).pencils[0],
+                   stable_set_k2_model().pencils[0]]
+        assert pencils[0] is not pencils[1] and pencils[0] == pencils[1] == pencils[2]
+        blocks = [b for p in pencils for b in p.leading_blocks()]
+        assert len(blocks) == 4
+        assert MatrixPencil.__slots__ == ("order", "terms", "entries", "integral", "exact", "_psd")
+        for p in pencils + blocks:
+            assert p.integral and p._psd == {}
+            for value, key in ((1, 1), (Fraction(1, 2), 2)):
+                values = {name: value for name, _ in p.terms}
+                with mock.patch.object(model_module, "psd_exact_sum", wraps=psd_exact_sum) as exact:
+                    decided = p.is_psd_at(values)
+                    assert p.is_psd_at(values) == decided
+                assert exact.call_count == 1
+                assert p._psd[(key, *[1] * len(p.terms))] == decided
 
     def test_equality_compares_the_exact_entries(self):
         third = MatrixPencil(2, [(0, 1, Fraction(1, 3))], [("t", [(0, 0, 1)])])

@@ -284,6 +284,61 @@ class TestHintRules:
         assert str(exc.value) == "valid_cuts hint has defects: [\"row 0 references unknown variable 'ghost'\"]"
 
 
+def _model_with_rule(rule):
+    """A small builder model whose hints name `rule`, read back from JSON."""
+    from misdpkit.model import export_json, import_json
+    from misdpkit.problems import QapInstance, build_matrix_completion, build_qap, build_tsp_lee
+
+    a = np.array([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
+    build = {
+        "gram": lambda: build_stable_set(Graph.cycle(4)),
+        "cycle_distance": lambda: build_tsp_lee(np.ones((5, 5), dtype=int) - np.eye(5, dtype=int)),
+        "qap_schur": lambda: build_qap(QapInstance.make(a, a, a)),
+        "nuclear": lambda: build_matrix_completion((2, 2), {(0, 0): 1}, [0, 1]),
+    }
+    build["valid_cuts"] = build["cycle_distance"]
+    return import_json(export_json(build[rule]()))
+
+
+class TestHintFields:
+    """Malformed hint metadata raises one ValueError before the search."""
+
+    @pytest.fixture(autouse=True)
+    def _no_search(self, monkeypatch):
+        def searching(*args):
+            raise AssertionError("the search started")
+
+        monkeypatch.setattr(verify._Search, "__init__", searching)
+
+    @pytest.mark.parametrize("rule, field", [(rule, field) for rule, r in verify._HINT_RULES.items()
+                                             for field in r.fields])
+    def test_a_missing_field_is_named(self, rule, field):
+        m = _model_with_rule(rule)
+        hint = next(h for h in m.metadata["hints"] if h["rule"] == rule)
+        del hint[field]
+        for _ in range(2):  # the family is not kept
+            with pytest.raises(ValueError) as exc:
+                solve_by_enumeration(m)
+            assert str(exc.value) == f"hint {hint!r} has no field {field!r}"
+
+    def test_hints_that_are_not_a_list_of_dicts_are_refused(self):
+        m = build_stable_set(Graph.cycle(4))
+        (gram,) = m.metadata["hints"]
+        for hints, message in ((5, "hints must be a list, not 5"),
+                               (gram, f"hints must be a list, not {gram!r}"),
+                               ([gram, "gram"], "hint 'gram' is not a dict"),
+                               ([7], "hint 7 is not a dict")):
+            m.metadata["hints"] = hints
+            with pytest.raises(ValueError) as exc:
+                solve_by_enumeration(m)
+            assert str(exc.value) == message
+
+    def test_every_emitted_hint_has_its_fields(self):
+        for m in _one_model_per_builder():
+            for hint in m.metadata.get("hints", []):
+                assert set(verify._HINT_RULES[hint["rule"]].fields) == set(hint) - {"rule"}
+
+
 def _report_digest(name, seed=0):
     import hashlib
 
@@ -1649,17 +1704,14 @@ class TestFamilies:
         with monkeypatch.context() as patch:
             patch.setattr(verify, "_family", fresh)
             expected = [repr(solve_by_enumeration(m, budget=10**9)) for m in models]
-        for m in models:
-            for p in m.pencils:
-                if p._families is not None:
-                    p._families.clear()
+        verify._FAMILIES.clear()
         order = list(range(len(models)))
         for shuffled in (False, False, True):
             if shuffled:
                 np.random.default_rng(0).shuffle(order)
             for t in order:
                 assert repr(solve_by_enumeration(models[t], budget=10**9)) == expected[t]
-        assert sum(len(p._families or ()) for m in models for p in m.pencils[:1]) > 0
+        assert verify._FAMILIES
 
     def test_defects_on_a_kept_family_raise_validates_list(self):
         base = build_stable_set(Graph.cycle(4))
@@ -1701,14 +1753,16 @@ class TestFamilies:
         assert {key for key, (_, ok, _) in leaves.items() if not ok} == {(-1, 1), (1, -1)}
 
     def test_caches_stay_bounded(self):
-        # a few hundred one-off families on one pencil, and as many distinct
-        # rows in one family, keep at most the caps
+        # 300 families, half of them on one shared pencil and half on
+        # pencils built by hand, and as many distinct rows in one family,
+        # keep at most the caps
         pencil = formulations.shared_pencil(2, [(1, 1, 1)], [("a", [(0, 0, 1)])])
+        assert verify._FAMILY_CAP >= 39  # what a `verify --suite all` run makes
         for t in range(300):
             m = MisdpModel([("a", VarDomain.binary()), (f"b{t}", VarDomain.binary())], Objective("min", {"a": 1}),
-                           pencils=[pencil])
+                           pencils=[pencil if t % 2 else MatrixPencil(2, [(1, 1, 1)], [("a", [(0, 0, 1)])])])
             verify._Plan(m, budget=10)
-        assert len(pencil._families) == verify._FAMILY_CAP
+            assert len(verify._FAMILIES) == min(t + 1, verify._FAMILY_CAP)
         variables = [("a", VarDomain.binary()), ("b", VarDomain.integer_range(0, 2 * verify._ROW_CAP))]
         for t in range(2 * verify._ROW_CAP):
             m = MisdpModel(variables, Objective("min", {"a": 1}),
@@ -1716,7 +1770,7 @@ class TestFamilies:
             plan = verify._Plan(m, budget=10**6)
         family = verify._family(m)
         assert len(family.rows) == verify._ROW_CAP and len(family.reduced) == 1
-        assert len(pencil._families) <= verify._FAMILY_CAP
+        assert len(verify._FAMILIES) <= verify._FAMILY_CAP
         # a + b <= t with t = 2 * _ROW_CAP - 1 and a pencil PSD at a >= 0
         assert plan.check.rows == [] and solve_by_enumeration(m).feasible_count == 2 * t + 1
         # twice as many leaves as the leaf store keeps: the pencil b - 1000
@@ -1734,15 +1788,32 @@ class TestFamilies:
             res = solve_by_enumeration(m)
             assert res.feasible_count == (2 * cap + 1 - 1000) + 2001
             assert res.optimum == -3000 and res.minimizers == [{"a": 1, "b": 3000, "X": 3000}]
-        leaves = verify._family(m).leaves
+        shared = verify._family(m)
+        leaves = shared.leaves
         assert len(leaves) == cap and set(leaves) == {(b, a) for b in range(cap // 2) for a in (0, 1)}
         assert all(entry == [(a * b,), True, b >= 1000] for (b, a), entry in leaves.items())
-        # a family that no shared pencil keeps serves one search, which meets
-        # each leaf once, so it keeps no entry
+        # the same model on a pencil built by hand gets a family of its own,
+        # whose store keeps the same entries
         m.pencils = [MatrixPencil(1, [(0, 0, -1000)], [("b", [(0, 0, 1)])])]
-        search = verify._Search(verify._Plan(m, budget=10**9))
-        search.dfs(0)
-        assert search.result().feasible_count == res.feasible_count and search.plan.family.leaves == {}
+        assert repr(solve_by_enumeration(m)) == repr(res)
+        assert verify._family(m) is not shared and verify._family(m).leaves == leaves
+
+    def test_a_dropped_pencil_never_meets_its_old_family(self):
+        # models on pencils built by hand, each dropped once solved: a kept
+        # family holds its pencil, so no later pencil takes its id while the
+        # family is kept, and an evicted family is never met again; the
+        # constant c in {-1, 0, 1} gives each pencil its own kept verdicts
+        import gc
+
+        variables = [("a", VarDomain.binary()), ("b", VarDomain.binary())]
+        for t in range(3 * verify._FAMILY_CAP):
+            c = t % 3 - 1
+            m = MisdpModel(variables, Objective("min", {"a": 1, "b": 1}),
+                           pencils=[MatrixPencil(1, [(0, 0, c)], [("a", [(0, 0, 1)])])])
+            assert solve_by_enumeration(m).feasible_count == (2 if c < 0 else 4)
+            assert verify._family(m).pencils[0] is m.pencils[0]
+            del m
+            gc.collect()
 
 
 @st.composite
