@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from misdpkit import verify
+from misdpkit import search
 from misdpkit.formulations import shared_pencil
 
 
@@ -14,7 +14,7 @@ def _cold_shared_pencils():
     that what their memos and leaf stores answer, and so every kernel count,
     does not depend on the tests before."""
     shared_pencil.cache_clear()
-    verify._FAMILIES.clear()
+    search._FAMILIES.clear()
 
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from misdpkit import model as model_module
-from misdpkit import verify
+from misdpkit import search
 from misdpkit.errors import NegativeCapacity
 from misdpkit.formulations import (
     QcqpInstance,
@@ -135,7 +135,7 @@ class TestQcqp:
         (row,) = [r for r in m.rows if r.label == "aggregated"]
         assert row.coeffs == (("x[0]", -1), ("x[1]", -1), ("X[0,1]", 2)) and row.rhs == -1
         assert {type(v) for v in (row.rhs, *(c for _, c in row.coeffs))} == {int}
-        plan = verify._Plan(m, budget=10)
+        plan = search._Plan(m, budget=10)
         assert id(row) in plan.checker.decided and plan.check.rows == []
         # a/2 + b = 1/2 gives Fractions
         half = Fraction(1, 2)

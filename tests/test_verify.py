@@ -9,9 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from misdpkit import _kernels, config, cosring, formulations, linalg
+from misdpkit import _kernels, config, cosring, formulations, hints, linalg, search, verify
 from misdpkit import model as model_module
-from misdpkit import verify
 from misdpkit.errors import BudgetExceeded, UnsupportedContinuousPattern
 from misdpkit.linalg import is_psd, rank_exact
 from misdpkit.model import (
@@ -259,7 +258,7 @@ def _one_model_per_builder():
 
 class TestHintRules:
     def test_every_emitted_rule_is_registered(self):
-        from misdpkit.verify import _HINT_RULES
+        from misdpkit.hints import _HINT_RULES
 
         emitted = {
             hint["rule"]
@@ -308,9 +307,9 @@ class TestHintFields:
         def searching(*args):
             raise AssertionError("the search started")
 
-        monkeypatch.setattr(verify._Search, "__init__", searching)
+        monkeypatch.setattr(search._Search, "__init__", searching)
 
-    @pytest.mark.parametrize("rule, field", [(rule, field) for rule, r in verify._HINT_RULES.items()
+    @pytest.mark.parametrize("rule, field", [(rule, field) for rule, r in hints._HINT_RULES.items()
                                              for field in r.fields])
     def test_a_missing_field_is_named(self, rule, field):
         m = _model_with_rule(rule)
@@ -336,7 +335,7 @@ class TestHintFields:
     def test_every_emitted_hint_has_its_fields(self):
         for m in _one_model_per_builder():
             for hint in m.metadata.get("hints", []):
-                assert set(verify._HINT_RULES[hint["rule"]].fields) == set(hint) - {"rule"}
+                assert set(hints._HINT_RULES[hint["rule"]].fields) == set(hint) - {"rule"}
 
 
 def _report_digest(name, seed=0):
@@ -402,7 +401,7 @@ def _corner(const, i, a=1.0, dom=VarDomain.continuous(), coef=1, sense="min"):
     const = np.asarray(const, dtype=float)
     pencil = MatrixPencil(len(const), _triples(const), [("t", [(i, i, a)])])
     assign = {}
-    if not verify._resolve_corner(pencil, assign, "t", i, Fraction(a), coef, dom, sense):
+    if not search._resolve_corner(pencil, assign, "t", i, Fraction(a), coef, dom, sense):
         return None
     return assign["t"]
 
@@ -467,7 +466,7 @@ class TestCornerScalars:
         # the leaf check, one per leaf that reaches the pencil
         counts = {"corner": 0, "psd": 0, "psd_in_corner": 0}
         inside = []
-        real_corner, real_psd = verify._resolve_corner, MatrixPencil.is_psd_at
+        real_corner, real_psd = search._resolve_corner, MatrixPencil.is_psd_at
 
         def corner(*args):
             counts["corner"] += 1
@@ -482,7 +481,7 @@ class TestCornerScalars:
             counts["psd_in_corner"] += bool(inside)
             return real_psd(*args, **kwargs)
 
-        monkeypatch.setattr(verify, "_resolve_corner", corner)
+        monkeypatch.setattr(search, "_resolve_corner", corner)
         monkeypatch.setattr(MatrixPencil, "is_psd_at", psd)
         assert equivalence_suite("qbpp-random").passed
         assert counts == {"corner": 61, "psd": 61, "psd_in_corner": 0}
@@ -490,16 +489,16 @@ class TestCornerScalars:
 
 @functools.lru_cache(maxsize=None)
 def _plans():
-    return [verify._Plan(m, budget=10**9) for m in _one_model_per_builder()]
+    return [search._Plan(m, budget=10**9) for m in _one_model_per_builder()]
 
 
 def _forward_passes(plan, point):
     """Whether the search passes every depth of its path to `point`: the
     search itself, on step tables that offer only the point's values."""
-    search, reached = verify._Search(plan), []
-    search.steps = [(name, (point[name],), *rest) for name, _, *rest in search.steps]
-    search.leaf = lambda: reached.append(True)
-    search.dfs(0)
+    walk, reached = search._Search(plan), []
+    walk.steps = [(name, (point[name],), *rest) for name, _, *rest in walk.steps]
+    walk.leaf = lambda: reached.append(True)
+    walk.dfs(0)
     return bool(reached)
 
 
@@ -548,7 +547,7 @@ class TestLeafCheck:
             ],
             pencils=[MatrixPencil(2, [(1, 1, 4.0)], [("t", [(0, 0, 1.0)]), ("a", [(0, 1, 1.0)])])],
         )
-        check = verify._LeafCheck(m)
+        check = search._LeafCheck(m)
         ts = [0, Fraction(1, 2), 3, 3.0, -1, 5.0000000001, 6]
         us = [2, 2.0, Fraction(5, 2), Fraction(1, 2), -1.5, 4.5]
         feasible = 0
@@ -566,24 +565,24 @@ class TestLeafCheck:
                 continue  # 2 s of order-15 pencils; the random points cover it
             # the second search reads the verdicts the first wrote into the family's leaf store
             for _ in range(2):
-                search = verify._Search(verify._Plan(m, budget=10**9))
+                walk = search._Search(search._Plan(m, budget=10**9))
 
-                def recording(assign, leaf=None, m=m, compiled=search.plan.check):
+                def recording(assign, leaf=None, m=m, compiled=walk.plan.check):
                     got = compiled(assign, leaf)
                     _assert_agrees(m, got, assign)
                     return got
 
-                search.plan.check = recording
-                search.dfs(0)
-                feasible += search.result().feasible_count
+                walk.plan.check = recording
+                walk.dfs(0)
+                feasible += walk.result().feasible_count
         assert feasible > 0
 
     def test_psd_runs_only_on_domain_and_row_feasible_leaves(self, monkeypatch):
         # counts PSD decisions (is_psd_at calls), which the memos do not change
         leaf, node, jacobi, leaves, keys = [], [], [], [], set()
         current = {"at_leaf": False}
-        plan_init, leaf_check = verify._Plan.__init__, verify._LeafCheck.__call__
-        resolve, is_psd_at = verify._Plan.resolve, MatrixPencil.is_psd_at
+        plan_init, leaf_check = search._Plan.__init__, search._LeafCheck.__call__
+        resolve, is_psd_at = search._Plan.resolve, MatrixPencil.is_psd_at
 
         def planning(plan, model, budget):
             (pencil,) = model.pencils  # every sils model has one pencil
@@ -615,9 +614,9 @@ class TestLeafCheck:
             jacobi.append(len(a))
             return is_psd(a)
 
-        monkeypatch.setattr(verify._Plan, "__init__", planning)
-        monkeypatch.setattr(verify._Plan, "resolve", resolving)
-        monkeypatch.setattr(verify._LeafCheck, "__call__", checking)
+        monkeypatch.setattr(search._Plan, "__init__", planning)
+        monkeypatch.setattr(search._Plan, "resolve", resolving)
+        monkeypatch.setattr(search._LeafCheck, "__call__", checking)
         monkeypatch.setattr(MatrixPencil, "is_psd_at", deciding)
         monkeypatch.setattr(model_module, "is_psd", float_route)
         # the closure's windows (y1, y2 >= 0) read only x and X, so the forward
@@ -661,7 +660,7 @@ class TestLeafCheck:
         # integer part meets its model's domains and rows, and read after that
         asked, reached, entries = [], set(), []
         current = {"leaf": None}
-        plan_init, leaf_check, is_psd_at = verify._Plan.__init__, verify._LeafCheck.__call__, MatrixPencil.is_psd_at
+        plan_init, leaf_check, is_psd_at = search._Plan.__init__, search._LeafCheck.__call__, MatrixPencil.is_psd_at
 
         def planning(plan, model, budget):
             plan_init(plan, model, budget)
@@ -686,8 +685,8 @@ class TestLeafCheck:
                 asked.append(current["leaf"])
             return is_psd_at(pencil, values)
 
-        monkeypatch.setattr(verify._Plan, "__init__", planning)
-        monkeypatch.setattr(verify._LeafCheck, "__call__", checking)
+        monkeypatch.setattr(search._Plan, "__init__", planning)
+        monkeypatch.setattr(search._LeafCheck, "__call__", checking)
         monkeypatch.setattr(MatrixPencil, "is_psd_at", deciding)
         assert self._row_at_the_leaf() if name == "row-at-the-leaf" else equivalence_suite(name).passed
         assert all(entry is not None for entry in entries) and len(entries) > len(asked) > 0
@@ -738,7 +737,7 @@ def _reference_walk(model):
     are applied first, to all points at once: eval_point rejects any point
     that fails one.
     """
-    plan = verify._Plan(model, budget=10**9)
+    plan = search._Plan(model, budget=10**9)
     names = model.integer_names()
     points = list(itertools.product(*(plan.doms[n].iter_values() for n in names)))
     grid = np.array(points, dtype=np.int64).reshape(len(points), len(names))
@@ -749,7 +748,7 @@ def _reference_walk(model):
         if exact and all(n in col for n, _ in row.coeffs):
             lhs = sum(c * grid[:, col[n]] for n, c in row.coeffs)
             keep &= {"<=": lhs <= row.rhs, ">=": lhs >= row.rhs, "==": lhs == row.rhs}[row.rel]
-    offer, result = verify._best_tracker(model.objective.sense)
+    offer, result = search._best_tracker(model.objective.sense)
     max_residual = 0.0
     for point, kept in zip(points, keep):
         assign = plan.resolve(dict(zip(names, point)), fractions=True) if kept else None
@@ -822,7 +821,7 @@ class TestNodeChecks:
 
     def test_blocks_close_at_their_last_variable(self):
         # bordered lift: x_i enters the leading block of order i + 2, X_ij that of order j + 2
-        plan = verify._Plan(build_mkcs(Graph.cycle(4), 2), budget=10**9)
+        plan = search._Plan(build_mkcs(Graph.cycle(4), 2), budget=10**9)
         assert plan.int_names == ["x[0]", "x[1]", "X[0,1]", "x[2]", "X[0,2]", "X[1,2]",
                                   "x[3]", "X[0,3]", "X[1,3]", "X[2,3]"]
         closing = {d: [b.order for b in checks] for d, checks in enumerate(plan.node_checks) if checks}
@@ -837,7 +836,7 @@ class TestNodeChecks:
         assert [type(v) for v in dom.values] == [int, int]
         pencil = MatrixPencil(3, [(0, 0, 1.0), (1, 1, 99.0), (2, 2, 1e7)], [("x", [(0, 1, 10.0)])])
         m = MisdpModel([("x", dom)], Objective("min", {"x": -1}), pencils=[pencil])
-        closing = [[b.order for b in checks] for checks in verify._Plan(m, budget=10).node_checks]
+        closing = [[b.order for b in checks] for checks in search._Plan(m, budget=10).node_checks]
         assert pencil.integral and closing == [[2]]
         _assert_matches_reference_walk(m)
         assert solve_by_enumeration(m).feasible_count == 1
@@ -845,7 +844,7 @@ class TestNodeChecks:
 
     def test_float_and_continuous_pencils_keep_order_and_get_no_checks(self):
         for m in (build_stable_set(Graph.cycle(5)), build_tsp_cvetkovic(np.ones((5, 5)) - np.eye(5))):
-            plan = verify._Plan(m, budget=10**9)
+            plan = search._Plan(m, budget=10**9)
             assert plan.int_names == m.integer_names()
             assert not any(plan.node_checks)
 
@@ -853,7 +852,7 @@ class TestNodeChecks:
 def _brute_force(model):
     """Optimum and feasible count over every integer point, judged by eval_point."""
     names = [n for n, _ in model.variables]
-    offer, result = verify._best_tracker(model.objective.sense)
+    offer, result = search._best_tracker(model.objective.sense)
     for point in itertools.product(*(d.iter_values() for _, d in model.variables)):
         ref = eval_point(model, dict(zip(names, point)))
         if ref.feasible:
@@ -953,7 +952,7 @@ class TestExactRows:
         m = MisdpModel([("a", VarDomain.binary()), ("t", VarDomain.continuous(0.0, 1.0))],
                        Objective("max", {"a": 1, "t": 1}), rows=[row])
         assert eval_point(m, {"a": 1, "t": 1}).feasible
-        (_, ((_, (_, _, cmin, cmax, up, down)),)), decided, _ = verify._family(m).row(row)
+        (_, ((_, (_, _, cmin, cmax, up, down)),)), decided, _ = search._family(m).row(row)
         assert (cmin, cmax, up, down, decided) == (0, 0, big + 1, -math.inf, False)
         for rhs, optimum, count in ((big + 1, 2, 2), (big, 0, 1)):
             m = MisdpModel(m.variables, m.objective,
@@ -1042,7 +1041,7 @@ class TestClosure:
         rows, unknowns, known = system
         assign = dict(known)
         doms = {n: VarDomain.continuous() for n in [*unknowns, *known]}
-        accepted = verify._ClosureSolver(rows, set(unknowns), doms).apply(assign)
+        accepted = search._ClosureSolver(rows, set(unknowns), doms).apply(assign)
         # A u = b - K k is consistent iff [A | b - K k] has the rank of A;
         # each row is scaled to integers first
         augmented = []
@@ -1071,9 +1070,9 @@ class TestClosure:
                           st.integers(-12, 12).map(lambda q: q / 4))
         free = {n: VarDomain.continuous() for n in [*unknowns, *known]}
         doms = dict(free, **{u: VarDomain.continuous(data.draw(bound), data.draw(bound)) for u in unknowns})
-        closure = verify._ClosureSolver(rows, set(unknowns), doms)
+        closure = search._ClosureSolver(rows, set(unknowns), doms)
         unbounded = dict(known)
-        expected = verify._ClosureSolver(rows, set(unknowns), free).apply(unbounded) and all(
+        expected = search._ClosureSolver(rows, set(unknowns), free).apply(unbounded) and all(
             doms[n].contains(unbounded[n], tol=config.DEFAULT.lin_feas) for n, _ in closure.determined
         )
         assert closure.apply(dict(known)) == expected
@@ -1085,10 +1084,10 @@ class TestClosure:
         # u = k = -3/2 over denominator 1: an int window would be [-1, inf) or (-inf, -2]
         rows = [LinRow((("u", 1), ("k", -1)), "==", 0)]
         doms = {"u": VarDomain.continuous(lo, hi), "k": VarDomain.continuous()}
-        assert verify._ClosureSolver(rows, {"u"}, doms).apply({"k": Fraction(-3, 2)}) == accepted
+        assert search._ClosureSolver(rows, {"u"}, doms).apply({"k": Fraction(-3, 2)}) == accepted
 
 
-# The Fraction Gauss-Jordan that `verify._reduce` and `_resolve_corner` ran
+# The Fraction Gauss-Jordan that `search._reduce` and `_resolve_corner` ran
 # before they reduced int rows fraction-free, kept as the reference.
 
 def _ref_gauss_jordan(rows, width):
@@ -1120,21 +1119,21 @@ def _ref_affine(tail, known):
 
 
 def _ref_reduce(eqs, unknowns, doms, slots=None):
-    """`verify._reduce` over Fractions."""
+    """`search._reduce` over Fractions."""
     unk = list(dict.fromkeys(n for row in eqs for n, _ in row.coeffs if n in unknowns))
     known = list(dict.fromkeys(n for row in eqs for n, _ in row.coeffs if n not in unknowns))
     col = {n: i for i, n in enumerate(unk + known)}
     a = []
     for row in eqs:
-        a.append([Fraction(0)] * len(col) + [verify._frac(row.rhs)])
+        a.append([Fraction(0)] * len(col) + [search._frac(row.rhs)])
         for name, coef in row.coeffs:
-            a[-1][col[name]] += verify._frac(coef)
+            a[-1][col[name]] += search._frac(coef)
     w = len(unk)
     pivots = _ref_gauss_jordan(a, w)
     # a pivot row determines its variable when it touches no free column
     determined = [(unk[p], _ref_affine(a[r][w:], known)) for r, p in enumerate(pivots)
                   if all(a[r][c] == 0 for c in range(w) if c != p)]
-    windows = [verify._window(doms[name], form[2], all(doms[n].is_integer for n, _ in form[0]))
+    windows = [search._window(doms[name], form[2], all(doms[n].is_integer for n, _ in form[0]))
                for name, form in determined]
     dependent = [_ref_affine(row[w:], known) for row in a[len(pivots):] if any(row[w:])]
     tests, searched = [], list(windows)
@@ -1147,7 +1146,7 @@ def _ref_reduce(eqs, unknowns, doms, slots=None):
 
 
 def _ref_resolve_corner(pencil, assign, name, i, a, coef, dom, sense):
-    """`verify._resolve_corner` over Fractions."""
+    """`search._resolve_corner` over Fractions."""
     if coef < 0 if sense == "min" else coef > 0:
         raise UnsupportedContinuousPattern(
             f"corner scalar {name!r} is not priced toward its feasibility boundary"
@@ -1157,7 +1156,7 @@ def _ref_resolve_corner(pencil, assign, name, i, a, coef, dom, sense):
     for v, entries in zip(values, pencil.entries):
         if v:
             for r, c, x in entries:
-                base[r][c] = base[c][r] = base[r][c] + verify._frac(v) * Fraction(x)
+                base[r][c] = base[c][r] = base[r][c] + search._frac(v) * Fraction(x)
     rest = [r for r in range(pencil.order) if r != i]
     rows = [[base[r][c] for c in rest] + [base[r][i]] for r in rest]
     pivots = _ref_gauss_jordan(rows, len(rest))
@@ -1185,10 +1184,10 @@ class TestFractionFreeElimination:
         doms.update({k: data.draw(kinds) for k in known})
         slots = set(data.draw(st.lists(st.sampled_from(sorted(known)), unique=True))) if known else set()
         args = rows, set(unknowns), doms, slots
-        assert repr(verify._reduce(*args)) == repr(_ref_reduce(*args))
+        assert repr(search._reduce(*args)) == repr(_ref_reduce(*args))
 
     def test_reduce_matches_on_every_suite_at_seed_zero(self, monkeypatch):
-        real, determined = verify._reduce, []
+        real, determined = search._reduce, []
 
         def reduce(*args):
             got = real(*args)
@@ -1196,7 +1195,7 @@ class TestFractionFreeElimination:
             determined.append(len(got[0]))
             return got
 
-        monkeypatch.setattr(verify, "_reduce", reduce)
+        monkeypatch.setattr(search, "_reduce", reduce)
         for name in SUITES:
             assert equivalence_suite(name).passed, name
         assert sum(determined) > 0
@@ -1218,12 +1217,12 @@ class TestFractionFreeElimination:
         dom = VarDomain.continuous(data.draw(st.sampled_from([None, 0, Fraction(1, 7)])))
         got, expected = {"x": x}, {"x": x}
         args = "t", i, Fraction(a), 1, dom, "min"
-        assert verify._resolve_corner(pencil, got, *args) == _ref_resolve_corner(pencil, expected, *args)
+        assert search._resolve_corner(pencil, got, *args) == _ref_resolve_corner(pencil, expected, *args)
         assert got == expected
 
     @pytest.mark.parametrize("seed", range(6))
     def test_corner_values_match_on_qbpp(self, monkeypatch, seed):
-        real, results = verify._resolve_corner, []
+        real, results = search._resolve_corner, []
 
         def corner(pencil, assign, name, *args):
             expected = dict(assign)
@@ -1233,7 +1232,7 @@ class TestFractionFreeElimination:
             results.append(ok)
             return ok
 
-        monkeypatch.setattr(verify, "_resolve_corner", corner)
+        monkeypatch.setattr(search, "_resolve_corner", corner)
         assert equivalence_suite("qbpp-random", seed=seed).passed
         assert any(results)
 
@@ -1250,7 +1249,7 @@ class TestIntegralClosureValues:
             problem = m.metadata["problem"]
             if problem == "tsp_qap":
                 continue  # 2^25 points
-            plan = verify._Plan(m, budget=10**9)
+            plan = search._Plan(m, budget=10**9)
             if not plan.closes:
                 continue
             closing.append(problem)
@@ -1276,7 +1275,7 @@ class TestClosureDecidesItsRows:
             Objective("min", {"a": 1}),
             rows=[LinRow((("y", 1), ("a", -1)), "==", 0), LinRow((("z", 1), ("w", 1), ("a", -1)), "==", 0)],
         )
-        plan = verify._Plan(m, budget=10)
+        plan = search._Plan(m, budget=10)
         assert [n for n, _ in plan.closure.determined] == ["y"] and plan.closure.proven == frozenset()
         assert [r[1] for r in plan.check.rows] == [["y", "a"], ["z", "w", "a"]]
         assert [b[0] for b in plan.check.bounds] == ["z", "w"]
@@ -1293,7 +1292,7 @@ class TestClosureDecidesItsRows:
         # the row is checked in floats
         domain = VarDomain.integer_range(1, 3)
         m = self._scaled(domain, 0.7)
-        plan = verify._Plan(m, budget=10)
+        plan = search._Plan(m, budget=10)
         assert plan.closure.proven == frozenset() and len(plan.check.rows) == 1
         res = solve_by_enumeration(m)
         points = [plan.resolve({"b": b}) for b in domain.iter_values()]
@@ -1304,7 +1303,7 @@ class TestClosureDecidesItsRows:
         domain = VarDomain.finite_set((1.0, 2.0))
         assert domain.values == (1, 2) and {type(v) for v in domain.values} == {int}
         m = self._scaled(domain, 49)
-        plan = verify._Plan(m, budget=10)
+        plan = search._Plan(m, budget=10)
         assert plan.closure.proven == {id(m.rows[0])} and plan.check.rows == []
         res = solve_by_enumeration(m)
         points = [plan.resolve({"b": b}) for b in domain.iter_values()]
@@ -1325,7 +1324,7 @@ class TestClosureDecidesItsRows:
             Objective("min", {"a": 1}),
             rows=[LinRow((("y", 1), ("a", Fraction(-1, edge.denominator))), "==", edge)],
         )
-        plan = verify._Plan(m, budget=10)
+        plan = search._Plan(m, budget=10)
         assert plan.check.rows == [] and plan.check.bounds == []
         feasible = []
         for a in (-1, 0, 1):
@@ -1340,13 +1339,13 @@ class TestClosureDecidesItsRows:
     def test_sils_checks_keep_no_row_and_no_bound(self, monkeypatch):
         # the closure proves the equality rows and the forward checker
         # decides the support row, a cap on integer variables alone
-        plans, plan_init = [], verify._Plan.__init__
+        plans, plan_init = [], search._Plan.__init__
 
         def planning(plan, model, budget):
             plan_init(plan, model, budget)
             plans.append(plan)
 
-        monkeypatch.setattr(verify._Plan, "__init__", planning)
+        monkeypatch.setattr(search._Plan, "__init__", planning)
         assert equivalence_suite("sils-small").passed
         assert len(plans) == 18
         for plan in plans:
@@ -1362,11 +1361,11 @@ class TestCheckerDecidesItsRows:
 
     @staticmethod
     def _leaf_rows(m):
-        return [r[1] for r in verify._Plan(m, budget=10**6).check.rows]
+        return [r[1] for r in search._Plan(m, budget=10**6).check.rows]
 
     def test_rows_over_int_values_and_lifted_targets_leave(self):
         m = build_stable_set(Graph.make(4, [(0, 1), (1, 2), (2, 3)]))
-        plan = verify._Plan(m, budget=10**6)
+        plan = search._Plan(m, budget=10**6)
         assert plan.checker.decided == {id(r) for r in m.rows} and plan.check.rows == []
         _assert_matches_reference_walk(m)
 
@@ -1395,7 +1394,7 @@ class TestCheckerDecidesItsRows:
             Objective("min", {"a": -1}),
             rows=[LinRow((("u", 1), ("b", -1)), "==", 0), LinRow((("a", 1), ("u", -1)), "<=", 1)],
         )
-        plan = verify._Plan(m, budget=10**6)
+        plan = search._Plan(m, budget=10**6)
         assert len(plan.checker.partial) == 0 and self._leaf_rows(m) == [["a", "u"]]
         assert solve_by_enumeration(m).feasible_count == 5
         _assert_matches_reference_walk(m)
@@ -1405,7 +1404,7 @@ class TestCheckerDecidesItsRows:
         # the checker decides nothing: 0 >= 1 was skipped and t = 1/2 accepted
         m = MisdpModel([("t", VarDomain.continuous(0, 1))], Objective("min", {"t": 1}),
                        rows=[LinRow((("t", 1),), "==", Fraction(1, 2)), LinRow((), ">=", 1)])
-        plan = verify._Plan(m, budget=1)
+        plan = search._Plan(m, budget=1)
         assert plan.checker.decided == set() and self._leaf_rows(m) == [[]]
         assert not eval_point(m, {"t": Fraction(1, 2)}).feasible
         assert solve_by_enumeration(m).feasible_count == 0
@@ -1418,7 +1417,7 @@ class TestCheckerDecidesItsRows:
         assert dom.values == (1, 2) and {type(v) for v in dom.values} == {int}
         m = MisdpModel([("a", dom), ("b", dom)], Objective("min", {"a": 1}),
                        rows=[LinRow((("a", 10**17 + 1), ("b", -10**17)), "==", 0)])
-        plan = verify._Plan(m, budget=10)
+        plan = search._Plan(m, budget=10)
         assert plan.checker.decided == {id(m.rows[0])} and self._leaf_rows(m) == []
         for a, b in itertools.product(dom.iter_values(), repeat=2):
             point = {"a": a, "b": b}
@@ -1474,7 +1473,7 @@ class TestLiftsAtNodes:
     @given(_graphs(6))
     def test_stable_set_matches_reference_walk(self, g):
         m = build_stable_set(g)
-        assert _lifted(verify._Plan(m, budget=10**9)) == {f"X[{u},{v}]" for u, v in g.edges}
+        assert _lifted(search._Plan(m, budget=10**9)) == {f"X[{u},{v}]" for u, v in g.edges}
         _assert_matches_reference_walk(m)
 
     @settings(max_examples=60, deadline=None)
@@ -1501,7 +1500,7 @@ class TestLiftsAtNodes:
             rows=[LinRow((("X", 1), ("a", -1)), "<=", 0)],
             metadata={"hints": [_gram([["a"], ["b"]], [["X", 0, 1]])]},
         )
-        plan = verify._Plan(m, budget=10)
+        plan = search._Plan(m, budget=10)
         assert plan.int_names == ["a", "b", "X"] and _lifted(plan) == set()
         _assert_matches_reference_walk(m)
         assert solve_by_enumeration(m).feasible_count == 6
@@ -1516,7 +1515,7 @@ class TestLiftsAtNodes:
             rows=[LinRow((("Y", 1), ("Z", 1)), "<=", 2), LinRow((("Z", 2), ("a", -1)), "<=", 1)],
             metadata={"hints": [_gram([["a"]], [["Y", 0, 0]]), _gram([["Y"]], [["Z", 0, 0]])]},
         )
-        assert _lifted(verify._Plan(m, budget=10)) == {"Y"}
+        assert _lifted(search._Plan(m, budget=10)) == {"Y"}
         res = solve_by_enumeration(m)
         assert res.feasible_count == 2 and res.optimum == -1
         assert res.minimizers == [{"a": 1, "Y": 1, "Z": 1}]
@@ -1524,7 +1523,7 @@ class TestLiftsAtNodes:
 
     def test_a_target_no_row_reads_is_left_to_the_leaf(self):
         m = build_stable_set(Graph.make(3, [(0, 1)]))
-        assert _lifted(verify._Plan(m, budget=10)) == {"X[0,1]"}
+        assert _lifted(search._Plan(m, budget=10)) == {"X[0,1]"}
         assert all(sol["X[0,2]"] == sol["x[0]"] * sol["x[2]"] for sol in solve_by_enumeration(m).minimizers)
 
     @pytest.mark.parametrize("coef, nodes", [(10**10, 6), (1e10, 7)])
@@ -1544,19 +1543,19 @@ class TestLiftsAtNodes:
 
     def test_seed_zero_node_totals(self, monkeypatch):
         counts = {"nodes": 0, "leaves": 0}
-        real_solve, real_leaf = verify.solve_by_enumeration, verify._Search.leaf
+        real_solve, real_leaf = verify.solve_by_enumeration, search._Search.leaf
 
         def solve(model, budget=10**7):
             res = real_solve(model, budget)
             counts["nodes"] += res.nodes
             return res
 
-        def leaf(search):
+        def leaf(walk):
             counts["leaves"] += 1
-            real_leaf(search)
+            real_leaf(walk)
 
         monkeypatch.setattr(verify, "solve_by_enumeration", solve)
-        monkeypatch.setattr(verify._Search, "leaf", leaf)
+        monkeypatch.setattr(search._Search, "leaf", leaf)
         totals = {}
         for name in SUITES:
             counts.update(nodes=0, leaves=0)
@@ -1585,7 +1584,7 @@ class TestLinearObjective:
     def _check(objective, point):
         names = sorted(point)
         m = MisdpModel([(n, VarDomain.continuous()) for n in names], objective)
-        got, residual = verify._LeafCheck(m)(point)
+        got, residual = search._LeafCheck(m)(point)
         ref = objective.value(point)
         assert type(got) is type(ref) and got == ref and residual == 0.0
 
@@ -1599,7 +1598,7 @@ class TestLinearObjective:
     ])
     def test_int_values_match_objective_value(self, coeffs, constant, as_fraction):
         objective = Objective("min", coeffs, constant)
-        assert verify._linear_objective(objective)[-1] is as_fraction
+        assert search._linear_objective(objective)[-1] is as_fraction
         for a, b in itertools.product((-2, 0, 3), (0, 1, 5)):
             self._check(objective, {"a": a, "b": b})
 
@@ -1612,7 +1611,7 @@ class TestLinearObjective:
                                                   ({"a": np.int64(2)}, 0)])
     def test_other_data_is_not_compiled(self, coeffs, constant):
         objective = Objective("min", coeffs, constant)
-        assert verify._linear_objective(objective) is None
+        assert search._linear_objective(objective) is None
         self._check(objective, {"a": 3})
 
 
@@ -1624,11 +1623,11 @@ class TestFamilies:
         g = Graph.cycle(4)
         a, b = build_stable_set(g), build_stable_set(Graph.make(4, [(0, 2)]))
         assert a.pencils[0] is b.pencils[0]
-        assert verify._family(a) is verify._family(b) is verify._family(build_stable_set(g))
+        assert search._family(a) is search._family(b) is search._family(build_stable_set(g))
 
     def test_hints_domains_and_variables_part_families(self):
         base = build_stable_set(Graph.cycle(4))
-        family = verify._family(base)
+        family = search._family(base)
         no_hints = MisdpModel(base.variables, base.objective, base.rows, base.pencils, {})
         # continuous(0.0, 1.0) equals continuous(0, 1) and parts the family; its
         # finite float bounds keep the edge row over X[0,1] exact, decided at its
@@ -1637,12 +1636,12 @@ class TestFamilies:
         wider = [*base.variables, ("spare", VarDomain.binary())]
         variants = [no_hints, *(MisdpModel(v, base.objective, base.rows, base.pencils, base.metadata)
                                 for v in (floats, wider, base.variables[::-1]))]
-        families = [verify._family(m) for m in variants]
+        families = [search._family(m) for m in variants]
         assert all(f is not family for f in families) and len(set(map(id, families))) == len(families)
-        assert verify._Plan(base, 10**6).check.rows == []
-        assert _lifted(verify._Plan(no_hints, 10**6)) == set()
-        assert verify._Plan(variants[1], 10**6).check.rows == []
-        assert verify._Plan(variants[2], 10**6).int_names[-1] == "spare"
+        assert search._Plan(base, 10**6).check.rows == []
+        assert _lifted(search._Plan(no_hints, 10**6)) == set()
+        assert search._Plan(variants[1], 10**6).check.rows == []
+        assert search._Plan(variants[2], 10**6).int_names[-1] == "spare"
         for m in variants[1:]:
             _assert_matches_reference_walk(m)
         assert solve_by_enumeration(variants[2]).feasible_count == 2 * solve_by_enumeration(base).feasible_count
@@ -1669,15 +1668,15 @@ class TestFamilies:
                 assert (got.optimum, got.feasible_count, got.max_residual) == expected[t]
                 assert type(got.optimum) is type(expected[t][0])
             order.reverse()
-        assert len({id(verify._family(m)) for m in models}) == 4
-        assert all(verify._family(m).leaves for m in models)
+        assert len({id(search._family(m)) for m in models}) == 4
+        assert all(search._family(m).leaves for m in models)
 
     @staticmethod
     def _first_suite_models(monkeypatch, count=3):
         """The models that the first `count` cases of each suite solve."""
         models, real = [], verify.solve_by_enumeration
 
-        def recording(model, budget=verify.DEFAULT_BUDGET):
+        def recording(model, budget=search.DEFAULT_BUDGET):
             models.append(model)
             return real(model, budget)
 
@@ -1699,19 +1698,19 @@ class TestFamilies:
                               base.metadata) for c, k in ((-1, 0), (Fraction(-1), 0), (-1.0, 0), (-1, Fraction(0)))]
 
         def fresh(m):
-            return verify._Family(m.variables, m.pencils, m.metadata.get("hints", []))
+            return search._Family(m.variables, m.pencils, m.metadata.get("hints", []))
 
         with monkeypatch.context() as patch:
-            patch.setattr(verify, "_family", fresh)
+            patch.setattr(search, "_family", fresh)
             expected = [repr(solve_by_enumeration(m, budget=10**9)) for m in models]
-        verify._FAMILIES.clear()
+        search._FAMILIES.clear()
         order = list(range(len(models)))
         for shuffled in (False, False, True):
             if shuffled:
                 np.random.default_rng(0).shuffle(order)
             for t in order:
                 assert repr(solve_by_enumeration(models[t], budget=10**9)) == expected[t]
-        assert verify._FAMILIES
+        assert search._FAMILIES
 
     def test_defects_on_a_kept_family_raise_validates_list(self):
         base = build_stable_set(Graph.cycle(4))
@@ -1724,7 +1723,7 @@ class TestFamilies:
         ]
         for objective, rows in variants:
             m = MisdpModel(base.variables, objective, base.rows + rows, base.pencils, base.metadata)
-            assert verify._family(m) is verify._family(base)
+            assert search._family(m) is search._family(base)
             for _ in range(2):  # compiled, then read from the family's caches
                 with pytest.raises(ValueError) as exc:
                     solve_by_enumeration(m)
@@ -1735,7 +1734,7 @@ class TestFamilies:
         for _ in range(2):
             with pytest.raises(ValueError, match="duplicate variable names"):
                 solve_by_enumeration(twice)
-        assert not verify._family(twice).sound
+        assert not search._family(twice).sound
 
     def test_lift_values_outside_their_bounds_are_rejected(self):
         # X = x0 x1 over ternary factors is -1 at two of the nine points, below
@@ -1749,7 +1748,7 @@ class TestFamilies:
         for _ in range(2):
             got = solve_by_enumeration(m)
             assert (got.optimum, got.feasible_count, got.max_residual) == expected == (-3, 7, 0.0)
-        leaves = verify._family(m).leaves
+        leaves = search._family(m).leaves
         assert {key for key, (_, ok, _) in leaves.items() if not ok} == {(-1, 1), (1, -1)}
 
     def test_caches_stay_bounded(self):
@@ -1757,20 +1756,20 @@ class TestFamilies:
         # pencils built by hand, and as many distinct rows in one family,
         # keep at most the caps
         pencil = formulations.shared_pencil(2, [(1, 1, 1)], [("a", [(0, 0, 1)])])
-        assert verify._FAMILY_CAP >= 39  # what a `verify --suite all` run makes
+        assert search._FAMILY_CAP >= 39  # what a `verify --suite all` run makes
         for t in range(300):
             m = MisdpModel([("a", VarDomain.binary()), (f"b{t}", VarDomain.binary())], Objective("min", {"a": 1}),
                            pencils=[pencil if t % 2 else MatrixPencil(2, [(1, 1, 1)], [("a", [(0, 0, 1)])])])
-            verify._Plan(m, budget=10)
-            assert len(verify._FAMILIES) == min(t + 1, verify._FAMILY_CAP)
-        variables = [("a", VarDomain.binary()), ("b", VarDomain.integer_range(0, 2 * verify._ROW_CAP))]
-        for t in range(2 * verify._ROW_CAP):
+            search._Plan(m, budget=10)
+            assert len(search._FAMILIES) == min(t + 1, search._FAMILY_CAP)
+        variables = [("a", VarDomain.binary()), ("b", VarDomain.integer_range(0, 2 * search._ROW_CAP))]
+        for t in range(2 * search._ROW_CAP):
             m = MisdpModel(variables, Objective("min", {"a": 1}),
                            rows=[LinRow((("a", 1), ("b", 1)), "<=", t)], pencils=[pencil])
-            plan = verify._Plan(m, budget=10**6)
-        family = verify._family(m)
-        assert len(family.rows) == verify._ROW_CAP and len(family.reduced) == 1
-        assert len(verify._FAMILIES) <= verify._FAMILY_CAP
+            plan = search._Plan(m, budget=10**6)
+        family = search._family(m)
+        assert len(family.rows) == search._ROW_CAP and len(family.reduced) == 1
+        assert len(search._FAMILIES) <= search._FAMILY_CAP
         # a + b <= t with t = 2 * _ROW_CAP - 1 and a pencil PSD at a >= 0
         assert plan.check.rows == [] and solve_by_enumeration(m).feasible_count == 2 * t + 1
         # twice as many leaves as the leaf store keeps: the pencil b - 1000
@@ -1778,7 +1777,7 @@ class TestFamilies:
         # verdict (X <= 3000) past it; the store keeps the first leaves
         # (b < _LEAF_CAP / 2, in search order b then a), and the rest are
         # lifted, bounded and decided at every visit
-        cap = verify._LEAF_CAP
+        cap = search._LEAF_CAP
         line = formulations.shared_pencil(1, [(0, 0, -1000)], [("b", [(0, 0, 1)])])
         m = MisdpModel([("a", VarDomain.binary()), ("b", VarDomain.integer_range(0, 2 * cap)),
                         ("X", VarDomain.continuous(0, 3000))],
@@ -1788,7 +1787,7 @@ class TestFamilies:
             res = solve_by_enumeration(m)
             assert res.feasible_count == (2 * cap + 1 - 1000) + 2001
             assert res.optimum == -3000 and res.minimizers == [{"a": 1, "b": 3000, "X": 3000}]
-        shared = verify._family(m)
+        shared = search._family(m)
         leaves = shared.leaves
         assert len(leaves) == cap and set(leaves) == {(b, a) for b in range(cap // 2) for a in (0, 1)}
         assert all(entry == [(a * b,), True, b >= 1000] for (b, a), entry in leaves.items())
@@ -1796,7 +1795,7 @@ class TestFamilies:
         # whose store keeps the same entries
         m.pencils = [MatrixPencil(1, [(0, 0, -1000)], [("b", [(0, 0, 1)])])]
         assert repr(solve_by_enumeration(m)) == repr(res)
-        assert verify._family(m) is not shared and verify._family(m).leaves == leaves
+        assert search._family(m) is not shared and search._family(m).leaves == leaves
 
     def test_a_dropped_pencil_never_meets_its_old_family(self):
         # models on pencils built by hand, each dropped once solved: a kept
@@ -1806,12 +1805,12 @@ class TestFamilies:
         import gc
 
         variables = [("a", VarDomain.binary()), ("b", VarDomain.binary())]
-        for t in range(3 * verify._FAMILY_CAP):
+        for t in range(3 * search._FAMILY_CAP):
             c = t % 3 - 1
             m = MisdpModel(variables, Objective("min", {"a": 1, "b": 1}),
                            pencils=[MatrixPencil(1, [(0, 0, c)], [("a", [(0, 0, 1)])])])
             assert solve_by_enumeration(m).feasible_count == (2 if c < 0 else 4)
-            assert verify._family(m).pencils[0] is m.pencils[0]
+            assert search._family(m).pencils[0] is m.pencils[0]
             del m
             gc.collect()
 
@@ -1873,14 +1872,14 @@ class TestWindowsAtNodes:
                        Objective("max", {"y1": 1}),
                        rows=[LinRow((("y1", 1), ("y2", -1), ("a", -1)), "==", 0),
                              LinRow((("y1", 1), ("y2", 1), ("b", -1)), "==", 0)])
-        plan = verify._Plan(m, budget=10)
+        plan = search._Plan(m, budget=10)
         assert sorted(plan.closure.tests) == [([("a", -1), ("b", 1)], 0, math.inf),
                                               ([("a", 1), ("b", 1)], 0, math.inf)]
         assert plan.check.rows == [] and plan.check.bounds == []
         leaves = []
-        search = verify._Search(plan)
-        search.leaf = lambda: leaves.append(dict(search.assignment))
-        search.dfs(0)
+        walk = search._Search(plan)
+        walk.leaf = lambda: leaves.append(dict(walk.assignment))
+        walk.dfs(0)
         assert leaves == [{"a": -1, "b": 1}, {"a": 0, "b": 0}, {"a": 0, "b": 1}, {"a": 1, "b": 1}]
         res = solve_by_enumeration(m)
         assert res.feasible_count == 4 and res.nodes == 8 and res.optimum == 1
