@@ -5,19 +5,14 @@ windows on the linear rows, eliminates the continuous variables, and
 evaluates feasibility exactly.  The windows of a row with int/Fraction data
 are decided in integers; only rows with float data get a tolerance.
 
-A plan is compiled in two parts.  The part that the variables, pencils and
-hints fix (`_Family`: the variable order and per-depth levels, the node
-checks, the hint stages, the lifted targets, the variables-and-pencils half
-of `validate`, the leaf check's bounds and pencils) is built once per family
-of models and kept, bounded, in `_FAMILIES`, so the 1,024 models of
-`stable-set-n5`, which hold one shared pencil, share one.  Within a family
-each row is compiled once per content, into the int test the forward checker
-reads and the form the leaf check reads; so is the closure of the equality
-rows.  A model's `_Plan` only binds its rows: the forward checker
-binds their tests into the per-depth step tables the search reads.  A
-family also keeps, per integer assignment, what it alone fixes at a leaf:
-the lift-stage values, whether they meet their bounds, and the verdicts of
-the exact pencils that read nothing else (`_Family.leaves`).
+A plan is compiled in two parts.  What the variables, pencils and hints fix
+(`_Family`) is built once per family of models and kept, bounded, in
+`_FAMILIES`, so the 1,024 models of `stable-set-n5`, which hold one shared
+pencil, share one.  It compiles each row, and the closure of the equality
+rows, once per content, and keeps per integer assignment what it alone fixes
+at a leaf (`_Family.leaves`).  A model's `_Plan` binds only its rows:
+`_Family.bind` binds their tests into the per-depth step tables that
+`_Plan.dfs` walks.
 
 Each linear row is decided once, by one owner.  The forward checker decides
 a row with int/Fraction data over integer variables (their values are ints)
@@ -54,17 +49,13 @@ Each leaf resolves continuous variables in this order:
      in no row, set to the pencil's exact Schur-complement boundary;
   5. builder hints of the "pending" stage, only while variables remain.
 
-The completed point is then tested by `_LeafCheck`, bound once per call,
-minus the bounds the closure decided and the rows that the checker or the
-closure decided.  It stops at the first violation, in the order domains,
-rows, pencils, and sums an objective of int/Fraction data in ints.  At a
-search leaf it reads the family's entry for the bounds of the lifted
-targets and for a kept pencil whose verdict some leaf already asked.
-`eval_point` stays the slow reference that reports every violation; the two
-agree on feasibility, objective and residual on every point the search
-reaches.  The optimum keeps the type it has with every closure value a
-Fraction: when the closure takes part, the first minimizer is resolved once
-more with Fraction closure values, and its objective is the optimum.
+The completed point is then tested by `_LeafCheck`, minus the bounds and
+rows already decided.  `eval_point` stays the slow reference that reports
+every violation; the two agree on feasibility, objective and residual on
+every point the search reaches.  The optimum keeps the type it has with
+every closure value a Fraction: when the closure takes part, the first
+minimizer is resolved once more with Fraction closure values, and its
+objective is the optimum.
 
 The hint rules a model's metadata may name, and the stage each runs in, are
 in `hints`.
@@ -136,47 +127,6 @@ def _contribution_bounds(coef, dom, tol=None):
         lo, hi = hi, lo
     return -math.inf if lo is None else coef * lo, math.inf if hi is None else coef * hi
 
-
-class _ForwardChecker:
-    """Window-based pruning of linear tests under prefix integer assignments.
-
-    Each test, compiled by `_Family`, is (slot coefficients, per-depth
-    checks): slots 0..depth-1 are the integer variables and the later slots
-    the lifted targets, each pushed at the depth of its last input.  A check
-    (depth, (smin, smax, cmin, cmax, up, down)) fails when no completion of
-    the partial sum fits [down, up].  A test moves only at the depths of its
-    slots, so depth d checks those that it moves (all of them at depth 0) and
-    prunes the nodes a scan of every test would.
-
-    The checker binds a model's tests into its family's `levels`: `steps`
-    holds per depth (the variable, its domain values, the slot's (test,
-    coefficient) list, the lifts, the depth's window checks, the node
-    blocks), a lift being (target, value, the target slot's (test,
-    coefficient) list) for each lifted target that some test reads (the
-    others are left to the leaf).  `_Search.dfs` steps through them and
-    keeps, per test, the sum of its pushed slots in `partial`.  `decided`
-    holds the ids of the model rows the tests decide exactly, which no leaf
-    needs to check again.
-    """
-
-    def __init__(self, tests, family, decided=frozenset()):
-        touch = [[] for _ in family.slots]
-        checks = [[] for _ in family.levels]
-        self.partial = []
-        for coefs, windows in tests:
-            t = len(self.partial)
-            for s, c in coefs:
-                touch[s].append((t, c))
-            for d, window in windows:
-                checks[d].append((t, window))
-            self.partial.append(0)
-        lifts = [[] for _ in family.levels]
-        for s, target, d, value in family.lifted:
-            if touch[s]:  # a target no test reads is left to the leaf
-                lifts[d].append((target, value, touch[s]))
-        self.steps = [(name, values, touch[d], lifts[d], checks[d], blocks)
-                      for d, (name, values, blocks) in enumerate(family.levels)]
-        self.decided = decided
 
 def _affine(tail, known, d):
     """b - K.y for the tail [K | b] of a reduced int row over d: (int terms on
@@ -316,21 +266,21 @@ def _resolve_corner(pencil, assign, name, i, a, coef, dom, sense):
 
 
 def _leaf_row(row):
-    """A row as `_LeafCheck` reads it: (rel, names, exact, ints, coefs, rhs,
-    float coefs, float rhs), with `ints` the row scaled to int coefficients
-    and rhs by the lcm of its denominators when its data is int/Fraction."""
+    """A row as `_LeafCheck` reads it: (rel, names, ints, float coefs, float
+    rhs), with `ints` the row scaled to int coefficients and rhs by the lcm
+    of its denominators when its data is int/Fraction, None otherwise."""
     names = [n for n, _ in row.coeffs]
     coefs = [c for _, c in row.coeffs]
-    exact, ints = _exact(row.rhs, *coefs), None
-    if exact:
+    ints = None
+    if _exact(row.rhs, *coefs):
         scale = math.lcm(row.rhs.denominator, *(c.denominator for c in coefs))
         irhs, *icoefs = [c.numerator * (scale // c.denominator) for c in (row.rhs, *coefs)]
-        ints = (icoefs, irhs)
+        ints = icoefs, irhs
     try:
         floats = [float(c) for c in coefs], float(row.rhs)
     except OverflowError:  # exact data past the float range: only a float value, which
         floats = coefs, row.rhs  # overflows in eval_point as well, needs the float form
-    return row.rel, names, exact, ints, coefs, row.rhs, *floats
+    return row.rel, names, ints, *floats
 
 
 def _bounds(variables):
@@ -370,8 +320,8 @@ class _LeafCheck:
     the rest, only bounded continuous domains are checked: every integer
     value is drawn from its domain's iter_values(), which contains() accepts.
     Rows keep eval_point's rule: exact when the row's data and values are all
-    int/Fraction (on the row scaled to ints once, when every value is an int,
-    integral closure values included), floats within `lin_feas` otherwise.
+    int/Fraction, on the row scaled to ints once (the scale is a positive
+    lcm, so the sign of each gap is kept), floats within `lin_feas` otherwise.
     A feasible point's exact rows all have residual 0, so only float rows
     raise max_residual.  An objective of int/Fraction data is summed in ints
     at a point whose objective variables are all ints (an integer variable's
@@ -415,12 +365,10 @@ class _LeafCheck:
                 return None
         tol = self.tol
         max_residual = 0.0
-        for rel, names, exact, ints, coefs, rhs, fcoefs, frhs in self.rows:
+        for rel, names, ints, fcoefs, frhs in self.rows:
             vals = [assign[n] for n in names]
-            if ints and all(type(v) is int for v in vals):
+            if ints and _exact(*vals):
                 gap = sum(map(operator.mul, ints[0], vals)) - ints[1]
-            elif exact and _exact(*vals):
-                gap = sum(c * v for c, v in zip(coefs, vals)) - rhs
             else:
                 gap = sum(c * float(v) for c, v in zip(fcoefs, vals)) - frhs
                 resid = abs(gap) if rel == "==" else max(gap if rel == "<=" else -gap, 0.0)
@@ -484,8 +432,8 @@ class _Family:
     candidates and the forward checker's slots: the integer variables, then
     the lifted targets, whose values are ints.  `levels` gives per depth the
     variable, its domain values (a tuple, or a range for an integer range)
-    and the node blocks that close there, which each model's
-    `_ForwardChecker` binds its tests into.  A family also holds whether
+    and the node blocks that close there, into which `bind` binds a
+    model's tests.  A family also holds whether
     `validate` finds no defect in the variables and pencils (`sound`; an
     unsound family holds nothing else), and what the leaf check reads of
     them: the bounds, with the lift-stage targets' bounds apart, and the
@@ -650,9 +598,9 @@ class _Family:
         doms, slot = self.doms, self.slot
         if row_defects(0, row, doms):
             return None
-        leaf = rel, names, exact, ints, _, rhs, fcoefs, frhs = _leaf_row(row)
+        leaf = rel, names, ints, fcoefs, frhs = _leaf_row(row)
         bounds = [b for n in names if not doms[n].is_integer for b in (doms[n].lo, doms[n].hi) if b is not None]
-        if exact := exact and all(_exact(b) or type(b) is float and math.isfinite(b) for b in bounds):
+        if exact := ints is not None and all(_exact(b) or type(b) is float and math.isfinite(b) for b in bounds):
             (coefs, rhs), eps = ints, 0
         else:
             coefs, rhs, eps = fcoefs, frhs, 1e-9 * (1.0 + abs(frhs))
@@ -695,6 +643,37 @@ class _Family:
                   for d in ({0, *(self.at[s] for s in by_slot)} if depth else ())]
         return list(by_slot.items()), checks
 
+    def bind(self, tests):
+        """The step tables and partial sums of a model's tests.
+
+        `test` gives a test as (slot coefficients, per-depth checks): slots
+        0..depth-1 are the integer variables and the later slots the lifted
+        targets, each pushed at the depth of its last input.  A check (depth,
+        (smin, smax, cmin, cmax, up, down)) fails when no completion of the
+        partial sum fits [down, up].  A test moves only at the depths of its
+        slots, so depth d checks those that it moves (all of them at depth
+        0) and prunes the nodes a scan of every test would.  The steps give
+        per depth (the variable, its domain values, the slot's (test,
+        coefficient) list, the lifts, the depth's window checks, the node
+        blocks), a lift being (target, value, the target slot's (test,
+        coefficient) list) for each lifted target that some test reads (the
+        others are left to the leaf); the partial sums start at 0.
+        """
+        touch = [[] for _ in self.slots]
+        checks = [[] for _ in self.levels]
+        for t, (coefs, windows) in enumerate(tests):
+            for s, c in coefs:
+                touch[s].append((t, c))
+            for d, window in windows:
+                checks[d].append((t, window))
+        lifts = [[] for _ in self.levels]
+        for s, target, d, value in self.lifted:
+            if touch[s]:  # a target no test reads is left to the leaf
+                lifts[d].append((target, value, touch[s]))
+        steps = [(name, values, touch[d], lifts[d], checks[d], blocks)
+                 for d, (name, values, blocks) in enumerate(self.levels)]
+        return steps, [0] * len(tests)
+
 
 def _family(model):
     """The model's `_Family`, kept in `_FAMILIES` under the ids of its
@@ -716,15 +695,17 @@ def _family(model):
 
 
 class _Plan:
-    """What one solve_by_enumeration call fixes before the search starts:
-    its model's `_Family`, and the model's rows bound to it.  The family
-    compiles each row and the objective once per content, and a model whose
-    rows, objective, variables or pencils `validate` finds defective raises
-    ValueError with `validate`'s list.  The plan keeps which rows the forward
-    checker and the closure decide, the checker with its step tables, the
-    closure, the corners and the leaf check.  A corner scalar on a pencil
-    with CosInt entries raises UnsupportedContinuousPattern: its boundary is
-    computed over the rationals."""
+    """One solve_by_enumeration call: its model's `_Family`, the model's
+    rows bound to it, and the search over them.  The family compiles each
+    row and the objective once per content, and a model whose rows,
+    objective, variables or pencils `validate` finds defective raises
+    ValueError with `validate`'s list.  The plan keeps which rows its tests
+    and the closure decide (`decided`, `closure.proven`), the step tables and
+    partial sums of its tests (`_Family.bind`), the closure, the corners and
+    the leaf check.  A corner scalar on a pencil with CosInt entries raises
+    UnsupportedContinuousPattern: its boundary is computed over the
+    rationals.  `dfs(0)` walks the integer assignments, counting `nodes`
+    and offering each feasible leaf to the best tracker (`result`)."""
 
     def __init__(self, model, budget):
         family = _family(model)
@@ -735,15 +716,13 @@ class _Plan:
         if family.space > budget:
             raise BudgetExceeded(f"integer space exceeds budget {budget}")
         self.model, self.family = model, family
-        self.doms, self.int_names, self.cont_names = family.doms, family.int_names, family.cont_names
-        self.node_checks, self.stages = family.node_checks, family.stages
-        self.closure = _ClosureSolver(model.rows, family.unknowns, self.doms, family.reduce)
+        self.closure = _ClosureSolver(model.rows, family.unknowns, family.doms, family.reduce)
         self.closes = bool(self.closure.determined or self.closure.dependent)
         # with no integer variable the search tests no node, so no test decides a row
-        decided = {id(row) for row, (_, dec, _) in zip(model.rows, compiled) if dec} if self.int_names else set()
+        self.decided = {id(row) for row, (_, dec, _) in zip(model.rows, compiled) if dec} if family.int_names else set()
         tests = [test for test, _, _ in compiled if test] + family.cuts
         tests += [family.test(*window) for window in self.closure.tests]
-        self.checker = _ForwardChecker(tests, family, decided)
+        self.steps, self.partial = family.bind(tests)
         in_rows = {name for row in model.rows for name, _ in row.coeffs} if family.corners else ()
         self.corners = [(name, model.pencils[k], i, a, model.objective.coeffs.get(name, 0))
                         for name, k, i, a in family.corners if name not in in_rows]
@@ -753,51 +732,40 @@ class _Plan:
                     f"corner scalar {name!r} sits on a pencil with entries in Z[2cos(2pi/n)]"
                 )
         self.check = _LeafCheck(model, family, compiled, objective, {name for name, _ in self.closure.determined},
-                                self.closure.proven | decided)
+                                self.closure.proven | self.decided)
+        self.assignment, self.nodes, self.max_residual = {}, 0, 0.0
+        self.offer, self.result = _best_tracker(model.objective.sense)
 
     def resolve(self, assignment, fractions=False, searched=False, leaf=None):
         """The leaf pipeline: complete an integer assignment, None if infeasible.
         With `fractions` every closure value is a Fraction, also an integral one.
-        `searched` says the assignment passed every forward-checker test, so
-        the closure skips the windows those tests decided.  The lift stage's
+        `searched` says the assignment passed every test of the plan, so the
+        closure skips the windows those tests decided.  The lift stage's
         values come from `leaf`, the family's entry for the assignment, which
         is looked up when not given."""
-        model = self.model
+        model, family = self.model, self.family
         if leaf is None:
-            leaf = self.family.leaf(model, assignment)
+            leaf = family.leaf(model, assignment)
         assign = dict(assignment)
-        assign.update(zip(self.family.lift_names, leaf[0]))
+        assign.update(zip(family.lift_names, leaf[0]))
         if self.closes and not self.closure.apply(assign, fractions, searched):
             return None
-        for apply, hint in self.stages[_FORCED]:
+        for apply, hint in family.stages[_FORCED]:
             apply(hint, model, assign)
         for name, pencil, i, a, coef in self.corners:
             if name in assign or not all(t in assign or t == name for t, _ in pencil.terms):
                 continue
-            if not _resolve_corner(pencil, assign, name, i, a, coef, self.doms[name],
+            if not _resolve_corner(pencil, assign, name, i, a, coef, family.doms[name],
                                    model.objective.sense):
                 return None
-        if len(assign) < len(self.doms):
-            for apply, hint in self.stages[_PENDING]:
+        if len(assign) < len(family.doms):
+            for apply, hint in family.stages[_PENDING]:
                 apply(hint, model, assign)
-            if pending := [n for n in self.cont_names if n not in assign]:
+            if pending := [n for n in family.cont_names if n not in assign]:
                 raise UnsupportedContinuousPattern(
                     f"cannot resolve continuous variables {pending[:4]}"
                 )
         return assign
-
-
-class _Search:
-    """Depth-first walk over the integer assignments of a plan, keeping the
-    best.  Each depth reads its step table (`_ForwardChecker.steps`)."""
-
-    def __init__(self, plan):
-        self.plan = plan
-        self.steps, self.partial = plan.checker.steps, plan.checker.partial
-        self.assignment = {}
-        self.nodes = 0
-        self.max_residual = 0.0
-        self.offer, self.result = _best_tracker(plan.model.objective.sense)
 
     def dfs(self, d):
         """Visit the node at depth d: each value, and the targets lifted with
@@ -836,12 +804,11 @@ class _Search:
         del assignment[name]
 
     def leaf(self):
-        plan = self.plan
-        leaf = plan.family.leaf(plan.model, self.assignment)
-        assign = plan.resolve(self.assignment, searched=True, leaf=leaf)
+        leaf = self.family.leaf(self.model, self.assignment)
+        assign = self.resolve(self.assignment, searched=True, leaf=leaf)
         if assign is None:
             return
-        res = plan.check(assign, leaf)
+        res = self.check(assign, leaf)
         if res is not None:
             objective, residual = res
             self.offer(objective, assign)
@@ -856,14 +823,11 @@ def solve_by_enumeration(model: MisdpModel, budget: int = DEFAULT_BUDGET) -> Enu
     rule is not in _HINT_RULES raises ValueError before the search starts.
     """
     plan = _Plan(model, budget)
-    search = _Search(plan)
-    search.dfs(0)
-    best = search.result()
+    plan.dfs(0)
+    best = plan.result()
     optimum = best.optimum
     if plan.closes and best.solutions:
         # the optimum keeps the type it has with every closure value a Fraction
-        first = {n: best.solutions[0][n] for n in plan.int_names}
+        first = {n: best.solutions[0][n] for n in plan.family.int_names}
         optimum = model.objective.value(plan.resolve(first, fractions=True))
-    return EnumerationResult(
-        optimum, best.solutions, best.feasible_count, search.max_residual, search.nodes
-    )
+    return EnumerationResult(optimum, best.solutions, best.feasible_count, plan.max_residual, plan.nodes)

@@ -136,7 +136,7 @@ class TestQcqp:
         assert row.coeffs == (("x[0]", -1), ("x[1]", -1), ("X[0,1]", 2)) and row.rhs == -1
         assert {type(v) for v in (row.rhs, *(c for _, c in row.coeffs))} == {int}
         plan = search._Plan(m, budget=10)
-        assert id(row) in plan.checker.decided and plan.check.rows == []
+        assert id(row) in plan.decided and plan.check.rows == []
         # a/2 + b = 1/2 gives Fractions
         half = Fraction(1, 2)
         inst = QcqpInstance(2, np.zeros((2, 2), dtype=int), lin_eq=[(np.array([half, 1]), half)])

@@ -1,3 +1,4 @@
+import copy
 import functools
 import itertools
 import json
@@ -307,7 +308,7 @@ class TestHintFields:
         def searching(*args):
             raise AssertionError("the search started")
 
-        monkeypatch.setattr(search._Search, "__init__", searching)
+        monkeypatch.setattr(search._Plan, "dfs", searching)
 
     @pytest.mark.parametrize("rule, field", [(rule, field) for rule, r in hints._HINT_RULES.items()
                                              for field in r.fields])
@@ -495,8 +496,8 @@ def _plans():
 def _forward_passes(plan, point):
     """Whether the search passes every depth of its path to `point`: the
     search itself, on step tables that offer only the point's values."""
-    walk, reached = search._Search(plan), []
-    walk.steps = [(name, (point[name],), *rest) for name, _, *rest in walk.steps]
+    walk, reached = copy.copy(plan), []
+    walk.steps = [(name, (point[name],), *rest) for name, _, *rest in plan.steps]
     walk.leaf = lambda: reached.append(True)
     walk.dfs(0)
     return bool(reached)
@@ -522,7 +523,7 @@ class TestLeafCheck:
         # search accepts a point when the checker passes its whole path and
         # the check then accepts it
         plan = data.draw(st.sampled_from(_plans()))
-        point = {n: data.draw(st.sampled_from(plan.doms[n].iter_values())) for n in plan.int_names}
+        point = {n: data.draw(st.sampled_from(plan.family.doms[n].iter_values())) for n in plan.family.int_names}
         assign = plan.resolve(point)
         if assign is not None:
             _assert_agrees(plan.model, plan.check(assign) if _forward_passes(plan, point) else None, assign)
@@ -565,16 +566,16 @@ class TestLeafCheck:
                 continue  # 2 s of order-15 pencils; the random points cover it
             # the second search reads the verdicts the first wrote into the family's leaf store
             for _ in range(2):
-                walk = search._Search(search._Plan(m, budget=10**9))
+                plan = search._Plan(m, budget=10**9)
 
-                def recording(assign, leaf=None, m=m, compiled=walk.plan.check):
+                def recording(assign, leaf=None, m=m, compiled=plan.check):
                     got = compiled(assign, leaf)
                     _assert_agrees(m, got, assign)
                     return got
 
-                walk.plan.check = recording
-                walk.dfs(0)
-                feasible += walk.result().feasible_count
+                plan.check = recording
+                plan.dfs(0)
+                feasible += plan.result().feasible_count
         assert feasible > 0
 
     def test_psd_runs_only_on_domain_and_row_feasible_leaves(self, monkeypatch):
@@ -593,7 +594,7 @@ class TestLeafCheck:
             assign = resolve(plan, assignment, fractions, searched, leaf)
             if searched:  # a search leaf: is every closure value inside its domain?
                 leaves.append(assign is not None and all(
-                    plan.doms[n].contains(assign[n], tol=config.DEFAULT.lin_feas)
+                    plan.family.doms[n].contains(assign[n], tol=config.DEFAULT.lin_feas)
                     for n, _ in plan.closure.determined))
                 keys.add((id(plan.family), plan.family.key(assignment)))
             return assign
@@ -739,7 +740,7 @@ def _reference_walk(model):
     """
     plan = search._Plan(model, budget=10**9)
     names = model.integer_names()
-    points = list(itertools.product(*(plan.doms[n].iter_values() for n in names)))
+    points = list(itertools.product(*(plan.family.doms[n].iter_values() for n in names)))
     grid = np.array(points, dtype=np.int64).reshape(len(points), len(names))
     col = {n: i for i, n in enumerate(names)}
     keep = np.ones(len(points), dtype=bool)
@@ -822,9 +823,9 @@ class TestNodeChecks:
     def test_blocks_close_at_their_last_variable(self):
         # bordered lift: x_i enters the leading block of order i + 2, X_ij that of order j + 2
         plan = search._Plan(build_mkcs(Graph.cycle(4), 2), budget=10**9)
-        assert plan.int_names == ["x[0]", "x[1]", "X[0,1]", "x[2]", "X[0,2]", "X[1,2]",
+        assert plan.family.int_names == ["x[0]", "x[1]", "X[0,1]", "x[2]", "X[0,2]", "X[1,2]",
                                   "x[3]", "X[0,3]", "X[1,3]", "X[2,3]"]
-        closing = {d: [b.order for b in checks] for d, checks in enumerate(plan.node_checks) if checks}
+        closing = {d: [b.order for b in checks] for d, checks in enumerate(plan.family.node_checks) if checks}
         assert closing == {0: [2], 2: [3], 5: [4]}
 
     def test_integral_float_domain_values_are_ints_and_get_node_checks(self):
@@ -836,7 +837,7 @@ class TestNodeChecks:
         assert [type(v) for v in dom.values] == [int, int]
         pencil = MatrixPencil(3, [(0, 0, 1.0), (1, 1, 99.0), (2, 2, 1e7)], [("x", [(0, 1, 10.0)])])
         m = MisdpModel([("x", dom)], Objective("min", {"x": -1}), pencils=[pencil])
-        closing = [[b.order for b in checks] for checks in search._Plan(m, budget=10).node_checks]
+        closing = [[b.order for b in checks] for checks in search._Plan(m, budget=10).family.node_checks]
         assert pencil.integral and closing == [[2]]
         _assert_matches_reference_walk(m)
         assert solve_by_enumeration(m).feasible_count == 1
@@ -845,8 +846,8 @@ class TestNodeChecks:
     def test_float_and_continuous_pencils_keep_order_and_get_no_checks(self):
         for m in (build_stable_set(Graph.cycle(5)), build_tsp_cvetkovic(np.ones((5, 5)) - np.eye(5))):
             plan = search._Plan(m, budget=10**9)
-            assert plan.int_names == m.integer_names()
-            assert not any(plan.node_checks)
+            assert plan.family.int_names == m.integer_names()
+            assert not any(plan.family.node_checks)
 
 
 def _brute_force(model):
@@ -1350,7 +1351,7 @@ class TestClosureDecidesItsRows:
         assert len(plans) == 18
         for plan in plans:
             (support,) = [r for r in plan.model.rows if r.label == "support"]
-            assert plan.checker.decided >= {id(support)}
+            assert plan.decided >= {id(support)}
             assert plan.check.rows == [] and plan.check.bounds == []
 
 
@@ -1366,7 +1367,7 @@ class TestCheckerDecidesItsRows:
     def test_rows_over_int_values_and_lifted_targets_leave(self):
         m = build_stable_set(Graph.make(4, [(0, 1), (1, 2), (2, 3)]))
         plan = search._Plan(m, budget=10**6)
-        assert plan.checker.decided == {id(r) for r in m.rows} and plan.check.rows == []
+        assert plan.decided == {id(r) for r in m.rows} and plan.check.rows == []
         _assert_matches_reference_walk(m)
 
     def test_float_row_stays(self):
@@ -1395,7 +1396,7 @@ class TestCheckerDecidesItsRows:
             rows=[LinRow((("u", 1), ("b", -1)), "==", 0), LinRow((("a", 1), ("u", -1)), "<=", 1)],
         )
         plan = search._Plan(m, budget=10**6)
-        assert len(plan.checker.partial) == 0 and self._leaf_rows(m) == [["a", "u"]]
+        assert len(plan.partial) == 0 and self._leaf_rows(m) == [["a", "u"]]
         assert solve_by_enumeration(m).feasible_count == 5
         _assert_matches_reference_walk(m)
 
@@ -1405,7 +1406,7 @@ class TestCheckerDecidesItsRows:
         m = MisdpModel([("t", VarDomain.continuous(0, 1))], Objective("min", {"t": 1}),
                        rows=[LinRow((("t", 1),), "==", Fraction(1, 2)), LinRow((), ">=", 1)])
         plan = search._Plan(m, budget=1)
-        assert plan.checker.decided == set() and self._leaf_rows(m) == [[]]
+        assert plan.decided == set() and self._leaf_rows(m) == [[]]
         assert not eval_point(m, {"t": Fraction(1, 2)}).feasible
         assert solve_by_enumeration(m).feasible_count == 0
 
@@ -1418,7 +1419,7 @@ class TestCheckerDecidesItsRows:
         m = MisdpModel([("a", dom), ("b", dom)], Objective("min", {"a": 1}),
                        rows=[LinRow((("a", 10**17 + 1), ("b", -10**17)), "==", 0)])
         plan = search._Plan(m, budget=10)
-        assert plan.checker.decided == {id(m.rows[0])} and self._leaf_rows(m) == []
+        assert plan.decided == {id(m.rows[0])} and self._leaf_rows(m) == []
         for a, b in itertools.product(dom.iter_values(), repeat=2):
             point = {"a": a, "b": b}
             assert not _forward_passes(plan, point) and not eval_point(m, point).feasible
@@ -1432,7 +1433,7 @@ def _gram(factors, targets):
 
 
 def _lifted(plan):
-    return {target for _, _, _, lifts, _, _ in plan.checker.steps for target, _, _ in lifts}
+    return {target for _, _, _, lifts, _, _ in plan.steps for target, _, _ in lifts}
 
 
 @st.composite
@@ -1501,7 +1502,7 @@ class TestLiftsAtNodes:
             metadata={"hints": [_gram([["a"], ["b"]], [["X", 0, 1]])]},
         )
         plan = search._Plan(m, budget=10)
-        assert plan.int_names == ["a", "b", "X"] and _lifted(plan) == set()
+        assert plan.family.int_names == ["a", "b", "X"] and _lifted(plan) == set()
         _assert_matches_reference_walk(m)
         assert solve_by_enumeration(m).feasible_count == 6
 
@@ -1543,19 +1544,19 @@ class TestLiftsAtNodes:
 
     def test_seed_zero_node_totals(self, monkeypatch):
         counts = {"nodes": 0, "leaves": 0}
-        real_solve, real_leaf = verify.solve_by_enumeration, search._Search.leaf
+        real_solve, real_leaf = verify.solve_by_enumeration, search._Plan.leaf
 
         def solve(model, budget=10**7):
             res = real_solve(model, budget)
             counts["nodes"] += res.nodes
             return res
 
-        def leaf(walk):
+        def leaf(plan):
             counts["leaves"] += 1
-            real_leaf(walk)
+            real_leaf(plan)
 
         monkeypatch.setattr(verify, "solve_by_enumeration", solve)
-        monkeypatch.setattr(search._Search, "leaf", leaf)
+        monkeypatch.setattr(search._Plan, "leaf", leaf)
         totals = {}
         for name in SUITES:
             counts.update(nodes=0, leaves=0)
@@ -1641,7 +1642,7 @@ class TestFamilies:
         assert search._Plan(base, 10**6).check.rows == []
         assert _lifted(search._Plan(no_hints, 10**6)) == set()
         assert search._Plan(variants[1], 10**6).check.rows == []
-        assert search._Plan(variants[2], 10**6).int_names[-1] == "spare"
+        assert search._Plan(variants[2], 10**6).family.int_names[-1] == "spare"
         for m in variants[1:]:
             _assert_matches_reference_walk(m)
         assert solve_by_enumeration(variants[2]).feasible_count == 2 * solve_by_enumeration(base).feasible_count
@@ -1877,7 +1878,7 @@ class TestWindowsAtNodes:
                                               ([("a", 1), ("b", 1)], 0, math.inf)]
         assert plan.check.rows == [] and plan.check.bounds == []
         leaves = []
-        walk = search._Search(plan)
+        walk = copy.copy(plan)
         walk.leaf = lambda: leaves.append(dict(walk.assignment))
         walk.dfs(0)
         assert leaves == [{"a": -1, "b": 1}, {"a": 0, "b": 0}, {"a": 0, "b": 1}, {"a": 1, "b": 1}]
