@@ -35,6 +35,7 @@ from .model import (
     Objective,
     VarDomain,
     check_dense_entries,
+    check_exportable,
     validate,
 )
 
@@ -126,9 +127,7 @@ def _bound_rows(variables):
 
 
 def export_cbf(model: MisdpModel) -> str:
-    defects = validate(model)
-    if defects:
-        raise ValueError(f"model has defects: {defects}")
+    check_exportable(model)
     index = {name: i for i, (name, _) in enumerate(model.variables)}
     bound_rows = _bound_rows(model.variables)
     all_rows = list(model.rows) + bound_rows

@@ -294,6 +294,8 @@ def rank1_iff_binary(y: SymMat):
 def decompose_pm1(x: SymMat) -> np.ndarray:
     """Sign vector with x = s s^T and s[0] = +1; NotPsd when none exists."""
     _require_values(x, {-1, 1}, "decompose_pm1")
+    if x.n == 0:  # the empty matrix is the outer product of the empty vector
+        return np.zeros(0, dtype=x.ints.dtype)
     s = x.ints[0].copy()  # first row: s[0] * s, and s[0] = +1 by convention
     if not np.array_equal(np.outer(s, s), x.ints):
         raise NotPsd("matrix is not a sign-vector outer product")

@@ -119,7 +119,7 @@ def shared_pencil(order, const, terms):
 
     Every builder takes its pencils here, so the models of one shape hold one
     pencil, whose memo of exact PSD decisions answers for all of them, and
-    `verify` sets up their family once.  A bounded lru_cache keys the triples
+    `search` sets up their family once.  A bounded lru_cache keys the triples
     with each value's type, so Fraction(1, 2) and 0.5 differ.
     `shared_pencil.cache_clear()` also empties the caches of `bordered_pencil`
     and `lift_pencil`, which keep their pencils by their arguments.

@@ -362,6 +362,21 @@ def validate(model: MisdpModel):
     return defects
 
 
+def check_exportable(model: MisdpModel):
+    """Raise ValueError unless the model file readers accept `model`: its
+    `validate` defects, or each bound, rhs and objective constant that is
+    infinite (a legal model, but no model file holds an infinite number)."""
+    defects = validate(model)
+    if defects:
+        raise ValueError(f"model has defects: {defects}")
+    numbers = [(f"{side} bound of {name!r}", b)
+               for name, d in model.variables for side, b in (("lower", d.lo), ("upper", d.hi))]
+    numbers += [(f"rhs of row {k}", row.rhs) for k, row in enumerate(model.rows)]
+    numbers.append(("objective constant", model.objective.constant))
+    if infinite := [f"{what} is {v}" for what, v in numbers if v is not None and abs(v) == math.inf]:
+        raise ValueError(f"model files hold finite numbers only: {infinite}")
+
+
 def objective_defects(objective, known):
     """The defects `validate` reports of `objective`, over the variables `known`."""
     return _linear_defects("objective", objective.coeffs.items(), "constant", objective.constant, known)
@@ -551,6 +566,7 @@ def _dec_triples(triples, where):
 
 
 def export_json(model: MisdpModel) -> str:
+    check_exportable(model)
     obj = {
         "format": "misdpkit-model",
         "version": 2,

@@ -2,9 +2,9 @@
 
 Each builder compiles one combinatorial problem into a MisdpModel whose
 integer-feasible points correspond to the problem's solutions; the verify
-module pairs every builder with a brute-force oracle.  Metadata carries
-resolution hints for continuous variables that are pinned by pencil
-structure rather than by equality rows (see verify.solve_by_enumeration).
+module pairs every builder with a brute-force oracle (`oracles`).  Metadata
+carries resolution hints for continuous variables that are pinned by pencil
+structure rather than by equality rows (the rules of `hints`).
 
 The builders reuse the generic lifts of `formulations`:
 

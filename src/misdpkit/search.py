@@ -432,8 +432,7 @@ class _Family:
     candidates and the forward checker's slots: the integer variables, then
     the lifted targets, whose values are ints.  `levels` gives per depth the
     variable, its domain values (a tuple, or a range for an integer range)
-    and the node blocks that close there, into which `bind` binds a
-    model's tests.  A family also holds whether
+    and the node blocks that close there.  A family also holds whether
     `validate` finds no defect in the variables and pencils (`sound`; an
     unsound family holds nothing else), and what the leaf check reads of
     them: the bounds, with the lift-stage targets' bounds apart, and the
@@ -443,8 +442,9 @@ class _Family:
     whether the test decides it, `_leaf_row` form), or None when `validate`
     finds the row defective, and `reduce(eqs)` reduces the closure's
     equality rows, each once per content (at most `_ROW_CAP`);
-    `objective(objective)` compiles an objective, and `test` a window on a
-    sum over slots.  A hint that is not a dict, names no rule of
+    `objective(objective)` compiles an objective, `test` a window on a sum
+    over slots, and `bind(tests)` a model's tests into step tables over
+    `levels`.  A hint that is not a dict, names no rule of
     `_HINT_RULES` or lacks one of its rule's `fields` raises ValueError.
 
     It also keeps what it alone fixes at a leaf, in `leaves`: keyed by the

@@ -249,6 +249,15 @@ class TestCheck:
         out = capsys.readouterr().out
         assert "psd: False" in out and "rank: 2" in out
 
+    def test_order_zero_sign_vector(self, tmp_path, capsys):
+        # the empty matrix is s s^T of the empty sign vector, as it is the
+        # empty packing and has no ternary block
+        mat = tmp_path / "zero.txt"
+        mat.write_text("0\n")
+        assert run(["check", "--matrix", str(mat), "--props", "pm1,decompose,ternary"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert "sign_vector: []" in out and "binary: True" in out and "ternary_blocks: []" in out
+
     def test_not_psd(self, tmp_path, capsys):
         mat = tmp_path / "bad.txt"
         mat.write_text("2\n1 1\n1 0\n")

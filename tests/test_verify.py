@@ -3,7 +3,11 @@ import functools
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -168,6 +172,18 @@ class TestReports:
         rep = verify.VerificationReport("kep/x", 2, (Fraction(5, 2), 2), 3, 3, True, 0.0, False)
         assert json.loads(report_json(rep))["misdp"] == ["5/2", 2]
         assert "(5/2, 2)" in render_table([rep])
+
+
+class TestLayering:
+    def test_the_search_loads_no_builder_oracle_or_report(self):
+        # the checker stands apart from what it checks: in a fresh
+        # interpreter the search imports no problem builder, no matrix
+        # theory, no oracle and no report
+        code = ("import sys, misdpkit.search; print(sorted(m for m in ('misdpkit.problems', 'misdpkit.dpsd', "
+                "'misdpkit.oracles', 'misdpkit.verify') if m in sys.modules))")
+        env = {**os.environ, "PYTHONPATH": str(Path(search.__file__).parents[1])}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout == "[]\n"
 
 
 class TestSuiteDriver:
