@@ -137,7 +137,7 @@ def export_cbf(model: MisdpModel) -> str:
     out.append("# misdpkit-names: " + " ".join(n for n, _ in model.variables))
     out.append(f"# misdpkit-boundrows: {len(bound_rows)}")
     if model.metadata:
-        out.append("# misdpkit-meta: " + json.dumps(model.metadata, sort_keys=True, separators=(",", ":")))
+        out.append("# misdpkit-meta: " + json.dumps(model.metadata, sort_keys=True, separators=(",", ":"), allow_nan=False))
     out.append("")
 
     out += ["OBJSENSE", model.objective.sense.upper(), ""]

@@ -365,7 +365,9 @@ def validate(model: MisdpModel):
 def check_exportable(model: MisdpModel):
     """Raise ValueError unless the model file readers accept `model`: its
     `validate` defects, or each bound, rhs and objective constant that is
-    infinite (a legal model, but no model file holds an infinite number)."""
+    infinite (a legal model, but no model file holds an infinite number).
+    The exporters write metadata with `allow_nan=False`, so a non-finite
+    float in it raises ValueError as well."""
     defects = validate(model)
     if defects:
         raise ValueError(f"model has defects: {defects}")
@@ -595,7 +597,7 @@ def export_json(model: MisdpModel) -> str:
             for p in model.pencils
         ],
     }
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
 
 
 def import_json(text: str) -> MisdpModel:

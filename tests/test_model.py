@@ -872,22 +872,23 @@ class TestRoundTripProperties:
         if fmt == "json":  # CBF writes Fraction data as floats
             assert again == m
 
-    @pytest.mark.parametrize("dom, coef, constant, rhs, message", [
-        (VarDomain.continuous(0, math.inf), 1, 0, 2, "upper bound of 't' is inf"),
-        (VarDomain.continuous(-math.inf, 1), 1, 0, 2, "lower bound of 't' is -inf"),
-        (VarDomain.continuous(0, 1), 1, math.inf, 2, "objective constant is inf"),
-        (VarDomain.continuous(0, 1), 1, 0, math.inf, "rhs of row 0 is inf"),
-        (VarDomain.continuous(0, 1), math.nan, 0, 2, "NaN coefficient of 'a'"),
-        (VarDomain.continuous(0, 1), 1, 3, 2, None),
+    @pytest.mark.parametrize("dom, coef, constant, rhs, metadata, message", [
+        (VarDomain.continuous(0, math.inf), 1, 0, 2, {}, "upper bound of 't' is inf"),
+        (VarDomain.continuous(-math.inf, 1), 1, 0, 2, {}, "lower bound of 't' is -inf"),
+        (VarDomain.continuous(0, 1), 1, math.inf, 2, {}, "objective constant is inf"),
+        (VarDomain.continuous(0, 1), 1, 0, math.inf, {}, "rhs of row 0 is inf"),
+        (VarDomain.continuous(0, 1), math.nan, 0, 2, {}, "NaN coefficient of 'a'"),
+        (VarDomain.continuous(0, 1), 1, 0, 2, {"note": math.nan}, "not JSON compliant"),
+        (VarDomain.continuous(0, 1), 1, 3, 2, {"note": 0.5}, None),
     ])
     @pytest.mark.parametrize("fmt", ["cbf", "json"])
-    def test_exporters_write_only_what_their_readers_accept(self, dom, coef, constant, rhs, message, fmt):
-        # each model but the last passes `validate` or fails only on its NaN;
-        # an exporter either refuses it, naming the item, or writes a file
-        # that its reader turns back into the model
+    def test_exporters_write_only_what_their_readers_accept(self, dom, coef, constant, rhs, metadata, message, fmt):
+        # each model passes `validate` or fails only on its NaN coefficient;
+        # an exporter either refuses it before writing, naming the infinite
+        # item, or writes a file that its reader turns back into the model
         export, load = (export_cbf, import_cbf) if fmt == "cbf" else (export_json, import_json)
         m = MisdpModel([("a", VarDomain.binary()), ("t", dom)], Objective("min", {"a": coef, "t": 1}, constant),
-                       rows=[LinRow((("a", 1), ("t", 1)), "<=", rhs)])
+                       rows=[LinRow((("a", 1), ("t", 1)), "<=", rhs)], metadata=metadata)
         if message is None:
             assert load(export(m)) == m
         else:
