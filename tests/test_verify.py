@@ -511,7 +511,8 @@ def _plans():
 
 def _forward_passes(plan, point):
     """Whether the search passes every depth of its path to `point`: the
-    search itself, on step tables that offer only the point's values."""
+    search itself, on a copy of the plan whose step tables offer only the
+    point's values."""
     walk, reached = copy.copy(plan), []
     walk.steps = [(name, (point[name],), *rest) for name, _, *rest in plan.steps]
     walk.leaf = lambda: reached.append(True)
