@@ -5,7 +5,10 @@ trailing linear rows so external MISDP solvers see the full integer hull.
 Because CBF has no notion of binary/ternary/finite-set domains, the exact
 domain list, the count of synthesized bound rows and the model metadata are
 carried in '#' comment lines; import_cbf reads them back exactly and falls
-back to a generic reading on foreign files.  Integers are written as decimal
+back to a generic reading on foreign files.  Sections are written in CBF
+order, each as its name, a header line, its entries and a blank line; VER,
+OBJSENSE and VAR always appear, every other section only when it holds
+entries.  Integers are written as decimal
 integers, and the integer tokens of the objective and row sections
 (OBJACOORD, OBJBCOORD, ACOORD, BCOORD) and the PSD sections (HCOORD,
 DCOORD) are read back as ints, of any size.  Every other number is written
@@ -22,6 +25,7 @@ import math
 import numbers
 import re
 from fractions import Fraction
+from itertools import groupby
 
 from .errors import MisdpkitError, ParseError, UnsupportedDomain, loads_json
 from .model import (
@@ -126,101 +130,62 @@ def _bound_rows(variables):
     return rows
 
 
+def _section(name, body, header=None):
+    """CBF section `name`: a header line, the body lines and a blank line.  The
+    header defaults to the count of the body, and a section of counted entries
+    is left out when it has none."""
+    if header is None:
+        if not body:
+            return []
+        header = str(len(body))
+    return [name, header, *body, ""]
+
+
+def _cone_section(name, cones):
+    """VAR or CON: the count and the number of runs, then one line per run of equal cones."""
+    runs = [f"{cone} {len(list(run))}" for cone, run in groupby(cones)]
+    return _section(name, runs, f"{len(cones)} {len(runs)}")
+
+
 def export_cbf(model: MisdpModel) -> str:
     check_exportable(model)
     index = {name: i for i, (name, _) in enumerate(model.variables)}
     bound_rows = _bound_rows(model.variables)
     all_rows = list(model.rows) + bound_rows
+    objective = model.objective
 
-    out = ["VER", "2", ""]
+    out = _section("VER", [], "2")
     out.append("# misdpkit-domains: " + " ".join(_domain_code(d) for _, d in model.variables))
     out.append("# misdpkit-names: " + " ".join(n for n, _ in model.variables))
     out.append(f"# misdpkit-boundrows: {len(bound_rows)}")
     if model.metadata:
         out.append("# misdpkit-meta: " + json.dumps(model.metadata, sort_keys=True, separators=(",", ":"), allow_nan=False))
     out.append("")
-
-    out += ["OBJSENSE", model.objective.sense.upper(), ""]
-
-    groups = []
-    for _, d in model.variables:
-        cone = _var_cone(d)
-        if groups and groups[-1][0] == cone:
-            groups[-1][1] += 1
-        else:
-            groups.append([cone, 1])
-    out += ["VAR", f"{len(model.variables)} {len(groups)}"]
-    out += [f"{cone} {cnt}" for cone, cnt in groups]
-    out.append("")
-
-    ints = [i for i, (_, d) in enumerate(model.variables) if d.is_integer]
-    if ints:
-        out += ["INT", str(len(ints))]
-        out += [str(i) for i in ints]
-        out.append("")
-
-    if model.pencils:
-        out += ["PSDCON", str(len(model.pencils))]
-        out += [str(p.order) for p in model.pencils]
-        out.append("")
-
+    out += _section("OBJSENSE", [], objective.sense.upper())
+    out += _cone_section("VAR", [_var_cone(d) for _, d in model.variables])
+    out += _section("INT", [str(i) for i, (_, d) in enumerate(model.variables) if d.is_integer])
+    out += _section("PSDCON", [str(p.order) for p in model.pencils])
     if all_rows:
-        rgroups = []
-        for row in all_rows:
-            cone = _REL_CONE[row.rel]
-            if rgroups and rgroups[-1][0] == cone:
-                rgroups[-1][1] += 1
-            else:
-                rgroups.append([cone, 1])
-        out += ["CON", f"{len(all_rows)} {len(rgroups)}"]
-        out += [f"{cone} {cnt}" for cone, cnt in rgroups]
-        out.append("")
+        out += _cone_section("CON", [_REL_CONE[row.rel] for row in all_rows])
 
-    obj_entries = sorted(
-        ((index[n], c) for n, c in model.objective.coeffs.items() if c != 0),
-    )
-    if obj_entries:
-        out += ["OBJACOORD", str(len(obj_entries))]
-        out += [f"{j} {_num(c)}" for j, c in obj_entries]
-        out.append("")
-    if model.objective.constant != 0:
-        out += ["OBJBCOORD", _num(model.objective.constant), ""]
+    obj_entries = sorted((index[n], c) for n, c in objective.coeffs.items() if c != 0)
+    out += _section("OBJACOORD", [f"{j} {_num(c)}" for j, c in obj_entries])
+    if objective.constant != 0:
+        out += _section("OBJBCOORD", [], _num(objective.constant))
 
-    acoord = []
-    bcoord = []
-    for k, row in enumerate(all_rows):
-        for n, c in row.coeffs:
-            if c != 0:
-                acoord.append((k, index[n], c))
-        if row.rhs != 0:
-            bcoord.append((k, -row.rhs))
-    acoord.sort(key=lambda e: (e[0], e[1]))
-    if acoord:
-        out += ["ACOORD", str(len(acoord))]
-        out += [f"{k} {j} {_num(c)}" for k, j, c in acoord]
-        out.append("")
-    if bcoord:
-        out += ["BCOORD", str(len(bcoord))]
-        out += [f"{k} {_num(v)}" for k, v in bcoord]
-        out.append("")
+    acoord = sorted(((k, index[n], c) for k, row in enumerate(all_rows) for n, c in row.coeffs if c != 0),
+                    key=lambda e: e[:2])
+    out += _section("ACOORD", [f"{k} {j} {_num(c)}" for k, j, c in acoord])
+    out += _section("BCOORD", [f"{k} {_num(-row.rhs)}" for k, row in enumerate(all_rows) if row.rhs != 0])
 
-    hcoord = []  # CBF lists the lower triangle: upper-triangle entry (r, c) is (c, r)
-    dcoord = []
-    for p, pencil in enumerate(model.pencils):
-        for name, entries in pencil.terms:
-            hcoord += [(p, index[name], c, r, v) for r, c, v in entries]
-        dcoord += [(p, c, r, v) for r, c, v in pencil.entries[0]]
-    hcoord.sort(key=lambda e: (e[0], e[1], e[2], e[3]))
-    dcoord.sort(key=lambda e: (e[0], e[1], e[2]))
-    if hcoord:
-        out += ["HCOORD", str(len(hcoord))]
-        out += [f"{p} {j} {r} {c} {_num(v)}" for p, j, r, c, v in hcoord]
-        out.append("")
-    if dcoord:
-        out += ["DCOORD", str(len(dcoord))]
-        out += [f"{p} {r} {c} {_num(v)}" for p, r, c, v in dcoord]
-        out.append("")
-
+    # CBF lists the lower triangle: upper-triangle entry (r, c) is (c, r)
+    pencils = list(enumerate(model.pencils))
+    hcoord = sorted(((p, index[name], c, r, v) for p, pencil in pencils
+                     for name, entries in pencil.terms for r, c, v in entries), key=lambda e: e[:4])
+    dcoord = sorted(((p, c, r, v) for p, pencil in pencils for r, c, v in pencil.entries[0]),
+                    key=lambda e: e[:3])
+    out += _section("HCOORD", [f"{p} {j} {r} {c} {_num(v)}" for p, j, r, c, v in hcoord])
+    out += _section("DCOORD", [f"{p} {r} {c} {_num(v)}" for p, r, c, v in dcoord])
     return "\n".join(out).rstrip("\n") + "\n"
 
 
@@ -312,6 +277,10 @@ class _Reader:
     def count(self, what):
         return self.fields(what, _COUNT)[0]
 
+    def entries(self, name, *kinds):
+        """A count line, then that many `name` entry lines of `kinds`."""
+        return [self.fields(f"{name} entry", *kinds) for _ in range(self.count(f"{name} count"))]
+
     def groups(self, what, total, ngroups, cones):
         """`total` cone labels read from `ngroups` lines of (cone, count)."""
         labels = []
@@ -363,7 +332,8 @@ def import_cbf(text: str) -> MisdpModel:
     row_cones = []
     obj_coeffs = {}
     obj_const = 0
-    acoord, bcoord, hcoord, dcoord = [], [], [], []
+    acoord, bcoord = [], []
+    psd_coords = {"HCOORD": [], "DCOORD": []}
 
     seen = set()
     tok = rd.next()
@@ -390,29 +360,21 @@ def import_cbf(text: str) -> MisdpModel:
         elif tok == "CON":
             row_cones = rd.groups("CON", *rd.fields("CON header", _COUNT, _COUNT), _CONE_REL)
         elif tok == "OBJACOORD":
-            for _ in range(rd.count("OBJACOORD count")):
-                j, v = rd.fields("OBJACOORD entry", range(nv), _scalar)
-                obj_coeffs[j] = v
+            obj_coeffs = dict(rd.entries("OBJACOORD", range(nv), _scalar))
         elif tok == "OBJBCOORD":
             obj_const = rd.fields("OBJBCOORD value", _scalar)[0]
         elif tok == "ACOORD":
-            for _ in range(rd.count("ACOORD count")):
-                acoord.append(rd.fields("ACOORD entry", range(n_rows), range(nv), _scalar))
+            acoord = rd.entries("ACOORD", range(n_rows), range(nv), _scalar)
         elif tok == "BCOORD":
-            for _ in range(rd.count("BCOORD count")):
-                bcoord.append(rd.fields("BCOORD entry", range(n_rows), _scalar))
-        elif tok == "HCOORD":
-            for _ in range(rd.count("HCOORD count")):
-                p, j, r, c, v = rd.fields("HCOORD entry", range(n_psd), range(nv), _COUNT, _COUNT, _pencil_number)
+            bcoord = rd.entries("BCOORD", range(n_rows), _scalar)
+        elif tok in psd_coords:
+            var = (range(nv),) if tok == "HCOORD" else ()
+            for _ in range(rd.count(f"{tok} count")):
+                entry = rd.fields(f"{tok} entry", range(n_psd), *var, _COUNT, _COUNT, _pencil_number)
+                p, *_, r, c, _ = entry
                 if max(r, c) >= psd_dims[p]:
-                    rd.error(f"HCOORD entry ({r}, {c}) outside PSD cone {p} of order {psd_dims[p]}")
-                hcoord.append((p, j, r, c, v))
-        elif tok == "DCOORD":
-            for _ in range(rd.count("DCOORD count")):
-                p, r, c, v = rd.fields("DCOORD entry", range(n_psd), _COUNT, _COUNT, _pencil_number)
-                if max(r, c) >= psd_dims[p]:
-                    rd.error(f"DCOORD entry ({r}, {c}) outside PSD cone {p} of order {psd_dims[p]}")
-                dcoord.append((p, r, c, v))
+                    rd.error(f"{tok} entry ({r}, {c}) outside PSD cone {p} of order {psd_dims[p]}")
+                psd_coords[tok].append(entry)
         else:
             rd.error(f"unsupported CBF section {tok!r}")
         tok = rd.next()
@@ -452,10 +414,10 @@ def import_cbf(text: str) -> MisdpModel:
     # the pencils' term names are the variables' names, so a name given twice
     # is refused above as a defect and never merges two terms
     terms = [{} for _ in psd_dims]
-    for p, j, r, c, v in hcoord:
+    for p, j, r, c, v in psd_coords["HCOORD"]:
         terms[p].setdefault(j, []).append((r, c, v))
     consts = [[] for _ in psd_dims]
-    for p, r, c, v in dcoord:
+    for p, r, c, v in psd_coords["DCOORD"]:
         consts[p].append((r, c, v))
     pencils = []
     for p, d in enumerate(psd_dims):
