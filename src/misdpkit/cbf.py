@@ -17,7 +17,9 @@ do not come back exactly; the coordinates of the PSD sections go to each
 pencil as they are, and a coordinate given twice, in either triangle, is
 refused.  A finite-set domain with gaps has no
 such row encoding, so export_cbf refuses it.  import_cbf raises only
-ParseError, with the line number, on malformed or out-of-range input.
+ParseError, with the line number, on malformed or out-of-range input; in
+the domain comment that includes an integer range with a missing bound and
+a bound that is not a finite number.
 """
 
 import json
@@ -71,7 +73,7 @@ def _dec_bound(s: str):
     try:
         return int(s)
     except ValueError:
-        return float(s)
+        return _real(s)
 
 
 def _domain_code(d: VarDomain) -> str:

@@ -90,6 +90,11 @@ class UnsupportedContinuousPattern(MisdpkitError):
     """A continuous variable matches no supported elimination pattern."""
 
 
+class NotExportable(MisdpkitError, ValueError):
+    """A model that no model file can hold: one with defects, or with an
+    infinite bound, rhs or objective constant."""
+
+
 def json_reader(fn):
     """Make a reader of decoded JSON raise ParseError on a missing or malformed field."""
 
@@ -105,6 +110,24 @@ def json_reader(fn):
             raise ParseError(f"malformed data: {exc}") from None
 
     return read
+
+
+def json_numbers(obj, field, shape, integral=False):
+    """obj[field] as nested lists of finite numbers (ints if `integral`) of
+    `shape` (None: any length)."""
+    kinds, kind = (int, "an integer") if integral else ((int, float), "a finite number")
+
+    def check(v, shape):
+        if not shape:
+            if isinstance(v, bool) or not isinstance(v, kinds) or (isinstance(v, float) and not math.isfinite(v)):
+                raise ParseError(f"field {field!r} holds {v!r}, not {kind}")
+            return v
+        if not isinstance(v, list) or shape[0] not in (None, len(v)):
+            size = "" if shape[0] is None else f" of length {shape[0]}"
+            raise ParseError(f"field {field!r} must be a list{size}, got {v!r}")
+        return [check(x, shape[1:]) for x in v]
+
+    return check(obj[field], shape)
 
 
 # a JSON string, or (group 1) a number or constant token as the decoder reads it

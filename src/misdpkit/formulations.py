@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, NegativeCapacity, json_reader
+from .errors import DimensionMismatch, NegativeCapacity, ParseError, json_numbers, json_reader
 from .model import LinRow, MatrixPencil, MisdpModel, Objective, VarDomain
 
 
@@ -420,39 +420,56 @@ def build_bsdp_qmp2(inst: Qmp2Instance) -> MisdpModel:
 # instance JSON (schemas documented in the README)
 # ---------------------------------------------------------------------------
 
+def _optional(obj, field, shape):
+    """`json_numbers` of an optional field: None when it is absent or null."""
+    return None if obj.get(field) is None else json_numbers(obj, field, shape)
+
+
+def _flag(obj, field):
+    v = obj.get(field, False)
+    if not isinstance(v, bool):
+        raise ParseError(f"field {field!r} holds {v!r}, not a boolean")
+    return v
+
+
 @json_reader
 def qcqp_from_json(obj) -> QcqpInstance:
+    n = json_numbers(obj, "n", (), integral=True)
     return QcqpInstance(
-        int(obj["n"]),
-        obj.get("Q0"),
-        obj.get("c0"),
-        quads=[(q["Q"], q.get("c"), q["d"]) for q in obj.get("quads", [])],
-        lin_eq=[(row["a"], row["b"]) for row in obj.get("lin_eq", [])],
+        n,
+        _optional(obj, "Q0", (n, n)),
+        _optional(obj, "c0", (n,)),
+        quads=[(json_numbers(q, "Q", (n, n)), _optional(q, "c", (n,)), json_numbers(q, "d", ()))
+               for q in obj.get("quads", [])],
+        lin_eq=[(json_numbers(row, "a", (n,)), json_numbers(row, "b", ())) for row in obj.get("lin_eq", [])],
         sense=obj.get("sense", "min"),
     )
 
 
 @json_reader
 def qmp1_from_json(obj) -> Qmp1Instance:
+    n, k = (json_numbers(obj, f, (), integral=True) for f in ("n", "k"))
     return Qmp1Instance(
-        int(obj["n"]),
-        int(obj["k"]),
-        obj.get("Q0"),
-        quads=[(q["Q"], q["d"]) for q in obj.get("quads", [])],
-        caps=[(c["a"], c["b"]) for c in obj.get("caps", [])],
-        partition=bool(obj.get("partition", False)),
+        n,
+        k,
+        _optional(obj, "Q0", (n, n)),
+        quads=[(json_numbers(q, "Q", (n, n)), json_numbers(q, "d", ())) for q in obj.get("quads", [])],
+        caps=[(json_numbers(c, "a", (n,)), json_numbers(c, "b", ())) for c in obj.get("caps", [])],
+        partition=_flag(obj, "partition"),
     )
 
 
 @json_reader
 def qmp2_from_json(obj) -> Qmp2Instance:
+    n, k = (json_numbers(obj, f, (), integral=True) for f in ("n", "k"))
     return Qmp2Instance(
-        int(obj["n"]),
-        int(obj["k"]),
-        obj.get("Q0"),
-        obj.get("B0"),
-        obj.get("d0", 0),
-        constraints=[(c["Q"], c.get("B"), c["d"]) for c in obj.get("constraints", [])],
-        partition=bool(obj.get("partition", False)),
-        exact_rank=bool(obj.get("exact_rank", False)),
+        n,
+        k,
+        _optional(obj, "Q0", (n, n)),
+        _optional(obj, "B0", (n, k)),
+        json_numbers(obj, "d0", ()) if "d0" in obj else 0,
+        constraints=[(json_numbers(c, "Q", (n, n)), _optional(c, "B", (n, k)), json_numbers(c, "d", ()))
+                     for c in obj.get("constraints", [])],
+        partition=_flag(obj, "partition"),
+        exact_rank=_flag(obj, "exact_rank"),
     )

@@ -107,8 +107,6 @@ class EigenResult:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    residual: float
-    sweeps: int
 
 
 def _as_array(a):
@@ -122,7 +120,7 @@ def _jacobi(arr):
             f"Jacobi did not converge in {JACOBI_SWEEPS} sweeps, or the matrix norm "
             f"is not finite (n={arr.shape[0]})"
         )
-    return w, v, sweeps
+    return w, v
 
 
 def eigen_values(a):
@@ -140,9 +138,7 @@ def eigensym(a):
     arr = _as_array(a)
     if arr.shape[0] < 1:
         raise DimensionMismatch("eigensym requires n >= 1")
-    w, v, sweeps = _jacobi(arr)
-    residual = float(np.max(np.abs(arr @ v - v * w))) if arr.size else 0.0
-    return EigenResult(w, v, residual, sweeps)
+    return EigenResult(*_jacobi(arr))
 
 
 def _inf_norm(arr):

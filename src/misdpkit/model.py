@@ -24,7 +24,7 @@ import numpy as np
 
 from . import config
 from .cosring import CosInt, cosint, degree
-from .errors import IncompleteAssignment, ParseError, UnsupportedDomain, json_reader, loads_json
+from .errors import IncompleteAssignment, NotExportable, ParseError, UnsupportedDomain, json_reader, loads_json
 from .linalg import is_psd, is_psd_exact
 
 CONTINUOUS = "continuous"
@@ -75,7 +75,7 @@ class VarDomain:
         # the bounds are stored as given; the values are ceil(lo)..floor(hi)
         try:
             empty = math.ceil(lo) > math.floor(hi)
-        except (OverflowError, ValueError):  # inf or nan
+        except (OverflowError, ValueError, TypeError):  # inf, nan, missing or not a number
             raise UnsupportedDomain(f"integer_range needs finite bounds, got [{lo}, {hi}]") from None
         if empty:
             raise UnsupportedDomain(f"integer_range has no integer in [{lo}, {hi}]")
@@ -363,20 +363,21 @@ def validate(model: MisdpModel):
 
 
 def check_exportable(model: MisdpModel):
-    """Raise ValueError unless the model file readers accept `model`: its
-    `validate` defects, or each bound, rhs and objective constant that is
-    infinite (a legal model, but no model file holds an infinite number).
+    """Raise NotExportable, a ValueError, unless the model file readers
+    accept `model`: its `validate` defects, or each bound, rhs and objective
+    constant that is infinite (a legal model, but no model file holds an
+    infinite number).
     The exporters write metadata with `allow_nan=False`, so a non-finite
     float in it raises ValueError as well."""
     defects = validate(model)
     if defects:
-        raise ValueError(f"model has defects: {defects}")
+        raise NotExportable(f"model has defects: {defects}")
     numbers = [(f"{side} bound of {name!r}", b)
                for name, d in model.variables for side, b in (("lower", d.lo), ("upper", d.hi))]
     numbers += [(f"rhs of row {k}", row.rhs) for k, row in enumerate(model.rows)]
     numbers.append(("objective constant", model.objective.constant))
     if infinite := [f"{what} is {v}" for what, v in numbers if v is not None and abs(v) == math.inf]:
-        raise ValueError(f"model files hold finite numbers only: {infinite}")
+        raise NotExportable(f"model files hold finite numbers only: {infinite}")
 
 
 def objective_defects(objective, known):

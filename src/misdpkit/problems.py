@@ -37,6 +37,7 @@ from .errors import (
     PreconditionViolated,
     SizeMismatch,
     VariantPrecondition,
+    json_numbers,
     json_reader,
 )
 from .formulations import (
@@ -857,57 +858,39 @@ def build_sils(m_mat, b, cap) -> MisdpModel:
 # instance JSON (schemas documented in the README)
 # ---------------------------------------------------------------------------
 
-def _json_numbers(obj, field, shape, integral=False):
-    """obj[field] as nested lists of finite numbers (ints if `integral`) of
-    `shape` (None: any length)."""
-    kinds, kind = (int, "an integer") if integral else ((int, float), "a finite number")
-
-    def check(v, shape):
-        if not shape:
-            if isinstance(v, bool) or not isinstance(v, kinds) or not math.isfinite(v):
-                raise ParseError(f"field {field!r} holds {v!r}, not {kind}")
-            return v
-        if not isinstance(v, list) or shape[0] not in (None, len(v)):
-            size = "" if shape[0] is None else f" of length {shape[0]}"
-            raise ParseError(f"field {field!r} must be a list{size}, got {v!r}")
-        return [check(x, shape[1:]) for x in v]
-
-    return check(obj[field], shape)
-
-
 @json_reader
 def qbpp_from_json(obj):
-    w = _json_numbers(obj, "weights", (None,))
+    w = json_numbers(obj, "weights", (None,))
     n = len(w)
-    return (w, _json_numbers(obj, "capacity", ()), _json_numbers(obj, "bin_cost", ()),
-            _json_numbers(obj, "dissimilarity", (n, n)))
+    return (w, json_numbers(obj, "capacity", ()), json_numbers(obj, "bin_cost", ()),
+            json_numbers(obj, "dissimilarity", (n, n)))
 
 
 @json_reader
 def qmkp_from_json(obj):
-    w = _json_numbers(obj, "weights", (None,))
+    w = json_numbers(obj, "weights", (None,))
     n = len(w)
-    return (w, _json_numbers(obj, "capacities", (None,)), _json_numbers(obj, "profits", (n,)),
-            _json_numbers(obj, "revenue", (n, n)))
+    return (w, json_numbers(obj, "capacities", (None,)), json_numbers(obj, "profits", (n,)),
+            json_numbers(obj, "revenue", (n, n)))
 
 
 @json_reader
 def sils_from_json(obj):
-    m = _json_numbers(obj, "M", (None, None))
-    return (np.asarray(m), np.asarray(_json_numbers(obj, "b", (len(m),))),
-            _json_numbers(obj, "K", (), integral=True))
+    m = json_numbers(obj, "M", (None, None))
+    return (np.asarray(m), np.asarray(json_numbers(obj, "b", (len(m),))),
+            json_numbers(obj, "K", (), integral=True))
 
 
 @json_reader
 def completion_from_json(obj):
-    shape = tuple(_json_numbers(obj, "shape", (2,), integral=True))
-    observed = _json_numbers(obj, "observed", (None, 3)) if "observed" in obj else []
+    shape = tuple(json_numbers(obj, "shape", (2,), integral=True))
+    observed = json_numbers(obj, "observed", (None, 3)) if "observed" in obj else []
     if any(x != int(x) for i, j, _ in observed for x in (i, j)):
         raise ParseError("field 'observed' holds an index that is not an integer")
     observed = {(int(i), int(j)): v for i, j, v in observed}
     dom = obj["domain"]
     if "values" in dom:
-        domain = VarDomain.finite_set(_json_numbers(dom, "values", (None,)))
+        domain = VarDomain.finite_set(json_numbers(dom, "values", (None,)))
     else:
-        domain = VarDomain.integer_range(_json_numbers(dom, "lo", ()), _json_numbers(dom, "hi", ()))
+        domain = VarDomain.integer_range(json_numbers(dom, "lo", ()), json_numbers(dom, "hi", ()))
     return shape, observed, domain

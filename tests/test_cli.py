@@ -54,6 +54,12 @@ class TestBuild:
         (["build", "completion", "--instance"],
          '{"shape": [2, 2], "observed": [[0.5, 1, 1]], "domain": {"values": [0, 1]}}',
          "error: field 'observed' holds an index that is not an integer"),
+        (["build", "qcqp", "--instance"], '{"n": 2, "Q0": [[0, "1"], [1, 0]]}',
+         "error: field 'Q0' holds '1', not a finite number"),
+        (["build", "qmp1", "--instance"], '{"n": 2, "k": 2, "partition": "no"}',
+         "error: field 'partition' holds 'no', not a boolean"),
+        (["build", "qmp2", "--instance"], '{"n": 2.9, "k": 2}',
+         "error: field 'n' holds 2.9, not an integer"),
     ])
     def test_bad_instance_file_exit_code(self, tmp_path, capsys, argv, text, message):
         path = tmp_path / "inst.json"
@@ -62,6 +68,21 @@ class TestBuild:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines() == [message]
+
+    @pytest.mark.parametrize("problem, text", [
+        ("qcqp", '{"n": 2, "Q0": [[0, 1e308], [1e308, 0]]}'),
+        ("qbpp", '{"weights": [1, 1], "capacity": 2, "bin_cost": 1, "dissimilarity": [[0, 1e308], [1e308, 0]]}'),
+    ])
+    def test_unexportable_model_exit_code(self, tmp_path, capsys, problem, text):
+        # the build doubles 1e308 into an infinite objective coefficient
+        path = tmp_path / "inst.json"
+        path.write_text(text)
+        out = tmp_path / "m.cbf"
+        assert run(["build", problem, "--instance", str(path), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err.splitlines() == [
+            "error: model has defects: [\"objective: infinite coefficient of 'X[0,1]'\"]"]
 
     @pytest.mark.parametrize("argv, message", [
         (["stable-set"], "error: build stable-set needs --graph"),

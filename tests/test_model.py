@@ -657,6 +657,22 @@ class TestCbfRoundTrip:
         assert "# misdpkit-boundrows: 2" in text
         assert import_cbf(text) == m
 
+    @pytest.mark.parametrize("constant, tail", [
+        (0, []),
+        (3, ["OBJBCOORD", "3", ""]),
+    ], ids=["bare", "constant"])
+    def test_smallest_files_write_only_the_sections_they_need(self, constant, tail):
+        m = MisdpModel([("x", VarDomain.continuous())], Objective("min", {}, constant))
+        text = export_cbf(m)
+        assert text == "\n".join([
+            "VER", "2", "",
+            "# misdpkit-domains: c", "# misdpkit-names: x", "# misdpkit-boundrows: 0", "",
+            "OBJSENSE", "MIN", "",
+            "VAR", "1 1", "F 1", "",
+            *tail,
+        ]).rstrip("\n") + "\n"
+        assert import_cbf(text) == m
+
     # edits of stable_set_k2_model's CBF text, with the line each one is on
     @pytest.mark.parametrize("old, new, line", [
         ("INT\n2\n0\n1\n", "INT\n2\n0\nx\n", 19),
@@ -677,6 +693,10 @@ class TestCbfRoundTrip:
         ("misdpkit-meta: {", "misdpkit-meta: [{", 7),
         ("boundrows: 3", "boundrows: 5", 6),
         ("domains: b b c:0:1", "domains: b b c:0:1/0", 4),
+        ("domains: b b c:0:1", "domains: b b i:0:", 4),
+        ("domains: b b c:0:1", "domains: b b i::3", 4),
+        ("domains: b b c:0:1", "domains: b b c:0:inf", 4),
+        ("domains: b b c:0:1", "domains: b b c:0:1e999", 4),
         ("names: x[0] x[1] X[0,1]", "names: x[0] x[1]", 5),
         ("\nOBJACOORD\n", "\nVAR\n1 1\nF 1\n\nOBJACOORD\n", 30),
     ])

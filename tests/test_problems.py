@@ -20,6 +20,7 @@ from misdpkit.errors import (
     UnsupportedDomain,
     VariantPrecondition,
 )
+from misdpkit.formulations import qcqp_from_json, qmp1_from_json, qmp2_from_json
 from misdpkit.linalg import SymMat, num_rank
 from misdpkit.model import MatrixPencil
 from misdpkit.problems import (
@@ -220,12 +221,19 @@ class TestQbpp:
 
 _QBPP = {"weights": [1, 2], "capacity": 3, "bin_cost": 1.5, "dissimilarity": [[0, 1], [1, 0]]}
 _QMKP = {"weights": [1, 2], "capacities": [2, 3], "profits": [1, 0], "revenue": [[0, 1], [1, 0]]}
+_QCQP = {"n": 2, "Q0": [[0, 1], [1, 0]], "c0": [1, -1]}
+_QMP1 = {"n": 2, "k": 2, "Q0": [[0, 1], [1, 0]], "partition": True}
+_QMP2 = {"n": 2, "k": 2, "Q0": [[0, 1], [1, 0]], "B0": [[1, 0], [0, 1]], "d0": 1, "exact_rank": False}
 
 
 class TestInstanceJson:
     def test_well_formed_fields_pass_through(self):
         assert qbpp_from_json(_QBPP) == (_QBPP["weights"], 3, 1.5, _QBPP["dissimilarity"])
         assert qmkp_from_json(_QMKP) == tuple(_QMKP.values())
+        assert qcqp_from_json(_QCQP).c0.tolist() == [1, -1]
+        assert qmp1_from_json(_QMP1).partition is True
+        inst = qmp2_from_json(_QMP2)
+        assert inst.b0.tolist() == _QMP2["B0"] and inst.d0 == 1 and inst.exact_rank is False
 
     @pytest.mark.parametrize("reader, base, field, value", [
         (qbpp_from_json, _QBPP, "weights", "ab"),
@@ -244,6 +252,19 @@ class TestInstanceJson:
         (qmkp_from_json, _QMKP, "profits", [1, float("inf")]),
         (qmkp_from_json, _QMKP, "revenue", [[0, 1], [1, "x"]]),
         (qmkp_from_json, _QMKP, "revenue", [[0, 1, 2], [1, 0, 2]]),
+        (qcqp_from_json, _QCQP, "Q0", [[0, "1"], [1, 0]]),
+        (qcqp_from_json, _QCQP, "c0", [1, True]),
+        (qcqp_from_json, _QCQP, "c0", [1, -1, 0]),
+        (qcqp_from_json, _QCQP, "n", 2.9),
+        (qcqp_from_json, _QCQP, "n", "2"),
+        (qmp1_from_json, _QMP1, "Q0", [[0, "1"], [1, 0]]),
+        (qmp1_from_json, _QMP1, "k", 2.0),
+        (qmp1_from_json, _QMP1, "partition", "no"),
+        (qmp2_from_json, _QMP2, "Q0", [[0, "1"], [1, 0]]),
+        (qmp2_from_json, _QMP2, "B0", [[1, "0"], [0, 1]]),
+        (qmp2_from_json, _QMP2, "B0", [[1, 0, 0], [0, 1, 0]]),
+        (qmp2_from_json, _QMP2, "d0", True),
+        (qmp2_from_json, _QMP2, "exact_rank", 1),
     ])
     def test_malformed_field_raises_parse_error(self, reader, base, field, value):
         with pytest.raises(ParseError, match=repr(field)):
