@@ -231,10 +231,11 @@ class QcqpInstance:
         n = self.n
         if self.sense not in ("min", "max"):
             raise DimensionMismatch(f"sense must be min or max, got {self.sense!r}")
-        self.q0 = _as_sym(self.q0 if self.q0 is not None else np.zeros((n, n)), n, "Q0")
-        self.c0 = _as_vec(self.c0 if self.c0 is not None else np.zeros(n), n, "c0")
+        # a missing term is int zeros, so integer data compiles to exact rows
+        self.q0 = _as_sym(self.q0 if self.q0 is not None else np.zeros((n, n), dtype=np.int64), n, "Q0")
+        self.c0 = _as_vec(self.c0 if self.c0 is not None else np.zeros(n, dtype=np.int64), n, "c0")
         self.quads = [
-            (_as_sym(q, n, "Q_i"), _as_vec(c if c is not None else np.zeros(n), n, "c_i"), pynum(d))
+            (_as_sym(q, n, "Q_i"), _as_vec(c if c is not None else np.zeros(n, dtype=np.int64), n, "c_i"), pynum(d))
             for q, c, d in self.quads
         ]
         self.lin_eq = [(_as_vec(a, n, "a_i"), pynum(b)) for a, b in self.lin_eq]
@@ -297,7 +298,7 @@ class Qmp1Instance:
 
     def __post_init__(self):
         n = self.n
-        self.q0 = _as_sym(self.q0 if self.q0 is not None else np.zeros((n, n)), n, "Q0")
+        self.q0 = _as_sym(self.q0 if self.q0 is not None else np.zeros((n, n), dtype=np.int64), n, "Q0")
         self.quads = [(_as_sym(q, n, "Q_i"), pynum(d)) for q, d in self.quads]
         self.caps = [(_as_vec(a, n, "a_i"), pynum(b)) for a, b in self.caps]
         for _, b in self.caps:
@@ -361,15 +362,15 @@ class Qmp2Instance:
 
     def __post_init__(self):
         n, k = self.n, self.k
-        self.q0 = _as_sym(self.q0 if self.q0 is not None else np.zeros((n, n)), n, "Q0")
-        b0 = np.asarray(self.b0 if self.b0 is not None else np.zeros((n, k)))
+        self.q0 = _as_sym(self.q0 if self.q0 is not None else np.zeros((n, n), dtype=np.int64), n, "Q0")
+        b0 = np.asarray(self.b0 if self.b0 is not None else np.zeros((n, k), dtype=np.int64))
         if b0.shape != (n, k):
             raise DimensionMismatch(f"B0 must be {n}x{k}, got {b0.shape}")
         self.b0 = b0
         self.d0 = pynum(self.d0)
         fixed = []
         for q, b, d in self.constraints:
-            b = np.asarray(b if b is not None else np.zeros((n, k)))
+            b = np.asarray(b if b is not None else np.zeros((n, k), dtype=np.int64))
             if b.shape != (n, k):
                 raise DimensionMismatch(f"B_i must be {n}x{k}, got {b.shape}")
             fixed.append((_as_sym(q, n, "Q_i"), b, pynum(d)))

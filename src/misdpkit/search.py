@@ -32,8 +32,15 @@ smallest such block they enter, so bordered lifts interleave x_i with the
 X_ij and blocks close early.  Leaves still run the full PSD test, so only
 `nodes` and the order of the minimizers may change.
 
-Each leaf resolves continuous variables in this order:
+Each leaf goes through these steps; from step 1 on they resolve its
+continuous variables:
 
+  0. the verdicts its integer part alone decides, held in the family's leaf
+     entry (made on a miss with step 1's values): a leaf whose lift values
+     break their bounds, or that a kept pencil's stored verdict refuses, is
+     rejected here, uncompleted (no copy of the point, no closure, no later
+     stage, no leaf check); a verdict not yet asked is left to the leaf
+     check;
   1. builder hints of the "lift" stage (entries pinned by the integer part),
      whose values the family's leaf entry holds: the stage runs only when
      `_Family.leaf` makes an entry;
@@ -338,7 +345,10 @@ class _LeafCheck:
     for the family's kept pencils: a verdict not yet asked is decided here,
     at its pencil's turn, and written into the entry for the next model of
     the family.  The model's own rows, the other bounds and pencils and the
-    objective are decided on every call.
+    objective are decided on every call.  The search (`_Plan.leaf`) rejects
+    a leaf whose entry already refuses it before completing the point, so
+    from the search only an entry with a passing bounds verdict and no
+    stored refusal reaches this check.
     """
 
     def __init__(self, model, family=None, rows=None, objective=None, determined=(), proven=()):
@@ -455,7 +465,10 @@ class _Family:
     verdict per pencil in `kept_pencils`, None until a leaf check asks
     it].  A pencil is kept when it is `exact` and reads
     only integer variables and lift names, so its verdict is the same for
-    every model of the family.  What a model's rows fix stays with its
+    every model of the family.  An entry's bounds verdict is written when the
+    entry is made and its pencil verdicts by the leaf check; `_Plan.leaf`
+    reads both before it completes a point, and a leaf that either refuses
+    is never completed.  What a model's rows fix stays with its
     `_Plan`: which rows the checker or the closure decides, the closure's
     values, its corner scalars and the later hint stages.
     """
@@ -806,6 +819,8 @@ class _Plan:
 
     def leaf(self):
         leaf = self.family.leaf(self.model, self.assignment)
+        if not leaf[1] or False in leaf[2:]:  # refused on its integer part: not completed
+            return
         assign = self.resolve(self.assignment, searched=True, leaf=leaf)
         if assign is None:
             return

@@ -509,6 +509,22 @@ def _plans():
     return [search._Plan(m, budget=10**9) for m in _one_model_per_builder()]
 
 
+def _suite_models(monkeypatch, count=None):
+    """The models that the first `count` cases of each suite (every case with
+    None) solve at seed 0, the two of each `_check_kep` case included."""
+    models, real = [], verify.solve_by_enumeration
+
+    def recording(model, budget=search.DEFAULT_BUDGET):
+        models.append(model)
+        return real(model, budget)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(verify, "solve_by_enumeration", recording)
+        for name in SUITES:
+            assert all(r.ok() for r in itertools.islice(SUITES[name](), count))
+    return models
+
+
 def _forward_passes(plan, point):
     """Whether the search passes every depth of its path to `point`: the
     search itself, on a copy of the plan whose step tables offer only the
@@ -597,15 +613,24 @@ class TestLeafCheck:
 
     def test_psd_runs_only_on_domain_and_row_feasible_leaves(self, monkeypatch):
         # counts PSD decisions (is_psd_at calls), which the memos do not change
-        leaf, node, jacobi, leaves, keys = [], [], [], [], set()
+        leaf, node, jacobi, leaves, keys, refused, closures = [], [], [], [], set(), [], []
         current = {"at_leaf": False}
-        plan_init, leaf_check = search._Plan.__init__, search._LeafCheck.__call__
-        resolve, is_psd_at = search._Plan.resolve, MatrixPencil.is_psd_at
+        plan_init, plan_leaf, leaf_check = search._Plan.__init__, search._Plan.leaf, search._LeafCheck.__call__
+        resolve, is_psd_at, apply = search._Plan.resolve, MatrixPencil.is_psd_at, search._ClosureSolver.apply
 
         def planning(plan, model, budget):
             (pencil,) = model.pencils  # every sils model has one pencil
             current["order"] = pencil.order
             plan_init(plan, model, budget)
+
+        def searching(plan):
+            entry = plan.family.leaf(plan.model, plan.assignment)
+            refused.append(not entry[1] or False in entry[2:])
+            plan_leaf(plan)
+
+        def closing(closure, assign, fractions=False, searched=False):
+            closures.append(searched)
+            return apply(closure, assign, fractions, searched)
 
         def resolving(plan, assignment, fractions=False, searched=False, leaf=None):
             assign = resolve(plan, assignment, fractions, searched, leaf)
@@ -633,6 +658,8 @@ class TestLeafCheck:
             return is_psd(a)
 
         monkeypatch.setattr(search._Plan, "__init__", planning)
+        monkeypatch.setattr(search._Plan, "leaf", searching)
+        monkeypatch.setattr(search._ClosureSolver, "apply", closing)
         monkeypatch.setattr(search._Plan, "resolve", resolving)
         monkeypatch.setattr(search._LeafCheck, "__call__", checking)
         monkeypatch.setattr(MatrixPencil, "is_psd_at", deciding)
@@ -642,7 +669,14 @@ class TestLeafCheck:
         # leaves did when the leaf decided them), and the check keeps no row,
         # so every leaf reaches the pencil
         assert equivalence_suite("sils-small").passed
-        assert len(leaves) == 2457 and all(leaves)
+        # of the 2,457 search leaves, 1,484 are refused by a pencil verdict
+        # that an earlier model of their family stored, before the point is
+        # completed; the other 973 are completed (all 2,457 were before the
+        # early reject), each with one closure, and 18 minimizers once more
+        # with Fraction closure values
+        assert len(refused) == 2457 and sum(refused) == 1484
+        assert len(leaves) == 973 and all(leaves)
+        assert closures.count(True) == 973 and len(closures) == 991
         # the models of one k share a family, which decides its pencil once
         # per integer assignment (each leaf asked it before the leaf store)
         assert len(leaf) == len(keys) == 696
@@ -915,6 +949,15 @@ def _exact_row_models(draw):
 
 class TestExactRows:
     """The forward checker decides rows with int/Fraction data exactly."""
+
+    def test_every_suite_row_is_exact(self, monkeypatch):
+        # a builder fills a missing term with int zeros (40 of the 80 rows of
+        # qcqp-random took the float route when they were float zeros)
+        models = _suite_models(monkeypatch)
+        assert sum(m.metadata["problem"] == "kep_assoc" for m in models) == 3  # each kep case solves two
+        floats = [(m.metadata["problem"], row.label) for m in models for row in m.rows
+                  if search._leaf_row(row)[2] is None]
+        assert floats == []
 
     def test_cancelling_coefficients(self):
         # float(10**17 + 1) == 1e17, so float windows rejected a = b = 1
@@ -1689,27 +1732,12 @@ class TestFamilies:
         assert len({id(search._family(m)) for m in models}) == 4
         assert all(search._family(m).leaves for m in models)
 
-    @staticmethod
-    def _first_suite_models(monkeypatch, count=3):
-        """The models that the first `count` cases of each suite solve."""
-        models, real = [], verify.solve_by_enumeration
-
-        def recording(model, budget=search.DEFAULT_BUDGET):
-            models.append(model)
-            return real(model, budget)
-
-        with monkeypatch.context() as patch:
-            patch.setattr(verify, "solve_by_enumeration", recording)
-            for name in SUITES:
-                assert all(r.ok() for r in itertools.islice(SUITES[name](), count))
-        return models
-
     def test_binding_changes_nothing(self, monkeypatch):
         # each model solved on its kept family (bound) equals the same model
         # on a fresh one-off family (unbound): cold stores, warm stores, and
         # warm again in a shuffled order
         models = [m for m in _one_model_per_builder() if m.metadata["problem"] != "tsp_qap"]  # 2 s each
-        models += self._first_suite_models(monkeypatch)
+        models += _suite_models(monkeypatch, count=3)
         # one family, objectives that differ only in their numbers' types
         base = build_stable_set(Graph.cycle(4))
         models += [MisdpModel(base.variables, Objective("min", {"x[0]": c, "x[1]": -1}, k), base.rows, base.pencils,
@@ -1729,6 +1757,65 @@ class TestFamilies:
             for t in order:
                 assert repr(solve_by_enumeration(models[t], budget=10**9)) == expected[t]
         assert search._FAMILIES
+
+    def test_cold_and_warm_solves_agree(self, monkeypatch):
+        # a warm family refuses a leaf on the pencil verdicts it stored before
+        # the leaf is completed, where a cold one decides it at the leaf
+        # check; the suites' oracles check the cold answers
+        real = verify.solve_by_enumeration
+
+        def cold_then_warm(model, budget=search.DEFAULT_BUDGET):
+            search._FAMILIES.clear()
+            cold, warm = real(model, budget), real(model, budget)
+            assert type(cold.optimum) is type(warm.optimum) and repr(cold) == repr(warm)
+            return cold
+
+        monkeypatch.setattr(verify, "solve_by_enumeration", cold_then_warm)
+        for name in ("sils-small", "mkcs-small", "qmkp-random", "stable-set-n4"):
+            assert equivalence_suite(name).passed, name
+        assert sum(cold_then_warm(m, 10**9).feasible_count for m in _one_model_per_builder()) > 0
+
+    def test_siblings_in_a_warm_family_keep_the_answer(self, monkeypatch):
+        # a model's rows and objective are not part of its family, so a
+        # sibling that changes only them reads the verdicts the model stored:
+        # its rows reversed, each scaled by a positive int (2 for a float
+        # row) and its <= rows negated into >= rows, or its objective negated
+        # with its sense flipped, changes no count and the optimum as it must;
+        # each example draws a builder, then one of its suite models
+        models = {}
+        for m in _suite_models(monkeypatch):
+            models.setdefault(m.metadata["problem"], []).append(m)
+
+        def points(result):
+            return {frozenset(point.items()) for point in result.minimizers}
+
+        @settings(max_examples=120, derandomize=True, deadline=None)
+        @given(st.sampled_from(sorted(models)), st.data())
+        def relations_hold(problem, data):
+            m = data.draw(st.sampled_from(models[problem]))
+            scales = data.draw(st.lists(st.integers(1, 3), min_size=len(m.rows), max_size=len(m.rows)))
+            rows = []
+            for row, k in zip(reversed(m.rows), scales):
+                if not model_module._exact(row.rhs, *(c for _, c in row.coeffs)):
+                    k = 2
+                k = -k if row.rel == "<=" else k
+                rows.append(LinRow(tuple((n, k * c) for n, c in row.coeffs), ">=" if row.rel == "<=" else row.rel,
+                                   k * row.rhs, row.label))
+            o = m.objective
+            negated = Objective("max" if o.sense == "min" else "min", {n: -c for n, c in o.coeffs.items()}, -o.constant)
+            scaled = MisdpModel(m.variables, o, rows, m.pencils, m.metadata)
+            flipped = MisdpModel(m.variables, negated, m.rows, m.pencils, m.metadata)
+            base = solve_by_enumeration(m)
+            for sibling in (scaled, flipped):
+                assert search._family(sibling) is search._family(m)
+            got = solve_by_enumeration(scaled)
+            assert repr(got.optimum) == repr(base.optimum) and got.feasible_count == base.feasible_count
+            assert points(got) == points(base)
+            got = solve_by_enumeration(flipped)
+            assert got.feasible_count == base.feasible_count and type(got.optimum) is type(base.optimum)
+            assert got.optimum == (None if base.optimum is None else -base.optimum)  # 0.0 == -0.0
+
+        relations_hold()
 
     def test_defects_on_a_kept_family_raise_validates_list(self):
         base = build_stable_set(Graph.cycle(4))
