@@ -2,9 +2,11 @@
 variables.
 
 `_HINT_RULES` is the one list of hint rules a model's metadata may name: each
-entry gives its stage, the variables it covers, and any pruning-only rows
+entry gives its stage, the variables it sets, and any pruning-only rows
 ("valid_cuts") that every integer-feasible point satisfies.  A hint naming
-any other rule raises ValueError.
+any other rule raises ValueError.  A leaf runs the "lift" stage (values
+pinned by the integer part) and the "forced" one (blocks fixed once the
+closure ran); a staged rule's `covers` names exactly what its `apply` writes.
 """
 
 import functools
@@ -15,6 +17,11 @@ import numpy as np
 from .formulations import mname
 from .linalg import eigensym
 from .model import LinRow
+
+
+def _upper(prefix, n, k=0):
+    """(prefix[i,j], i, j) over the upper triangle j >= i + k of an n x n block, row by row."""
+    return [(mname(prefix, i, j), i, j) for i in range(n) for j in range(i + k, n)]
 
 
 def _gram_entry(left, right, assign):
@@ -36,36 +43,25 @@ def _gram_lifts(hint):
 
 def _apply_cycle_distance(hint, model, assign):
     n = hint["n"]
-    base = hint["base"]
     x1 = np.zeros((n, n), dtype=np.int64)
-    for i in range(n):
-        for j in range(i + 1, n):
-            x1[i, j] = x1[j, i] = assign[mname(base, i, j)]
+    for name, i, j in _upper(hint["base"], n, 1):
+        x1[i, j] = x1[j, i] = assign[name]
     prev = np.eye(n, dtype=np.int64)
     cur = x1
     for t, prefix in enumerate(hint["others"]):
         nxt = x1 @ cur - (2 * prev if t == 0 else prev)
         prev, cur = cur, nxt
-        for i in range(n):
-            for j in range(i + 1, n):
-                assign.setdefault(mname(prefix, i, j), int(cur[i, j]))
-
-
-def _cycle_distance_covers(hint):
-    n = hint["n"]
-    return [mname(p, i, j) for p in hint["others"] for i in range(n) for j in range(i + 1, n)]
+        for name, i, j in _upper(prefix, n, 1):
+            assign.setdefault(name, int(cur[i, j]))
 
 
 def _apply_qap_schur(hint, model, assign):
     n = hint["n"]
     x = [[assign[mname(hint["x"], i, j)] for j in range(n)] for i in range(n)]
     r = [[assign[mname(hint["r"], i, j)] for j in range(n)] for i in range(n)]
-    for a in range(n):
-        for b in range(a, n):
-            y = sum(x[a][t] * r[b][t] for t in range(n))
-            assign.setdefault(mname(hint["y"], a, b), y)
-            z = sum(r[a][t] * r[b][t] for t in range(n))
-            assign.setdefault(mname(hint["z"], a, b), z)
+    for (y, a, b), (z, _, _) in zip(_upper(hint["y"], n), _upper(hint["z"], n)):
+        assign.setdefault(y, sum(x[a][t] * r[b][t] for t in range(n)))
+        assign.setdefault(z, sum(r[a][t] * r[b][t] for t in range(n)))
 
 
 def _apply_nuclear(hint, model, assign):
@@ -84,23 +80,20 @@ def _apply_nuclear(hint, model, assign):
         if sigma[t] > cutoff:
             u = block @ v[:, t]
             z1 += np.outer(u, u) / sigma[t]
-    for i in range(n):
-        for j in range(i, n):
-            assign.setdefault(mname(hint["z1"], i, j), float(z1[i, j]))
-    for a in range(m):
-        for b in range(a, m):
-            assign.setdefault(mname(hint["z2"], a, b), float(z2[a, b]))
+    for prefix, z, size in ((hint["z1"], z1, n), (hint["z2"], z2, m)):
+        for name, i, j in _upper(prefix, size):
+            assign.setdefault(name, float(z[i, j]))
 
 
 # Leaf-pipeline stages, in the order a leaf runs them (see solve_by_enumeration).
-_LIFT, _FORCED, _PENDING = "lift", "forced", "pending"
+_LIFT, _FORCED = "lift", "forced"
 
 
 @dataclass(frozen=True)
 class _HintRule:
     """One hint rule: `fields` names what a hint of the rule must hold besides
-    "rule"; `apply(hint, model, assign)` runs in `stage` (None: never
-    at a leaf); `covers(hint)` names the variables it determines, which the
+    "rule"; `apply(hint, model, assign)` runs in `stage` (None: never at a
+    leaf) and writes exactly the variables `covers(hint)` names, which the
     exact closure leaves alone; `valid_cuts(hint)` gives pruning-only rows;
     `lifts(hint)` gives (target, inputs, value) for targets that `apply` sets
     to `value(assign)`, a function of the variables `inputs` alone.
@@ -119,9 +112,11 @@ _HINT_RULES = {
     "gram": _HintRule(("factors", "targets"), _LIFT, _apply_gram, covers=lambda h: [t[0] for t in h["targets"]],
                       lifts=_gram_lifts),
     "cycle_distance": _HintRule(("n", "base", "others"), _LIFT, _apply_cycle_distance,
-                                covers=_cycle_distance_covers),
-    "qap_schur": _HintRule(("n", "x", "r", "y", "z"), _FORCED, _apply_qap_schur),
-    "nuclear": _HintRule(("pencil", "rows", "cols", "z1", "z2"), _PENDING, _apply_nuclear),
+                                covers=lambda h: [t[0] for p in h["others"] for t in _upper(p, h["n"], 1)]),
+    "qap_schur": _HintRule(("n", "x", "r", "y", "z"), _FORCED, _apply_qap_schur,
+                           covers=lambda h: [t[0] for p in (h["y"], h["z"]) for t in _upper(p, h["n"])]),
+    "nuclear": _HintRule(("pencil", "rows", "cols", "z1", "z2"), _FORCED, _apply_nuclear,
+                         covers=lambda h: [t[0] for t in _upper(h["z1"], h["rows"]) + _upper(h["z2"], h["cols"])]),
     "valid_cuts": _HintRule(("rows",), valid_cuts=lambda h: [
         LinRow(tuple((nm, c) for nm, c in r["coeffs"]), r["rel"], r["rhs"]) for r in h["rows"]
     ]),

@@ -33,7 +33,9 @@ X_ij and blocks close early.  Leaves still run the full PSD test, so only
 `nodes` and the order of the minimizers may change.
 
 Each leaf goes through these steps; from step 1 on they resolve its
-continuous variables:
+continuous variables.  What each step sets is decided once per model, before
+the search, and a model that the steps cannot complete raises
+UnsupportedContinuousPattern then, whatever the family's leaf store holds:
 
   0. the verdicts its integer part alone decides, held in the family's leaf
      entry (made on a miss with step 1's values): a leaf whose lift values
@@ -52,9 +54,8 @@ continuous variables:
      only integer variables and lifted targets (the forward checker holds
      that window as one more exact test), and at the leaf otherwise;
   3. builder hints of the "forced" stage (blocks fixed once the closure ran);
-  4. corner scalars: a variable on one diagonal entry of a single pencil and
-     in no row, set to the pencil's exact Schur-complement boundary;
-  5. builder hints of the "pending" stage, only while variables remain.
+  4. corner scalars, in order: a variable in no row on one diagonal entry of a
+     single pencil whose other terms are set, at the exact Schur boundary.
 
 The completed point is then tested by `_LeafCheck`, minus the bounds and
 rows already decided.  `eval_point` stays the slow reference that reports
@@ -77,7 +78,7 @@ from fractions import Fraction
 from . import config
 from .cosring import CosInt
 from .errors import BudgetExceeded, UnsupportedContinuousPattern
-from .hints import _FORCED, _HINT_RULES, _LIFT, _PENDING
+from .hints import _FORCED, _HINT_RULES, _LIFT
 from .linalg import eliminate
 from .model import INTEGER_RANGE, MisdpModel, Objective, _exact, objective_defects, row_defects, validate, widen
 
@@ -239,7 +240,7 @@ def _window(dom, den, integral):
     return lo, hi
 
 
-def _resolve_corner(pencil, assign, name, i, a, coef, dom, sense):
+def _resolve_corner(pencil, assign, name, i, a, dom):
     """Set `name` to float(t*), t* the least t >= dom.lo keeping `pencil` PSD.
 
     With the corner at 0 the pencil is B; let R be the other indices and
@@ -248,10 +249,6 @@ def _resolve_corner(pencil, assign, name, i, a, coef, dom, sense):
     returned) and t >= (b^T y - B[i, i]) / a.  All of it is exact: B is scaled
     to ints, and `eliminate` leaves y[p] = row[-1] / d.
     """
-    if coef < 0 if sense == "min" else coef > 0:
-        raise UnsupportedContinuousPattern(
-            f"corner scalar {name!r} is not priced toward its feasibility boundary"
-        )
     base = [[Fraction(0)] * pencil.order for _ in range(pencil.order)]
     values = [1] + [0 if term == name else assign[term] for term, _ in pencil.terms]
     for v, entries in zip(values, pencil.entries):
@@ -470,7 +467,7 @@ class _Family:
     reads both before it completes a point, and a leaf that either refuses
     is never completed.  What a model's rows fix stays with its
     `_Plan`: which rows the checker or the closure decides, the closure's
-    values, its corner scalars and the later hint stages.
+    values, which corners it uses and whether a leaf can be completed.
     """
 
     def __init__(self, variables, pencils, hints):
@@ -499,7 +496,7 @@ class _Family:
             for depth, block in closing.items():
                 self.node_checks[depth].append(block)
 
-        self.stages = {_LIFT: [], _FORCED: [], _PENDING: []}
+        self.stages = {_LIFT: [], _FORCED: []}
         cuts, covered, lifted = [], set(), []  # lifted: (target, depth, value), known from that depth
         lift_names = {}  # what the lift stage writes, in the order it writes it
         if not isinstance(hints, list):
@@ -515,19 +512,26 @@ class _Family:
                 ) from None
             if missing := [field for field in rule.fields if field not in hint]:
                 raise ValueError(f"hint {hint!r} has no field {missing[0]!r}")
+            try:
+                covers, lifts, hint_cuts = rule.covers(hint), rule.lifts(hint), rule.valid_cuts(hint)
+            except (TypeError, KeyError, IndexError) as exc:
+                raise ValueError(f"hint {hint!r} cannot be read: {type(exc).__name__}: {exc}") from None
+            if stray := [n for n in [*covers, *(x for _, inputs, _ in lifts for x in inputs)] if n not in doms]:
+                raise ValueError(f"hint {hint!r} names {stray[0]!r}, which is not a variable")
             if rule.stage is not None:
                 self.stages[rule.stage].append((rule.apply, hint))
             if rule.stage == _LIFT:
-                lift_names.update((n, None) for n in rule.covers(hint) if n not in pos)
-            cuts += rule.valid_cuts(hint)
-            for target, inputs, value in rule.lifts(hint):
+                lift_names.update((n, None) for n in covers if n not in pos)
+            cuts += hint_cuts
+            for target, inputs, value in lifts:
                 if target not in covered and target not in pos and inputs and all(n in pos for n in inputs):
                     lifted.append((target, max(pos[n] for n in inputs), value))
                     ints.add(target)  # a sum of products of ints
                 covered.add(target)
-            covered.update(rule.covers(hint))
+            covered.update(covers)
         self.ints = ints
         self.bounds = _bounds(variables)
+        # what a leaf does not know after the lift and forced stages
         self.unknowns = {n for n in self.cont_names if n not in covered}
         self.slots = [*self.int_names, *(t for t, _, _ in lifted)]
         self.slot = {n: s for s, n in enumerate(self.slots)}
@@ -551,16 +555,16 @@ class _Family:
         self.own_bounds = [b for b in self.bounds if b[0] not in lift_names]
         self.leaf_pencils = [(pencil, self.kept_pencils.get(k)) for k, pencil in enumerate(pencils)]
 
-        # corner-scalar candidates: continuous variables on one positive
-        # diagonal entry of a single pencil, as (name, pencil index, entry,
-        # value as a Fraction, or None on a pencil with CosInt entries)
+        # corner-scalar candidates: continuous variables no hint covers on one
+        # positive diagonal entry of a single pencil, as (name, pencil index,
+        # entry, value as a Fraction, or None on a pencil with CosInt entries)
         appearances = {}
         for k, pencil in enumerate(pencils):
             for name, entries in pencil.terms:
                 appearances.setdefault(name, []).append((k, entries))
         self.corners = []
         for name in self.cont_names:
-            if len(apps := appearances.get(name, [])) == 1 and len(apps[0][1]) == 1:
+            if name in self.unknowns and len(apps := appearances.get(name, [])) == 1 and len(apps[0][1]) == 1:
                 k, ((i, c, x),) = apps[0]
                 if i == c and x > 0:
                     ring = any(type(v) is CosInt for triples in pencils[k].entries for _, _, v in triples)
@@ -716,10 +720,11 @@ class _Plan:
     ValueError with `validate`'s list.  The plan keeps which rows its tests
     and the closure decide (`decided`, `closure.proven`), the step tables and
     partial sums of its tests (`_Family.bind`), the closure, the corners and
-    the leaf check.  A corner scalar on a pencil with CosInt entries raises
-    UnsupportedContinuousPattern: its boundary is computed over the
-    rationals.  `dfs(0)` walks the integer assignments, counting `nodes`
-    and offering each feasible leaf to the best tracker (`result`)."""
+    the leaf check, and `refusal`: None, or why no leaf can be completed (a
+    used corner on a pencil with CosInt entries, or priced away from its
+    boundary, or a variable no step sets).  `dfs(0)` walks the integer
+    assignments, counting `nodes` and offering each feasible leaf to the
+    best tracker (`result`)."""
 
     def __init__(self, model, budget):
         family = _family(model)
@@ -737,26 +742,34 @@ class _Plan:
         tests = [test for test, _, _ in compiled if test] + family.cuts
         tests += [family.test(*window) for window in self.closure.tests]
         self.steps, self.partial = family.bind(tests)
-        in_rows = {name for row in model.rows for name, _ in row.coeffs} if family.corners else ()
-        self.corners = [(name, model.pencils[k], i, a, model.objective.coeffs.get(name, 0))
-                        for name, k, i, a in family.corners if name not in in_rows]
-        for name, _, _, a, _ in self.corners:
-            if a is None:
-                raise UnsupportedContinuousPattern(
-                    f"corner scalar {name!r} sits on a pencil with entries in Z[2cos(2pi/n)]"
-                )
-        self.check = _LeafCheck(model, family, compiled, objective, {name for name, _ in self.closure.determined},
-                                self.closure.proven | self.decided)
+        determined = {name for name, _ in self.closure.determined}
+        self.corners, refusals = [], []
+        unknown = family.unknowns - determined  # what no earlier step sets
+        in_rows = {name for row in model.rows for name, _ in row.coeffs} if unknown and family.corners else ()
+        for name, k, i, a in family.corners:  # used when it is its pencil's only unknown term
+            if name not in in_rows and unknown.intersection(t for t, _ in model.pencils[k].terms) == {name}:
+                coef = model.objective.coeffs.get(name, 0)
+                if a is None:
+                    refusals.append(f"corner scalar {name!r} sits on a pencil with entries in Z[2cos(2pi/n)]")
+                elif coef < 0 if model.objective.sense == "min" else coef > 0:
+                    refusals.append(f"corner scalar {name!r} is not priced toward its feasibility boundary")
+                self.corners.append((name, model.pencils[k], i, a, family.doms[name]))
+                unknown.discard(name)
+        if unknown:
+            refusals.append(f"cannot resolve continuous variables {[n for n in family.cont_names if n in unknown][:4]}")
+        self.refusal = refusals[0] if refusals else None
+        self.check = _LeafCheck(model, family, compiled, objective, determined, self.closure.proven | self.decided)
         self.assignment, self.nodes, self.max_residual = {}, 0, 0.0
         self.offer, self.result = _best_tracker(model.objective.sense)
 
     def resolve(self, assignment, fractions=False, searched=False, leaf=None):
-        """The leaf pipeline: complete an integer assignment, None if infeasible.
-        With `fractions` every closure value is a Fraction, also an integral one.
-        `searched` says the assignment passed every test of the plan, so the
-        closure skips the windows those tests decided.  The lift stage's
-        values come from `leaf`, the family's entry for the assignment, which
-        is looked up when not given."""
+        """The leaf pipeline: complete an integer assignment (lift values,
+        closure, forced stage, corners), None if infeasible.  With `fractions`
+        every closure value is a Fraction, also an integral one.  `searched`
+        says the assignment passed every test of the plan, so the closure
+        skips the windows those tests decided.  The lift stage's values come
+        from `leaf`, the family's entry for the assignment, which is looked up
+        when not given."""
         model, family = self.model, self.family
         if leaf is None:
             leaf = family.leaf(model, assignment)
@@ -766,19 +779,9 @@ class _Plan:
             return None
         for apply, hint in family.stages[_FORCED]:
             apply(hint, model, assign)
-        for name, pencil, i, a, coef in self.corners:
-            if name in assign or not all(t in assign or t == name for t, _ in pencil.terms):
-                continue
-            if not _resolve_corner(pencil, assign, name, i, a, coef, family.doms[name],
-                                   model.objective.sense):
+        for name, pencil, i, a, dom in self.corners:
+            if not _resolve_corner(pencil, assign, name, i, a, dom):
                 return None
-        if len(assign) < len(family.doms):
-            for apply, hint in family.stages[_PENDING]:
-                apply(hint, model, assign)
-            if pending := [n for n in family.cont_names if n not in assign]:
-                raise UnsupportedContinuousPattern(
-                    f"cannot resolve continuous variables {pending[:4]}"
-                )
         return assign
 
     def dfs(self, d):
@@ -835,10 +838,12 @@ def solve_by_enumeration(model: MisdpModel, budget: int = DEFAULT_BUDGET) -> Enu
     """Exact optimum of a model over its integer assignments.
 
     Every continuous variable must fall to one of the documented elimination
-    patterns, otherwise UnsupportedContinuousPattern is raised.  A hint whose
-    rule is not in _HINT_RULES raises ValueError before the search starts.
+    patterns, otherwise UnsupportedContinuousPattern is raised, and a hint
+    whose rule is not in _HINT_RULES raises ValueError, before the search.
     """
     plan = _Plan(model, budget)
+    if plan.refusal:
+        raise UnsupportedContinuousPattern(plan.refusal)
     plan.dfs(0)
     best = plan.result()
     optimum = best.optimum

@@ -291,6 +291,28 @@ class TestHintRules:
         with pytest.raises(ValueError, match="unknown hint rule"):
             solve_by_enumeration(m)
 
+    @pytest.mark.parametrize("rule", [rule for rule, r in hints._HINT_RULES.items() if r.stage is not None])
+    def test_apply_writes_exactly_what_it_covers(self, rule):
+        # at a point that holds what the leaf holds before the rule's stage:
+        # the integer values, then for the forced stage the lift values and
+        # the closure's
+        m = _model_with_rule(rule)
+        hint = next(h for h in m.metadata["hints"] if h["rule"] == rule)
+        covers = hints._HINT_RULES[rule].covers(hint)
+        assert covers and len(set(covers)) == len(covers) and set(covers) <= {n for n, _ in m.variables}
+        plan = search._Plan(m, budget=10**9)
+        family, rng = plan.family, np.random.default_rng(0)
+        values = [family.doms[n].iter_values() for n in family.int_names]
+        for _ in range(5):
+            point = {n: v[rng.integers(len(v))] for n, v in zip(family.int_names, values)}
+            assign = dict(point)
+            if hints._HINT_RULES[rule].stage == hints._FORCED:
+                assign.update(zip(family.lift_names, family.leaf(m, point)[0]))
+                assert plan.closure.apply(assign)
+            before = set(assign)
+            hints._HINT_RULES[rule].apply(hint, m, assign)
+            assert set(assign) - before == set(covers)
+
     def test_defective_valid_cut_raises_before_search(self):
         m = build_stable_set(Graph.cycle(4))
         cut = {"coeffs": [["x[0]", 1], ["ghost", 1]], "rel": "<=", "rhs": 1}
@@ -348,6 +370,27 @@ class TestHintFields:
             with pytest.raises(ValueError) as exc:
                 solve_by_enumeration(m)
             assert str(exc.value) == message
+
+    @pytest.mark.parametrize("rule, field, value, message", [
+        ("nuclear", "rows", "2", "cannot be read: TypeError"),
+        ("nuclear", "z1", 7, "names '7[0,0]', which is not a variable"),
+        ("gram", "targets", [["zzz", 0, 1]], "names 'zzz', which is not a variable"),
+        ("gram", "factors", [["ghost"]] * 4, "names 'ghost', which is not a variable"),
+        ("gram", "targets", [["X[0,1]", 0, 9]], "cannot be read: IndexError"),
+        ("gram", "targets", [{"target": "X[0,1]"}], "cannot be read: KeyError"),
+        ("cycle_distance", "n", None, "cannot be read: TypeError"),
+        ("valid_cuts", "rows", [{"coeffs": [["X1[0,1]", 1]], "rhs": 1}], "cannot be read: KeyError"),
+    ])
+    def test_a_value_that_cannot_be_read_is_named(self, rule, field, value, message):
+        # the search would otherwise meet it at a leaf: `rows` in a slice, a
+        # stray target as a variable left over, a missing factor in a lift
+        m = _model_with_rule(rule)
+        hint = next(h for h in m.metadata["hints"] if h["rule"] == rule)
+        hint[field] = value
+        for _ in range(2):  # the family is not kept
+            with pytest.raises(ValueError) as exc:
+                solve_by_enumeration(m)
+            assert str(exc.value).startswith(f"hint {hint!r} {message}")
 
     def test_every_emitted_hint_has_its_fields(self):
         for m in _one_model_per_builder():
@@ -413,14 +456,20 @@ class TestIntegerSuiteReports:
         assert sorted(pinned) == sorted(SUITES)
 
 
-def _corner(const, i, a=1.0, dom=VarDomain.continuous(), coef=1, sense="min"):
+def _corner(const, i, a=1.0, dom=VarDomain.continuous()):
     """The corner stage on pencil const + t * a * e_i e_i^T: t, or None if infeasible."""
     const = np.asarray(const, dtype=float)
     pencil = MatrixPencil(len(const), _triples(const), [("t", [(i, i, a)])])
     assign = {}
-    if not search._resolve_corner(pencil, assign, "t", i, Fraction(a), coef, dom, sense):
+    if not search._resolve_corner(pencil, assign, "t", i, Fraction(a), dom):
         return None
     return assign["t"]
+
+
+def _one_corner_model(sense, coef):
+    """The pencil [[t, 1], [1, 3]] (PSD iff t >= 1/3) with t priced `coef` in a `sense` objective."""
+    pencil = _pencil([[0, 1], [1, 3]], [("t", [[1, 0], [0, 0]])])
+    return MisdpModel([("t", VarDomain.continuous())], Objective(sense, {"t": coef}), pencils=[pencil])
 
 
 class TestCornerScalars:
@@ -455,12 +504,13 @@ class TestCornerScalars:
 
     @pytest.mark.parametrize("sense,coef", [("min", 1), ("min", 0), ("max", -1), ("max", 0)])
     def test_priced_toward_the_boundary_or_not_at_all(self, sense, coef):
-        assert _corner([[0, 1], [1, 3]], 0, coef=coef, sense=sense) == float(Fraction(1, 3))
+        res = solve_by_enumeration(_one_corner_model(sense, coef))
+        assert res.minimizers == [{"t": float(Fraction(1, 3))}] and res.feasible_count == 1
 
     @pytest.mark.parametrize("sense,coef", [("min", -1), ("max", 1)])
     def test_priced_away_from_the_boundary_raises(self, sense, coef):
         with pytest.raises(UnsupportedContinuousPattern, match="not priced"):
-            _corner([[0, 1], [1, 3]], 0, coef=coef, sense=sense)
+            solve_by_enumeration(_one_corner_model(sense, coef))
 
     def test_corner_on_a_ring_pencil_is_refused(self):
         # [[1 + x, a], [a, a t]] with a = 2cos(2pi/5): t sits alone on a
@@ -502,6 +552,61 @@ class TestCornerScalars:
         monkeypatch.setattr(MatrixPencil, "is_psd_at", psd)
         assert equivalence_suite("qbpp-random").passed
         assert counts == {"corner": 61, "psd": 61, "psd_in_corner": 0}
+
+
+class TestRefusals:
+    """Whether a model raises UnsupportedContinuousPattern depends on the
+    model alone: its plan decides it, and the search never starts."""
+
+    @pytest.fixture
+    def searched(self, monkeypatch):
+        """The models whose search started."""
+        models, real = [], search._Plan.dfs
+
+        def dfs(plan, d):
+            if d == 0:
+                models.append(plan.model)
+            return real(plan, d)
+
+        monkeypatch.setattr(search._Plan, "dfs", dfs)
+        return models
+
+    def test_a_free_variable_raises_whatever_a_sibling_stored(self, searched):
+        # a - 2 is never PSD at binary a; with the row u - a == 0 the closure
+        # sets u and every leaf is refused, by the family's stored verdicts
+        # once they are kept; without it nothing sets u
+        pencil = formulations.shared_pencil(1, [(0, 0, -2)], [("a", [(0, 0, 1)])])
+        variables = [("a", VarDomain.binary()), ("u", VarDomain.continuous(0, 5))]
+        free = MisdpModel(variables, Objective("min", {"a": 1}), pencils=[pencil])
+        tied = MisdpModel(variables, Objective("min", {"a": 1}), [LinRow((("u", 1), ("a", -1)), "==", 0)], [pencil])
+        assert search._family(free) is search._family(tied)
+        for order in ((free, tied), (tied, free)):
+            search._FAMILIES.clear()
+            for _ in range(2):  # cold, then warm
+                for m in order:
+                    if m is free:
+                        with pytest.raises(UnsupportedContinuousPattern, match=r"variables \['u'\]"):
+                            solve_by_enumeration(m)
+                    else:
+                        res = solve_by_enumeration(m)
+                        assert res.optimum is None and res.feasible_count == 0
+        assert searched and all(m is tied for m in searched)
+
+    def test_an_unpriced_corner_raises_with_no_leaf(self, searched):
+        # [[x, 1], [1, t]] with t priced away from its boundary; x == 2 leaves no leaf
+        pencil = _pencil([[0, 1], [1, 0]], [("x", [[1, 0], [0, 0]]), ("t", [[0, 0], [0, 1]])])
+        m = MisdpModel([("x", VarDomain.binary()), ("t", VarDomain.continuous())], Objective("min", {"t": -1}),
+                       [LinRow((("x", 1),), "==", 2)], [pencil])
+        with pytest.raises(UnsupportedContinuousPattern, match="corner scalar 't' is not priced"):
+            solve_by_enumeration(m)
+        assert not searched
+
+    def test_an_unresolvable_variable_raises_with_no_leaf(self, searched):
+        m = MisdpModel([("a", VarDomain.binary()), ("u", VarDomain.continuous(0, 1))], Objective("min", {"a": 1}),
+                       [LinRow((("a", 1),), "==", 2)])
+        with pytest.raises(UnsupportedContinuousPattern, match=r"variables \['u'\]"):
+            solve_by_enumeration(m)
+        assert not searched
 
 
 @functools.lru_cache(maxsize=None)
@@ -1206,12 +1311,8 @@ def _ref_reduce(eqs, unknowns, doms, slots=None):
     return determined, windows, dependent, tests, searched, len(determined) == w
 
 
-def _ref_resolve_corner(pencil, assign, name, i, a, coef, dom, sense):
+def _ref_resolve_corner(pencil, assign, name, i, a, dom):
     """`search._resolve_corner` over Fractions."""
-    if coef < 0 if sense == "min" else coef > 0:
-        raise UnsupportedContinuousPattern(
-            f"corner scalar {name!r} is not priced toward its feasibility boundary"
-        )
     base = [[Fraction(0)] * pencil.order for _ in range(pencil.order)]
     values = [1] + [0 if term == name else assign[term] for term, _ in pencil.terms]
     for v, entries in zip(values, pencil.entries):
@@ -1277,7 +1378,7 @@ class TestFractionFreeElimination:
         x = data.draw(st.sampled_from([0, 1, Fraction(1, 3), Fraction(-2, 5)]))
         dom = VarDomain.continuous(data.draw(st.sampled_from([None, 0, Fraction(1, 7)])))
         got, expected = {"x": x}, {"x": x}
-        args = "t", i, Fraction(a), 1, dom, "min"
+        args = "t", i, Fraction(a), dom
         assert search._resolve_corner(pencil, got, *args) == _ref_resolve_corner(pencil, expected, *args)
         assert got == expected
 
@@ -1816,6 +1917,31 @@ class TestFamilies:
             assert got.optimum == (None if base.optimum is None else -base.optimum)  # 0.0 == -0.0
 
         relations_hold()
+
+    def test_variable_order_keeps_the_answer(self, monkeypatch):
+        # the same model with its variables listed in a drawn order gets a
+        # family of its own, whose search order, corner order and names-known
+        # pass start from that order; the optimum (value and type), the count
+        # and the minimizer set stay; each example draws a builder, then one
+        # of its suite models
+        models = {}
+        for m in _suite_models(monkeypatch):
+            models.setdefault(m.metadata["problem"], []).append(m)
+
+        def points(result):
+            return {frozenset(point.items()) for point in result.minimizers}
+
+        @settings(max_examples=120, derandomize=True, deadline=None)
+        @given(st.sampled_from(sorted(models)), st.data())
+        def relation_holds(problem, data):
+            m = data.draw(st.sampled_from(models[problem]))
+            reordered = MisdpModel(data.draw(st.permutations(m.variables)), m.objective, m.rows, m.pencils,
+                                   m.metadata)
+            base, got = solve_by_enumeration(m), solve_by_enumeration(reordered)
+            assert repr(got.optimum) == repr(base.optimum) and got.feasible_count == base.feasible_count
+            assert points(got) == points(base)
+
+        relation_holds()
 
     def test_defects_on_a_kept_family_raise_validates_list(self):
         base = build_stable_set(Graph.cycle(4))
