@@ -13,9 +13,15 @@ Two lifts are built here, each in one place:
 The builders of `problems` reuse them: stable set and max k-colorable
 subgraph the bordered lift (bin packing its variables), quadratic multiple
 knapsack and the "general" and "orthogonal" graph partitions the matrix lift.
-Objectives and rows use two coefficient maps, `quad_form_coeffs` (diagonal
-aliased to x) and `inner_coeffs` (<Q, X> over X[i,j], i <= j).  Every builder,
-here and in `problems`, takes its pencils from `shared_pencil`, one per content.
+Every symmetric matrix variable is flattened one way, by the walker
+`upper(prefix, n, k)`: (prefix[i,j], i, j) over j >= i + k, row by row.  The
+builders here and in `problems`, and the hint rules, take their variable
+lists, pencil terms, hint targets and per-pair rows from it.  Objectives and
+rows over a matrix variable come from the one coefficient map over the walker,
+`upper_coeffs` (<Q, X> by default: q_ii on the diagonal, 2 q_ij above it);
+`quad_form_coeffs` adds the diagonal aliased to x.  A builder reads each
+instance array once as Python numbers (`.tolist()`).  Every builder, here and
+in `problems`, takes its pencils from `shared_pencil`, one per content.
 
 Only the border variables carry integrality in the vector-lifted model; the
 off-diagonal lifted entries stay continuous because the unit-corner pencil
@@ -71,43 +77,37 @@ def _as_vec(a, n, what):
     return arr
 
 
+def upper(prefix, n, k=0):
+    """(prefix[i,j], i, j) over the upper triangle j >= i + k of an n x n block,
+    row by row: the one flattening of a symmetric matrix variable."""
+    return [(mname(prefix, i, j), i, j) for i in range(n) for j in range(i + k, n)]
+
+
+def upper_coeffs(q, cells, diag=lambda v: v, off=lambda v: 2 * v):
+    """The coefficient map over `upper`: {name: diag(q_ii) or off(q_ij)} over the
+    (name, i, j) of `cells` whose entry of `q`, rows of Python numbers, is not
+    zero.  By default the coefficients of <Q, X>: q_ii on the diagonal, 2 q_ij
+    above it."""
+    return {name: (diag if i == j else off)(q[i][j]) for name, i, j in cells if q[i][j] != 0}
+
+
 def quad_form_coeffs(q, c, n):
     """Coefficients of <Q, X> + c^T x over the lifted variables.
 
     Diagonal entries of X are aliased to the border x, so their weight lands
     on x[i].
     """
-    coeffs = {}
-    for i in range(n):
-        v = pynum(q[i, i]) + (pynum(c[i]) if c is not None else 0)
-        if v != 0:
-            coeffs[xname(i)] = v
-    for i in range(n):
-        for j in range(i + 1, n):
-            v = 2 * pynum(q[i, j])
-            if v != 0:
-                coeffs[mname("X", i, j)] = v
-    return coeffs
-
-
-def inner_coeffs(q, n, var="X"):
-    """Coefficients of <Q, X> over var[i,j], i <= j: q_ii on the diagonal, 2 q_ij off it."""
-    coeffs = {}
-    for i in range(n):
-        v = pynum(q[i, i])
-        if v != 0:
-            coeffs[mname(var, i, i)] = v
-        for j in range(i + 1, n):
-            v = 2 * pynum(q[i, j])
-            if v != 0:
-                coeffs[mname(var, i, j)] = v
+    q = np.asarray(q).tolist()
+    c = [0] * n if c is None else np.asarray(c).tolist()
+    coeffs = {xname(i): v for i in range(n) if (v := q[i][i] + c[i]) != 0}
+    coeffs.update(upper_coeffs(q, upper("X", n, 1)))
     return coeffs
 
 
 def bordered_vars(n, off):
     """Bordered lift: binary border x[i] and lifted X[i,j], i < j, of domain `off`."""
     variables = [(xname(i), VarDomain.binary()) for i in range(n)]
-    return variables + [(mname("X", i, j), off) for i in range(n) for j in range(i + 1, n)]
+    return variables + [(name, off) for name, _, _ in upper("X", n, 1)]
 
 
 # distinct pencils `shared_pencil` keeps; one `verify --suite all` run holds 40
@@ -172,20 +172,19 @@ shared_pencil.cache_clear = _clear_shared_pencils
 def bordered_pencil(n, corner):
     """Pencil [[corner, diag^T], [diag, X]] with diag(X) aliased to x."""
     terms = [(xname(i), [(0, i + 1, 1), (i + 1, i + 1, 1)]) for i in range(n)]
-    terms += [(mname("X", i, j), [(i + 1, j + 1, 1)]) for i in range(n) for j in range(i + 1, n)]
+    terms += [(name, [(i + 1, j + 1, 1)]) for name, i, j in upper("X", n, 1)]
     return shared_pencil(n + 1, [(0, 0, corner)], terms)
 
 
-def gram_hint(n):
-    """Resolution hint: X[i,j] equals x[i] * x[j] once the border is fixed.
-
-    The general form of the rule takes one factor row per index; here each
-    row is the single border scalar.
+def gram_hint(n, factors=None, prefix="X"):
+    """Resolution hint: prefix[i,j], i < j, equals the dot product of factor
+    rows i and j once they are fixed.  By default each row is the single
+    border scalar x[i], so X[i,j] = x[i] * x[j].
     """
     return {
         "rule": "gram",
-        "factors": [[xname(i)] for i in range(n)],
-        "targets": [[mname("X", i, j), i, j] for i in range(n) for j in range(i + 1, n)],
+        "factors": factors or [[xname(i)] for i in range(n)],
+        "targets": [[name, i, j] for name, i, j in upper(prefix, n, 1)],
     }
 
 
@@ -193,7 +192,7 @@ def gram_hint(n):
 def lift_pencil(n, k, prefix="X"):
     """Pencil [[I_k, P^T], [P, X]] of order n+k over P[i,a] and prefix[i,j], i <= j."""
     terms = [(pname(i, a), [(a, k + i, 1)]) for i in range(n) for a in range(k)]
-    terms += [(mname(prefix, i, j), [(k + i, k + j, 1)]) for i in range(n) for j in range(i, n)]
+    terms += [(name, [(k + i, k + j, 1)]) for name, i, j in upper(prefix, n)]
     return shared_pencil(n + k, [(a, a, 1) for a in range(k)], terms)
 
 
@@ -201,9 +200,7 @@ def matrix_lift(n, k):
     """Matrix lift: binary P[i,a] and X[i,j] (i <= j), the diag-tie rows
     X_ii = sum_a P_ia and the pencil [[I_k, P^T], [P, X]]."""
     variables = [(pname(i, a), VarDomain.binary()) for i in range(n) for a in range(k)]
-    variables += [
-        (mname("X", i, j), VarDomain.binary()) for i in range(n) for j in range(i, n)
-    ]
+    variables += [(name, VarDomain.binary()) for name, _, _ in upper("X", n)]
     ties = [
         LinRow(((mname("X", i, i), 1),) + tuple((pname(i, a), -1) for a in range(k)), "==", 0,
                label="diag-tie")
@@ -256,13 +253,13 @@ def build_bsdp_qcqp(inst: QcqpInstance, compact: bool = False) -> MisdpModel:
     if compact and inst.lin_eq:
         s = np.zeros((n + 1, n + 1), dtype=object)  # Python numbers: int data sums exactly
         for a, b in inst.lin_eq:
-            v = np.array([-b, *map(pynum, a)], dtype=object)
+            v = np.array([-b, *a.tolist()], dtype=object)
             s += np.outer(v, v)
         coeffs = quad_form_coeffs(s[1:, 1:], 2 * s[0, 1:], n)
         rows.append(LinRow(tuple(coeffs.items()), "==", pynum(-s[0, 0]), label="aggregated"))
     elif inst.lin_eq:
         for a, b in inst.lin_eq:
-            coeffs = tuple((xname(i), pynum(a[i])) for i in range(n) if a[i] != 0)
+            coeffs = tuple((xname(i), v) for i, v in enumerate(a.tolist()) if v != 0)
             rows.append(LinRow(coeffs, "==", b, label="linear"))
     sign = 1 if inst.sense == "min" else -1
     objective = Objective("min", quad_form_coeffs(sign * inst.q0, sign * inst.c0, n))
@@ -325,12 +322,10 @@ def build_bsdp_qmp1(inst: Qmp1Instance) -> MisdpModel:
     for q, d in inst.quads:
         rows.append(LinRow(tuple(quad_form_coeffs(q, None, n).items()), "<=", -d, label="quad"))
     for a, b in inst.caps:
+        a = a.tolist()
         for t in range(n):
-            coeffs = {}
-            for j in range(n):
-                name = _lifted_entry(t, j)
-                coeffs[name] = coeffs.get(name, 0) + pynum(a[j])
-            coeffs[xname(t)] = coeffs.get(xname(t), 0) - b
+            coeffs = {_lifted_entry(t, j): a[j] for j in range(n)}
+            coeffs[xname(t)] -= b
             entries = tuple((m, c) for m, c in coeffs.items() if c != 0)
             rows.append(LinRow(entries, "<=", 0, label="capacity"))
     objective = Objective("min", quad_form_coeffs(inst.q0, None, n))
@@ -377,15 +372,10 @@ class Qmp2Instance:
         self.constraints = fixed
 
 
-def _qmp2_coeffs(q, b, n, k):
+def _qmp2_coeffs(q, b, n):
     """Coefficients of tr(P^T Q P) + 2 tr(B^T P) on the matrix lift."""
-    coeffs = {}
-    for i in range(n):
-        for a in range(k):
-            v = 2 * pynum(b[i, a])
-            if v != 0:
-                coeffs[pname(i, a)] = v
-    coeffs.update(inner_coeffs(q, n))
+    coeffs = {pname(i, a): 2 * v for i, row in enumerate(b.tolist()) for a, v in enumerate(row) if v != 0}
+    coeffs.update(upper_coeffs(q.tolist(), upper("X", n)))
     return coeffs
 
 
@@ -406,8 +396,8 @@ def build_bsdp_qmp2(inst: Qmp2Instance) -> MisdpModel:
                 LinRow(tuple((pname(i, a), 1) for i in range(n)), ">=", 1, label="cover")
             )
     for q, b, d in inst.constraints:
-        rows.append(LinRow(tuple(_qmp2_coeffs(q, b, n, k).items()), "<=", -d, label="qmp2"))
-    objective = Objective("min", _qmp2_coeffs(inst.q0, inst.b0, n, k), inst.d0)
+        rows.append(LinRow(tuple(_qmp2_coeffs(q, b, n).items()), "<=", -d, label="qmp2"))
+    objective = Objective("min", _qmp2_coeffs(inst.q0, inst.b0, n), inst.d0)
     return MisdpModel(
         variables,
         objective,

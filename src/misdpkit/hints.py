@@ -7,6 +7,9 @@ entry gives its stage, the variables it sets, and any pruning-only rows
 any other rule raises ValueError.  A leaf runs the "lift" stage (values
 pinned by the integer part) and the "forced" one (blocks fixed once the
 closure ran); a staged rule's `covers` names exactly what its `apply` writes.
+The rules read a matrix variable's entries by the names the builders gave
+them, through the one walker `formulations.upper` (prefix[i,j] over the upper
+triangle, row by row).
 """
 
 import functools
@@ -14,14 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .formulations import mname
+from .formulations import mname, upper
 from .linalg import eigensym
 from .model import LinRow
-
-
-def _upper(prefix, n, k=0):
-    """(prefix[i,j], i, j) over the upper triangle j >= i + k of an n x n block, row by row."""
-    return [(mname(prefix, i, j), i, j) for i in range(n) for j in range(i + k, n)]
 
 
 def _gram_entry(left, right, assign):
@@ -44,14 +42,14 @@ def _gram_lifts(hint):
 def _apply_cycle_distance(hint, model, assign):
     n = hint["n"]
     x1 = np.zeros((n, n), dtype=np.int64)
-    for name, i, j in _upper(hint["base"], n, 1):
+    for name, i, j in upper(hint["base"], n, 1):
         x1[i, j] = x1[j, i] = assign[name]
     prev = np.eye(n, dtype=np.int64)
     cur = x1
     for t, prefix in enumerate(hint["others"]):
         nxt = x1 @ cur - (2 * prev if t == 0 else prev)
         prev, cur = cur, nxt
-        for name, i, j in _upper(prefix, n, 1):
+        for name, i, j in upper(prefix, n, 1):
             assign.setdefault(name, int(cur[i, j]))
 
 
@@ -59,7 +57,7 @@ def _apply_qap_schur(hint, model, assign):
     n = hint["n"]
     x = [[assign[mname(hint["x"], i, j)] for j in range(n)] for i in range(n)]
     r = [[assign[mname(hint["r"], i, j)] for j in range(n)] for i in range(n)]
-    for (y, a, b), (z, _, _) in zip(_upper(hint["y"], n), _upper(hint["z"], n)):
+    for (y, a, b), (z, _, _) in zip(upper(hint["y"], n), upper(hint["z"], n)):
         assign.setdefault(y, sum(x[a][t] * r[b][t] for t in range(n)))
         assign.setdefault(z, sum(r[a][t] * r[b][t] for t in range(n)))
 
@@ -81,7 +79,7 @@ def _apply_nuclear(hint, model, assign):
             u = block @ v[:, t]
             z1 += np.outer(u, u) / sigma[t]
     for prefix, z, size in ((hint["z1"], z1, n), (hint["z2"], z2, m)):
-        for name, i, j in _upper(prefix, size):
+        for name, i, j in upper(prefix, size):
             assign.setdefault(name, float(z[i, j]))
 
 
@@ -96,7 +94,8 @@ class _HintRule:
     leaf) and writes exactly the variables `covers(hint)` names, which the
     exact closure leaves alone; `valid_cuts(hint)` gives pruning-only rows;
     `lifts(hint)` gives (target, inputs, value) for targets that `apply` sets
-    to `value(assign)`, a function of the variables `inputs` alone.
+    to `value(assign)`, a function of the variables `inputs` alone;
+    `pencils(hint)` gives the indices of the model's pencils `apply` reads.
     """
 
     fields: tuple
@@ -105,6 +104,7 @@ class _HintRule:
     covers: object = lambda hint: ()
     valid_cuts: object = lambda hint: ()
     lifts: object = lambda hint: ()
+    pencils: object = lambda hint: ()
 
 
 # The one list of hint rules that builders may emit in metadata["hints"].
@@ -112,11 +112,12 @@ _HINT_RULES = {
     "gram": _HintRule(("factors", "targets"), _LIFT, _apply_gram, covers=lambda h: [t[0] for t in h["targets"]],
                       lifts=_gram_lifts),
     "cycle_distance": _HintRule(("n", "base", "others"), _LIFT, _apply_cycle_distance,
-                                covers=lambda h: [t[0] for p in h["others"] for t in _upper(p, h["n"], 1)]),
+                                covers=lambda h: [t[0] for p in h["others"] for t in upper(p, h["n"], 1)]),
     "qap_schur": _HintRule(("n", "x", "r", "y", "z"), _FORCED, _apply_qap_schur,
-                           covers=lambda h: [t[0] for p in (h["y"], h["z"]) for t in _upper(p, h["n"])]),
+                           covers=lambda h: [t[0] for p in (h["y"], h["z"]) for t in upper(p, h["n"])]),
     "nuclear": _HintRule(("pencil", "rows", "cols", "z1", "z2"), _FORCED, _apply_nuclear,
-                         covers=lambda h: [t[0] for t in _upper(h["z1"], h["rows"]) + _upper(h["z2"], h["cols"])]),
+                         covers=lambda h: [t[0] for t in upper(h["z1"], h["rows"]) + upper(h["z2"], h["cols"])],
+                         pencils=lambda h: [h["pencil"]]),
     "valid_cuts": _HintRule(("rows",), valid_cuts=lambda h: [
         LinRow(tuple((nm, c) for nm, c in r["coeffs"]), r["rel"], r["rhs"]) for r in h["rows"]
     ]),

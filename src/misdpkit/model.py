@@ -3,7 +3,9 @@
 Scalar variables with per-variable domains, a linear objective, linear
 constraints and affine PSD constraints (matrix pencils).  Matrix variables
 are flattened by the builders to scalar entries of the upper triangle, so
-integrality markers stay per-entry and the IR remains solver-agnostic.
+integrality markers stay per-entry and the IR remains solver-agnostic.  The
+flattening is `formulations.upper` (prefix[i,j], i <= j, row by row), and
+<Q, X> over it is `formulations.upper_coeffs`.
 
 Coefficients may be int, Fraction or float, and a pencil entry may also be
 an algebraic integer of Z[2cos(2pi/n)] (`cosring.CosInt`).  Evaluation

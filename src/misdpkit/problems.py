@@ -14,14 +14,17 @@ The builders reuse the generic lifts of `formulations`:
 - matrix lift (`matrix_lift`, `lift_pencil`): `build_qmkp`, `build_gpp`
   "general" (without the diag-tie rows) and the first pencil of `build_gpp`
   "orthogonal" (over X1);
-- `inner_coeffs`, the <Q, X> map: `build_qap`'s objective and the
-  bisection mass row.
+- the walker `upper` for every upper-triangle list and per-pair row, and the
+  coefficient map `upper_coeffs` for every objective over a matrix variable:
+  <Q, X>, <L, X> / 2 (the halved diagonal a Fraction on ints), the pair
+  weights, and sils's c v / n (`_ratio`: Fraction(c v, n) on ints).
 
 The equipartition, bisection, assignment, tour, association-scheme,
 completion and sparse least squares models have pencils of their own.  Every
 pencil comes from `formulations.shared_pencil`, one object per content.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -44,13 +47,14 @@ from .formulations import (
     bordered_pencil,
     bordered_vars,
     gram_hint,
-    inner_coeffs,
     lift_pencil,
     matrix_lift,
     mname,
     pname,
     pynum,
     shared_pencil,
+    upper,
+    upper_coeffs,
     xname,
 )
 from .model import LinRow, MisdpModel, Objective, VarDomain
@@ -67,12 +71,22 @@ class Graph:
     """Simple undirected graph, optionally edge-weighted.
 
     `weights`, when present, is symmetric with zero diagonal and zero entries
-    off the edge set.
+    off the edge set.  Two graphs are equal when their n, edges and
+    `weight_matrix()` values are, so unit weights equal no weights.
     """
 
     n: int
     edges: tuple
     weights: object = None
+
+    def __eq__(self, other):
+        if not isinstance(other, Graph):
+            return NotImplemented
+        return (self.n, self.edges) == (other.n, other.edges) and np.array_equal(
+            self.weight_matrix(), other.weight_matrix())
+
+    def __hash__(self):
+        return hash((self.n, self.edges))
 
     @staticmethod
     def make(n, edges, weights=None):
@@ -105,7 +119,7 @@ class Graph:
 
     @staticmethod
     def complete(n):
-        return Graph.make(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+        return Graph.make(n, itertools.combinations(range(n), 2))
 
     @staticmethod
     def cycle(n):
@@ -178,7 +192,7 @@ def graph_from_dimacs(text: str) -> Graph:
         for (u, v), x in zip(edges, weights):
             val = 1.0 if x is None else x
             w[u, v] = w[v, u] = val
-        if np.array_equal(w, np.rint(w)):
+        if np.array_equal(w, np.rint(w)) and np.all(np.abs(w) < 2**53):  # as SymMat: int64 holds it
             w = w.astype(np.int64)
     return Graph.make(n, edges, w)
 
@@ -192,12 +206,12 @@ def _dimacs_number(token, cast, lineno):
 
 def graph_to_dimacs(g: Graph) -> str:
     lines = [f"p edge {g.n} {len(g.edges)}"]
-    w = g.weights
+    w = None if g.weights is None else g.weights.tolist()
     for u, v in g.edges:
         if w is None:
             lines.append(f"e {u + 1} {v + 1}")
         else:
-            lines.append(f"e {u + 1} {v + 1} {pynum(w[u, v])}")
+            lines.append(f"e {u + 1} {v + 1} {w[u][v]}")
     return "\n".join(lines) + "\n"
 
 
@@ -252,8 +266,10 @@ def parse_qaplib(text: str) -> QapInstance:
     need = 1 + 2 * n * n
     if len(vals) < need:
         raise ParseError(f"expected {need} numbers for n={n}, found {len(vals)}")
-    a = np.array(vals[1:1 + n * n]).reshape(n, n)
-    b = np.array(vals[1 + n * n:need]).reshape(n, n)
+    # numpy would round ints in [2**63, 2**64) to float64; past int64 they stay Python ints
+    dtype = object if any(isinstance(v, int) and not -2**63 <= v < 2**63 for v in vals) else None
+    a = np.array(vals[1:1 + n * n], dtype=dtype).reshape(n, n)
+    b = np.array(vals[1 + n * n:need], dtype=dtype).reshape(n, n)
     return QapInstance.make(a, b)
 
 
@@ -328,13 +344,14 @@ def build_qbpp(weights, capacity, bin_cost, dissimilarity) -> MisdpModel:
     enumerator sets z to that Schur boundary exactly.  A negative bin_cost
     leaves z unbounded above and raises PreconditionViolated.
     """
-    w = [pynum(v) for v in np.asarray(weights)]
+    w = np.asarray(weights).tolist()
     n = len(w)
     capacity = pynum(capacity)
     bin_cost = pynum(bin_cost)
     d = np.asarray(dissimilarity)
     if d.shape != (n, n) or not np.array_equal(d, d.T):
         raise DimensionMismatch("dissimilarity must be symmetric of order n")
+    d = d.tolist()
     if any(v <= 0 for v in w):
         raise InfeasibleItem("item weights must be positive")
     if bin_cost < 0:
@@ -346,23 +363,14 @@ def build_qbpp(weights, capacity, bin_cost, dissimilarity) -> MisdpModel:
     variables = [("z", VarDomain.continuous())] + bordered_vars(n, VarDomain.binary())
     rows = [LinRow(((xname(i), 1),), "==", 1, label="partition") for i in range(n)]
     for t in range(n):
-        coeffs = {xname(t): w[t]}
-        for j in range(n):
-            if j != t:
-                name = mname("X", min(t, j), max(t, j))
-                coeffs[name] = w[j]
-        rows.append(LinRow(tuple(coeffs.items()), "<=", capacity, label="capacity"))
+        coeffs = ((xname(t), w[t]), *((_pair_var("X", t, j), w[j]) for j in range(n) if j != t))
+        rows.append(LinRow(coeffs, "<=", capacity, label="capacity"))
 
     terms = [("z", [(0, 0, 1)])] + [(xname(i), [(i + 1, i + 1, 1)]) for i in range(n)]
-    terms += [(mname("X", i, j), [(i + 1, j + 1, 1)]) for i in range(n) for j in range(i + 1, n)]
-
-    coeffs = {"z": bin_cost}
-    for i in range(n):
-        if pynum(d[i, i]) != 0:
-            coeffs[xname(i)] = pynum(d[i, i])
-        for j in range(i + 1, n):
-            if pynum(d[i, j]) != 0:
-                coeffs[mname("X", i, j)] = 2 * pynum(d[i, j])
+    terms += [(name, [(i + 1, j + 1, 1)]) for name, i, j in upper("X", n, 1)]
+    # <D, X> with the diagonal aliased to x, row by row
+    cells = [(xname(i) if i == j else name, i, j) for name, i, j in upper("X", n)]
+    coeffs = {"z": bin_cost, **upper_coeffs(d, cells)}
     return MisdpModel(
         variables,
         Objective("min", coeffs),
@@ -374,11 +382,11 @@ def build_qbpp(weights, capacity, bin_cost, dissimilarity) -> MisdpModel:
 
 def build_qmkp(weights, capacities, profits, revenue) -> MisdpModel:
     """Quadratic multiple knapsack (max sense, normalized to min)."""
-    w = [pynum(v) for v in np.asarray(weights)]
+    w = np.asarray(weights).tolist()
     n = len(w)
-    c = [pynum(v) for v in np.asarray(capacities)]
+    c = np.asarray(capacities).tolist()
     k = len(c)
-    p = [pynum(v) for v in np.asarray(profits)]
+    p = np.asarray(profits).tolist()
     r = np.asarray(revenue)
     if len(p) != n or r.shape != (n, n) or not np.array_equal(r, r.T):
         raise DimensionMismatch("profits must have length n and revenue must be symmetric")
@@ -392,16 +400,14 @@ def build_qmkp(weights, capacities, profits, revenue) -> MisdpModel:
         rows.append(
             LinRow(tuple((pname(i, a), w[i]) for i in range(n)), "<=", c[a], label="capacity")
         )
+    # -<R, X> - p^T P 1, each row's P entries before its X entries
+    lifted = upper_coeffs(r.tolist(), upper("X", n), lambda v: -v, lambda v: -2 * v)
     coeffs = {}
-    for i in range(n):
-        if p[i] != 0:
-            for a in range(k):
-                coeffs[pname(i, a)] = -p[i]
-        if pynum(r[i, i]) != 0:
-            coeffs[mname("X", i, i)] = -pynum(r[i, i])
-        for j in range(i + 1, n):
-            if pynum(r[i, j]) != 0:
-                coeffs[mname("X", i, j)] = -2 * pynum(r[i, j])
+    for name, i, j in upper("X", n):
+        if i == j and p[i] != 0:
+            coeffs.update((pname(i, a), -p[i]) for a in range(k))
+        if name in lifted:
+            coeffs[name] = lifted[name]
     return MisdpModel(
         variables,
         Objective("min", coeffs),
@@ -417,11 +423,11 @@ def build_qmkp(weights, capacities, profits, revenue) -> MisdpModel:
 
 def _qap_skeleton(inst: QapInstance, objective: Objective, problem: str) -> MisdpModel:
     n = inst.n
-    b = inst.b
+    b = np.asarray(inst.b).tolist()
+    y, z = upper("Y", n), upper("Z", n)
     variables = [(mname("X", i, j), VarDomain.binary()) for i in range(n) for j in range(n)]
     variables += [(mname("R", i, j), VarDomain.continuous()) for i in range(n) for j in range(n)]
-    variables += [(mname("Y", i, j), VarDomain.continuous()) for i in range(n) for j in range(i, n)]
-    variables += [(mname("Z", i, j), VarDomain.continuous()) for i in range(n) for j in range(i, n)]
+    variables += [(name, VarDomain.continuous()) for name, _, _ in y + z]
 
     rows = []
     for i in range(n):
@@ -430,23 +436,17 @@ def _qap_skeleton(inst: QapInstance, objective: Objective, problem: str) -> Misd
         rows.append(LinRow(tuple((mname("X", i, j), 1) for i in range(n)), "==", 1, label="col-sum"))
     for i in range(n):
         for j in range(n):
-            coeffs = [(mname("R", i, j), 1)]
-            for t in range(n):
-                v = pynum(b[t, j])
-                if v != 0:
-                    coeffs.append((mname("X", i, t), -v))
-            rows.append(LinRow(tuple(coeffs), "==", 0, label="r-def"))
+            coeffs = ((mname("R", i, j), 1), *((mname("X", i, t), -b[t][j]) for t in range(n) if b[t][j] != 0))
+            rows.append(LinRow(coeffs, "==", 0, label="r-def"))
 
     terms = []
     for i in range(n):
         for j in range(n):
             terms.append((mname("X", i, j), [(j, n + i, 1)]))
             terms.append((mname("R", i, j), [(j, 2 * n + i, 1)]))
-    for i in range(n):
-        for j in range(i, n):
-            y = [(n + i, 2 * n + j, 1)] + ([(n + j, 2 * n + i, 1)] if i != j else [])
-            terms.append((mname("Y", i, j), y))
-            terms.append((mname("Z", i, j), [(2 * n + i, 2 * n + j, 1)]))
+    for (y_ij, i, j), (z_ij, _, _) in zip(y, z):
+        terms.append((y_ij, [(n + i, 2 * n + j, 1)] + ([(n + j, 2 * n + i, 1)] if i != j else [])))
+        terms.append((z_ij, [(2 * n + i, 2 * n + j, 1)]))
     pencil = shared_pencil(3 * n, [(i, i, 1) for i in range(2 * n)], terms)
     hints = [{"rule": "qap_schur", "n": n, "x": "X", "r": "R", "y": "Y", "z": "Z"}]
     return MisdpModel(
@@ -461,12 +461,9 @@ def _qap_skeleton(inst: QapInstance, objective: Objective, problem: str) -> Misd
 def build_qap(inst: QapInstance) -> MisdpModel:
     """Matrix-lifted assignment model with one pencil of order 3n."""
     n = inst.n
-    coeffs = inner_coeffs(inst.a, n, var="Y")
-    for i in range(n):
-        for j in range(n):
-            v = pynum(inst.c[i, j])
-            if v != 0:
-                coeffs[mname("X", i, j)] = v
+    coeffs = upper_coeffs(np.asarray(inst.a).tolist(), upper("Y", n))
+    c = np.asarray(inst.c).tolist()
+    coeffs.update((mname("X", i, j), c[i][j]) for i in range(n) for j in range(n) if c[i][j] != 0)
     return _qap_skeleton(inst, Objective("min", coeffs), "qap")
 
 
@@ -478,18 +475,14 @@ def cycle_adjacency(n):
     return b
 
 
+def _ratio(v, d):
+    """v / d, a Fraction when v is an int."""
+    return Fraction(v, d) if isinstance(v, int) else v / d
+
+
 def _laplacian_objective(lap, n, var="X"):
     """<L, var> / 2 over var[i,j], i <= j; the halved diagonal is a Fraction on ints."""
-    coeffs = {}
-    for i in range(n):
-        v = pynum(lap[i, i])
-        if v != 0:
-            coeffs[mname(var, i, i)] = Fraction(v, 2) if isinstance(v, int) else v / 2
-        for j in range(i + 1, n):
-            v = pynum(lap[i, j])
-            if v != 0:
-                coeffs[mname(var, i, j)] = v
-    return Objective("min", coeffs)
+    return Objective("min", upper_coeffs(lap.tolist(), upper(var, n), lambda v: _ratio(v, 2), lambda v: v))
 
 
 def build_tsp_qap(d) -> MisdpModel:
@@ -510,8 +503,7 @@ def _pair_var(prefix, i, j):
 
 def _pair_coeffs(m, n, var):
     """m_ij over var[i,j] for each pair i < j with m_ij != 0: <M, var> / 2 at zero diagonal."""
-    return {mname(var, i, j): pynum(m[i, j]) for i in range(n) for j in range(i + 1, n)
-            if pynum(m[i, j]) != 0}
+    return upper_coeffs(m.tolist(), upper(var, n, 1), off=lambda v: v)
 
 
 def build_tsp_cvetkovic(d) -> MisdpModel:
@@ -522,9 +514,8 @@ def build_tsp_cvetkovic(d) -> MisdpModel:
         raise DimensionMismatch("TSP needs n >= 3")
     if not np.array_equal(d, d.T):
         raise DimensionMismatch("distance matrix must be symmetric")
-    variables = [
-        (mname("X", i, j), VarDomain.binary()) for i in range(n) for j in range(i + 1, n)
-    ]
+    pairs = upper("X", n, 1)
+    variables = [(name, VarDomain.binary()) for name, _, _ in pairs]
     rows = []
     for i in range(n):
         rows.append(
@@ -534,8 +525,8 @@ def build_tsp_cvetkovic(d) -> MisdpModel:
     # 2 - 2cos(2pi/n), exactly: an int at n = 3, 4 and 6, where 2cos(2pi/n) is
     # rational (Niven), else an element of Z[2cos(2pi/n)], which is_psd_at decides exactly
     gap = 2 - cosring.alpha(n)
-    const = [(i, j, 2 if i == j else gap) for i in range(n) for j in range(i, n)]
-    terms = [(mname("X", i, j), [(i, j, -1)]) for i in range(n) for j in range(i + 1, n)]
+    const = [(i, j, 2 if i == j else gap) for _, i, j in upper("X", n)]
+    terms = [(name, [(i, j, -1)]) for name, i, j in pairs]
     return MisdpModel(
         variables,
         Objective("min", _pair_coeffs(d, n, "X")),
@@ -568,13 +559,9 @@ def build_tsp_lee(d) -> MisdpModel:
     variables = []
     for t, base in enumerate(names):
         dom = VarDomain.binary() if t == 0 else VarDomain.continuous(0)
-        variables += [(mname(base, i, j), dom) for i in range(n) for j in range(i + 1, n)]
-    rows = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            rows.append(
-                LinRow(tuple((mname(base, i, j), 1) for base in names), "==", 1, label="cover")
-            )
+        variables += [(name, dom) for name, _, _ in upper(base, n, 1)]
+    rows = [LinRow(tuple((mname(base, i, j), 1) for base in names), "==", 1, label="cover")
+            for _, i, j in upper(names[0], n, 1)]
     # alphas[k] = 2cos(2pi k/n) in Z[alpha], alpha = alphas[1], by
     # alpha_(k+1) = alpha alpha_k - alpha_(k-1) from alpha_0 = 2
     alphas = [2, cosring.alpha(n)]
@@ -582,12 +569,8 @@ def build_tsp_lee(d) -> MisdpModel:
         alphas.append(alphas[1] * alphas[-1] - alphas[-2])
     pencils = []
     for lmi in range(1, r + 1):
-        terms = []
-        for t in range(1, r + 1):
-            coef = alphas[t * lmi]
-            for i in range(n):
-                for j in range(i + 1, n):
-                    terms.append((mname(names[t - 1], i, j), [(i, j, coef)]))
+        terms = [(name, [(i, j, alphas[t * lmi])]) for t, base in enumerate(names, 1)
+                 for name, i, j in upper(base, n, 1)]
         pencils.append(shared_pencil(n, [(i, i, 2) for i in range(n)], terms))
     cuts = [
         {
@@ -644,13 +627,12 @@ def build_gpp(inst: GppInstance, variant: str = "general") -> MisdpModel:
             if not 1 <= m1 <= n / 2:
                 raise VariantPrecondition("bisection requires 1 <= m_1 <= n/2")
             scale = 2
-            mass = inner_coeffs(np.ones((n, n), dtype=np.int64), n)
+            mass = upper_coeffs([[1] * n] * n, upper("X", n))
             extra = [LinRow(tuple(mass.items()), "==", m1 * m1 + (n - m1) * (n - m1), label="mass")]
-        variables = [
-            (mname("X", i, j), VarDomain.binary()) for i in range(n) for j in range(i, n)
-        ]
-        terms = [(mname("X", i, j), [(i, j, scale)]) for i in range(n) for j in range(i, n)]
-        minus_j = [(i, j, -1) for i in range(n) for j in range(i, n)]
+        cells = upper("X", n)
+        variables = [(name, VarDomain.binary()) for name, _, _ in cells]
+        terms = [(name, [(i, j, scale)]) for name, i, j in cells]
+        minus_j = [(i, j, -1) for _, i, j in cells]
         return MisdpModel(
             variables,
             _laplacian_objective(lap, n),
@@ -672,27 +654,13 @@ def build_gpp(inst: GppInstance, variant: str = "general") -> MisdpModel:
                           [pencil], metadata=metadata)
 
     # orthogonal: explicit P with two pencils and X2 pinned to Diag(sizes)
+    x2 = upper("X2", k)
     variables = [(pname(i, a), VarDomain.binary()) for i in range(n) for a in range(k)]
-    variables += [
-        (mname("X1", i, j), VarDomain.continuous()) for i in range(n) for j in range(i, n)
-    ]
-    variables += [
-        (mname("X2", a, b), VarDomain.continuous()) for a in range(k) for b in range(a, k)
-    ]
-    pinned = [
-        LinRow(((mname("X2", a, b), 1),), "==", sizes[a] if a == b else 0, label="x2")
-        for a in range(k)
-        for b in range(a, k)
-    ]
+    variables += [(name, VarDomain.continuous()) for name, _, _ in upper("X1", n) + x2]
+    pinned = [LinRow(((name, 1),), "==", sizes[a] if a == b else 0, label="x2") for name, a, b in x2]
     terms2 = [(pname(i, a), [(i, n + a, 1)]) for i in range(n) for a in range(k)]
-    terms2 += [(mname("X2", a, b), [(n + a, n + b, 1)]) for a in range(k) for b in range(a, k)]
-    metadata["hints"] = [
-        {
-            "rule": "gram",
-            "factors": [[pname(i, a) for a in range(k)] for i in range(n)],
-            "targets": [[mname("X1", i, j), i, j] for i in range(n) for j in range(i + 1, n)],
-        }
-    ]
+    terms2 += [(name, [(n + a, n + b, 1)]) for name, a, b in x2]
+    metadata["hints"] = [gram_hint(n, [[pname(i, a) for a in range(k)] for i in range(n)], "X1")]
     return MisdpModel(
         variables,
         _laplacian_objective(lap, n, var="X1"),
@@ -716,30 +684,21 @@ def build_kep_assoc(inst: GppInstance, degree_rows: bool = False) -> MisdpModel:
         raise SizeMismatch("this model requires equal class sizes n/k")
     m = n // k
     w = g.weight_matrix()
-    variables = [
-        (mname("X2", i, j), VarDomain.binary()) for i in range(n) for j in range(i + 1, n)
-    ]
-    variables += [
-        (mname("X1", i, j), VarDomain.continuous(0)) for i in range(n) for j in range(i + 1, n)
-    ]
-    rows = [
-        LinRow(((mname("X1", i, j), 1), (mname("X2", i, j), 1)), "==", 1, label="pair")
-        for i in range(n)
-        for j in range(i + 1, n)
-    ]
+    x1, x2 = upper("X1", n, 1), upper("X2", n, 1)
+    variables = [(name, VarDomain.binary()) for name, _, _ in x2]
+    variables += [(name, VarDomain.continuous(0)) for name, _, _ in x1]
+    rows = [LinRow(((a, 1), (b, 1)), "==", 1, label="pair") for (a, _, _), (b, _, _) in zip(x1, x2)]
     pencils = []
     if degree_rows:
         for i in range(n):
             coeffs = tuple((_pair_var("X2", i, j), 1) for j in range(n) if j != i)
             rows.append(LinRow(coeffs, "==", m - 1, label="within-degree"))
     else:
-        terms = [(mname("X2", i, j), [(i, j, -1)]) for i in range(n) for j in range(i + 1, n)]
+        terms = [(name, [(i, j, -1)]) for name, i, j in x2]
         pencils.append(shared_pencil(n, [(i, i, m - 1) for i in range(n)], terms))
     terms2 = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            terms2.append((mname("X1", i, j), [(i, j, -1)]))
-            terms2.append((mname("X2", i, j), [(i, j, k - 1)]))
+    for (a, i, j), (b, _, _) in zip(x1, x2):
+        terms2 += [(a, [(i, j, -1)]), (b, [(i, j, k - 1)])]
     pencils.append(shared_pencil(n, [(i, i, k - 1) for i in range(n)], terms2))
     return MisdpModel(
         variables,
@@ -771,17 +730,13 @@ def build_matrix_completion(shape, observed, domain) -> MisdpModel:
     variables = [
         (mname("X", i, j), domain) for i in range(n) for j in range(m) if (i, j) not in observed
     ]
-    variables += [
-        (mname("Z1", i, j), VarDomain.continuous()) for i in range(n) for j in range(i, n)
-    ]
-    variables += [
-        (mname("Z2", a, b), VarDomain.continuous()) for a in range(m) for b in range(a, m)
-    ]
+    z1, z2 = upper("Z1", n), upper("Z2", m)
+    variables += [(name, VarDomain.continuous()) for name, _, _ in z1 + z2]
     terms = [
         (mname("X", i, j), [(i, n + j, 1)]) for i in range(n) for j in range(m) if (i, j) not in observed
     ]
-    terms += [(mname("Z1", i, j), [(i, j, 1)]) for i in range(n) for j in range(i, n)]
-    terms += [(mname("Z2", a, b), [(n + a, n + b, 1)]) for a in range(m) for b in range(a, m)]
+    terms += [(name, [(i, j, 1)]) for name, i, j in z1]
+    terms += [(name, [(n + a, n + b, 1)]) for name, a, b in z2]
     const = [(i, n + j, v) for (i, j), v in observed.items()]
     coeffs = {mname("Z1", i, i): Fraction(1, 2) for i in range(n)}
     coeffs.update({mname("Z2", a, a): Fraction(1, 2) for a in range(m)})
@@ -804,13 +759,12 @@ def build_sils(m_mat, b, cap) -> MisdpModel:
     n, k = m_mat.shape
     if not 0 <= cap <= k:
         raise DimensionMismatch(f"support cap must lie in [0, {k}]")
-    gram = m_mat.T @ m_mat
-    mtb = m_mat.T @ b
+    gram = (m_mat.T @ m_mat).tolist()
+    mtb = (m_mat.T @ b).tolist()
+    cells = upper("X", k)
 
     variables = [(xname(i), VarDomain.ternary()) for i in range(k)]
-    variables += [
-        (mname("X", i, j), VarDomain.ternary()) for i in range(k) for j in range(i, k)
-    ]
+    variables += [(name, VarDomain.ternary()) for name, _, _ in cells]
     variables += [(f"y1[{i}]", VarDomain.continuous(0)) for i in range(k)]
     variables += [(f"y2[{i}]", VarDomain.continuous(0)) for i in range(k)]
 
@@ -828,26 +782,14 @@ def build_sils(m_mat, b, cap) -> MisdpModel:
     )
 
     terms = [(xname(i), [(0, i + 1, 1)]) for i in range(k)]
-    terms += [(mname("X", i, j), [(i + 1, j + 1, 1)]) for i in range(k) for j in range(i, k)]
+    terms += [(name, [(i + 1, j + 1, 1)]) for name, i, j in cells]
 
-    coeffs = {}
-    for i in range(k):
-        v = pynum(mtb[i])
-        if v != 0:
-            coeffs[xname(i)] = Fraction(-2 * v, n) if isinstance(v, int) else -2 * v / n
-    for i in range(k):
-        v = pynum(gram[i, i])
-        if v != 0:
-            coeffs[mname("X", i, i)] = Fraction(v, n) if isinstance(v, int) else v / n
-        for j in range(i + 1, k):
-            v = pynum(gram[i, j])
-            if v != 0:
-                coeffs[mname("X", i, j)] = Fraction(2 * v, n) if isinstance(v, int) else 2 * v / n
-    bb = pynum(b @ b)
-    constant = Fraction(bb, n) if isinstance(bb, int) else bb / n
+    # (||b||^2 - 2 (M^T b)^T x + <M^T M, X>) / n
+    coeffs = {xname(i): _ratio(-2 * v, n) for i, v in enumerate(mtb) if v != 0}
+    coeffs.update(upper_coeffs(gram, cells, lambda v: _ratio(v, n), lambda v: _ratio(2 * v, n)))
     return MisdpModel(
         variables,
-        Objective("min", coeffs, constant),
+        Objective("min", coeffs, _ratio(pynum(b @ b), n)),
         rows,
         [shared_pencil(k + 1, [(0, 0, 1)], terms)],
         metadata={"problem": "sils", "cap": int(cap), "n_rows": n},

@@ -452,8 +452,9 @@ class _Family:
     equality rows, each once per content (at most `_ROW_CAP`);
     `objective(objective)` compiles an objective, `test` a window on a sum
     over slots, and `bind(tests)` a model's tests into step tables over
-    `levels`.  A hint that is not a dict, names no rule of
-    `_HINT_RULES` or lacks one of its rule's `fields` raises ValueError.
+    `levels`.  A hint that is not a dict, names no rule of `_HINT_RULES`,
+    lacks one of its rule's `fields`, or names a variable or reads a pencil
+    the model does not have raises ValueError.
 
     It also keeps what it alone fixes at a leaf, in `leaves`: keyed by the
     tuple of the integer values in search order, at most `_LEAF_CAP`
@@ -518,6 +519,8 @@ class _Family:
                 raise ValueError(f"hint {hint!r} cannot be read: {type(exc).__name__}: {exc}") from None
             if stray := [n for n in [*covers, *(x for _, inputs, _ in lifts for x in inputs)] if n not in doms]:
                 raise ValueError(f"hint {hint!r} names {stray[0]!r}, which is not a variable")
+            if stray := [k for k in rule.pencils(hint) if type(k) is not int or not 0 <= k < len(pencils)]:
+                raise ValueError(f"hint {hint!r} reads pencil {stray[0]!r}, which the model does not have")
             if rule.stage is not None:
                 self.stages[rule.stage].append((rule.apply, hint))
             if rule.stage == _LIFT:

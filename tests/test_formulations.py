@@ -21,7 +21,10 @@ from misdpkit.formulations import (
     matrix_lift,
     mname,
     pname,
+    quad_form_coeffs,
     shared_pencil,
+    upper,
+    upper_coeffs,
     xname,
 )
 from misdpkit.linalg import SymMat, is_psd, num_rank
@@ -46,6 +49,22 @@ def draw_ints(data, shape, lo, hi):
     size = int(np.prod(shape))
     return np.array(data.draw(st.lists(st.integers(lo, hi), min_size=size, max_size=size)),
                     dtype=np.int64).reshape(shape)
+
+
+# instance data of each number type the builders take
+NUMBER_KINDS = {
+    "int": (int, st.integers(-50, 50)),
+    "fraction": (Fraction, st.fractions(-50, 50, max_denominator=12)),
+    "float": (float, st.floats(-50, 50, allow_nan=False)),
+}
+
+
+def draw_sym_of(data, n, numbers):
+    """A symmetric n x n matrix of drawn numbers, as a list of rows."""
+    a = [[0] * n for _ in range(n)]
+    for i, j in itertools.combinations_with_replacement(range(n), 2):
+        a[i][j] = a[j][i] = data.draw(numbers)
+    return a
 
 
 def exact_psd_at(pencil, values):
@@ -301,6 +320,41 @@ class TestQmp2:
                 for j in range(i, 3):
                     x[i, j] = x[j, i] = point[f"X[{i},{j}]"]
             assert num_rank(SymMat(x, check_symmetry=False)) == 2
+
+
+class TestCoefficientMap:
+    """`upper_coeffs` over `upper` is <Q, X> in the data's own number type."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data(), st.sampled_from(sorted(NUMBER_KINDS)))
+    def test_inner_product_on_every_number_type(self, data, kind):
+        number_type, numbers = NUMBER_KINDS[kind]
+        n = data.draw(st.integers(0, 5))
+        q = draw_sym_of(data, n, numbers)
+        x = draw_sym_of(data, n, st.integers(-3, 3))
+        cells = upper("X", n)
+        assert [(i, j) for _, i, j in cells] == list(itertools.combinations_with_replacement(range(n), 2))
+        coeffs = upper_coeffs(q, cells)
+        assert list(coeffs) == [name for name, i, j in cells if q[i][j] != 0]
+        assert all(type(c) is number_type for c in coeffs.values())
+        value = sum(Fraction(coeffs[name]) * x[i][j] for name, i, j in cells if name in coeffs)
+        assert value == sum(Fraction(q[i][j]) * x[i][j] for i in range(n) for j in range(n))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data(), st.sampled_from(sorted(NUMBER_KINDS)))
+    def test_quadratic_form_with_the_diagonal_on_x(self, data, kind):
+        number_type, numbers = NUMBER_KINDS[kind]
+        n = data.draw(st.integers(1, 4))
+        q = np.array(draw_sym_of(data, n, numbers), dtype=object)
+        c = np.array([data.draw(numbers) for _ in range(n)], dtype=object)
+        x = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+        coeffs = quad_form_coeffs(q, c, n)
+        assert all(type(v) is number_type for v in coeffs.values())
+        point = {xname(i): x[i] for i in range(n)} | {name: x[i] * x[j] for name, i, j in upper("X", n, 1)}
+        value = sum(Fraction(v) * point[name] for name, v in coeffs.items())
+        # x_i^2 = x_i: the weight q_ii + c_i, summed in the data's arithmetic, lands on x[i]
+        assert value == sum(Fraction(q[i, j] if i != j else q[i, i] + c[i]) * x[i] * x[j]
+                            for i in range(n) for j in range(n))
 
 
 class TestSharedPencils:

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 from fractions import Fraction
 
 import math
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_formulations import draw_ints, draw_sym
+from test_formulations import NUMBER_KINDS, draw_ints, draw_sym, draw_sym_of
 
 from misdpkit.errors import (
     DimensionMismatch,
@@ -20,8 +21,8 @@ from misdpkit.errors import (
     UnsupportedDomain,
     VariantPrecondition,
 )
-from misdpkit.formulations import qcqp_from_json, qmp1_from_json, qmp2_from_json
-from misdpkit.linalg import SymMat, num_rank
+from misdpkit.formulations import qcqp_from_json, qmp1_from_json, qmp2_from_json, upper
+from misdpkit.linalg import SymMat, dumps_matrix, load_matrix, num_rank
 from misdpkit.model import MatrixPencil
 from misdpkit.problems import (
     GPP_VARIANTS,
@@ -100,12 +101,91 @@ class TestGraph:
         assert np.array_equal(np.diag(lap), [2, 2, 2, 2])
         assert lap.sum() == 0
 
+    def test_integral_weights_past_2_53_stay_floats(self):
+        g = graph_from_dimacs("p edge 2 1\ne 1 2 1e20\n")
+        assert g.weights.dtype == np.float64 and g.weights[0, 1] == 10**20
+        g = graph_from_dimacs(f"p edge 2 1\ne 1 2 {2**53 - 1}\n")
+        assert g.weights.dtype == np.int64 and g.weights[0, 1] == 2**53 - 1
+
+    def test_equality_reads_the_weight_values(self):
+        def weighted(w):
+            return Graph.make(3, [(0, 1)], [[0, w, 0], [w, 0, 0], [0, 0, 0]])
+
+        assert weighted(2) == weighted(2.0) == weighted(Fraction(2))
+        assert len({weighted(2), weighted(2.0), weighted(Fraction(2))}) == 1
+        assert weighted(1) == Graph.make(3, [(0, 1)]) and hash(weighted(1)) == hash(Graph.make(3, [(0, 1)]))
+        assert weighted(2) != weighted(3) and weighted(2) != Graph.make(3, [(0, 1)])
+        assert Graph.make(3, [(0, 1)]) != Graph.make(3, [(1, 2)]) != Graph.make(4, [(1, 2)])
+        assert Graph.make(3, [(0, 1)]) != ((0, 1),)
+
+
+# edge weights of each kind DIMACS holds; past 2^63, integers that a float holds exactly
+_DIMACS_WEIGHTS = {
+    "int": st.integers(-10**6, 10**6),
+    "float": st.floats(-1e6, 1e6, allow_nan=False),
+    "past 2^63": st.builds(lambda m, e, sign: sign * m * 2**e, st.integers(2**52, 2**53 - 1),
+                           st.integers(11, 200), st.sampled_from([1, -1])),
+}
+
+
+def _qaplib_text(a, b):
+    """The QAPLIB layout: n, then the rows of A, then the rows of B."""
+    rows = "\n".join(" ".join(map(str, row)) for row in [*a, [], *b])
+    return f"{len(a)}\n\n{rows}\n"
+
+
+class TestReaderRoundTrips:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data(), st.sampled_from([None, *_DIMACS_WEIGHTS]))
+    def test_dimacs(self, data, kind):
+        n = data.draw(st.integers(1, 6))
+        pairs = list(itertools.combinations(range(n), 2))
+        edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+        w = None
+        if kind is not None:
+            w = [[0] * n for _ in range(n)]
+            for u, v in edges:
+                w[u][v] = w[v][u] = data.draw(_DIMACS_WEIGHTS[kind])
+        g = Graph.make(n, edges, w)
+        again = graph_from_dimacs(graph_to_dimacs(g))
+        assert again == g and hash(again) == hash(g)
+        assert (again.weights is None) == (kind is None or not edges)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data(), st.sampled_from(["int", "big int", "float"]))
+    def test_qaplib(self, data, kind):
+        numbers = {"int": st.integers(-99, 99), "big int": st.integers(-2**70, 2**70),
+                   "float": st.floats(-1e6, 1e6, allow_nan=False)}[kind]
+        n = data.draw(st.integers(1, 4))
+        a, b = draw_sym_of(data, n, numbers), draw_sym_of(data, n, numbers)
+        inst = parse_qaplib(_qaplib_text(a, b))
+        assert inst.n == n and inst.a.tolist() == a and inst.b.tolist() == b and not inst.c.any()
+        assert all(type(v) is (float if kind == "float" else int) for v in inst.a.tolist()[0] + inst.b.tolist()[0])
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data(), st.sampled_from(["int", "float"]))
+    def test_distance_matrix(self, tmp_path_factory, data, kind):
+        numbers = st.integers(0, 2**53 - 1) if kind == "int" else st.floats(0, 1e9, allow_nan=False)
+        n = data.draw(st.integers(1, 5))
+        d = np.array(draw_sym_of(data, n, numbers))
+        np.fill_diagonal(d, 0)
+        path = tmp_path_factory.mktemp("dist") / "d.txt"
+        path.write_text(dumps_matrix(d))
+        m = load_matrix(path)
+        assert np.array_equal(m.array, d)
+        assert (m.ints is not None) == (kind == "int" or np.array_equal(d, np.rint(d)))
+
 
 class TestQaplib:
     def test_parse(self):
         text = "3\n\n0 1 2\n1 0 1\n2 1 0\n\n0 2 1\n2 0 2\n1 2 0\n"
         inst = parse_qaplib(text)
         assert inst.n == 3 and inst.a[0, 2] == 2 and inst.b[1, 2] == 2
+
+    def test_integer_tokens_past_int64_stay_exact(self):
+        big = 2**63 + 1  # numpy would hold it as the float 2**63
+        inst = parse_qaplib(f"2\n0 {big}\n{big} 0\n0 1\n1 0\n")
+        assert inst.a.tolist() == [[0, big], [big, 0]] and inst.b.tolist() == [[0, 1], [1, 0]]
 
     def test_parse_errors(self):
         with pytest.raises(ParseError):
@@ -584,6 +664,61 @@ class TestSils:
             build_sils(np.eye(2, dtype=int), np.array([1, 1, 1]), 1)
         with pytest.raises(DimensionMismatch):
             build_sils(np.eye(2, dtype=int), np.array([1, 1]), 3)
+
+
+# how instance arrays of each number kind are held
+_ARRAY_TYPES = {"int": np.int64, "fraction": object, "float": np.float64}
+
+
+def _scaled(v, d):
+    """v / d as the builders write it: a Fraction on an int, else the data's own division."""
+    return Fraction(v, d) if isinstance(v, int) else v / d
+
+
+class TestCoefficientTypes:
+    """The objectives that divide keep each number type: Fraction(v, d) on ints, v / d otherwise."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data(), st.sampled_from(sorted(NUMBER_KINDS)))
+    def test_halved_laplacian(self, data, kind):
+        numbers = NUMBER_KINDS[kind][1]
+        n = data.draw(st.integers(1, 5))
+        pairs = list(itertools.combinations(range(n), 2))
+        edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+        w = np.zeros((n, n), dtype=object)
+        for u, v in edges:
+            w[u, v] = w[v, u] = data.draw(numbers)
+        g = Graph.make(n, edges, w.astype(_ARRAY_TYPES[kind]))
+        coeffs = build_gpp(GppInstance.make(g, 1, [n])).objective.coeffs
+        lap = g.laplacian().tolist()
+        want = {name: lap[i][j] if i != j else _scaled(lap[i][i], 2)
+                for name, i, j in upper("X", n) if lap[i][j] != 0}
+        assert list(coeffs) == list(want) and all(type(coeffs[k]) is type(v) for k, v in want.items())
+        assert coeffs == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data(), st.sampled_from(sorted(NUMBER_KINDS)))
+    def test_sils_scaling(self, data, kind):
+        numbers = NUMBER_KINDS[kind][1]
+        n, k = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 3))
+        m = np.array([[data.draw(numbers) for _ in range(k)] for _ in range(n)], dtype=_ARRAY_TYPES[kind])
+        b = np.array([data.draw(numbers) for _ in range(n)], dtype=_ARRAY_TYPES[kind])
+        obj = build_sils(m, b, k).objective
+        gram, mtb = (m.T @ m).tolist(), (m.T @ b).tolist()
+        want = {f"x[{i}]": _scaled(-2 * v, n) for i, v in enumerate(mtb) if v != 0}
+        want.update((name, _scaled(gram[i][j] * (1 if i == j else 2), n))
+                    for name, i, j in upper("X", k) if gram[i][j] != 0)
+        assert list(obj.coeffs) == list(want) and obj.coeffs == want
+        assert all(type(c) is (float if kind == "float" else Fraction) for c in [*obj.coeffs.values(), obj.constant])
+        assert obj.constant == _scaled(np.asarray(b @ b).item(), n)
+        # at a lifted point X = x x^T the objective is ||Mx - b||^2 / n, exactly on exact data
+        x = data.draw(st.lists(st.integers(-1, 1), min_size=k, max_size=k))
+        point = {f"x[{i}]": x[i] for i in range(k)} | {name: x[i] * x[j] for name, i, j in upper("X", k)}
+        r = m @ np.array(x) - b
+        if kind == "float":
+            assert obj.value(point) == pytest.approx((r @ r) / n, rel=1e-9, abs=1e-6)
+        else:
+            assert obj.value(point) == Fraction(r @ r) / n
 
 
 def test_cycle_adjacency_first_row():

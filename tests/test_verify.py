@@ -380,6 +380,11 @@ class TestHintFields:
         ("gram", "targets", [{"target": "X[0,1]"}], "cannot be read: KeyError"),
         ("cycle_distance", "n", None, "cannot be read: TypeError"),
         ("valid_cuts", "rows", [{"coeffs": [["X1[0,1]", 1]], "rhs": 1}], "cannot be read: KeyError"),
+        # a leaf would meet these as IndexError and TypeError in `model.pencils[...]`
+        ("nuclear", "pencil", 5, "reads pencil 5, which the model does not have"),
+        ("nuclear", "pencil", "0", "reads pencil '0', which the model does not have"),
+        ("nuclear", "pencil", -1, "reads pencil -1, which the model does not have"),
+        ("nuclear", "pencil", True, "reads pencil True, which the model does not have"),
     ])
     def test_a_value_that_cannot_be_read_is_named(self, rule, field, value, message):
         # the search would otherwise meet it at a leaf: `rows` in a slice, a
