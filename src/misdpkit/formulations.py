@@ -19,9 +19,10 @@ builders here and in `problems`, and the hint rules, take their variable
 lists, pencil terms, hint targets and per-pair rows from it.  Objectives and
 rows over a matrix variable come from the one coefficient map over the walker,
 `upper_coeffs` (<Q, X> by default: q_ii on the diagonal, 2 q_ij above it);
-`quad_form_coeffs` adds the diagonal aliased to x.  A builder reads each
-instance array once as Python numbers (`.tolist()`).  Every builder, here and
-in `problems`, takes its pencils from `shared_pencil`, one per content.
+`quad_form_coeffs` adds the diagonal aliased to x.  Every builder, here and
+in `problems`, reads its instance arrays through the one reader
+`instance_array` (ints stay exact at any size), then once as Python numbers
+(`.tolist()`), and takes its pencils from `shared_pencil`, one per content.
 
 Only the border variables carry integrality in the vector-lifted model; the
 off-diagonal lifted entries stay continuous because the unit-corner pencil
@@ -61,20 +62,46 @@ def pname(i, j):
     return f"P[{i},{j}]"
 
 
-def _as_sym(a, n, what):
-    arr = np.asarray(a)
-    if arr.shape != (n, n):
-        raise DimensionMismatch(f"{what} must be {n}x{n}, got {arr.shape}")
-    if not np.array_equal(arr, arr.T):
+def instance_array(a, shape, what, symmetric=False):
+    """Instance data `a` as an array of `shape` (None: any length), the one
+    reader of every builder's arrays: integer data of any size as Python ints
+    in an object array, so arithmetic on it is exact, other data as
+    `np.asarray` gives it (float64 for floats and int/float mixes, object for
+    Fractions), and a missing `a` as int zeros.  A ragged or mis-shaped `a`,
+    or an asymmetric one when `symmetric`, raises DimensionMismatch naming
+    `what`."""
+    if a is None and None not in shape:
+        return np.zeros(shape, dtype=object)
+    flat = []
+    dims = None if isinstance(a, np.ndarray) else _int_dims(a, flat)
+    try:
+        arr = np.asarray(a) if dims is None else np.array(flat, dtype=object).reshape(dims)
+    except ValueError:
+        raise DimensionMismatch(f"{what} is ragged") from None
+    if arr.dtype.kind in "iu":  # an integer ndarray, or a list numpy reads as one
+        arr = arr.astype(object)
+    if arr.ndim != len(shape) or any(s not in (None, t) for s, t in zip(shape, arr.shape)):
+        raise DimensionMismatch(f"{what} must have shape {tuple(shape)}, got {arr.shape}".replace("None", "any"))
+    if symmetric and not np.array_equal(arr, arr.T):
         raise DimensionMismatch(f"{what} must be symmetric")
     return arr
 
 
-def _as_vec(a, n, what):
-    arr = np.asarray(a)
-    if arr.shape != (n,):
-        raise DimensionMismatch(f"{what} must have length {n}, got {arr.shape}")
-    return arr
+def _int_dims(a, flat):
+    """The shape of `a`, nested sequences of integers, whose leaves go to
+    `flat` as Python ints; None when a leaf is no integer or a level is ragged."""
+    if isinstance(a, (list, tuple)):
+        dims = ()
+        for t, x in enumerate(a):
+            d = _int_dims(x, flat)
+            if d is None or (t and d != dims):
+                return None
+            dims = d
+        return (len(a), *dims)
+    if isinstance(a, (int, np.integer)) and not isinstance(a, bool):
+        flat.append(int(a))
+        return ()
+    return None
 
 
 def upper(prefix, n, k=0):
@@ -97,8 +124,7 @@ def quad_form_coeffs(q, c, n):
     Diagonal entries of X are aliased to the border x, so their weight lands
     on x[i].
     """
-    q = np.asarray(q).tolist()
-    c = [0] * n if c is None else np.asarray(c).tolist()
+    q, c = q.tolist(), [0] * n if c is None else c.tolist()
     coeffs = {xname(i): v for i in range(n) if (v := q[i][i] + c[i]) != 0}
     coeffs.update(upper_coeffs(q, upper("X", n, 1)))
     return coeffs
@@ -228,14 +254,11 @@ class QcqpInstance:
         n = self.n
         if self.sense not in ("min", "max"):
             raise DimensionMismatch(f"sense must be min or max, got {self.sense!r}")
-        # a missing term is int zeros, so integer data compiles to exact rows
-        self.q0 = _as_sym(self.q0 if self.q0 is not None else np.zeros((n, n), dtype=np.int64), n, "Q0")
-        self.c0 = _as_vec(self.c0 if self.c0 is not None else np.zeros(n, dtype=np.int64), n, "c0")
-        self.quads = [
-            (_as_sym(q, n, "Q_i"), _as_vec(c if c is not None else np.zeros(n, dtype=np.int64), n, "c_i"), pynum(d))
-            for q, c, d in self.quads
-        ]
-        self.lin_eq = [(_as_vec(a, n, "a_i"), pynum(b)) for a, b in self.lin_eq]
+        self.q0 = instance_array(self.q0, (n, n), "Q0", symmetric=True)
+        self.c0 = instance_array(self.c0, (n,), "c0")
+        self.quads = [(instance_array(q, (n, n), "Q_i", symmetric=True), instance_array(c, (n,), "c_i"), pynum(d))
+                      for q, c, d in self.quads]
+        self.lin_eq = [(instance_array(a, (n,), "a_i"), pynum(b)) for a, b in self.lin_eq]
 
 
 def build_bsdp_qcqp(inst: QcqpInstance, compact: bool = False) -> MisdpModel:
@@ -295,9 +318,9 @@ class Qmp1Instance:
 
     def __post_init__(self):
         n = self.n
-        self.q0 = _as_sym(self.q0 if self.q0 is not None else np.zeros((n, n), dtype=np.int64), n, "Q0")
-        self.quads = [(_as_sym(q, n, "Q_i"), pynum(d)) for q, d in self.quads]
-        self.caps = [(_as_vec(a, n, "a_i"), pynum(b)) for a, b in self.caps]
+        self.q0 = instance_array(self.q0, (n, n), "Q0", symmetric=True)
+        self.quads = [(instance_array(q, (n, n), "Q_i", symmetric=True), pynum(d)) for q, d in self.quads]
+        self.caps = [(instance_array(a, (n,), "a_i"), pynum(b)) for a, b in self.caps]
         for _, b in self.caps:
             if b < 0:
                 raise NegativeCapacity(f"capacity {b} < 0")
@@ -357,19 +380,11 @@ class Qmp2Instance:
 
     def __post_init__(self):
         n, k = self.n, self.k
-        self.q0 = _as_sym(self.q0 if self.q0 is not None else np.zeros((n, n), dtype=np.int64), n, "Q0")
-        b0 = np.asarray(self.b0 if self.b0 is not None else np.zeros((n, k), dtype=np.int64))
-        if b0.shape != (n, k):
-            raise DimensionMismatch(f"B0 must be {n}x{k}, got {b0.shape}")
-        self.b0 = b0
+        self.q0 = instance_array(self.q0, (n, n), "Q0", symmetric=True)
+        self.b0 = instance_array(self.b0, (n, k), "B0")
         self.d0 = pynum(self.d0)
-        fixed = []
-        for q, b, d in self.constraints:
-            b = np.asarray(b if b is not None else np.zeros((n, k), dtype=np.int64))
-            if b.shape != (n, k):
-                raise DimensionMismatch(f"B_i must be {n}x{k}, got {b.shape}")
-            fixed.append((_as_sym(q, n, "Q_i"), b, pynum(d)))
-        self.constraints = fixed
+        self.constraints = [(instance_array(q, (n, n), "Q_i", symmetric=True), instance_array(b, (n, k), "B_i"),
+                             pynum(d)) for q, b, d in self.constraints]
 
 
 def _qmp2_coeffs(q, b, n):

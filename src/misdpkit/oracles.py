@@ -172,15 +172,15 @@ def _oracle_gpp(inst: GppInstance):
 
 
 def _oracle_sils(m_mat, b, cap):
-    m_mat = np.asarray(m_mat)
-    b = np.asarray(b)
-    n, k = m_mat.shape
+    n, k = np.shape(m_mat)
+    m_rows, b = [list(map(pynum, row)) for row in m_mat], list(map(pynum, b))
     offer, result = _best_tracker("min")
     for x in itertools.product((-1, 0, 1), repeat=k):
         if sum(1 for v in x if v) > cap:
             continue
-        r = m_mat @ np.array(x) - b
-        val = pynum(r @ r)
+        # ||Mx - b||^2 in Python numbers: exact on ints of any size
+        r = [sum(a * t for a, t in zip(row, x)) - v for row, v in zip(m_rows, b)]
+        val = sum(v * v for v in r)
         offer(Fraction(val, n) if isinstance(val, int) else val / n, x)
     return result()
 

@@ -17,7 +17,9 @@ The builders reuse the generic lifts of `formulations`:
 - the walker `upper` for every upper-triangle list and per-pair row, and the
   coefficient map `upper_coeffs` for every objective over a matrix variable:
   <Q, X>, <L, X> / 2 (the halved diagonal a Fraction on ints), the pair
-  weights, and sils's c v / n (`_ratio`: Fraction(c v, n) on ints).
+  weights, and sils's c v / n (`_ratio`: Fraction(c v, n) on ints);
+- the reader `instance_array` for every instance array, `Graph.make` and
+  `Graph.laplacian` too, so integer data stays exact at any size.
 
 The equipartition, bisection, assignment, tour, association-scheme,
 completion and sparse least squares models have pencils of their own.  Every
@@ -47,6 +49,7 @@ from .formulations import (
     bordered_pencil,
     bordered_vars,
     gram_hint,
+    instance_array,
     lift_pencil,
     matrix_lift,
     mname,
@@ -105,15 +108,11 @@ class Graph:
         canon.sort()
         w = None
         if weights is not None:
-            w = np.asarray(weights)
-            if w.shape != (n, n) or not np.array_equal(w, w.T):
-                raise ValueError("weight matrix must be symmetric of order n")
-            mask = np.zeros((n, n), dtype=bool)
-            for u, v in canon:
-                mask[u, v] = mask[v, u] = True
-            if np.any(w[~mask] != 0):
+            w = instance_array(weights, (n, n), "weight matrix", symmetric=True)
+            if np.any(w[Graph(n, tuple(canon)).adjacency() == 0] != 0):
                 raise ValueError("weights must vanish on non-edges and the diagonal")
-            w = w.copy()
+            # a read-only copy, int64 when that holds every int
+            w = w.astype(np.int64 if all(type(v) is int and -2**63 <= v < 2**63 for v in w.flat) else w.dtype)
             w.setflags(write=False)
         return Graph(n, tuple(canon), w)
 
@@ -143,8 +142,8 @@ class Graph:
         return self.weights if self.weights is not None else self.adjacency()
 
     def laplacian(self):
-        w = self.weight_matrix()
-        return np.diag(np.asarray(w).sum(axis=1)) - w
+        w = instance_array(self.weight_matrix(), (self.n, self.n), "weight matrix")
+        return np.diag(w.sum(axis=1)) - w
 
 
 def graph_from_dimacs(text: str) -> Graph:
@@ -228,20 +227,9 @@ class QapInstance:
 
     @staticmethod
     def make(a, b, c=None):
-        a = np.asarray(a)
-        b = np.asarray(b)
-        n = a.shape[0]
-        if a.shape != (n, n) or b.shape != (n, n):
-            raise DimensionMismatch("A and B must be square of equal order")
-        if not np.array_equal(a, a.T) or not np.array_equal(b, b.T):
-            raise DimensionMismatch("A and B must be symmetric")
-        if c is None:
-            c = np.zeros((n, n), dtype=np.int64)
-        else:
-            c = np.asarray(c)
-            if c.shape != (n, n):
-                raise DimensionMismatch("C must match the order of A and B")
-        return QapInstance(n, a, b, c)
+        a = instance_array(a, (None, None), "A", symmetric=True)
+        n = len(a)
+        return QapInstance(n, a, instance_array(b, (n, n), "B", symmetric=True), instance_array(c, (n, n), "C"))
 
 
 def parse_qaplib(text: str) -> QapInstance:
@@ -266,11 +254,8 @@ def parse_qaplib(text: str) -> QapInstance:
     need = 1 + 2 * n * n
     if len(vals) < need:
         raise ParseError(f"expected {need} numbers for n={n}, found {len(vals)}")
-    # numpy would round ints in [2**63, 2**64) to float64; past int64 they stay Python ints
-    dtype = object if any(isinstance(v, int) and not -2**63 <= v < 2**63 for v in vals) else None
-    a = np.array(vals[1:1 + n * n], dtype=dtype).reshape(n, n)
-    b = np.array(vals[1 + n * n:need], dtype=dtype).reshape(n, n)
-    return QapInstance.make(a, b)
+    rows = [vals[1 + i * n:1 + (i + 1) * n] for i in range(2 * n)]
+    return QapInstance.make(rows[:n], rows[n:])
 
 
 @dataclass(frozen=True)
@@ -344,14 +329,10 @@ def build_qbpp(weights, capacity, bin_cost, dissimilarity) -> MisdpModel:
     enumerator sets z to that Schur boundary exactly.  A negative bin_cost
     leaves z unbounded above and raises PreconditionViolated.
     """
-    w = np.asarray(weights).tolist()
+    w = instance_array(weights, (None,), "weights").tolist()
     n = len(w)
-    capacity = pynum(capacity)
-    bin_cost = pynum(bin_cost)
-    d = np.asarray(dissimilarity)
-    if d.shape != (n, n) or not np.array_equal(d, d.T):
-        raise DimensionMismatch("dissimilarity must be symmetric of order n")
-    d = d.tolist()
+    capacity, bin_cost = pynum(capacity), pynum(bin_cost)
+    d = instance_array(dissimilarity, (n, n), "dissimilarity", symmetric=True).tolist()
     if any(v <= 0 for v in w):
         raise InfeasibleItem("item weights must be positive")
     if bin_cost < 0:
@@ -382,14 +363,12 @@ def build_qbpp(weights, capacity, bin_cost, dissimilarity) -> MisdpModel:
 
 def build_qmkp(weights, capacities, profits, revenue) -> MisdpModel:
     """Quadratic multiple knapsack (max sense, normalized to min)."""
-    w = np.asarray(weights).tolist()
+    w = instance_array(weights, (None,), "weights").tolist()
     n = len(w)
-    c = np.asarray(capacities).tolist()
+    c = instance_array(capacities, (None,), "capacities").tolist()
     k = len(c)
-    p = np.asarray(profits).tolist()
-    r = np.asarray(revenue)
-    if len(p) != n or r.shape != (n, n) or not np.array_equal(r, r.T):
-        raise DimensionMismatch("profits must have length n and revenue must be symmetric")
+    p = instance_array(profits, (n,), "profits").tolist()
+    r = instance_array(revenue, (n, n), "revenue", symmetric=True).tolist()
     if any(v <= 0 for v in w):
         raise DimensionMismatch("weights must be positive")
     if any(v < 0 for v in c):
@@ -401,7 +380,7 @@ def build_qmkp(weights, capacities, profits, revenue) -> MisdpModel:
             LinRow(tuple((pname(i, a), w[i]) for i in range(n)), "<=", c[a], label="capacity")
         )
     # -<R, X> - p^T P 1, each row's P entries before its X entries
-    lifted = upper_coeffs(r.tolist(), upper("X", n), lambda v: -v, lambda v: -2 * v)
+    lifted = upper_coeffs(r, upper("X", n), lambda v: -v, lambda v: -2 * v)
     coeffs = {}
     for name, i, j in upper("X", n):
         if i == j and p[i] != 0:
@@ -421,9 +400,9 @@ def build_qmkp(weights, capacities, profits, revenue) -> MisdpModel:
 # QAP and TSP
 # ---------------------------------------------------------------------------
 
-def _qap_skeleton(inst: QapInstance, objective: Objective, problem: str) -> MisdpModel:
-    n = inst.n
-    b = np.asarray(inst.b).tolist()
+def _qap_skeleton(n, b, objective: Objective, problem: str) -> MisdpModel:
+    """The order-n assignment model whose rows R = X B read `b`, an array."""
+    b = b.tolist()
     y, z = upper("Y", n), upper("Z", n)
     variables = [(mname("X", i, j), VarDomain.binary()) for i in range(n) for j in range(n)]
     variables += [(mname("R", i, j), VarDomain.continuous()) for i in range(n) for j in range(n)]
@@ -461,18 +440,14 @@ def _qap_skeleton(inst: QapInstance, objective: Objective, problem: str) -> Misd
 def build_qap(inst: QapInstance) -> MisdpModel:
     """Matrix-lifted assignment model with one pencil of order 3n."""
     n = inst.n
-    coeffs = upper_coeffs(np.asarray(inst.a).tolist(), upper("Y", n))
-    c = np.asarray(inst.c).tolist()
+    coeffs = upper_coeffs(inst.a.tolist(), upper("Y", n))
+    c = inst.c.tolist()
     coeffs.update((mname("X", i, j), c[i][j]) for i in range(n) for j in range(n) if c[i][j] != 0)
-    return _qap_skeleton(inst, Objective("min", coeffs), "qap")
+    return _qap_skeleton(n, inst.b, Objective("min", coeffs), "qap")
 
 
 def cycle_adjacency(n):
-    b = np.zeros((n, n), dtype=np.int64)
-    for i in range(n):
-        b[i, (i + 1) % n] = 1
-        b[(i + 1) % n, i] = 1
-    return b
+    return Graph.cycle(n).adjacency()
 
 
 def _ratio(v, d):
@@ -487,14 +462,11 @@ def _laplacian_objective(lap, n, var="X"):
 
 def build_tsp_qap(d) -> MisdpModel:
     """TSP as an assignment model against the standard tour adjacency."""
-    d = np.asarray(d)
-    n = d.shape[0]
+    d = instance_array(d, (None, None), "distance matrix", symmetric=True)
+    n = len(d)
     if n < 3:
         raise DimensionMismatch("TSP needs n >= 3")
-    if not np.array_equal(d, d.T):
-        raise DimensionMismatch("distance matrix must be symmetric")
-    inst = QapInstance.make(d, cycle_adjacency(n))
-    return _qap_skeleton(inst, _laplacian_objective(d, n, var="Y"), "tsp_qap")
+    return _qap_skeleton(n, cycle_adjacency(n), _laplacian_objective(d, n, var="Y"), "tsp_qap")
 
 
 def _pair_var(prefix, i, j):
@@ -508,12 +480,10 @@ def _pair_coeffs(m, n, var):
 
 def build_tsp_cvetkovic(d) -> MisdpModel:
     """Tour model from the algebraic connectivity of the n-cycle."""
-    d = np.asarray(d)
-    n = d.shape[0]
+    d = instance_array(d, (None, None), "distance matrix", symmetric=True)
+    n = len(d)
     if n < 3:
         raise DimensionMismatch("TSP needs n >= 3")
-    if not np.array_equal(d, d.T):
-        raise DimensionMismatch("distance matrix must be symmetric")
     pairs = upper("X", n, 1)
     variables = [(name, VarDomain.binary()) for name, _, _ in pairs]
     rows = []
@@ -546,14 +516,12 @@ def build_tsp_lee(d) -> MisdpModel:
     X_1 are attached as pruning-only valid cuts: every integer-feasible X_1
     is a tour adjacency, so they cut no feasible point.
     """
-    d = np.asarray(d)
-    n = d.shape[0]
+    d = instance_array(d, (None, None), "distance matrix", symmetric=True)
+    n = len(d)
     if n % 2 == 0:
         raise EvenOrder("this tour model is derived for odd n only")
     if n < 5:
         raise DimensionMismatch("need n >= 5")
-    if not np.array_equal(d, d.T):
-        raise DimensionMismatch("distance matrix must be symmetric")
     r = n // 2
     names = [f"X{t}" for t in range(1, r + 1)]
     variables = []
@@ -752,11 +720,9 @@ def build_matrix_completion(shape, observed, domain) -> MisdpModel:
 
 def build_sils(m_mat, b, cap) -> MisdpModel:
     """Sparse integer least squares over ternary x with support cap."""
-    m_mat = np.asarray(m_mat)
-    b = np.asarray(b)
-    if m_mat.ndim != 2 or b.shape != (m_mat.shape[0],):
-        raise DimensionMismatch("need M of shape (n, k) and b of length n")
+    m_mat = instance_array(m_mat, (None, None), "M")
     n, k = m_mat.shape
+    b = instance_array(b, (n,), "b")
     if not 0 <= cap <= k:
         raise DimensionMismatch(f"support cap must lie in [0, {k}]")
     gram = (m_mat.T @ m_mat).tolist()
@@ -819,8 +785,7 @@ def qmkp_from_json(obj):
 @json_reader
 def sils_from_json(obj):
     m = json_numbers(obj, "M", (None, None))
-    return (np.asarray(m), np.asarray(json_numbers(obj, "b", (len(m),))),
-            json_numbers(obj, "K", (), integral=True))
+    return m, json_numbers(obj, "b", (len(m),)), json_numbers(obj, "K", (), integral=True)
 
 
 @json_reader

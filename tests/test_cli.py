@@ -60,6 +60,19 @@ class TestBuild:
          "error: field 'partition' holds 'no', not a boolean"),
         (["build", "qmp2", "--instance"], '{"n": 2.9, "k": 2}',
          "error: field 'n' holds 2.9, not an integer"),
+        # the builders' reader refuses what the file readers let through
+        (["build", "sils", "--instance"], '{"M": [[1, 0], [1]], "b": [1, 0], "K": 1}', "error: M is ragged"),
+        (["build", "qbpp", "--instance"],
+         '{"weights": [1, 1], "capacity": 2, "bin_cost": 1, "dissimilarity": [[0, 1], [2, 0]]}',
+         "error: dissimilarity must be symmetric"),
+        (["build", "qmkp", "--instance"],
+         '{"weights": [1, 1], "capacities": [2], "profits": [1, 1], "revenue": [[0, 1], [2, 0]]}',
+         "error: revenue must be symmetric"),
+        (["build", "qcqp", "--instance"], '{"n": 2, "Q0": [[0, 1], [2, 0]]}',
+         "error: malformed data: Q0 must be symmetric"),
+        (["build", "qmp2", "--instance"], '{"n": 2, "k": 1, "constraints": [{"Q": [[0, 1], [2, 0]], "d": 0}]}',
+         "error: malformed data: Q_i must be symmetric"),
+        (["build", "qap", "--qaplib"], "2\n0 1\n2 0\n0 1\n1 0\n", "error: A must be symmetric"),
     ])
     def test_bad_instance_file_exit_code(self, tmp_path, capsys, argv, text, message):
         path = tmp_path / "inst.json"
@@ -123,6 +136,16 @@ class TestBuild:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines() == ["error: bin_cost must be nonnegative, got -1: z is unbounded"]
+
+    def test_sils_past_int64_is_exact(self, tmp_path, capsys):
+        # M^T M and ||b||^2 in Python ints: X[0,0] weighs (2^80 + 1) / 2, not a wrapped 1/2
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps({"M": [[2**40, 1], [1, 2**40]], "b": [2**40, 3], "K": 1}))
+        out = tmp_path / "m.json"
+        assert run(["build", "sils", "--instance", str(path), "--out", str(out), "--format", "json"]) == 0
+        objective = json.loads(out.read_text())["objective"]
+        assert dict(objective["coeffs"])["X[0,0]"] == f"{2**80 + 1}/2"
+        assert objective["constant"] == f"{2**80 + 9}/2"
 
     def test_tsp_lee_counts(self, tmp_path, capsys):
         dist = tmp_path / "d.txt"

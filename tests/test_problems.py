@@ -3,6 +3,7 @@ import itertools
 from fractions import Fraction
 
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -21,7 +22,19 @@ from misdpkit.errors import (
     UnsupportedDomain,
     VariantPrecondition,
 )
-from misdpkit.formulations import qcqp_from_json, qmp1_from_json, qmp2_from_json, upper
+from misdpkit.formulations import (
+    QcqpInstance,
+    Qmp1Instance,
+    Qmp2Instance,
+    build_bsdp_qcqp,
+    build_bsdp_qmp1,
+    build_bsdp_qmp2,
+    instance_array,
+    qcqp_from_json,
+    qmp1_from_json,
+    qmp2_from_json,
+    upper,
+)
 from misdpkit.linalg import SymMat, dumps_matrix, load_matrix, num_rank
 from misdpkit.model import MatrixPencil
 from misdpkit.problems import (
@@ -106,6 +119,23 @@ class TestGraph:
         assert g.weights.dtype == np.float64 and g.weights[0, 1] == 10**20
         g = graph_from_dimacs(f"p edge 2 1\ne 1 2 {2**53 - 1}\n")
         assert g.weights.dtype == np.int64 and g.weights[0, 1] == 2**53 - 1
+
+    def test_integer_weights_past_int64_stay_exact(self):
+        big = 2**63 + 1  # numpy holds it, mixed with smaller ints, as the float 2**63
+        g = Graph.make(2, [(0, 1)], [[0, big], [big, 0]])
+        assert g.weights.dtype == object and g.weights.tolist() == [[0, big], [big, 0]]
+        assert g.laplacian().tolist() == [[big, -big], [-big, big]]
+        # ints that int64 holds stay int64, floats float64
+        assert Graph.make(2, [(0, 1)], [[0, 2**62], [2**62, 0]]).weights.dtype == np.int64
+        assert Graph.make(2, [(0, 1)], [[0, 0.5], [0.5, 0]]).weights.dtype == np.float64
+
+    def test_laplacian_degrees_do_not_wrap(self):
+        # the path 0-1-2-3 with weights 2^62: the inner degrees are 2^63
+        w = 2**62
+        g = Graph.make(4, [(0, 1), (1, 2), (2, 3)], [[0, w, 0, 0], [w, 0, w, 0], [0, w, 0, w], [0, 0, w, 0]])
+        assert np.diag(g.laplacian()).tolist() == [w, 2 * w, 2 * w, w]
+        coeffs = build_gpp(GppInstance.make(g, 2, (2, 2)), "equipartition").objective.coeffs
+        assert coeffs["X[1,1]"] == w and coeffs["X[0,1]"] == -w
 
     def test_equality_reads_the_weight_values(self):
         def weighted(w):
@@ -659,6 +689,24 @@ class TestSils:
         got, _ = solve(build_sils(m, b, cap))
         assert optima_match(oracle("sils", m, b, cap).optimum, got)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_oracle_and_model_are_exact_past_int64(self, data):
+        # ||Mx - b||^2 / n evaluated directly in Python ints is the optimum of both
+        n, k = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 2))
+        big = st.integers(-2**70, 2**70)
+        m = [[data.draw(big) for _ in range(k)] for _ in range(n)]
+        b = [data.draw(big) for _ in range(n)]
+        cap = data.draw(st.integers(0, k))
+        want = min(Fraction(sum((sum(a * t for a, t in zip(row, x)) - v) ** 2 for row, v in zip(m, b)), n)
+                   for x in itertools.product((-1, 0, 1), repeat=k) if sum(map(abs, x)) <= cap)
+        assert oracle("sils", m, b, cap).optimum == want
+        assert solve(build_sils(m, b, cap))[0] == want
+
+    def test_oracle_example_is_a_sum_of_squares(self):
+        # x = (1, 0) leaves the residual (0, -2), and int64 used to wrap the optimum to -4398046511099
+        assert oracle("sils", [[2**40, 1], [1, 2**40]], [2**40, 3], 1).optimum == 2
+
     def test_dimension_errors(self):
         with pytest.raises(DimensionMismatch):
             build_sils(np.eye(2, dtype=int), np.array([1, 1, 1]), 1)
@@ -673,6 +721,155 @@ _ARRAY_TYPES = {"int": np.int64, "fraction": object, "float": np.float64}
 def _scaled(v, d):
     """v / d as the builders write it: a Fraction on an int, else the data's own division."""
     return Fraction(v, d) if isinstance(v, int) else v / d
+
+
+class TestInstanceArray:
+    """`instance_array`, the one reader of every builder's instance data."""
+
+    def test_integer_data_comes_back_as_python_ints(self):
+        want = [[1, 2], [2, 3]]
+        for a in (want, np.array(want), np.array(want, dtype=np.uint8), [[np.int64(1), 2], (2, np.int32(3))]):
+            got = instance_array(a, (2, 2), "Q", symmetric=True)
+            assert got.dtype == object and got.tolist() == want and all(type(v) is int for v in got.flat)
+        big = [2**63 + 1, 2**70, -2**80, 1]
+        assert instance_array(big, (None,), "c").tolist() == big
+        zeros = instance_array(None, (2, 3), "B0")
+        assert zeros.shape == (2, 3) and all(type(v) is int and v == 0 for v in zeros.flat)
+
+    def test_other_data_as_numpy_reads_it(self):
+        for a in ([1, 2.5], [0.5, 1.0], np.array([0.5, 1.0])):
+            got = instance_array(a, (2,), "c")
+            assert got.dtype == np.float64 and np.array_equal(got, np.asarray(a))
+        got = instance_array([Fraction(1, 2), 1], (2,), "c")
+        assert got.dtype == object and got.tolist() == [Fraction(1, 2), 1]
+
+    @pytest.mark.parametrize("a, shape, message", [
+        ([[1, 2], [3]], (None, None), "M is ragged"),
+        ([[1], [2, 3]], (None,), "M is ragged"),
+        ([[1.5, 2], [3]], (2, 2), "M is ragged"),
+        ([1, 2], (3,), "M must have shape (3,), got (2,)"),
+        ([1, 2], (None, None), "M must have shape (any, any), got (2,)"),
+        ([[1, 2]], (2, None), "M must have shape (2, any), got (1, 2)"),
+        (None, (None,), "M must have shape (any,), got ()"),
+        ([[0, 1], [2, 0]], (2, 2), "M must be symmetric"),
+        ([[0, 1, 2], [1, 0, 3]], (None, None), "M must be symmetric"),
+        (np.array([[0.0, 1.0], [1.5, 0.0]]), (2, 2), "M must be symmetric"),
+    ])
+    def test_refusals_name_the_field(self, a, shape, message):
+        with pytest.raises(DimensionMismatch, match=re.escape(message)):
+            instance_array(a, shape, "M", symmetric=message.endswith("symmetric"))
+
+
+_SYM2 = [[0, 1], [1, 0]]
+
+# per builder field: its kind ("vec" of any length, "vec2" of length 2, "mat",
+# "sym") and a build that reads the bad value there, the other data valid, n = 2
+_FIELDS = {
+    "weights": ("vec", lambda x: build_qbpp(x, 2, 1, _SYM2)),
+    "dissimilarity": ("sym", lambda x: build_qbpp([1, 1], 2, 1, x)),
+    "capacities": ("vec", lambda x: build_qmkp([1, 1], x, [1, 1], _SYM2)),
+    "profits": ("vec2", lambda x: build_qmkp([1, 1], [2], x, _SYM2)),
+    "revenue": ("sym", lambda x: build_qmkp([1, 1], [2], [1, 1], x)),
+    "A": ("sym", lambda x: build_qap(QapInstance.make(x, _SYM2))),
+    "B": ("sym", lambda x: build_qap(QapInstance.make(_SYM2, x))),
+    "C": ("mat", lambda x: build_qap(QapInstance.make(_SYM2, _SYM2, x))),
+    "distance matrix": ("sym", build_tsp_qap),
+    "weight matrix": ("sym", lambda x: build_gpp(GppInstance.make(Graph.make(2, [(0, 1)], x), 1, [2]))),
+    "M": ("mat", lambda x: build_sils(x, [1, 0], 1)),
+    "b": ("vec2", lambda x: build_sils(np.eye(2, dtype=int), x, 1)),
+    "Q0": ("sym", lambda x: build_bsdp_qcqp(QcqpInstance(2, x))),
+    "c0": ("vec2", lambda x: build_bsdp_qcqp(QcqpInstance(2, c0=x))),
+    "Q_i": ("sym", lambda x: build_bsdp_qmp1(Qmp1Instance(2, 1, quads=[(x, 0)]))),
+    "c_i": ("vec2", lambda x: build_bsdp_qcqp(QcqpInstance(2, quads=[(_SYM2, x, 1)]))),
+    "a_i": ("vec2", lambda x: build_bsdp_qcqp(QcqpInstance(2, lin_eq=[(x, 1)]))),
+    "B0": ("mat", lambda x: build_bsdp_qmp2(Qmp2Instance(2, 2, b0=x))),
+    "B_i": ("mat", lambda x: build_bsdp_qmp2(Qmp2Instance(2, 2, constraints=[(_SYM2, x, 0)]))),
+}
+
+# what each kind refuses: (fault, value, the message's ending)
+_BAD = {
+    "vec": [("ragged", [[1], [1, 1]], "is ragged"), ("mis-shaped", [[1, 1]], "got (1, 2)")],
+    "vec2": [("ragged", [[1], [1, 1]], "is ragged"), ("mis-shaped", [1, 1, 1], "got (3,)")],
+    "mat": [("ragged", [[1, 1], [1]], "is ragged"), ("mis-shaped", [1, 1], "got (2,)")],
+    "sym": [("ragged", [[0, 1], [1]], "is ragged"), ("mis-shaped", [0, 1], "got (2,)"),
+            ("asymmetric", [[0, 1], [2, 0]], "must be symmetric")],
+}
+
+
+class TestBuilderRefusals:
+    @pytest.mark.parametrize("field, fault, bad, ending", [
+        (field, fault, bad, ending) for field, (kind, _) in _FIELDS.items() for fault, bad, ending in _BAD[kind]
+    ], ids=[f"{field}-{fault}" for field, (kind, _) in _FIELDS.items() for fault, _, _ in _BAD[kind]])
+    def test_each_field_is_read_and_named(self, field, fault, bad, ending):
+        build = _FIELDS[field][1]
+        with pytest.raises(DimensionMismatch) as exc:
+            build(bad)
+        assert str(exc.value).startswith(f"{field} ") and str(exc.value).endswith(ending)
+
+
+C = 2**62 + 1  # past int64 from 2 C on
+
+
+def _exactness_build(data):
+    """A drawn builder's build of drawn int data whose objective data (and
+    only that) `f` scales, and the factor the objective scales by."""
+    n = data.draw(st.integers(1, 3))
+    sym, ints = (lambda: draw_sym(data, n, -3, 3)), (lambda *shape: draw_ints(data, shape, -3, 3))
+    weights = [1] * n
+    q0, c0, q1, b0, cq, m, b = sym(), ints(n), sym(), ints(n, 2), ints(n, n), ints(n, 2), ints(n)
+    dist = [draw_sym(data, k, 1, 9) for k in (3, 5)]
+    for d in dist:
+        np.fill_diagonal(d, 0)
+    w4 = draw_sym(data, 4, 0, 3)
+    np.fill_diagonal(w4, 0)
+    edges = [(i, j) for i in range(4) for j in range(i + 1, 4) if w4[i, j]]
+
+    def gpp(f):
+        return GppInstance.make(Graph.make(4, edges, f(w4)), 2, (2, 2))
+
+    builds = {
+        "qbpp": lambda f: build_qbpp(weights, n, f(2), f(np.abs(q0))),
+        "qmkp": lambda f: build_qmkp(weights, [1, 2], f(np.abs(c0)), f(np.abs(q0))),
+        "qap": lambda f: build_qap(QapInstance.make(f(q0), q1, f(cq))),
+        "tsp_qap": lambda f: build_tsp_qap(f(dist[0])),
+        "tsp_cvetkovic": lambda f: build_tsp_cvetkovic(f(dist[0])),
+        "tsp_lee": lambda f: build_tsp_lee(f(dist[1])),
+        **{f"gpp-{v}": (lambda f, v=v: build_gpp(gpp(f), v)) for v in GPP_VARIANTS},
+        "kep": lambda f: build_kep_assoc(gpp(f)),
+        "qcqp": lambda f: build_bsdp_qcqp(QcqpInstance(n, f(q0), f(c0), quads=[(q1, None, 2)])),
+        "qmp1": lambda f: build_bsdp_qmp1(Qmp1Instance(n, 2, f(q0), quads=[(q1, -1)])),
+        "qmp2": lambda f: build_bsdp_qmp2(Qmp2Instance(n, 2, f(q0), f(b0), f(3), [(q1, None, -1)])),
+        "sils": lambda f: build_sils(f(m), f(b), 2),
+    }
+    name = data.draw(st.sampled_from(sorted(builds)))
+    return builds[name], C * C if name == "sils" else C
+
+
+class TestExactIntegerData:
+    """Integer data is exact at any size: scaling a builder's objective data
+    by C = 2^62 + 1 scales every objective coefficient by C (C^2 for sils's
+    squares) and keeps its type."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data(), st.booleans())
+    def test_scaled_objective_data(self, data, as_lists):
+        build, factor = _exactness_build(data)
+
+        def scaled(a):
+            if np.ndim(a) == 0:
+                return C * a
+            a = np.asarray(a).astype(object) * C  # Python ints: an int64 array would wrap
+            return a.tolist() if as_lists else a
+
+        base, big = build(lambda a: a).objective, build(scaled).objective
+        assert list(big.coeffs) == list(base.coeffs)
+        for v, w in [*zip(base.coeffs.values(), big.coeffs.values()), (base.constant, big.constant)]:
+            assert w == factor * v and type(w) is type(v)
+
+    def test_sils_example(self):
+        # M^T M and ||b||^2 used to wrap in int64, to the coefficient 1/2 and the constant 9/2
+        obj = build_sils([[2**40, 1], [1, 2**40]], [2**40, 3], 1).objective
+        assert obj.coeffs["X[0,0]"] == Fraction(2**80 + 1, 2) and obj.constant == Fraction(2**80 + 9, 2)
 
 
 class TestCoefficientTypes:

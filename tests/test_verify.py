@@ -1948,6 +1948,39 @@ class TestFamilies:
 
         relation_holds()
 
+    def test_pencil_permutation_keeps_the_answer(self, monkeypatch):
+        # each pencil with its rows and columns permuted together, P A P^T,
+        # is PSD exactly when A is, so the optimum (value and type), the count
+        # and the minimizer set stay; a model whose hints read a pencil by
+        # position (nuclear) is left out; each example draws a builder, then
+        # one of its suite models
+        models = {}
+        for m in _suite_models(monkeypatch):
+            if not any(hints._HINT_RULES[h["rule"]].pencils(h) for h in m.metadata.get("hints", [])):
+                models.setdefault(m.metadata["problem"], []).append(m)
+
+        def points(result):
+            return {frozenset(point.items()) for point in result.minimizers}
+
+        @settings(max_examples=120, derandomize=True, deadline=None)
+        @given(st.sampled_from(sorted(models)), st.data())
+        def relation_holds(problem, data):
+            m = data.draw(st.sampled_from(models[problem]))
+            pencils = []
+            for p in m.pencils:
+                perm = data.draw(st.permutations(range(p.order)))
+
+                def moved(triples, perm=perm):
+                    return [(perm[r], perm[c], x) for r, c, x in triples]
+
+                pencils.append(MatrixPencil(p.order, moved(p.entries[0]), [(name, moved(t)) for name, t in p.terms]))
+            permuted = MisdpModel(m.variables, m.objective, m.rows, pencils, m.metadata)
+            base, got = solve_by_enumeration(m), solve_by_enumeration(permuted)
+            assert repr(got.optimum) == repr(base.optimum) and got.feasible_count == base.feasible_count
+            assert points(got) == points(base)
+
+        relation_holds()
+
     def test_defects_on_a_kept_family_raise_validates_list(self):
         base = build_stable_set(Graph.cycle(4))
         solve_by_enumeration(base)  # the family is kept
