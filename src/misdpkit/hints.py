@@ -26,17 +26,23 @@ def _gram_entry(left, right, assign):
     return sum(assign[a] * assign[b] for a, b in zip(left, right))
 
 
+def _gram_value(left, right):
+    """The gram entry `left . right` as a function of the assignment: one product for X = x x^T."""
+    if len(left) == len(right) == 1:
+        (a,), (b,) = left, right
+        return lambda assign: assign[a] * assign[b]
+    return functools.partial(_gram_entry, left, right)
+
+
 def _apply_gram(hint, model, assign):
-    factors = hint["factors"]
-    for target, i, j in hint["targets"]:
+    for target, _, value in _gram_lifts(hint):
         if target not in assign:
-            assign[target] = _gram_entry(factors[i], factors[j], assign)
+            assign[target] = value(assign)
 
 
 def _gram_lifts(hint):
     factors = hint["factors"]
-    return [(target, factors[i] + factors[j], functools.partial(_gram_entry, factors[i], factors[j]))
-            for target, i, j in hint["targets"]]
+    return [(target, factors[i] + factors[j], _gram_value(factors[i], factors[j])) for target, i, j in hint["targets"]]
 
 
 def _apply_cycle_distance(hint, model, assign):

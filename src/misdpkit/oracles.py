@@ -87,7 +87,7 @@ def _oracle_qmp2(inst: Qmp2Instance):
 
 
 def _oracle_qbpp(weights, capacity, bin_cost, dissimilarity):
-    d = np.asarray(dissimilarity)
+    d = [list(map(pynum, row)) for row in dissimilarity]
     n = len(weights)
     if dpsd.bell(n) > 10**5:
         raise BudgetExceeded("partition oracle enumerates at most 10^5 partitions")
@@ -98,13 +98,13 @@ def _oracle_qbpp(weights, capacity, bin_cost, dissimilarity):
         if any(sum(weights[i] for i in part) > capacity for part in packing.parts):
             continue
         cost = bin_cost * len(packing.parts)
-        cost += sum(pynum(d[i, j]) for part in packing.parts for i in part for j in part)
+        cost += sum(d[i][j] for part in packing.parts for i in part for j in part)
         offer(cost, packing)
     return result()
 
 
 def _oracle_qmkp(weights, capacities, profits, revenue):
-    r = np.asarray(revenue)
+    r = [list(map(pynum, row)) for row in revenue]
     n, k = len(weights), len(capacities)
     offer, result = _best_tracker("max")
     for f in itertools.product(range(k + 1), repeat=n):
@@ -115,9 +115,7 @@ def _oracle_qmkp(weights, capacities, profits, revenue):
             continue
         chosen = [i for i in range(n) if f[i] > 0]
         profit = sum(profits[i] for i in chosen)
-        profit += sum(
-            pynum(r[i, j]) for i in chosen for j in chosen if f[i] == f[j]
-        )
+        profit += sum(r[i][j] for i in chosen for j in chosen if f[i] == f[j])
         offer(profit, f)
     return result()
 
@@ -139,8 +137,8 @@ def _oracle_qap(inst: QapInstance):
 
 
 def _oracle_tsp(d):
-    d = np.asarray(d)
-    n = d.shape[0]
+    d = [list(map(pynum, row)) for row in d]
+    n = len(d)
     if n > 9:
         raise BudgetExceeded("tour oracle enumerates at most 8!/2 tours")
     offer, result = _best_tracker("min")
@@ -148,7 +146,7 @@ def _oracle_tsp(d):
         if rest[0] > rest[-1]:
             continue  # one orientation per tour
         tour = (0,) + rest
-        cost = sum(pynum(d[tour[i], tour[(i + 1) % n]]) for i in range(n))
+        cost = sum(d[tour[i]][tour[(i + 1) % n]] for i in range(n))
         offer(cost, tour)
     return result()
 

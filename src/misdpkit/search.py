@@ -40,8 +40,7 @@ UnsupportedContinuousPattern then, whatever the family's leaf store holds:
   0. the verdicts its integer part alone decides, held in the family's leaf
      entry (made on a miss with step 1's values): a leaf whose lift values
      break their bounds, or that a kept pencil's stored verdict refuses, is
-     rejected here, uncompleted (no copy of the point, no closure, no later
-     stage, no leaf check); a verdict not yet asked is left to the leaf
+     rejected here, uncompleted; a verdict not yet asked is left to the leaf
      check;
   1. builder hints of the "lift" stage (entries pinned by the integer part),
      whose values the family's leaf entry holds: the stage runs only when
@@ -65,8 +64,7 @@ every closure value a Fraction: when the closure takes part, the first
 minimizer is resolved once more with Fraction closure values, and its
 objective is the optimum.
 
-The hint rules a model's metadata may name, and the stage each runs in, are
-in `hints`.
+The hint rules that a model's metadata may name, and their stages, are in `hints`.
 """
 
 import math
@@ -103,21 +101,18 @@ class OracleResult:
 
 
 def _best_tracker(sense):
-    state = {"best": None, "sols": [], "count": 0}
+    better = operator.lt if sense == "min" else operator.gt
+    best, sols, count = None, [], 0
 
     def offer(value, sol):
-        state["count"] += 1
-        b = state["best"]
-        if b is None or (value < b if sense == "min" else value > b):
-            state["best"] = value
-            state["sols"] = [sol]
-        elif value == b and len(state["sols"]) < _MAX_MINIMIZERS:
-            state["sols"].append(sol)
+        nonlocal best, sols, count
+        count += 1
+        if best is None or better(value, best):
+            best, sols = value, [sol]
+        elif value == best and len(sols) < _MAX_MINIMIZERS:
+            sols.append(sol)
 
-    def result():
-        return OracleResult(state["best"], state["sols"], state["count"])
-
-    return offer, result
+    return offer, lambda: OracleResult(best, sols, count)
 
 
 def _frac(v):
@@ -134,6 +129,16 @@ def _contribution_bounds(coef, dom, tol=None):
     if coef < 0:
         lo, hi = hi, lo
     return -math.inf if lo is None else coef * lo, math.inf if hi is None else coef * hi
+
+
+def _fold(bound, rest, cont, rnd):
+    """`bound - rest - cont`, the threshold of s in `s + rest + cont` against `bound`; infinite when a term is
+    (no inf - inf, no huge int made a float). `rnd` (floor or ceil, for int sums) rounds the exact difference."""
+    for part in (-bound, rest, cont):
+        if abs(part) == math.inf:
+            return -part
+    terms = (Fraction(x) if type(x) is float else x for x in (bound, -rest, -cont))  # a float term taken exactly
+    return rnd(sum(terms)) if rnd else bound - rest - cont
 
 
 def _affine(tail, known, d):
@@ -360,18 +365,13 @@ class _LeafCheck:
         self.linear, self.cont_objective = objective or family.objective(model.objective)
 
     def __call__(self, assign, leaf=None):
-        if leaf is None:
-            bounds = self.bounds
-        elif not leaf[1]:
+        if leaf is not None and not leaf[1]:
             return None
-        else:
-            bounds = self.own_bounds
-        for name, lo, hi in bounds:
+        for name, lo, hi in self.bounds if leaf is None else self.own_bounds:
             v = assign[name]
             if (lo is not None and not v >= lo) or (hi is not None and not v <= hi):
                 return None
-        tol = self.tol
-        max_residual = 0.0
+        tol, max_residual = self.tol, 0.0
         for rel, names, ints, fcoefs, frhs in self.rows:
             vals = [assign[n] for n in names]
             # the type test first: it is cheaper than `_exact` and passes most leaves
@@ -634,10 +634,6 @@ class _Family:
                 cmin, cmax = cmin + lo, cmax + hi
         up = rhs + eps if rel != ">=" and cmin != -math.inf else None
         down = rhs - eps if rel != "<=" and cmax != math.inf else None
-        if exact:  # the integer part's sums are ints: move the rest to the thresholds
-            up = None if up is None else math.floor(up - cmin)
-            down = None if down is None else math.ceil(down - cmax)
-            cmin = cmax = 0
         if up is None and down is None:
             return None, False, leaf
         test = self.test(terms, -math.inf if down is None else down, math.inf if up is None else up, cmin, cmax)
@@ -647,7 +643,9 @@ class _Family:
         """The forward-checker test that the sum of (slot name, coefficient)
         `terms`, plus a continuous part in [cmin, cmax], lies in [down, up]:
         (slot coefficients, checks at depth 0 and at each depth that pushes
-        one of its slots)."""
+        one of its slots).  A check is folded once (`_fold`) into the window
+        (lo, hi) = (down - smax - cmax, up - smin - cmin) of the partial sum
+        there, smin and smax the range of the slots pushed later; int coefficients give int sums and int thresholds."""
         by_slot = {}
         for name, c in terms:
             by_slot[self.slot[name]] = by_slot.get(self.slot[name], 0) + c
@@ -660,7 +658,8 @@ class _Family:
         for d in range(depth - 1, -1, -1):
             smin[d] += smin[d + 1]
             smax[d] += smax[d + 1]
-        checks = [(d, (smin[d + 1], smax[d + 1], cmin, cmax, up, down))
+        ceil, floor = (math.ceil, math.floor) if all(type(c) is int for c in by_slot.values()) else (None, None)
+        checks = [(d, (_fold(down, smax[d + 1], cmax, ceil), _fold(up, smin[d + 1], cmin, floor)))
                   for d in ({0, *(self.at[s] for s in by_slot)} if depth else ())]
         return list(by_slot.items()), checks
 
@@ -670,23 +669,23 @@ class _Family:
         `test` gives a test as (slot coefficients, per-depth checks): slots
         0..depth-1 are the integer variables and the later slots the lifted
         targets, each pushed at the depth of its last input.  A check (depth,
-        (smin, smax, cmin, cmax, up, down)) fails when no completion of the
-        partial sum fits [down, up].  A test moves only at the depths of its
-        slots, so depth d checks those that it moves (all of them at depth
-        0) and prunes the nodes a scan of every test would.  The steps give
-        per depth (the variable, its domain values, the slot's (test,
-        coefficient) list, the lifts, the depth's window checks, the node
-        blocks), a lift being (target, value, the target slot's (test,
-        coefficient) list) for each lifted target that some test reads (the
-        others are left to the leaf); the partial sums start at 0.
+        (lo, hi)) fails when the partial sum lies outside [lo, hi].  A test
+        moves only at the depths of its slots, so depth d checks those that it
+        moves (all of them at depth 0) and prunes the nodes a scan of every
+        test would.  The steps give per depth (the variable, its domain
+        values, the slot's (test, coefficient) list, the lifts, the depth's
+        (test, lo, hi) checks, the node blocks), a lift being (target, value,
+        the target slot's (test, coefficient) list) for each lifted target
+        that some test reads (the others are left to the leaf); the partial
+        sums start at 0.
         """
         touch = [[] for _ in self.slots]
         checks = [[] for _ in self.levels]
         for t, (coefs, windows) in enumerate(tests):
             for s, c in coefs:
                 touch[s].append((t, c))
-            for d, window in windows:
-                checks[d].append((t, window))
+            for d, (lo, hi) in windows:
+                checks[d].append((t, lo, hi))
         lifts = [[] for _ in self.levels]
         for s, target, d, value in self.lifted:
             if touch[s]:  # a target no test reads is left to the leaf
@@ -789,8 +788,9 @@ class _Plan:
 
     def dfs(self, d):
         """Visit the node at depth d: each value, and the targets lifted with
-        it, moves the partial sums, and its subtree is entered when the
-        depth's window checks and node blocks pass (a zero moves no sum)."""
+        it, moves the partial sums, and its subtree is entered when each sum
+        the depth checks lies in its window [lo, hi] and the node blocks pass
+        (a zero moves no sum)."""
         self.nodes += 1
         if d == len(self.steps):
             self.leaf()
@@ -807,9 +807,9 @@ class _Plan:
                 if x:
                     for t, c in moved:
                         partial[t] += c * x
-            for t, (smin, smax, cmin, cmax, up, down) in checks:
+            for t, lo, hi in checks:
                 s = partial[t]
-                if s + smin + cmin > up or s + smax + cmax < down:
+                if s < lo or s > hi:
                     break
             else:
                 if not blocks or all(b.is_psd_at(assignment) for b in blocks):
@@ -825,16 +825,12 @@ class _Plan:
 
     def leaf(self):
         leaf = self.family.leaf(self.model, self.assignment)
-        if not leaf[1] or False in leaf[2:]:  # refused on its integer part: not completed
+        if False in leaf:  # refused on its integer part (values is a tuple, never False): not completed
             return
         assign = self.resolve(self.assignment, searched=True, leaf=leaf)
-        if assign is None:
-            return
-        res = self.check(assign, leaf)
-        if res is not None:
-            objective, residual = res
-            self.offer(objective, assign)
-            self.max_residual = max(self.max_residual, residual)
+        if assign is not None and (res := self.check(assign, leaf)) is not None:
+            self.offer(res[0], assign)
+            self.max_residual = max(self.max_residual, res[1])
 
 
 def solve_by_enumeration(model: MisdpModel, budget: int = DEFAULT_BUDGET) -> EnumerationResult:

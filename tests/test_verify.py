@@ -138,6 +138,17 @@ class TestOracles:
         with pytest.raises(ValueError):
             oracle("nope")
 
+    @pytest.mark.parametrize("args, optimum", [
+        (("tsp", [[0, 2**63 + 1, 1], [2**63 + 1, 0, 1], [1, 1, 0]]), 2**63 + 3),
+        (("qmkp", [1, 1], [2], [0, 0], [[0, 2**63 + 1], [2**63 + 1, 0]]), 2**64 + 2),
+        (("qbpp", [1, 1], 2, 1, [[0, 2**63 + 1], [2**63 + 1, 0]]), 2),
+    ])
+    def test_int_lists_past_int64_stay_exact(self, args, optimum):
+        # numpy holds 2**63 + 1 beside smaller ints as a float64; the oracles
+        # read each matrix as rows of Python numbers, as the builders do
+        res = oracle(*args)
+        assert type(res.optimum) is int and res.optimum == optimum
+
 
 class TestReports:
     def test_report_roundtrip_and_determinism(self):
@@ -283,6 +294,27 @@ class TestHintRules:
             for hint in m.metadata.get("hints", [])
         }
         assert emitted == set(_HINT_RULES)
+
+    def test_product_lift_equals_the_gram_sum(self):
+        # a target with one factor on each side (X = x x^T) is lifted as one
+        # product, the others as the sum over the factors; the search's lifts
+        # and the leaf's gram stage read the same value, equal to `_gram_entry`
+        # in value and type on ternary, int and Fraction points
+        hint = _gram([["a"], ["b"], ["a", "b"], ["c", "d"]],
+                     [["X", 0, 1], ["Y", 0, 0], ["Z", 2, 3], ["W", 3, 3]])
+        lifts = hints._gram_lifts(hint)
+        assert [type(value) is functools.partial for _, _, value in lifts] == [False, False, True, True]
+        points = [*itertools.product((-1, 0, 1), repeat=4), (2, -3, 5, 7), (10**20, -1, 3, 0),
+                  (Fraction(1, 2), Fraction(-2, 3), 3, Fraction(5, 4)), (Fraction(3), 1, Fraction(-1, 7), -2)]
+        for point in points:
+            assign = dict(zip("abcd", point))
+            applied = dict(assign)
+            hints._apply_gram(hint, None, applied)
+            for (target, i, j), (lifted, inputs, value) in zip(hint["targets"], lifts):
+                want = hints._gram_entry(hint["factors"][i], hint["factors"][j], assign)
+                assert (lifted, inputs) == (target, hint["factors"][i] + hint["factors"][j])
+                for got in (value(assign), applied[target]):
+                    assert type(got) is type(want) and got == want
 
     @pytest.mark.parametrize("hint", [{"rule": "grahm"}, {"targets": []}])
     def test_unknown_rule_raises_before_search(self, hint):
@@ -1123,8 +1155,8 @@ class TestExactRows:
         m = MisdpModel([("a", VarDomain.binary()), ("t", VarDomain.continuous(0.0, 1.0))],
                        Objective("max", {"a": 1, "t": 1}), rows=[row])
         assert eval_point(m, {"a": 1, "t": 1}).feasible
-        (_, ((_, (_, _, cmin, cmax, up, down)),)), decided, _ = search._family(m).row(row)
-        assert (cmin, cmax, up, down, decided) == (0, 0, big + 1, -math.inf, False)
+        (_, ((_, (lo, hi)),)), decided, _ = search._family(m).row(row)
+        assert (lo, hi, decided) == (-math.inf, big + 1, False)
         for rhs, optimum, count in ((big + 1, 2, 2), (big, 0, 1)):
             m = MisdpModel(m.variables, m.objective,
                            rows=[LinRow(row.coeffs, "<=", rhs), LinRow((("t", 1), ("a", -1)), "==", 0)])
@@ -1172,6 +1204,48 @@ class TestExactRows:
 class TestPerDepthChecks:
     """Depth 0 checks every row and a later depth only the rows it moves, so
     the search prunes the nodes a scan of every row at every depth would."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_folded_window_prunes_as_the_six_term_test(self, data):
+        # a check (smin, smax, cmin, cmax, up, down) is folded once into
+        # (lo, hi) = (down - smax - cmax, up - smin - cmin); on int and
+        # Fraction partial sums, with infinite bounds and ranges, s leaves
+        # [lo, hi] exactly when s + smin + cmin > up or s + smax + cmax < down;
+        # for an int sum the thresholds are rounded to ints, and a range may
+        # hold the float bounds of a lifted target (dyadic, so the six-term
+        # test is exact in floats too)
+        num = st.one_of(st.integers(-40, 40), st.fractions(-40, 40, max_denominator=7))
+        ints = data.draw(st.booleans())
+        s = data.draw(st.integers(-90, 90) if ints else st.one_of(st.integers(-90, 90), num))
+        part = st.one_of(num, st.sampled_from([0.0, 1.0, -0.5, 2.5])) if ints else num
+        smin, cmin, up = (data.draw(st.one_of(p, st.just(sign * math.inf))) for p, sign in
+                          ((part, -1), (num, -1), (num, 1)))
+        smax, cmax, down = (data.draw(st.one_of(p, st.just(sign * math.inf))) for p, sign in
+                            ((part, 1), (num, 1), (num, -1)))
+        lo = search._fold(down, smax, cmax, math.ceil if ints else None)
+        hi = search._fold(up, smin, cmin, math.floor if ints else None)
+        assert (s < lo or s > hi) == (s + smin + cmin > up or s + smax + cmax < down)
+        if ints:
+            assert all(type(t) is int or t in (-math.inf, math.inf) for t in (lo, hi))
+
+    def test_a_fold_never_takes_a_huge_int_into_floats(self):
+        # an infinite end is kept as it is and never subtracted, and a float
+        # bound beside a huge int is taken as the Fraction it equals, so no
+        # huge int is converted to a float (OverflowError)
+        big = 10**400
+        assert search._fold(big, -math.inf, 0, math.floor) == math.inf
+        assert search._fold(-big, big, math.inf, math.ceil) == -math.inf
+        assert search._fold(math.inf, big, Fraction(1, 3), None) == math.inf
+        assert search._fold(big + 1, big, Fraction(-1, 3), math.floor) == 1
+        assert search._fold(big, 0.5, Fraction(1, 3), math.floor) == big - 1
+        assert search._fold(-big, 1.0, 0, math.ceil) == -big - 1
+        # the row a + X <= 10**400 over X = a b, a lifted target with float bounds
+        m = MisdpModel([("a", VarDomain.binary()), ("b", VarDomain.binary()), ("X", VarDomain.continuous(0.0, 1.0))],
+                       Objective("min", {"a": -1}), rows=[LinRow((("a", 1), ("X", 1)), "<=", big)],
+                       metadata={"hints": [_gram([["a"], ["b"]], [["X", 0, 1]])]})
+        assert solve_by_enumeration(m).feasible_count == 4
+        _assert_matches_reference_walk(m)
 
     @pytest.mark.parametrize("rhs, nodes", [(-1, 1), (0, 5), (1, 7)])
     def test_a_row_on_a_later_variable_prunes_from_the_root(self, rhs, nodes):
@@ -1976,6 +2050,55 @@ class TestFamilies:
                 pencils.append(MatrixPencil(p.order, moved(p.entries[0]), [(name, moved(t)) for name, t in p.terms]))
             permuted = MisdpModel(m.variables, m.objective, m.rows, pencils, m.metadata)
             base, got = solve_by_enumeration(m), solve_by_enumeration(permuted)
+            assert repr(got.optimum) == repr(base.optimum) and got.feasible_count == base.feasible_count
+            assert points(got) == points(base)
+
+        relation_holds()
+
+    def test_congruence_keeps_the_answer(self, monkeypatch):
+        # each integral pencil whose terms are all on integer variables, taken
+        # to U A U^T with U = I + e_i e_j^T (i != j; row j added to row i, then
+        # column j to column i), in its constant and in every term, is PSD
+        # exactly when A is, so the optimum (value and type), the count and
+        # the minimizer set stay; a pencil with a continuous term is left as
+        # it is, so its corners and hints still match; each example draws a
+        # builder, then one of its suite models that has a pencil to move
+        def movable(p, doms):
+            return p.order > 1 and p.integral and all(doms[n].is_integer for n, _ in p.terms)
+
+        models = {}
+        for m in _suite_models(monkeypatch):
+            if any(movable(p, dict(m.variables)) for p in m.pencils):
+                models.setdefault(m.metadata["problem"], []).append(m)
+        assert sorted(models) == ["gpp", "kep_assoc", "mkcs", "qmkp", "sils", "tsp_cvetkovic"]
+
+        def points(result):
+            return {frozenset(point.items()) for point in result.minimizers}
+
+        def congruent(triples, order, i, j):
+            a = [[0] * order for _ in range(order)]
+            for r, c, x in triples:
+                a[r][c] = a[c][r] = x
+            for c in range(order):
+                a[i][c] += a[j][c]
+            for r in range(order):
+                a[r][i] += a[r][j]
+            return [(r, c, a[r][c]) for r in range(order) for c in range(r, order) if a[r][c]]
+
+        @settings(max_examples=120, derandomize=True, deadline=None)
+        @given(st.sampled_from(sorted(models)), st.data())
+        def relation_holds(problem, data):
+            m = data.draw(st.sampled_from(models[problem]))
+            doms, pencils = dict(m.variables), []
+            for p in m.pencils:
+                if not movable(p, doms):
+                    pencils.append(p)
+                    continue
+                i, j = data.draw(st.lists(st.integers(0, p.order - 1), min_size=2, max_size=2, unique=True))
+                pencils.append(MatrixPencil(p.order, congruent(p.entries[0], p.order, i, j),
+                                            [(name, congruent(t, p.order, i, j)) for name, t in p.terms]))
+            moved = MisdpModel(m.variables, m.objective, m.rows, pencils, m.metadata)
+            base, got = solve_by_enumeration(m), solve_by_enumeration(moved)
             assert repr(got.optimum) == repr(base.optimum) and got.feasible_count == base.feasible_count
             assert points(got) == points(base)
 
