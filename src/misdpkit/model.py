@@ -432,8 +432,8 @@ def eval_point(model: MisdpModel, assignment: dict) -> EvalResult:
     """Check an assignment against domains, rows and pencils.
 
     Row checks are exact whenever the row data and values are int/Fraction;
-    float data uses the `lin_feas` tolerance.  The objective is always
-    reported.
+    float data uses the `lin_feas` tolerance.  A row's residual is reported
+    as a float, inf past the float range.  The objective is always reported.
     """
     tol = config.DEFAULT.lin_feas
     missing = [n for n, _ in model.variables if n not in assignment]
@@ -449,22 +449,18 @@ def eval_point(model: MisdpModel, assignment: dict) -> EvalResult:
     for k, row in enumerate(model.rows):
         vals = [assignment[n] for n, _ in row.coeffs]
         coefs = [c for _, c in row.coeffs]
-        if _exact(row.rhs, *vals, *coefs):
-            lhs = sum(c * v for c, v in zip(coefs, vals))
-            gap = lhs - row.rhs
-            bad = (row.rel == "==" and gap != 0) or (row.rel == "<=" and gap > 0) or (row.rel == ">=" and gap < 0)
-            resid = abs(gap) if row.rel == "==" else max(gap if row.rel == "<=" else -gap, 0)
+        exact = _exact(row.rhs, *vals, *coefs)
+        if exact:
+            gap = sum(c * v for c, v in zip(coefs, vals)) - row.rhs
         else:
-            lhs = sum(float(c) * float(v) for c, v in zip(coefs, vals))
-            gap = lhs - float(row.rhs)
-            if row.rel == "==":
-                resid = abs(gap)
-            elif row.rel == "<=":
-                resid = max(gap, 0.0)
-            else:
-                resid = max(-gap, 0.0)
-            bad = resid > tol
-        max_residual = max(max_residual, float(resid))
+            gap = sum(float(c) * float(v) for c, v in zip(coefs, vals)) - float(row.rhs)
+        resid = abs(gap) if row.rel == "==" else max(gap if row.rel == "<=" else -gap, 0)
+        bad = resid > (0 if exact else tol)
+        try:
+            resid = float(resid)
+        except OverflowError:  # an exact residual past the float range
+            resid = math.inf
+        max_residual = max(max_residual, resid)
         if bad:
             violations.append(f"row {k}{' ' + row.label if row.label else ''}: residual {resid}")
 

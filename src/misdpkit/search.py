@@ -3,7 +3,7 @@
 `solve_by_enumeration` walks every integer assignment of a model, pruning by
 windows on the linear rows, eliminates the continuous variables, and
 evaluates feasibility exactly.  The windows of a row with int/Fraction data
-are decided in integers; only rows with float data get a tolerance.
+are decided in integers; a row with float data is left to the leaf check.
 
 A plan is compiled in two parts.  What the variables, pencils and hints fix
 (`_Family`) is built once per family of models and kept, bounded, in
@@ -119,26 +119,34 @@ def _frac(v):
     return v if isinstance(v, Fraction) else Fraction(v)
 
 
-def _contribution_bounds(coef, dom, tol=None):
-    """coef * v over `dom`; with `tol`, over eval_point's [lo - tol, hi + tol], exactly."""
+def _contribution_bounds(coef, dom):
+    """coef * v over the v in `dom` that eval_point accepts: an integer domain's integers, or a continuous
+    one's [lo - tol, hi + tol] (tol = `lin_feas`), each widened bound the Fraction it equals; a missing or
+    infinite bound is an open end."""
     lo, hi = dom.lo, dom.hi
     if dom.is_integer:
         lo, hi = math.ceil(lo), math.floor(hi)
-    elif tol is not None:
-        lo, hi = lo if lo is None else Fraction(widen(lo, -tol)), hi if hi is None else Fraction(widen(hi, tol))
+    else:
+        tol = config.DEFAULT.lin_feas
+        lo = None if lo is None or abs(lo) == math.inf else Fraction(widen(lo, -tol))
+        hi = None if hi is None or abs(hi) == math.inf else Fraction(widen(hi, tol))
     if coef < 0:
         lo, hi = hi, lo
     return -math.inf if lo is None else coef * lo, math.inf if hi is None else coef * hi
 
 
+def _add(x, y):
+    """x + y of two lower (or two upper) range ends, an infinite end kept (no huge int made a float)."""
+    return x if abs(x) == math.inf else y if abs(y) == math.inf else x + y
+
+
 def _fold(bound, rest, cont, rnd):
-    """`bound - rest - cont`, the threshold of s in `s + rest + cont` against `bound`; infinite when a term is
-    (no inf - inf, no huge int made a float). `rnd` (floor or ceil, for int sums) rounds the exact difference."""
+    """`bound - rest - cont`, the threshold of s in `s + rest + cont` against `bound`, rounded by `rnd` (floor
+    or ceil, as the sum is an int); infinite when a term is (no inf - inf, no huge int made a float)."""
     for part in (-bound, rest, cont):
         if abs(part) == math.inf:
             return -part
-    terms = (Fraction(x) if type(x) is float else x for x in (bound, -rest, -cont))  # a float term taken exactly
-    return rnd(sum(terms)) if rnd else bound - rest - cont
+    return rnd(bound - rest - cont)
 
 
 def _affine(tail, known, d):
@@ -610,42 +618,35 @@ class _Family:
         return _kept(self.reduced, tuple(map(_row_key, eqs)), _reduce, eqs, self.unknowns, self.doms, slots)
 
     def _compile(self, row):
-        """A row with int/Fraction data and int, Fraction or finite float bounds
-        is scaled to ints by the lcm of its denominators, with the range that
-        eval_point accepts of its continuous part folded into int thresholds.
-        Only rows with float data get eps = 1e-9 (1 + |rhs|).  A row that
-        never prunes gets no test.  An exact row over `ints` alone is decided
-        exactly at its last slot."""
+        """A row with int/Fraction data is scaled to ints by the lcm of its denominators, with the range of
+        its continuous part (`_contribution_bounds`) folded into int thresholds; one that never prunes gets no
+        test, and one over `ints` alone is decided at its last slot.  A row with float data gets no test."""
         doms, slot = self.doms, self.slot
         if row_defects(0, row, doms):
             return None
-        leaf = rel, names, ints, fcoefs, frhs = _leaf_row(row)
-        bounds = [b for n in names if not doms[n].is_integer for b in (doms[n].lo, doms[n].hi) if b is not None]
-        if exact := ints is not None and all(_exact(b) or type(b) is float and math.isfinite(b) for b in bounds):
-            (coefs, rhs), eps = ints, 0
-        else:
-            coefs, rhs, eps = fcoefs, frhs, 1e-9 * (1.0 + abs(frhs))
+        leaf = rel, names, ints, _, _ = _leaf_row(row)
+        if ints is None:
+            return None, False, leaf
+        coefs, rhs = ints
         terms, cmin, cmax = [], 0, 0
         for name, coef in zip(names, coefs):
             if name in slot:
                 terms.append((name, coef))
             else:
-                lo, hi = _contribution_bounds(coef, doms[name], config.DEFAULT.lin_feas if exact else None)
-                cmin, cmax = cmin + lo, cmax + hi
-        up = rhs + eps if rel != ">=" and cmin != -math.inf else None
-        down = rhs - eps if rel != "<=" and cmax != math.inf else None
-        if up is None and down is None:
+                lo, hi = _contribution_bounds(coef, doms[name])
+                cmin, cmax = _add(cmin, lo), _add(cmax, hi)
+        up = rhs if rel != ">=" and cmin != -math.inf else math.inf
+        down = rhs if rel != "<=" and cmax != math.inf else -math.inf
+        if up == math.inf and down == -math.inf:
             return None, False, leaf
-        test = self.test(terms, -math.inf if down is None else down, math.inf if up is None else up, cmin, cmax)
-        return test, exact and all(n in self.ints for n in names), leaf
+        return self.test(terms, down, up, cmin, cmax), all(n in self.ints for n in names), leaf
 
     def test(self, terms, down, up, cmin=0, cmax=0):
-        """The forward-checker test that the sum of (slot name, coefficient)
-        `terms`, plus a continuous part in [cmin, cmax], lies in [down, up]:
-        (slot coefficients, checks at depth 0 and at each depth that pushes
-        one of its slots).  A check is folded once (`_fold`) into the window
-        (lo, hi) = (down - smax - cmax, up - smin - cmin) of the partial sum
-        there, smin and smax the range of the slots pushed later; int coefficients give int sums and int thresholds."""
+        """The forward-checker test that the sum of (slot name, int coefficient) `terms`, plus a continuous
+        part in [cmin, cmax], lies in [down, up]: (slot coefficients, checks at depth 0 and at each depth that
+        pushes one of its slots).  A check is folded once (`_fold`) into the int window (lo, hi) =
+        (down - smax - cmax, up - smin - cmin) of the partial sum there, [smin, smax] the range
+        (`_contribution_bounds`) of the slots pushed later."""
         by_slot = {}
         for name, c in terms:
             by_slot[self.slot[name]] = by_slot.get(self.slot[name], 0) + c
@@ -653,13 +654,10 @@ class _Family:
         smin, smax = [0] * (depth + 1), [0] * (depth + 1)
         for s, c in by_slot.items():
             lo, hi = _contribution_bounds(c, self.doms[self.slots[s]])
-            smin[self.at[s]] += lo
-            smax[self.at[s]] += hi
+            smin[self.at[s]], smax[self.at[s]] = _add(smin[self.at[s]], lo), _add(smax[self.at[s]], hi)
         for d in range(depth - 1, -1, -1):
-            smin[d] += smin[d + 1]
-            smax[d] += smax[d + 1]
-        ceil, floor = (math.ceil, math.floor) if all(type(c) is int for c in by_slot.values()) else (None, None)
-        checks = [(d, (_fold(down, smax[d + 1], cmax, ceil), _fold(up, smin[d + 1], cmin, floor)))
+            smin[d], smax[d] = _add(smin[d], smin[d + 1]), _add(smax[d], smax[d + 1])
+        checks = [(d, (_fold(down, smax[d + 1], cmax, math.ceil), _fold(up, smin[d + 1], cmin, math.floor)))
                   for d in ({0, *(self.at[s] for s in by_slot)} if depth else ())]
         return list(by_slot.items()), checks
 

@@ -7,7 +7,7 @@ import pytest
 
 from misdpkit import cli, formulations, problems
 from misdpkit.cbf import export_cbf, import_cbf
-from misdpkit.model import export_json, import_json
+from misdpkit.model import VarDomain, export_json, import_json
 
 
 @pytest.fixture
@@ -146,6 +146,17 @@ class TestBuild:
         objective = json.loads(out.read_text())["objective"]
         assert dict(objective["coeffs"])["X[0,0]"] == f"{2**80 + 1}/2"
         assert objective["constant"] == f"{2**80 + 9}/2"
+
+    @pytest.mark.parametrize("domain, built", [
+        ({"values": [0, 2, 3]}, VarDomain.finite_set([0, 2, 3])),
+        ({"lo": -1, "hi": 2}, VarDomain.integer_range(-1, 2)),
+    ])
+    def test_completion_instance_json(self, tmp_path, capsys, domain, built):
+        inst = tmp_path / "c.json"
+        inst.write_text(json.dumps({"shape": [2, 3], "observed": [[0, 0, 1], [1, 2, -2]], "domain": domain}))
+        out = tmp_path / "c.json.out"
+        assert run(["build", "completion", "--instance", str(inst), "--out", str(out), "--format", "json"]) == 0
+        assert out.read_text() == export_json(problems.build_matrix_completion((2, 3), {(0, 0): 1, (1, 2): -2}, built))
 
     def test_tsp_lee_counts(self, tmp_path, capsys):
         dist = tmp_path / "d.txt"

@@ -263,6 +263,16 @@ class TestEvalPoint:
         r = eval_point(m, {"a": 3})
         assert not r.feasible
 
+    def test_a_violated_row_past_the_float_range_reports_inf(self):
+        big = 10**400
+        m = MisdpModel([("a", VarDomain.binary())], Objective("min", {"a": 1}),
+                       rows=[LinRow((("a", big),), "<=", 1), LinRow((("a", 1),), "<=", Fraction(1, 2))])
+        r = eval_point(m, {"a": 1})
+        assert not r.feasible and r.max_residual == math.inf
+        assert r.violations == ["row 0: residual inf", "row 1: residual 0.5"]
+        r = eval_point(m, {"a": 0})  # a feasible point is reported as before
+        assert r.feasible and r.violations == [] and type(r.max_residual) is float and r.max_residual == 0
+
     def test_variable_order_invariance(self):
         m = stable_set_k2_model()
         shuffled = MisdpModel(

@@ -3,6 +3,7 @@ import functools
 import itertools
 import json
 import math
+import operator
 import os
 import subprocess
 import sys
@@ -1089,6 +1090,32 @@ def _exact_row_models(draw):
     )
 
 
+@st.composite
+def _float_row_models(draw):
+    """Integer variables only, with rows of float data mixing magnitudes
+    (1e8, 1e16, 0.1, 1/3), each row tight at a drawn point in eval_point's
+    float sum or off by a little."""
+    doms = {
+        f"v{i}": draw(st.sampled_from([VarDomain.binary(), VarDomain.ternary(), VarDomain.integer_range(-2, 2)]))
+        for i in range(draw(st.integers(2, 4)))
+    }
+    mag = st.sampled_from([1e8, 99999990.0, 1e16, 0.1, 1 / 3, 1.0, 3])
+    coef = st.builds(operator.mul, mag, st.sampled_from([1, -1]))
+    rows = []
+    for _ in range(draw(st.integers(1, 2))):
+        used = draw(st.lists(st.sampled_from(list(doms)), min_size=1, max_size=4, unique=True))
+        coeffs = [(n, draw(coef)) for n in used]
+        witness = {n: draw(st.sampled_from(doms[n].iter_values())) for n in used}
+        lhs = sum(float(c) * witness[n] for n, c in coeffs)
+        rhs = lhs + draw(st.sampled_from([0.0, 0.0, 1e-9, -1e-9, 1e-8, 0.5]))
+        rows.append(LinRow(tuple(coeffs), draw(st.sampled_from(["==", "<=", ">="])), rhs))
+    return MisdpModel(
+        list(doms.items()),
+        Objective(draw(st.sampled_from(["min", "max"])), {n: draw(st.integers(-3, 3)) for n in doms}),
+        rows=rows,
+    )
+
+
 class TestExactRows:
     """The forward checker decides rows with int/Fraction data exactly."""
 
@@ -1114,8 +1141,9 @@ class TestExactRows:
 
     @pytest.mark.parametrize("coef, nodes", [(10**10, 4), (1e10, 7)])
     def test_only_float_rows_get_a_tolerance(self, coef, nodes):
-        # 10^10 a <= 10^10 - 1 fails at a = 1 by 1, inside the float window's
-        # eps of about 10; the leaf check rejects a = 1 either way
+        # 10^10 a <= 10^10 - 1 fails at a = 1 by 1: the exact row prunes it at
+        # its node, while the float row gets no node test and its leaf check
+        # rejects a = 1
         m = MisdpModel(
             [("a", VarDomain.binary()), ("b", VarDomain.binary())],
             Objective("min", {"b": 1}),
@@ -1146,6 +1174,41 @@ class TestExactRows:
         res = solve_by_enumeration(m)
         assert res.feasible_count == 2 and res.optimum == -1
         assert all(eval_point(m, {"a": a, "t": a}).feasible for a in (0, 1))
+
+    def test_huge_rows_beside_open_or_float_ranges(self):
+        # each raised OverflowError: a huge int added to an infinite or float
+        # range end, or a huge rhs widened by a float eps
+        big = 10**400
+        a, b = ("a", VarDomain.binary()), ("b", VarDomain.binary())
+        gram = {"hints": [_gram([["a"], ["b"]], [["X", 0, 1]])]}
+        models = [
+            MisdpModel([a, b, ("X", dom)], Objective("min", {"a": -1}),
+                       rows=[LinRow((("a", big), ("X", 1)), "<=", big)], metadata=gram)
+            for dom in (VarDomain.continuous(), VarDomain.continuous(0.0, 1.0))
+        ]
+        models.append(MisdpModel(
+            [a, ("t", VarDomain.continuous(0, math.inf))], Objective("min", {"a": -1}),
+            rows=[LinRow((("a", big), ("t", 1)), "<=", big), LinRow((("t", 1), ("a", -1)), "==", 0)]))
+        models.append(MisdpModel(
+            [a, b, ("t", VarDomain.continuous(0, 1)), ("u", VarDomain.continuous(0))],
+            Objective("min", {"a": 1, "b": 1}),
+            rows=[LinRow((("a", 1), ("t", big), ("u", 1)), ">=", 1),
+                  LinRow((("t", 1), ("b", -1)), "==", 0), LinRow((("u", 1), ("b", -1)), "==", 0)]))
+        answers = [(-1, 3), (-1, 3), (0, 1), (1, 3)]
+        for m, answer in zip(models, answers):
+            res = solve_by_enumeration(m)
+            assert (res.optimum, res.feasible_count) == answer
+            _assert_matches_reference_walk(m)
+
+    def test_float_row_sums_do_not_drift(self):
+        # (0.1 - 99999990.0) + 99999990.0 != 0.1: float partial sums moved by
+        # backtracking pruned (1, 1, 0), which eval_point accepts
+        m = MisdpModel([(n, VarDomain.binary()) for n in "abc"], Objective("min", {"a": -1}),
+                       rows=[LinRow((("a", -0.1), ("b", 0.1), ("c", -99999990)), "==", 0)])
+        assert eval_point(m, {"a": 1, "b": 1, "c": 0}).feasible
+        res = solve_by_enumeration(m)
+        assert (res.optimum, res.feasible_count) == (-1, 2)
+        _assert_matches_reference_walk(m)
 
     def test_float_bounds_past_the_float_range(self):
         # t in continuous(0.0, 1.0) used to send the row to the float route,
@@ -1200,6 +1263,12 @@ class TestExactRows:
         res = solve_by_enumeration(m)
         assert (res.optimum, res.feasible_count) == _brute_force(m)
 
+    @settings(max_examples=300, deadline=None)
+    @given(_float_row_models())
+    def test_float_rows_match_brute_force(self, m):
+        res = solve_by_enumeration(m)
+        assert (res.optimum, res.feasible_count) == _brute_force(m)
+
 
 class TestPerDepthChecks:
     """Depth 0 checks every row and a later depth only the rows it moves, so
@@ -1209,37 +1278,33 @@ class TestPerDepthChecks:
     @given(st.data())
     def test_folded_window_prunes_as_the_six_term_test(self, data):
         # a check (smin, smax, cmin, cmax, up, down) is folded once into
-        # (lo, hi) = (down - smax - cmax, up - smin - cmin); on int and
-        # Fraction partial sums, with infinite bounds and ranges, s leaves
-        # [lo, hi] exactly when s + smin + cmin > up or s + smax + cmax < down;
-        # for an int sum the thresholds are rounded to ints, and a range may
-        # hold the float bounds of a lifted target (dyadic, so the six-term
-        # test is exact in floats too)
+        # (lo, hi) = (down - smax - cmax, up - smin - cmin), rounded to ints;
+        # on int partial sums, with int and Fraction ranges (a widened bound
+        # is a Fraction) and infinite bounds and ranges, s leaves [lo, hi]
+        # exactly when s + smin + cmin > up or s + smax + cmax < down
         num = st.one_of(st.integers(-40, 40), st.fractions(-40, 40, max_denominator=7))
-        ints = data.draw(st.booleans())
-        s = data.draw(st.integers(-90, 90) if ints else st.one_of(st.integers(-90, 90), num))
-        part = st.one_of(num, st.sampled_from([0.0, 1.0, -0.5, 2.5])) if ints else num
-        smin, cmin, up = (data.draw(st.one_of(p, st.just(sign * math.inf))) for p, sign in
-                          ((part, -1), (num, -1), (num, 1)))
-        smax, cmax, down = (data.draw(st.one_of(p, st.just(sign * math.inf))) for p, sign in
-                            ((part, 1), (num, 1), (num, -1)))
-        lo = search._fold(down, smax, cmax, math.ceil if ints else None)
-        hi = search._fold(up, smin, cmin, math.floor if ints else None)
+        s = data.draw(st.integers(-90, 90))
+        smin, cmin, up = (data.draw(st.one_of(num, st.just(sign * math.inf))) for sign in (-1, -1, 1))
+        smax, cmax, down = (data.draw(st.one_of(num, st.just(sign * math.inf))) for sign in (1, 1, -1))
+        lo = search._fold(down, smax, cmax, math.ceil)
+        hi = search._fold(up, smin, cmin, math.floor)
         assert (s < lo or s > hi) == (s + smin + cmin > up or s + smax + cmax < down)
-        if ints:
-            assert all(type(t) is int or t in (-math.inf, math.inf) for t in (lo, hi))
+        assert all(type(t) is int or t in (-math.inf, math.inf) for t in (lo, hi))
 
     def test_a_fold_never_takes_a_huge_int_into_floats(self):
-        # an infinite end is kept as it is and never subtracted, and a float
-        # bound beside a huge int is taken as the Fraction it equals, so no
-        # huge int is converted to a float (OverflowError)
+        # an infinite end is kept as it is and never subtracted or added, and
+        # a float bound is widened into the Fraction it equals before any
+        # fold, so no huge int is converted to a float (OverflowError)
         big = 10**400
         assert search._fold(big, -math.inf, 0, math.floor) == math.inf
         assert search._fold(-big, big, math.inf, math.ceil) == -math.inf
-        assert search._fold(math.inf, big, Fraction(1, 3), None) == math.inf
+        assert search._fold(math.inf, big, Fraction(1, 3), math.floor) == math.inf
         assert search._fold(big + 1, big, Fraction(-1, 3), math.floor) == 1
-        assert search._fold(big, 0.5, Fraction(1, 3), math.floor) == big - 1
-        assert search._fold(-big, 1.0, 0, math.ceil) == -big - 1
+        assert search._add(big, math.inf) == math.inf and search._add(-math.inf, -big) == -math.inf
+        half, one = search._contribution_bounds(1, VarDomain.continuous(0.5, 1.0))
+        assert type(half) is type(one) is Fraction and half < Fraction(1, 2) and one > 1
+        assert search._fold(big, half, Fraction(1, 3), math.floor) == big - 1
+        assert search._fold(-big, one, 0, math.ceil) == -big - 1
         # the row a + X <= 10**400 over X = a b, a lifted target with float bounds
         m = MisdpModel([("a", VarDomain.binary()), ("b", VarDomain.binary()), ("X", VarDomain.continuous(0.0, 1.0))],
                        Objective("min", {"a": -1}), rows=[LinRow((("a", 1), ("X", 1)), "<=", big)],
@@ -1769,9 +1834,9 @@ class TestLiftsAtNodes:
 
     @pytest.mark.parametrize("coef, nodes", [(10**10, 6), (1e10, 7)])
     def test_float_row_over_a_lifted_target_keeps_its_window(self, coef, nodes):
-        # X = a b; 10^10 X <= 10^10 - 1 fails at a = b = 1 by 1, inside the
-        # float window's eps of about 10, so only the exact row prunes that
-        # node; the leaf check rejects it either way
+        # X = a b; 10^10 X <= 10^10 - 1 fails at a = b = 1 by 1: the exact row
+        # prunes that node, while the float row gets no node test and its
+        # leaf check rejects it
         m = MisdpModel(
             [("a", VarDomain.binary()), ("b", VarDomain.binary()), ("X", VarDomain.continuous(0, 1))],
             Objective("min", {"a": 1}),
@@ -1780,6 +1845,21 @@ class TestLiftsAtNodes:
         )
         res = solve_by_enumeration(m)
         assert res.feasible_count == 3 and res.nodes == nodes
+        _assert_matches_reference_walk(m)
+
+    def test_lifted_range_is_what_eval_point_accepts(self):
+        # X = a b in continuous(0, 0.9999999995): eval_point accepts X = 1
+        # within lin_feas, so the slot's range is widened as a continuous
+        # range is; the unwidened [0, 0.9999999995] pruned a = 1 at the root
+        m = MisdpModel(
+            [("a", VarDomain.binary()), ("b", VarDomain.binary()), ("X", VarDomain.continuous(0, 0.9999999995))],
+            Objective("min", {"a": -1}),
+            rows=[LinRow((("X", 1), ("a", -1)), ">=", 0)],
+            metadata={"hints": [_gram([["a"], ["b"]], [["X", 0, 1]])]},
+        )
+        assert eval_point(m, {"a": 1, "b": 1, "X": 1}).feasible
+        res = solve_by_enumeration(m)
+        assert (res.optimum, res.feasible_count) == (-1, 3)
         _assert_matches_reference_walk(m)
 
     def test_seed_zero_node_totals(self, monkeypatch):
