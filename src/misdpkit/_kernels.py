@@ -8,9 +8,9 @@ float64 array.  Exact data takes the exact kernels instead: the pencils of
 Z[2cos(2pi/n)] (`MatrixPencil.is_psd_at`), and `misdpkit check` on an
 integer matrix, call `linalg.is_psd_exact` and `linalg.rank_exact`, which
 use no eigensolver.  In the verification suites the kernel runs only for
-the float pencils of `completion-2x2` (its nuclear hint) and for the
-`qbpp-random` corner scalars.  The convergence threshold and sweep budget of `jacobi_eigh`
-are the constants below.
+the float pencils of `completion-2x2` (its nuclear hint); the `qbpp-random`
+corner pencils are decided exactly at their boundary.  The convergence
+threshold and sweep budget of `jacobi_eigh` are the constants below.
 """
 
 import math

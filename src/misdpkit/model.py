@@ -420,6 +420,16 @@ def _exact(*vals):
     return all(isinstance(v, (int, Fraction)) and not isinstance(v, bool) for v in vals)
 
 
+def float_gap(coefs, vals, rhs):
+    """sum c * v - rhs of a row whose data or values are not all int/Fraction:
+    in floats, or exactly, as a Fraction, when a number is past the float
+    range (every finite float is a Fraction)."""
+    try:
+        return sum(float(c) * float(v) for c, v in zip(coefs, vals)) - float(rhs)
+    except OverflowError:
+        return sum(Fraction(c) * Fraction(v) for c, v in zip(coefs, vals)) - Fraction(rhs)
+
+
 @dataclass
 class EvalResult:
     feasible: bool
@@ -432,8 +442,9 @@ def eval_point(model: MisdpModel, assignment: dict) -> EvalResult:
     """Check an assignment against domains, rows and pencils.
 
     Row checks are exact whenever the row data and values are int/Fraction;
-    float data uses the `lin_feas` tolerance.  A row's residual is reported
-    as a float, inf past the float range.  The objective is always reported.
+    float data uses the `lin_feas` tolerance, on the gap that `float_gap`
+    takes.  A row's residual is reported as a float, inf past the float
+    range.  The objective is always reported.
     """
     tol = config.DEFAULT.lin_feas
     missing = [n for n, _ in model.variables if n not in assignment]
@@ -453,12 +464,12 @@ def eval_point(model: MisdpModel, assignment: dict) -> EvalResult:
         if exact:
             gap = sum(c * v for c, v in zip(coefs, vals)) - row.rhs
         else:
-            gap = sum(float(c) * float(v) for c, v in zip(coefs, vals)) - float(row.rhs)
+            gap = float_gap(coefs, vals, row.rhs)
         resid = abs(gap) if row.rel == "==" else max(gap if row.rel == "<=" else -gap, 0)
         bad = resid > (0 if exact else tol)
         try:
             resid = float(resid)
-        except OverflowError:  # an exact residual past the float range
+        except OverflowError:  # a residual past the float range
             resid = math.inf
         max_residual = max(max_residual, resid)
         if bad:

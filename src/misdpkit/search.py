@@ -54,7 +54,9 @@ UnsupportedContinuousPattern then, whatever the family's leaf store holds:
      that window as one more exact test), and at the leaf otherwise;
   3. builder hints of the "forced" stage (blocks fixed once the closure ran);
   4. corner scalars, in order: a variable in no row on one diagonal entry of a
-     single pencil whose other terms are set, at the exact Schur boundary.
+     single pencil whose other terms are set, at its Schur boundary t*,
+     computed exactly (`_resolve_corner`).  The point holds float(t*), and
+     the leaf check decides the pencil at t* itself.
 
 The completed point is then tested by `_LeafCheck`, minus the bounds and
 rows already decided.  `eval_point` stays the slow reference that reports
@@ -78,7 +80,8 @@ from .cosring import CosInt
 from .errors import BudgetExceeded, UnsupportedContinuousPattern
 from .hints import _FORCED, _HINT_RULES, _LIFT
 from .linalg import eliminate
-from .model import INTEGER_RANGE, MisdpModel, Objective, _exact, objective_defects, row_defects, validate, widen
+from .model import (INTEGER_RANGE, MisdpModel, Objective, _exact, float_gap, objective_defects, row_defects,
+                    validate, widen)
 
 DEFAULT_BUDGET = 10**7  # largest integer space one enumeration may walk
 _MAX_MINIMIZERS = 4096
@@ -254,38 +257,48 @@ def _window(dom, den, integral):
 
 
 def _resolve_corner(pencil, assign, name, i, a, dom):
-    """Set `name` to float(t*), t* the least t >= dom.lo keeping `pencil` PSD.
+    """Set `name` to float(t*) and return t*, the least t >= dom.lo keeping
+    `pencil` PSD, as the Fraction it is; None when no t does.
 
     With the corner at 0 the pencil is B; let R be the other indices and
     b = B[R, i].  By the Schur complement B + t*a*e_i e_i^T is PSD iff B[R, R]
-    is PSD (left to the leaf check), B[R, R] y = b is solvable (else False is
-    returned) and t >= (b^T y - B[i, i]) / a.  All of it is exact: B is scaled
-    to ints, and `eliminate` leaves y[p] = row[-1] / d.
+    is PSD, B[R, R] y = b is solvable (else None is returned) and
+    t >= (b^T y - B[i, i]) / a.  At t* the pencil is PSD exactly when B[R, R]
+    is, which the leaf check decides on the pencil at t* itself.  All of it is
+    exact: B is built in ints, its values and entries scaled by the lcm of
+    their denominators, and `eliminate` leaves y[p] = row[-1] / d.
     """
-    base = [[Fraction(0)] * pencil.order for _ in range(pencil.order)]
-    values = [1] + [0 if term == name else assign[term] for term, _ in pencil.terms]
-    for v, entries in zip(values, pencil.entries):
+    entries, xden = pencil.entries, 1
+    if not pencil.integral:  # Fraction or float entries
+        entries = [[(r, c, _frac(x)) for r, c, x in triples] for triples in entries]
+        xden = math.lcm(*(x.denominator for triples in entries for _, _, x in triples))
+        entries = [[(r, c, x.numerator * (xden // x.denominator)) for r, c, x in triples] for triples in entries]
+    values = [1, *(0 if term == name else assign[term] for term, _ in pencil.terms)]
+    values = [v if type(v) is int else _frac(v) for v in values]
+    vden = math.lcm(*(v.denominator for v in values))
+    base = [[0] * pencil.order for _ in range(pencil.order)]
+    for v, triples in zip(values, entries):
         if v:
-            for r, c, x in entries:
-                base[r][c] = base[c][r] = base[r][c] + _frac(v) * Fraction(x)
-    scale = math.lcm(*(x.denominator for row in base for x in row))
-    base = [[x.numerator * (scale // x.denominator) for x in row] for row in base]
+            v = v.numerator * (vden // v.denominator)
+            for r, c, x in triples:
+                base[r][c] = base[c][r] = base[r][c] + v * x
     rest = [r for r in range(pencil.order) if r != i]
     rows = [[base[r][c] for c in rest] + [base[r][i]] for r in rest]
     pivots, d = eliminate(rows, len(rest))
     if any(row[-1] for row in rows[len(pivots):]):
-        return False
-    t = Fraction(sum(base[rest[p]][i] * row[-1] for p, row in zip(pivots, rows)) - d * base[i][i], d * scale) / a
+        return None
+    num = sum(base[rest[p]][i] * row[-1] for p, row in zip(pivots, rows)) - d * base[i][i]
+    t = Fraction(num, d * vden * xden) / a
     if dom.lo is not None and t < dom.lo:
-        t = dom.lo
+        t = Fraction(dom.lo)
     assign[name] = float(t)
-    return True
+    return t
 
 
 def _leaf_row(row):
-    """A row as `_LeafCheck` reads it: (rel, names, ints, float coefs, float
-    rhs), with `ints` the row scaled to int coefficients and rhs by the lcm
-    of its denominators when its data is int/Fraction, None otherwise."""
+    """A row as `_LeafCheck` reads it: (rel, names, ints, coefs, rhs), with
+    `ints` the row scaled to int coefficients and rhs by the lcm of its
+    denominators when its data is int/Fraction, None otherwise."""
     names = [n for n, _ in row.coeffs]
     coefs = [c for _, c in row.coeffs]
     ints = None
@@ -293,11 +306,7 @@ def _leaf_row(row):
         scale = math.lcm(row.rhs.denominator, *(c.denominator for c in coefs))
         irhs, *icoefs = [c.numerator * (scale // c.denominator) for c in (row.rhs, *coefs)]
         ints = icoefs, irhs
-    try:
-        floats = [float(c) for c in coefs], float(row.rhs)
-    except OverflowError:  # exact data past the float range: only a float value, which
-        floats = coefs, row.rhs  # overflows in eval_point as well, needs the float form
-    return row.rel, names, ints, *floats
+    return row.rel, names, ints, coefs, row.rhs
 
 
 def _bounds(variables):
@@ -338,12 +347,12 @@ class _LeafCheck:
     value is drawn from its domain's iter_values(), which contains() accepts.
     Rows keep eval_point's rule: exact when the row's data and values are all
     int/Fraction, on the row scaled to ints once (the scale is a positive
-    lcm, so the sign of each gap is kept), floats within `lin_feas` otherwise.
-    A feasible point's exact rows all have residual 0, so only float rows
-    raise max_residual.  An objective of int/Fraction data is summed in ints
-    at a point whose objective variables are all ints (an integer variable's
-    value is drawn from its domain, so only the continuous ones are looked
-    at); any other point takes `Objective.value`.
+    lcm, so the sign of each gap is kept), `float_gap`'s gap within `lin_feas`
+    otherwise.  A feasible point's exact rows all have residual 0, so only
+    float rows raise max_residual.  An objective of int/Fraction data is
+    summed in ints at a point whose objective variables are all ints (an
+    integer variable's value is drawn from its domain, so only the continuous
+    ones are looked at); any other point takes `Objective.value`.
 
     What it reads comes from the model's `family` (without one, a new
     family with no hints): the bounds, the pencils, the compiled objective
@@ -358,7 +367,10 @@ class _LeafCheck:
     objective are decided on every call.  The search (`_Plan.leaf`) rejects
     a leaf whose entry already refuses it before completing the point, so
     from the search only an entry with a passing bounds verdict and no
-    stored refusal reaches this check.
+    stored refusal reaches this check.  A call may also pass the exact
+    boundaries t* of the point's corner scalars (`corners`, by name, as
+    `_Plan.resolve` writes them): the pencils are then decided at t*, on the
+    exact route of `is_psd_at`, while the point holds float(t*).
     """
 
     def __init__(self, model, family=None, rows=None, objective=None, determined=(), proven=()):
@@ -372,7 +384,7 @@ class _LeafCheck:
         self.objective = model.objective
         self.linear, self.cont_objective = objective or family.objective(model.objective)
 
-    def __call__(self, assign, leaf=None):
+    def __call__(self, assign, leaf=None, corners=None):
         if leaf is not None and not leaf[1]:
             return None
         for name, lo, hi in self.bounds if leaf is None else self.own_bounds:
@@ -380,23 +392,24 @@ class _LeafCheck:
             if (lo is not None and not v >= lo) or (hi is not None and not v <= hi):
                 return None
         tol, max_residual = self.tol, 0.0
-        for rel, names, ints, fcoefs, frhs in self.rows:
+        for rel, names, ints, coefs, rhs in self.rows:
             vals = [assign[n] for n in names]
             # the type test first: it is cheaper than `_exact` and passes most leaves
             if ints and (all(type(v) is int for v in vals) or _exact(*vals)):
                 gap = sum(map(operator.mul, ints[0], vals)) - ints[1]
             else:
-                gap = sum(c * float(v) for c, v in zip(fcoefs, vals)) - frhs
+                gap = float_gap(coefs, vals, rhs)
                 resid = abs(gap) if rel == "==" else max(gap if rel == "<=" else -gap, 0.0)
                 if resid > tol:
                     return None
-                max_residual = max(max_residual, resid)
+                max_residual = max(max_residual, float(resid))
                 continue
             if gap > 0 if rel == "<=" else gap < 0 if rel == ">=" else gap != 0:
                 return None
+        values = {**assign, **corners} if corners else assign
         for pencil, at in self.pencils:
             if leaf is None or at is None:
-                psd = pencil.is_psd_at(assign)
+                psd = pencil.is_psd_at(values)
             elif (psd := leaf[at]) is None:
                 psd = leaf[at] = pencil.is_psd_at(assign)
             if not psd:
@@ -762,14 +775,15 @@ class _Plan:
         self.assignment, self.nodes, self.max_residual = {}, 0, 0.0
         self.offer, self.result = _best_tracker(model.objective.sense)
 
-    def resolve(self, assignment, fractions=False, searched=False, leaf=None):
+    def resolve(self, assignment, fractions=False, searched=False, leaf=None, corners=None):
         """The leaf pipeline: complete an integer assignment (lift values,
         closure, forced stage, corners), None if infeasible.  With `fractions`
         every closure value is a Fraction, also an integral one.  `searched`
         says the assignment passed every test of the plan, so the closure
         skips the windows those tests decided.  The lift stage's values come
         from `leaf`, the family's entry for the assignment, which is looked up
-        when not given."""
+        when not given.  A corner's value in the point is float(t*); its exact
+        t* is written into `corners`, when given."""
         model, family = self.model, self.family
         if leaf is None:
             leaf = family.leaf(model, assignment)
@@ -780,8 +794,11 @@ class _Plan:
         for apply, hint in family.stages[_FORCED]:
             apply(hint, model, assign)
         for name, pencil, i, a, dom in self.corners:
-            if not _resolve_corner(pencil, assign, name, i, a, dom):
+            t = _resolve_corner(pencil, assign, name, i, a, dom)
+            if t is None:
                 return None
+            if corners is not None:
+                corners[name] = t
         return assign
 
     def dfs(self, d):
@@ -825,8 +842,9 @@ class _Plan:
         leaf = self.family.leaf(self.model, self.assignment)
         if False in leaf:  # refused on its integer part (values is a tuple, never False): not completed
             return
-        assign = self.resolve(self.assignment, searched=True, leaf=leaf)
-        if assign is not None and (res := self.check(assign, leaf)) is not None:
+        corners = {} if self.corners else None
+        assign = self.resolve(self.assignment, searched=True, leaf=leaf, corners=corners)
+        if assign is not None and (res := self.check(assign, leaf, corners)) is not None:
             self.offer(res[0], assign)
             self.max_residual = max(self.max_residual, res[1])
 

@@ -273,6 +273,16 @@ class TestEvalPoint:
         r = eval_point(m, {"a": 0})  # a feasible point is reported as before
         assert r.feasible and r.violations == [] and type(r.max_residual) is float and r.max_residual == 0
 
+    @pytest.mark.parametrize("a, feasible, residual", [(1.0, False, math.inf), (0.0, True, 0.0), (-1.0, True, 0.0)])
+    def test_huge_data_at_a_float_value(self, a, feasible, residual):
+        # float(10**400) overflows, so the gap of a row with a float value is
+        # taken exactly: a violated row reports inf, a satisfied one its residual
+        m = MisdpModel([("a", VarDomain.continuous())], Objective("min", {"a": 1}),
+                       rows=[LinRow((("a", 10**400),), "<=", 1)])
+        r = eval_point(m, {"a": a})
+        assert r.feasible == feasible and type(r.max_residual) is float and r.max_residual == residual
+        assert r.violations == ([] if feasible else ["row 0: residual inf"])
+
     def test_variable_order_invariance(self):
         m = stable_set_k2_model()
         shuffled = MisdpModel(

@@ -495,13 +495,34 @@ class TestIntegerSuiteReports:
 
 
 def _corner(const, i, a=1.0, dom=VarDomain.continuous()):
-    """The corner stage on pencil const + t * a * e_i e_i^T: t, or None if infeasible."""
+    """The corner stage on pencil const + t * a * e_i e_i^T: t as the point
+    holds it (the float of the exact t the stage returns), or None if
+    infeasible."""
     const = np.asarray(const, dtype=float)
     pencil = MatrixPencil(len(const), _triples(const), [("t", [(i, i, a)])])
     assign = {}
-    if not search._resolve_corner(pencil, assign, "t", i, Fraction(a), dom):
+    t = search._resolve_corner(pencil, assign, "t", i, Fraction(a), dom)
+    if t is None:
         return None
+    assert type(t) is Fraction and assign["t"] == float(t)
     return assign["t"]
+
+
+def _corner_verdicts(monkeypatch):
+    """Record every `is_psd_at` call as (pencil, values, verdict), and every
+    float PSD test or Jacobi call (which the exact route never makes)."""
+    verdicts, floats = [], []
+    is_psd_at = MatrixPencil.is_psd_at
+
+    def deciding(pencil, values):
+        ok = is_psd_at(pencil, values)
+        verdicts.append((pencil, dict(values), ok))
+        return ok
+
+    monkeypatch.setattr(MatrixPencil, "is_psd_at", deciding)
+    monkeypatch.setattr(model_module, "is_psd", lambda a: floats.append("is_psd"))
+    monkeypatch.setattr(linalg, "jacobi_eigh", lambda *args: floats.append("jacobi"))
+    return verdicts, floats
 
 
 def _one_corner_model(sense, coef):
@@ -539,6 +560,49 @@ class TestCornerScalars:
     def test_corner_on_a_later_diagonal_entry(self):
         # [[4, 2], [2, t]] is PSD iff t >= 1
         assert _corner([[4, 2], [2, 0]], 1) == 1.0
+
+    @pytest.mark.parametrize("lo, t", [(0.25, Fraction(1, 3)), (0.4, Fraction(0.4)), (0.5, Fraction(1, 2))])
+    def test_pencil_is_decided_at_the_exact_boundary(self, monkeypatch, lo, t):
+        # [[t, 1], [1, 3]] is PSD iff t >= 1/3: above a float lower bound the
+        # boundary is 1/3, below one it is the bound, as the Fraction it is;
+        # the point and the optimum keep the float
+        m = _one_corner_model("min", 1)
+        m.variables = [("t", VarDomain.continuous(lo))]
+        verdicts, floats = _corner_verdicts(monkeypatch)
+        res = solve_by_enumeration(m)
+        assert [(values, ok) for _, values, ok in verdicts] == [({"t": t}, True)] and floats == []
+        assert res.optimum == float(t) and type(res.optimum) is float
+        assert res.minimizers == [{"t": float(t)}] and res.feasible_count == 1
+
+    @pytest.mark.parametrize("lo", [None, 0])
+    def test_rest_block_not_psd_is_infeasible(self, monkeypatch, lo):
+        # [[t, 1], [1, 2x - 1]]: at x = 0 the rest block [-1] is not PSD, so
+        # the pencil fails at its boundary t = -1 (or at t = 0); at x = 1 it
+        # holds at t = 1
+        pencil = MatrixPencil(2, [(0, 1, 1), (1, 1, -1)], [("x", [(1, 1, 2)]), ("t", [(0, 0, 1)])])
+        m = MisdpModel([("x", VarDomain.binary()), ("t", VarDomain.continuous(lo))],
+                       Objective("min", {"t": 1}), pencils=[pencil])
+        verdicts, floats = _corner_verdicts(monkeypatch)
+        res = solve_by_enumeration(m)
+        assert res.feasible_count == 1 and res.minimizers == [{"x": 1, "t": 1.0}]
+        assert [(values, ok) for _, values, ok in verdicts] == [
+            ({"x": 0, "t": Fraction(-1 if lo is None else 0)}, False), ({"x": 1, "t": Fraction(1)}, True)]
+        assert floats == []
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_qbpp_corners_are_decided_exactly(self, monkeypatch, seed):
+        # each leaf's pencil [[z, 1^T], [1, X]] is decided at the exact z = t*,
+        # where it is PSD exactly when X, the block of the other indices, is
+        verdicts, floats = _corner_verdicts(monkeypatch)
+        assert equivalence_suite("qbpp-random", seed=seed).passed
+        assert verdicts and floats == []
+        for pencil, values, ok in verdicts:
+            assert type(values["z"]) is Fraction
+            full = [[0] * pencil.order for _ in range(pencil.order)]
+            for v, triples in zip([1, *(0 if n == "z" else values[n] for n, _ in pencil.terms)], pencil.entries):
+                for r, c, x in triples:
+                    full[r][c] += v * x
+            assert ok == linalg.is_psd_exact([row[1:] for row in full[1:]])
 
     @pytest.mark.parametrize("sense,coef", [("min", 1), ("min", 0), ("max", -1), ("max", 0)])
     def test_priced_toward_the_boundary_or_not_at_all(self, sense, coef):
@@ -735,6 +799,14 @@ class TestLeafCheck:
             feasible += got is not None and got[1] > 0
         assert feasible > 0  # some feasible point has a nonzero float residual
 
+    @pytest.mark.parametrize("a", [1.0, 0.0, Fraction(1, 2), 1])
+    def test_agrees_with_eval_point_on_huge_data(self, a):
+        # a row past the float range at a float value raised OverflowError in
+        # both; its gap is taken exactly now
+        m = MisdpModel([("a", VarDomain.continuous()), ("b", VarDomain.continuous())], Objective("min", {"a": 1}),
+                       rows=[LinRow((("a", 10**400),), "<=", 1), LinRow((("a", 10**400), ("b", -10**400)), "==", 0.0)])
+        _assert_agrees(m, search._LeafCheck(m)({"a": a, "b": a}), {"a": a, "b": a})
+
     def test_agrees_with_eval_point_on_every_leaf(self):
         feasible = 0
         for m in _one_model_per_builder():
@@ -744,8 +816,8 @@ class TestLeafCheck:
             for _ in range(2):
                 plan = search._Plan(m, budget=10**9)
 
-                def recording(assign, leaf=None, m=m, compiled=plan.check):
-                    got = compiled(assign, leaf)
+                def recording(assign, leaf=None, corners=None, m=m, compiled=plan.check):
+                    got = compiled(assign, leaf, corners)
                     _assert_agrees(m, got, assign)
                     return got
 
@@ -775,8 +847,8 @@ class TestLeafCheck:
             closures.append(searched)
             return apply(closure, assign, fractions, searched)
 
-        def resolving(plan, assignment, fractions=False, searched=False, leaf=None):
-            assign = resolve(plan, assignment, fractions, searched, leaf)
+        def resolving(plan, assignment, fractions=False, searched=False, leaf=None, corners=None):
+            assign = resolve(plan, assignment, fractions, searched, leaf, corners)
             if searched:  # a search leaf: is every closure value inside its domain?
                 leaves.append(assign is not None and all(
                     plan.family.doms[n].contains(assign[n], tol=config.DEFAULT.lin_feas)
@@ -784,10 +856,10 @@ class TestLeafCheck:
                 keys.add((id(plan.family), plan.family.key(assignment)))
             return assign
 
-        def checking(check, assign, leaf=None):
+        def checking(check, assign, leaf=None, corners=None):
             current["at_leaf"] = True
             try:
-                return leaf_check(check, assign, leaf)
+                return leaf_check(check, assign, leaf, corners)
             finally:
                 current["at_leaf"] = False
 
@@ -861,7 +933,7 @@ class TestLeafCheck:
             plan_init(plan, model, budget)
             current["plan"] = plan
 
-        def checking(check, assign, leaf=None):
+        def checking(check, assign, leaf=None, corners=None):
             plan = current["plan"]
             m = plan.model
             key = (id(plan.family), plan.family.key(assign))
@@ -871,7 +943,7 @@ class TestLeafCheck:
             entries.append(leaf)
             current["leaf"] = key, feasible
             try:
-                return leaf_check(check, assign, leaf)
+                return leaf_check(check, assign, leaf, corners)
             finally:
                 current["leaf"] = None
 
@@ -907,8 +979,9 @@ class TestLeafCheck:
 
     def test_jacobi_runs_only_in_the_float_suites(self, monkeypatch):
         # the tour pencils are decided in Z[2cos(2pi/n)] (tsp-small made 360
-        # Jacobi calls when they held floats); what is left at seed 0 is the
-        # completion-2x2 nuclear hint and the qbpp-random corners
+        # Jacobi calls when they held floats) and the qbpp-random corners at
+        # their exact boundary (61 calls when the pencil was decided at the
+        # float); what is left at seed 0 is the completion-2x2 nuclear hint
         calls, current = {}, {}
 
         def counting(*args):
@@ -919,7 +992,7 @@ class TestLeafCheck:
         for name in SUITES:
             current["suite"] = name
             assert equivalence_suite(name).passed
-        assert calls == {"completion-2x2": 162, "qbpp-random": 61}  # 223 in all
+        assert calls == {"completion-2x2": 162}
 
 
 def _reference_walk(model):
@@ -1456,7 +1529,7 @@ def _ref_reduce(eqs, unknowns, doms, slots=None):
 
 
 def _ref_resolve_corner(pencil, assign, name, i, a, dom):
-    """`search._resolve_corner` over Fractions."""
+    """`search._resolve_corner` over a Fraction matrix."""
     base = [[Fraction(0)] * pencil.order for _ in range(pencil.order)]
     values = [1] + [0 if term == name else assign[term] for term, _ in pencil.terms]
     for v, entries in zip(values, pencil.entries):
@@ -1467,12 +1540,12 @@ def _ref_resolve_corner(pencil, assign, name, i, a, dom):
     rows = [[base[r][c] for c in rest] + [base[r][i]] for r in rest]
     pivots = _ref_gauss_jordan(rows, len(rest))
     if any(row[-1] != 0 for row in rows[len(pivots):]):
-        return False
+        return None
     t = (sum(base[rest[p]][i] * row[-1] for p, row in zip(pivots, rows)) - base[i][i]) / a
     if dom.lo is not None and t < dom.lo:
-        t = dom.lo
+        t = Fraction(dom.lo)
     assign[name] = float(t)
-    return True
+    return t
 
 
 class TestFractionFreeElimination:
@@ -1520,7 +1593,7 @@ class TestFractionFreeElimination:
         i, a = data.draw(st.integers(0, order - 1)), data.draw(st.sampled_from([1, 2, 0.5]))
         pencil = MatrixPencil(order, _triples(const), [("x", _triples(term)), ("t", [(i, i, a)])])
         x = data.draw(st.sampled_from([0, 1, Fraction(1, 3), Fraction(-2, 5)]))
-        dom = VarDomain.continuous(data.draw(st.sampled_from([None, 0, Fraction(1, 7)])))
+        dom = VarDomain.continuous(data.draw(st.sampled_from([None, 0, Fraction(1, 7), 0.1])))
         got, expected = {"x": x}, {"x": x}
         args = "t", i, Fraction(a), dom
         assert search._resolve_corner(pencil, got, *args) == _ref_resolve_corner(pencil, expected, *args)
@@ -1532,15 +1605,15 @@ class TestFractionFreeElimination:
 
         def corner(pencil, assign, name, *args):
             expected = dict(assign)
-            ok = _ref_resolve_corner(pencil, expected, name, *args)
-            assert real(pencil, assign, name, *args) == ok and assign == expected
-            assert not ok or type(assign[name]) is float
-            results.append(ok)
-            return ok
+            t = _ref_resolve_corner(pencil, expected, name, *args)
+            assert real(pencil, assign, name, *args) == t and assign == expected
+            assert t is None or (type(t) is Fraction and type(assign[name]) is float)
+            results.append(t)
+            return t
 
         monkeypatch.setattr(search, "_resolve_corner", corner)
         assert equivalence_suite("qbpp-random", seed=seed).passed
-        assert any(results)
+        assert any(t is not None for t in results)
 
 
 class TestIntegralClosureValues:
